@@ -29,8 +29,8 @@ let table3 () =
     List.map
       (fun o ->
         let plan = Gf.Plan.wco q o in
-        let t_on, c_on = time_warm (fun () -> Gf.Exec.run ~cache:true g plan) in
-        let t_off, _ = time_warm (fun () -> Gf.Exec.run ~cache:false g plan) in
+        let t_on, c_on = time_warm (fun () -> fst (Gf.Exec.run_gov ~cache:true g plan)) in
+        let t_off, _ = time_warm (fun () -> fst (Gf.Exec.run_gov ~cache:false g plan)) in
         (o, t_on, t_off, c_on.Gf.Counters.cache_hits))
       orders
   in
@@ -63,7 +63,7 @@ let table4 () =
         List.map
           (fun o ->
             let plan = Gf.Plan.wco q o in
-            let t, c = time_warm (fun () -> Gf.Exec.run g plan) in
+            let t, c = time_warm (fun () -> fst (Gf.Exec.run_gov g plan)) in
             (o, t, c))
           (List.map fst (Gf.Planner.all_wco_orders (catalog g) q))
       in
@@ -91,7 +91,7 @@ let table5 () =
         List.map
           (fun o ->
             let plan = Gf.Plan.wco q o in
-            let t, c = time_warm (fun () -> Gf.Exec.run ~cache:false g plan) in
+            let t, c = time_warm (fun () -> fst (Gf.Exec.run_gov ~cache:false g plan)) in
             (* EDGE-TRIANGLE plans close the triangle (vertex a3 = 2) before
                matching the tail (a4 = 3). *)
             let fam =
@@ -128,7 +128,7 @@ let table6 () =
       List.iter
         (fun o ->
           let plan = Gf.Plan.wco q o in
-          let t, c = time_warm (fun () -> Gf.Exec.run g plan) in
+          let t, c = time_warm (fun () -> fst (Gf.Exec.run_gov g plan)) in
           Printf.printf "%-12s %9.3fs %12s %14s %12s\n" (order_name o) t
             (fmt_count (Gf.Counters.intermediate c))
             (fmt_count c.Gf.Counters.icost)
@@ -190,7 +190,7 @@ let figure7 () =
               let times = List.map (fun e -> e.Gf.Spectrum.seconds) s.Gf.Spectrum.entries in
               let tmin = List.fold_left Float.min infinity times in
               let tmax = List.fold_left Float.max 0.0 times in
-              let tpick, _ = time_warm (fun () -> Gf.Exec.run g picked) in
+              let tpick, _ = time_warm (fun () -> fst (Gf.Exec.run_gov g picked)) in
               let fam f =
                 List.length (List.filter (fun e -> e.Gf.Spectrum.family = f) s.Gf.Spectrum.entries)
               in
@@ -238,7 +238,7 @@ let figure8 () =
           List.iter
             (fun o ->
               let plan = Gf.Plan.wco q o in
-              let tf, _ = time_warm (fun () -> Gf.Exec.run g plan) in
+              let tf, _ = time_warm (fun () -> fst (Gf.Exec.run_gov g plan)) in
               let ta, _ = time_warm (fun () -> Gf.Adaptive.run cat g q plan) in
               improvements := (tf, ta) :: !improvements)
             orders;
@@ -267,7 +267,7 @@ let figure8 () =
     (fun diamond_order ->
       let plan = Gf.Plan.hash_join q triangle_side (Gf.Plan.wco q diamond_order) in
       assert (Gf.Adaptive.adaptable plan);
-      let tf, _ = time_warm (fun () -> Gf.Exec.run g plan) in
+      let tf, _ = time_warm (fun () -> fst (Gf.Exec.run_gov g plan)) in
       let ta, _ = time_warm (fun () -> Gf.Adaptive.run cat g q plan) in
       Printf.printf "hybrid (diamond %s): fixed %.4fs adaptive %.4fs (%.2fx)\n"
         (order_name diamond_order) tf ta
@@ -302,7 +302,7 @@ let figure9 () =
         List.map
           (fun orders ->
             let p = Gf.Ghd.plan_with_orders q d (Array.of_list orders) in
-            fst (time_warm (fun () -> Gf.Exec.run g p)))
+            fst (time_warm (fun () -> fst (Gf.Exec.run_gov g p))))
           (List.filteri (fun i _ -> i < 24) all)
       in
       let gf = Gf.Spectrum.run ~per_subset_cap:3 ~family_cap:8 g q in
@@ -345,12 +345,14 @@ let table9 () =
               try
                 let d = Gf.Ghd.min_width_decomposition q in
                 let gf_plan, _ = Gf.Planner.plan cat q in
-                let t_gf, _ = time_once (fun () -> Gf.Exec.run g gf_plan) in
+                let t_gf, _ = time_once (fun () -> fst (Gf.Exec.run_gov g gf_plan)) in
                 let t_ehb, _ =
-                  time_once (fun () -> Gf.Exec.run g (Gf.Ghd.to_plan cat q d Gf.Ghd.Worst_estimated))
+                  time_once (fun () ->
+                      fst (Gf.Exec.run_gov g (Gf.Ghd.to_plan cat q d Gf.Ghd.Worst_estimated)))
                 in
                 let t_ehg, _ =
-                  time_once (fun () -> Gf.Exec.run g (Gf.Ghd.to_plan cat q d Gf.Ghd.Best_estimated))
+                  time_once (fun () ->
+                      fst (Gf.Exec.run_gov g (Gf.Ghd.to_plan cat q d Gf.Ghd.Best_estimated)))
                 in
                 Printf.printf "%-8s %11.3fs %11.3fs %11.3fs %11.1fx\n" name t_ehb t_ehg t_gf
                   (t_ehb /. Float.max t_gf 1e-6)
@@ -394,7 +396,7 @@ let figure10 () =
     | Gf.Plan.Scan _ -> ()
   in
   walk_root plan;
-  let t, c = time_once (fun () -> Gf.Exec.run g plan) in
+  let t, c = time_once (fun () -> fst (Gf.Exec.run_gov g plan)) in
   Printf.printf "matches %s in %.3fs; plan %s a join%s\n"
     (fmt_count c.Gf.Counters.output) t
     (if !has_join then "contains" else "does not contain")
@@ -439,27 +441,12 @@ let figure11 () =
           let active =
             Array.fold_left (fun a o -> a + if o > 0 then 1 else 0) 0 r.Gf.Parallel.per_domain_output
           in
-          let c = r.Gf.Parallel.counters in
+          let c = r.counters in
           Printf.printf "  %dd: %.3fs (%d active, %d morsels, %d steals, imb %.2f)" d t
             active c.Gf.Counters.morsels c.Gf.Counters.steals (busy_stats r))
         [ 1; 2; 4 ];
       print_newline ())
     runs;
-  (* A/B: static chunked scheduling vs morsel-driven work stealing on the
-     most skewed dataset. The imbalance column (max/min per-domain busy
-     time) is the figure's point: stealing flattens it. *)
-  subheader "chunked baseline vs morsel-driven (Q1 twitter, 4 domains)";
-  let g = dataset_at (Gf.Generators.Twitter, scale *. 0.5) in
-  let q = Gf.Patterns.q 1 in
-  let order, _ = Gf.Planner.best_wco_order (catalog g) q in
-  let plan = Gf.Plan.wco q order in
-  let t_old, r_old = time_once (fun () -> Gf.Parallel.run_chunked ~domains:4 ~chunk:64 g plan) in
-  let t_new, r_new = time_once (fun () -> Gf.Parallel.run ~domains:4 ~chunk:64 g plan) in
-  Printf.printf "chunked: %.3fs  imbalance %.2f  (hash-join builds re-run per domain)\n" t_old
-    (busy_stats r_old);
-  Printf.printf "morsel:  %.3fs  imbalance %.2f  (%d morsels, %d steals, builds shared)\n" t_new
-    (busy_stats r_new) r_new.Gf.Parallel.counters.Gf.Counters.morsels
-    r_new.Gf.Parallel.counters.Gf.Counters.steals;
   print_endline
     "(on one physical core the speedup cannot manifest; morsel counts, steal counts and";
   print_endline " the busy-time imbalance show the scheduler functioning — see EXPERIMENTS.md)"
@@ -489,7 +476,7 @@ let governor () =
     Gf.Governor.budget ~deadline_s:3600. ~max_intermediate:(1 lsl 50)
       ~max_bytes:(1 lsl 50) ()
   in
-  let t_plain = best (fun () -> Gf.Exec.run g plan) in
+  let t_plain = best (fun () -> Gf.Exec.run_gov g plan) in
   let t_gov = best (fun () -> Gf.Exec.run_gov ~budget:generous g plan) in
   let c_gov, _ = Gf.Exec.run_gov ~budget:generous g plan in
   Printf.printf
@@ -525,7 +512,7 @@ let governor () =
       Printf.printf "%d domain(s): returned in %3.0f ms, outcome %s, %s tuples produced\n" d
         (t *. 1000.)
         (Gf.Governor.outcome_to_string r.Gf.Parallel.outcome)
-        (fmt_count r.Gf.Parallel.counters.Gf.Counters.produced))
+        (fmt_count r.counters.Gf.Counters.produced))
     [ 1; 4 ];
   (* Deterministic fault injection: the same seed always fails at the same
      produced-tuple count. *)
@@ -594,10 +581,8 @@ let observability () =
     let ts = List.init 9 (fun _ -> fst (time_once f)) in
     List.fold_left min infinity ts
   in
-  let t_off = best (fun () -> Gf.Exec.run g plan) in
-  let t_on =
-    best (fun () -> Gf.Exec.run ~prof:(Gf.Profile.create plan) g plan)
-  in
+  let t_off = best (fun () -> Gf.Exec.run_gov g plan) in
+  let t_on = best (fun () -> Gf.Exec.run_gov ~prof:(Gf.Profile.create plan) g plan) in
   Printf.printf
     "Q1 twitter sequential: profiling off %.4fs, on %.4fs (enabled cost %+.1f%%)\n" t_off
     t_on
@@ -613,7 +598,7 @@ let observability () =
   (* The join against the cost model the profile pays for. *)
   subheader "EXPLAIN ANALYZE (sequential run)";
   let prof = Gf.Profile.create plan in
-  let (_ : Gf.Counters.t) = Gf.Exec.run ~prof g plan in
+  let _ = Gf.Exec.run_gov ~prof g plan in
   print_string (Gf.Explain.to_string (Gf.Explain.rows cat q plan prof))
 
 let tracing () =
@@ -812,7 +797,10 @@ let table12 () =
               match Gf.Planner.plan cat q with
               | exception _ -> ()
               | plan, _ ->
-                  let t_gf, c = time_once (fun () -> Gf.Exec.run ~distinct:true ~limit g plan) in
+                  let budget = Gf.Governor.budget ~max_output:limit () in
+                  let t_gf, c =
+                    time_once (fun () -> fst (Gf.Exec.run_gov ~distinct:true ~budget g plan))
+                  in
                   let t_cfl, _ = time_once (fun () -> Gf.Cfl_baseline.run ~limit g q) in
                   matches := !matches + c.Gf.Counters.output;
                   gf_total := !gf_total +. t_gf;
@@ -846,7 +834,7 @@ let table13 () =
         (fun qi ->
           let q = Gf.Patterns.q qi in
           let plan, _ = Gf.Planner.plan cat q in
-          let t_gf, _ = time_once (fun () -> Gf.Exec.run g plan) in
+          let t_gf, _ = time_once (fun () -> fst (Gf.Exec.run_gov g plan)) in
           let t_bj, s = time_once (fun () -> Gf.Bj_baseline.run g q) in
           Printf.printf "Q%-3d GF %8.3fs   BJ %8.3fs (%.0fx, %s intermediate)\n" qi t_gf t_bj
             (t_bj /. Float.max t_gf 1e-6)
@@ -866,8 +854,10 @@ let ablation_cache_consciousness () =
     (fun (label, q) ->
       let o_con, _ = Gf.Planner.best_wco_order ~cache_conscious:true cat q in
       let o_obl, _ = Gf.Planner.best_wco_order ~cache_conscious:false cat q in
-      let t_con, c_con = time_warm (fun () -> Gf.Exec.run g (Gf.Plan.wco q o_con)) in
-      let t_obl, _ = time_warm (fun () -> Gf.Exec.run g (Gf.Plan.wco q o_obl)) in
+      let t_con, c_con =
+        time_warm (fun () -> fst (Gf.Exec.run_gov g (Gf.Plan.wco q o_con)))
+      in
+      let t_obl, _ = time_warm (fun () -> fst (Gf.Exec.run_gov g (Gf.Plan.wco q o_obl))) in
       Printf.printf "%-22s conscious picks %s (%.3fs, %s hits); oblivious picks %s (%.3fs)\n"
         label (order_name o_con) t_con
         (fmt_count c_con.Gf.Counters.cache_hits)
@@ -895,8 +885,8 @@ let ablation_projection_constraint () =
   in
   let right_open = Gf.Plan.wco q_no23 [| 1; 3; 2 |] in
   let p2 = Gf.Plan.hash_join q (Gf.Plan.wco q [| 1; 2; 0 |]) right_open in
-  let t1, c1 = time_warm (fun () -> Gf.Exec.run g p1) in
-  let t2, c2 = time_warm (fun () -> Gf.Exec.run g p2) in
+  let t1, c1 = time_warm (fun () -> fst (Gf.Exec.run_gov g p1)) in
+  let t2, c2 = time_warm (fun () -> fst (Gf.Exec.run_gov g p2)) in
   Printf.printf "P1 (projection-constrained): %.3fs, %s matches\n" t1 (fmt_count c1.Gf.Counters.output);
   Printf.printf "P2 (edge dropped from right subtree): %.3fs, %s matches (%.1fx slower)\n" t2
     (fmt_count c2.Gf.Counters.output)
@@ -910,7 +900,7 @@ let ablation_hashjoin_weights () =
     List.map
       (fun o ->
         let plan = Gf.Plan.wco Gf.Patterns.diamond_x o in
-        let t, c = time_warm (fun () -> Gf.Exec.run ~cache:false g plan) in
+        let t, c = time_warm (fun () -> fst (Gf.Exec.run_gov ~cache:false g plan)) in
         (float_of_int c.Gf.Counters.icost, t))
       (Gf.Query.connected_orders Gf.Patterns.diamond_x |> List.filteri (fun i _ -> i < 6))
   in
@@ -923,7 +913,7 @@ let ablation_hashjoin_weights () =
         match List.find_opt (fun (f, _) -> f = Gf.Spectrum.Bj) plans with
         | None -> None
         | Some (_, p) ->
-            let t, c = time_warm (fun () -> Gf.Exec.run g p) in
+            let t, c = time_warm (fun () -> fst (Gf.Exec.run_gov g p)) in
             Some
               ( float_of_int c.Gf.Counters.hj_build_tuples,
                 float_of_int c.Gf.Counters.hj_probe_tuples,
@@ -962,8 +952,8 @@ let ablation_intersection_kernel () =
   List.iter
     (fun (label, q, order) ->
       let plan = Gf.Plan.wco q order in
-      let tp, cp = time_warm (fun () -> Gf.Exec.run ~leapfrog:false g plan) in
-      let tl, cl = time_warm (fun () -> Gf.Exec.run ~leapfrog:true g plan) in
+      let tp, cp = time_warm (fun () -> fst (Gf.Exec.run_gov ~leapfrog:false g plan)) in
+      let tl, cl = time_warm (fun () -> fst (Gf.Exec.run_gov ~leapfrog:true g plan)) in
       assert (cp.Gf.Counters.output = cl.Gf.Counters.output);
       Printf.printf "%-22s pairwise %.3fs  leapfrog %.3fs (%.2fx) on %s matches\n" label tp tl
         (tp /. Float.max tl 1e-6)
@@ -1119,8 +1109,8 @@ let storage () =
       Printf.printf "adjacency sweep on mapped graph: %.3fs (%.2fx vs built)\n" t_sweep_m
         (t_sweep_m /. Float.max t_ba 1e-9);
       let plan = Gf.Plan.wco Gf.Patterns.asymmetric_triangle [| 0; 1; 2 |] in
-      let t_q, c = time_warm (fun () -> Gf.Exec.run g plan) in
-      let t_qm, cm = time_warm (fun () -> Gf.Exec.run gm plan) in
+      let t_q, c = time_warm (fun () -> fst (Gf.Exec.run_gov g plan)) in
+      let t_qm, cm = time_warm (fun () -> fst (Gf.Exec.run_gov gm plan)) in
       assert (c.Gf.Counters.output = cm.Gf.Counters.output);
       Printf.printf "triangle count: built %.3fs, mapped %.3fs on %s matches\n" t_q t_qm
         (fmt_count c.Gf.Counters.output))
@@ -1131,8 +1121,8 @@ let ablation_factorized_count () =
   List.iter
     (fun (label, q, order) ->
       let plan = Gf.Plan.wco q order in
-      let t_enum, c = time_warm (fun () -> Gf.Exec.run g plan) in
-      let t_fast, n = time_warm (fun () -> Gf.Exec.count_fast g plan) in
+      let t_enum, c = time_warm (fun () -> fst (Gf.Exec.run_gov g plan)) in
+      let t_fast, n = time_warm (fun () -> Gf.Exec.count g plan) in
       assert (n = c.Gf.Counters.output);
       Printf.printf "%-22s enumerate %.3fs  count-only %.3fs (%.2fx) for %s matches\n" label
         t_enum t_fast
@@ -1153,7 +1143,7 @@ let bechamel_suite () =
   let open Bechamel in
   let g = dataset_at (Gf.Generators.Amazon, 0.05) in
   let cat = Gf.Catalog.create ~z:100 g in
-  let run_plan plan () = ignore (Gf.Exec.run g plan) in
+  let run_plan plan () = ignore (Gf.Exec.run_gov g plan) in
   let dx = Gf.Patterns.diamond_x in
   let tt = Gf.Patterns.tailed_triangle in
   let sdx = Gf.Patterns.symmetric_diamond_x in
@@ -1163,7 +1153,7 @@ let bechamel_suite () =
     [
       mk "table3/diamondx-cache-on" (run_plan (Gf.Plan.wco dx [| 1; 2; 0; 3 |]));
       mk "table3/diamondx-cache-off" (fun () ->
-          ignore (Gf.Exec.run ~cache:false g (Gf.Plan.wco dx [| 1; 2; 0; 3 |])));
+          ignore (Gf.Exec.run_gov ~cache:false g (Gf.Plan.wco dx [| 1; 2; 0; 3 |])));
       mk "table4/triangle-fwd-fwd" (run_plan (Gf.Plan.wco tri [| 0; 1; 2 |]));
       mk "table5/tailed-triangle" (run_plan (Gf.Plan.wco tt [| 0; 1; 2; 3 |]));
       mk "table6/symmetric-diamondx" (run_plan (Gf.Plan.wco sdx [| 1; 2; 0; 3 |]));
@@ -1175,7 +1165,7 @@ let bechamel_suite () =
       mk "figure9/ghd-decompose" (fun () -> ignore (Gf.Ghd.min_width_decomposition dx));
       mk "table9/eh-plan" (fun () ->
           let d = Gf.Ghd.min_width_decomposition dx in
-          ignore (Gf.Exec.run g (Gf.Ghd.to_plan cat dx d Gf.Ghd.Lexicographic)));
+          ignore (Gf.Exec.run_gov g (Gf.Ghd.to_plan cat dx d Gf.Ghd.Lexicographic)));
       mk "figure10/q9-hybrid" (fun () -> ignore (Gf.Planner.plan cat (Gf.Patterns.q 9)));
       mk "figure11/parallel-2dom" (fun () ->
           ignore (Gf.Parallel.run ~domains:2 g (Gf.Plan.wco tri [| 0; 1; 2 |])));
@@ -1362,8 +1352,8 @@ let plan_cache_bench () =
       if sig0 <> sign then begin
         (* Plan quality, measured on equal terms: warm plain executions of
            the pre- and post-feedback plans (no profiling overhead). *)
-        let t0, _ = time_warm (fun () -> Gf.Exec.run g p0) in
-        let tn, _ = time_warm (fun () -> Gf.Exec.run g pn) in
+        let t0, _ = time_warm (fun () -> fst (Gf.Exec.run_gov g p0)) in
+        let tn, _ = time_warm (fun () -> fst (Gf.Exec.run_gov g pn)) in
         Printf.printf "Q%-2d SWITCHED %s -> %s\n     %.4fs -> %.4fs (%+.1f%%)\n" i sig0
           sign t0 tn
           ((tn -. t0) /. Float.max t0 1e-9 *. 100.0)

@@ -1655,7 +1655,7 @@ let shell_cmd =
                | 'e' -> Format.printf "estimated %.1f matches@." (Gf.Db.estimate_cardinality db q)
                | 'a' ->
                    let t0 = Unix.gettimeofday () in
-                   let c = Gf.Db.run ~adaptive:true db q in
+                   let c, _ = Gf.Db.run_gov ~adaptive:true db q in
                    Format.printf "%d matches in %.3fs (adaptive)@." c.Gf.Counters.output
                      (Unix.gettimeofday () -. t0)
                | _ -> print_endline "unknown command; \\p \\e \\a \\q"
@@ -1663,7 +1663,7 @@ let shell_cmd =
              else begin
                let q = parse_query line in
                let t0 = Unix.gettimeofday () in
-               let c = Gf.Db.run db q in
+               let c, _ = Gf.Db.run_gov db q in
                Format.printf "%d matches in %.3fs (i-cost %d, cache hits %d)@."
                  c.Gf.Counters.output
                  (Unix.gettimeofday () -. t0)

@@ -29,7 +29,7 @@ let () =
   List.iter
     (fun (label, q) ->
       let t0 = Unix.gettimeofday () in
-      let c = Gf.Db.run db q in
+      let c, _ = Gf.Db.run_gov db q in
       Printf.printf "%-10s %8d matches  %.3fs (graphflow, i-cost %d)\n" label
         c.Gf.Counters.output
         (Unix.gettimeofday () -. t0)
@@ -49,8 +49,9 @@ let () =
 
   (* Community-ness: how many 4-cliques each vertex participates in. *)
   let participation = Array.make (Gf.Graph.num_vertices g) 0 in
-  let (_ : Gf.Counters.t) =
-    Gf.Db.run ~sink:(fun t -> Array.iter (fun v -> participation.(v) <- participation.(v) + 1) t)
+  let _ =
+    Gf.Db.run_gov
+      ~sink:(fun t -> Array.iter (fun v -> participation.(v) <- participation.(v) + 1) t)
       db four_clique
   in
   let ranked =

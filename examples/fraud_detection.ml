@@ -43,7 +43,7 @@ let () =
   List.iter
     (fun (label, q) ->
       let t0 = Unix.gettimeofday () in
-      let c = Gf.Db.run db q in
+      let c, _ = Gf.Db.run_gov db q in
       Printf.printf "%-12s %6d suspicious structures (%.3fs, i-cost %d)\n" label
         c.Gf.Counters.output
         (Unix.gettimeofday () -. t0)
@@ -52,8 +52,9 @@ let () =
 
   (* Show the accounts in a few rings. *)
   print_endline "sample rings:";
-  let (_ : Gf.Counters.t) =
-    Gf.Db.run ~limit:5
+  let _ =
+    Gf.Db.run_gov
+      ~budget:(Gf.Governor.budget ~max_output:5 ())
       ~sink:(fun t ->
         Printf.printf "  accounts %s\n"
           (String.concat " -> " (Array.to_list t |> List.map string_of_int)))

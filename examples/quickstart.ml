@@ -27,14 +27,15 @@ let () =
 
   (* Execute. *)
   Printf.printf "triangles: %d\n" (Gf.Db.count db triangle);
-  let c = Gf.Db.run db diamond_x in
+  let c, _ = Gf.Db.run_gov db diamond_x in
   Printf.printf "diamond-X matches: %d (i-cost %d, cache hits %d)\n" c.Gf.Counters.output
     c.Gf.Counters.icost c.Gf.Counters.cache_hits;
 
   (* The first few matches, via a sink. *)
   let shown = ref 0 in
-  let (_ : Gf.Counters.t) =
-    Gf.Db.run ~limit:3
+  let _ =
+    Gf.Db.run_gov
+      ~budget:(Gf.Governor.budget ~max_output:3 ())
       ~sink:(fun t ->
         incr shown;
         Printf.printf "match %d: (%s)\n" !shown

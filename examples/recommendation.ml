@@ -49,7 +49,7 @@ let () =
     ranked;
 
   (* Adaptive execution: same answer, work can differ per start edge. *)
-  let fixed = Gf.Db.run db diamond in
-  let adaptive = Gf.Db.run ~adaptive:true db diamond in
+  let fixed, _ = Gf.Db.run_gov db diamond in
+  let adaptive, _ = Gf.Db.run_gov ~adaptive:true db diamond in
   Printf.printf "fixed i-cost %d vs adaptive i-cost %d (same %d matches)\n"
     fixed.Gf.Counters.icost adaptive.Gf.Counters.icost adaptive.Gf.Counters.output

@@ -157,7 +157,7 @@ let reestimate g ord tuple =
     ord.steps;
   !cost
 
-let run ?(cache = true) ?(distinct = false) ?limit ?gov ?prof ?(sink = fun _ -> ()) cat g q plan =
+let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
   let model = Cost_model.create cat q in
   let seg_count = ref 0 in
   let cand_count = ref 0 in
@@ -291,7 +291,7 @@ let run ?(cache = true) ?(distinct = false) ?limit ?gov ?prof ?(sink = fun _ -> 
         )
     | _ -> None
   in
-  let counters = Exec.run_rw ~rewrite ~cache ~distinct ?limit ?gov ?prof ~sink g plan in
+  let counters, _ = Exec.run_gov ~rewrite ?cache ?distinct ?gov ?prof ?sink g plan in
   let used = List.length (List.filter (fun o -> o.routed > 0) !all_orderings) in
   ( counters,
     {

@@ -24,17 +24,17 @@ type stats = {
     segments permute their output back to the fixed schema). [distinct]
     requests injective (subgraph-isomorphism) matches: adaptive pipelines
     apply the same repeated-vertex filter as the structural E/I operator, so
-    results match [Exec.run ~distinct:true] of the fixed plan. [gov] runs
-    the query under an externally created governor; adaptive pipelines tick
-    it per produced tuple like the structural operators, so budgets trip
-    inside segments too. [prof] profiles per-operator actuals; all work of
+    results match [Exec.run_gov ~distinct:true] of the fixed plan. [gov]
+    runs the query under an externally created governor (its
+    {!Gf_exec.Governor.outcome} tells how the run ended); adaptive
+    pipelines tick it per produced tuple like the structural operators, so
+    budgets, including an output cap, trip inside segments too. [prof] profiles per-operator actuals; all work of
     an adaptive segment (whatever ordering each tuple was routed to) is
     charged to the segment's chain-root operator id, and the interior chain
     operators it replaces report zero. *)
 val run :
   ?cache:bool ->
   ?distinct:bool ->
-  ?limit:int ->
   ?gov:Gf_exec.Governor.t ->
   ?prof:Gf_exec.Profile.t ->
   ?sink:(int array -> unit) ->

@@ -259,8 +259,10 @@ let sr_fail shard outcome detail attempts =
    already failure handling, hedging them again just multiplies load.
    [on_reply] sees every reply line that arrived (winner or not, good or
    failed) — the trace stitcher wants the losing replica's spans too. *)
+let hedge_poll_s = 0.002
+
 let hedged_attempt t ~after ?(on_reply = fun _ _ -> ()) ep1 ep2 line =
-  let m = Mutex.create () and cv = Condition.create () in
+  let m = Mutex.create () in
   let winner = ref None and pending = ref 1 and launched = ref false in
   let errors = ref [] in
   let fire ep =
@@ -278,39 +280,44 @@ let hedged_attempt t ~after ?(on_reply = fun _ _ -> ()) ep1 ep2 line =
                | `Retryable why -> errors := why :: !errors)
            | Error why -> errors := why :: !errors);
            decr pending;
-           Condition.broadcast cv;
            Mutex.unlock m)
          ())
   in
   fire ep1;
   Mutex.lock m;
-  let deadline = Unix.gettimeofday () +. t.cfg.rpc_timeout_s +. after +. 1.0 in
+  let t0 = Unix.gettimeofday () in
+  let hedge_at = t0 +. after in
+  let deadline = t0 +. t.cfg.rpc_timeout_s +. after +. 1.0 in
   let rec wait () =
     match !winner with
     | Some (ep, kind, reply) ->
         Mutex.unlock m;
         `Won (ep, kind, reply, !launched)
     | None ->
+        let now = Unix.gettimeofday () in
         if !pending = 0 then begin
           let errs = !errors in
           Mutex.unlock m;
           `Lost (errs, !launched)
         end
-        else if Unix.gettimeofday () > deadline then begin
+        else if now > deadline then begin
           Mutex.unlock m;
           `Lost ([ "hedge wait timeout" ], !launched)
         end
         else begin
-          (* First wake-up doubles as the hedge trigger. *)
-          Mutex.unlock m;
-          Thread.delay (if !launched then 0.02 else after);
-          Mutex.lock m;
-          if (not !launched) && !winner = None && !pending > 0 then begin
+          if (not !launched) && now >= hedge_at then begin
             launched := true;
             incr pending;
             c_inc "gf_cluster_hedges_total" "Hedge requests launched for stragglers";
             fire ep2
           end;
+          (* Poll in short slices rather than sleeping out the hedge delay:
+             a healthy primary's reply must end the wait as soon as it
+             lands, so the hedge delay is a trigger, never a latency floor. *)
+          Mutex.unlock m;
+          Thread.delay
+            (if !launched then hedge_poll_s else Float.min hedge_poll_s (hedge_at -. now));
+          Mutex.lock m;
           wait ()
         end
   in

@@ -76,12 +76,32 @@ module Db = struct
   let graph_version db = db.version
   let parse_query = Query_parser.parse
 
-  let plan db q =
+  (* Planning, through the plan cache when one is attached: the plan, its
+     estimated cost, and whether a run of it is due to feed the cache's
+     corrections. *)
+  let lookup ?trace db q =
     match db.cache with
-    | None -> Planner.plan ~opts:db.opts db.catalog q
+    | None ->
+        let p, cost = Planner.plan ~opts:db.opts ?trace db.catalog q in
+        (p, cost, false)
     | Some c ->
-        let r = Plan_cache.lookup c ~opts:db.opts ~graph_version:db.version db.catalog q in
-        (r.Plan_cache.plan, r.Plan_cache.cost)
+        let r =
+          Plan_cache.lookup ?trace c ~opts:db.opts ~graph_version:db.version db.catalog q
+        in
+        (r.Plan_cache.plan, r.Plan_cache.cost, r.Plan_cache.feedback_due)
+
+  let plan db q =
+    let p, cost, _ = lookup db q in
+    (p, cost)
+
+  (* Planning for an execution. The planner runs on this thread: give it its
+     own buffer (tid 2) so optimization time is visible next to the
+     execution tracks. *)
+  let plan_for_run ?trace db q =
+    let pbuf = Option.map (fun tr -> Trace.buffer ~name:"planner" tr ~tid:2) trace in
+    let p, _, feedback_due = lookup ?trace:pbuf db q in
+    (match pbuf with Some b -> Trace.close_all b | None -> ());
+    (p, feedback_due)
 
   (* Plan signature for the flight recorder: a cached entry answers without
      touching hit/miss accounting. *)
@@ -117,54 +137,26 @@ module Db = struct
 
   let metrics_exposition () = Metrics.exposition ()
 
-  let run ?(adaptive = false) ?limit ?sink db q =
-    let p, _ = plan db q in
-    let t0 = Gf_util.Timing.now_s () in
-    let c =
-      if adaptive && Adaptive.adaptable p then
-        fst (Adaptive.run ?limit ?sink db.catalog db.graph q p)
-      else Exec.run ?limit ?sink db.graph p
-    in
-    observe_run (Gf_util.Timing.now_s () -. t0) c Governor.Completed;
-    c
-
-  (* Fold the profiled actuals of one completed execution into the plan
-     cache's per-template corrections. Estimation rows come from the
-     uncorrected model, so ratios measure the catalogue's true error; any
-     failure here is swallowed — feedback must never fail a request. *)
-  let feed_cache db q p outcome prof =
-    match (db.cache, outcome) with
-    | Some cache, Governor.Completed -> (
-        try
-          let rows =
-            Explain.rows ~cache_conscious:db.opts.Planner.cache_conscious
-              ~weights:db.opts.Planner.weights db.catalog q p prof
-          in
-          Plan_cache.observe cache ~graph_version:db.version q p rows
-        with _ -> ())
-    | _ -> ()
-
-  let run_gov ?(adaptive = false) ?(domains = 1) ?scan_part ?budget ?fault ?gov ?trace ?sink db q =
-    (* The planner runs on this thread: give it its own buffer (tid 2) so
-       optimization time is visible next to the execution tracks. *)
-    let pbuf = Option.map (fun tr -> Trace.buffer ~name:"planner" tr ~tid:2) trace in
-    let p, feedback_due =
-      match db.cache with
-      | None -> (fst (Planner.plan ~opts:db.opts ?trace:pbuf db.catalog q), false)
-      | Some c ->
-          let r =
-            Plan_cache.lookup ?trace:pbuf c ~opts:db.opts ~graph_version:db.version
-              db.catalog q
-          in
-          (r.Plan_cache.plan, r.Plan_cache.feedback_due)
-    in
-    (match pbuf with Some b -> Trace.close_all b | None -> ());
-    (* Warmup and every Nth run of a cached template execute profiled so
-       EXPLAIN ANALYZE actuals can feed the correction record. A sharded run
-       never profiles: its actuals are a fraction of the full plan's
-       estimates and would poison the correction EWMAs. *)
+  (* The one executor dispatch behind every entry point that runs a query:
+     pick the cluster-shard, parallel, adaptive or sequential executor,
+     record the query metrics, and fold a profiled, completed run into the
+     plan cache's corrections (feedback must never fail a request, so a
+     failure there is swallowed). Estimation rows come from the uncorrected
+     model, so the ratios measure the catalogue's true error. [profile]
+     forces a profiled run (EXPLAIN ANALYZE); otherwise the plan cache's
+     warmup and every Nth run of a template are profiled. A sharded run
+     never profiles: its actuals are a fraction of the full plan's
+     estimates and would poison the correction EWMAs. Returns the
+     profile's rows alongside the counters. *)
+  let execute ?(adaptive = false) ?(domains = 1) ?scan_part ?budget ?fault ?gov ?trace ?sink
+      ~profile db q (p, feedback_due) =
     let prof =
-      if feedback_due && scan_part = None then Some (Profile.create p) else None
+      if (profile || feedback_due) && scan_part = None then Some (Profile.create p) else None
+    in
+    let gov =
+      match gov with
+      | Some g -> g
+      | None -> Governor.create ?fault (Option.value budget ~default:Governor.unlimited)
     in
     let t0 = Gf_util.Timing.now_s () in
     let c, outcome =
@@ -177,38 +169,44 @@ module Db = struct
              disjoint ranges to union into the exact full result. *)
           let n = Exec.num_scan_sources db.graph p in
           let lo = i * n / k and hi = (i + 1) * n / k in
-          let gov =
-            match gov with
-            | Some g -> g
-            | None ->
-                Governor.create ?fault (Option.value budget ~default:Governor.unlimited)
+          let target = Exec.driving_scan p in
+          let rewrite _ env node =
+            if node == target then Some (Exec.scan env node (fun emit -> emit lo hi)) else None
           in
-          Exec.run_gov_rw
-            ~rewrite:(Exec.ranged_scan_rewrite p ~lo ~hi)
-            ~gov ?trace ?sink db.graph p
-      | None ->
-      if domains > 1 then begin
-        let r = Parallel.run ~domains ?budget ?fault ?gov ?prof ?trace ?sink db.graph p in
-        (r.Parallel.counters, r.Parallel.outcome)
-      end
-      else if adaptive && Adaptive.adaptable p then begin
-        (* The adaptive evaluator has no span hooks yet: a traced adaptive
-           run still records planner spans and the whole-query record, just
-           no per-operator tracks. *)
-        let gov =
-          match gov with
-          | Some t -> t
-          | None ->
-              Governor.create ?fault (Option.value budget ~default:Governor.unlimited)
-        in
-        let sink = Option.value sink ~default:(fun _ -> ()) in
-        let c = fst (Adaptive.run ~gov ?prof ~sink db.catalog db.graph q p) in
-        (c, Governor.outcome gov)
-      end
-      else Exec.run_gov ?budget ?fault ?gov ?prof ?trace ?sink db.graph p
+          Exec.run_gov ~rewrite ~gov ?trace ?sink db.graph p
+      | None when domains > 1 ->
+          let r = Parallel.run ~domains ~gov ?prof ?trace ?sink db.graph p in
+          (r.counters, r.Parallel.outcome)
+      | None when adaptive && Adaptive.adaptable p ->
+          (* The adaptive evaluator has no span hooks yet: a traced adaptive
+             run still records planner spans and the whole-query record,
+             just no per-operator tracks. *)
+          let c, _ = Adaptive.run ~gov ?prof ?sink db.catalog db.graph q p in
+          (c, Governor.outcome gov)
+      | None -> Exec.run_gov ~gov ?prof ?trace ?sink db.graph p
     in
-    observe_run (Gf_util.Timing.now_s () -. t0) c outcome;
-    (match prof with Some prof -> feed_cache db q p outcome prof | None -> ());
+    let seconds = Gf_util.Timing.now_s () -. t0 in
+    observe_run seconds c outcome;
+    let rows =
+      Option.map
+        (fun prof ->
+          lazy
+            (Explain.rows ~cache_conscious:db.opts.Planner.cache_conscious
+               ~weights:db.opts.Planner.weights db.catalog q p prof))
+        prof
+    in
+    (match (db.cache, outcome, rows) with
+    | Some cache, Governor.Completed, Some rows -> (
+        try Plan_cache.observe cache ~graph_version:db.version q p (Lazy.force rows)
+        with _ -> ())
+    | _ -> ());
+    (rows, c, outcome, seconds)
+
+  let run_gov ?adaptive ?domains ?scan_part ?budget ?fault ?gov ?trace ?sink db q =
+    let _, c, outcome, _ =
+      execute ?adaptive ?domains ?scan_part ?budget ?fault ?gov ?trace ?sink ~profile:false db q
+        (plan_for_run ?trace db q)
+    in
     (c, outcome)
 
   type analysis = {
@@ -219,35 +217,12 @@ module Db = struct
     seconds : float;
   }
 
-  let explain_analyze ?(adaptive = false) ?(domains = 1) ?budget ?fault db q =
-    let p, _ = plan db q in
-    let prof = Profile.create p in
-    let t0 = Gf_util.Timing.now_s () in
-    let c, outcome =
-      if domains > 1 then begin
-        let r = Parallel.run ~domains ?budget ?fault ~prof db.graph p in
-        (r.Parallel.counters, r.Parallel.outcome)
-      end
-      else if adaptive && Adaptive.adaptable p then begin
-        let gov = Governor.create ?fault (Option.value budget ~default:Governor.unlimited) in
-        let c = fst (Adaptive.run ~gov ~prof db.catalog db.graph q p) in
-        (c, Governor.outcome gov)
-      end
-      else Exec.run_gov ?budget ?fault ~prof db.graph p
+  let explain_analyze ?adaptive ?domains ?budget ?fault db q =
+    let ((p, _) as planned) = plan_for_run db q in
+    let rows, counters, outcome, seconds =
+      execute ?adaptive ?domains ?budget ?fault ~profile:true db q planned
     in
-    let seconds = Gf_util.Timing.now_s () -. t0 in
-    observe_run seconds c outcome;
-    let rows =
-      Explain.rows ~cache_conscious:db.opts.Planner.cache_conscious
-        ~weights:db.opts.Planner.weights db.catalog q p prof
-    in
-    (* Every EXPLAIN ANALYZE is a profiled execution: fold it into the plan
-       cache's corrections when one is attached. *)
-    (match (db.cache, outcome) with
-    | Some cache, Governor.Completed -> (
-        try Plan_cache.observe cache ~graph_version:db.version q p rows with _ -> ())
-    | _ -> ());
-    { plan = p; rows; counters = c; outcome; seconds }
+    { plan = p; rows = Lazy.force (Option.get rows); counters; outcome; seconds }
 
   let analysis_to_string a =
     Format.asprintf "matches: %d@.outcome: %a@.time: %.3fs@.%a@.%s"
@@ -269,9 +244,7 @@ module Db = struct
       a.seconds (counters_to_json a.counters)
       (Explain.rows_to_json a.rows)
 
-  let count ?adaptive db q =
-    let c = run ?adaptive db q in
-    c.Counters.output
+  let count ?adaptive db q = (fst (run_gov ?adaptive db q)).Counters.output
 
   let explain db q =
     let p, cost = plan db q in
@@ -280,7 +253,7 @@ module Db = struct
   let estimate_cardinality db q = Catalog.estimate_cardinality db.catalog q
 
   let count_by ?adaptive db q ~key =
-    let p, _ = plan db q in
+    let ((p, _) as planned) = plan_for_run db q in
     let schema = Plan.vars p in
     let positions =
       List.map
@@ -296,11 +269,7 @@ module Db = struct
       let k = Array.of_list (List.map (fun p -> t.(p)) positions) in
       Hashtbl.replace groups k (1 + Option.value ~default:0 (Hashtbl.find_opt groups k))
     in
-    let (_ : Counters.t) =
-      if Option.value ~default:false adaptive && Adaptive.adaptable p then
-        fst (Adaptive.run ~sink db.catalog db.graph q p)
-      else Exec.run ~sink db.graph p
-    in
+    let _ = execute ?adaptive ~sink ~profile:false db q planned in
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) groups []
     |> List.sort (fun (_, a) (_, b) -> compare b a)
 end

@@ -112,22 +112,19 @@ module Db : sig
       the flight recorder's digest path. *)
   val plan_signature : t -> Query.t -> string
 
-  (** [count db q] optimizes and executes, returning the number of matches.
-      [adaptive] enables runtime re-ordering of E/I chains (default off). *)
+  (** [count db q] optimizes and executes, returning the number of matches:
+      the output count of {!run_gov} with no budget. [adaptive] enables
+      runtime re-ordering of E/I chains (default off). *)
   val count : ?adaptive:bool -> t -> Query.t -> int
-
-  (** [run db q] optimizes and executes; returns execution counters.
-      [sink] receives every match (a reused buffer in [Plan.vars] column
-      order). *)
-  val run :
-    ?adaptive:bool -> ?limit:int -> ?sink:(int array -> unit) -> t -> Query.t -> Counters.t
 
   (** [run_gov db q] optimizes and executes under a {!Governor.budget}
       (deadline, output/intermediate caps, byte cap; default unlimited) and
       reports the structured {!Governor.outcome} — [Completed],
       [Truncated reason] on a budget trip, [Failed error] on an (injected)
-      operator fault. Counters and tuples already delivered to [sink] are
-      preserved whatever the outcome. [gov] supplies an externally created
+      operator fault or an exception raised by an operator or by [sink].
+      Counters and tuples already delivered to [sink] (every match, a
+      reused buffer in [Plan.vars] column order) are preserved whatever the
+      outcome. [budget]'s [max_output] caps the matches delivered. [gov] supplies an externally created
       governor — the hook a server uses to cancel in-flight queries from
       another thread ({!Governor.cancel}); when present, [budget] and
       [fault] are ignored (they were fixed at the governor's creation).
@@ -199,8 +196,8 @@ module Db : sig
 
   (** Prometheus text exposition of the process-wide query metrics
       ([gf_queries_total], [gf_query_matches_total], [gf_icost_total],
-      [gf_query_seconds] latency histogram, ...). Every [run]/[run_gov]/
-      [count]/[explain_analyze] call records into them. *)
+      [gf_query_seconds] latency histogram, ...). Every [run_gov]/[count]/
+      [count_by]/[explain_analyze] call records into them. *)
   val metrics_exposition : unit -> string
 
   (** [estimate_cardinality db q] is the catalogue-based estimate of the

@@ -15,11 +15,8 @@ type env = {
   trace : Trace.buf option;
 }
 
-type rewrite =
-  (env -> Plan.t -> (int array -> unit) -> unit) ->
-  env ->
-  Plan.t ->
-  ((int array -> unit) -> unit) option
+type driver = (int array -> unit) -> unit
+type rewrite = (env -> Plan.t -> driver) -> env -> Plan.t -> driver option
 
 let tuple_contains tuple len v =
   let rec go i = i < len && (tuple.(i) = v || go (i + 1)) in
@@ -85,165 +82,72 @@ let governed_intersect env result slices ~scratch ~scratch2 =
           tb "giant-intersect" segmented
   end
 
-(* Compile [plan] into a driver function: [driver sink] runs the pipeline,
-   passing each produced tuple (a reused buffer) to [sink]. [rewrite] lets a
-   caller (the adaptive executor) take over compilation of chosen sub-plans;
-   it receives the recursive compiler so intercepted segments can still
-   compile their own children normally. *)
-let rec compile_rw rewrite env plan =
-  let driver =
-    match rewrite (compile_rw rewrite) env plan with
-    | Some driver -> driver
-    | None -> compile_structural rewrite env plan
-  in
-  (* The profiling branch is taken here, once per operator at plan-compile
-     time: with no profile the driver is returned untouched and the compiled
-     pipeline is identical to an unprofiled build — zero per-tuple cost. *)
-  match env.prof with
-  | None -> driver
-  | Some p -> (
-      match Profile.id_of p plan with
-      | None -> driver
-      | Some id -> Profile.wrap p env.c id driver)
-
-and compile_structural rewrite env plan =
-  let compile env plan = compile_rw rewrite env plan in
-  match plan with
+(* The SCAN operator, the only emit loop over the edge list. [ranges] is
+   called once per drive with the scan's emitter, and feeds it every
+   [\[lo, hi)] range of source indices to stream this time: the whole
+   space for a structural scan, one shard for a cluster part, one morsel,
+   or the chunks a parallel hash build pulls from a shared counter. *)
+let scan env node ranges =
+  match node with
   | Plan.Scan { edge; slabel; dlabel; _ } ->
+      let elabel = edge.Gf_query.Query.label in
       let buf = Array.make 2 0 in
-      fun sink ->
-        Graph.iter_edges env.g ~elabel:edge.Gf_query.Query.label ~slabel ~dlabel (fun u v ->
+      let stream sink lo hi =
+        Graph.iter_edges_range env.g ~elabel ~slabel ~dlabel ~lo ~hi (fun u v ->
             buf.(0) <- u;
             buf.(1) <- v;
             env.c.produced <- env.c.produced + 1;
             Governor.tick env.gov env.c;
             sink buf)
-  | Plan.Extend { child; target_label; descriptors; vars; _ } ->
-      let child_driver = compile env child in
-      let width = Array.length vars in
-      let nd = Array.length descriptors in
-      let buf = Array.make width 0 in
-      if nd = 1 then begin
-        (* Single descriptor: the extension set is the adjacency list itself;
-           iterate it directly, no copy. Cache = remembering the source. *)
-        let d = descriptors.(0) in
-        let last_src = ref (-1) in
-        fun sink ->
-          last_src := -1;
-          child_driver (fun t ->
-              Array.blit t 0 buf 0 (width - 1);
-              let src = t.(d.Plan.pos) in
-              let arr, lo, hi =
-                Graph.neighbours env.g d.Plan.dir src ~elabel:d.Plan.elabel
-                  ~nlabel:target_label
-              in
-              if env.cache && src = !last_src then
-                env.c.cache_hits <- env.c.cache_hits + 1
-              else begin
-                env.c.icost <- env.c.icost + (hi - lo);
-                env.c.intersections <- env.c.intersections + 1;
-                Governor.tick_work env.gov env.c ((hi - lo) asr work_grain_shift);
-                last_src := src
-              end;
-              for i = lo to hi - 1 do
-                let w = Gf_util.Buf.unsafe_get arr i in
-                if not (env.distinct && tuple_contains buf (width - 1) w) then begin
-                  buf.(width - 1) <- w;
-                  env.c.produced <- env.c.produced + 1;
-                  Governor.tick env.gov env.c;
-                  sink buf
-                end
-              done)
-      end
-      else begin
-        let slices = Array.make nd Sorted.empty_slice in
-        let srcs = Array.make nd (-1) in
-        let last_srcs = Array.make nd (-1) in
-        let result = Int_vec.create ~capacity:64 () in
-        let scratch = Int_vec.create ~capacity:64 () in
-        let scratch2 = Int_vec.create ~capacity:64 () in
-        let cache_valid = ref false in
-        fun sink ->
-          cache_valid := false;
-          Array.fill last_srcs 0 nd (-1);
-          child_driver (fun t ->
-              Array.blit t 0 buf 0 (width - 1);
-              let same = ref !cache_valid in
-              for i = 0 to nd - 1 do
-                let s = t.(descriptors.(i).Plan.pos) in
-                srcs.(i) <- s;
-                if s <> last_srcs.(i) then same := false
-              done;
-              if env.cache && !same then env.c.cache_hits <- env.c.cache_hits + 1
-              else begin
-                for i = 0 to nd - 1 do
-                  let d = descriptors.(i) in
-                  let slice =
-                    Graph.neighbours env.g d.Plan.dir srcs.(i) ~elabel:d.Plan.elabel
-                      ~nlabel:target_label
-                  in
-                  slices.(i) <- slice;
-                  env.c.icost <- env.c.icost + Sorted.slice_len slice
-                done;
-                env.c.intersections <- env.c.intersections + 1;
-                Int_vec.clear result;
-                governed_intersect env result slices ~scratch ~scratch2;
-                Array.blit srcs 0 last_srcs 0 nd;
-                cache_valid := true
-              end;
-              let n = Int_vec.length result in
-              for i = 0 to n - 1 do
-                let w = Int_vec.unsafe_get result i in
-                if not (env.distinct && tuple_contains buf (width - 1) w) then begin
-                  buf.(width - 1) <- w;
-                  env.c.produced <- env.c.produced + 1;
-                  Governor.tick env.gov env.c;
-                  sink buf
-                end
-              done)
-      end
-  | Plan.Hash_join
-      { build; probe; build_key_pos; probe_key_pos; build_extra_pos; vars; _ } ->
-      let build_driver = compile env build in
-      let probe_driver = compile env probe in
+      in
+      fun sink -> ranges (stream sink)
+  | _ -> invalid_arg "Exec.scan: not a SCAN"
+
+(* The SCAN that streams tuples into the root pipeline: the leftmost scan
+   through E/I children and HASH-JOIN probe sides. *)
+let rec driving_scan = function
+  | Plan.Scan _ as s -> s
+  | Plan.Extend { child; _ } -> driving_scan child
+  | Plan.Hash_join { probe; _ } -> driving_scan probe
+
+let num_scan_sources g plan =
+  match driving_scan plan with
+  | Plan.Scan { slabel; _ } -> Graph.num_with_label g slabel
+  | _ -> assert false
+
+(* The HASH-JOIN build side's sink: key extraction and insertion of each
+   build tuple into [table], with its bytes charged to the governor. *)
+let build_into env node table =
+  match node with
+  | Plan.Hash_join { build_key_pos; _ } ->
       let key_len = Array.length build_key_pos in
-      let brow_len = Array.length (Plan.vars build) in
+      let key_buf = Array.make key_len 0 in
+      let row_bytes = Join_table.bytes_per_row table in
+      fun t ->
+        for i = 0 to key_len - 1 do
+          key_buf.(i) <- t.(build_key_pos.(i))
+        done;
+        Join_table.add table key_buf t;
+        env.c.hj_build_tuples <- env.c.hj_build_tuples + 1;
+        Governor.add_bytes env.gov row_bytes;
+        Governor.tick env.gov env.c
+  | _ -> invalid_arg "Exec.build_into: not a HASH-JOIN"
+
+(* The HASH-JOIN probe: [probe compile env node table] streams the probe
+   side against [table]. Rows are read through a drive-local view, so any
+   number of domains can probe one frozen table concurrently. *)
+let probe compile env node =
+  match node with
+  | Plan.Hash_join { probe; probe_key_pos; build_extra_pos; vars; _ } ->
+      let probe_driver = compile env probe in
+      let key_len = Array.length probe_key_pos in
       let pwidth = Array.length (Plan.vars probe) in
       let width = Array.length vars in
       let nextra = Array.length build_extra_pos in
       let buf = Array.make width 0 in
       let key_buf = Array.make key_len 0 in
-      fun sink ->
-        let table = Join_table.create ~key_len ~row_len:brow_len in
-        let row_bytes = Join_table.bytes_per_row table in
-        let build () =
-          build_driver (fun t ->
-              for i = 0 to key_len - 1 do
-                key_buf.(i) <- t.(build_key_pos.(i))
-              done;
-              Join_table.add table key_buf t;
-              env.c.hj_build_tuples <- env.c.hj_build_tuples + 1;
-              Governor.add_bytes env.gov row_bytes;
-              Governor.tick env.gov env.c)
-        in
-        (* Phase spans, not per-tuple spans: one build span and one probe
-           span per hash-join execution keeps the traced hot path identical
-           to the untraced one. *)
-        (match env.trace with
-        | None -> build ()
-        | Some tb ->
-            let before = env.c.hj_build_tuples in
-            Trace.begin_span ~cat:"hash-join" tb "hj-build";
-            Fun.protect
-              ~finally:(fun () ->
-                Trace.end_span ~args:[ ("rows", Int (env.c.hj_build_tuples - before)) ] tb)
-              build;
-            Trace.begin_span ~cat:"hash-join" tb "hj-probe");
-        Fun.protect ~finally:(fun () ->
-            match env.trace with
-            | Some tb -> Trace.end_span ~args:[ ("probes", Int env.c.hj_probe_tuples) ] tb
-            | None -> ())
-        @@ fun () ->
+      fun table sink ->
+        let view = Array.make (Join_table.row_len table) 0 in
         probe_driver (fun t ->
             env.c.hj_probe_tuples <- env.c.hj_probe_tuples + 1;
             Governor.tick env.gov env.c;
@@ -251,7 +155,7 @@ and compile_structural rewrite env plan =
               key_buf.(i) <- t.(probe_key_pos.(i))
             done;
             Array.blit t 0 buf 0 pwidth;
-            Join_table.iter_matches table key_buf (fun row ->
+            Join_table.iter_matches_view table ~view key_buf (fun row ->
                 let ok = ref true in
                 for i = 0 to nextra - 1 do
                   let v = row.(build_extra_pos.(i)) in
@@ -271,8 +175,219 @@ and compile_structural rewrite env plan =
                   Governor.tick env.gov env.c;
                   sink buf
                 end))
+  | _ -> invalid_arg "Exec.probe: not a HASH-JOIN"
+
+(* Compile [plan] into a driver function: [driver sink] runs the pipeline,
+   passing each produced tuple (a reused buffer) to [sink]. [rewrite] lets a
+   caller (the adaptive and parallel executors, cluster shards) take over
+   compilation of chosen sub-plans; it receives the recursive compiler so
+   intercepted segments can still compile their own children normally.
+   [count] makes a root E/I operator count-only: each extension set adds
+   its size to the output instead of being enumerated, and the sink is
+   never called. *)
+let rec compile_rw rewrite env plan = compile ~count:false rewrite env plan
+
+and compile ~count rewrite env plan =
+  let driver =
+    match rewrite (compile_rw rewrite) env plan with
+    | Some driver -> driver
+    | None -> compile_structural ~count rewrite env plan
+  in
+  (* The profiling branch is taken here, once per operator at plan-compile
+     time: with no profile the driver is returned untouched and the compiled
+     pipeline is identical to an unprofiled build — zero per-tuple cost. *)
+  match env.prof with
+  | None -> driver
+  | Some p -> (
+      match Profile.id_of p plan with
+      | None -> driver
+      | Some id -> Profile.wrap p env.c id driver)
+
+and compile_structural ~count rewrite env plan =
+  let compile env plan = compile_rw rewrite env plan in
+  let[@inline] tally n =
+    env.c.produced <- env.c.produced + n;
+    env.c.output <- env.c.output + n
+  in
+  match plan with
+  | Plan.Scan { slabel; _ } ->
+      let n = Graph.num_with_label env.g slabel in
+      scan env plan (fun emit -> emit 0 n)
+  | Plan.Extend { child; target_label; descriptors; vars; _ } ->
+      let child_driver = compile env child in
+      let width = Array.length vars in
+      let nd = Array.length descriptors in
+      let buf = Array.make width 0 in
+      if nd = 1 then begin
+        (* Single descriptor: the extension set is the adjacency list itself;
+           iterate it directly, no copy. Cache = remembering the source. *)
+        let d = descriptors.(0) in
+        let last_src = ref (-1) in
+        let[@inline] lookup t =
+          let src = t.(d.Plan.pos) in
+          let ((_, lo, hi) as slice) =
+            Graph.neighbours env.g d.Plan.dir src ~elabel:d.Plan.elabel ~nlabel:target_label
+          in
+          if env.cache && src = !last_src then env.c.cache_hits <- env.c.cache_hits + 1
+          else begin
+            env.c.icost <- env.c.icost + (hi - lo);
+            env.c.intersections <- env.c.intersections + 1;
+            Governor.tick_work env.gov env.c ((hi - lo) asr work_grain_shift);
+            last_src := src
+          end;
+          slice
+        in
+        if count then fun _ ->
+          last_src := -1;
+          child_driver (fun t ->
+              let _, lo, hi = lookup t in
+              tally (hi - lo))
+        else fun sink ->
+          last_src := -1;
+          child_driver (fun t ->
+              Array.blit t 0 buf 0 (width - 1);
+              let arr, lo, hi = lookup t in
+              for i = lo to hi - 1 do
+                let w = Gf_util.Buf.unsafe_get arr i in
+                if not (env.distinct && tuple_contains buf (width - 1) w) then begin
+                  buf.(width - 1) <- w;
+                  env.c.produced <- env.c.produced + 1;
+                  Governor.tick env.gov env.c;
+                  sink buf
+                end
+              done)
+      end
+      else begin
+        let slices = Array.make nd Sorted.empty_slice in
+        let srcs = Array.make nd (-1) in
+        let last_srcs = Array.make nd (-1) in
+        let result = Int_vec.create ~capacity:64 () in
+        let scratch = Int_vec.create ~capacity:64 () in
+        let scratch2 = Int_vec.create ~capacity:64 () in
+        let cache_valid = ref false in
+        (* Leaves [t]'s extension set in [result]: intersected afresh, or
+           kept from the previous tuple when it had the same sources. *)
+        let[@inline] extend t =
+          let same = ref !cache_valid in
+          for i = 0 to nd - 1 do
+            let s = t.(descriptors.(i).Plan.pos) in
+            srcs.(i) <- s;
+            if s <> last_srcs.(i) then same := false
+          done;
+          if env.cache && !same then env.c.cache_hits <- env.c.cache_hits + 1
+          else begin
+            for i = 0 to nd - 1 do
+              let d = descriptors.(i) in
+              let slice =
+                Graph.neighbours env.g d.Plan.dir srcs.(i) ~elabel:d.Plan.elabel
+                  ~nlabel:target_label
+              in
+              slices.(i) <- slice;
+              env.c.icost <- env.c.icost + Sorted.slice_len slice
+            done;
+            env.c.intersections <- env.c.intersections + 1;
+            Int_vec.clear result;
+            governed_intersect env result slices ~scratch ~scratch2;
+            Array.blit srcs 0 last_srcs 0 nd;
+            cache_valid := true
+          end
+        in
+        let reset () =
+          cache_valid := false;
+          Array.fill last_srcs 0 nd (-1)
+        in
+        if count then fun _ ->
+          reset ();
+          child_driver (fun t ->
+              extend t;
+              tally (Int_vec.length result))
+        else fun sink ->
+          reset ();
+          child_driver (fun t ->
+              Array.blit t 0 buf 0 (width - 1);
+              extend t;
+              let n = Int_vec.length result in
+              for i = 0 to n - 1 do
+                let w = Int_vec.unsafe_get result i in
+                if not (env.distinct && tuple_contains buf (width - 1) w) then begin
+                  buf.(width - 1) <- w;
+                  env.c.produced <- env.c.produced + 1;
+                  Governor.tick env.gov env.c;
+                  sink buf
+                end
+              done)
+      end
+  | Plan.Hash_join { build; build_key_pos; _ } ->
+      let build_driver = compile env build in
+      let key_len = Array.length build_key_pos in
+      let row_len = Array.length (Plan.vars build) in
+      let probe_driver = probe compile env plan in
+      fun sink ->
+        let table = Join_table.create ~key_len ~row_len in
+        (* Phase spans, not per-tuple spans: one build span and one probe
+           span per hash-join execution keeps the traced hot path identical
+           to the untraced one. *)
+        match env.trace with
+        | None ->
+            build_driver (build_into env plan table);
+            probe_driver table sink
+        | Some tb ->
+            let before = env.c.hj_build_tuples in
+            Trace.begin_span ~cat:"hash-join" tb "hj-build";
+            Fun.protect
+              ~finally:(fun () ->
+                Trace.end_span ~args:[ ("rows", Int (env.c.hj_build_tuples - before)) ] tb)
+              (fun () -> build_driver (build_into env plan table));
+            Trace.begin_span ~cat:"hash-join" tb "hj-probe";
+            Fun.protect
+              ~finally:(fun () ->
+                Trace.end_span ~args:[ ("probes", Int env.c.hj_probe_tuples) ] tb)
+              (fun () -> probe_driver table sink)
 
 let no_rewrite _ _ _ = None
+
+(* The root sink: claims an output slot from the governor (exact under an
+   output cap: an over-claim raises [Trip] before the tuple is emitted),
+   counts it, and forwards it. *)
+let emit env sink t =
+  Governor.claim_output env.gov;
+  env.c.output <- env.c.output + 1;
+  sink t
+
+(* The one governed loop: every executor — the sequential run, each
+   parallel worker domain, each parallel hash-build domain — runs its
+   compiled pipeline through here. A budget [Trip] ends the run quietly;
+   any other exception (a raising sink, a faulting operator) becomes a
+   structured [Failed { operator = span }] on the shared governor, which
+   also stops sibling domains. Nothing escapes, so a domain never leaks its
+   siblings on [Domain.join], and the profile, the trace and the
+   governor's counters are always closed out. *)
+let governed gov env ~span driver sink =
+  (match env.trace with Some b -> Trace.begin_span ~cat:"exec" b span | None -> ());
+  (match env.prof with Some p -> Profile.start p env.c | None -> ());
+  (try driver sink with
+  | Governor.Trip -> ()
+  | e -> Governor.fail gov ~operator:span ~detail:(Printexc.to_string e));
+  (* On an unwind the trailing boundary switches were skipped; [finish]
+     charges the outstanding deltas so truncated profiles stay consistent. *)
+  (match env.prof with Some p -> Profile.finish p env.c | None -> ());
+  (match env.trace with
+  | Some b ->
+      Trace.end_span
+        ~args:
+          [ ("output", Int env.c.output);
+            ("morsels", Int env.c.morsels);
+            ("steals", Int env.c.steals);
+          ]
+        b;
+      Trace.close_all b
+  | None -> ());
+  Governor.finish env.gov env.c
+
+(* A traced run is implicitly profiled, so the operator summary track can
+   be synthesized even when the caller asked for no profile. *)
+let traced_profile prof (trace : Trace.t option) plan =
+  match (prof, trace) with None, Some _ -> Some (Profile.create plan) | _ -> prof
 
 (* Synthesize one span per operator from a profile's self-times, packed
    sequentially on a dedicated "operators" track starting at [t0_us]. The
@@ -280,8 +395,8 @@ let no_rewrite _ _ _ = None
    it as spans per tuple would dominate the trace, so the timeline shows
    the per-operator totals instead — by construction their durations sum
    exactly to the profile's totals. *)
-let emit_operator_track ?(tid = 100) ?(name = "operators") tr prof ~t0_us =
-  let b = Trace.buffer ~name tr ~tid in
+let emit_operator_track tr prof ~t0_us =
+  let b = Trace.buffer ~name:"operators" tr ~tid:100 in
   let t = ref t0_us in
   Array.iter
     (fun (op : Profile.op) ->
@@ -299,168 +414,37 @@ let emit_operator_track ?(tid = 100) ?(name = "operators") tr prof ~t0_us =
       t := !t + dur)
     (Profile.ops prof)
 
-(* The governed core: every [run] variant funnels here. When no governor is
-   supplied, [limit] becomes an output-cap budget — the old [Limit_reached]
-   escape hatch is now an ordinary [Trip]. [trace] opts the run into span
-   recording: the executor registers its own buffer (tid 1) on the trace,
-   and a traced run is implicitly profiled so the operator summary track
-   can be synthesized even when the caller asked for no profile. *)
-let run_gov_rw ~rewrite ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?limit
-    ?gov ?prof ?trace ?(sink = fun _ -> ()) g plan =
-  let shared =
-    match gov with
-    | Some t -> t
-    | None -> Governor.create (Governor.budget ?max_output:limit ())
-  in
-  let h = Governor.handle shared in
-  let c = Counters.create () in
-  let prof = match (prof, trace) with None, Some _ -> Some (Profile.create plan) | _ -> prof in
-  let tbuf = Option.map (fun tr -> Trace.buffer ~name:"exec" tr ~tid:1) trace in
-  let env = { g; cache; distinct; leapfrog; c; gov = h; prof; trace = tbuf } in
-  let driver = compile_rw rewrite env plan in
-  let final t =
-    Governor.claim_output h;
-    c.output <- c.output + 1;
-    sink t
-  in
-  let t0_us = Trace.now_us () in
-  (match tbuf with Some b -> Trace.begin_span ~cat:"exec" b "execute" | None -> ());
-  (match prof with Some p -> Profile.start p c | None -> ());
-  (try driver final with Governor.Trip -> ());
-  (* On a Trip the unwind skipped the trailing boundary switches; [finish]
-     charges the outstanding deltas so truncated profiles stay consistent. *)
-  (match prof with Some p -> Profile.finish p c | None -> ());
-  (match tbuf with
-  | Some b ->
-      Trace.end_span ~args:[ ("output", Int c.output) ] b;
-      Trace.close_all b
-  | None -> ());
-  (match (trace, prof) with
-  | Some tr, Some p -> emit_operator_track tr p ~t0_us
-  | _ -> ());
-  Governor.finish h c;
-  (c, Governor.outcome shared)
-
-let run_rw ~rewrite ?cache ?distinct ?leapfrog ?limit ?gov ?prof ?sink g plan =
-  fst (run_gov_rw ~rewrite ?cache ?distinct ?leapfrog ?limit ?gov ?prof ?sink g plan)
-
-let run ?cache ?distinct ?leapfrog ?limit ?prof ?sink g plan =
-  run_rw ~rewrite:no_rewrite ?cache ?distinct ?leapfrog ?limit ?prof ?sink g plan
-
-let run_gov ?cache ?distinct ?leapfrog ?budget ?fault ?gov ?prof ?trace ?sink g plan =
+let run_gov ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapfrog = false)
+    ?budget ?fault ?gov ?prof ?trace ?(sink = ignore) g plan =
   let gov =
     match gov with
     | Some t -> t
     | None -> Governor.create ?fault (Option.value budget ~default:Governor.unlimited)
   in
-  run_gov_rw ~rewrite:no_rewrite ?cache ?distinct ?leapfrog ~gov ?prof ?trace ?sink g plan
+  let prof = traced_profile prof trace plan in
+  let tbuf = Option.map (fun tr -> Trace.buffer ~name:"exec" tr ~tid:1) trace in
+  let c = Counters.create () in
+  let env = { g; cache; distinct; leapfrog; c; gov = Governor.handle gov; prof; trace = tbuf } in
+  let driver = compile_rw rewrite env plan in
+  let t0_us = Trace.now_us () in
+  governed gov env ~span:"execute" driver (emit env sink);
+  (match (trace, prof) with
+  | Some tr, Some p -> emit_operator_track tr p ~t0_us
+  | _ -> ());
+  (c, Governor.outcome gov)
 
-let count ?cache ?distinct g plan =
-  let c = run ?cache ?distinct g plan in
-  c.Counters.output
-
-let count_fast ?(cache = true) ?(distinct = false) ?(leapfrog = false) g plan =
-  (* Distinct semantics need the final extensions enumerated (each candidate
-     is checked against the bound prefix), so the factorized shortcut does
-     not apply: fall back to the counting run rather than silently returning
-     homomorphic counts. *)
-  if distinct then count ~cache ~distinct:true g plan
-  else
-  match plan with
-  | Plan.Extend { child; target_label; descriptors; _ } ->
-      let c = Counters.create () in
-      let gov = Governor.handle (Governor.create Governor.unlimited) in
-      let env = { g; cache; distinct = false; leapfrog; c; gov; prof = None; trace = None } in
-      let child_driver = compile_rw no_rewrite env child in
-      let nd = Array.length descriptors in
-      let total = ref 0 in
-      if nd = 1 then begin
-        let d = descriptors.(0) in
-        let last_src = ref (-1) in
-        let last_n = ref 0 in
-        child_driver (fun t ->
-            let src = t.(d.Plan.pos) in
-            if cache && src = !last_src then c.Counters.cache_hits <- c.Counters.cache_hits + 1
-            else begin
-              let _, lo, hi =
-                Graph.neighbours env.g d.Plan.dir src ~elabel:d.Plan.elabel ~nlabel:target_label
-              in
-              c.Counters.icost <- c.Counters.icost + (hi - lo);
-              last_n := hi - lo;
-              last_src := src
-            end;
-            total := !total + !last_n)
-      end
-      else begin
-        let slices = Array.make nd Sorted.empty_slice in
-        let srcs = Array.make nd (-1) in
-        let last_srcs = Array.make nd (-1) in
-        let result = Int_vec.create () and scratch = Int_vec.create () in
-        let scratch2 = Int_vec.create () in
-        let cache_valid = ref false in
-        let last_n = ref 0 in
-        child_driver (fun t ->
-            let same = ref !cache_valid in
-            for i = 0 to nd - 1 do
-              let s = t.(descriptors.(i).Plan.pos) in
-              srcs.(i) <- s;
-              if s <> last_srcs.(i) then same := false
-            done;
-            if cache && !same then c.Counters.cache_hits <- c.Counters.cache_hits + 1
-            else begin
-              for i = 0 to nd - 1 do
-                let d = descriptors.(i) in
-                let slice =
-                  Graph.neighbours env.g d.Plan.dir srcs.(i) ~elabel:d.Plan.elabel
-                    ~nlabel:target_label
-                in
-                slices.(i) <- slice;
-                c.Counters.icost <- c.Counters.icost + Sorted.slice_len slice
-              done;
-              Int_vec.clear result;
-              governed_intersect env result slices ~scratch ~scratch2;
-              last_n := Int_vec.length result;
-              Array.blit srcs 0 last_srcs 0 nd;
-              cache_valid := true
-            end;
-            total := !total + !last_n)
-      end;
-      !total
-  | _ -> count ~cache g plan
-
-let collect ?cache ?distinct g plan =
-  let acc = ref [] in
-  let (_ : Counters.t) = run ?cache ?distinct ~sink:(fun t -> acc := Array.copy t :: !acc) g plan in
-  List.rev !acc
-
-(* The SCAN that streams tuples into the root pipeline — same traversal as
-   the parallel executor's morsel source, re-exported here so remote shards
-   can carve the identical source space. *)
-let rec driving_scan = function
-  | Plan.Scan _ as s -> s
-  | Plan.Extend { child; _ } -> driving_scan child
-  | Plan.Hash_join { probe; _ } -> driving_scan probe
-
-let num_scan_sources g plan =
-  match driving_scan plan with
-  | Plan.Scan { slabel; _ } -> Graph.num_with_label g slabel
-  | _ -> assert false
-
-let ranged_scan_rewrite plan ~lo ~hi : rewrite =
-  let target = driving_scan plan in
-  fun _recurse env node ->
-    if node == target then
-      match node with
-      | Plan.Scan { edge; slabel; dlabel; _ } ->
-          let buf = Array.make 2 0 in
-          Some
-            (fun sink ->
-              Graph.iter_edges_range env.g ~elabel:edge.Gf_query.Query.label
-                ~slabel ~dlabel ~lo ~hi (fun u v ->
-                  buf.(0) <- u;
-                  buf.(1) <- v;
-                  env.c.Counters.produced <- env.c.Counters.produced + 1;
-                  Governor.tick env.gov env.c;
-                  sink buf))
-      | _ -> None
-    else None
+let count ?(cache = true) ?(distinct = false) g plan =
+  let gov = Governor.create Governor.unlimited in
+  let c = Counters.create () in
+  let env =
+    { g; cache; distinct; leapfrog = false; c; gov = Governor.handle gov; prof = None; trace = None }
+  in
+  (* Distinct semantics check each candidate against the bound prefix, so
+     only a homomorphic count may skip enumerating the root's extensions.
+     The run is unprofiled and uncapped, the other two cases that must see
+     every output tuple. *)
+  let driver = compile ~count:(not distinct) no_rewrite env plan in
+  governed gov env ~span:"execute" driver (emit env ignore);
+  match Governor.outcome gov with
+  | Governor.Failed _ as o -> failwith ("Exec.count: " ^ Governor.outcome_to_string o)
+  | _ -> c.output

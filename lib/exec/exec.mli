@@ -8,48 +8,21 @@
     [cache] toggles the E/I intersection cache (Table 3 studies exactly this
     switch). [distinct] requests injective (subgraph-isomorphism) matches
     instead of the default homomorphic join semantics; the CFL comparison
-    uses it. [limit] stops execution after that many output tuples.
+    uses it. [leapfrog] computes multiway intersections with Leapfrog
+    Triejoin instead of the pairwise cascade.
 
     Every run executes under a {!Governor}: budgets (deadline, output cap,
     intermediate cap, byte cap) trip a shared flag checked cooperatively
     from the operator inner loops, and {!run_gov} reports the structured
-    {!Governor.outcome} alongside the counters. [limit] is sugar for an
-    output-cap budget. *)
-
-val run :
-  ?cache:bool ->
-  ?distinct:bool ->
-  ?leapfrog:bool ->
-  ?limit:int ->
-  ?prof:Profile.t ->
-  ?sink:(int array -> unit) ->
-  Gf_graph.Graph.t ->
-  Gf_plan.Plan.t ->
-  Counters.t
-
-(** [count g p] is the number of matches. *)
-val count : ?cache:bool -> ?distinct:bool -> Gf_graph.Graph.t -> Gf_plan.Plan.t -> int
-
-(** [count_fast g p] counts matches without materializing the final
-    extension: when the plan's root is an E/I operator, each extension set
-    contributes its size instead of being enumerated — the simplest form of
-    the factorized processing the paper discusses in Sections 3.2.3 and 10.
-    Combined with the intersection cache this skips the whole output loop
-    for cache-hitting tuples. [leapfrog] selects the same multiway
-    intersection kernel as {!run}. [distinct] falls back to
-    [count ~distinct:true] (injectivity checks need the final extensions
-    enumerated); either way [count_fast] always agrees with {!count} under
-    the same flags. *)
-val count_fast :
-  ?cache:bool -> ?distinct:bool -> ?leapfrog:bool -> Gf_graph.Graph.t -> Gf_plan.Plan.t -> int
-
-(** [collect g p] materializes all output tuples (tests and small queries
-    only). *)
-val collect : ?cache:bool -> ?distinct:bool -> Gf_graph.Graph.t -> Gf_plan.Plan.t -> int array list
+    {!Governor.outcome} alongside the counters. There is one compiler
+    ({!compile_rw}) and one governed loop ({!governed}); the sequential,
+    parallel and adaptive executors and cluster shards differ only in the
+    rewrite hook they compile with and the number of domains that run the
+    loop. *)
 
 (** The executor's environment: exposed so cooperating executors (the
-    adaptive evaluator) can build custom drivers that share counters and
-    semantics. *)
+    adaptive evaluator, the parallel runner) can build custom drivers that
+    share counters and semantics. *)
 type env = {
   g : Gf_graph.Graph.t;
   cache : bool;
@@ -70,62 +43,60 @@ type env = {
           phase boundaries *)
 }
 
+(** A compiled pipeline: [driver sink] runs it, pushing every produced
+    tuple into [sink]. *)
+type driver = (int array -> unit) -> unit
+
 (** [tuple_contains t len v] tests whether [v] occurs in [t.(0 .. len-1)] —
-    the injectivity check behind [distinct], shared with the parallel
-    executor's probe-only HASH-JOIN driver. *)
+    the injectivity check behind [distinct], shared with the adaptive
+    executor's E/I steps. *)
 val tuple_contains : int array -> int -> int -> bool
 
 (** A rewrite hook: [rewrite recurse env plan] may return a replacement
     driver for [plan]; [recurse env child] compiles children with the same
     hook applied. Returning [None] compiles [plan] structurally. *)
-type rewrite =
-  (env -> Gf_plan.Plan.t -> (int array -> unit) -> unit) ->
-  env ->
-  Gf_plan.Plan.t ->
-  ((int array -> unit) -> unit) option
+type rewrite = (env -> Gf_plan.Plan.t -> driver) -> env -> Gf_plan.Plan.t -> driver option
 
 (** [compile_rw rewrite env plan] is the compiler itself: returns the driver
-    that pushes each produced tuple into a sink. For cooperating executors
-    (the adaptive evaluator, the parallel runner). *)
-val compile_rw : rewrite -> env -> Gf_plan.Plan.t -> (int array -> unit) -> unit
+    that pushes each produced tuple into a sink. *)
+val compile_rw : rewrite -> env -> Gf_plan.Plan.t -> driver
 
-(** [run_rw ~rewrite g p] is [run] with a rewrite hook. [gov] supplies an
-    externally created governor (shared cancellation, budgets, fault
-    injection); when present, [limit] is ignored — encode it as
-    [max_output] in the budget instead. *)
-val run_rw :
-  rewrite:rewrite ->
-  ?cache:bool ->
-  ?distinct:bool ->
-  ?leapfrog:bool ->
-  ?limit:int ->
-  ?gov:Governor.t ->
-  ?prof:Profile.t ->
-  ?sink:(int array -> unit) ->
-  Gf_graph.Graph.t ->
-  Gf_plan.Plan.t ->
-  Counters.t
+(** [scan env node ranges] is the SCAN operator for the scan node [node]:
+    at each drive it calls [ranges emit], which must call [emit lo hi] for
+    every range [\[lo, hi)] of source indices (into the scan's source
+    label, see {!num_scan_sources}) to stream. Rewrites use it to restrict
+    a driving scan to a shard, a morsel or work-shared chunks. *)
+val scan : env -> Gf_plan.Plan.t -> ((int -> int -> unit) -> unit) -> driver
 
-(** [run_gov_rw] is {!run_rw} also returning the structured outcome.
+(** [build_into env join table] is the sink of a HASH-JOIN's build side:
+    it inserts each build tuple into [table] under the join's key. *)
+val build_into : env -> Gf_plan.Plan.t -> Join_table.t -> int array -> unit
 
-    [trace] opts the run into span tracing: the executor registers its own
-    recording buffer (tid 1) on the trace, records an [execute] root span
-    plus hash-join / giant-intersection phase spans, and synthesizes a
-    per-operator summary track (tid 100) from the profile after the run. A
-    traced run is implicitly profiled. *)
-val run_gov_rw :
-  rewrite:rewrite ->
-  ?cache:bool ->
-  ?distinct:bool ->
-  ?leapfrog:bool ->
-  ?limit:int ->
-  ?gov:Governor.t ->
-  ?prof:Profile.t ->
-  ?trace:Gf_obs.Trace.t ->
-  ?sink:(int array -> unit) ->
-  Gf_graph.Graph.t ->
-  Gf_plan.Plan.t ->
-  Counters.t * Governor.outcome
+(** [probe recurse env join table] is the HASH-JOIN probe: it compiles the
+    probe side with [recurse] and joins every probe tuple against [table].
+    The table is only read, through a driver-local row view, so several
+    domains may probe one table at once. *)
+val probe :
+  (env -> Gf_plan.Plan.t -> driver) -> env -> Gf_plan.Plan.t -> Join_table.t -> driver
+
+(** [emit env sink] is the root sink: it claims one output slot from the
+    governor (exactly [max_output] tuples are emitted under an output cap),
+    counts it in [env.c.output] and passes the tuple to [sink]. *)
+val emit : env -> (int array -> unit) -> int array -> unit
+
+(** [governed gov env ~span driver sink] is the governed loop every
+    executor domain runs: start the profile, run [driver sink], end a
+    budget {!Governor.Trip} quietly and turn any other exception into
+    [Governor.fail gov ~operator:span], then finish the profile and
+    {!Governor.finish} the handle. With [env.trace] set the run is one
+    [span] span. Never raises. *)
+val governed : Governor.t -> env -> span:string -> driver -> (int array -> unit) -> unit
+
+(** [traced_profile prof trace plan] is [prof], or a fresh profile when the
+    run is traced without one — a traced run is always profiled, so its
+    operator summary track can be drawn. *)
+val traced_profile :
+  Profile.t option -> Gf_obs.Trace.t option -> Gf_plan.Plan.t -> Profile.t option
 
 (** [driving_scan p] is the SCAN that streams tuples into [p]'s root
     pipeline: the leftmost scan through E/I children and HASH-JOIN probe
@@ -138,30 +109,31 @@ val driving_scan : Gf_plan.Plan.t -> Gf_plan.Plan.t
     [\[0, num_scan_sources)] partition the plan's output. *)
 val num_scan_sources : Gf_graph.Graph.t -> Gf_plan.Plan.t -> int
 
-(** [ranged_scan_rewrite p ~lo ~hi] is a rewrite restricting [p]'s driving
-    scan to source indices [\[lo, hi)] — the remote-morsel source: a worker
-    executing the full plan under this rewrite produces exactly the partial
-    matches of that shard of the scan space, and disjoint ranges covering
-    the whole space partition the query's output. HASH-JOIN build sides are
-    untouched (they must stay complete, as in the parallel executor). *)
-val ranged_scan_rewrite : Gf_plan.Plan.t -> lo:int -> hi:int -> rewrite
-
 (** [emit_operator_track tr prof ~t0_us] synthesizes the per-operator
     summary track: one span per operator, durations = profile self-times,
-    packed sequentially from [t0_us] on thread [tid] (default 100) so their
-    lengths sum exactly to the profile's totals. Used by the sequential and
-    parallel executors; exposed for cooperating runners. *)
-val emit_operator_track : ?tid:int -> ?name:string -> Gf_obs.Trace.t -> Profile.t -> t0_us:int -> unit
+    packed sequentially from [t0_us] on thread 100 so their lengths sum
+    exactly to the profile's totals. Used by the sequential and parallel
+    executors. *)
+val emit_operator_track : Gf_obs.Trace.t -> Profile.t -> t0_us:int -> unit
 
 (** [run_gov ?budget ?fault g p] executes under the given budget (default
     {!Governor.unlimited}) and reports how the query ended: [Completed],
     [Truncated reason] on any budget trip, or [Failed error] on an injected
-    fault. Counters and any tuples already delivered to [sink] are
+    fault or an exception raised by an operator or by [sink] (operator
+    ["execute"]). Counters and any tuples already delivered to [sink] are
     preserved in all cases. [gov] supplies an externally created governor
     (cross-thread cancellation, e.g. a server draining its in-flight
     queries); when present, [budget] and [fault] are ignored — they were
-    fixed at the governor's creation. *)
+    fixed at the governor's creation. [rewrite] takes over compilation of
+    chosen sub-plans (see {!rewrite}).
+
+    [trace] opts the run into span tracing: the executor registers its own
+    recording buffer (tid 1) on the trace, records an [execute] root span
+    plus hash-join / giant-intersection phase spans, and synthesizes a
+    per-operator summary track (tid 100) from the profile after the run. A
+    traced run is implicitly profiled. *)
 val run_gov :
+  ?rewrite:rewrite ->
   ?cache:bool ->
   ?distinct:bool ->
   ?leapfrog:bool ->
@@ -174,3 +146,14 @@ val run_gov :
   Gf_graph.Graph.t ->
   Gf_plan.Plan.t ->
   Counters.t * Governor.outcome
+
+(** [count g p] is the number of matches. When the plan's root is an E/I
+    operator it runs count-only: each extension set contributes its size
+    instead of being enumerated — the simplest form of the factorized
+    processing the paper discusses in Sections 3.2.3 and 10. Combined with
+    the intersection cache this skips the whole output loop for
+    cache-hitting tuples. With [distinct] (each candidate must be checked
+    against the bound prefix) or a SCAN / HASH-JOIN root it enumerates.
+    Always equal to the output count of {!run_gov} under the same flags.
+    Raises [Failure] if an operator raised. *)
+val count : ?cache:bool -> ?distinct:bool -> Gf_graph.Graph.t -> Gf_plan.Plan.t -> int

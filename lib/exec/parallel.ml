@@ -1,4 +1,3 @@
-module Graph = Gf_graph.Graph
 module Plan = Gf_plan.Plan
 module Deque = Gf_util.Deque
 module Timing = Gf_util.Timing
@@ -11,13 +10,6 @@ type report = {
   outcome : Governor.outcome;
 }
 
-(* The SCAN that streams tuples into the root pipeline: probe side of joins,
-   child of extends. *)
-let rec driving_scan = function
-  | Plan.Scan _ as s -> s
-  | Plan.Extend { child; _ } -> driving_scan child
-  | Plan.Hash_join { probe; _ } -> driving_scan probe
-
 (* The morsel boundary: the first E/I level directly above the driving scan
    (its outputs are what workers materialize into stealable batches), or the
    driving scan itself when a HASH-JOIN sits immediately above it. *)
@@ -26,10 +18,6 @@ let rec find_boundary = function
   | Plan.Extend { child = Plan.Scan _; _ } as e -> e
   | Plan.Extend { child; _ } -> find_boundary child
   | Plan.Hash_join { probe; _ } -> find_boundary probe
-
-let scan_sources g = function
-  | Plan.Scan { slabel; _ } -> Graph.num_with_label g slabel
-  | _ -> assert false
 
 (* HASH-JOIN nodes in post-order (children before parents), so that by the
    time a join's build side runs, every nested join already has its shared
@@ -42,83 +30,18 @@ let collect_joins plan =
   in
   go [] plan
 
-let assq_find tables node =
-  let rec go = function
-    | [] -> None
-    | (n, t) :: rest -> if n == node then Some t else go rest
-  in
-  go tables
+(* Runs [f wid] on each of [domains] domains (on this one when there is
+   only one) and collects the results in domain order. *)
+let on_domains domains f =
+  if domains <= 1 then [| f 0 |]
+  else Array.map Domain.join (Array.init domains (fun wid -> Domain.spawn (fun () -> f wid)))
 
-(* A probe-only HASH-JOIN driver against a pre-built shared [table]: same
-   probe/distinct semantics as Exec's structural compilation, but the build
-   side is never executed and rows are read through a caller-owned view so
-   any number of domains can probe the frozen table concurrently. *)
-let probe_only recurse (env : Exec.env) node table =
-  match node with
-  | Plan.Hash_join { probe; probe_key_pos; build_extra_pos; vars; _ } ->
-      let probe_driver = recurse env probe in
-      let key_len = Array.length probe_key_pos in
-      let pwidth = Array.length (Plan.vars probe) in
-      let width = Array.length vars in
-      let nextra = Array.length build_extra_pos in
-      let buf = Array.make width 0 in
-      let key_buf = Array.make key_len 0 in
-      let view = Array.make (Join_table.row_len table) 0 in
-      fun sink ->
-        probe_driver (fun t ->
-            env.Exec.c.Counters.hj_probe_tuples <-
-              env.Exec.c.Counters.hj_probe_tuples + 1;
-            Governor.tick env.Exec.gov env.Exec.c;
-            for i = 0 to key_len - 1 do
-              key_buf.(i) <- t.(probe_key_pos.(i))
-            done;
-            Array.blit t 0 buf 0 pwidth;
-            Join_table.iter_matches_view table ~view key_buf (fun row ->
-                let ok = ref true in
-                for i = 0 to nextra - 1 do
-                  let v = row.(build_extra_pos.(i)) in
-                  buf.(pwidth + i) <- v;
-                  if env.Exec.distinct && Exec.tuple_contains buf pwidth v then ok := false
-                done;
-                if !ok && env.Exec.distinct && nextra > 1 then begin
-                  for i = 0 to nextra - 1 do
-                    for j = i + 1 to nextra - 1 do
-                      if buf.(pwidth + i) = buf.(pwidth + j) then ok := false
-                    done
-                  done
-                end;
-                if !ok then begin
-                  env.Exec.c.Counters.produced <- env.Exec.c.Counters.produced + 1;
-                  Governor.tick env.Exec.gov env.Exec.c;
-                  sink buf
-                end))
-  | _ -> assert false
-
-(* A driver for [node] (the driving scan of some pipeline) that pulls
-   [chunk]-sized source ranges from a shared atomic counter — the static
-   scheme, used for parallel hash-table builds where morsel stealing buys
-   little (builds are materialized anyway). *)
-let chunked_scan (env : Exec.env) node next chunk num_sources =
-  match node with
-  | Plan.Scan { edge; slabel; dlabel; _ } ->
-      let buf = Array.make 2 0 in
-      fun sink ->
-        let continue = ref true in
-        while !continue do
-          let lo = Atomic.fetch_and_add next chunk in
-          if lo >= num_sources then continue := false
-          else begin
-            let hi = min num_sources (lo + chunk) in
-            Graph.iter_edges_range env.Exec.g ~elabel:edge.Gf_query.Query.label ~slabel
-              ~dlabel ~lo ~hi (fun u v ->
-                buf.(0) <- u;
-                buf.(1) <- v;
-                env.Exec.c.Counters.produced <- env.Exec.c.Counters.produced + 1;
-                Governor.tick env.Exec.gov env.Exec.c;
-                sink buf)
-          end
-        done
-  | _ -> assert false
+(* HASH-JOIN nodes the pipeline reaches through [tables] are compiled
+   probe-only against their shared, already-built table. *)
+let probe_shared tables recurse env node =
+  match List.assq_opt node tables with
+  | Some table -> Some (Exec.probe recurse env node table)
+  | None -> None
 
 (* Build every HASH-JOIN table exactly once, in post-order. Each build runs
    its build sub-plan in parallel: domains pull scan chunks, fill per-domain
@@ -126,7 +49,7 @@ let chunked_scan (env : Exec.env) node next chunk num_sources =
    table. Returns the tables (keyed by physical plan node) and the counters
    of the whole build phase — so build tuples are counted once, not once per
    execution domain. *)
-let build_tables ~domains ~cache ~distinct ~leapfrog ~gov ~prof ~tbuf g plan =
+let build_tables ~domains ~domain_env ~gov ~prof ~tbuf g plan =
   let build_c = Counters.create () in
   let tables = ref [] in
   List.iter
@@ -139,9 +62,22 @@ let build_tables ~domains ~cache ~distinct ~leapfrog ~gov ~prof ~tbuf g plan =
           | None -> ());
           let key_len = Array.length build_key_pos in
           let row_len = Array.length (Plan.vars build) in
-          let bscan = driving_scan build in
-          let num_sources = scan_sources g bscan in
+          let bscan = Exec.driving_scan build in
+          let num_sources = Exec.num_scan_sources g build in
           let next = Atomic.make 0 in
+          (* The static scheme: domains pull 64-source chunks from a shared
+             counter. Morsel stealing buys little here — builds are
+             materialized anyway. *)
+          let chunks emit =
+            let rec go () =
+              let lo = Atomic.fetch_and_add next 64 in
+              if lo < num_sources then begin
+                emit lo (min num_sources (lo + 64));
+                go ()
+              end
+            in
+            go ()
+          in
           (* Table inserts are this join node's work: with profiling on, the
              build sink runs with the join operator current so its time and
              hj_build tuples land on the join's row — exactly where the
@@ -149,64 +85,36 @@ let build_tables ~domains ~cache ~distinct ~leapfrog ~gov ~prof ~tbuf g plan =
           let join_id =
             match prof with None -> None | Some p -> Profile.id_of p node
           in
-          let build_worker () =
-            let c = Counters.create () in
-            let h = Governor.handle gov in
-            let dprof = Option.map Profile.fresh prof in
-            let env =
-              { Exec.g; cache; distinct; leapfrog; c; gov = h; prof = dprof; trace = None }
-            in
+          let build_worker _ =
+            let env = domain_env None in
             let local = Join_table.create ~key_len ~row_len in
-            let row_bytes = Join_table.bytes_per_row local in
             let rewrite recurse env n =
-              if n == bscan then Some (chunked_scan env n next 64 num_sources)
-              else
-                match assq_find !tables n with
-                | Some tbl -> Some (probe_only recurse env n tbl)
-                | None -> None
+              if n == bscan then Some (Exec.scan env n chunks)
+              else probe_shared !tables recurse env n
             in
             let d = Exec.compile_rw rewrite env build in
-            let key_buf = Array.make key_len 0 in
-            (match dprof with
-            | Some p ->
-                Profile.start p c;
-                Option.iter (fun id -> Profile.enter p c id) join_id
-            | None -> ());
-            (* A tripped budget or a faulting operator must still hand back
-               the partial table and counters, and must never propagate out
-               of the domain (a raising [Domain.join] would leak its
-               siblings). *)
-            (try
-               d (fun t ->
-                   for i = 0 to key_len - 1 do
-                     key_buf.(i) <- t.(build_key_pos.(i))
-                   done;
-                   Join_table.add local key_buf t;
-                   c.Counters.hj_build_tuples <- c.Counters.hj_build_tuples + 1;
-                   Governor.add_bytes h row_bytes;
-                   Governor.tick h c)
-             with
-            | Governor.Trip -> ()
-            | e ->
-                Governor.fail gov ~operator:"hash-build" ~detail:(Printexc.to_string e));
-            (match dprof with Some p -> Profile.finish p c | None -> ());
-            Governor.finish h c;
-            (local, c, dprof)
-          in
-          let results =
-            if domains <= 1 then [| build_worker () |]
-            else
-              Array.map Domain.join (Array.init domains (fun _ -> Domain.spawn build_worker))
+            let d =
+              match (env.Exec.prof, join_id) with
+              | Some p, Some id ->
+                  fun sink ->
+                    Profile.enter p env.Exec.c id;
+                    d sink
+              | _ -> d
+            in
+            (* A tripped budget or a faulting operator still hands back the
+               partial table and counters. *)
+            Exec.governed gov env ~span:"hash-build" d (Exec.build_into env node local);
+            (local, env)
           in
           let table = Join_table.create ~key_len ~row_len in
           Array.iter
-            (fun (local, c, dprof) ->
+            (fun (local, (env : Exec.env)) ->
               Join_table.absorb table local;
-              Counters.add build_c c;
-              match (prof, dprof) with
+              Counters.add build_c env.c;
+              match (prof, env.prof) with
               | Some into, Some p -> Profile.merge_into ~into p
               | _ -> ())
-            results;
+            (on_domains domains build_worker);
           (match tbuf with
           | Some tb ->
               Trace.end_span
@@ -228,45 +136,40 @@ type morsel = Range of int * int | Batch of int array
    pipeline is much slower than the producer. *)
 let max_local = 32
 
-let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?limit
-    ?budget ?fault ?gov ?prof ?trace ?sink ?(chunk = 64) ?(batch = 256) g plan =
+let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?budget
+    ?fault ?gov ?prof ?trace ?sink ?(chunk = 64) ?(batch = 256) g plan =
   let domains = max 1 domains in
-  (* A traced run is implicitly profiled: the merged profile feeds the
-     per-operator summary track, mirroring the sequential executor. *)
-  let prof = match (prof, trace) with None, Some _ -> Some (Profile.create plan) | _ -> prof in
+  let prof = Exec.traced_profile prof trace plan in
   let cbuf = Option.map (fun tr -> Trace.buffer ~name:"coordinator" tr ~tid:9) trace in
   let t0_us = Trace.now_us () in
   let gov =
     match gov with
     | Some t -> t
-    | None ->
-        let b = Option.value budget ~default:Governor.unlimited in
-        let b =
-          match limit with
-          | None -> b
-          | Some l ->
-              {
-                b with
-                Governor.max_output =
-                  Some
-                    (match b.Governor.max_output with
-                    | None -> l
-                    | Some m -> min m l);
-              }
-        in
-        Governor.create ?fault b
+    | None -> Governor.create ?fault (Option.value budget ~default:Governor.unlimited)
+  in
+  (* Every domain, build or probe, gets private counters, governor handle
+     and profile copy (same operator-id space), merged after the join. *)
+  let domain_env trace =
+    {
+      Exec.g;
+      cache;
+      distinct;
+      leapfrog;
+      c = Counters.create ();
+      gov = Governor.handle gov;
+      prof = Option.map Profile.fresh prof;
+      trace;
+    }
   in
   (match cbuf with
   | Some tb -> Trace.begin_span ~cat:"parallel" ~args:[ ("domains", Int domains) ] tb "build-tables"
   | None -> ());
-  let tables, build_c =
-    build_tables ~domains ~cache ~distinct ~leapfrog ~gov ~prof ~tbuf:cbuf g plan
-  in
+  let tables, build_c = build_tables ~domains ~domain_env ~gov ~prof ~tbuf:cbuf g plan in
   (match cbuf with Some tb -> Trace.end_span tb | None -> ());
-  let driver_node = driving_scan plan in
+  let driver_node = Exec.driving_scan plan in
   let boundary_node = find_boundary plan in
   let bwidth = Array.length (Plan.vars boundary_node) in
-  let num_sources = scan_sources g driver_node in
+  let num_sources = Exec.num_scan_sources g plan in
   let deques = Array.init domains (fun _ -> Deque.create ~dummy:(Range (0, 0)) ()) in
   (* Seed range morsels round-robin so every domain starts with local work
      and steals only once its own share is drained. *)
@@ -279,12 +182,18 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
     lo := hi;
     d := (!d + 1) mod domains
   done;
-  let sink_mutex = Mutex.create () in
-  let unlock_sink () = Mutex.unlock sink_mutex in
-  let worker wid () =
-    let c = Counters.create () in
-    let h = Governor.handle gov in
-    let dprof = Option.map Profile.fresh prof in
+  (* The user sink runs under a mutex so any closure is safe; [Fun.protect]
+     releases it even when the sink raises or a budget trips. *)
+  let sink =
+    match sink with
+    | None -> ignore
+    | Some f ->
+        let m = Mutex.create () in
+        fun t ->
+          Mutex.lock m;
+          Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f t)
+  in
+  let worker wid =
     (* Each domain records into its own buffer — registration takes the
        trace mutex once per domain, recording is domain-local mutation. *)
     let wbuf =
@@ -292,23 +201,9 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
         (fun tr -> Trace.buffer ~name:(Printf.sprintf "domain %d" wid) tr ~tid:(10 + wid))
         trace
     in
-    let env = { Exec.g; cache; distinct; leapfrog; c; gov = h; prof = dprof; trace = wbuf } in
+    let env = domain_env wbuf in
+    let c = env.Exec.c and h = env.Exec.gov in
     let own = deques.(wid) in
-    (* The root sink: claims an output slot from the governor (atomic under
-       an output cap — over-claims abort the claiming worker via [Trip], so
-       exactly min(cap, total) tuples are emitted), counts, and forwards to
-       the user sink under a mutex so any sink is safe. [Fun.protect]
-       guarantees the mutex is released even when the sink raises or a
-       budget trips — a governed abort can never leave it held. *)
-    let emit_out t =
-      Governor.claim_output h;
-      c.Counters.output <- c.Counters.output + 1;
-      match sink with
-      | None -> ()
-      | Some f ->
-          Mutex.lock sink_mutex;
-          Fun.protect ~finally:unlock_sink (fun () -> f t)
-    in
     let rewrite recurse env node =
       if node == boundary_node then
         Some
@@ -316,22 +211,9 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
             (* [sink] is the compiled pipeline above the boundary; this
                driver feeds it from the work-stealing scheduler. *)
             let cur_lo = ref 0 and cur_hi = ref 0 in
-            let lower_rw _ (lenv : Exec.env) n =
+            let lower_rw _ lenv n =
               if n == driver_node then
-                match n with
-                | Plan.Scan { edge; slabel; dlabel; _ } ->
-                    let buf = Array.make 2 0 in
-                    Some
-                      (fun s ->
-                        Graph.iter_edges_range lenv.Exec.g
-                          ~elabel:edge.Gf_query.Query.label ~slabel ~dlabel ~lo:!cur_lo
-                          ~hi:!cur_hi (fun u v ->
-                            buf.(0) <- u;
-                            buf.(1) <- v;
-                            lenv.Exec.c.Counters.produced <-
-                              lenv.Exec.c.Counters.produced + 1;
-                            s buf))
-                | _ -> assert false
+                Some (Exec.scan lenv n (fun emit -> emit !cur_lo !cur_hi))
               else None
             in
             let lower = Exec.compile_rw lower_rw env boundary_node in
@@ -440,44 +322,13 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
             done;
             (* The worker's private buffer dies with the loop. *)
             Governor.release_bytes h batch_bytes)
-      else
-        match assq_find tables node with
-        | Some tbl -> Some (probe_only recurse env node tbl)
-        | None -> None
+      else probe_shared tables recurse env node
     in
-    let driver = Exec.compile_rw rewrite env plan in
-    (match dprof with Some p -> Profile.start p c | None -> ());
-    (match wbuf with Some tb -> Trace.begin_span ~cat:"worker" tb "worker" | None -> ());
-    (* Workers never let an exception escape: a raising [Domain.join] would
-       leak the remaining domains. Budget trips end the worker quietly;
-       anything else is recorded as a structured failure (tripping the
-       governor so the siblings stop too). *)
-    (try driver emit_out with
-    | Governor.Trip -> ()
-    | e -> Governor.fail gov ~operator:"worker" ~detail:(Printexc.to_string e));
-    (match wbuf with
-    | Some tb ->
-        (* An unwinding Trip can leave morsel spans open; close them so the
-           export stays balanced. *)
-        Trace.close_all tb;
-        ignore
-          (Trace.instant ~cat:"worker"
-             ~args:
-               [ ("morsels", Trace.Int c.Counters.morsels);
-                 ("steals", Int c.Counters.steals);
-                 ("output", Int c.Counters.output);
-               ]
-             tb "worker-done")
-    | None -> ());
-    (match dprof with Some p -> Profile.finish p c | None -> ());
-    Governor.finish h c;
-    (c, dprof)
+    Exec.governed gov env ~span:"worker" (Exec.compile_rw rewrite env plan) (Exec.emit env sink);
+    env
   in
   (match cbuf with Some tb -> Trace.begin_span ~cat:"parallel" tb "run" | None -> ());
-  let results =
-    if domains <= 1 then [| worker 0 () |]
-    else Array.map Domain.join (Array.init domains (fun i -> Domain.spawn (worker i)))
-  in
+  let envs = on_domains domains worker in
   (match cbuf with
   | Some tb ->
       Trace.end_span tb;
@@ -488,7 +339,7 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
      merged profile is identical in form to a sequential one. *)
   (match prof with
   | Some into ->
-      Array.iter (fun (_, dprof) -> Option.iter (fun p -> Profile.merge_into ~into p) dprof) results
+      Array.iter (fun (e : Exec.env) -> Option.iter (fun p -> Profile.merge_into ~into p) e.prof) envs
   | None -> ());
   (* One merged operator-summary track: durations are self-times summed
      across build and all domains, so the track reads as CPU time (it can
@@ -496,48 +347,10 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
   (match (trace, prof) with
   | Some tr, Some p -> Exec.emit_operator_track tr p ~t0_us
   | _ -> ());
-  let per_domain = Array.map fst results in
+  let per_domain = Array.map (fun (e : Exec.env) -> e.c) envs in
   {
     counters = Counters.merge (build_c :: Array.to_list per_domain);
     per_domain;
-    per_domain_output = Array.map (fun (c, _) -> c.Counters.output) results;
+    per_domain_output = Array.map (fun c -> c.Counters.output) per_domain;
     outcome = Governor.outcome gov;
-  }
-
-let count ?domains ?cache ?distinct ?leapfrog ?limit g plan =
-  (run ?domains ?cache ?distinct ?leapfrog ?limit g plan).counters.Counters.output
-
-(* The pre-morsel scheme, kept as the A/B baseline for the Figure 11 harness:
-   every domain compiles the full plan (rebuilding hash tables per domain)
-   and pulls static chunks of the driving scan from one shared counter.
-   Counting only. *)
-let run_chunked ?(domains = 1) ?(cache = true) ?(chunk = 64) g plan =
-  let driver_node = driving_scan plan in
-  let num_sources = scan_sources g driver_node in
-  let next = Atomic.make 0 in
-  let worker () =
-    let t0 = Timing.now_s () in
-    let c = Counters.create () in
-    let gov = Governor.handle (Governor.create Governor.unlimited) in
-    let env =
-      { Exec.g; cache; distinct = false; leapfrog = false; c; gov; prof = None; trace = None }
-    in
-    let rewrite _recurse (env : Exec.env) node =
-      if node == driver_node then Some (chunked_scan env node next chunk num_sources)
-      else None
-    in
-    let driver = Exec.compile_rw rewrite env plan in
-    driver (fun _ -> c.Counters.output <- c.Counters.output + 1);
-    c.Counters.busy_s <- Timing.now_s () -. t0;
-    c
-  in
-  let results =
-    if domains <= 1 then [| worker () |]
-    else Array.map Domain.join (Array.init domains (fun _ -> Domain.spawn worker))
-  in
-  {
-    counters = Counters.merge (Array.to_list results);
-    per_domain = results;
-    per_domain_output = Array.map (fun c -> c.Counters.output) results;
-    outcome = Governor.Completed;
   }

@@ -14,11 +14,14 @@
     domain then probes the frozen table read-only through its own row view.
     Build tuples are therefore counted once, not once per domain.
 
-    The full sequential feature set is supported: [distinct], [leapfrog],
-    [limit] (an atomic output claim through the governor — exactly
-    [min limit total] tuples are emitted), and [sink] (invoked under a
-    mutex, so any closure is safe; tuples are reused buffers, copy to
-    retain). The graph and tables are immutable and shared; counters are
+    Each domain runs the sequential executor's compiled pipeline through
+    its one governed loop ({!Exec.governed}); only the rewrite hook differs
+    (morsel source at the boundary, probe-only joins against the shared
+    tables). The full sequential feature set is therefore supported:
+    [distinct], [leapfrog], an output cap (an atomic output claim through
+    the governor — exactly [min max_output total] tuples are emitted), and
+    [sink] (invoked under a mutex, so any closure is safe; tuples are
+    reused buffers, copy to retain). The graph and tables are immutable and shared; counters are
     per-domain and merged, with [morsels], [steals] and [busy_s] recording
     how the load actually spread.
 
@@ -44,8 +47,7 @@ type report = {
     number of driving-scan source vertices per range morsel; [batch] the
     number of partial matches per stealable batch morsel. [budget]/[fault]
     create the query's governor; [gov] supplies one built externally (for
-    cross-thread {!Governor.cancel}) and overrides both. [limit] tightens
-    the budget's output cap.
+    cross-thread {!Governor.cancel}) and overrides both.
 
     [prof] collects a per-operator profile: each domain records into a
     {!Profile.fresh} copy (same operator-id space) and the copies are
@@ -65,7 +67,6 @@ val run :
   ?cache:bool ->
   ?distinct:bool ->
   ?leapfrog:bool ->
-  ?limit:int ->
   ?budget:Governor.budget ->
   ?fault:Governor.fault ->
   ?gov:Governor.t ->
@@ -77,23 +78,3 @@ val run :
   Gf_graph.Graph.t ->
   Gf_plan.Plan.t ->
   report
-
-(** [count ~domains g plan] is the parallel match count. *)
-val count :
-  ?domains:int ->
-  ?cache:bool ->
-  ?distinct:bool ->
-  ?leapfrog:bool ->
-  ?limit:int ->
-  Gf_graph.Graph.t ->
-  Gf_plan.Plan.t ->
-  int
-
-(** [run_chunked ~domains g plan] is the previous static scheme, kept as the
-    Figure 11 A/B baseline: every domain compiles the full plan (hash-join
-    builds re-executed per domain!) and pulls fixed chunks of the driving
-    scan from one shared atomic counter. Counting only — no [distinct],
-    [leapfrog], [limit] or [sink]. Its [busy_s] is each worker's total wall
-    time, directly comparable with the morsel executor's. *)
-val run_chunked :
-  ?domains:int -> ?cache:bool -> ?chunk:int -> Gf_graph.Graph.t -> Gf_plan.Plan.t -> report

@@ -165,7 +165,7 @@ let run ?per_subset_cap ?family_cap ?wco_cap ?(cache = true) g q =
   let entries =
     List.map
       (fun (family, plan) ->
-        let seconds, counters = Gf_util.Timing.time (fun () -> Exec.run ~cache g plan) in
+        let seconds, counters = Gf_util.Timing.time (fun () -> fst (Exec.run_gov ~cache g plan)) in
         { plan; family; seconds; counters })
       all
   in

@@ -6,6 +6,7 @@ module Plan = Gf_plan.Plan
 module Exec = Gf_exec.Exec
 module Naive = Gf_exec.Naive
 module Counters = Gf_exec.Counters
+module Governor = Gf_exec.Governor
 module Graph = Gf_graph.Graph
 module Generators = Gf_graph.Generators
 module Rng = Gf_util.Rng
@@ -43,7 +44,9 @@ let test_same_tuples () =
   let cat = Catalog.create ~z:300 g in
   let q = Patterns.diamond_x in
   let plan = Plan.wco q [| 0; 1; 2; 3 |] in
-  let fixed = Exec.collect g plan |> List.map Array.copy |> List.sort compare in
+  let fixed = ref [] in
+  let _ = Exec.run_gov ~sink:(fun t -> fixed := Array.copy t :: !fixed) g plan in
+  let fixed = List.sort compare !fixed in
   let adaptive = ref [] in
   let _ = Adaptive.run ~sink:(fun t -> adaptive := Array.copy t :: !adaptive) cat g q plan in
   Alcotest.(check (list (array int))) "same tuple set" fixed (List.sort compare !adaptive)
@@ -79,7 +82,8 @@ let test_limit_respected () =
   let cat = Catalog.create ~z:300 g in
   let q = Patterns.diamond_x in
   let plan = Plan.wco q [| 0; 1; 2; 3 |] in
-  let c, _ = Adaptive.run ~limit:7 cat g q plan in
+  let gov = Governor.create (Governor.budget ~max_output:7 ()) in
+  let c, _ = Adaptive.run ~gov cat g q plan in
   check_int "limit" 7 c.Counters.output
 
 let test_adaptive_can_reduce_icost () =
@@ -91,7 +95,7 @@ let test_adaptive_can_reduce_icost () =
   let q = Patterns.diamond_x in
   let orders = Query.connected_orders q in
   let fixed_costs =
-    List.map (fun o -> (Exec.run g (Plan.wco q o)).Counters.icost) orders
+    List.map (fun o -> (fst (Exec.run_gov g (Plan.wco q o))).Counters.icost) orders
   in
   let worst = List.fold_left max 0 fixed_costs in
   let plan = Plan.wco q [| 1; 2; 0; 3 |] in

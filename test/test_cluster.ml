@@ -524,6 +524,37 @@ let test_hedging_beats_straggler () =
      that request first. *)
   stop_worker { path = slow_path; thread = slow_thread; svc = slow_svc }
 
+let test_healthy_hedge_is_not_a_floor () =
+  (* A healthy 1x2 answers in shard time, not in hedge time: with a 2 s
+     hedge delay no request may wait for the hedge timer, and none is
+     launched. *)
+  let g = graph () in
+  let db = Gf.Db.create g in
+  let _, expected = reference db triangle in
+  let dir = tmpdir () in
+  let w0 = start_worker ~dir ~node:"w0" g in
+  let w1 = start_worker ~dir ~node:"w1" g in
+  let topo =
+    match
+      Topology.parse
+        (Printf.sprintf "shard 0 unix:%s unix:%s\nshard 1 unix:%s unix:%s\n" w0.path
+           w1.path w1.path w0.path)
+    with
+    | Ok t -> t
+    | Error m -> Alcotest.fail m
+  in
+  let coord = Coordinator.create ~config:(coord_config ~hedge:(Some 2.0) ()) topo in
+  let t0 = Unix.gettimeofday () in
+  let r = Coordinator.run coord ~text:triangle_text (run_req ()) in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_string "outcome" "completed" r.Coordinator.r_outcome;
+  check_int "matches exact" expected r.Coordinator.r_matches;
+  check_int "no hedges" 0 r.Coordinator.r_hedges;
+  check_bool (Printf.sprintf "answered in %.3fs, under 1 s" dt) true (dt < 1.0);
+  Coordinator.stop coord;
+  stop_worker w0;
+  stop_worker w1
+
 let test_fingerprint_mismatch_refused () =
   (* Two workers serving different graphs cannot form one cluster: shard
      answers would be slices of different answer sets. The first hello
@@ -662,6 +693,8 @@ let suite =
         Alcotest.test_case "breakers isolate per shard" `Quick
           test_breaker_per_shard_isolation;
         Alcotest.test_case "hedging beats a straggler" `Quick test_hedging_beats_straggler;
+        Alcotest.test_case "healthy hedge adds no latency floor" `Quick
+          test_healthy_hedge_is_not_a_floor;
         Alcotest.test_case "fingerprint mismatch refused" `Quick
           test_fingerprint_mismatch_refused;
         Alcotest.test_case "stitched trace spans failed attempt and winner" `Quick

@@ -1,7 +1,9 @@
 (* Cross-subsystem agreement on random inputs: for random small queries on
    random graphs, every execution path in the repository must produce the
-   same match count as the naive reference matcher. This is the test that
-   catches planner/executor disagreements no unit test anticipates. *)
+   same matches as the naive reference matcher — the same match set for
+   every path that delivers rows, the same count for the counting ones.
+   This is the test that catches planner/executor disagreements no unit
+   test anticipates. *)
 
 open Gf_query
 module Catalog = Gf_catalog.Catalog
@@ -11,6 +13,7 @@ module Exec = Gf_exec.Exec
 module Parallel = Gf_exec.Parallel
 module Naive = Gf_exec.Naive
 module Counters = Gf_exec.Counters
+module Governor = Gf_exec.Governor
 module Adaptive = Gf_adaptive.Adaptive
 module Ghd = Gf_ghd.Ghd
 module Bj = Gf_baseline.Bj
@@ -40,6 +43,26 @@ let random_query rng g =
   let q0 = Patterns.random_query rng ~num_vertices:nv ~dense:(Rng.bool rng) ~num_vlabels:(Graph.num_vlabels g) in
   Patterns.randomize_edge_labels rng q0 ~num_elabels:(Graph.num_elabels g)
 
+(* Reorder a tuple in plan-schema column order into query-vertex order. *)
+let to_assignment schema tuple =
+  let out = Array.make (Array.length schema) (-1) in
+  Array.iteri (fun i v -> out.(v) <- tuple.(i)) schema;
+  out
+
+(* A match set's fingerprint: the row count and an order-independent hash
+   of the rows (each in query-vertex order), computed over the sorted rows
+   so delivery order and domain interleaving do not matter. *)
+let fingerprint rows =
+  let hash = List.fold_left (Array.fold_left (fun h v -> (h * 1_000_003) lxor v)) 17 in
+  (List.length rows, hash (List.sort compare rows))
+
+(* The fingerprint of what [run sink] delivers to [sink], rows arriving in
+   [schema] column order. *)
+let delivered schema run =
+  let rows = ref [] in
+  run (fun t -> rows := to_assignment schema t :: !rows);
+  fingerprint !rows
+
 let prop_all_engines_agree =
   QCheck2.Test.make ~name:"planner/adaptive/ghd/bj/parallel/leapfrog = naive" ~count:30
     QCheck2.Gen.(int_bound 100_000)
@@ -48,58 +71,56 @@ let prop_all_engines_agree =
       let g = random_graph rng in
       let q = random_query rng g in
       let expected = Naive.count g q in
+      let expected_set = fingerprint (Naive.collect g q) in
+      let distinct_expected = Naive.count ~distinct:true g q in
       let cat = Catalog.create ~z:150 g in
       let plan, _ = Planner.plan cat q in
-      let ok msg v =
-        if v <> expected then
-          QCheck2.Test.fail_reportf "%s: %d <> naive %d on %s" msg v expected
-            (Query.to_string q)
-        else true
+      let fail msg got want =
+        QCheck2.Test.fail_reportf "%s: %d <> naive %d on %s" msg got want (Query.to_string q)
       in
-      ok "planner" (Exec.count g plan)
-      && ok "cache off" (Exec.run ~cache:false g plan).Counters.output
-      && ok "leapfrog" (Exec.run ~leapfrog:true g plan).Counters.output
-      && ok "count_fast" (Exec.count_fast g plan)
-      && ok "count_fast leapfrog" (Exec.count_fast ~leapfrog:true g plan)
-      && ok "parallel(3)" (Parallel.run ~domains:3 g plan).Parallel.counters.Counters.output
-      && ok "parallel(4) small morsels"
-           (Parallel.run ~domains:4 ~chunk:3 ~batch:4 g plan).Parallel.counters.Counters.output
+      let ok msg v = v = expected || fail msg v expected in
+      let ok_distinct msg v = v = distinct_expected || fail msg v distinct_expected in
+      let same msg run =
+        let ((n, _) as got) = delivered (Plan.vars plan) run in
+        got = expected_set || fail (msg ^ " match set") n expected
+      in
+      let output (c, _) = c.Counters.output in
+      same "cache off" (fun sink -> ignore (Exec.run_gov ~cache:false ~sink g plan))
+      && same "leapfrog" (fun sink -> ignore (Exec.run_gov ~leapfrog:true ~sink g plan))
+      && ok "count" (Exec.count g plan)
+      && ok_distinct "count distinct" (Exec.count ~distinct:true g plan)
+      && List.for_all
+           (fun d ->
+             same
+               (Printf.sprintf "parallel(%d) small morsels" d)
+               (fun sink -> ignore (Parallel.run ~domains:d ~chunk:3 ~batch:4 ~sink g plan))
+             && ok_distinct
+                  (Printf.sprintf "parallel distinct(%d)" d)
+                  (Parallel.run ~domains:d ~distinct:true ~chunk:5 g plan).counters
+                    .Counters.output)
+           [ 1; 2; 4 ]
       && ok "parallel leapfrog"
-           (Parallel.run ~domains:2 ~leapfrog:true g plan).Parallel.counters.Counters.output
-      && ok "parallel chunked baseline"
-           (Parallel.run_chunked ~domains:2 g plan).Parallel.counters.Counters.output
-      && (let distinct_expected = Naive.count ~distinct:true g q in
-          (let got = Exec.count_fast ~distinct:true g plan in
-           got = distinct_expected
-           ||
-           QCheck2.Test.fail_reportf "count_fast distinct: %d <> naive %d on %s" got
-             distinct_expected (Query.to_string q))
-          && (let got = (fst (Adaptive.run ~distinct:true cat g q plan)).Counters.output in
-              got = distinct_expected
-              ||
-              QCheck2.Test.fail_reportf "adaptive distinct: %d <> naive %d on %s" got
-                distinct_expected (Query.to_string q))
-          && List.for_all
-            (fun d ->
-              let got =
-                (Parallel.run ~domains:d ~distinct:true ~chunk:5 g plan).Parallel.counters
-                  .Counters.output
-              in
-              if got <> distinct_expected then
-                QCheck2.Test.fail_reportf "parallel distinct(%d): %d <> naive %d on %s" d got
-                  distinct_expected (Query.to_string q)
-              else true)
-            [ 1; 2; 4 ])
+           (Parallel.run ~domains:2 ~leapfrog:true g plan).counters.Counters.output
+      && same "adaptive" (fun sink -> ignore (Adaptive.run ~sink cat g q plan))
+      && ok_distinct "adaptive distinct" (output (Adaptive.run ~distinct:true cat g q plan))
       && (let lim = (expected / 2) + 1 in
+          let budget = Governor.budget ~max_output:lim () in
           let got =
-            (Parallel.run ~domains:3 ~limit:lim ~chunk:4 ~batch:8 g plan).Parallel.counters
+            (Parallel.run ~domains:3 ~budget ~chunk:4 ~batch:8 g plan).counters
               .Counters.output
           in
-          if got <> min lim expected then
-            QCheck2.Test.fail_reportf "parallel limit %d: emitted %d on %s" lim got
-              (Query.to_string q)
-          else true)
-      && ok "adaptive" (fst (Adaptive.run cat g q plan)).Counters.output
+          let want = min lim expected in
+          got = want || fail (Printf.sprintf "parallel limit %d" lim) got want)
+      && (let db = Graphflow.Db.create ~z:150 g in
+          let k = 1 + Rng.int rng 6 in
+          let shard_plan, _ = Graphflow.Db.plan db q in
+          let ((n, _) as got) =
+            delivered (Plan.vars shard_plan) (fun sink ->
+                for i = 0 to k - 1 do
+                  ignore (Graphflow.Db.run_gov ~scan_part:(i, k) ~sink db q)
+                done)
+          in
+          got = expected_set || fail (Printf.sprintf "scan_part union k=%d match set" k) n expected)
       && ok "bj baseline" (Bj.count g q)
       && ok "eh plan"
            (Exec.count g (Ghd.to_plan cat q (Ghd.min_width_decomposition q) Ghd.Lexicographic)))
@@ -136,22 +157,22 @@ let prop_spectrum_plans_agree_parallel =
       let all, _ = Spectrum.plans ~per_subset_cap:2 ~family_cap:6 q in
       List.for_all
         (fun (fam, p) ->
-          let seq = Exec.run g p in
+          let seq = fst (Exec.run_gov g p) in
           List.for_all
             (fun d ->
               let r = Parallel.run ~domains:d ~chunk:7 ~batch:16 g p in
-              if r.Parallel.counters.Counters.output <> expected then
+              if r.counters.Counters.output <> expected then
                 QCheck2.Test.fail_reportf "%s plan parallel(%d): %d <> %d on %s"
-                  (Spectrum.family_to_string fam) d r.Parallel.counters.Counters.output
+                  (Spectrum.family_to_string fam) d r.counters.Counters.output
                   expected (Query.to_string q)
               else if
-                r.Parallel.counters.Counters.hj_build_tuples
+                r.counters.Counters.hj_build_tuples
                 <> seq.Counters.hj_build_tuples
               then
                 QCheck2.Test.fail_reportf
                   "%s plan parallel(%d): build tuples %d <> sequential %d on %s"
                   (Spectrum.family_to_string fam) d
-                  r.Parallel.counters.Counters.hj_build_tuples seq.Counters.hj_build_tuples
+                  r.counters.Counters.hj_build_tuples seq.Counters.hj_build_tuples
                   (Query.to_string q)
               else true)
             [ 1; 2; 4 ])
@@ -188,11 +209,11 @@ let test_work_stealing_skew () =
      the absence of steals a failure. *)
   let rec attempt k =
     let r = Parallel.run ~domains:4 ~chunk:4 ~batch:32 g plan in
-    check_int "skewed count" seq r.Parallel.counters.Counters.output;
+    check_int "skewed count" seq r.counters.Counters.output;
     check_int "shares sum to output" seq (Array.fold_left ( + ) 0 r.Parallel.per_domain_output);
-    check_bool "morsels executed" true (r.Parallel.counters.Counters.morsels > 4);
-    if r.Parallel.counters.Counters.steals = 0 && k > 0 then attempt (k - 1)
-    else check_bool "steals observed" true (r.Parallel.counters.Counters.steals > 0)
+    check_bool "morsels executed" true (r.counters.Counters.morsels > 4);
+    if r.counters.Counters.steals = 0 && k > 0 then attempt (k - 1)
+    else check_bool "steals observed" true (r.counters.Counters.steals > 0)
   in
   attempt 5
 
@@ -200,29 +221,31 @@ let test_parallel_hybrid_features () =
   let g = Generators.holme_kim (Rng.create 11) ~n:300 ~m_per:4 ~p_triad:0.5 ~recip:0.4 in
   let q = Patterns.diamond_x in
   let plan = Plan.hash_join q (Plan.wco q [| 1; 2; 0 |]) (Plan.wco q [| 1; 2; 3 |]) in
-  let seqc = Exec.run g plan in
+  let seqc = fst (Exec.run_gov g plan) in
   List.iter
     (fun d ->
       let r = Parallel.run ~domains:d ~chunk:8 ~batch:16 g plan in
       check_int (Printf.sprintf "hybrid count %dd" d) seqc.Counters.output
-        r.Parallel.counters.Counters.output;
+        r.counters.Counters.output;
       (* Build side executed once, not once per domain. *)
       check_int
         (Printf.sprintf "hybrid build tuples %dd" d)
-        seqc.Counters.hj_build_tuples r.Parallel.counters.Counters.hj_build_tuples)
+        seqc.Counters.hj_build_tuples r.counters.Counters.hj_build_tuples)
     [ 1; 2; 4 ];
-  let sd = (Exec.run ~distinct:true g plan).Counters.output in
+  let sd = (fst (Exec.run_gov ~distinct:true g plan)).Counters.output in
   List.iter
     (fun d ->
       check_int
         (Printf.sprintf "hybrid distinct %dd" d)
         sd
-        (Parallel.run ~domains:d ~distinct:true g plan).Parallel.counters.Counters.output)
+        (Parallel.run ~domains:d ~distinct:true g plan).counters.Counters.output)
     [ 1; 2; 4 ];
   let lim = (seqc.Counters.output / 3) + 1 in
   check_int "hybrid limit exact"
     (min lim seqc.Counters.output)
-    (Parallel.run ~domains:4 ~limit:lim ~chunk:8 ~batch:16 g plan).Parallel.counters
+    (Parallel.run ~domains:4 ~budget:(Governor.budget ~max_output:lim ()) ~chunk:8 ~batch:16
+       g plan)
+      .counters
       .Counters.output;
   let acc = ref 0 in
   let (_ : Parallel.report) = Parallel.run ~domains:4 ~sink:(fun _ -> incr acc) g plan in
@@ -243,7 +266,7 @@ let test_adaptive_distinct () =
       let expected = Naive.count ~distinct:true g q in
       check_int (name ^ ": exec distinct")
         expected
-        (Exec.run ~distinct:true g plan).Counters.output;
+        (fst (Exec.run_gov ~distinct:true g plan)).Counters.output;
       check_int (name ^ ": adaptive distinct")
         expected
         (fst (Adaptive.run ~distinct:true cat g q plan)).Counters.output)

@@ -19,7 +19,10 @@ let test_sink_and_limit () =
   let db = db () in
   let q = Gf.Patterns.diamond_x in
   let seen = ref 0 in
-  let c = Gf.Db.run ~limit:5 ~sink:(fun _ -> incr seen) db q in
+  let c, outcome =
+    Gf.Db.run_gov ~budget:(Gf.Governor.budget ~max_output:5 ()) ~sink:(fun _ -> incr seen) db q
+  in
+  check_bool "truncated" true (outcome = Gf.Governor.Truncated Gf.Governor.Output_limit);
   check_int "limit" 5 c.Gf.Counters.output;
   check_int "sink called" 5 !seen
 

@@ -188,7 +188,8 @@ let test_adaptive_sink_and_limit_together () =
   let q = Patterns.diamond_x in
   let plan = Plan.wco q [| 0; 1; 2; 3 |] in
   let seen = ref 0 in
-  let c, _ = Adaptive.run ~limit:9 ~sink:(fun _ -> incr seen) cat g q plan in
+  let gov = Gf_exec.Governor.create (Gf_exec.Governor.budget ~max_output:9 ()) in
+  let c, _ = Adaptive.run ~gov ~sink:(fun _ -> incr seen) cat g q plan in
   check_int "limited" 9 c.Counters.output;
   check_int "sink calls" 9 !seen
 

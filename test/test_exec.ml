@@ -3,6 +3,7 @@ module Plan = Gf_plan.Plan
 module Exec = Gf_exec.Exec
 module Naive = Gf_exec.Naive
 module Counters = Gf_exec.Counters
+module Governor = Gf_exec.Governor
 module Graph = Gf_graph.Graph
 module Generators = Gf_graph.Generators
 module Rng = Gf_util.Rng
@@ -26,10 +27,14 @@ let to_assignment schema tuple =
   Array.iteri (fun i v -> out.(v) <- tuple.(i)) schema;
   out
 
+let run ?cache ?leapfrog g plan = fst (Exec.run_gov ?cache ?leapfrog g plan)
+
 let check_plan_matches_naive ?(distinct = false) g q plan label =
   let expected = Naive.collect ~distinct g q |> sort_tuples in
+  let rows = ref [] in
+  let _ = Exec.run_gov ~distinct ~sink:(fun t -> rows := Array.copy t :: !rows) g plan in
   let got =
-    Exec.collect ~distinct g plan
+    !rows
     |> List.map (to_assignment (Plan.vars plan))
     |> sort_tuples
   in
@@ -124,8 +129,8 @@ let test_cache_semantics () =
   (* Ordering a2 a3 a1 a4 (0-indexed: 1 2 0 3): the last E/I re-intersects
      a2/a3 lists, whose values change only with the scan tuple -> cache hits. *)
   let plan = Plan.wco q [| 1; 2; 0; 3 |] in
-  let on = Exec.run ~cache:true g plan in
-  let off = Exec.run ~cache:false g plan in
+  let on = run ~cache:true g plan in
+  let off = run ~cache:false g plan in
   check_int "same output" on.Counters.output off.Counters.output;
   check_bool "cache hits happen" true (on.Counters.cache_hits > 0);
   check_int "no hits when off" 0 off.Counters.cache_hits;
@@ -137,8 +142,8 @@ let test_no_cache_benefit_ordering () =
   (* Ordering a1 a2 a3 a4: last E/I touches a3 = the just-extended vertex,
      so consecutive tuples rarely share sources. Expect far fewer hits than
      the cache-friendly ordering. *)
-  let friendly = Exec.run g (Plan.wco q [| 1; 2; 0; 3 |]) in
-  let unfriendly = Exec.run g (Plan.wco q [| 0; 1; 2; 3 |]) in
+  let friendly = run g (Plan.wco q [| 1; 2; 0; 3 |]) in
+  let unfriendly = run g (Plan.wco q [| 0; 1; 2; 3 |]) in
   check_bool "friendly ordering caches more" true
     (friendly.Counters.cache_hits > unfriendly.Counters.cache_hits)
 
@@ -151,7 +156,7 @@ let test_icost_counts_list_sizes () =
   in
   let q = Query.unlabeled_edges 3 [ (0, 1); (0, 2) ] in
   let plan = Plan.wco q [| 0; 1; 2 |] in
-  let c = Exec.run ~cache:false g plan in
+  let c = run ~cache:false g plan in
   (* Scan produces all 4 edges (u,v). The E/I accesses u's forward list:
      |fwd(0)| = 3 for the three (0,_) tuples, |fwd(4)| = 1 for (4,0):
      icost = 3*3 + 1 = 10; output = 3*3 + 1 = 10; intermediate = 4 scans. *)
@@ -170,7 +175,7 @@ let test_leapfrog_execution () =
           check_int
             (Printf.sprintf "Q%d leapfrog = pairwise" i)
             (Exec.count g plan)
-            (Exec.run ~leapfrog:true g plan).Counters.output)
+            (run ~leapfrog:true g plan).Counters.output)
         (List.filteri (fun j _ -> j < 2) (Query.connected_orders q)))
     [ 1; 3; 5; 7 ]
 
@@ -178,8 +183,9 @@ let test_limit () =
   let g = small_graph () in
   let q = Patterns.asymmetric_triangle in
   let plan = Plan.wco q [| 0; 1; 2 |] in
-  let c = Exec.run ~limit:5 g plan in
-  check_int "limited" 5 c.Counters.output
+  let c, outcome = Exec.run_gov ~budget:(Governor.budget ~max_output:5 ()) g plan in
+  check_int "limited" 5 c.Counters.output;
+  check_bool "truncated" true (outcome = Governor.Truncated Governor.Output_limit)
 
 let test_distinct () =
   let g = small_graph () in
@@ -267,25 +273,26 @@ let prop_labeled_plans_correct =
         (fun order -> Exec.count g (Plan.wco q order) = expected)
         (Query.connected_orders q))
 
-(* Regression: [count_fast] used to silently drop [~leapfrog] (always the
-   pairwise cascade) and force non-distinct semantics. It must now agree
-   with [count] under every flag combination, on the ablation query set. *)
-let test_count_fast_flags () =
+(* [count] runs a root E/I operator count-only (extension-set sizes, no
+   enumeration) unless [distinct] forces enumeration. Under every flag
+   combination it must agree with an enumerating run, on the ablation query
+   set. *)
+let test_count_only_root_flags () =
   let g = small_graph () in
+  let output (c, _) = c.Counters.output in
   List.iter
     (fun (name, q) ->
       let plan = Plan.wco q (Array.init (Query.num_vertices q) Fun.id) in
-      let expected = Exec.count g plan in
-      let distinct_expected = Exec.count ~distinct:true g plan in
-      check_int (name ^ ": plain") expected (Exec.count_fast g plan);
-      check_int (name ^ ": cache off") expected (Exec.count_fast ~cache:false g plan);
-      check_int (name ^ ": leapfrog") expected (Exec.count_fast ~leapfrog:true g plan);
+      let expected = output (Exec.run_gov g plan) in
+      let distinct_expected = output (Exec.run_gov ~distinct:true g plan) in
+      check_int (name ^ ": plain") expected (Exec.count g plan);
+      check_int (name ^ ": cache off") expected (Exec.count ~cache:false g plan);
+      check_int (name ^ ": leapfrog") expected (output (Exec.run_gov ~leapfrog:true g plan));
       check_int (name ^ ": leapfrog, cache off") expected
-        (Exec.count_fast ~cache:false ~leapfrog:true g plan);
-      check_int (name ^ ": distinct") distinct_expected
-        (Exec.count_fast ~distinct:true g plan);
-      check_int (name ^ ": distinct leapfrog") distinct_expected
-        (Exec.count_fast ~distinct:true ~leapfrog:true g plan))
+        (output (Exec.run_gov ~cache:false ~leapfrog:true g plan));
+      check_int (name ^ ": distinct") distinct_expected (Exec.count ~distinct:true g plan);
+      check_int (name ^ ": distinct, cache off") distinct_expected
+        (Exec.count ~cache:false ~distinct:true g plan))
     [
       ("triangle", Patterns.asymmetric_triangle);
       ("diamond-x", Patterns.diamond_x);
@@ -317,7 +324,7 @@ let suite =
         Alcotest.test_case "limit" `Quick test_limit;
         Alcotest.test_case "distinct" `Quick test_distinct;
         Alcotest.test_case "distinct hash join" `Quick test_distinct_hash_join;
-        Alcotest.test_case "count_fast flags" `Quick test_count_fast_flags;
+        Alcotest.test_case "count-only root flags" `Quick test_count_only_root_flags;
       ] );
     ( "plan.structure",
       [

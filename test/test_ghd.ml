@@ -158,8 +158,8 @@ let test_ghd_good_not_slower_estimated () =
   let d = Ghd.min_width_decomposition q in
   let good = Ghd.to_plan cat q d Ghd.Best_estimated in
   let bad = Ghd.to_plan cat q d Ghd.Worst_estimated in
-  let gi = (Exec.run g good).Gf_exec.Counters.icost in
-  let bi = (Exec.run g bad).Gf_exec.Counters.icost in
+  let gi = (fst (Exec.run_gov g good)).Gf_exec.Counters.icost in
+  let bi = (fst (Exec.run_gov g bad)).Gf_exec.Counters.icost in
   check_bool (Printf.sprintf "EH-g icost %d <= EH-b %d" gi bi) true (gi <= bi)
 
 let test_bag_orders_and_custom_plan () =

@@ -13,9 +13,11 @@ module Exec = Gf_exec.Exec
 module Counters = Gf_exec.Counters
 module Governor = Gf_exec.Governor
 module Parallel = Gf_exec.Parallel
+module Trace = Gf_obs.Trace
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 let fault_seed =
   match Option.bind (Sys.getenv_opt "GFQ_FAULT_SEED") int_of_string_opt with
@@ -104,14 +106,17 @@ let test_truncated_subset_parallel () =
     Parallel.run ~domains:4 ~sink:(fun t -> Hashtbl.replace full (key t) ()) g plan
   in
   check_bool "full completed" true (r_full.Parallel.outcome = Governor.Completed);
-  let total = r_full.Parallel.counters.Counters.output in
+  let total = r_full.counters.Counters.output in
   let cap = total / 3 in
   let seen = ref [] in
   let r =
-    Parallel.run ~domains:4 ~limit:cap ~sink:(fun t -> seen := key t :: !seen) g plan
+    Parallel.run ~domains:4
+      ~budget:(Governor.budget ~max_output:cap ())
+      ~sink:(fun t -> seen := key t :: !seen)
+      g plan
   in
   check_bool "truncated" true (is_truncated Governor.Output_limit r.Parallel.outcome);
-  check_int "exactly cap outputs" cap r.Parallel.counters.Counters.output;
+  check_int "exactly cap outputs" cap r.counters.Counters.output;
   check_int "sink saw each claim" cap (List.length !seen);
   check_int "domain split adds up" cap
     (Array.fold_left ( + ) 0 r.Parallel.per_domain_output);
@@ -158,14 +163,14 @@ let test_byte_release_on_consumption () =
       g plan
   in
   check_bool "bounded live batches complete" true (r.Parallel.outcome = Governor.Completed);
-  check_int "all outputs" total r.Parallel.counters.Counters.output;
+  check_int "all outputs" total r.counters.Counters.output;
   (* Prove the run actually cycled more batch bytes than the cap: every
      morsel beyond the seeded ranges is a replayed batch, each of
      [batch * width * 8] bytes. Without release, this run would have
      tripped. *)
   let width = 3 in
   let ranges = (Gf_graph.Graph.num_vertices g + chunk - 1) / chunk in
-  let batches = r.Parallel.counters.Counters.morsels - ranges in
+  let batches = r.counters.Counters.morsels - ranges in
   check_bool "cumulative batch bytes exceed the cap" true (batches * batch * width * 8 > cap)
 
 let test_deadline_promptness () =
@@ -190,14 +195,14 @@ let test_deadline_promptness () =
       check_bool (Printf.sprintf "%d domains: prompt (%.0f ms)" domains (dt *. 1000.)) true
         (dt < 1.0);
       check_bool (Printf.sprintf "%d domains: produced something" domains) true
-        (r.Parallel.counters.Counters.produced > 0);
+        (r.counters.Counters.produced > 0);
       check_int
         (Printf.sprintf "%d domains: per-domain counters" domains)
         domains
         (Array.length r.Parallel.per_domain);
       check_int
         (Printf.sprintf "%d domains: output totals add up" domains)
-        r.Parallel.counters.Counters.output
+        r.counters.Counters.output
         (Array.fold_left ( + ) 0 r.Parallel.per_domain_output))
     [ 1; 4 ]
 
@@ -238,7 +243,7 @@ let test_fault_mid_extend () =
   (match r.Parallel.outcome with
   | Governor.Failed _ -> ()
   | _ -> Alcotest.fail "expected a parallel Failed outcome");
-  check_bool "parallel counters flushed" true (r.Parallel.counters.Counters.produced >= at)
+  check_bool "parallel counters flushed" true (r.counters.Counters.produced >= at)
 
 let test_fault_mid_hash_build () =
   let g = graph () in
@@ -251,7 +256,7 @@ let test_fault_mid_hash_build () =
   (* Clean unwinding: the same plan runs to completion immediately after. *)
   let r2 = Parallel.run ~domains:2 g plan in
   check_bool "rerun completes" true (r2.Parallel.outcome = Governor.Completed);
-  check_int "rerun count intact" (Exec.count g plan) r2.Parallel.counters.Counters.output
+  check_int "rerun count intact" (Exec.count g plan) r2.counters.Counters.output
 
 (* Two labeled anchors [a] (label 1) and [b] (label 2), each pointing at
    its own block of label-0 targets — [overlap] of them shared, plus
@@ -378,7 +383,10 @@ let test_fault_seed_sweep () =
 
 let test_sink_exception_releases_mutex () =
   (* A sink that throws mid-run must not leave the sink mutex locked: the
-     other domain would deadlock on its next emit and the run never return. *)
+     other domain would deadlock on its next emit and the run never return.
+     Every path runs the same governed loop, so the sequential executor and
+     the Db facade report the same fault as a structured failure too, with
+     the trace closed out and the counters flushed. *)
   let g = graph () in
   let plan = triangle_plan () in
   let calls = ref 0 in
@@ -386,13 +394,29 @@ let test_sink_exception_releases_mutex () =
     incr calls;
     if !calls = 50 then failwith "sink blew up"
   in
+  let expect_failed what operator outcome =
+    match outcome with
+    | Governor.Failed e -> check_string (what ^ ": failing operator") operator e.Governor.operator
+    | o -> Alcotest.failf "%s: expected the sink failure to surface, got %s" what
+             (Governor.outcome_to_string o)
+  in
   let r = Parallel.run ~domains:2 ~sink g plan in
-  (match r.Parallel.outcome with
-  | Governor.Failed e -> check_bool "worker fault" true (e.Governor.operator = "worker")
-  | _ -> Alcotest.fail "expected the sink failure to surface");
+  expect_failed "parallel" "worker" r.Parallel.outcome;
   check_bool "sink was reached" true (!calls >= 50);
   let r2 = Parallel.run ~domains:2 ~sink:(fun _ -> ()) g plan in
-  check_bool "rerun completes" true (r2.Parallel.outcome = Governor.Completed)
+  check_bool "rerun completes" true (r2.Parallel.outcome = Governor.Completed);
+  calls := 0;
+  let tr = Trace.create () in
+  let c, o = Exec.run_gov ~trace:tr ~sink g plan in
+  expect_failed "sequential" "execute" o;
+  check_int "sequential stopped at the failing tuple" 50 c.Counters.output;
+  check_bool "execute span closed" true
+    (List.exists (fun sp -> sp.Trace.name = "execute") (Trace.spans tr));
+  calls := 0;
+  let db = Graphflow.Db.create g in
+  let _, o = Graphflow.Db.run_gov ~domains:1 ~sink db (Graphflow.Patterns.q 1) in
+  expect_failed "Db.run_gov" "execute" o;
+  check_int "Db.run_gov reached the sink" 50 !calls
 
 let suite =
   [

@@ -207,7 +207,7 @@ let test_full_query_crosscheck () =
     (fun qs ->
       let q = Gf.Db.parse_query qs in
       let count mode =
-        Sorted.with_kernel_mode mode (fun () -> (Gf.Db.run db q).Gf.Counters.output)
+        Sorted.with_kernel_mode mode (fun () -> Gf.Db.count db q)
       in
       let s = count Sorted.Scalar and v = count Sorted.Simd in
       check_int (qs ^ ": scalar = simd matches") s v)
@@ -231,7 +231,7 @@ let test_full_query_crosscheck_mmap () =
       let q = Gf.Db.parse_query "a1->a2, a2->a3, a1->a3" in
       let run graph mode =
         Sorted.with_kernel_mode mode (fun () ->
-            (Gf.Db.run (Gf.Db.create graph) q).Gf.Counters.output)
+            Gf.Db.count (Gf.Db.create graph) q)
       in
       let built = run g Sorted.Scalar in
       check_int "mmap scalar" built (run gm Sorted.Scalar);

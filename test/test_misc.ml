@@ -95,7 +95,7 @@ let test_parallel_chunk_sizes () =
       let r = Parallel.run ~domains:2 ~chunk g plan in
       check_int
         (Printf.sprintf "chunk %d" chunk)
-        expected r.Parallel.counters.Counters.output)
+        expected r.counters.Counters.output)
     [ 1; 7; 64; 100_000 ]
 
 let test_clique_orientations () =
@@ -131,7 +131,9 @@ let test_exec_collect_schema () =
   let plan = Plan.wco q [| 1; 2; 0 |] in
   (* Schema order follows the ordering: a2 a3 a1. *)
   Alcotest.(check (array int)) "schema" [| 1; 2; 0 |] (Plan.vars plan);
-  match Exec.collect g plan with
+  let rows = ref [] in
+  let _ = Exec.run_gov ~sink:(fun t -> rows := Array.copy t :: !rows) g plan in
+  match !rows with
   | [ t ] -> Alcotest.(check (array int)) "tuple in schema order" [| 1; 2; 0 |] t
   | l -> Alcotest.failf "expected 1 triangle, got %d" (List.length l)
 

@@ -311,9 +311,9 @@ let test_traced_parallel () =
     (List.exists (fun s -> s.Trace.name = "morsel") spans);
   check_operator_track "parallel" tr prof;
   (* Sequential and parallel agree on the answer even when traced. *)
-  let c_seq = Exec.run g plan in
+  let c_seq = fst (Exec.run_gov g plan) in
   check_int "traced parallel count matches sequential"
-    c_seq.Gf_exec.Counters.output report.Parallel.counters.Gf_exec.Counters.output
+    c_seq.Gf_exec.Counters.output report.counters.Gf_exec.Counters.output
 
 (* --- cross-process spans: export, graft, skew -------------------------- *)
 

@@ -122,7 +122,7 @@ let test_triangle_direction_choice () =
   let q = Patterns.asymmetric_triangle in
   let orders = Planner.all_wco_orders cat q in
   let actual_icost o =
-    let c = Exec.run ~cache:false g (Plan.wco q o) in
+    let c = fst (Exec.run_gov ~cache:false g (Plan.wco q o)) in
     float_of_int c.Counters.icost
   in
   (* The picked ordering must be the true best, and estimated order must
@@ -154,7 +154,7 @@ let test_cache_conscious_beats_oblivious_on_symmetric_diamond () =
   let cat = cat_of g in
   let q = Patterns.symmetric_diamond_x in
   let order, _ = Planner.best_wco_order ~cache_conscious:true cat q in
-  let c = Exec.run ~cache:true g (Plan.wco q order) in
+  let c = fst (Exec.run_gov ~cache:true g (Plan.wco q order)) in
   check_bool "conscious pick uses the cache" true (c.Counters.cache_hits > 0)
 
 let test_hybrid_cost_never_worse () =

@@ -222,7 +222,10 @@ let test_catalog_structured_errors () =
       | Ok t -> check_int "v1 accepted" 1 (Catalog.num_entries t)
       | Error e -> Alcotest.fail (Catalog.load_error_to_string e))
 
-let test_count_fast_matches_count () =
+(* The output count of an enumerating run. *)
+let enumerated g plan = (fst (Gf_exec.Exec.run_gov g plan)).Gf_exec.Counters.output
+
+let test_count_only_matches_run_gov () =
   let g = graph () in
   let open Gf_plan in
   let open Gf_exec in
@@ -233,18 +236,18 @@ let test_count_fast_matches_count () =
         (fun order ->
           let plan = Plan.wco q order in
           check_int
-            (Printf.sprintf "Q%d count_fast" i)
-            (Exec.count g plan) (Exec.count_fast g plan))
+            (Printf.sprintf "Q%d count-only root" i)
+            (enumerated g plan) (Exec.count g plan))
         (List.filteri (fun j _ -> j < 3) (Query.connected_orders q)))
     [ 1; 2; 3; 4; 5; 11 ]
 
-let test_count_fast_non_extend_root () =
+let test_count_non_extend_root () =
   let g = graph () in
   let open Gf_plan in
   let open Gf_exec in
   let q = Patterns.cycle 4 in
   let plan = Plan.hash_join q (Plan.wco q [| 0; 1; 2 |]) (Plan.wco q [| 2; 3; 0 |]) in
-  check_int "join root falls back" (Exec.count g plan) (Exec.count_fast g plan)
+  check_int "join root enumerates" (enumerated g plan) (Exec.count g plan)
 
 let test_graph_roundtrip () =
   let g =
@@ -333,9 +336,9 @@ let suite =
         Alcotest.test_case "torn save detected" `Quick test_catalog_save_torn;
         Alcotest.test_case "structured load errors" `Quick test_catalog_structured_errors;
       ] );
-    ( "exec.count_fast",
+    ( "exec.count",
       [
-        Alcotest.test_case "matches count" `Quick test_count_fast_matches_count;
-        Alcotest.test_case "non-extend root" `Quick test_count_fast_non_extend_root;
+        Alcotest.test_case "count-only matches run_gov" `Quick test_count_only_matches_run_gov;
+        Alcotest.test_case "non-extend root" `Quick test_count_non_extend_root;
       ] );
   ]

@@ -53,7 +53,7 @@ let test_sum_consistency_sequential () =
   List.iter
     (fun (name, plan) ->
       let prof = Profile.create plan in
-      let c = Exec.run ~prof g plan in
+      let c = fst (Exec.run_gov ~prof g plan) in
       check_int (name ^ ": one row per operator")
         (Array.length (Plan.operators plan))
         (Array.length (Profile.ops prof));
@@ -65,7 +65,8 @@ let test_sum_consistency_sequential () =
         (fun o -> check_bool (name ^ ": self time non-negative") true (o.Profile.time_s >= 0.))
         (Profile.ops prof);
       (* An unprofiled run is unchanged by profiling. *)
-      check_int (name ^ ": same output") c.Counters.output (Exec.run g plan).Counters.output)
+      check_int (name ^ ": same output") c.Counters.output
+        (fst (Exec.run_gov g plan)).Counters.output)
     [ ("hybrid", hybrid_plan ()); ("wco", wco_plan ()) ]
 
 (* Parallel per-domain profiles merged after the join must equal the
@@ -78,10 +79,10 @@ let test_parallel_merge_equals_sequential () =
   List.iter
     (fun (name, plan) ->
       let sprof = Profile.create plan in
-      let sc = Exec.run ~cache:false ~prof:sprof g plan in
+      let sc = fst (Exec.run_gov ~cache:false ~prof:sprof g plan) in
       let pprof = Profile.create plan in
       let r = Parallel.run ~domains:4 ~cache:false ~chunk:8 ~batch:16 ~prof:pprof g plan in
-      check_int (name ^ ": output") sc.Counters.output r.Parallel.counters.Counters.output;
+      check_int (name ^ ": output") sc.Counters.output r.counters.Counters.output;
       Array.iter2
         (fun (s : Profile.op) (p : Profile.op) ->
           check_string (name ^ ": labels align") s.Profile.label p.Profile.label;
@@ -120,7 +121,7 @@ let test_truncation_sum_consistency () =
       ~prof g plan
   in
   check_bool "truncated" true (r.Parallel.outcome = Governor.Truncated Governor.Output_limit);
-  check_sums "truncated parallel" prof r.Parallel.counters
+  check_sums "truncated parallel" prof r.counters
 
 (* Profiles refuse to merge across shapes and to explain foreign plans. *)
 let test_shape_guards () =

@@ -73,12 +73,12 @@ let test_optimizer_pick_competitive () =
     (fun i ->
       let q = Patterns.q i in
       let picked, _ = Planner.plan cat q in
-      let picked_icost = (Exec.run g picked).Counters.icost in
+      let picked_icost = (fst (Exec.run_gov g picked)).Counters.icost in
       let all, _ = Spectrum.plans ~per_subset_cap:4 ~family_cap:16 q in
       let wco_costs =
         List.filter_map
           (fun (f, p) ->
-            if f = Spectrum.Wco then Some (Exec.run g p).Counters.icost else None)
+            if f = Spectrum.Wco then Some (fst (Exec.run_gov g p)).Counters.icost else None)
           all
       in
       let min_wco = List.fold_left min max_int wco_costs in
@@ -102,7 +102,7 @@ let test_parallel_same_counts () =
           let r = Parallel.run ~domains:d g plan in
           check_int
             (Printf.sprintf "Q%d with %d domains" i d)
-            seq r.Parallel.counters.Counters.output)
+            seq r.counters.Counters.output)
         [ 1; 2; 4 ])
     [ 1; 3; 5 ]
 
@@ -112,7 +112,7 @@ let test_parallel_hybrid_plan () =
   let plan = Plan.hash_join q (Plan.wco q [| 1; 2; 0 |]) (Plan.wco q [| 1; 2; 3 |]) in
   let seq = Exec.count g plan in
   let r = Parallel.run ~domains:3 g plan in
-  check_int "hybrid parallel count" seq r.Parallel.counters.Counters.output
+  check_int "hybrid parallel count" seq r.counters.Counters.output
 
 let test_parallel_work_division () =
   let g = Generators.holme_kim (Rng.create 73) ~n:2000 ~m_per:5 ~p_triad:0.4 ~recip:0.3 in
