@@ -570,7 +570,8 @@ let observability () =
      byte-identical to a pre-profiler build) vs on (boundary switches: two
      clock reads per tuple per wrapped operator). Same plan, warm caches,
      best of 9. The "off" number is the one EXPERIMENTS.md tracks against
-     the pre-profiler baseline. *)
+     the pre-profiler baseline. A profiled run enumerates, so "off" runs
+     into a sink too: without one the root would count instead. *)
   let g = dataset_at (Gf.Generators.Twitter, scale *. 0.5) in
   let q = Gf.Patterns.q 1 in
   let cat = catalog g in
@@ -581,13 +582,13 @@ let observability () =
     let ts = List.init 9 (fun _ -> fst (time_once f)) in
     List.fold_left min infinity ts
   in
-  let t_off = best (fun () -> Gf.Exec.run_gov g plan) in
+  let t_off = best (fun () -> Gf.Exec.run_gov ~sink:ignore g plan) in
   let t_on = best (fun () -> Gf.Exec.run_gov ~prof:(Gf.Profile.create plan) g plan) in
   Printf.printf
     "Q1 twitter sequential: profiling off %.4fs, on %.4fs (enabled cost %+.1f%%)\n" t_off
     t_on
     ((t_on /. t_off -. 1.) *. 100.);
-  let tp_off = best (fun () -> Gf.Parallel.run ~domains:4 g plan) in
+  let tp_off = best (fun () -> Gf.Parallel.run ~domains:4 ~sink:ignore g plan) in
   let tp_on =
     best (fun () -> Gf.Parallel.run ~domains:4 ~prof:(Gf.Profile.create plan) g plan)
   in
@@ -608,7 +609,8 @@ let tracing () =
      noise of the pre-tracing build. Traced runs implicitly profile (the
      per-operator summary track needs self-times), so the honest comparison
      for the tracing increment alone is traced vs profiled-untraced. Best
-     of 9, warm caches. *)
+     of 9, warm caches. The untraced runs enumerate into a sink, as the
+     traced ones do. *)
   let g = dataset_at (Gf.Generators.Twitter, scale *. 0.5) in
   let q = Gf.Patterns.q 1 in
   let cat = catalog g in
@@ -619,7 +621,7 @@ let tracing () =
     let ts = List.init 9 (fun _ -> fst (time_once f)) in
     List.fold_left min infinity ts
   in
-  let t_off = best (fun () -> Gf.Exec.run_gov g plan) in
+  let t_off = best (fun () -> Gf.Exec.run_gov ~sink:ignore g plan) in
   let t_prof = best (fun () -> Gf.Exec.run_gov ~prof:(Gf.Profile.create plan) g plan) in
   let t_on = best (fun () -> Gf.Exec.run_gov ~trace:(Gf.Trace.create ()) g plan) in
   Printf.printf
@@ -628,7 +630,7 @@ let tracing () =
     t_off t_prof t_on
     ((t_on /. t_off -. 1.) *. 100.)
     ((t_on /. t_prof -. 1.) *. 100.);
-  let tp_off = best (fun () -> Gf.Parallel.run ~domains:4 g plan) in
+  let tp_off = best (fun () -> Gf.Parallel.run ~domains:4 ~sink:ignore g plan) in
   let tp_on =
     best (fun () -> Gf.Parallel.run ~domains:4 ~trace:(Gf.Trace.create ()) g plan)
   in
@@ -1121,7 +1123,7 @@ let ablation_factorized_count () =
   List.iter
     (fun (label, q, order) ->
       let plan = Gf.Plan.wco q order in
-      let t_enum, c = time_warm (fun () -> fst (Gf.Exec.run_gov g plan)) in
+      let t_enum, c = time_warm (fun () -> fst (Gf.Exec.run_gov ~sink:ignore g plan)) in
       let t_fast, n = time_warm (fun () -> Gf.Exec.count g plan) in
       assert (n = c.Gf.Counters.output);
       Printf.printf "%-22s enumerate %.3fs  count-only %.3fs (%.2fx) for %s matches\n" label

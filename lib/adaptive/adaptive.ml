@@ -40,10 +40,8 @@ type step = {
   (* runtime intersection-cache state *)
   srcs : int array;
   last_srcs : int array;
-  slices : Sorted.slice array;
+  lists : Sorted.lists;
   result : Int_vec.t;
-  scratch : Int_vec.t;
-  scratch2 : Int_vec.t;
   mutable cache_valid : bool;
 }
 
@@ -107,10 +105,8 @@ let build_ordering cat model q ~anchor_vars ~bound_set ~fixed_schema order =
             cover_prefix;
             srcs = Array.make nd (-1);
             last_srcs = Array.make nd (-1);
-            slices = Array.make nd Sorted.empty_slice;
+            lists = Sorted.lists nd;
             result = Int_vec.create ~capacity:32 ();
-            scratch = Int_vec.create ~capacity:32 ();
-            scratch2 = Int_vec.create ~capacity:32 ();
             cache_valid = false;
           }
         in
@@ -248,16 +244,14 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
                       else begin
                         for i = 0 to nd - 1 do
                           let _, dir, el = st.descriptors.(i) in
-                          let slice =
-                            Graph.neighbours env.Exec.g dir st.srcs.(i) ~elabel:el
-                              ~nlabel:st.target_label
-                          in
-                          st.slices.(i) <- slice;
-                          c.Counters.icost <- c.Counters.icost + Sorted.slice_len slice
+                          Graph.neighbours_into env.Exec.g dir st.srcs.(i) ~elabel:el
+                            ~nlabel:st.target_label st.lists i;
+                          c.Counters.icost <-
+                            c.Counters.icost + st.lists.hi.(i) - st.lists.lo.(i)
                         done;
                         c.Counters.intersections <- c.Counters.intersections + 1;
                         Int_vec.clear st.result;
-                        Sorted.intersect ~scratch2:st.scratch2 st.result st.slices ~scratch:st.scratch;
+                        Sorted.intersect ~leapfrog:env.Exec.leapfrog st.result st.lists;
                         Array.blit st.srcs 0 st.last_srcs 0 nd;
                         st.cache_valid <- true
                       end;

@@ -154,35 +154,31 @@ let sample_entry t qk new_v =
     let nd_final = Array.length steps.(k - 1) in
     let size_sums = Array.make nd_final 0.0 in
     let max_measure = max (4 * t.z) 4000 in
-    let scratch = Int_vec.create () and result = Int_vec.create () in
+    let lists = Array.map (fun ds -> Sorted.lists (Array.length ds)) steps in
+    let result = Int_vec.create () in
     let tuple = Array.make k 0 in
-    let final_target_label = Query.vlabel qk new_v in
     let exception Done in
     let rec extend depth =
       if !measured >= max_measure then raise Done;
-      let target = order.(depth) in
-      let target_label = Query.vlabel qk target in
-      let ds = steps.(depth) in
-      let slices =
-        Array.map
-          (fun (p, dir, el) ->
-            Graph.neighbours t.g dir tuple.(p) ~elabel:el ~nlabel:target_label)
-          ds
-      in
+      let target_label = Query.vlabel qk order.(depth) in
+      let ds = steps.(depth) and l = lists.(depth) in
+      for i = 0 to Array.length ds - 1 do
+        let p, dir, el = ds.(i) in
+        Graph.neighbours_into t.g dir tuple.(p) ~elabel:el ~nlabel:target_label l i
+      done;
       if depth = k - 1 then begin
         (* Measure: record each list's size and the extension count. *)
         incr measured;
-        Array.iteri
-          (fun i s -> size_sums.(i) <- size_sums.(i) +. float_of_int (Sorted.slice_len s))
-          slices;
+        for i = 0 to Array.length ds - 1 do
+          size_sums.(i) <- size_sums.(i) +. float_of_int (l.Sorted.hi.(i) - l.Sorted.lo.(i))
+        done;
         Int_vec.clear result;
-        Sorted.intersect result slices ~scratch;
-        mu_sum := !mu_sum +. float_of_int (Int_vec.length result);
-        ignore final_target_label
+        Sorted.intersect ~leapfrog:false result l;
+        mu_sum := !mu_sum +. float_of_int (Int_vec.length result)
       end
       else begin
         Int_vec.clear result;
-        Sorted.intersect result slices ~scratch;
+        Sorted.intersect ~leapfrog:false result l;
         (* [result] is reused by recursive calls: copy it out first. *)
         let exts = Int_vec.to_array result in
         Array.iter

@@ -45,7 +45,8 @@ let estimate_with_order g q ~order ~walks rng =
           end)
     in
     let tuple = Array.make k 0 in
-    let result = Int_vec.create () and scratch = Int_vec.create () in
+    let lists = Array.map (fun ds -> Sorted.lists (Array.length ds)) steps in
+    let result = Int_vec.create () in
     let total = ref 0.0 in
     for _ = 1 to walks do
       let u, v = pool.(Rng.int rng (Array.length pool)) in
@@ -56,14 +57,13 @@ let estimate_with_order g q ~order ~walks rng =
       (try
          for d = 2 to k - 1 do
            let target_label = Query.vlabel q order.(d) in
-           let slices =
-             Array.map
-               (fun (p, dir, el) ->
-                 Graph.neighbours g dir tuple.(p) ~elabel:el ~nlabel:target_label)
-               steps.(d)
-           in
+           let ds = steps.(d) and l = lists.(d) in
+           for i = 0 to Array.length ds - 1 do
+             let p, dir, el = ds.(i) in
+             Graph.neighbours_into g dir tuple.(p) ~elabel:el ~nlabel:target_label l i
+           done;
            Int_vec.clear result;
-           Sorted.intersect result slices ~scratch;
+           Sorted.intersect ~leapfrog:false result l;
            let n = Int_vec.length result in
            if n = 0 then raise Exit;
            tuple.(d) <- Int_vec.get result (Rng.int rng n);

@@ -94,24 +94,19 @@ module Db = struct
     let p, cost, _ = lookup db q in
     (p, cost)
 
-  (* Planning for an execution. The planner runs on this thread: give it its
-     own buffer (tid 2) so optimization time is visible next to the
+  (* A plan chosen for one execution, and whether that run is due to feed
+     the plan cache's corrections. The planner runs on this thread: give it
+     its own buffer (tid 2) so optimization time is visible next to the
      execution tracks. *)
-  let plan_for_run ?trace db q =
+  type prepared = { chosen : Plan.t; feedback_due : bool }
+
+  let prepare ?trace db q =
     let pbuf = Option.map (fun tr -> Trace.buffer ~name:"planner" tr ~tid:2) trace in
     let p, _, feedback_due = lookup ?trace:pbuf db q in
     (match pbuf with Some b -> Trace.close_all b | None -> ());
-    (p, feedback_due)
+    { chosen = p; feedback_due }
 
-  (* Plan signature for the flight recorder: a cached entry answers without
-     touching hit/miss accounting. *)
-  let plan_signature db q =
-    match db.cache with
-    | Some c -> (
-        match Plan_cache.peek c ~graph_version:db.version q with
-        | Some p -> Plan.signature p
-        | None -> Plan.signature (fst (plan db q)))
-    | None -> Plan.signature (fst (plan db q))
+  let prepared_plan r = r.chosen
 
   (* Query-level metrics. Looked up by name at record time (not cached in
      globals) so a [Metrics.reset] between queries cannot leave increments
@@ -149,7 +144,7 @@ module Db = struct
      estimates and would poison the correction EWMAs. Returns the
      profile's rows alongside the counters. *)
   let execute ?(adaptive = false) ?(domains = 1) ?scan_part ?budget ?fault ?gov ?trace ?sink
-      ~profile db q (p, feedback_due) =
+      ~profile db q { chosen = p; feedback_due } =
     let prof =
       if (profile || feedback_due) && scan_part = None then Some (Profile.create p) else None
     in
@@ -202,10 +197,11 @@ module Db = struct
     | _ -> ());
     (rows, c, outcome, seconds)
 
-  let run_gov ?adaptive ?domains ?scan_part ?budget ?fault ?gov ?trace ?sink db q =
+  let run_gov ?prepared ?adaptive ?domains ?scan_part ?budget ?fault ?gov ?trace ?sink db q =
+    let prepared = match prepared with Some r -> r | None -> prepare ?trace db q in
     let _, c, outcome, _ =
       execute ?adaptive ?domains ?scan_part ?budget ?fault ?gov ?trace ?sink ~profile:false db q
-        (plan_for_run ?trace db q)
+        prepared
     in
     (c, outcome)
 
@@ -218,11 +214,11 @@ module Db = struct
   }
 
   let explain_analyze ?adaptive ?domains ?budget ?fault db q =
-    let ((p, _) as planned) = plan_for_run db q in
+    let prepared = prepare db q in
     let rows, counters, outcome, seconds =
-      execute ?adaptive ?domains ?budget ?fault ~profile:true db q planned
+      execute ?adaptive ?domains ?budget ?fault ~profile:true db q prepared
     in
-    { plan = p; rows = Lazy.force (Option.get rows); counters; outcome; seconds }
+    { plan = prepared.chosen; rows = Lazy.force (Option.get rows); counters; outcome; seconds }
 
   let analysis_to_string a =
     Format.asprintf "matches: %d@.outcome: %a@.time: %.3fs@.%a@.%s"
@@ -253,8 +249,8 @@ module Db = struct
   let estimate_cardinality db q = Catalog.estimate_cardinality db.catalog q
 
   let count_by ?adaptive db q ~key =
-    let ((p, _) as planned) = plan_for_run db q in
-    let schema = Plan.vars p in
+    let prepared = prepare db q in
+    let schema = Plan.vars prepared.chosen in
     let positions =
       List.map
         (fun v ->
@@ -269,7 +265,7 @@ module Db = struct
       let k = Array.of_list (List.map (fun p -> t.(p)) positions) in
       Hashtbl.replace groups k (1 + Option.value ~default:0 (Hashtbl.find_opt groups k))
     in
-    let _ = execute ?adaptive ~sink ~profile:false db q planned in
+    let _ = execute ?adaptive ~sink ~profile:false db q prepared in
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) groups []
     |> List.sort (fun (_, a) (_, b) -> compare b a)
 end

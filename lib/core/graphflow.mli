@@ -107,10 +107,18 @@ module Db : sig
       from the plan cache when one is attached. *)
   val plan : t -> Query.t -> Plan.t * float
 
-  (** [plan_signature db q] is [Plan.signature] of [q]'s plan, answered from
-      the plan cache without touching hit/miss accounting when possible —
-      the flight recorder's digest path. *)
-  val plan_signature : t -> Query.t -> string
+  (** A plan chosen for one run of a query, through the plan cache when
+      one is attached. *)
+  type prepared
+
+  (** [prepare db q] plans [q] for a {!run_gov}, recording planner spans
+      into [trace] (tid 2) — one plan-cache lookup, counted as a hit or a
+      miss like any other. *)
+  val prepare : ?trace:Trace.t -> t -> Query.t -> prepared
+
+  (** The plan a {!prepared} run executes — what a caller records as the
+      plan that ran. *)
+  val prepared_plan : prepared -> Plan.t
 
   (** [count db q] optimizes and executes, returning the number of matches:
       the output count of {!run_gov} with no budget. [adaptive] enables
@@ -141,8 +149,15 @@ module Db : sig
       every part is planned against the same catalogue and graph version.
       A sharded run is always sequential ([adaptive]/[domains] are ignored)
       and never feeds the plan cache — partial actuals would poison the
-      correction EWMAs. *)
+      correction EWMAs.
+
+      [prepared] runs a plan {!prepare} chose, so the caller knows which
+      plan ran; by default [run_gov] prepares one itself. Without a [sink]
+      (and with no profile due) a sequential, parallel or sharded run
+      counts at its E/I root instead of enumerating the matches
+      ({!Exec.run_gov}). *)
   val run_gov :
+    ?prepared:prepared ->
     ?adaptive:bool ->
     ?domains:int ->
     ?scan_part:int * int ->

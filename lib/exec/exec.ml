@@ -39,37 +39,37 @@ let tuple_contains tuple len v =
 let work_grain_shift = 8 (* 256 list entries ~ one produced-tuple tick *)
 let segment = 8192
 
-let governed_intersect env result slices ~scratch ~scratch2 =
-  let nd = Array.length slices in
+let governed_intersect env result (l : Sorted.lists) =
+  let nd = Array.length l.lo in
   let min_i = ref 0 and min_len = ref max_int and total = ref 0 in
   for i = 0 to nd - 1 do
-    let l = Sorted.slice_len slices.(i) in
-    total := !total + l;
-    if l < !min_len then begin
-      min_len := l;
+    let n = l.hi.(i) - l.lo.(i) in
+    total := !total + n;
+    if n < !min_len then begin
+      min_len := n;
       min_i := i
     end
   done;
   Governor.tick_work env.gov env.c (!total asr work_grain_shift);
-  if !min_len <= segment then
-    if env.leapfrog then Sorted.leapfrog result slices
-    else Sorted.intersect ~scratch2 result slices ~scratch
+  if !min_len <= segment then Sorted.intersect ~leapfrog:env.leapfrog result l
   else begin
-    (* A Trip between segments leaves [slices.(min_i)] narrowed, which is
-       fine: the raise unwinds the whole run and the operator state dies
-       with it. *)
+    (* A Trip between segments leaves list [m] narrowed, which is fine:
+       the raise unwinds the whole run and the operator state dies with
+       it. *)
+    let m = !min_i in
     let segmented () =
-      let arr, lo, hi = slices.(!min_i) in
+      let lo = l.lo.(m) and hi = l.hi.(m) in
       let seg_lo = ref lo in
       while !seg_lo < hi do
         let seg_hi = min hi (!seg_lo + segment) in
-        slices.(!min_i) <- (arr, !seg_lo, seg_hi);
-        if env.leapfrog then Sorted.leapfrog result slices
-        else Sorted.intersect ~scratch2 result slices ~scratch;
+        l.lo.(m) <- !seg_lo;
+        l.hi.(m) <- seg_hi;
+        Sorted.intersect ~leapfrog:env.leapfrog result l;
         seg_lo := seg_hi;
         if !seg_lo < hi then Governor.tick_work env.gov env.c segment
       done;
-      slices.(!min_i) <- (arr, lo, hi)
+      l.lo.(m) <- lo;
+      l.hi.(m) <- hi
     in
     (* Only the giant (segmented) path gets a span: it is rare by
        construction, and it is exactly the case a timeline viewer needs to
@@ -185,9 +185,7 @@ let probe compile env node =
    [count] makes a root E/I operator count-only: each extension set adds
    its size to the output instead of being enumerated, and the sink is
    never called. *)
-let rec compile_rw rewrite env plan = compile ~count:false rewrite env plan
-
-and compile ~count rewrite env plan =
+let rec compile_rw ?(count = false) rewrite env plan =
   let driver =
     match rewrite (compile_rw rewrite) env plan with
     | Some driver -> driver
@@ -205,9 +203,16 @@ and compile ~count rewrite env plan =
 
 and compile_structural ~count rewrite env plan =
   let compile env plan = compile_rw rewrite env plan in
+  (* The count-only root's output: claims [n] slots at once, so an output
+     cap truncates exactly, then unwinds like a refused [claim_output]. The
+     counted tuples drain the governor's fuel as their one-by-one emission
+     would, so checks come at the enumerating run's cadence. *)
   let[@inline] tally n =
-    env.c.produced <- env.c.produced + n;
-    env.c.output <- env.c.output + n
+    let k = Governor.claim_outputs env.gov n in
+    env.c.produced <- env.c.produced + k;
+    env.c.output <- env.c.output + k;
+    if k < n then raise Governor.Trip;
+    Governor.tick_work env.gov env.c k
   in
   match plan with
   | Plan.Scan { slabel; _ } ->
@@ -218,36 +223,43 @@ and compile_structural ~count rewrite env plan =
       let width = Array.length vars in
       let nd = Array.length descriptors in
       let buf = Array.make width 0 in
+      (* The descriptors' adjacency lists, refilled per tuple in place. *)
+      let lists = Sorted.lists nd in
+      let[@inline] load i src =
+        let d = descriptors.(i) in
+        Graph.neighbours_into env.g d.Plan.dir src ~elabel:d.Plan.elabel ~nlabel:target_label
+          lists i;
+        let n = lists.hi.(i) - lists.lo.(i) in
+        env.c.icost <- env.c.icost + n;
+        n
+      in
       if nd = 1 then begin
         (* Single descriptor: the extension set is the adjacency list itself;
            iterate it directly, no copy. Cache = remembering the source. *)
-        let d = descriptors.(0) in
+        let pos = descriptors.(0).Plan.pos in
         let last_src = ref (-1) in
         let[@inline] lookup t =
-          let src = t.(d.Plan.pos) in
-          let ((_, lo, hi) as slice) =
-            Graph.neighbours env.g d.Plan.dir src ~elabel:d.Plan.elabel ~nlabel:target_label
-          in
+          let src = t.(pos) in
           if env.cache && src = !last_src then env.c.cache_hits <- env.c.cache_hits + 1
           else begin
-            env.c.icost <- env.c.icost + (hi - lo);
+            let n = load 0 src in
             env.c.intersections <- env.c.intersections + 1;
-            Governor.tick_work env.gov env.c ((hi - lo) asr work_grain_shift);
+            Governor.tick_work env.gov env.c (n asr work_grain_shift);
             last_src := src
-          end;
-          slice
+          end
         in
         if count then fun _ ->
           last_src := -1;
           child_driver (fun t ->
-              let _, lo, hi = lookup t in
-              tally (hi - lo))
+              lookup t;
+              tally (lists.hi.(0) - lists.lo.(0)))
         else fun sink ->
           last_src := -1;
           child_driver (fun t ->
               Array.blit t 0 buf 0 (width - 1);
-              let arr, lo, hi = lookup t in
-              for i = lo to hi - 1 do
+              lookup t;
+              let arr = lists.bufs.(0) in
+              for i = lists.lo.(0) to lists.hi.(0) - 1 do
                 let w = Gf_util.Buf.unsafe_get arr i in
                 if not (env.distinct && tuple_contains buf (width - 1) w) then begin
                   buf.(width - 1) <- w;
@@ -258,12 +270,9 @@ and compile_structural ~count rewrite env plan =
               done)
       end
       else begin
-        let slices = Array.make nd Sorted.empty_slice in
         let srcs = Array.make nd (-1) in
         let last_srcs = Array.make nd (-1) in
         let result = Int_vec.create ~capacity:64 () in
-        let scratch = Int_vec.create ~capacity:64 () in
-        let scratch2 = Int_vec.create ~capacity:64 () in
         let cache_valid = ref false in
         (* Leaves [t]'s extension set in [result]: intersected afresh, or
            kept from the previous tuple when it had the same sources. *)
@@ -277,17 +286,11 @@ and compile_structural ~count rewrite env plan =
           if env.cache && !same then env.c.cache_hits <- env.c.cache_hits + 1
           else begin
             for i = 0 to nd - 1 do
-              let d = descriptors.(i) in
-              let slice =
-                Graph.neighbours env.g d.Plan.dir srcs.(i) ~elabel:d.Plan.elabel
-                  ~nlabel:target_label
-              in
-              slices.(i) <- slice;
-              env.c.icost <- env.c.icost + Sorted.slice_len slice
+              ignore (load i srcs.(i))
             done;
             env.c.intersections <- env.c.intersections + 1;
             Int_vec.clear result;
-            governed_intersect env result slices ~scratch ~scratch2;
+            governed_intersect env result lists;
             Array.blit srcs 0 last_srcs 0 nd;
             cache_valid := true
           end
@@ -414,8 +417,16 @@ let emit_operator_track tr prof ~t0_us =
       t := !t + dur)
     (Profile.ops prof)
 
+(* A run counts at the root instead of enumerating when no one reads its
+   rows: no sink, homomorphic semantics (distinct checks every candidate
+   against the bound prefix), and no profile or trace — both must see
+   every tuple. *)
+let count_only env sink =
+  Option.is_none sink && (not env.distinct) && Option.is_none env.prof
+  && Option.is_none env.trace
+
 let run_gov ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapfrog = false)
-    ?budget ?fault ?gov ?prof ?trace ?(sink = ignore) g plan =
+    ?budget ?fault ?gov ?prof ?trace ?sink g plan =
   let gov =
     match gov with
     | Some t -> t
@@ -425,26 +436,15 @@ let run_gov ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapfr
   let tbuf = Option.map (fun tr -> Trace.buffer ~name:"exec" tr ~tid:1) trace in
   let c = Counters.create () in
   let env = { g; cache; distinct; leapfrog; c; gov = Governor.handle gov; prof; trace = tbuf } in
-  let driver = compile_rw rewrite env plan in
+  let driver = compile_rw ~count:(count_only env sink) rewrite env plan in
   let t0_us = Trace.now_us () in
-  governed gov env ~span:"execute" driver (emit env sink);
+  governed gov env ~span:"execute" driver (emit env (Option.value sink ~default:ignore));
   (match (trace, prof) with
   | Some tr, Some p -> emit_operator_track tr p ~t0_us
   | _ -> ());
   (c, Governor.outcome gov)
 
-let count ?(cache = true) ?(distinct = false) g plan =
-  let gov = Governor.create Governor.unlimited in
-  let c = Counters.create () in
-  let env =
-    { g; cache; distinct; leapfrog = false; c; gov = Governor.handle gov; prof = None; trace = None }
-  in
-  (* Distinct semantics check each candidate against the bound prefix, so
-     only a homomorphic count may skip enumerating the root's extensions.
-     The run is unprofiled and uncapped, the other two cases that must see
-     every output tuple. *)
-  let driver = compile ~count:(not distinct) no_rewrite env plan in
-  governed gov env ~span:"execute" driver (emit env ignore);
-  match Governor.outcome gov with
-  | Governor.Failed _ as o -> failwith ("Exec.count: " ^ Governor.outcome_to_string o)
-  | _ -> c.output
+let count ?cache ?distinct g plan =
+  match run_gov ?cache ?distinct g plan with
+  | _, (Governor.Failed _ as o) -> failwith ("Exec.count: " ^ Governor.outcome_to_string o)
+  | c, _ -> c.output

@@ -58,8 +58,19 @@ val tuple_contains : int array -> int -> int -> bool
 type rewrite = (env -> Gf_plan.Plan.t -> driver) -> env -> Gf_plan.Plan.t -> driver option
 
 (** [compile_rw rewrite env plan] is the compiler itself: returns the driver
-    that pushes each produced tuple into a sink. *)
-val compile_rw : rewrite -> env -> Gf_plan.Plan.t -> driver
+    that pushes each produced tuple into a sink. With [count] (default
+    [false]) a structurally compiled E/I root is count-only: it adds each
+    extension set's size to [env.c.output] through
+    {!Governor.claim_outputs} and never calls the sink; a SCAN or
+    HASH-JOIN root, or one a rewrite takes over, still enumerates. Only
+    for runs {!count_only} accepts. *)
+val compile_rw : ?count:bool -> rewrite -> env -> Gf_plan.Plan.t -> driver
+
+(** [count_only env sink] is whether a run with this environment and sink
+    may compile a count-only root: no sink reads the rows, semantics are
+    homomorphic ([distinct] checks every candidate against the bound
+    prefix), and no profile or trace needs to see every tuple. *)
+val count_only : env -> (int array -> unit) option -> bool
 
 (** [scan env node ranges] is the SCAN operator for the scan node [node]:
     at each drive it calls [ranges emit], which must call [emit lo hi] for
@@ -131,7 +142,13 @@ val emit_operator_track : Gf_obs.Trace.t -> Profile.t -> t0_us:int -> unit
     recording buffer (tid 1) on the trace, records an [execute] root span
     plus hash-join / giant-intersection phase spans, and synthesizes a
     per-operator summary track (tid 100) from the profile after the run. A
-    traced run is implicitly profiled. *)
+    traced run is implicitly profiled.
+
+    A run that {!count_only} accepts — no [sink], homomorphic, no [prof]
+    or [trace] — compiles its E/I root count-only (see {!compile_rw}):
+    the counters and the outcome are those of the enumerating run, an
+    output cap still truncates at exactly [max_output], and only
+    [gov_checks] may be lower. *)
 val run_gov :
   ?rewrite:rewrite ->
   ?cache:bool ->
@@ -147,13 +164,11 @@ val run_gov :
   Gf_plan.Plan.t ->
   Counters.t * Governor.outcome
 
-(** [count g p] is the number of matches. When the plan's root is an E/I
-    operator it runs count-only: each extension set contributes its size
-    instead of being enumerated — the simplest form of the factorized
+(** [count g p] is the number of matches: [run_gov] without a sink, so an
+    E/I root runs count-only — each extension set contributes its size
+    instead of being enumerated, the simplest form of the factorized
     processing the paper discusses in Sections 3.2.3 and 10. Combined with
     the intersection cache this skips the whole output loop for
-    cache-hitting tuples. With [distinct] (each candidate must be checked
-    against the bound prefix) or a SCAN / HASH-JOIN root it enumerates.
-    Always equal to the output count of {!run_gov} under the same flags.
-    Raises [Failure] if an operator raised. *)
+    cache-hitting tuples. With [distinct] or a SCAN / HASH-JOIN root it
+    enumerates. Raises [Failure] if an operator raised. *)
 val count : ?cache:bool -> ?distinct:bool -> Gf_graph.Graph.t -> Gf_plan.Plan.t -> int

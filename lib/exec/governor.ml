@@ -149,6 +149,15 @@ let claim_output h =
     if prev + 1 >= t.out_cap then trip t c_output
   end
 
+let claim_outputs h n =
+  let t = h.shared in
+  if t.out_cap = max_int then n
+  else begin
+    let prev = Atomic.fetch_and_add t.outputs n in
+    if prev + n >= t.out_cap then trip t c_output;
+    max 0 (min n (t.out_cap - prev))
+  end
+
 let add_bytes h n =
   let t = h.shared in
   if t.byte_cap < max_int then begin

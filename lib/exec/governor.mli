@@ -126,6 +126,15 @@ val check : handle -> Counters.t -> unit
     A no-op when no output cap is set. *)
 val claim_output : handle -> unit
 
+(** [claim_outputs h n] claims [n] output slots at once and returns how
+    many were granted: [n], or what is left of the output cap — the
+    count-only root's {!claim_output}. Trips the governor, without
+    raising, once the claims reach the cap; a caller granted fewer than
+    [n] must emit only those and raise {!Trip}. Across domains the grants
+    sum to exactly [max_output] when the cap is reached. Returns [n] when
+    no output cap is set. *)
+val claim_outputs : handle -> int -> int
+
 (** [add_bytes h n] accounts [n] approximate bytes of materialized state
     and trips the governor (without raising — a subsequent {!tick} unwinds)
     once the byte cap is exceeded. A no-op when no byte cap is set. *)

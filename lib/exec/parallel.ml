@@ -184,7 +184,7 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
   done;
   (* The user sink runs under a mutex so any closure is safe; [Fun.protect]
      releases it even when the sink raises or a budget trips. *)
-  let sink =
+  let locked_sink =
     match sink with
     | None -> ignore
     | Some f ->
@@ -203,6 +203,10 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
     in
     let env = domain_env wbuf in
     let c = env.Exec.c and h = env.Exec.gov in
+    (* With nobody reading rows the root E/I counts (see [Exec.run_gov]);
+       when that root is the boundary, the morsel pipeline below it is the
+       one that counts. *)
+    let count = Exec.count_only env sink in
     let own = deques.(wid) in
     let rewrite recurse env node =
       if node == boundary_node then
@@ -216,7 +220,9 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
                 Some (Exec.scan lenv n (fun emit -> emit !cur_lo !cur_hi))
               else None
             in
-            let lower = Exec.compile_rw lower_rw env boundary_node in
+            let lower =
+              Exec.compile_rw ~count:(count && boundary_node == plan) lower_rw env boundary_node
+            in
             let tuple = Array.make bwidth 0 in
             let batch_bytes = batch * bwidth * 8 in
             let replay data =
@@ -324,7 +330,8 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
             Governor.release_bytes h batch_bytes)
       else probe_shared tables recurse env node
     in
-    Exec.governed gov env ~span:"worker" (Exec.compile_rw rewrite env plan) (Exec.emit env sink);
+    Exec.governed gov env ~span:"worker" (Exec.compile_rw ~count rewrite env plan)
+      (Exec.emit env locked_sink);
     env
   in
   (match cbuf with Some tb -> Trace.begin_span ~cat:"parallel" tb "run" | None -> ());

@@ -21,7 +21,10 @@
     [distinct], [leapfrog], an output cap (an atomic output claim through
     the governor — exactly [min max_output total] tuples are emitted), and
     [sink] (invoked under a mutex, so any closure is safe; tuples are
-    reused buffers, copy to retain). The graph and tables are immutable and shared; counters are
+    reused buffers, copy to retain). Without a sink, profile or trace a
+    homomorphic run counts at its E/I root like {!Exec.run_gov}, each
+    domain claiming its counts through {!Governor.claim_outputs}. The
+    graph and tables are immutable and shared; counters are
     per-domain and merged, with [morsels], [steals] and [busy_s] recording
     how the load actually spread.
 

@@ -149,6 +149,13 @@ let neighbours g dir v ~elabel ~nlabel : Gf_util.Sorted.slice =
   let i = slot g v elabel nlabel in
   (s.nbr, Bigarray.Array1.unsafe_get s.off i, Bigarray.Array1.unsafe_get s.off (i + 1))
 
+let neighbours_into g dir v ~elabel ~nlabel (l : Gf_util.Sorted.lists) i =
+  let s = side g dir in
+  let j = slot g v elabel nlabel in
+  l.bufs.(i) <- s.nbr;
+  l.lo.(i) <- Bigarray.Array1.unsafe_get s.off j;
+  l.hi.(i) <- Bigarray.Array1.unsafe_get s.off (j + 1)
+
 let neighbours_any_nlabel g dir v ~elabel : Gf_util.Sorted.slice =
   let s = side g dir in
   let i0 = slot g v elabel 0 in
@@ -171,12 +178,24 @@ let has_edge g u v ~elabel =
 let vertices_with_label g l = g.by_label.(l)
 let num_with_label g l = Array.length g.by_label.(l)
 
+(* The SCAN's loop: no slice tuple or closure per source vertex. *)
 let iter_edges_range g ~elabel ~slabel ~dlabel ~lo ~hi f =
   let vs = g.by_label.(slabel) in
+  let s = g.fwd in
   for i = lo to hi - 1 do
     let u = vs.(i) in
-    let arr, plo, phi = neighbours g Fwd u ~elabel ~nlabel:dlabel in
-    Buf.iter_range (fun v -> f u v) arr plo phi
+    let j = slot g u elabel dlabel in
+    let plo = Bigarray.Array1.unsafe_get s.off j
+    and phi = Bigarray.Array1.unsafe_get s.off (j + 1) in
+    match s.nbr with
+    | Buf.I32 a ->
+        for k = plo to phi - 1 do
+          f u (Int32.to_int (Bigarray.Array1.unsafe_get a k))
+        done
+    | Buf.I64 a ->
+        for k = plo to phi - 1 do
+          f u (Bigarray.Array1.unsafe_get a k)
+        done
   done
 
 let iter_edges g ~elabel ~slabel ~dlabel f =

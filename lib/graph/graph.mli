@@ -48,6 +48,12 @@ val vlabel : t -> int -> int
 val neighbours :
   t -> direction -> int -> elabel:int -> nlabel:int -> Gf_util.Sorted.slice
 
+(** [neighbours_into g dir v ~elabel ~nlabel l i] stores the same
+    partition as list [i] of [l] — the E/I operator's bounds lookup, which
+    builds no slice tuple. *)
+val neighbours_into :
+  t -> direction -> int -> elabel:int -> nlabel:int -> Gf_util.Sorted.lists -> int -> unit
+
 (** [neighbours_any_nlabel g dir v ~elabel] is the slice covering every
     neighbour label for [elabel] (partitions for a given edge label are
     contiguous; note ids are only sorted within one neighbour-label

@@ -345,22 +345,6 @@ let observe t ~graph_version q plan rows =
   | _ -> ());
   Mutex.unlock t.lock
 
-(* A side-effect-free read: no counters, no LRU touch, no insert. The
-   service's flight-recorder digest path uses this so recording a plan
-   signature does not distort hit/miss accounting. *)
-let peek t ~graph_version q =
-  let code, perm = Canon.code q in
-  Mutex.lock t.lock;
-  let skel =
-    match Hashtbl.find_opt t.table code with
-    | Some e when e.version = graph_version && not e.stale -> Some e.skel
-    | _ -> None
-  in
-  Mutex.unlock t.lock;
-  match skel with
-  | None -> None
-  | Some skel -> ( match instantiate q perm skel with p -> Some p | exception _ -> None)
-
 (* Test/introspection helpers. *)
 let mem t q =
   let code, _ = Canon.code q in

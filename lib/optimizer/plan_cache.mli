@@ -107,11 +107,6 @@ val invalidate : t -> unit
 
 val stats : t -> stats
 
-(** [peek t ~graph_version q] instantiates the cached plan for [q] without
-    any side effect — no hit/miss accounting, no LRU touch, no insertion.
-    [None] when absent, stale, or from another graph version. *)
-val peek : t -> graph_version:int -> Gf_query.Query.t -> Gf_plan.Plan.t option
-
 (** [mem t q] — is there an entry for [q]'s template (any version)? *)
 val mem : t -> Gf_query.Query.t -> bool
 

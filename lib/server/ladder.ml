@@ -36,6 +36,7 @@ let rungs (cfg : config) =
 type result = {
   outcome : Governor.outcome;
   counters : Counters.t;
+  plan : Gf.Plan.t option;
   attempts : int;
   retries : int;
   degraded : bool;
@@ -94,12 +95,14 @@ let run ?(sleep = Unix.sleepf) ?(now = Unix.gettimeofday)
                 ]
               b "attempt"
         | None -> ());
-        let c, outcome =
+        let prepared, (c, outcome) =
           Fun.protect
             ~finally:(fun () -> detach ())
             (fun () ->
-              Gf.Db.run_gov ~domains:rung.domains ?scan_part:part ~gov ?trace
-                ?sink:attempt_sink db q)
+              let prepared = Gf.Db.prepare ?trace db q in
+              ( prepared,
+                Gf.Db.run_gov ~prepared ~domains:rung.domains ?scan_part:part ~gov ?trace
+                  ?sink:attempt_sink db q ))
         in
         (match tbuf with
         | Some b ->
@@ -114,6 +117,7 @@ let run ?(sleep = Unix.sleepf) ?(now = Unix.gettimeofday)
           {
             outcome;
             counters = c;
+            plan = Some (Gf.Db.prepared_plan prepared);
             attempts = attempt + 1;
             retries = attempt;
             degraded;

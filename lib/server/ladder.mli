@@ -44,6 +44,9 @@ val rungs : config -> rung list
 type result = {
   outcome : Gf.Governor.outcome;  (** of the accepted (last) attempt *)
   counters : Gf.Counters.t;  (** of the accepted (last) attempt *)
+  plan : Gf.Plan.t option;
+      (** the plan the accepted attempt executed; [None] for a request
+          answered without running *)
   attempts : int;
   retries : int;  (** [attempts - 1] *)
   degraded : bool;

@@ -209,8 +209,8 @@ let run_job t job =
     end
     else (None, None)
   in
-  (* One load of the (mutable) db for the whole job, so plan digest and
-     execution agree on a graph even if a merge publishes mid-request. *)
+  (* One load of the (mutable) db for the whole job, so every attempt runs
+     on one graph even if a merge publishes mid-request. *)
   let db = t.db in
   let t0 = t.cfg.now () in
   let result =
@@ -258,7 +258,9 @@ let run_job t job =
         |> List.sort (fun (_, a) (_, b) -> compare b a)
         |> List.filteri (fun i _ -> i < 3)
   in
-  let digest = try Gf.Db.plan_signature db req.query with _ -> "?" in
+  let digest =
+    match result.Ladder.plan with Some p -> Gf.Plan.signature p | None -> "?"
+  in
   let record_id =
     Recorder.record t.recorder ~query:req.text ~plan:digest
       ~outcome:(Governor.outcome_to_string result.Ladder.outcome)
@@ -411,6 +413,7 @@ let drain t =
             {
               Ladder.outcome = Governor.Truncated Governor.Cancelled;
               counters = Counters.create ();
+              plan = None;
               attempts = 0;
               retries = 0;
               degraded = false;

@@ -1,7 +1,11 @@
-type t = { mutable data : Buf.i64a; mutable len : int }
+(* [tagged] is [Buf.I64 data], rebuilt only when [data] grows, so handing
+   the running result of a k-way intersection to the next pairwise kernel
+   allocates nothing. *)
+type t = { mutable data : Buf.i64a; mutable tagged : Buf.t; mutable len : int }
 
 let create ?(capacity = 16) () =
-  { data = Buf.alloc_i64 (max capacity 1); len = 0 }
+  let data = Buf.alloc_i64 (max capacity 1) in
+  { data; tagged = Buf.I64 data; len = 0 }
 
 let length v = v.len
 
@@ -26,7 +30,8 @@ let ensure v n =
       Bigarray.Array1.blit
         (Bigarray.Array1.sub v.data 0 v.len)
         (Bigarray.Array1.sub data 0 v.len);
-    v.data <- data
+    v.data <- data;
+    v.tagged <- Buf.I64 data
   end
 
 let push v x =
@@ -37,7 +42,7 @@ let push v x =
 let clear v = v.len <- 0
 let is_empty v = v.len = 0
 let big v = v.data
-let buf v = Buf.I64 v.data
+let buf v = v.tagged
 let unsafe_set_len v n = v.len <- n
 let capacity_bytes v = Bigarray.Array1.dim v.data * 8
 
@@ -90,7 +95,7 @@ let push_buf dst b lo hi =
     dst.len <- dst.len + n
   end
 
-let append dst src = push_buf dst (Buf.I64 src.data) 0 src.len
+let append dst src = push_buf dst src.tagged 0 src.len
 
 let copy_from dst src =
   ensure dst src.len;

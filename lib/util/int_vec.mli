@@ -42,7 +42,8 @@ val ensure : t -> int -> unit
 val big : t -> Buf.i64a
 
 (** [buf v] is the backing store as a width-tagged [Buf.t] — what
-    intermediate intersection results are sliced from. *)
+    intermediate intersection results are sliced from. Allocation-free;
+    like {!big}, invalidated by the next growth. *)
 val buf : t -> Buf.t
 
 (** [unsafe_set_len v n] declares [n] elements valid — used after a C

@@ -1,7 +1,6 @@
 type slice = Buf.t * int * int
 
 let slice_len ((_, lo, hi) : slice) = hi - lo
-let empty_slice : slice = (Buf.empty, 0, 0)
 
 let of_array ?width a : slice = (Buf.of_int_array ?width a, 0, Array.length a)
 
@@ -184,99 +183,128 @@ let count_intersect2 a alo ahi b blo bhi =
 (* Multiway intersection                                               *)
 (* ------------------------------------------------------------------ *)
 
-let intersect ?scratch2 out (slices : slice array) ~scratch =
-  match Array.length slices with
-  | 0 -> ()
-  | 1 ->
-      let a, lo, hi = slices.(0) in
-      Int_vec.push_buf out a lo hi
-  | n ->
-      let order = Array.init n (fun i -> i) in
-      Array.sort (fun i j -> compare (slice_len slices.(i)) (slice_len slices.(j))) order;
-      let a0, lo0, hi0 = slices.(order.(0)) in
-      let a1, lo1, hi1 = slices.(order.(1)) in
-      if n = 2 then intersect2 out a0 lo0 hi0 a1 lo1 hi1
-      else begin
-        (* Iteratively narrow a running result, ping-ponging between the two
-           scratch buffers so no per-call allocation happens. n = 3 needs only
-           one buffer; the second is touched — and, absent [scratch2],
-           allocated — only from four slices up. *)
-        let cur = scratch in
-        Int_vec.clear cur;
-        intersect2 cur a0 lo0 hi0 a1 lo1 hi1;
-        let curr = ref cur in
-        if n > 3 then begin
-          let tmp =
-            match scratch2 with
-            | Some v -> v
-            | None -> Int_vec.create ~capacity:(Int_vec.length cur) ()
-          in
-          let next = ref tmp in
-          for k = 2 to n - 2 do
-            let b, blo, bhi = slices.(order.(k)) in
-            Int_vec.clear !next;
-            intersect2 !next (Int_vec.buf !curr) 0 (Int_vec.length !curr) b blo bhi;
-            let t = !curr in
-            curr := !next;
-            next := t
-          done
-        end;
-        let b, blo, bhi = slices.(order.(n - 1)) in
-        intersect2 out (Int_vec.buf !curr) 0 (Int_vec.length !curr) b blo bhi
-      end
+type lists = {
+  bufs : Buf.t array;
+  lo : int array;
+  hi : int array;
+  order : int array;
+  pos : int array;
+  scratch : Int_vec.t;
+  scratch2 : Int_vec.t;
+}
 
-let leapfrog out (slices : slice array) =
-  let k = Array.length slices in
-  if k = 0 then ()
-  else if k = 1 then begin
-    let a, lo, hi = slices.(0) in
-    Int_vec.push_buf out a lo hi
-  end
-  else begin
-    (* Current cursor per iterator; none may start empty. *)
-    let pos = Array.make k 0 in
-    let nonempty = ref true in
-    for i = 0 to k - 1 do
-      let _, lo, hi = slices.(i) in
-      pos.(i) <- lo;
-      if lo >= hi then nonempty := false
+(* A cascade over k lists narrows through [scratch] from k = 3 and through
+   [scratch2] from k = 4; below that they are this placeholder, never
+   written, so the common one- and two-list operators allocate no
+   off-heap vectors. *)
+let unused = Int_vec.create ~capacity:1 ()
+
+let lists k =
+  let vec min_k = if k >= min_k then Int_vec.create ~capacity:64 () else unused in
+  {
+    bufs = Array.make k Buf.empty;
+    lo = Array.make k 0;
+    hi = Array.make k 0;
+    order = Array.make k 0;
+    pos = Array.make k 0;
+    scratch = vec 3;
+    scratch2 = vec 4;
+  }
+
+let set l i ((b, lo, hi) : slice) =
+  l.bufs.(i) <- b;
+  l.lo.(i) <- lo;
+  l.hi.(i) <- hi
+
+let of_slices slices =
+  let l = lists (Array.length slices) in
+  Array.iteri (set l) slices;
+  l
+
+(* [l.order.(0 .. k-1)] := list indices by ascending [key], by insertion
+   sort: k is the number of E/I descriptors, a handful at most. *)
+let sort_order l k key =
+  let order = l.order in
+  for i = 0 to k - 1 do
+    let x = order.(i) in
+    let kx = key l x in
+    let j = ref (i - 1) in
+    while !j >= 0 && key l order.(!j) > kx do
+      order.(!j + 1) <- order.(!j);
+      decr j
     done;
-    if !nonempty then begin
-      (* Sort iterators by first key so neighbours differ the most; then
-         round-robin: each iterator seeks to >= the previous one's key. *)
-      let order = Array.init k (fun i -> i) in
-      Array.sort
-        (fun i j ->
-          let a, lo, _ = slices.(i) and b, mo, _ = slices.(j) in
-          compare (Buf.get a lo) (Buf.get b mo))
-        order;
-      let key i = let a, _, _ = slices.(i) in Buf.unsafe_get a pos.(i) in
-      let p = ref 0 in
-      (* Largest first key = key of the last iterator in sorted order. *)
-      let max_key = ref (key order.(k - 1)) in
-      let exception Done in
-      (try
-         while true do
-           let it = order.(!p) in
-           let a, _, hi = slices.(it) in
-           if key it = !max_key then begin
-             (* All k iterators agree. *)
-             Int_vec.push out !max_key;
-             pos.(it) <- pos.(it) + 1;
-             if pos.(it) >= hi then raise Done;
-             max_key := Buf.unsafe_get a pos.(it);
-             p := (!p + 1) mod k
-           end
-           else begin
-             pos.(it) <- gallop a pos.(it) hi !max_key;
-             if pos.(it) >= hi then raise Done;
-             max_key := Buf.unsafe_get a pos.(it);
-             p := (!p + 1) mod k
-           end
-         done
-       with Done -> ())
-    end
+    order.(!j + 1) <- x
+  done
+
+let len l i = l.hi.(i) - l.lo.(i)
+let first_key l i = Buf.unsafe_get l.bufs.(i) l.lo.(i)
+
+(* [intersect2] of lists [a] and [b] of [l] onto [out]. *)
+let pair out l a b = intersect2 out l.bufs.(a) l.lo.(a) l.hi.(a) l.bufs.(b) l.lo.(b) l.hi.(b)
+
+let cascade out l k =
+  if k = 2 then if len l 1 < len l 0 then pair out l 1 0 else pair out l 0 1
+  else begin
+    let order = l.order in
+    for i = 0 to k - 1 do
+      order.(i) <- i
+    done;
+    sort_order l k len;
+    (* Narrow a running result from the two smallest lists up, ping-ponging
+       between the scratch vectors; k = 3 needs only the first. *)
+    let cur = ref l.scratch and next = ref l.scratch2 in
+    Int_vec.clear !cur;
+    pair !cur l order.(0) order.(1);
+    for j = 2 to k - 2 do
+      let b = order.(j) in
+      Int_vec.clear !next;
+      intersect2 !next (Int_vec.buf !cur) 0 (Int_vec.length !cur) l.bufs.(b) l.lo.(b) l.hi.(b);
+      let t = !cur in
+      cur := !next;
+      next := t
+    done;
+    let b = order.(k - 1) in
+    intersect2 out (Int_vec.buf !cur) 0 (Int_vec.length !cur) l.bufs.(b) l.lo.(b) l.hi.(b)
   end
+
+(* Leapfrog Triejoin's unary join: iterators sorted by first key, then
+   round-robin, each seeking to >= the running maximum key. *)
+let leapfrog_join out l k =
+  let pos = l.pos and order = l.order in
+  let nonempty = ref true in
+  for i = 0 to k - 1 do
+    pos.(i) <- l.lo.(i);
+    order.(i) <- i;
+    if l.lo.(i) >= l.hi.(i) then nonempty := false
+  done;
+  if !nonempty then begin
+    sort_order l k first_key;
+    let p = ref 0 in
+    (* Largest first key = key of the last iterator in sorted order. *)
+    let max_key = ref (first_key l order.(k - 1)) in
+    let running = ref true in
+    while !running do
+      let it = order.(!p) in
+      let a = l.bufs.(it) and hi = l.hi.(it) in
+      if Buf.unsafe_get a pos.(it) = !max_key then begin
+        (* All k iterators agree. *)
+        Int_vec.push out !max_key;
+        pos.(it) <- pos.(it) + 1
+      end
+      else pos.(it) <- gallop a pos.(it) hi !max_key;
+      if pos.(it) >= hi then running := false
+      else begin
+        max_key := Buf.unsafe_get a pos.(it);
+        p := (!p + 1) mod k
+      end
+    done
+  end
+
+let intersect ~leapfrog out l =
+  match Array.length l.lo with
+  | 0 -> ()
+  | 1 -> Int_vec.push_buf out l.bufs.(0) l.lo.(0) l.hi.(0)
+  | k -> if leapfrog then leapfrog_join out l k else cascade out l k
 
 let is_sorted_strict a lo hi =
   let ok = ref true in

@@ -20,9 +20,6 @@ type slice = Buf.t * int * int
 
 val slice_len : slice -> int
 
-(** The canonical zero-length slice — placeholder for slice arrays. *)
-val empty_slice : slice
-
 (** [of_array a] copies a heap array into an off-heap slice (tests,
     benches, boundary callers). *)
 val of_array : ?width:[ `Auto | `I32 | `I64 ] -> int array -> slice
@@ -77,22 +74,48 @@ val gallop : Buf.t -> int -> int -> int -> int
     sorted slices onto [out], through whichever kernel is active. *)
 val intersect2 : Int_vec.t -> Buf.t -> int -> int -> Buf.t -> int -> int -> unit
 
-(** [intersect out slices ~scratch] appends the k-way intersection onto
-    [out]. [scratch] is a reusable temporary buffer; [scratch2] is the second
-    ping-pong buffer for 4-way-and-wider intersections — hot callers pass it
-    to keep the E/I loop allocation-free, otherwise it is allocated on demand
-    (3-way intersections never need it). With zero slices the result is
-    empty; with one slice it is a copy of that slice. *)
-val intersect :
-  ?scratch2:Int_vec.t -> Int_vec.t -> slice array -> scratch:Int_vec.t -> unit
+(** The inputs of one k-way intersection, owned by the caller and reused
+    across calls so that intersecting allocates nothing: list [i] is
+    [bufs.(i).(lo.(i) .. hi.(i) - 1)], and [k] is the length of the
+    arrays. [order] and [pos] are per-call scratch (list order, leapfrog
+    cursors); [scratch] and [scratch2] hold the running result of a
+    cascade over three or more lists. An E/I operator allocates one per
+    operator and refills [bufs]/[lo]/[hi] per tuple (see
+    [Graph.neighbours_into]). *)
+type lists = {
+  bufs : Buf.t array;
+  lo : int array;
+  hi : int array;
+  order : int array;
+  pos : int array;
+  scratch : Int_vec.t;
+  scratch2 : Int_vec.t;
+}
 
-(** [leapfrog out slices] appends the k-way intersection onto [out] using
-    the Leapfrog Triejoin unary join [Veldhuizen 2012]: all iterators chase
-    the running maximum with galloping seeks, emitting on full agreement.
-    Worst-case optimal like the pairwise cascade but with different
-    constants: it touches every list once instead of narrowing through
-    intermediate buffers. Always the portable OCaml implementation. *)
-val leapfrog : Int_vec.t -> slice array -> unit
+(** [lists k] is room for a [k]-way intersection, every list empty. *)
+val lists : int -> lists
+
+(** [set l i s] makes slice [s] list [i] of [l]. *)
+val set : lists -> int -> slice -> unit
+
+(** [of_slices a] is a fresh {!lists} over the slices of [a] (tests,
+    benches, boundary callers). *)
+val of_slices : slice array -> lists
+
+(** [intersect ~leapfrog out l] appends the k-way intersection of [l]'s
+    lists onto [out] — the one multiway entry point. Allocation-free (bar
+    growth of [out] or of [l]'s scratch vectors).
+
+    By default it is the pairwise cascade, smallest lists first: two lists
+    are one {!intersect2}; three or more are ordered by an insertion sort
+    on length and narrowed through [l.scratch]/[l.scratch2]. With
+    [leapfrog] it is the Leapfrog Triejoin unary join [Veldhuizen 2012]:
+    all iterators chase the running maximum with galloping seeks, emitting
+    on full agreement — worst-case optimal like the cascade but touching
+    every list once instead of narrowing through intermediate buffers;
+    always the portable OCaml implementation. With zero lists the result
+    is empty; with one it is a copy of that list. *)
+val intersect : leapfrog:bool -> Int_vec.t -> lists -> unit
 
 (** [count_intersect2 a alo ahi b blo bhi] counts intersection size without
     materializing it. *)

@@ -63,6 +63,12 @@ let delivered schema run =
   run (fun t -> rows := to_assignment schema t :: !rows);
   fingerprint !rows
 
+(* The work counters a count-only root must reproduce exactly: all but
+   [gov_checks] and the parallel scheduling fields. *)
+let work (c : Counters.t) =
+  [ c.output; c.produced; c.icost; c.cache_hits; c.intersections; c.hj_build_tuples;
+    c.hj_probe_tuples ]
+
 let prop_all_engines_agree =
   QCheck2.Test.make ~name:"planner/adaptive/ghd/bj/parallel/leapfrog = naive" ~count:30
     QCheck2.Gen.(int_bound 100_000)
@@ -89,11 +95,16 @@ let prop_all_engines_agree =
       && same "leapfrog" (fun sink -> ignore (Exec.run_gov ~leapfrog:true ~sink g plan))
       && ok "count" (Exec.count g plan)
       && ok_distinct "count distinct" (Exec.count ~distinct:true g plan)
+      && (work (fst (Exec.run_gov g plan)) = work (fst (Exec.run_gov ~sink:ignore g plan))
+         || fail "count-only root counters" (Exec.count g plan) expected)
       && List.for_all
            (fun d ->
              same
                (Printf.sprintf "parallel(%d) small morsels" d)
                (fun sink -> ignore (Parallel.run ~domains:d ~chunk:3 ~batch:4 ~sink g plan))
+             && ok
+                  (Printf.sprintf "parallel count-only(%d)" d)
+                  (Parallel.run ~domains:d ~chunk:3 ~batch:4 g plan).counters.Counters.output
              && ok_distinct
                   (Printf.sprintf "parallel distinct(%d)" d)
                   (Parallel.run ~domains:d ~distinct:true ~chunk:5 g plan).counters
@@ -120,11 +131,20 @@ let prop_all_engines_agree =
                   ignore (Graphflow.Db.run_gov ~scan_part:(i, k) ~sink db q)
                 done)
           in
-          got = expected_set || fail (Printf.sprintf "scan_part union k=%d match set" k) n expected)
+          (got = expected_set
+          || fail (Printf.sprintf "scan_part union k=%d match set" k) n expected)
+          && ok
+               (Printf.sprintf "scan_part count-only sum k=%d" k)
+               (List.fold_left
+                  (fun acc i ->
+                    acc + (fst (Graphflow.Db.run_gov ~scan_part:(i, k) db q)).Counters.output)
+                  0 (List.init k Fun.id)))
       && ok "bj baseline" (Bj.count g q)
       && ok "eh plan"
            (Exec.count g (Ghd.to_plan cat q (Ghd.min_width_decomposition q) Ghd.Lexicographic)))
 
+(* Every spectrum plan counts right, and its count-only run does exactly
+   the enumerating run's work. *)
 let prop_spectrum_plans_agree =
   QCheck2.Test.make ~name:"every spectrum plan = naive" ~count:15
     QCheck2.Gen.(int_bound 100_000)
@@ -137,9 +157,14 @@ let prop_spectrum_plans_agree =
       List.for_all
         (fun (fam, p) ->
           let got = Exec.count g p in
+          let counted = fst (Exec.run_gov g p) in
+          let enumerated = fst (Exec.run_gov ~sink:ignore g p) in
           if got <> expected then
             QCheck2.Test.fail_reportf "%s plan: %d <> %d on %s"
               (Spectrum.family_to_string fam) got expected (Query.to_string q)
+          else if work counted <> work enumerated then
+            QCheck2.Test.fail_reportf "%s plan: count-only counters differ on %s"
+              (Spectrum.family_to_string fam) (Query.to_string q)
           else true)
         all)
 

@@ -93,7 +93,7 @@ let test_gallop_via_skewed_leapfrog () =
      and return the correct element. *)
   let big = Sorted.of_array (Array.init 50_000 (fun i -> i * 2)) in
   let out = Int_vec.create () in
-  Sorted.leapfrog out [| big; Sorted.of_array [| 77_776 |]; big |];
+  Sorted.intersect ~leapfrog:true out (Sorted.of_slices [| big; Sorted.of_array [| 77_776 |]; big |]);
   Alcotest.(check (array int)) "skewed" [| 77_776 |] (Int_vec.to_array out)
 
 (* ---------- catalogue ---------- *)

@@ -151,7 +151,8 @@ let test_byte_release_on_consumption () =
      cumulative batching exceeded [max_bytes] tripped Memory_limit even
      though live memory stayed tiny. Small batches on a triangle query make
      cumulative allocation blow well past the cap while live batches stay
-     bounded by [max_local]. *)
+     bounded by [max_local]. The run has a sink: without one the triangle's
+     root E/I — here also the morsel boundary — counts and never batches. *)
   let g = graph () in
   let plan = triangle_plan () in
   let total = Exec.count g plan in
@@ -160,7 +161,7 @@ let test_byte_release_on_consumption () =
   let r =
     Parallel.run ~domains:1 ~chunk ~batch
       ~budget:(Governor.budget ~max_bytes:cap ())
-      g plan
+      ~sink:ignore g plan
   in
   check_bool "bounded live batches complete" true (r.Parallel.outcome = Governor.Completed);
   check_int "all outputs" total r.counters.Counters.output;
@@ -177,14 +178,17 @@ let test_deadline_promptness () =
   (* The acceptance gate: a 50 ms deadline on a clique-heavy graph returns
      Truncated Deadline promptly at 1 and at 4 domains (mid-steal), with
      counter totals intact and every domain joined. The bound here is looser
-     than the benchmarked 150 ms to tolerate loaded CI machines. *)
+     than the benchmarked 150 ms to tolerate loaded CI machines. The run
+     enumerates into a sink: counting at the root, 4 domains on two cores
+     finish this query inside the deadline ("count-only root deadline"
+     trips that path deterministically). *)
   let g = clique_graph () in
   let plan = q5_plan () in
   List.iter
     (fun domains ->
       let gov = Governor.create (Governor.budget ~deadline_s:0.05 ~max_output:1_000_000 ()) in
       let t0 = Timing.now_s () in
-      let r = Parallel.run ~domains ~gov g plan in
+      let r = Parallel.run ~domains ~gov ~sink:ignore g plan in
       let dt = Timing.now_s () -. t0 in
       check_bool
         (Printf.sprintf "%d domains: deadline outcome" domains)
@@ -336,6 +340,65 @@ let test_segmented_intersection () =
     (is_truncated Governor.Deadline o);
   check_bool "tripped before the full result" true (c.Counters.output < overlap)
 
+(* Without a sink the root E/I counts, claiming whole extension sets
+   through [Governor.claim_outputs]. An output cap — the degraded rung's
+   10 000 among them — must still stop it at exactly the cap, sequential,
+   at 1, 2 and 4 domains, and through the Db facade. *)
+let test_count_root_output_cap () =
+  let g = clique_graph () in
+  let q = Patterns.q 5 in
+  let plan = q5_plan () in
+  let total = Exec.count g plan in
+  let degraded = Gf_server.Ladder.default_config.Gf_server.Ladder.degraded_budget in
+  let db = Graphflow.Db.create g in
+  List.iter
+    (fun budget ->
+      let cap = Option.get budget.Governor.max_output in
+      check_bool (Printf.sprintf "cap %d below the total" cap) true (cap < total);
+      let expect what (c : Counters.t) o =
+        check_int (Printf.sprintf "cap %d %s: outputs" cap what) cap c.Counters.output;
+        check_bool
+          (Printf.sprintf "cap %d %s: truncated by the cap" cap what)
+          true
+          (is_truncated Governor.Output_limit o)
+      in
+      let c, o = Exec.run_gov ~budget g plan in
+      expect "sequential" c o;
+      List.iter
+        (fun domains ->
+          let r = Parallel.run ~domains ~budget g plan in
+          expect (Printf.sprintf "%d domains" domains) r.counters r.Parallel.outcome;
+          check_int
+            (Printf.sprintf "cap %d %d domains: shares add up" cap domains)
+            cap
+            (Array.fold_left ( + ) 0 r.Parallel.per_domain_output);
+          let c, o = Graphflow.Db.run_gov ~domains ~budget db q in
+          expect (Printf.sprintf "Db, %d domains" domains) c o)
+        [ 1; 2; 4 ])
+    [ Governor.budget ~max_output:1 (); Governor.budget ~max_output:(total / 3) (); degraded ]
+
+(* A deadline must still cut a count-only root short inside one giant
+   intersection: the run stops between segments, before the extension set
+   is complete and counted. *)
+let test_count_root_deadline () =
+  let overlap = 9_000 and private_each = 2_000 in
+  let g = anchored_graph ~overlap ~private_each in
+  let plan = identity_wco (anchored_triangle ()) in
+  check_int "full count" overlap (Exec.count g plan);
+  let budget = Governor.budget ~deadline_s:0.0 () in
+  let expect what (c : Counters.t) o =
+    check_bool (what ^ ": deadline") true (is_truncated Governor.Deadline o);
+    check_int (what ^ ": the intersection started") 1 c.Counters.intersections;
+    check_int (what ^ ": nothing counted") 0 c.Counters.output
+  in
+  let c, o = Exec.run_gov ~budget g plan in
+  expect "sequential" c o;
+  List.iter
+    (fun domains ->
+      let r = Parallel.run ~domains ~budget g plan in
+      expect (Printf.sprintf "%d domains" domains) r.counters r.Parallel.outcome)
+    [ 1; 2; 4 ]
+
 let test_fault_seed_sweep () =
   (* GFQ_FAULT_SEED sweep: wherever the seeded fault lands, a Failed run
      reports only rows the clean run reports and no duplicates, and a run
@@ -437,6 +500,8 @@ let suite =
         Alcotest.test_case "tick granularity mid-intersection" `Quick test_tick_granularity;
         Alcotest.test_case "segmented intersection correct" `Quick
           test_segmented_intersection;
+        Alcotest.test_case "count-only root output cap" `Quick test_count_root_output_cap;
+        Alcotest.test_case "count-only root deadline" `Quick test_count_root_deadline;
         Alcotest.test_case "fault seed sweep" `Quick test_fault_seed_sweep;
         Alcotest.test_case "sink exception frees mutex" `Quick test_sink_exception_releases_mutex;
       ] );

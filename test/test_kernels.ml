@@ -75,7 +75,7 @@ let differential_trial rng ~la ~lb ~density =
           Alcotest.(check (array int)) (label ^ " simd") expect simd;
           (* leapfrog over the same pair *)
           let out = Int_vec.create () in
-          Sorted.leapfrog out [| (ba, 0, la); (bb, 0, lb) |];
+          Sorted.intersect ~leapfrog:true out (Sorted.of_slices [| (ba, 0, la); (bb, 0, lb) |]);
           Alcotest.(check (array int)) (label ^ " leapfrog") expect (Int_vec.to_array out))
         widths)
     widths
@@ -171,14 +171,14 @@ let test_multiway_mixed_width () =
     in
     let run mode =
       Sorted.with_kernel_mode mode (fun () ->
-          let out = Int_vec.create () and scratch = Int_vec.create () in
-          Sorted.intersect out slices ~scratch;
+          let out = Int_vec.create () in
+          Sorted.intersect ~leapfrog:false out (Sorted.of_slices slices);
           Int_vec.to_array out)
     in
     let s = run Sorted.Scalar and v = run Sorted.Simd in
     Alcotest.(check (array int)) "k-way scalar = simd" s v;
     let out = Int_vec.create () in
-    Sorted.leapfrog out slices;
+    Sorted.intersect ~leapfrog:true out (Sorted.of_slices slices);
     Alcotest.(check (array int)) "k-way leapfrog agrees" s (Int_vec.to_array out)
   done
 

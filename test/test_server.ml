@@ -517,7 +517,13 @@ let test_service_flight_recorder () =
   (match Service.submit svc plain with
   | Ok r ->
       check_bool "every request is recorded" true (r.Service.record_id > 0);
-      check_bool "plain request untraced" true (not r.Service.traced)
+      check_bool "plain request untraced" true (not r.Service.traced);
+      (match r.Service.result.Ladder.plan with
+      | Some p ->
+          let top = List.hd (Gf.Recorder.recent (Service.recorder svc) 1) in
+          check_string "recorded digest is the plan that ran" (Gf.Plan.signature p)
+            top.Gf.Recorder.plan
+      | None -> Alcotest.fail "an executed request reports its plan")
   | Error _ -> Alcotest.fail "plain request must run");
   let traced =
     { (Service.request triangle) with Service.text = "tri-traced"; trace = true }

@@ -131,6 +131,10 @@ let naive_intersect a b =
 let ba a = Buf.of_int_array a
 let sl a : Sorted.slice = (ba a, 0, Array.length a)
 
+(* The k-way entry point over a fresh [Sorted.lists] of [slices]. *)
+let kway ?(leapfrog = false) out slices = Sorted.intersect ~leapfrog out (Sorted.of_slices slices)
+let leapfrog out slices = kway ~leapfrog:true out slices
+
 let test_intersect2_small () =
   let a = [| 1; 3; 5; 7; 9 |] and b = [| 2; 3; 4; 7; 10 |] in
   let out = Int_vec.create () in
@@ -168,16 +172,16 @@ let test_intersect_multiway () =
       sl [| 4; 5; 6; 7; 8 |];
     |]
   in
-  let out = Int_vec.create () and scratch = Int_vec.create () in
-  Sorted.intersect out slices ~scratch;
+  let out = Int_vec.create () in
+  kway out slices;
   Alcotest.(check (array int)) "3-way" [| 4; 6; 8 |] (Int_vec.to_array out)
 
 let test_intersect_single_and_zero () =
-  let out = Int_vec.create () and scratch = Int_vec.create () in
-  Sorted.intersect out [| sl [| 5; 6 |] |] ~scratch;
+  let out = Int_vec.create () in
+  kway out [| sl [| 5; 6 |] |];
   Alcotest.(check (array int)) "1-way copies" [| 5; 6 |] (Int_vec.to_array out);
   Int_vec.clear out;
-  Sorted.intersect out [||] ~scratch;
+  kway out [||];
   check_int "0-way empty" 0 (Int_vec.length out)
 
 let test_leapfrog_small () =
@@ -189,20 +193,20 @@ let test_leapfrog_small () =
     |]
   in
   let out = Int_vec.create () in
-  Sorted.leapfrog out slices;
+  leapfrog out slices;
   Alcotest.(check (array int)) "3-way leapfrog" [| 4; 6; 8 |] (Int_vec.to_array out)
 
 let test_leapfrog_edge_cases () =
   let out = Int_vec.create () in
-  Sorted.leapfrog out [||];
+  leapfrog out [||];
   check_int "0-way" 0 (Int_vec.length out);
-  Sorted.leapfrog out [| sl [| 3; 9 |] |];
+  leapfrog out [| sl [| 3; 9 |] |];
   Alcotest.(check (array int)) "1-way copies" [| 3; 9 |] (Int_vec.to_array out);
   Int_vec.clear out;
-  Sorted.leapfrog out [| sl [| 1 |]; sl [||] |];
+  leapfrog out [| sl [| 1 |]; sl [||] |];
   check_int "empty iterator" 0 (Int_vec.length out);
   Int_vec.clear out;
-  Sorted.leapfrog out [| sl [| 1; 3 |]; sl [| 2; 4 |] |];
+  leapfrog out [| sl [| 1; 3 |]; sl [| 2; 4 |] |];
   check_int "disjoint" 0 (Int_vec.length out)
 
 let prop_leapfrog_matches_pairwise =
@@ -210,10 +214,10 @@ let prop_leapfrog_matches_pairwise =
   QCheck2.Test.make ~name:"leapfrog = pairwise cascade" ~count:300 gen (fun lists ->
       let arrays = List.map (fun l -> List.sort_uniq compare l |> Array.of_list) lists in
       let slices = Array.of_list (List.map sl arrays) in
-      let out1 = Int_vec.create () and scratch = Int_vec.create () in
-      Sorted.intersect out1 slices ~scratch;
+      let out1 = Int_vec.create () in
+      kway out1 slices;
       let out2 = Int_vec.create () in
-      Sorted.leapfrog out2 slices;
+      leapfrog out2 slices;
       Int_vec.to_array out1 = Int_vec.to_array out2)
 
 let test_lower_bound_member () =
@@ -262,53 +266,51 @@ let prop_gallop_equals_lower_bound =
 let test_leapfrog_degenerate_slices () =
   let out = Int_vec.create () in
   (* single-element slices, all equal keys *)
-  Sorted.leapfrog out [| sl [| 7 |]; sl [| 7 |]; sl [| 7 |] |];
+  leapfrog out [| sl [| 7 |]; sl [| 7 |]; sl [| 7 |] |];
   Alcotest.(check (array int)) "singletons equal" [| 7 |] (Int_vec.to_array out);
   Int_vec.clear out;
   (* single-element slices, distinct keys *)
-  Sorted.leapfrog out [| sl [| 7 |]; sl [| 8 |] |];
+  leapfrog out [| sl [| 7 |]; sl [| 8 |] |];
   check_int "singletons distinct" 0 (Int_vec.length out);
   (* identical slices: intersection is the slice itself *)
   let a = [| 1; 4; 9; 16; 25 |] in
   let s = sl a in
-  Sorted.leapfrog out [| s; s; s |];
+  leapfrog out [| s; s; s |];
   Alcotest.(check (array int)) "identical slices" a (Int_vec.to_array out);
   Int_vec.clear out;
   (* one slice's first key exceeds every other slice's last key: the very
      first seek overshoots to the end on all others *)
-  Sorted.leapfrog out [| sl [| 1; 2; 3 |]; sl [| 90; 100 |] |];
+  leapfrog out [| sl [| 1; 2; 3 |]; sl [| 90; 100 |] |];
   check_int "disjoint ranges (high last)" 0 (Int_vec.length out);
-  Sorted.leapfrog out [| sl [| 90; 100 |]; sl [| 1; 2; 3 |]; sl [| 2; 91 |] |];
+  leapfrog out [| sl [| 90; 100 |]; sl [| 1; 2; 3 |]; sl [| 2; 91 |] |];
   check_int "disjoint ranges (high first)" 0 (Int_vec.length out);
   (* same shapes through the pairwise cascade for agreement *)
-  let scratch = Int_vec.create () in
-  Sorted.intersect out [| sl [| 1; 2; 3 |]; sl [| 90; 100 |] |] ~scratch;
+  kway out [| sl [| 1; 2; 3 |]; sl [| 90; 100 |] |];
   check_int "cascade agrees" 0 (Int_vec.length out)
 
-(* 4-way-and-wider intersections exercise the second ping-pong buffer;
-   passing ~scratch2 must not change the result. *)
+(* 4-way-and-wider intersections exercise the second ping-pong buffer.
+   One [Sorted.lists] is reused across calls, as an E/I operator does:
+   stale scratch contents must not leak into the result. *)
 let test_intersect_wide_scratch2 () =
-  let slices =
-    [|
-      sl [| 1; 2; 3; 4; 5; 6; 7; 8; 9 |];
-      sl [| 2; 4; 6; 8; 10 |];
-      sl [| 1; 2; 4; 6; 8 |];
-      sl [| 4; 6; 8; 12 |];
-    |]
+  let l =
+    Sorted.of_slices
+      [|
+        sl [| 1; 2; 3; 4; 5; 6; 7; 8; 9 |];
+        sl [| 2; 4; 6; 8; 10 |];
+        sl [| 1; 2; 4; 6; 8 |];
+        sl [| 4; 6; 8; 12 |];
+      |]
   in
-  let out = Int_vec.create () and scratch = Int_vec.create () in
-  Sorted.intersect out slices ~scratch;
-  Alcotest.(check (array int)) "4-way default" [| 4; 6; 8 |] (Int_vec.to_array out);
+  let out = Int_vec.create () in
+  Sorted.intersect ~leapfrog:false out l;
+  Alcotest.(check (array int)) "4-way" [| 4; 6; 8 |] (Int_vec.to_array out);
   Int_vec.clear out;
-  let scratch2 = Int_vec.create () in
-  Sorted.intersect ~scratch2 out slices ~scratch;
-  Alcotest.(check (array int)) "4-way with scratch2" [| 4; 6; 8 |] (Int_vec.to_array out);
-  (* reuse the same buffers for a second, wider call: stale contents must
-     not leak into the result *)
+  Sorted.intersect ~leapfrog:false out l;
+  Alcotest.(check (array int)) "4-way reused lists" [| 4; 6; 8 |] (Int_vec.to_array out);
   Int_vec.clear out;
-  let five = Array.append slices [| sl [| 0; 4; 8; 100 |] |] in
-  Sorted.intersect ~scratch2 out five ~scratch;
-  Alcotest.(check (array int)) "5-way reused buffers" [| 4; 8 |] (Int_vec.to_array out)
+  Sorted.set l 3 (sl [| 0; 4; 8; 100 |]);
+  Sorted.intersect ~leapfrog:false out l;
+  Alcotest.(check (array int)) "4-way refilled list" [| 4; 8 |] (Int_vec.to_array out)
 
 (* Property: intersect2 agrees with a naive quadratic implementation. *)
 let prop_intersect2 =
@@ -329,8 +331,8 @@ let prop_intersect_multiway =
     (fun lists ->
       let arrays = List.map (fun l -> List.sort_uniq compare l |> Array.of_list) lists in
       let slices = Array.of_list (List.map sl arrays) in
-      let out = Int_vec.create () and scratch = Int_vec.create () in
-      Sorted.intersect out slices ~scratch;
+      let out = Int_vec.create () in
+      kway out slices;
       let expected =
         match arrays with
         | [] -> [||]
