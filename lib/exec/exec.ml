@@ -229,9 +229,7 @@ and compile_structural ~count rewrite env plan =
         let d = descriptors.(i) in
         Graph.neighbours_into env.g d.Plan.dir src ~elabel:d.Plan.elabel ~nlabel:target_label
           lists i;
-        let n = lists.hi.(i) - lists.lo.(i) in
-        env.c.icost <- env.c.icost + n;
-        n
+        env.c.icost <- env.c.icost + lists.hi.(i) - lists.lo.(i)
       in
       if nd = 1 then begin
         (* Single descriptor: the extension set is the adjacency list itself;
@@ -242,9 +240,9 @@ and compile_structural ~count rewrite env plan =
           let src = t.(pos) in
           if env.cache && src = !last_src then env.c.cache_hits <- env.c.cache_hits + 1
           else begin
-            let n = load 0 src in
+            load 0 src;
             env.c.intersections <- env.c.intersections + 1;
-            Governor.tick_work env.gov env.c (n asr work_grain_shift);
+            Governor.tick_work env.gov env.c ((lists.hi.(0) - lists.lo.(0)) asr work_grain_shift);
             last_src := src
           end
         in
@@ -286,7 +284,7 @@ and compile_structural ~count rewrite env plan =
           if env.cache && !same then env.c.cache_hits <- env.c.cache_hits + 1
           else begin
             for i = 0 to nd - 1 do
-              ignore (load i srcs.(i))
+              load i srcs.(i)
             done;
             env.c.intersections <- env.c.intersections + 1;
             Int_vec.clear result;

@@ -96,7 +96,8 @@ let prop_all_engines_agree =
       && ok "count" (Exec.count g plan)
       && ok_distinct "count distinct" (Exec.count ~distinct:true g plan)
       && (work (fst (Exec.run_gov g plan)) = work (fst (Exec.run_gov ~sink:ignore g plan))
-         || fail "count-only root counters" (Exec.count g plan) expected)
+         || QCheck2.Test.fail_reportf "count-only root counters differ on %s"
+              (Query.to_string q))
       && List.for_all
            (fun d ->
              same
