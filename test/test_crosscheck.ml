@@ -23,6 +23,7 @@ module Spectrum = Gf_spectrum.Spectrum
 module Graph = Gf_graph.Graph
 module Generators = Gf_graph.Generators
 module Rng = Gf_util.Rng
+module Plan_cache = Gf_opt.Plan_cache
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -143,6 +144,55 @@ let prop_all_engines_agree =
       && ok "bj baseline" (Bj.count g q)
       && ok "eh plan"
            (Exec.count g (Ghd.to_plan cat q (Ghd.min_width_decomposition q) Ghd.Lexicographic)))
+
+(* Unlabeled shapes with automorphisms: re-numbering one can land on the
+   same query value or on one whose canonical permutation differs from the
+   cached template's by an automorphism. *)
+let symmetric_query rng =
+  match Rng.int rng 5 with
+  | 0 -> Patterns.cycle 3
+  | 1 -> Patterns.cycle 4
+  | 2 -> Patterns.cycle 5
+  | 3 -> Patterns.symmetric_diamond_x
+  | _ -> Patterns.clique 4 ~cyclic:true
+
+(* A plan-cache hit on a re-numbered isomorph: the first run of a query
+   misses and plans, the same query under a random vertex numbering must
+   hit the cached skeleton, and the plan instantiated for the new numbering
+   must find Naive's matches on it. *)
+let prop_plan_cache_renumbered_hit =
+  QCheck2.Test.make ~name:"plan-cache hit on a re-numbered query = naive" ~count:25
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng in
+      let q = if Rng.bool rng then random_query rng g else symmetric_query rng in
+      let n = Query.num_vertices q in
+      let perm = Array.init n Fun.id in
+      Rng.shuffle rng perm;
+      let q2 = Query.relabel_vertices q perm in
+      (* No profiled runs: feedback could mark the entry stale and turn the
+         second lookup into a replan, which the plan-cache tests cover. *)
+      let cache = Plan_cache.create ~feedback_warmup:0 ~feedback_period:max_int () in
+      let db = Graphflow.Db.create ~z:150 ~plan_cache:cache g in
+      let check msg q ~hits ~misses =
+        let prepared = Graphflow.Db.prepare db q in
+        let s = Plan_cache.stats cache in
+        let ((k, _) as got) =
+          delivered
+            (Plan.vars (Graphflow.Db.prepared_plan prepared))
+            (fun sink -> ignore (Graphflow.Db.run_gov ~prepared ~sink db q))
+        in
+        let ((want, _) as expected) = fingerprint (Naive.collect g q) in
+        if s.Plan_cache.hits <> hits || s.Plan_cache.misses <> misses then
+          QCheck2.Test.fail_reportf "%s: %d hits, %d misses (want %d, %d) on %s" msg
+            s.Plan_cache.hits s.Plan_cache.misses hits misses (Query.to_string q)
+        else
+          got = expected
+          || QCheck2.Test.fail_reportf "%s: %d matches <> naive %d on %s" msg k want
+               (Query.to_string q)
+      in
+      check "first run" q ~hits:0 ~misses:1 && check "re-numbered" q2 ~hits:1 ~misses:1)
 
 (* Every spectrum plan counts right, and its count-only run does exactly
    the enumerating run's work. *)
@@ -345,6 +395,7 @@ let suite =
     ( "crosscheck",
       [
         q prop_all_engines_agree;
+        q prop_plan_cache_renumbered_hit;
         q prop_spectrum_plans_agree;
         q prop_spectrum_plans_agree_parallel;
         q prop_cfl_agrees_distinct;

@@ -159,6 +159,155 @@ let prop_canon_invariant =
       let q2 = Query.relabel_vertices q perm in
       fst (Canon.code q) = fst (Canon.code q2))
 
+(* The reference definition of [Canon.code] for up to [Canon.max_exact]
+   vertices: every vertex order, in lexicographic order of the position ->
+   vertex sequence, encoded with [Printf]; the first smallest string wins. *)
+module Reference = struct
+  let encode_under q mark perm =
+    let n = Query.num_vertices q in
+    let vl = Array.make n 0 in
+    for i = 0 to n - 1 do
+      vl.(perm.(i)) <- Query.vlabel q i
+    done;
+    let edges =
+      Array.to_list q.Query.edges
+      |> List.map (fun e -> (perm.(e.Query.src), perm.(e.Query.dst), e.Query.label))
+      |> List.sort compare
+    in
+    let buf = Buffer.create 64 in
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_char buf '|';
+    Array.iter
+      (fun l ->
+        Buffer.add_string buf (string_of_int l);
+        Buffer.add_char buf ',')
+      vl;
+    (match mark with
+    | None -> Buffer.add_string buf "|-"
+    | Some m ->
+        Buffer.add_char buf '|';
+        Buffer.add_string buf (string_of_int perm.(m)));
+    List.iter
+      (fun (s, d, l) -> Buffer.add_string buf (Printf.sprintf "|%d>%d@%d" s d l))
+      edges;
+    Buffer.contents buf
+
+  let rec perms_of = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            let rest = List.filter (fun y -> y <> x) l in
+            List.map (fun p -> x :: p) (perms_of rest))
+          l
+
+  let code ?mark q =
+    let n = Query.num_vertices q in
+    let best = ref None in
+    List.iter
+      (fun p ->
+        let perm = Array.make n 0 in
+        List.iteri (fun pos orig -> perm.(orig) <- pos) p;
+        let s = encode_under q mark perm in
+        match !best with
+        | Some (bs, _) when bs <= s -> ()
+        | _ -> best := Some (s, perm))
+      (perms_of (List.init n Fun.id));
+    Option.get !best
+end
+
+(* Labels whose string order and numeric order disagree ("10" < "2"). *)
+let label_pool = [| 0; 2; 10; 11; 100 |]
+
+(* A query of [n] vertices of the given shape under a random vertex
+   numbering, labeled from [label_pool] by [labels]: 0 gives every vertex
+   one label and every edge one label (a single cell), 1 draws each label
+   independently, 2 labels vertex [i] and its out-edges by [i mod 2] — on
+   an even cycle the rotation by two then moves both cells at once, which
+   pins down how ties between cells break. *)
+let oracle_query rng ~n ~shape ~labels =
+  let base =
+    match shape with
+    | 0 when n >= 3 -> Patterns.cycle n
+    | 1 when n >= 3 -> Patterns.clique n ~cyclic:false
+    | 2 when n >= 3 -> Patterns.clique n ~cyclic:true
+    | 3 -> Query.unlabeled_edges n (List.init (n - 1) (fun i -> (0, i + 1)))
+    | _ -> Patterns.random_query rng ~num_vertices:n ~dense:(Gf_util.Rng.bool rng) ~num_vlabels:1
+  in
+  let pick () = label_pool.(Gf_util.Rng.int rng (Array.length label_pool)) in
+  let vl = Array.init 2 (fun _ -> pick ()) and el = Array.init 2 (fun _ -> pick ()) in
+  let vlabel i = match labels with 0 -> vl.(0) | 1 -> pick () | _ -> vl.(i mod 2) in
+  let elabel (e : Query.edge) =
+    match labels with 0 -> el.(0) | 1 -> pick () | _ -> el.(e.src mod 2)
+  in
+  let vlabels = Array.init n vlabel in
+  let edges = Array.map (fun e -> { e with Query.label = elabel e }) base.Query.edges in
+  let q = Query.create ~num_vertices:n ~vlabels ~edges () in
+  let perm = Array.init n Fun.id in
+  Gf_util.Rng.shuffle rng perm;
+  Query.relabel_vertices q perm
+
+(* Property: [Canon.code] is the reference's (string, perm) for every mark
+   and for none, on random, cyclic, clique and star shapes. *)
+let prop_canon_matches_reference =
+  let gen =
+    QCheck2.Gen.(quad (int_range 2 7) (int_bound 4) (int_bound 2) (int_bound 1_000_000))
+  in
+  QCheck2.Test.make ~name:"canon code = brute-force reference" ~count:120 gen
+    (fun (n, shape, labels, seed) ->
+      let q = oracle_query (Gf_util.Rng.create seed) ~n ~shape ~labels in
+      let show (code, perm) =
+        code ^ " " ^ String.concat "," (Array.to_list (Array.map string_of_int perm))
+      in
+      List.for_all
+        (fun mark ->
+          let got = Canon.code ?mark q and want = Reference.code ?mark q in
+          got = want
+          || QCheck2.Test.fail_reportf "%s, mark %s: %s <> %s" (Query.to_string q)
+               (match mark with None -> "-" | Some m -> string_of_int m)
+               (show got) (show want))
+        (None :: List.init n Option.some))
+
+(* Ties between cells, every time: even cycles labeled with period two
+   (vertex and out-edge labels by [i mod 2]) have rotations that move two
+   cells at once, so only one cross-cell order of the search keeps the
+   reference's tie-break. *)
+let test_canon_cross_cell_ties () =
+  List.iter
+    (fun n ->
+      for seed = 1 to 10 do
+        let q = oracle_query (Gf_util.Rng.create seed) ~n ~shape:0 ~labels:2 in
+        List.iter
+          (fun mark ->
+            let got = Canon.code ?mark q and want = Reference.code ?mark q in
+            Alcotest.(check (pair string (array int))) (Query.to_string q) want got)
+          (None :: List.init n Option.some)
+      done)
+    [ 4; 6 ]
+
+(* A freshly numbered 7-vertex query with 7 distinct vertex labels has one
+   candidate order: canonicalizing it must not allocate like a search over
+   all 5,040 orders (about 3.9 M minor words). *)
+let test_canon_allocation () =
+  let rng = Gf_util.Rng.create 7 in
+  let words = ref 0.0 in
+  let calls = 20 in
+  for i = 1 to calls do
+    let base = Patterns.random_query rng ~num_vertices:7 ~dense:true ~num_vlabels:1 in
+    (* Distinct labels, fresh for every call so the memo never answers. *)
+    let vlabels = Array.init 7 (fun v -> (1000 * i) + v) in
+    let q = Query.create ~num_vertices:7 ~vlabels ~edges:base.Query.edges () in
+    let perm = Array.init 7 Fun.id in
+    Gf_util.Rng.shuffle rng perm;
+    let q = Query.relabel_vertices q perm in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Canon.code q));
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  let per_call = !words /. float_of_int calls in
+  if per_call >= 20_000.0 then
+    Alcotest.failf "Canon.code allocated %.0f minor words per call (limit 20000)" per_call
+
 (* Beyond [Canon.max_exact] vertices, [code] must not raise: it degrades to
    a structural fallback key ("#"-prefixed, disjoint from true canonical
    codes) that is stable across calls and never aliases distinct shapes. *)
@@ -289,6 +438,9 @@ let suite =
         Alcotest.test_case "large-pattern fallback" `Quick test_canon_large_fallback;
         Alcotest.test_case "memo consistency" `Quick test_canon_memo_consistency;
         q prop_canon_invariant;
+        q prop_canon_matches_reference;
+        Alcotest.test_case "ties across cells" `Quick test_canon_cross_cell_ties;
+        Alcotest.test_case "allocation" `Quick test_canon_allocation;
       ] );
     ( "query.parser",
       [
