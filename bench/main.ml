@@ -650,8 +650,9 @@ let tracing () =
 let wire_obs () =
   header "Wire observability: span export/graft roundtrip and exposition render";
   (* The cross-process trace path a distributed query pays: the worker
-     serializes its span tree ([export_spans]), the coordinator grafts it
-     under a pid-tagged track ([graft]) and renders one Chrome trace.
+     prints its span tree as the JSON array of its shard reply
+     ([export_spans]), the coordinator parses it back and grafts it under a
+     pid-tagged track ([graft]) and renders one Chrome trace.
      Measured on a real traced run so span counts and name/arg shapes are
      representative, best of 9, warm caches. *)
   let g = dataset_at (Gf.Generators.Twitter, scale *. 0.5) in
@@ -666,14 +667,17 @@ let wire_obs () =
     let ts = List.init 9 (fun _ -> fst (time_once f)) in
     List.fold_left min infinity ts
   in
-  let payload = Gf.Trace.export_spans tr in
-  let t_export = best (fun () -> Gf.Trace.export_spans tr) in
+  let export () = Gf_util.Json.to_string (Gf.Trace.export_spans tr) in
+  let payload = export () in
+  let t_export = best export in
   Printf.printf "export_spans: %d spans -> %d bytes in %.6fs\n"
     (List.length (Gf.Trace.spans tr))
     (String.length payload) t_export;
   let graft_once () =
     let dst = Gf.Trace.create () in
-    Gf.Trace.graft dst ~pid:4242 ~pname:"w0 (bench)" ~skew_us:1500 payload;
+    (match Gf_util.Json.parse payload with
+    | Ok spans -> Gf.Trace.graft dst ~pid:4242 ~pname:"w0 (bench)" ~skew_us:1500 spans
+    | Error e -> failwith ("span payload does not parse: " ^ e));
     dst
   in
   let t_graft = best (fun () -> graft_once ()) in
@@ -681,7 +685,7 @@ let wire_obs () =
   let t_render = best (fun () -> Gf.Trace.to_chrome_json stitched) in
   let json = Gf.Trace.to_chrome_json stitched in
   Printf.printf
-    "graft: %.6fs; stitched Chrome JSON: %d events, %d bytes in %.6fs\n"
+    "parse + graft: %.6fs; stitched Chrome JSON: %d events, %d bytes in %.6fs\n"
     t_graft
     (List.length (Gf.Trace.chrome_events stitched))
     (String.length json) t_render;
@@ -1525,9 +1529,9 @@ let cluster () =
     done;
     let wall = Unix.gettimeofday () -. t0 in
     let hedges =
-      match Gf_cluster.Proto.json_int (Coordinator.stats_json coord) "hedges" with
-      | Some h -> h
-      | None -> 0
+      match Gf_util.Json.parse (Coordinator.stats_json coord) with
+      | Ok v -> Option.value (Gf_util.Json.int "hedges" v) ~default:0
+      | Error _ -> 0
     in
     Coordinator.stop coord;
     Array.iter stop_worker ws;

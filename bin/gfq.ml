@@ -6,6 +6,7 @@
 
 open Cmdliner
 module Gf = Graphflow
+module Json = Gf_util.Json
 
 let die msg =
   prerr_endline ("gfq: " ^ msg);
@@ -199,20 +200,12 @@ let dial_endpoint ep =
   in
   (fd, ask)
 
-(* The trace envelope is {"ok":true,"id":N,"trace":<JSON>} with the trace
-   nested raw as the last field, so it can be stripped by position:
-   everything between "trace": and the final brace. *)
-let strip_trace_envelope reply =
-  let marker = {|"trace":|} in
-  let mlen = String.length marker and len = String.length reply in
-  let rec find i =
-    if i + mlen > len then None
-    else if String.sub reply i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some start when len > start -> Some (String.sub reply start (len - start - 1))
-  | _ -> None
+(* A server reply as a JSON value; [None] for a line that is not JSON. *)
+let reply_json line = Result.to_option (Json.parse line)
+
+(* The Chrome trace inside a [trace id=N] reply, printed bare. *)
+let trace_body reply =
+  Option.map Json.to_string (Option.bind (reply_json reply) (Json.member "trace"))
 
 let write_trace_file ~id ~path body =
   let oc = open_out path in
@@ -328,11 +321,11 @@ let run_cmd =
     (match trace_out with
     | None -> ()
     | Some path -> (
-        match Gf_cluster.Proto.json_int reply "trace_id" with
+        match Option.bind (reply_json reply) (Json.int "trace_id") with
         | None -> die "reply carries no trace_id (did the server refuse the run?)"
         | Some id -> (
             let treply = ask (Printf.sprintf "trace id=%d" id) in
-            match strip_trace_envelope treply with
+            match trace_body treply with
             | Some body -> write_trace_file ~id ~path body
             | None ->
                 prerr_endline treply;
@@ -1036,11 +1029,6 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
       | None, true when n_workers > 1 -> Some 1
       | None, _ -> None)
   in
-  let has_sub hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    nn = 0 || at 0
-  in
   let bad = ref 0 in
   let completed = ref 0 and truncated = ref 0 and partial = ref 0 in
   let failed = ref 0 and refused = ref 0 in
@@ -1052,24 +1040,27 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
     Mutex.unlock tally;
     Printf.eprintf "soak: BAD (%s): %s\n%!" why line
   in
-  let exact_needle = Printf.sprintf "\"matches\":%d,\"shards\"" expected in
   let validate kind line =
-    if has_sub line "\"outcome\":\"completed\"" then
-      if kind = `Exact && not (has_sub line exact_needle) then
-        flag_bad "completed reply with silent undercount" line
-      else count completed
-    else if has_sub line "\"outcome\":\"truncated" then count truncated
-    else if has_sub line "\"outcome\":\"partial\"" then
-      if has_sub line "\"incomplete_shards\":[]" then
-        flag_bad "partial reply names no missing shard" line
-      else count partial
-    else if has_sub line "\"outcome\":\"failed\"" then count failed
-    else if kind = `Stats then
-      if has_sub line "\"type\":\"cluster_stats\"" then count completed
-      else flag_bad "stats" line
-    else if has_sub line "\"ok\":false" then
-      if kind = `Mutate then count refused else flag_bad "unexpected refusal" line
-    else flag_bad "unclassified reply" line
+    match reply_json line with
+    | None -> flag_bad "malformed reply" line
+    | Some v ->
+        let outcome = Option.value (Json.str "outcome" v) ~default:"" in
+        if outcome = "completed" then
+          if kind = `Exact && Json.int "matches" v <> Some expected then
+            flag_bad "completed reply with silent undercount" line
+          else count completed
+        else if String.starts_with ~prefix:"truncated" outcome then count truncated
+        else if outcome = "partial" then
+          if Json.list "incomplete_shards" v = [] then
+            flag_bad "partial reply names no missing shard" line
+          else count partial
+        else if outcome = "failed" then count failed
+        else if kind = `Stats then
+          if Json.str "type" v = Some "cluster_stats" then count completed
+          else flag_bad "stats" line
+        else if Json.bool "ok" v = Some false then
+          if kind = `Mutate then count refused else flag_bad "unexpected refusal" line
+        else flag_bad "unclassified reply" line
   in
   let client ci =
     let fd = connect_to csock in
@@ -1099,31 +1090,20 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
   let threads = List.init clients (fun i -> Thread.create client i) in
   List.iter Thread.join threads;
   Option.iter Thread.join killer;
-  (* Scrape coordinator stats and metrics before teardown. *)
-  let scrape_int s needle =
-    (* First occurrence of [needle] followed by digits (HELP/TYPE lines
-       mention counter names without a value — skip those). *)
-    let rec find i =
-      if i + String.length needle > String.length s then None
-      else if String.sub s i (String.length needle) = needle then begin
-        let st = i + String.length needle in
-        let j = ref st in
-        while !j < String.length s && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-        if !j = st then find (i + 1) else Some (int_of_string (String.sub s st (!j - st)))
-      end
-      else find (i + 1)
-    in
-    find 0
-  in
+  (* Read coordinator stats and metrics before teardown. *)
+  let ask_json line = Option.bind (oneshot csock line) reply_json in
   let failovers =
-    match oneshot csock "stats" with
-    | None -> 0
-    | Some s -> Option.value (scrape_int s "\"failovers\":") ~default:0
+    Option.value (Option.bind (ask_json "stats") (Json.int "failovers")) ~default:0
   in
   let failovers_metric =
-    match oneshot csock "metrics" with
-    | None -> 0
-    | Some s -> Option.value (scrape_int s "gf_cluster_failovers_total ") ~default:0
+    Option.bind (ask_json "metrics") (Json.str "metrics")
+    |> Option.value ~default:""
+    |> String.split_on_char '\n'
+    |> List.find_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "gf_cluster_failovers_total"; n ] -> int_of_string_opt n
+           | _ -> None)
+    |> Option.value ~default:0
   in
   Printf.printf "soak: gf_cluster_failovers_total=%d\n%!" failovers_metric;
   stop_sup := true;
@@ -1321,20 +1301,15 @@ let soak_cmd =
     in
     let bad = ref 0 and ok_n = ref 0 and rejected_n = ref 0 and err_n = ref 0 in
     let tally = Mutex.create () in
-    let has_sub hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-      nn = 0 || at 0
-    in
     let validate line =
       Mutex.lock tally;
-      (if has_sub line "\"ok\":true" then incr ok_n
-       else if has_sub line "\"error\":\"rejected\"" then incr rejected_n
-       else if has_sub line "\"ok\":false" then incr err_n
-       else begin
-         incr bad;
-         Printf.eprintf "soak: malformed response: %s\n%!" line
-       end);
+      (match reply_json line with
+      | Some v when Json.bool "ok" v = Some true -> incr ok_n
+      | Some v when Json.str "error" v = Some "rejected" -> incr rejected_n
+      | Some v when Json.bool "ok" v = Some false -> incr err_n
+      | _ ->
+          incr bad;
+          Printf.eprintf "soak: malformed response: %s\n%!" line);
       Mutex.unlock tally
     in
     let client i =
@@ -1370,7 +1345,7 @@ let soak_cmd =
       output_string oc "shutdown\n";
       flush oc;
       (match input_line ic with
-      | line -> if not (has_sub line "\"ok\":true") then incr bad
+      | line -> if Option.bind (reply_json line) (Json.bool "ok") <> Some true then incr bad
       | exception End_of_file -> incr bad);
       try Unix.close fd with Unix.Unix_error _ -> ()
     end;
@@ -1425,7 +1400,7 @@ let slowlog_cmd =
     | true, _ -> print_endline (ask "stats")
     | false, Some id -> (
         let reply = ask (Printf.sprintf "trace id=%d" id) in
-        match strip_trace_envelope reply with
+        match trace_body reply with
         | Some body -> (
             match out with
             | Some path -> write_trace_file ~id ~path body
@@ -1457,144 +1432,57 @@ let top_cmd =
             "Render N frames then exit (0 = refresh until interrupted; 1 prints a single \
              frame without clearing the screen).")
   in
-  (* The stats reply is one flat JSON line built by Printf — scan it rather
-     than depend on a JSON parser the toolchain doesn't ship. *)
-  let scrape_num s key =
-    let needle = Printf.sprintf "\"%s\":" key in
-    let nlen = String.length needle and len = String.length s in
-    let rec find i =
-      if i + nlen > len then None
-      else if String.sub s i nlen = needle then begin
-        let j = ref (i + nlen) in
-        let num c = (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E' in
-        while !j < len && num s.[!j] do incr j done;
-        if !j = i + nlen then None
-        else float_of_string_opt (String.sub s (i + nlen) (!j - i - nlen))
-      end
-      else find (i + 1)
-    in
-    find 0
-  in
-  let inum s key = Option.map int_of_float (scrape_num s key) in
-  (* Raw body of "key":[ ... ] with bracket matching (string-aware: embedded
-     worker stats and error messages are JSON strings that may contain
-     brackets). *)
-  let raw_array s key =
-    let needle = Printf.sprintf "\"%s\":[" key in
-    let nlen = String.length needle and len = String.length s in
-    let rec find i =
-      if i + nlen > len then None
-      else if String.sub s i nlen = needle then Some (i + nlen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-        let depth = ref 1 and i = ref start and in_str = ref false in
-        while !i < len && !depth > 0 do
-          (if !in_str then
-             match s.[!i] with
-             | '\\' -> incr i
-             | '"' -> in_str := false
-             | _ -> ()
-           else
-             match s.[!i] with
-             | '"' -> in_str := true
-             | '[' | '{' -> incr depth
-             | ']' | '}' -> decr depth
-             | _ -> ());
-          incr i
-        done;
-        if !depth = 0 then Some (String.sub s start (!i - 1 - start)) else None
-  in
-  (* Split an array body into its depth-0 {...} elements. *)
-  let objects body =
-    let len = String.length body in
-    let out = ref [] and depth = ref 0 and start = ref (-1) in
-    let in_str = ref false and esc = ref false in
-    for i = 0 to len - 1 do
-      if !esc then esc := false
-      else if !in_str then (
-        match body.[i] with '\\' -> esc := true | '"' -> in_str := false | _ -> ())
-      else
-        match body.[i] with
-        | '"' -> in_str := true
-        | '{' ->
-            if !depth = 0 then start := i;
-            incr depth
-        | '}' ->
-            decr depth;
-            if !depth = 0 && !start >= 0 then out := String.sub body !start (i - !start + 1) :: !out
-        | _ -> ()
-    done;
-    List.rev !out
-  in
   let fmt_ms v = match v with Some f -> Printf.sprintf "%.1f" f | None -> "-" in
   let render addr frame reply =
     let b = Buffer.create 1024 in
-    let node = Option.value (Gf_cluster.Proto.json_str reply "node") ~default:"?" in
+    let v = Option.value (reply_json reply) ~default:Json.Null in
+    let inum o k = Option.value (Json.int k o) ~default:0 in
+    let ms o k = fmt_ms (Json.float k o) in
     let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-    if Gf_cluster.Proto.json_str reply "type" = Some "cluster_stats" then begin
-      line "gfq top — %s — coordinator %s (frame %d)" addr node frame;
-      line "requests %d   failovers %d   hedges %d (wins %d)   shards %d"
-        (Option.value (inum reply "requests") ~default:0)
-        (Option.value (inum reply "failovers") ~default:0)
-        (Option.value (inum reply "hedges") ~default:0)
-        (Option.value (inum reply "hedge_wins") ~default:0)
-        (Option.value (inum reply "shards") ~default:0);
-      line "request latency  p50 %sms  p95 %sms  p99 %sms"
-        (fmt_ms (scrape_num reply "p50_ms"))
-        (fmt_ms (scrape_num reply "p95_ms"))
-        (fmt_ms (scrape_num reply "p99_ms"));
-      (match raw_array reply "shard_latency" with
-      | None | Some "" -> ()
-      | Some body ->
+    if Json.str "type" v = Some "cluster_stats" then begin
+      line "gfq top — %s — coordinator %s (frame %d)" addr
+        (Option.value (Json.str "node" v) ~default:"?")
+        frame;
+      line "requests %d   failovers %d   hedges %d (wins %d)   shards %d" (inum v "requests")
+        (inum v "failovers") (inum v "hedges") (inum v "hedge_wins") (inum v "shards");
+      line "request latency  p50 %sms  p95 %sms  p99 %sms" (ms v "p50_ms") (ms v "p95_ms")
+        (ms v "p99_ms");
+      (match Json.list "shard_latency" v with
+      | [] -> ()
+      | shards ->
           line "";
           line "%5s %8s %8s %8s %8s" "shard" "count" "p50ms" "p95ms" "p99ms";
           List.iter
             (fun o ->
-              line "%5d %8d %8s %8s %8s"
-                (Option.value (inum o "shard") ~default:0)
-                (Option.value (inum o "count") ~default:0)
-                (fmt_ms (scrape_num o "p50_ms"))
-                (fmt_ms (scrape_num o "p95_ms"))
-                (fmt_ms (scrape_num o "p99_ms")))
-            (objects body));
-      match raw_array reply "fleet" with
-      | None | Some "" -> ()
-      | Some body ->
+              line "%5d %8d %8s %8s %8s" (inum o "shard") (inum o "count") (ms o "p50_ms")
+                (ms o "p95_ms") (ms o "p99_ms"))
+            shards);
+      match Json.list "fleet" v with
+      | [] -> ()
+      | fleet ->
           line "";
           line "fleet:";
           List.iter
             (fun o ->
-              let ep = Option.value (Gf_cluster.Proto.json_str o "endpoint") ~default:"?" in
-              match Gf_cluster.Proto.json_str o "error" with
-              | Some e -> line "  %-32s DOWN  %s" ep e
-              | None ->
-                  line "  %-32s up    done=%d fail=%d q=%d p99=%sms wal=v%d/%d cache=%d"
-                    ep
-                    (Option.value (inum o "completed") ~default:0)
-                    (Option.value (inum o "failed") ~default:0)
-                    (Option.value (inum o "queue_depth") ~default:0)
-                    (fmt_ms (scrape_num o "p99_ms"))
-                    (Option.value (inum o "wal_version") ~default:0)
-                    (Option.value (inum o "wal_pending") ~default:0)
-                    (Option.value (inum o "plan_cache_entries") ~default:0))
-            (objects body)
+              let ep = Option.value (Json.str "endpoint" o) ~default:"?" in
+              match (Json.str "error" o, Json.member "stats" o) with
+              | Some e, _ -> line "  %-32s DOWN  %s" ep e
+              | None, st ->
+                  let st = Option.value st ~default:Json.Null in
+                  line "  %-32s up    done=%d fail=%d q=%d p99=%sms wal=v%d/%d cache=%d" ep
+                    (inum st "completed") (inum st "failed") (inum st "queue_depth")
+                    (ms st "p99_ms") (inum st "wal_version") (inum st "wal_pending")
+                    (inum st "plan_cache_entries"))
+            fleet
     end
     else begin
       (* A plain server: show its own health line. *)
       line "gfq top — %s (frame %d)" addr frame;
-      line "completed %d   failed %d   retries %d   queue %d   breaker %s"
-        (Option.value (inum reply "completed") ~default:0)
-        (Option.value (inum reply "failed") ~default:0)
-        (Option.value (inum reply "retries") ~default:0)
-        (Option.value (inum reply "queue_depth") ~default:0)
-        (Option.value (Gf_cluster.Proto.json_str reply "breaker") ~default:"?");
-      line "latency  p50 %sms  p95 %sms  p99 %sms"
-        (fmt_ms (scrape_num reply "p50_ms"))
-        (fmt_ms (scrape_num reply "p95_ms"))
-        (fmt_ms (scrape_num reply "p99_ms"))
+      line "completed %d   failed %d   retries %d   queue %d   breaker %s" (inum v "completed")
+        (inum v "failed") (inum v "retries") (inum v "queue_depth")
+        (Option.value (Json.str "breaker" v) ~default:"?");
+      line "latency  p50 %sms  p95 %sms  p99 %sms" (ms v "p50_ms") (ms v "p95_ms")
+        (ms v "p99_ms")
     end;
     Buffer.contents b
   in

@@ -5,6 +5,7 @@ module Service = Gf_server.Service
 module Wire = Gf_server.Wire
 module Trace = Gf.Trace
 module Governor = Gf.Governor
+module Json = Gf_util.Json
 
 type config = {
   node : string;
@@ -53,7 +54,7 @@ type t = {
   mutable failovers : int;
   mutable hedges : int;
   mutable hedge_wins : int;
-  mutable fleet : (string * (string, string) result) list;
+  mutable fleet : (string * (Json.t, string) result) list;
       (** last pulled worker [stats] reply (or error) per endpoint *)
   mutable fleet_thread : Thread.t option;
   mutable stopped : bool;
@@ -79,7 +80,8 @@ let fleet_pull t =
          | Ok c ->
              let r = Remote.request c ~timeout_s:t.cfg.probe_timeout_s "stats" in
              Remote.close c;
-             (key, r))
+             let parse s = Result.map_error (( ^ ) "malformed stats: ") (Json.parse s) in
+             (key, Result.bind r parse))
 
 let fleet_refresh t =
   let entries = fleet_pull t in
@@ -195,7 +197,7 @@ let attempt t ep line =
       match Remote.request c ~timeout_s:t.cfg.rpc_timeout_s line with
       | Ok reply ->
           Remote.checkin t.pool ep c;
-          Ok reply
+          Result.map_error (( ^ ) "malformed shard reply: ") (Json.parse reply)
       | Error _ as e ->
           (* A timed-out or reset connection may still have the reply in
              flight: never reuse it — the next request would read a stale
@@ -207,9 +209,9 @@ let attempt t ep line =
    [`Retryable] ones (worker-side failure, rejection, split-brain
    [not_owner]) re-route to the next endpoint. *)
 let classify reply =
-  match Proto.json_bool reply "ok" with
+  match Json.bool "ok" reply with
   | Some true -> (
-      match Proto.json_str reply "outcome" with
+      match Json.str "outcome" reply with
       | Some o
         when String.length o >= 9 && String.sub o 0 9 = "completed" ->
           `Good ("completed", reply)
@@ -219,7 +221,7 @@ let classify reply =
       | Some o -> `Retryable ("worker outcome: " ^ o)
       | None -> `Retryable "malformed shard reply (no outcome)")
   | Some false ->
-      let e = Option.value (Proto.json_str reply "error") ~default:"error" in
+      let e = Option.value (Json.str "error" reply) ~default:"error" in
       `Retryable ("worker refused: " ^ e)
   | None -> `Retryable "malformed shard reply"
 
@@ -376,8 +378,13 @@ let run_shard t ~line ~tbuf ?(on_reply = fun _ _ -> ()) idx =
           sr_shard = idx;
           sr_ok = true;
           sr_outcome = kind;
-          sr_matches = Option.value (Proto.json_int reply "matches") ~default:0;
-          sr_rows = Proto.json_rows reply;
+          sr_matches = Option.value (Json.int "matches" reply) ~default:0;
+          sr_rows =
+            List.map
+              (function
+                | Json.Arr r -> Array.of_list (List.map (function Json.Int v -> v | _ -> -1) r)
+                | _ -> [||])
+              (Json.list "rows" reply);
           sr_endpoint = Topology.endpoint_to_string ep;
           sr_attempts = attempts;
           sr_failover = ep <> primary;
@@ -531,7 +538,7 @@ let run t ~text (req : Service.request) =
   let grafts_m = Mutex.create () in
   let grafts = ref [] in
   let on_reply ep reply =
-    if trace <> None && Proto.json_int reply "pid" <> None then begin
+    if trace <> None && Json.int "pid" reply <> None then begin
       Mutex.lock grafts_m;
       grafts := (Topology.endpoint_to_string ep, reply) :: !grafts;
       Mutex.unlock grafts_m
@@ -626,9 +633,9 @@ let run t ~text (req : Service.request) =
       Mutex.unlock grafts_m;
       List.iter
         (fun (ep_str, reply) ->
-          match (Proto.json_int reply "pid", Proto.json_str reply "spans") with
+          match (Json.int "pid" reply, Json.member "spans" reply) with
           | Some pid, Some spans ->
-              let node = Option.value (Proto.json_str reply "node") ~default:"worker" in
+              let node = Option.value (Json.str "node" reply) ~default:"worker" in
               Trace.graft tr ~pid
                 ~pname:(Printf.sprintf "%s (%s)" node ep_str)
                 ~skew_us:(skew_of t ep_str) spans
@@ -672,12 +679,6 @@ let to_reply r =
 (* Stats + server hook                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A histogram quantile in milliseconds, JSON-safe: an empty histogram
-   reports 0 rather than NaN (which would corrupt the JSON line). *)
-let q_ms h p =
-  let v = Metrics.quantile h p *. 1e3 in
-  if Float.is_nan v then 0.0 else v
-
 let stats_json t =
   Mutex.lock t.m;
   let requests = t.requests
@@ -698,51 +699,41 @@ let stats_json t =
     end
     else fleet
   in
-  let breakers =
-    Array.to_list t.breakers
-    |> List.map (fun b -> "\"" ^ Breaker.state_to_string (Breaker.state b) ^ "\"")
-    |> String.concat ","
+  (* An empty histogram's quantile is NaN, which prints as null; report 0. *)
+  let q_ms h p =
+    let v = Metrics.quantile h p *. 1e3 in
+    Json.decimals 3 (if Float.is_nan v then 0.0 else v)
   in
-  let health =
-    Health.snapshot t.health
-    |> List.map (fun (ep, st) ->
-           Printf.sprintf "{\"endpoint\":\"%s\",\"status\":\"%s\"}"
-             (Gf.Explain.json_escape ep)
-             (Health.status_to_string st))
-    |> String.concat ","
+  let shard_latency i =
+    let h = Metrics.histogram ~labels:[ ("shard", string_of_int i) ] "gf_cluster_shard_seconds" in
+    Json.Obj
+      [ ("shard", Int i); ("count", Int (Metrics.histogram_count h)); ("p50_ms", q_ms h 0.50);
+        ("p95_ms", q_ms h 0.95); ("p99_ms", q_ms h 0.99) ]
+  in
+  let fleet_entry (ep, r) =
+    Json.Obj
+      [ ("endpoint", Str ep);
+        (match r with Ok stats -> ("stats", stats) | Error e -> ("error", Str e)) ]
   in
   let req_h = Metrics.histogram "gf_cluster_request_seconds" in
-  let shard_latency =
-    List.init (Topology.num_shards t.topo) (fun i ->
-        let h =
-          Metrics.histogram ~labels:[ ("shard", string_of_int i) ] "gf_cluster_shard_seconds"
-        in
-        Printf.sprintf
-          "{\"shard\":%d,\"count\":%d,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f}" i
-          (Metrics.histogram_count h) (q_ms h 0.50) (q_ms h 0.95) (q_ms h 0.99))
-    |> String.concat ","
-  in
-  let fleet_json =
-    fleet
-    |> List.map (fun (ep, r) ->
-           match r with
-           | Ok stats when String.length stats > 0 && stats.[0] = '{' ->
-               Printf.sprintf "{\"endpoint\":\"%s\",\"stats\":%s}"
-                 (Gf.Explain.json_escape ep) stats
-           | Ok garbage ->
-               Printf.sprintf "{\"endpoint\":\"%s\",\"error\":\"%s\"}"
-                 (Gf.Explain.json_escape ep)
-                 (Gf.Explain.json_escape ("malformed stats: " ^ garbage))
-           | Error e ->
-               Printf.sprintf "{\"endpoint\":\"%s\",\"error\":\"%s\"}"
-                 (Gf.Explain.json_escape ep) (Gf.Explain.json_escape e))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"ok\":true,\"type\":\"cluster_stats\",\"node\":\"%s\",\"shards\":%d,\"requests\":%d,\"failovers\":%d,\"hedges\":%d,\"hedge_wins\":%d,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"breakers\":[%s],\"health\":[%s],\"shard_latency\":[%s],\"fleet\":[%s]}"
-    (Gf.Explain.json_escape t.cfg.node)
-    (Topology.num_shards t.topo) requests failovers hedges hedge_wins (q_ms req_h 0.50)
-    (q_ms req_h 0.95) (q_ms req_h 0.99) breakers health shard_latency fleet_json
+  Json.to_string
+    (Obj
+       [ ("ok", Bool true); ("type", Str "cluster_stats"); ("node", Str t.cfg.node);
+         ("shards", Int (Topology.num_shards t.topo)); ("requests", Int requests);
+         ("failovers", Int failovers); ("hedges", Int hedges); ("hedge_wins", Int hedge_wins);
+         ("p50_ms", q_ms req_h 0.50); ("p95_ms", q_ms req_h 0.95); ("p99_ms", q_ms req_h 0.99);
+         ( "breakers",
+           Arr
+             (Array.to_list t.breakers
+             |> List.map (fun b -> Json.Str (Breaker.state_to_string (Breaker.state b)))) );
+         ( "health",
+           Arr
+             (Health.snapshot t.health
+             |> List.map (fun (ep, st) ->
+                    Json.Obj
+                      [ ("endpoint", Str ep); ("status", Str (Health.status_to_string st)) ])) );
+         ("shard_latency", Arr (List.init (Topology.num_shards t.topo) shard_latency));
+         ("fleet", Arr (List.map fleet_entry fleet)) ])
 
 let hook t line : [ `Reply of string | `Close | `Pass ] =
   let trimmed = String.trim line in

@@ -31,7 +31,7 @@
 
     A traced request propagates its trace context to the workers
     ([trace_id=N parent=shard-i] on the shard line); each worker ships its
-    serialized span tree back in the reply and the coordinator grafts the
+    span tree back in the reply as a JSON array and the coordinator grafts the
     trees into one trace — per-process Chrome tracks, timestamps realigned
     with the handshake-measured clock skew — before the flight recorder
     snapshots it, so a slow distributed query pins the full cross-process
@@ -104,8 +104,9 @@ val stats_json : t -> string
 (** The merged [cluster_stats] line: coordinator counters, request-level
     and per-shard latency quantiles ([gf_cluster_request_seconds] /
     [gf_cluster_shard_seconds{shard="i"}]), breaker and health state, and
-    a [fleet] array embedding each worker's own [stats] reply (or a
-    structured error for unreachable workers). *)
+    a [fleet] array embedding each worker's own [stats] reply as a nested
+    object (or an [error] naming an unreachable worker or a reply that
+    does not parse). *)
 
 val recorder : t -> Graphflow.Recorder.t
 (** The coordinator-side flight recorder (stitched traces live here). *)

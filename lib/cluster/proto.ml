@@ -2,8 +2,9 @@ module Gf = Graphflow
 module Wire = Gf_server.Wire
 module Service = Gf_server.Service
 module Ladder = Gf_server.Ladder
+module Json = Gf_util.Json
 
-let version = 1
+let version = 2
 
 exception Bad of string
 
@@ -46,18 +47,18 @@ let parse_hello line =
    brackets the exchange with its own clock reads and derives the
    peer-minus-local skew used to line up cross-process trace timestamps. *)
 let hello_resp ~node ~n ~m ~graph_version ~clock_us =
-  Printf.sprintf
-    "{\"ok\":true,\"type\":\"hello\",\"proto\":%d,\"node\":\"%s\",\"n\":%d,\"m\":%d,\"graph_version\":%d,\"clock_us\":%d}"
-    version
-    (Gf.Explain.json_escape node)
-    n m graph_version clock_us
+  Json.to_string
+    (Obj
+       [ ("ok", Bool true); ("type", Str "hello"); ("proto", Int version); ("node", Str node);
+         ("n", Int n); ("m", Int m); ("graph_version", Int graph_version);
+         ("clock_us", Int clock_us) ])
 
 let version_mismatch ~node ~theirs =
-  Printf.sprintf
-    "{\"ok\":false,\"error\":\"version_mismatch\",\"proto\":%d,\"theirs\":%d,\"node\":\"%s\",\"detail\":\"refusing mixed-version pair: speak proto %d\"}"
-    version theirs
-    (Gf.Explain.json_escape node)
-    version
+  Json.to_string
+    (Obj
+       [ ("ok", Bool false); ("error", Str "version_mismatch"); ("proto", Int version);
+         ("theirs", Int theirs); ("node", Str node);
+         ("detail", Str (Printf.sprintf "refusing mixed-version pair: speak proto %d" version)) ])
 
 (* ------------------------------------------------------------------ *)
 (* shard: a range-restricted run                                       *)
@@ -93,109 +94,50 @@ let parse_part v =
       | _ -> Error (Printf.sprintf "bad part %S (want i/k with 0 <= i < k)" v))
   | None -> Error (Printf.sprintf "bad part %S (want i/k)" v)
 
-(* Same option grammar as [run] (q= last, consuming the rest of the line)
-   plus the mandatory part=i/k. *)
+(* The [run] option grammar (q= last, consuming the rest of the line)
+   plus the mandatory part=i/k and the trace context. *)
 let parse_shard line =
   let prefix = "shard " in
-  let plen = String.length prefix in
-  if String.length line <= plen || String.sub line 0 plen <> prefix then Error "not a shard request"
+  if not (String.starts_with ~prefix line) || String.length line = String.length prefix then
+    Error "not a shard request"
   else begin
-    let rest = String.sub line plen (String.length line - plen) in
-    let len = String.length rest in
     let part = ref None
     and timeout = ref None
     and max_rows = ref None
-    and trace = ref false
+    and trace_id = ref None
+    and parent = ref "shard"
     and collect = ref false in
-    let int_v k v =
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> n
-      | _ -> raise (Bad (Printf.sprintf "option %s needs a non-negative integer, got %S" k v))
+    let opt k v =
+      match (k, v) with
+      | "part", Some v -> (
+          match parse_part v with Ok p -> part := Some p | Error e -> raise (Wire.Bad e))
+      | "timeout_ms", Some v -> timeout := Some (Wire.non_negative k v)
+      | "max_rows", Some v -> max_rows := Some (Wire.non_negative k v)
+      | "trace_id", Some v -> trace_id := Some (Wire.non_negative k v)
+      | "parent", Some v -> parent := v
+      | "rows", None -> collect := true
+      | _ -> Wire.bad_option k v
     in
-    try
-      let rec go i =
-        if i >= len then raise (Bad "missing q=<query>")
-        else if rest.[i] = ' ' then go (i + 1)
-        else if i + 2 <= len && String.sub rest i 2 = "q=" then
-          String.sub rest (i + 2) (len - i - 2)
-        else begin
-          let j = match String.index_from_opt rest i ' ' with Some j -> j | None -> len in
-          let tok = String.sub rest i (j - i) in
-          (match String.index_opt tok '=' with
-          | None -> (
-              match tok with
-              | "rows" -> collect := true
-              | _ -> raise (Bad (Printf.sprintf "bad option %S (expected key=value)" tok)))
-          | Some eq -> (
-              let k = String.sub tok 0 eq in
-              let v = String.sub tok (eq + 1) (String.length tok - eq - 1) in
-              match k with
-              | "part" -> (
-                  match parse_part v with
-                  | Ok p -> part := Some p
-                  | Error e -> raise (Bad e))
-              | "timeout_ms" -> timeout := Some (int_v k v)
-              | "max_rows" -> max_rows := Some (int_v k v)
-              | "trace_id" ->
-                  ignore (int_v k v);
-                  trace := true
-              | "parent" -> () (* correlation only; echoed via [shard_trace_ctx] *)
-              | _ -> raise (Bad (Printf.sprintf "unknown option %S" k))));
-          go j
-        end
-      in
-      let qtext = go 0 in
-      match !part with
-      | None -> Error "shard needs part=i/k"
-      | Some part -> (
-          match Wire.parse_query qtext with
-          | Error e -> Error e
-          | Ok query ->
-              Ok
-                {
-                  (Service.request query) with
-                  Service.text = qtext;
-                  timeout_ms = !timeout;
-                  max_rows = !max_rows;
-                  part = Some part;
-                  collect_rows = !collect;
-                  trace = !trace;
-                })
-    with Bad m -> Error m
+    let ( let* ) = Result.bind in
+    let body = String.sub line (String.length prefix) (String.length line - String.length prefix) in
+    let* qtext = Wire.parse_options body opt in
+    let* part = Option.to_result ~none:"shard needs part=i/k" !part in
+    let* query = Wire.parse_query qtext in
+    Ok
+      ( {
+          (Service.request query) with
+          Service.text = qtext;
+          timeout_ms = !timeout;
+          max_rows = !max_rows;
+          part = Some part;
+          collect_rows = !collect;
+          trace = !trace_id <> None;
+        },
+        Option.map (fun id -> (id, !parent)) !trace_id )
   end
 
-(* The trace context of a shard request line, for echoing in the reply:
-   (trace_id, parent span name). Tolerates any token order; [None] when
-   the request carries no trace context. *)
-let shard_trace_ctx line =
-  (* Only the option region before " q=" — query text is free-form. *)
-  let line =
-    let len = String.length line in
-    let rec find i =
-      if i + 3 > len then line
-      else if String.sub line i 3 = " q=" then String.sub line 0 i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let toks = String.split_on_char ' ' line in
-  let id = ref None and parent = ref "shard" in
-  List.iter
-    (fun tok ->
-      let pref p = String.length tok > String.length p && String.sub tok 0 (String.length p) = p in
-      let v p = String.sub tok (String.length p) (String.length tok - String.length p) in
-      if pref "trace_id=" then id := int_of_string_opt (v "trace_id=")
-      else if pref "parent=" then parent := v "parent=")
-    toks;
-  Option.map (fun id -> (id, !parent)) !id
-
-let rows_json rows =
-  let row r = "[" ^ String.concat "," (Array.to_list (Array.map string_of_int r)) ^ "]" in
-  "[" ^ String.concat "," (List.map row rows) ^ "]"
-
 (* Worker-side observability payload attached to a traced shard reply:
-   the span tree ([Trace.export_spans], already wire-safe — no quote,
-   backslash or newline can appear), the producer's OS pid for the
+   the span array ([Trace.export_spans]), the producer's OS pid for the
    Chrome process track, and its clock at reply time as a skew
    cross-check. *)
 type obs = {
@@ -203,133 +145,32 @@ type obs = {
   o_parent : string;
   o_pid : int;
   o_clock_us : int;
-  o_spans : string;
+  o_spans : Json.t;
 }
 
 let shard_resp ~node ~part:(i, k) ?obs (reply : Service.reply) =
   let r = reply.Service.result in
-  let base =
-    Printf.sprintf
-      "{\"ok\":true,\"type\":\"shard\",\"part\":\"%d/%d\",\"node\":\"%s\",\"outcome\":\"%s\",\"matches\":%d,\"attempts\":%d,\"rung\":\"%s\",\"exec_s\":%.6f,\"graph_version\":%d"
-      i k
-      (Gf.Explain.json_escape node)
-      (Gf.Explain.json_escape (Gf.Governor.outcome_to_string r.Ladder.outcome))
-      r.Ladder.counters.Gf.Counters.output r.Ladder.attempts
-      (Gf.Explain.json_escape r.Ladder.rung)
-      reply.Service.exec_s reply.Service.graph_version
-  in
-  let base =
-    match obs with
-    | None -> base
-    | Some o ->
-        base
-        ^ Printf.sprintf
-            ",\"trace_id\":%d,\"parent_span\":\"%s\",\"pid\":%d,\"clock_us\":%d,\"spans\":\"%s\""
-            o.o_trace_id
-            (Gf.Explain.json_escape o.o_parent)
-            o.o_pid o.o_clock_us o.o_spans
-  in
-  if reply.Service.rows = [] then base ^ "}"
-  else base ^ ",\"rows\":" ^ rows_json reply.Service.rows ^ "}"
+  Json.to_string
+    (Obj
+       ([ ("ok", Json.Bool true); ("type", Str "shard"); ("part", Str (Printf.sprintf "%d/%d" i k));
+          ("node", Str node); ("outcome", Str (Gf.Governor.outcome_to_string r.Ladder.outcome));
+          ("matches", Int r.Ladder.counters.Gf.Counters.output);
+          ("attempts", Int r.Ladder.attempts);
+          ("rung", Str r.Ladder.rung); ("exec_s", Json.decimals 6 reply.Service.exec_s);
+          ("graph_version", Int reply.Service.graph_version) ]
+       @ (match obs with
+         | None -> []
+         | Some o ->
+             [ ("trace_id", Json.Int o.o_trace_id); ("parent_span", Str o.o_parent);
+               ("pid", Int o.o_pid); ("clock_us", Int o.o_clock_us); ("spans", o.o_spans) ])
+       @ if reply.Service.rows = [] then [] else [ ("rows", Wire.rows_json reply.Service.rows) ]))
 
 let not_owner ~node ~part:(i, k) =
-  Printf.sprintf
-    "{\"ok\":false,\"error\":\"not_owner\",\"node\":\"%s\",\"part\":\"%d/%d\",\"detail\":\"split-brain refusal: this node does not own the shard\"}"
-    (Gf.Explain.json_escape node)
-    i k
-
-(* ------------------------------------------------------------------ *)
-(* Reply scraping: responses are single-line JSON we built ourselves   *)
-(* (or a peer built with the same code), so targeted field extraction  *)
-(* is enough — no JSON dependency.                                     *)
-(* ------------------------------------------------------------------ *)
-
-let find_field s key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and slen = String.length s in
-  let rec go i =
-    if i + plen > slen then None
-    else if String.sub s i plen = pat then Some (i + plen)
-    else go (i + 1)
-  in
-  go 0
-
-let json_int s key =
-  match find_field s key with
-  | None -> None
-  | Some i ->
-      let j = ref i in
-      if !j < String.length s && s.[!j] = '-' then incr j;
-      let start = !j in
-      while !j < String.length s && s.[!j] >= '0' && s.[!j] <= '9' do
-        incr j
-      done;
-      if !j = start then None
-      else int_of_string_opt (String.sub s i (!j - i))
-
-let json_str s key =
-  match find_field s key with
-  | None -> None
-  | Some i ->
-      if i >= String.length s || s.[i] <> '"' then None
-      else begin
-        let b = Buffer.create 16 in
-        let rec go j =
-          if j >= String.length s then None
-          else
-            match s.[j] with
-            | '"' -> Some (Buffer.contents b)
-            | '\\' when j + 1 < String.length s ->
-                Buffer.add_char b s.[j + 1];
-                go (j + 2)
-            | c ->
-                Buffer.add_char b c;
-                go (j + 1)
-        in
-        go (i + 1)
-      end
-
-let json_bool s key =
-  match find_field s key with
-  | None -> None
-  | Some i ->
-      if i + 4 <= String.length s && String.sub s i 4 = "true" then Some true
-      else if i + 5 <= String.length s && String.sub s i 5 = "false" then Some false
-      else None
-
-(* "rows":[[1,2],[3,4]] — ints only, emitted by [rows_json]. *)
-let json_rows s =
-  match find_field s "rows" with
-  | None -> []
-  | Some i ->
-      if i >= String.length s || s.[i] <> '[' then []
-      else begin
-        let rows = ref [] and cur = ref [] and num = Buffer.create 8 in
-        let flush_num () =
-          if Buffer.length num > 0 then begin
-            (match int_of_string_opt (Buffer.contents num) with
-            | Some v -> cur := v :: !cur
-            | None -> ());
-            Buffer.clear num
-          end
-        in
-        (try
-           for j = i + 1 to String.length s - 1 do
-             match s.[j] with
-             | '[' -> cur := []
-             | ']' ->
-                 flush_num ();
-                 if !cur <> [] then rows := Array.of_list (List.rev !cur) :: !rows;
-                 cur := [];
-                 (* second ']' in a row closes the outer array *)
-                 if j + 1 >= String.length s || s.[j + 1] <> ',' then raise Exit
-             | ',' -> flush_num ()
-             | ('0' .. '9' | '-') as c -> Buffer.add_char num c
-             | _ -> raise Exit
-           done
-         with Exit -> ());
-        List.rev !rows
-      end
+  Json.to_string
+    (Obj
+       [ ("ok", Bool false); ("error", Str "not_owner"); ("node", Str node);
+         ("part", Str (Printf.sprintf "%d/%d" i k));
+         ("detail", Str "split-brain refusal: this node does not own the shard") ])
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator client reply                                            *)
@@ -337,18 +178,16 @@ let json_rows s =
 
 let run_resp ~id ~outcome ~matches ~shards ~incomplete ~failovers ~hedges ~retries ~exec_s
     ?trace_id ~rows () =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"ok\":true,\"id\":%d,\"outcome\":\"%s\",\"matches\":%d,\"shards\":%d,\"incomplete_shards\":[%s],\"failovers\":%d,\"hedges\":%d,\"retries\":%d,\"exec_s\":%.6f"
-       id outcome matches shards
-       (String.concat "," (List.map string_of_int incomplete))
-       failovers hedges retries exec_s);
-  (* [trace_id] is the coordinator's flight-recorder handle for the
-     stitched trace: clients fetch it with [trace id=N]. *)
-  (match trace_id with
-  | Some tid -> Buffer.add_string b (Printf.sprintf ",\"traced\":true,\"trace_id\":%d" tid)
-  | None -> ());
-  if rows <> [] then Buffer.add_string b (",\"rows\":" ^ rows_json rows);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.to_string
+    (Obj
+       ([ ("ok", Json.Bool true); ("id", Int id); ("outcome", Str outcome);
+          ("matches", Int matches); ("shards", Int shards);
+          ("incomplete_shards", Arr (List.map (fun i -> Json.Int i) incomplete));
+          ("failovers", Int failovers); ("hedges", Int hedges); ("retries", Int retries);
+          ("exec_s", Json.decimals 6 exec_s) ]
+       (* [trace_id] is the coordinator's flight-recorder handle for the
+          stitched trace: clients fetch it with [trace id=N]. *)
+       @ (match trace_id with
+         | Some tid -> [ ("traced", Json.Bool true); ("trace_id", Int tid) ]
+         | None -> [])
+       @ if rows <> [] then [ ("rows", Wire.rows_json rows) ] else []))

@@ -4,7 +4,7 @@
     (both are intercepted by server hooks before normal dispatch):
 
     {v
-    hello proto=1 node=<id> role=<coordinator|worker|probe>
+    hello proto=2 node=<id> role=<coordinator|worker|probe>
     shard part=<i>/<k> [timeout_ms=N] [max_rows=N] [trace_id=N parent=<span>] [rows] q=<query>
     v}
 
@@ -20,9 +20,10 @@
     union into exactly the full result. [q=] must come last — it consumes
     the rest of the line, the same rule as [run].
 
-    Replies are single JSON lines; the scraping helpers below read fields
-    back out of replies this module itself built (or a peer built with
-    the same code), keeping the transport dependency-free. *)
+    Replies are single JSON lines built and read with {!Gf_util.Json}.
+    A traced shard reply carries the worker's span tree as a JSON array
+    ([spans]); version 1 shipped it in a different encoding, so a mixed
+    v1/v2 pair refuses at [hello] instead of losing spans. *)
 
 (** Protocol version spoken by this build. *)
 val version : int
@@ -55,34 +56,27 @@ val shard_req :
 
 val parse_part : string -> (int * int, string) result
 
-val parse_shard : string -> (Gf_server.Service.request, string) result
+val parse_shard : string -> (Gf_server.Service.request * (int * string) option, string) result
 (** The parsed request carries [part = Some (i, k)], the query text, and
-    [trace = true] when the line carried a [trace_id=]. *)
-
-(** The [(trace_id, parent)] context of a shard request line, for echoing
-    in the reply; [None] when the request is untraced. *)
-val shard_trace_ctx : string -> (int * string) option
+    [trace = true] when the line carried a [trace_id=]; alongside it, the
+    [(trace_id, parent)] context to echo in the reply ([parent] defaults to
+    ["shard"]), [None] when the request is untraced. Options follow
+    {!Gf_server.Wire.parse_options}: text after [q=] is query text, never an
+    option. *)
 
 (** Worker-side observability payload of a traced shard reply: the span
-    tree serialized with {!Gf_obs.Trace.export_spans} (wire-safe by
-    construction), the worker's OS pid, and its clock at reply time. *)
+    array built by {!Gf_obs.Trace.export_spans}, the worker's OS pid, and
+    its clock at reply time. *)
 type obs = {
   o_trace_id : int;
   o_parent : string;
   o_pid : int;
   o_clock_us : int;
-  o_spans : string;
+  o_spans : Gf_util.Json.t;
 }
 
 val shard_resp : node:string -> part:int * int -> ?obs:obs -> Gf_server.Service.reply -> string
 val not_owner : node:string -> part:int * int -> string
-
-(** Reply field scrapers (single-line JSON built by this module). *)
-
-val json_int : string -> string -> int option
-val json_str : string -> string -> string option
-val json_bool : string -> string -> bool option
-val json_rows : string -> int array list
 
 val run_resp :
   id:int ->

@@ -1,4 +1,5 @@
 module Server = Gf_server.Server
+module Json = Gf_util.Json
 
 (* A connection with a private read buffer: every read is bounded by
    SO_RCVTIMEO, so no cluster RPC can hang — a dead peer surfaces as a
@@ -118,28 +119,32 @@ let handshake conn ~timeout_s ~node ~role =
   | Error m -> Error ("hello: " ^ m)
   | Ok reply -> (
       let t1 = Gf_obs.Trace.now_us () in
-      match (Proto.json_bool reply "ok", Proto.json_int reply "proto") with
-      | Some true, Some p when p = Proto.version ->
-          Ok
-            {
-              node = Option.value (Proto.json_str reply "node") ~default:"?";
-              n = Option.value (Proto.json_int reply "n") ~default:0;
-              m = Option.value (Proto.json_int reply "m") ~default:0;
-              graph_version = Option.value (Proto.json_int reply "graph_version") ~default:0;
-              skew_us =
-                (match Proto.json_int reply "clock_us" with
-                | Some peer_clock -> peer_clock - ((t0 + t1) / 2)
-                | None -> 0);
-            }
-      | Some true, Some p ->
-          Error (Printf.sprintf "version_mismatch: peer speaks proto %d, we speak %d" p Proto.version)
-      | Some false, _ ->
-          Error
-            (Option.value (Proto.json_str reply "error") ~default:"refused"
-            ^ Option.fold ~none:""
-                ~some:(fun d -> ": " ^ d)
-                (Proto.json_str reply "detail"))
-      | _ -> Error "hello: malformed reply")
+      match Json.parse reply with
+      | Error e -> Error ("hello: malformed reply: " ^ e)
+      | Ok v -> (
+          match (Json.bool "ok" v, Json.int "proto" v) with
+          | Some true, Some p when p = Proto.version ->
+              let int k = Option.value (Json.int k v) ~default:0 in
+              Ok
+                {
+                  node = Option.value (Json.str "node" v) ~default:"?";
+                  n = int "n";
+                  m = int "m";
+                  graph_version = int "graph_version";
+                  skew_us =
+                    (match Json.int "clock_us" v with
+                    | Some peer_clock -> peer_clock - ((t0 + t1) / 2)
+                    | None -> 0);
+                }
+          | Some true, Some p ->
+              Error
+                (Printf.sprintf "version_mismatch: peer speaks proto %d, we speak %d" p
+                   Proto.version)
+          | Some false, _ ->
+              Error
+                (Option.value (Json.str "error" v) ~default:"refused"
+                ^ Option.fold ~none:"" ~some:(fun d -> ": " ^ d) (Json.str "detail" v))
+          | _ -> Error "hello: malformed reply"))
 
 (* ------------------------------------------------------------------ *)
 (* Per-endpoint connection pool                                        *)

@@ -35,21 +35,21 @@ let hook t line : [ `Reply of string | `Close | `Pass ] =
     if Cfault.fire Cfault.Conn_drop then `Close
     else if Cfault.fire Cfault.Split_refusal then
       match Proto.parse_shard line with
-      | Ok req -> `Reply (Proto.not_owner ~node:t.node ~part:(Option.get req.Service.part))
+      | Ok (req, _) -> `Reply (Proto.not_owner ~node:t.node ~part:(Option.get req.Service.part))
       | Error m -> `Reply (Wire.error_resp ~kind:"parse" ~detail:m)
     else begin
       if Cfault.fire Cfault.Slow_worker then Thread.delay 0.5;
       (match t.slow_s with Some s -> Thread.delay s | None -> ());
       match Proto.parse_shard line with
       | Error m -> `Reply (Wire.error_resp ~kind:"parse" ~detail:m)
-      | Ok req -> (
+      | Ok (req, trace_ctx) -> (
           match Service.submit t.service req with
           | Ok reply ->
               (* Traced request: ship the span tree back so the coordinator
                  can stitch it into the cluster-wide trace under this
                  worker's own process track. *)
               let obs =
-                match (Proto.shard_trace_ctx line, reply.Service.trace_obj) with
+                match (trace_ctx, reply.Service.trace_obj) with
                 | Some (trace_id, parent), Some tr ->
                     Some
                       {

@@ -225,20 +225,25 @@ module Db = struct
       a.counters.Counters.output Governor.pp_outcome a.outcome a.seconds Counters.pp
       a.counters (Explain.to_string a.rows)
 
-  let counters_to_json (c : Counters.t) =
-    Printf.sprintf
-      "{\"output\":%d,\"produced\":%d,\"icost\":%d,\"cache_hits\":%d,\"intersections\":%d,\"hj_build\":%d,\"hj_probe\":%d,\"morsels\":%d,\"steals\":%d,\"busy_s\":%.6f,\"gov_checks\":%d}"
-      c.Counters.output c.Counters.produced c.Counters.icost c.Counters.cache_hits
-      c.Counters.intersections c.Counters.hj_build_tuples c.Counters.hj_probe_tuples
-      c.Counters.morsels c.Counters.steals c.Counters.busy_s c.Counters.gov_checks
-
   let analysis_to_json a =
-    Printf.sprintf
-      "{\"matches\":%d,\"outcome\":\"%s\",\"time_s\":%.6f,\"counters\":%s,\"operators\":%s}"
-      a.counters.Counters.output
-      (Explain.json_escape (Governor.outcome_to_string a.outcome))
-      a.seconds (counters_to_json a.counters)
-      (Explain.rows_to_json a.rows)
+    let open Gf_util.Json in
+    let c = a.counters in
+    let counters =
+      Obj
+        [ ("output", Int c.Counters.output); ("produced", Int c.Counters.produced);
+          ("icost", Int c.Counters.icost); ("cache_hits", Int c.Counters.cache_hits);
+          ("intersections", Int c.Counters.intersections);
+          ("hj_build", Int c.Counters.hj_build_tuples);
+          ("hj_probe", Int c.Counters.hj_probe_tuples); ("morsels", Int c.Counters.morsels);
+          ("steals", Int c.Counters.steals); ("busy_s", decimals 6 c.Counters.busy_s);
+          ("gov_checks", Int c.Counters.gov_checks) ]
+    in
+    to_string
+      (Obj
+         [ ("matches", Int c.Counters.output);
+           ("outcome", Str (Governor.outcome_to_string a.outcome));
+           ("time_s", decimals 6 a.seconds); ("counters", counters);
+           ("operators", Explain.rows_to_json a.rows) ])
 
   let count ?adaptive db q = (fst (run_gov ?adaptive db q)).Counters.output
 

@@ -114,12 +114,10 @@ let retained_ids t =
       List.sort_uniq compare ids)
 
 let record_to_json r =
-  let esc = Trace.json_escape in
-  let ops =
-    String.concat ","
-      (List.map (fun (l, s) -> Printf.sprintf "{\"op\":\"%s\",\"self_s\":%.6f}" (esc l) s) r.top_ops)
-  in
-  Printf.sprintf
-    "{\"id\":%d,\"query\":\"%s\",\"plan\":\"%s\",\"outcome\":\"%s\",\"latency_s\":%.6f,\"queue_s\":%.6f,\"rung\":\"%s\",\"attempts\":%d,\"retries\":%d,\"traced\":%b,\"slow\":%b,\"top_ops\":[%s]}"
-    r.id (esc r.query) (esc r.plan) (esc r.outcome) r.latency_s r.queue_s (esc r.rung) r.attempts
-    r.retries r.traced r.slow ops
+  let open Gf_util.Json in
+  let op (l, s) = Obj [ ("op", Str l); ("self_s", decimals 6 s) ] in
+  Obj
+    [ ("id", Int r.id); ("query", Str r.query); ("plan", Str r.plan); ("outcome", Str r.outcome);
+      ("latency_s", decimals 6 r.latency_s); ("queue_s", decimals 6 r.queue_s);
+      ("rung", Str r.rung); ("attempts", Int r.attempts); ("retries", Int r.retries);
+      ("traced", Bool r.traced); ("slow", Bool r.slow); ("top_ops", Arr (List.map op r.top_ops)) ]

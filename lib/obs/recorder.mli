@@ -61,6 +61,5 @@ val find_trace : t -> int -> string option
 (** Ids with a retained trace, ascending. *)
 val retained_ids : t -> int list
 
-(** One record as a JSON object, query text escaped for the
-    newline-delimited wire protocol. *)
-val record_to_json : record -> string
+(** One record as a JSON object (the slowlog reply's element). *)
+val record_to_json : record -> Gf_util.Json.t

@@ -1,4 +1,5 @@
 module Timing = Gf_util.Timing
+module Json = Gf_util.Json
 
 type arg = Int of int | Str of string | Float of float
 
@@ -144,109 +145,33 @@ let dropped t =
 
 (* --- cross-process span shipping --------------------------------------- *)
 
-(* Workers serialize their span tree into a shard reply so the coordinator
-   can stitch one cluster-wide trace. The payload is embedded as a JSON
-   string field on the newline-delimited wire, whose scraper unescapes
-   backslash sequences naively — so the format uses no backslashes at all:
-   records are ';'-separated, fields '|'-separated, and every structural or
-   non-printable character is %XX hex-escaped (URL style). *)
+(* Workers ship their span tree inside the shard reply as a JSON array: per
+   buffer, a {tid, tname} entry followed by one {tid, ts, dur, depth, name,
+   cat, args} entry per span; [args] is left out when empty. *)
 
-let wire_special c =
-  match c with
-  | '%' | '|' | ';' | ':' | ',' | '"' | '\\' -> true
-  | c -> Char.code c < 0x21 || Char.code c > 0x7e
+let arg_to_json = function Int i -> Json.Int i | Float f -> Json.Float f | Str s -> Json.Str s
 
-let wire_enc s =
-  if String.for_all (fun c -> not (wire_special c)) s then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        if wire_special c then Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c))
-        else Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  end
+let args_to_json args = Json.Obj (List.map (fun (k, v) -> (k, arg_to_json v)) args)
 
-let wire_dec s =
-  if not (String.contains s '%') then s
-  else begin
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let hex c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-      | _ -> -1
-    in
-    let i = ref 0 in
-    while !i < n do
-      (if s.[!i] = '%' && !i + 2 < n && hex s.[!i + 1] >= 0 && hex s.[!i + 2] >= 0 then begin
-         Buffer.add_char buf (Char.chr ((hex s.[!i + 1] * 16) + hex s.[!i + 2]));
-         i := !i + 3
-       end
-       else begin
-         Buffer.add_char buf s.[!i];
-         incr i
-       end)
-    done;
-    Buffer.contents buf
-  end
-
-let arg_enc (k, v) =
-  let tv =
-    match v with
-    | Int i -> Printf.sprintf "i:%d" i
-    | Float f -> Printf.sprintf "f:%s" (wire_enc (Printf.sprintf "%h" f))
-    | Str s -> Printf.sprintf "s:%s" (wire_enc s)
-  in
-  Printf.sprintf "%s:%s" (wire_enc k) tv
-
-let arg_dec item =
-  match String.index_opt item ':' with
-  | None -> None
-  | Some i -> (
-      let k = wire_dec (String.sub item 0 i) in
-      let rest = String.sub item (i + 1) (String.length item - i - 1) in
-      if String.length rest < 2 || rest.[1] <> ':' then None
-      else
-        let v = String.sub rest 2 (String.length rest - 2) in
-        match rest.[0] with
-        | 'i' -> Option.map (fun n -> (k, Int n)) (int_of_string_opt v)
-        | 'f' -> Option.map (fun f -> (k, Float f)) (float_of_string_opt (wire_dec v))
-        | 's' -> Some (k, Str (wire_dec v))
-        | _ -> None)
-
-(* Compact, wire-safe serialization of every recorded span plus the
-   thread-name metadata needed to label foreign tracks:
-     B|tid|tname                       one per buffer
-     S|tid|ts|dur|depth|name|cat|args  one per span, args comma-separated *)
 let export_spans t =
-  let out = Buffer.create 1024 in
-  let first = ref true in
-  let record s =
-    if !first then first := false else Buffer.add_char out ';';
-    Buffer.add_string out s
-  in
   with_bufs t (fun bufs ->
-      List.iter
-        (fun b ->
-          record (Printf.sprintf "B|%d|%s" b.tid (wire_enc b.tname));
-          List.iter
-            (fun (s : span) ->
-              record
-                (Printf.sprintf "S|%d|%d|%d|%d|%s|%s|%s" s.tid s.ts_us s.dur_us s.depth
-                   (wire_enc s.name) (wire_enc s.cat)
-                   (String.concat "," (List.map arg_enc s.args))))
-            (buf_spans b))
-        bufs);
-  Buffer.contents out
+      Json.Arr
+        (List.concat_map
+           (fun b ->
+             Json.Obj [ ("tid", Int b.tid); ("tname", Str b.tname) ]
+             :: List.map
+                  (fun (s : span) ->
+                    Json.Obj
+                      ([ ("tid", Json.Int s.tid); ("ts", Int s.ts_us); ("dur", Int s.dur_us);
+                         ("depth", Int s.depth); ("name", Str s.name); ("cat", Str s.cat) ]
+                      @ if s.args = [] then [] else [ ("args", args_to_json s.args) ]))
+                  (buf_spans b))
+           bufs))
 
-(* Splice a worker's serialized span tree into this trace under its own
-   process track. [skew_us] is the worker-minus-coordinator clock offset
-   measured at handshake; subtracting it moves foreign timestamps into the
-   local clock frame so tracks line up in Perfetto. Malformed records are
+(* Splice a worker's span array into this trace under its own process
+   track. [skew_us] is the worker-minus-coordinator clock offset measured
+   at handshake; subtracting it moves foreign timestamps into the local
+   clock frame so tracks line up in Perfetto. Malformed entries are
    skipped — observability must not fail the request. *)
 let graft t ~pid ~pname ~skew_us data =
   register_process t ~pid pname;
@@ -259,66 +184,34 @@ let graft t ~pid ~pname ~skew_us data =
         Hashtbl.replace tracks tid b;
         b
   in
-  String.split_on_char ';' data
-  |> List.iter (fun rcd ->
-         match String.split_on_char '|' rcd with
-         | [ "B"; tid; tname ] -> (
-             match int_of_string_opt tid with
-             | Some tid -> ignore (track ~tname:(wire_dec tname) tid)
-             | None -> ())
-         | [ "S"; tid; ts; dur; depth; name; cat; args ] -> (
-             match
-               (int_of_string_opt tid, int_of_string_opt ts, int_of_string_opt dur,
-                int_of_string_opt depth)
-             with
-             | Some tid, Some ts, Some dur, Some depth ->
-                 let args =
-                   if args = "" then []
-                   else String.split_on_char ',' args |> List.filter_map arg_dec
-                 in
-                 push (track tid)
-                   {
-                     name = wire_dec name;
-                     cat = wire_dec cat;
-                     pid;
-                     tid;
-                     ts_us = ts - skew_us;
-                     dur_us = max 0 dur;
-                     depth;
-                     args;
-                   }
-             | _ -> ())
-         | _ -> ())
+  let arg = function
+    | k, Json.Int i -> Some (k, Int i)
+    | k, Json.Float f -> Some (k, Float f)
+    | k, Json.Str s -> Some (k, Str s)
+    | _ -> None
+  in
+  let entry e =
+    let int k = Json.int k e and str k = Json.str k e in
+    match (int "tid", str "tname", int "ts", int "dur", int "depth", str "name", str "cat") with
+    | Some tid, Some tname, None, _, _, _, _ -> ignore (track ~tname tid)
+    | Some tid, None, Some ts, Some dur, Some depth, Some name, Some cat ->
+        let args = match Json.member "args" e with Some (Obj kv) -> kv | _ -> [] in
+        push (track tid)
+          {
+            name;
+            cat;
+            pid;
+            tid;
+            ts_us = ts - skew_us;
+            dur_us = max 0 dur;
+            depth;
+            args = List.filter_map arg args;
+          }
+    | _ -> ()
+  in
+  match data with Json.Arr entries -> List.iter entry entries | _ -> ()
 
 (* --- export ------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let arg_to_json = function
-  | Int i -> string_of_int i
-  | Float f ->
-      if Float.is_nan f then "null"
-      else if Float.abs f = infinity then "1e999"
-      else Printf.sprintf "%.6g" f
-  | Str s -> "\"" ^ json_escape s ^ "\""
-
-let args_to_json args =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (arg_to_json v)) args)
-  ^ "}"
 
 (* A begin or end event in the exported stream. *)
 type event = { e_ph : char; e_name : string; e_cat : string; e_pid : int; e_tid : int;
@@ -406,45 +299,34 @@ let to_chrome_json t =
   let evs = events t in
   let base = List.fold_left (fun acc e -> min acc e.e_ts) max_int evs in
   let base = if base = max_int then 0 else base in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let add s =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf s
+  let meta name pid tid value =
+    Json.Obj
+      [ ("name", Str name); ("ph", Str "M"); ("pid", Int pid); ("tid", Int tid);
+        ("args", Obj [ ("name", Str value) ]) ]
   in
   let pids = match pids t with [] -> [ 1 ] | ps -> ps in
-  List.iter
-    (fun pid ->
-      add
-        (Printf.sprintf
-           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-           pid
-           (json_escape (process_name t pid))))
-    pids;
+  let processes = List.map (fun pid -> meta "process_name" pid 0 (process_name t pid)) pids in
   let seen_threads = Hashtbl.create 8 in
-  with_bufs t (fun bufs ->
-      List.iter
-        (fun b ->
-          if b.tname <> "" && not (Hashtbl.mem seen_threads (b.pid, b.tid)) then begin
-            Hashtbl.replace seen_threads (b.pid, b.tid) ();
-            add
-              (Printf.sprintf
-                 "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-                 b.pid b.tid (json_escape b.tname))
-          end)
-        bufs);
-  List.iter
-    (fun e ->
-      let cat = if e.e_cat = "" then "span" else e.e_cat in
-      let args = if e.e_args = [] then "" else ",\"args\":" ^ args_to_json e.e_args in
-      add
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%d,\"pid\":%d,\"tid\":%d%s}"
-           (json_escape e.e_name) (json_escape cat) e.e_ph (e.e_ts - base) e.e_pid e.e_tid args))
-    evs;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let threads =
+    with_bufs t
+      (List.filter_map (fun b ->
+           if b.tname = "" || Hashtbl.mem seen_threads (b.pid, b.tid) then None
+           else begin
+             Hashtbl.replace seen_threads (b.pid, b.tid) ();
+             Some (meta "thread_name" b.pid b.tid b.tname)
+           end))
+  in
+  let event e =
+    Json.Obj
+      ([ ("name", Json.Str e.e_name); ("cat", Str (if e.e_cat = "" then "span" else e.e_cat));
+         ("ph", Str (String.make 1 e.e_ph)); ("ts", Int (e.e_ts - base)); ("pid", Int e.e_pid);
+         ("tid", Int e.e_tid) ]
+      @ if e.e_args = [] then [] else [ ("args", args_to_json e.e_args) ])
+  in
+  Json.to_string
+    (Obj
+       [ ("displayTimeUnit", Str "ms");
+         ("traceEvents", Arr (processes @ threads @ List.map event evs)) ])
 
 (* --- terminal renderer ------------------------------------------------- *)
 

@@ -85,21 +85,19 @@ val dropped : t -> int
     ascending. A purely local trace reports [[1]]. *)
 val pids : t -> int list
 
-(** Compact wire-safe serialization of every recorded span plus buffer
-    (thread-name) metadata, for shipping a worker's span tree inside a
-    single-line JSON reply: records are [';']-separated, fields
-    ['|']-separated, structural and non-printable bytes [%XX]-escaped —
-    the payload contains no quote, backslash, space or newline, so it
-    survives the wire protocol's naive string unescaping byte-for-byte.
-    Call after recording threads have quiesced. *)
-val export_spans : t -> string
+(** Every recorded span plus buffer (thread-name) metadata as a JSON array,
+    for shipping a worker's span tree inside a shard reply: per buffer, a
+    [{tid, tname}] entry followed by one [{tid, ts, dur, depth, name, cat,
+    args}] entry per span ([args] left out when empty). Call after
+    recording threads have quiesced. *)
+val export_spans : t -> Gf_util.Json.t
 
-(** [graft t ~pid ~pname ~skew_us data] splices a span tree serialized by
+(** [graft t ~pid ~pname ~skew_us data] splices a span array built by
     {!export_spans} in another process into [t], under process track
     [pid] named [pname]. [skew_us] (producer clock minus local clock, from
     the handshake) is subtracted from every timestamp so foreign tracks
-    line up with local ones. Malformed records are skipped silently. *)
-val graft : t -> pid:int -> pname:string -> skew_us:int -> string -> unit
+    line up with local ones. Malformed entries are skipped silently. *)
+val graft : t -> pid:int -> pname:string -> skew_us:int -> Gf_util.Json.t -> unit
 
 (** The exported event stream as [(phase, tid, ts_us, name)] tuples,
     phase ['B'] or ['E'] — for tests asserting per-tid balance without
@@ -115,7 +113,3 @@ val to_chrome_json : t -> string
 (** Terminal span tree: one block per (process, tid) track, indentation
     showing nesting, durations in milliseconds. *)
 val render : t -> string
-
-(** JSON string escaping matching the wire protocol's framing rules;
-    shared with {!Recorder}. *)
-val json_escape : string -> string

@@ -123,32 +123,20 @@ let to_string rows =
     rows;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Gf_util.Json.escape
 
-(* JSON has no literal for NaN or the infinities; [null] is the only
-   representation every parser accepts. *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
-
-let row_to_json r =
-  Printf.sprintf
-    "{\"id\":%d,\"operator\":\"%s\",\"kind\":\"%s\",\"depth\":%d,\"est_card\":%s,\"act_card\":%d,\"card_q_error\":%s,\"est_cost\":%s,\"act_cost\":%s,\"cost_q_error\":%s,\"time_s\":%s,\"cache_hits\":%d,\"intersections\":%d,\"hj_build\":%d,\"hj_probe\":%d}"
-    r.id (json_escape r.label)
-    (Profile.kind_to_string r.kind)
-    r.depth (json_float r.est_card) r.act_card (json_float r.card_q)
-    (json_float r.est_cost) (json_float r.act_cost)
-    (match r.cost_q with None -> "null" | Some q -> json_float q)
-    (json_float r.time_s) r.cache_hits r.intersections r.hj_build r.hj_probe
-
-let rows_to_json rows = "[" ^ String.concat "," (List.map row_to_json rows) ^ "]"
+let rows_to_json rows =
+  let open Gf_util.Json in
+  let row r =
+    Obj
+      [ ("id", Int r.id); ("operator", Str r.label);
+        ("kind", Str (Profile.kind_to_string r.kind)); ("depth", Int r.depth);
+        ("est_card", Float r.est_card); ("act_card", Int r.act_card);
+        ("card_q_error", Float r.card_q); ("est_cost", Float r.est_cost);
+        ("act_cost", Float r.act_cost);
+        ("cost_q_error", match r.cost_q with None -> Null | Some q -> Float q);
+        ("time_s", Float r.time_s); ("cache_hits", Int r.cache_hits);
+        ("intersections", Int r.intersections); ("hj_build", Int r.hj_build);
+        ("hj_probe", Int r.hj_probe) ]
+  in
+  Arr (List.map row rows)

@@ -54,8 +54,7 @@ val rows :
 val to_string : row list -> string
 
 (** JSON array of operator objects (est/actual/q-error per row). *)
-val rows_to_json : row list -> string
+val rows_to_json : row list -> Gf_util.Json.t
 
-(** Escape a string for embedding in a JSON literal (shared with [gfq]'s
-    [--json] envelope). *)
+(** {!Gf_util.Json.escape}, kept under this name for external callers. *)
 val json_escape : string -> string

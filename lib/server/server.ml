@@ -66,7 +66,7 @@ let handle_conn st conn =
               | None -> respond (Wire.trace_not_found id));
               true
           | Ok Wire.Shutdown ->
-              respond {|{"ok":true,"type":"shutting_down"}|};
+              respond Wire.shutting_down;
               request_stop st;
               false
           | Ok (Wire.Run req) ->

@@ -1,6 +1,5 @@
 module Gf = Graphflow
-
-let json_escape = Gf.Explain.json_escape
+module Json = Gf_util.Json
 
 (* A parse error rendered with a caret under the offending offset (the
    same presentation as the gfq CLI). *)
@@ -93,6 +92,35 @@ let parse_mutation cmd rest =
   in
   Mutate (mut, trace)
 
+let non_negative k v =
+  match int_of_string_opt v with
+  | Some n when n >= 0 -> n
+  | _ -> raise (Bad (Printf.sprintf "option %s needs a non-negative integer, got %S" k v))
+
+let bad_option k = function
+  | None -> raise (Bad (Printf.sprintf "bad option %S (expected key=value)" k))
+  | Some _ -> raise (Bad (Printf.sprintf "unknown option %S" k))
+
+let parse_options body opt =
+  let len = String.length body in
+  let rec go i =
+    if i >= len then raise (Bad "missing q=<query>")
+    else if body.[i] = ' ' then go (i + 1)
+    else if i + 2 <= len && String.sub body i 2 = "q=" then
+      (* q= consumes the rest of the line. *)
+      String.sub body (i + 2) (len - i - 2)
+    else begin
+      let j = match String.index_from_opt body i ' ' with Some j -> j | None -> len in
+      let tok = String.sub body i (j - i) in
+      (match String.index_opt tok '=' with
+      | None -> opt tok None
+      | Some eq ->
+          opt (String.sub tok 0 eq) (Some (String.sub tok (eq + 1) (String.length tok - eq - 1))));
+      go j
+    end
+  in
+  try Ok (go 0) with Bad m -> Error m
+
 let parse_run rest =
   let timeout = ref None
   and max_rows = ref None
@@ -101,60 +129,34 @@ let parse_run rest =
   and fault_all = ref false
   and collect = ref false
   and trace = ref false in
-  let len = String.length rest in
-  let int_v k v =
-    match int_of_string_opt v with
-    | Some n when n >= 0 -> n
-    | _ -> raise (Bad (Printf.sprintf "option %s needs a non-negative integer, got %S" k v))
+  (* Boolean options may appear as bare flags. *)
+  let flag = function None -> true | Some v -> v = "1" || v = "true" in
+  let opt k v =
+    match (k, v) with
+    | "timeout_ms", Some v -> timeout := Some (non_negative k v)
+    | "max_rows", Some v -> max_rows := Some (non_negative k v)
+    | "max_intermediate", Some v -> max_inter := Some (non_negative k v)
+    | "fault_at", Some v -> fault_at := Some (non_negative k v)
+    | "fault_all", v -> fault_all := flag v
+    | "rows", v -> collect := flag v
+    | "trace", v -> trace := flag v
+    | _ -> bad_option k v
   in
-  let rec go i =
-    if i >= len then raise (Bad "missing q=<query>")
-    else if rest.[i] = ' ' then go (i + 1)
-    else if i + 2 <= len && String.sub rest i 2 = "q=" then
-      (* q= consumes the rest of the line. *)
-      String.sub rest (i + 2) (len - i - 2)
-    else begin
-      let j = match String.index_from_opt rest i ' ' with Some j -> j | None -> len in
-      let tok = String.sub rest i (j - i) in
-      (match String.index_opt tok '=' with
-      | None -> (
-          (* Boolean options may appear as bare flags. *)
-          match tok with
-          | "fault_all" -> fault_all := true
-          | "rows" -> collect := true
-          | "trace" -> trace := true
-          | _ -> raise (Bad (Printf.sprintf "bad option %S (expected key=value)" tok)))
-      | Some eq -> (
-          let k = String.sub tok 0 eq in
-          let v = String.sub tok (eq + 1) (String.length tok - eq - 1) in
-          match k with
-          | "timeout_ms" -> timeout := Some (int_v k v)
-          | "max_rows" -> max_rows := Some (int_v k v)
-          | "max_intermediate" -> max_inter := Some (int_v k v)
-          | "fault_at" -> fault_at := Some (int_v k v)
-          | "fault_all" -> fault_all := v = "1" || v = "true"
-          | "rows" -> collect := v = "1" || v = "true"
-          | "trace" -> trace := v = "1" || v = "true"
-          | _ -> raise (Bad (Printf.sprintf "unknown option %S" k))));
-      go j
-    end
-  in
-  let qtext = go 0 in
-  match parse_query qtext with
-  | Error e -> Error e
-  | Ok query ->
-      Ok
-        {
-          (Service.request query) with
-          Service.text = qtext;
-          timeout_ms = !timeout;
-          max_rows = !max_rows;
-          max_intermediate = !max_inter;
-          fault_at = !fault_at;
-          fault_all = !fault_all;
-          collect_rows = !collect;
-          trace = !trace;
-        }
+  let ( let* ) = Result.bind in
+  let* qtext = parse_options rest opt in
+  let* query = parse_query qtext in
+  Ok
+    {
+      (Service.request query) with
+      Service.text = qtext;
+      timeout_ms = !timeout;
+      max_rows = !max_rows;
+      max_intermediate = !max_inter;
+      fault_at = !fault_at;
+      fault_all = !fault_all;
+      collect_rows = !collect;
+      trace = !trace;
+    }
 
 let parse_request line =
   let line = String.trim line in
@@ -202,7 +204,7 @@ let parse_request line =
       in
       let body_result =
         match run_body with
-        | Some body -> ( try parse_run body with Bad m -> Error m)
+        | Some body -> parse_run body
         | None -> (
             (* A bare line is a plain run of that query. *)
             match parse_query line with
@@ -211,57 +213,50 @@ let parse_request line =
       in
       Result.map (fun r -> Run r) body_result
 
-let pong = {|{"ok":true,"type":"pong"}|}
-let draining_resp = {|{"ok":false,"error":"rejected","reason":"draining"}|}
+let reply fields = Json.to_string (Json.Obj fields)
+let ok = ("ok", Json.Bool true)
+let pong = reply [ ok; ("type", Str "pong") ]
+let shutting_down = reply [ ok; ("type", Str "shutting_down") ]
+
+let rejected_reply reason =
+  reply [ ("ok", Bool false); ("error", Str "rejected"); ("reason", Str reason) ]
+
+let draining_resp = rejected_reply "draining"
 
 let rows_json rows =
-  let row r =
-    "[" ^ String.concat "," (Array.to_list (Array.map string_of_int r)) ^ "]"
-  in
-  "[" ^ String.concat "," (List.map row rows) ^ "]"
+  Json.Arr (List.map (fun r -> Json.Arr (List.map (fun v -> Json.Int v) (Array.to_list r))) rows)
+
+let seconds = Json.decimals 6
 
 let ok_run ~(reply : Service.reply) =
   let r = reply.Service.result in
-  let base =
-    Printf.sprintf
-      "{\"ok\":true,\"id\":%d,\"outcome\":\"%s\",\"matches\":%d,\"attempts\":%d,\"retries\":%d,\"degraded\":%b,\"rung\":\"%s\",\"queue_s\":%.6f,\"exec_s\":%.6f"
-      reply.Service.id
-      (json_escape (Gf.Governor.outcome_to_string r.Ladder.outcome))
-      r.Ladder.counters.Gf.Counters.output r.Ladder.attempts r.Ladder.retries
-      r.Ladder.degraded (json_escape r.Ladder.rung) reply.Service.queue_s
-      reply.Service.exec_s
-  in
-  let base = base ^ Printf.sprintf ",\"graph_version\":%d" reply.Service.graph_version in
-  let base =
-    if reply.Service.traced then
-      base ^ Printf.sprintf ",\"traced\":true,\"trace_id\":%d" reply.Service.record_id
-    else base
-  in
-  if reply.Service.rows = [] then base ^ "}"
-  else base ^ ",\"rows\":" ^ rows_json reply.Service.rows ^ "}"
+  Json.to_string
+    (Obj
+       ([ ok; ("id", Int reply.Service.id);
+          ("outcome", Str (Gf.Governor.outcome_to_string r.Ladder.outcome));
+          ("matches", Int r.Ladder.counters.Gf.Counters.output);
+          ("attempts", Int r.Ladder.attempts); ("retries", Int r.Ladder.retries);
+          ("degraded", Bool r.Ladder.degraded); ("rung", Str r.Ladder.rung);
+          ("queue_s", seconds reply.Service.queue_s);
+          ("exec_s", seconds reply.Service.exec_s);
+          ("graph_version", Int reply.Service.graph_version) ]
+       @ (if reply.Service.traced then
+            [ ("traced", Json.Bool true); ("trace_id", Int reply.Service.record_id) ]
+          else [])
+       @ if reply.Service.rows = [] then [] else [ ("rows", rows_json reply.Service.rows) ]))
 
-let rejected reason =
-  Printf.sprintf "{\"ok\":false,\"error\":\"rejected\",\"reason\":\"%s\"}"
-    (Service.reject_reason_to_string reason)
+let rejected reason = rejected_reply (Service.reject_reason_to_string reason)
 
 let error_resp ~kind ~detail =
-  Printf.sprintf "{\"ok\":false,\"error\":\"%s\",\"detail\":\"%s\"}" (json_escape kind)
-    (json_escape detail)
+  reply [ ("ok", Bool false); ("error", Str kind); ("detail", Str detail) ]
 
 let ok_mutation (r : Service.mutation_reply) ~traced =
-  let base =
-    Printf.sprintf
-      "{\"ok\":true,\"type\":\"applied\",\"lsn\":%d,\"applied\":%b,\"version\":%d,\"graph_version\":%d,\"durable\":%d"
-      r.Service.m_lsn r.Service.m_applied r.Service.m_version r.Service.m_graph_version
-      r.Service.m_durable
-  in
-  let base =
-    match r.Service.m_vertex with
-    | Some v -> base ^ Printf.sprintf ",\"vertex\":%d" v
-    | None -> base
-  in
-  if traced then base ^ Printf.sprintf ",\"trace_id\":%d}" r.Service.m_record
-  else base ^ "}"
+  reply
+    ([ ok; ("type", Str "applied"); ("lsn", Int r.Service.m_lsn);
+       ("applied", Bool r.Service.m_applied); ("version", Int r.Service.m_version);
+       ("graph_version", Int r.Service.m_graph_version); ("durable", Int r.Service.m_durable) ]
+    @ (match r.Service.m_vertex with Some v -> [ ("vertex", Json.Int v) ] | None -> [])
+    @ if traced then [ ("trace_id", Json.Int r.Service.m_record) ] else [])
 
 let mutation_rejected (e : Service.mutation_error) =
   match e with
@@ -271,37 +266,46 @@ let mutation_rejected (e : Service.mutation_error) =
   | Service.M_invalid d -> error_resp ~kind:"invalid" ~detail:d
   | Service.M_failed d -> error_resp ~kind:"wal_failed" ~detail:d
 
-let metrics_resp exposition =
-  Printf.sprintf "{\"ok\":true,\"metrics\":\"%s\"}" (json_escape exposition)
+let metrics_resp exposition = reply [ ok; ("metrics", Str exposition) ]
 
 let stats_resp (s : Service.stats) =
-  Printf.sprintf
-    "{\"ok\":true,\"queue_depth\":%d,\"breaker\":\"%s\",\"draining\":%b,\"admitted\":%d,\"completed\":%d,\"truncated\":%d,\"failed\":%d,\"retries\":%d,\"slowlog\":%d,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"kernel\":\"%s\",\"graph_offheap_bytes\":%d,\"graph_heap_bytes\":%d,\"graph_mapped\":%b,\"graph_nbr_width\":%d,\"graph_version\":%d,\"wal_version\":%d,\"wal_durable\":%d,\"wal_pending\":%d,\"checkpoints\":%d,\"mutations\":%d,\"plan_cache_hits\":%d,\"plan_cache_misses\":%d,\"plan_cache_evictions\":%d,\"plan_cache_replans\":%d,\"plan_cache_invalidations\":%d,\"plan_cache_feedbacks\":%d,\"plan_cache_entries\":%d}"
-    s.Service.s_queue_depth
-    (json_escape (Breaker.state_to_string s.Service.s_breaker))
-    s.Service.s_draining s.Service.s_admitted s.Service.s_completed s.Service.s_truncated
-    s.Service.s_failed s.Service.s_retries s.Service.s_slowlog s.Service.s_p50_ms
-    s.Service.s_p95_ms s.Service.s_p99_ms (json_escape s.Service.s_kernel)
-    s.Service.s_graph_offheap_bytes s.Service.s_graph_heap_bytes s.Service.s_graph_mapped
-    s.Service.s_graph_nbr_width s.Service.s_graph_version s.Service.s_wal_version
-    s.Service.s_wal_durable s.Service.s_wal_pending s.Service.s_checkpoints
-    s.Service.s_mutations s.Service.s_plan_cache_hits s.Service.s_plan_cache_misses
-    s.Service.s_plan_cache_evictions s.Service.s_plan_cache_replans
-    s.Service.s_plan_cache_invalidations s.Service.s_plan_cache_feedbacks
-    s.Service.s_plan_cache_entries
+  let ms = Json.decimals 3 in
+  reply
+    [ ok; ("queue_depth", Int s.Service.s_queue_depth);
+      ("breaker", Str (Breaker.state_to_string s.Service.s_breaker));
+      ("draining", Bool s.Service.s_draining); ("admitted", Int s.Service.s_admitted);
+      ("completed", Int s.Service.s_completed); ("truncated", Int s.Service.s_truncated);
+      ("failed", Int s.Service.s_failed); ("retries", Int s.Service.s_retries);
+      ("slowlog", Int s.Service.s_slowlog); ("p50_ms", ms s.Service.s_p50_ms);
+      ("p95_ms", ms s.Service.s_p95_ms); ("p99_ms", ms s.Service.s_p99_ms);
+      ("kernel", Str s.Service.s_kernel);
+      ("graph_offheap_bytes", Int s.Service.s_graph_offheap_bytes);
+      ("graph_heap_bytes", Int s.Service.s_graph_heap_bytes);
+      ("graph_mapped", Bool s.Service.s_graph_mapped);
+      ("graph_nbr_width", Int s.Service.s_graph_nbr_width);
+      ("graph_version", Int s.Service.s_graph_version);
+      ("wal_version", Int s.Service.s_wal_version); ("wal_durable", Int s.Service.s_wal_durable);
+      ("wal_pending", Int s.Service.s_wal_pending); ("checkpoints", Int s.Service.s_checkpoints);
+      ("mutations", Int s.Service.s_mutations);
+      ("plan_cache_hits", Int s.Service.s_plan_cache_hits);
+      ("plan_cache_misses", Int s.Service.s_plan_cache_misses);
+      ("plan_cache_evictions", Int s.Service.s_plan_cache_evictions);
+      ("plan_cache_replans", Int s.Service.s_plan_cache_replans);
+      ("plan_cache_invalidations", Int s.Service.s_plan_cache_invalidations);
+      ("plan_cache_feedbacks", Int s.Service.s_plan_cache_feedbacks);
+      ("plan_cache_entries", Int s.Service.s_plan_cache_entries) ]
 
-(* Embedded query text may contain anything the client typed; the records
-   are escaped JSON objects, so the whole reply stays a single line (the
-   framing rule shared with [metrics_resp]). *)
 let slowlog_resp records =
-  Printf.sprintf "{\"ok\":true,\"count\":%d,\"records\":[%s]}" (List.length records)
-    (String.concat "," (List.map Gf.Recorder.record_to_json records))
+  reply
+    [ ok; ("count", Int (List.length records));
+      ("records", Arr (List.map Gf.Recorder.record_to_json records)) ]
 
-(* The retained Chrome JSON is itself single-line (built by
-   [Trace.to_chrome_json], which escapes every string); nest it raw as the
-   last field so clients can split it out by position. *)
-let trace_resp ~id json = Printf.sprintf "{\"ok\":true,\"id\":%d,\"trace\":%s}" id json
+(* The recorder retains the Chrome trace as printed JSON; it is read back
+   into a value so the reply nests it as a member, not as spliced text. *)
+let trace_resp ~id json =
+  match Json.parse json with
+  | Ok trace -> reply [ ok; ("id", Int id); ("trace", trace) ]
+  | Error e -> error_resp ~kind:"internal" ~detail:("retained trace unreadable: " ^ e)
 
 let trace_not_found id =
-  Printf.sprintf
-    "{\"ok\":false,\"error\":\"not_found\",\"detail\":\"no retained trace for id %d\"}" id
+  error_resp ~kind:"not_found" ~detail:(Printf.sprintf "no retained trace for id %d" id)

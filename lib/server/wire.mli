@@ -50,9 +50,32 @@ val parse_request : string -> (request, string) result
 val parse_query : string -> (Gf.Query.t, string) result
 (** Q1..Q14 / [MATCH ...] / edge-list DSL — the [gfq] query surface. *)
 
-(** Response builders (single JSON lines, no trailing newline). *)
+(** {2 The request-option tokenizer}
+
+    Shared by every line shape that takes options before a query
+    ([run], and the cluster's [shard]). *)
+
+exception Bad of string
+
+val parse_options : string -> (string -> string option -> unit) -> (string, string) result
+(** [parse_options body opt] walks the space-separated options of [body]
+    in order, calling [opt key (Some value)] for [key=value] and
+    [opt flag None] for a bare flag, and returns the query text after
+    [q=], which consumes the rest of the line. [Error] when [q=] is
+    missing or [opt] raises {!Bad}. *)
+
+val non_negative : string -> string -> int
+(** [non_negative key value] reads an option's integer value or raises
+    {!Bad}. *)
+
+val bad_option : string -> string option -> 'a
+(** Raises {!Bad} naming an option the caller does not accept. *)
+
+(** Response builders: {!Gf_util.Json} values printed as single lines,
+    no trailing newline. *)
 
 val pong : string
+val shutting_down : string
 val draining_resp : string
 
 val ok_run : reply:Service.reply -> string
@@ -60,6 +83,9 @@ val ok_run : reply:Service.reply -> string
     exec seconds; traced requests additionally carry
     [,"traced":true,"trace_id":N] (fetch with [trace id=N]); and — when the
     request collected rows — the rows. *)
+
+val rows_json : int array list -> Gf_util.Json.t
+(** Result rows as an array of integer arrays (the [rows] member). *)
 
 val rejected : Service.reject_reason -> string
 val error_resp : kind:string -> detail:string -> string
@@ -75,19 +101,16 @@ val mutation_rejected : Service.mutation_error -> string
     draining rejection. *)
 
 val metrics_resp : string -> string
-(** Wraps the Prometheus exposition as [{"ok":true,"metrics":"..."}] with
-    newlines escaped, keeping the one-line framing. *)
+(** Wraps the Prometheus exposition as [{"ok":true,"metrics":"..."}]. *)
 
 val stats_resp : Service.stats -> string
 (** [{"ok":true,"queue_depth":..,"breaker":"..","p50_ms":..,...}]. *)
 
 val slowlog_resp : Gf.Recorder.record list -> string
-(** [{"ok":true,"count":N,"records":[...]}]; embedded query text is escaped
-    (newlines become [\n]) so the reply stays one line — the same framing
-    rule as {!metrics_resp}. *)
+(** [{"ok":true,"count":N,"records":[...]}]. *)
 
 val trace_resp : id:int -> string -> string
-(** Nests the retained Chrome trace JSON raw as the final [trace] field:
+(** Nests the retained Chrome trace JSON as the [trace] member:
     [{"ok":true,"id":N,"trace":{...}}]. *)
 
 val trace_not_found : int -> string

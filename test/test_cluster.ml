@@ -18,6 +18,7 @@ module Topology = Gf_cluster.Topology
 module Worker = Gf_cluster.Worker
 module Coordinator = Gf_cluster.Coordinator
 module Cfault = Gf_cluster.Cfault
+module Json = Gf_util.Json
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -27,6 +28,9 @@ let has hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
   nn = 0 || at 0
+
+let parse_json line = match Json.parse line with Ok v -> v | Error e -> Alcotest.fail e
+let reply_int line key = Json.int key (parse_json line)
 
 let graph () =
   Gf.Generators.holme_kim (Gf.Rng.create 11) ~n:300 ~m_per:4 ~p_triad:0.6 ~recip:0.3
@@ -58,10 +62,10 @@ let test_proto_roundtrip () =
   check_bool "missing proto refused" true
     (Result.is_error (Proto.parse_hello "hello node=x"));
   let resp = Proto.hello_resp ~node:"w0" ~n:10 ~m:20 ~graph_version:3 ~clock_us:1234 in
-  check_bool "hello resp n" true (Proto.json_int resp "n" = Some 10);
-  check_bool "hello resp clock" true (Proto.json_int resp "clock_us" = Some 1234);
-  check_bool "hello resp m" true (Proto.json_int resp "m" = Some 20);
-  check_bool "hello resp gv" true (Proto.json_int resp "graph_version" = Some 3);
+  check_bool "hello resp n" true (reply_int resp "n" = Some 10);
+  check_bool "hello resp clock" true (reply_int resp "clock_us" = Some 1234);
+  check_bool "hello resp m" true (reply_int resp "m" = Some 20);
+  check_bool "hello resp gv" true (reply_int resp "graph_version" = Some 3);
   let mm = Proto.version_mismatch ~node:"w0" ~theirs:99 in
   check_bool "mismatch structured" true
     (has mm "\"ok\":false" && has mm "\"error\":\"version_mismatch\"" && has mm "\"theirs\":99");
@@ -71,7 +75,8 @@ let test_proto_roundtrip () =
     Proto.shard_req ~part:(1, 4) ~timeout_ms:250 ~max_rows:10 ~rows:true triangle_text
   in
   (match Proto.parse_shard line with
-  | Ok req ->
+  | Ok (req, ctx) ->
+      check_bool "untraced" true (ctx = None && not req.Service.trace);
       check_bool "part" true (req.Service.part = Some (1, 4));
       check_bool "timeout" true (req.Service.timeout_ms = Some 250);
       check_bool "max_rows" true (req.Service.max_rows = Some 10);
@@ -83,7 +88,23 @@ let test_proto_roundtrip () =
   check_bool "degenerate part refused" true
     (Result.is_error (Proto.parse_part "part=0/0"));
   check_bool "shard without part refused" true
-    (Result.is_error (Proto.parse_shard "shard q=Q1"))
+    (Result.is_error (Proto.parse_shard "shard q=Q1"));
+  (match
+     Proto.parse_shard
+       (Proto.shard_req ~part:(0, 2) ~trace_ctx:(5, "shard-0") ~rows:false triangle_text)
+   with
+  | Ok (req, ctx) ->
+      check_bool "trace context" true (ctx = Some (5, "shard-0") && req.Service.trace)
+  | Error m -> Alcotest.fail m);
+  (* Text after q= is query text, never an option: a trace_id in it gives
+     the request no trace context; the query parser sees it and refuses. *)
+  let smuggled = triangle_text ^ " trace_id=5" in
+  (match Wire.parse_options ("part=0/2 q=" ^ smuggled) (fun _ _ -> ()) with
+  | Ok q -> check_string "q= consumes the rest" smuggled q
+  | Error m -> Alcotest.fail m);
+  match Proto.parse_shard ("shard part=0/2 q=" ^ smuggled) with
+  | Ok (_, ctx) -> check_bool "no trace context from query text" true (ctx = None)
+  | Error m -> check_bool "refused by the query parser" true (has m "parse error")
 
 let test_run_resp_shape () =
   let r =
@@ -93,8 +114,8 @@ let test_run_resp_shape () =
   check_bool "ok" true (has r "\"ok\":true");
   check_bool "outcome" true (has r "\"outcome\":\"partial\"");
   check_bool "incomplete named" true (has r "\"incomplete_shards\":[2]");
-  check_bool "matches" true (Proto.json_int r "matches" = Some 41);
-  check_bool "failovers" true (Proto.json_int r "failovers" = Some 1);
+  check_bool "matches" true (reply_int r "matches" = Some 41);
+  check_bool "failovers" true (reply_int r "failovers" = Some 1);
   check_bool "no rows key when absent" true (not (has r "\"rows\""))
 
 (* --- topology ---------------------------------------------------------- *)
@@ -213,7 +234,7 @@ let test_worker_hook () =
   | `Reply r ->
       check_bool "hello ok" true (has r "\"ok\":true");
       check_bool "hello n" true
-        (Proto.json_int r "n" = Some (Gf.Graph.num_vertices g))
+        (reply_int r "n" = Some (Gf.Graph.num_vertices g))
   | _ -> Alcotest.fail "hello must reply");
   (match hook "hello proto=99 node=c role=coordinator" with
   | `Reply r -> check_bool "mixed version refused" true (has r "version_mismatch")
@@ -227,7 +248,7 @@ let test_worker_hook () =
       | `Reply r ->
           check_bool "shard ok" true (has r "\"ok\":true");
           check_bool "shard completed" true (has r "\"outcome\":\"completed\"");
-          Option.value (Proto.json_int r "matches") ~default:(-1)
+          Option.value (reply_int r "matches") ~default:(-1)
       | _ -> Alcotest.fail "shard must reply"
     in
     (matches (0, 2), matches (1, 2))
@@ -370,7 +391,7 @@ let test_cluster_end_to_end () =
   check_int "both shards named" 2 (List.length r3.Coordinator.r_incomplete);
   let stats = Coordinator.stats_json coord in
   check_bool "stats carries failovers" true
-    (match Proto.json_int stats "failovers" with Some n -> n >= 1 | None -> false);
+    (match reply_int stats "failovers" with Some n -> n >= 1 | None -> false);
   Coordinator.stop coord
 
 let test_partial_failure_is_explicit () =
@@ -644,6 +665,25 @@ let test_stitched_trace_failover () =
   check_bool "worker request span grafted" true (has reply "\"name\":\"request\"");
   check_bool "coordinator process track" true
     (has reply "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,");
+  (* Moved into the coordinator's clock by the handshake skew, the worker's
+     request span starts inside the coordinator's shard-0 span. *)
+  let events =
+    Json.list "traceEvents"
+      (Option.value (Json.member "trace" (parse_json reply)) ~default:Json.Null)
+  in
+  let ts ~pid ~ph name =
+    List.filter_map
+      (fun e ->
+        if Json.int "pid" e = Some pid && Json.str "ph" e = Some ph && Json.str "name" e = Some name
+        then Json.int "ts" e
+        else None)
+      events
+  in
+  (match (ts ~pid:1 ~ph:"B" "shard-0", ts ~pid:1 ~ph:"E" "shard-0") with
+  | [ b ], [ e ] ->
+      check_bool "worker request span under shard-0" true
+        (List.exists (fun t -> t >= b && t <= e) (ts ~pid:wpid ~ph:"B" "request"))
+  | _ -> Alcotest.fail "one shard-0 span expected");
   (* The nesting gate on the retained JSON: begins and ends pair off, and
      both processes contributed events. *)
   let count needle =
@@ -668,12 +708,70 @@ let test_stitched_trace_failover () =
   Coordinator.stop coord;
   stop_worker w0
 
+(* A refusal's detail crosses the wire escaped and reads back intact on the
+   client path; the substring scraper this replaced turned "a\nb" into
+   "anb". *)
+let test_error_detail_newline () =
+  let path = Filename.concat (tmpdir ()) "refuser.sock" in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 1;
+  let refuser =
+    Thread.create
+      (fun () ->
+        let c, _ = Unix.accept fd in
+        ignore (input_line (Unix.in_channel_of_descr c));
+        let oc = Unix.out_channel_of_descr c in
+        output_string oc (Wire.error_resp ~kind:"refused" ~detail:"a\nb" ^ "\n");
+        flush oc;
+        Unix.close c)
+      ()
+  in
+  (match Gf_cluster.Remote.connect (Server.Unix_path path) with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+      (match Gf_cluster.Remote.handshake c ~timeout_s:2.0 ~node:"t" ~role:"probe" with
+      | Ok _ -> Alcotest.fail "a refusal must not complete the handshake"
+      | Error e -> check_string "detail read back intact" "refused: a\nb" e);
+      Gf_cluster.Remote.close c);
+  Thread.join refuser;
+  Unix.close fd;
+  Sys.remove path
+
+(* Worker stats nest inside the coordinator's fleet array. A top-level read
+   must not find a key only a fleet entry carries: the substring scraper
+   this replaced returned the first "completed" anywhere in the line. *)
+let test_stats_fleet_keys_stay_nested () =
+  let g = graph () in
+  let dir = tmpdir () in
+  let w0 = start_worker ~dir ~node:"w0" g in
+  let topo =
+    match Topology.parse (Printf.sprintf "shard 0 unix:%s\n" w0.path) with
+    | Ok t -> t
+    | Error m -> Alcotest.fail m
+  in
+  let coord =
+    Coordinator.create ~config:{ (coord_config ()) with Coordinator.stats_interval_s = 0.0 } topo
+  in
+  let v = parse_json (Coordinator.stats_json coord) in
+  let fleet_completed =
+    List.filter_map
+      (fun e -> Option.bind (Json.member "stats" e) (Json.int "completed"))
+      (Json.list "fleet" v)
+  in
+  check_bool "fleet entry carries completed" true (fleet_completed <> []);
+  check_bool "top level has no completed" true (Json.int "completed" v = None);
+  check_bool "top level keys still read" true (Json.int "shards" v = Some 1);
+  Coordinator.stop coord;
+  stop_worker w0
+
 let suite =
   [
     ( "cluster.proto",
       [
         Alcotest.test_case "handshake and shard roundtrip" `Quick test_proto_roundtrip;
         Alcotest.test_case "aggregate reply shape" `Quick test_run_resp_shape;
+        Alcotest.test_case "error detail keeps its newline" `Quick test_error_detail_newline;
         Alcotest.test_case "topology parsing" `Quick test_topology_parse;
       ] );
     ( "cluster.shard",
@@ -699,5 +797,7 @@ let suite =
           test_fingerprint_mismatch_refused;
         Alcotest.test_case "stitched trace spans failed attempt and winner" `Quick
           test_stitched_trace_failover;
+        Alcotest.test_case "fleet keys stay nested in stats" `Quick
+          test_stats_fleet_keys_stay_nested;
       ] );
   ]

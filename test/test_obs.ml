@@ -14,6 +14,7 @@ module Governor = Gf_exec.Governor
 module Plan = Gf_plan.Plan
 module Generators = Gf_graph.Generators
 module Rng = Gf_util.Rng
+module Json = Gf_util.Json
 open Gf_query
 
 let check_int = Alcotest.(check int)
@@ -205,7 +206,7 @@ let test_recorder_ring () =
   check_bool "newest first, oldest evicted" true
     (List.map (fun x -> x.Recorder.id) recent = [ 6; 5; 4; 3 ]);
   check_bool "recent k limits" true (List.length (Recorder.recent r 2) = 2);
-  let j = Recorder.record_to_json (List.hd recent) in
+  let j = Json.to_string (Recorder.record_to_json (List.hd recent)) in
   check_bool "record json has query" true (has j "\"query\":\"q6\"");
   check_bool "record json has outcome" true (has j "\"outcome\":\"completed\"")
 
@@ -234,7 +235,7 @@ let test_recorder_retention () =
 let test_recorder_json_escaping () =
   let r = Recorder.create () in
   let _ = rec_one r "a\nb\"c\\d" in
-  let j = Recorder.record_to_json (List.hd (Recorder.recent r 1)) in
+  let j = Json.to_string (Recorder.record_to_json (List.hd (Recorder.recent r 1))) in
   check_bool "one line" true (not (String.contains j '\n'));
   check_bool "newline escaped" true (has j "a\\nb\\\"c\\\\d")
 
@@ -327,8 +328,9 @@ let test_export_graft_roundtrip () =
   Trace.begin_span wb "inner";
   Trace.end_span ~args:[ ("rows", Trace.Int 42); ("sel", Trace.Float 0.125); ("q", Trace.Str "a,b|c;d") ] wb;
   Trace.end_span wb;
-  let data = Trace.export_spans worker in
-  check_bool "wire data is one line" true (not (String.contains data '\n'));
+  let line = Json.to_string (Trace.export_spans worker) in
+  check_bool "wire data is one line" true (not (String.contains line '\n'));
+  let data = match Json.parse line with Ok v -> v | Error e -> Alcotest.fail e in
   let coord = Trace.create () in
   let cb = Trace.buffer ~name:"coordinator" coord ~tid:1 in
   Trace.span cb "request" (fun () -> ());
@@ -364,18 +366,26 @@ let test_export_graft_roundtrip () =
   check_bool "renderer shows the process" true (has (Trace.render coord) "w0 (unix:/w0.sock)")
 
 let test_graft_malformed () =
-  (* Garbage from the wire must never corrupt the local trace: bad records
-     are skipped, good ones in the same payload still land. *)
+  (* Garbage from the wire must never corrupt the local trace: bad entries
+     are skipped, good ones in the same array still land. *)
+  let parse text = match Json.parse text with Ok v -> v | Error e -> Alcotest.fail e in
+  let good = {|{"tid":1,"ts":10,"dur":5,"depth":0,"name":"ok","cat":"cat","args":{}}|} in
   let tr = Trace.create () in
   Trace.graft tr ~pid:7 ~pname:"w" ~skew_us:0
-    "garbage;S|x|y|z;B|notanint|n;S|1|10|5|0|ok|cat|;B|2|fine;;|||";
+    (parse
+       ({|["garbage",{"tid":"x","ts":1,"dur":2,"depth":0,"name":"n","cat":""},|}
+      ^ {|{"tid":"n","tname":"n"},{"tid":1,"ts":10,"dur":5,"name":"no depth","cat":""},|}
+      ^ {|[1,2],null,{},|} ^ good ^ {|,{"tid":2,"tname":"fine"}]|}));
   let spans = Trace.spans tr in
   check_int "only the well-formed span landed" 1 (List.length spans);
   check_bool "its name decoded" true ((List.hd spans).Trace.name = "ok");
   check_balanced "after malformed graft" tr;
+  (* A payload that is not an array at all grafts nothing. *)
+  Trace.graft tr ~pid:9 ~pname:"w''" ~skew_us:0 (parse {|{"spans":"S|1|10|5|0|ok|cat|"}|});
+  check_int "non-array payload ignored" 1 (List.length (Trace.spans tr));
   (* Graft into a live trace twice (two replicas of the same shard answer):
      tracks are distinct per pid so nothing collides. *)
-  Trace.graft tr ~pid:8 ~pname:"w'" ~skew_us:0 "S|1|10|5|0|ok|cat|";
+  Trace.graft tr ~pid:8 ~pname:"w'" ~skew_us:0 (parse ("[" ^ good ^ "]"));
   check_int "second process grafted" 2 (List.length (Trace.spans tr));
   check_int "two pids" 2 (List.length (Trace.pids tr));
   check_balanced "two grafts" tr

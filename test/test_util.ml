@@ -380,6 +380,83 @@ let test_bitset_subset_enumeration () =
       check_bool "subset" true (Bitset.subset x s))
     subsets
 
+(* ---------- Json ---------- *)
+
+(* Strings built from the bytes an escaper gets wrong: quotes, backslashes,
+   every control byte, text that looks like an escape, and high bytes. *)
+let json_value_gen =
+  let open QCheck2.Gen in
+  let byte =
+    frequency
+      [ (3, printable); (2, char_range '\000' '\031'); (1, oneofl [ '"'; '\\'; '/'; 'u' ]);
+        (1, char_range '\128' '\255') ]
+  in
+  let str =
+    oneof
+      [ string_size ~gen:byte (int_bound 12);
+        oneofl [ "\\u0041"; "\\"; "\\\""; "\\n"; "\\ud83d"; "\xc3\xa9"; "" ] ]
+  in
+  let finite =
+    oneof
+      [ map (fun f -> if Float.is_finite f then f else 0.5) float;
+        oneofl [ 0.0; -0.0; 1.0; 0.1; 1e300; 5e-324; -2.5; 1e15; 123456789012.5 ] ]
+  in
+  let leaf =
+    oneof
+      [ pure Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        map (fun f -> Json.Float f) finite; map (fun s -> Json.Str s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [ (2, leaf); (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 2))));
+               ( 1,
+                 map (fun kv -> Json.Obj kv)
+                   (list_size (int_bound 4) (pair str (self (n / 2)))) ) ])
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~name:"parse (to_string v) = v" ~count:500 json_value_gen (fun v ->
+      let text = Json.to_string v in
+      (not (String.contains text '\n')) && Json.parse text = Ok v)
+
+let test_json_nonfinite () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "non-finite prints null" "null" (Json.to_string (Json.Float f)))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check string) "inside containers too" {|[1.5,{"x":null}]|}
+    (Json.to_string (Json.Arr [ Float 1.5; Obj [ ("x", Float nan) ] ]));
+  Alcotest.(check string) "integral floats keep a point" "[2.0,1e+300]"
+    (Json.to_string (Json.Arr [ Float 2.0; Float 1e300 ]))
+
+let test_json_rejects () =
+  List.iter
+    (fun text ->
+      check_bool (Printf.sprintf "rejects %S" text) true (Result.is_error (Json.parse text)))
+    [ {|{"a":1} x|}; "[1] [2]"; "1 2"; {|"abc|}; {|["abc]|}; {|{"a":"b}|}; "\"a\nb\"";
+      "\"a\tb\""; "\"\000\""; "[,1]"; {|{,"a":1}|}; "[1,]"; {|{"a":1,}|}; "[1,,2]"; "";
+      "   "; "01"; "1."; "-"; ".5"; "1e"; "+1"; "tru"; "nul"; {|"\x"|}; {|"\u12"|};
+      {|"\ud800"|}; "{\"a\" 1}"; "[1 2]"; "NaN"; "Infinity" ];
+  check_bool "whitespace around values accepted" true
+    (Json.parse " {\"a\" : [1, 2.5e3, -0, null, \"\\u00e9\"]} \n"
+    = Ok (Json.Obj [ ("a", Arr [ Int 1; Float 2500.; Int 0; Null; Str "\xc3\xa9" ]) ]));
+  check_bool "ints past the int range read as floats" true
+    (Json.parse "123456789012345678901234567890" = Ok (Json.Float 1.2345678901234568e29))
+
+let test_json_member_top_level () =
+  let v =
+    match Json.parse {|{"a":{"completed":1},"fleet":[{"completed":2}],"c":2,"c":3}|} with
+    | Ok v -> v
+    | Error e -> Alcotest.fail e
+  in
+  check_bool "nested key not found at the top" true (Json.member "completed" v = None);
+  check_bool "first of a repeated key" true (Json.int "c" v = Some 2);
+  check_bool "wrong type is None" true (Json.str "c" v = None && Json.float "c" v = Some 2.);
+  check_bool "non-object has no members" true (Json.member "a" (Json.Arr [ v ]) = None)
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest t in
   [
@@ -420,6 +497,13 @@ let suite =
         q prop_intersect_multiway;
         q prop_gallop_equals_tandem;
         q prop_leapfrog_matches_pairwise;
+      ] );
+    ( "util.json",
+      [
+        q prop_json_roundtrip;
+        Alcotest.test_case "non-finite floats print null" `Quick test_json_nonfinite;
+        Alcotest.test_case "parser rejects malformed input" `Quick test_json_rejects;
+        Alcotest.test_case "member reads the top level only" `Quick test_json_member_top_level;
       ] );
     ( "util.bitset",
       [
