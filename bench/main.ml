@@ -600,7 +600,8 @@ let observability () =
   subheader "EXPLAIN ANALYZE (sequential run)";
   let prof = Gf.Profile.create plan in
   let _ = Gf.Exec.run_gov ~prof g plan in
-  print_string (Gf.Explain.to_string (Gf.Explain.rows cat q plan prof))
+  let ests = Gf.Explain.estimates (Gf.Cost_model.create cat q) plan in
+  print_string (Gf.Explain.to_string (Gf.Explain.rows ests prof))
 
 let tracing () =
   header "Tracing: span-recording overhead and export (Q1, twitter)";
@@ -1309,6 +1310,108 @@ let durability () =
 
 (* ---- Plan cache: amortization of planning cost + feedback convergence ---- *)
 
+(* 3. Churn: a seeded stream of labeled 3-7 vertex templates cut out of
+   the human analogue, over a pool larger than the cache, the way the
+   labeled-short serving workload sends them: sizes in a fixed 12/12/12/8/6
+   mix, Pareto(1.2) popularity within a size, one request in each size's
+   share for a never-seen template, and every request re-numbered. Only
+   lookups run (no executions, so no feedback), which isolates eviction.
+   A template's planner work is its search's distinct estimates
+   ([Cost_model.work], what the cost-aware cache charges); a miss redoes
+   it. *)
+let plan_cache_churn () =
+  subheader "churn: mixed-size labeled templates over a pool larger than the cache";
+  let g = dataset_at (Gf.Generators.Human, Float.min 1.0 (scale *. 4.0)) in
+  let cat = catalog g in
+  let rng = Gf.Rng.create 16 in
+  let sizes = [| 3; 4; 5; 6; 7 |] and per_block = [| 12; 12; 12; 8; 6 |] in
+  let per_size = 40 and fresh_per_size = 60 and capacity = 128 and lookups = 3000 in
+  let template nv = Gf.Query_gen.from_data g rng ~num_vertices:nv ~dense:false in
+  let pool = Array.map (fun nv -> Array.init per_size (fun _ -> template nv)) sizes in
+  let fresh = Array.map (fun nv -> Array.init fresh_per_size (fun _ -> template nv)) sizes in
+  (* Search every template once: warms the catalogue, so the timed
+     lookups below plan without sampling, and prices each template. *)
+  let work = Hashtbl.create 512 in
+  Array.iter
+    (Array.iter (fun q ->
+         let _, _, model = Gf.Planner.search cat q in
+         Hashtbl.replace work q (Gf.Cost_model.work model)))
+    (Array.append pool fresh);
+  let cdf =
+    let w = Array.init per_size (fun r -> Float.pow (float_of_int (r + 1)) (-1. /. 1.2)) in
+    let total = Array.fold_left ( +. ) 0. w and acc = ref 0. in
+    Array.map (fun x -> acc := !acc +. (x /. total); !acc) w
+  in
+  let pick cum =
+    let u = Gf.Rng.float rng 1.0 in
+    let i = ref 0 in
+    while !i < Array.length cum - 1 && cum.(!i) <= u do incr i done;
+    !i
+  in
+  let class_cdf =
+    let total = float_of_int (Array.fold_left ( + ) 0 per_block) and acc = ref 0 in
+    Array.map (fun n -> acc := !acc + n; float_of_int !acc /. total) per_block
+  in
+  let next_fresh = Array.make (Array.length sizes) 0 in
+  let renumber q =
+    let n = Gf.Query.num_vertices q in
+    let perm = Array.init n Fun.id in
+    Gf.Rng.shuffle rng perm;
+    let r = Gf.Query.relabel_vertices q perm in
+    let edges = Array.copy r.Gf.Query.edges in
+    Gf.Rng.shuffle rng edges;
+    (Gf.Query.create ~num_vertices:n ~vlabels:r.Gf.Query.vlabels ~edges (), q)
+  in
+  let stream =
+    Array.init lookups (fun _ ->
+        let c = pick class_cdf in
+        let q =
+          if Gf.Rng.int rng per_block.(c) = 0 && next_fresh.(c) < fresh_per_size then begin
+            next_fresh.(c) <- next_fresh.(c) + 1;
+            fresh.(c).(next_fresh.(c) - 1)
+          end
+          else pool.(c).(pick cdf)
+        in
+        (c, renumber q))
+  in
+  let cache = Gf.Plan_cache.create ~capacity () in
+  let opts = Gf.Planner.default_opts in
+  let k = Array.length sizes in
+  let reqs = Array.make k 0 and misses = Array.make k 0 and charged = Array.make k 0 in
+  let miss_s = Array.make k 0. and total_s = ref 0. in
+  Array.iter
+    (fun (c, (q, template)) ->
+      let t0 = Unix.gettimeofday () in
+      let r = Gf.Plan_cache.lookup cache ~opts ~graph_version:0 cat q in
+      let dt = Unix.gettimeofday () -. t0 in
+      total_s := !total_s +. dt;
+      reqs.(c) <- reqs.(c) + 1;
+      if r.Gf.Plan_cache.outcome <> Gf.Plan_cache.Hit then begin
+        misses.(c) <- misses.(c) + 1;
+        charged.(c) <- charged.(c) + Hashtbl.find work template;
+        miss_s.(c) <- miss_s.(c) +. dt
+      end)
+    stream;
+  Printf.printf
+    "%d pool + %d never-seen templates per size, cache %d, %d lookups (seed 16)\n" per_size
+    fresh_per_size capacity lookups;
+  Printf.printf "%-5s %8s %7s %12s %14s\n" "size" "lookups" "misses" "work charged"
+    "planning (s)";
+  Array.iteri
+    (fun c nv ->
+      Printf.printf "%-5d %8d %7d %12d %14.4f\n" nv reqs.(c) misses.(c) charged.(c) miss_s.(c))
+    sizes;
+  let sum = Array.fold_left ( + ) 0 in
+  let s = Gf.Plan_cache.stats cache in
+  Printf.printf
+    "total: %d misses, hit ratio %.3f, %d evictions, work charged %d, planning %.4fs of %.4fs \
+     in lookups\n"
+    (sum misses)
+    (float_of_int s.Gf.Plan_cache.hits /. float_of_int lookups)
+    s.Gf.Plan_cache.evictions (sum charged)
+    (Array.fold_left ( +. ) 0. miss_s)
+    !total_s
+
 let plan_cache_bench () =
   header "plan cache (planning amortization, feedback-driven replanning)";
   let g = dataset Gf.Generators.Amazon in
@@ -1394,7 +1497,8 @@ let plan_cache_bench () =
   Printf.printf
     "cache: %d entries, %d hits, %d misses, %d replans, %d feedback folds\n"
     s.Gf.Plan_cache.entries s.Gf.Plan_cache.hits s.Gf.Plan_cache.misses
-    s.Gf.Plan_cache.replans s.Gf.Plan_cache.feedbacks
+    s.Gf.Plan_cache.replans s.Gf.Plan_cache.feedbacks;
+  plan_cache_churn ()
 
 (* ------------------------------------------------------------------ *)
 (* Cluster: sharded serving overhead, straggler hedging.               *)

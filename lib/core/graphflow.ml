@@ -76,35 +76,50 @@ module Db = struct
   let graph_version db = db.version
   let parse_query = Query_parser.parse
 
-  (* Planning, through the plan cache when one is attached: the plan, its
-     estimated cost, and whether a run of it is due to feed the cache's
-     corrections. *)
+  (* A plan chosen for one execution: its estimated cost, its per-operator
+     estimates under the uncorrected model (forced only by a profiled run),
+     and whether that run is due to feed the plan cache's corrections. *)
+  type prepared = {
+    chosen : Plan.t;
+    cost : float;
+    estimates : Explain.estimates Lazy.t;
+    feedback_due : bool;
+  }
+
+  (* Planning, through the plan cache when one is attached. Without one,
+     the estimates come from the search's own model when asked for. *)
   let lookup ?trace db q =
     match db.cache with
     | None ->
-        let p, cost = Planner.plan ~opts:db.opts ?trace db.catalog q in
-        (p, cost, false)
+        let p, cost, model = Planner.search ~opts:db.opts ?trace db.catalog q in
+        {
+          chosen = p;
+          cost;
+          estimates = lazy (Explain.estimates (Cost_model.uncorrected model) p);
+          feedback_due = false;
+        }
     | Some c ->
         let r =
           Plan_cache.lookup ?trace c ~opts:db.opts ~graph_version:db.version db.catalog q
         in
-        (r.Plan_cache.plan, r.Plan_cache.cost, r.Plan_cache.feedback_due)
+        {
+          chosen = r.Plan_cache.plan;
+          cost = r.Plan_cache.cost;
+          estimates = Lazy.from_val r.Plan_cache.estimates;
+          feedback_due = r.Plan_cache.feedback_due;
+        }
 
   let plan db q =
-    let p, cost, _ = lookup db q in
-    (p, cost)
+    let r = lookup db q in
+    (r.chosen, r.cost)
 
-  (* A plan chosen for one execution, and whether that run is due to feed
-     the plan cache's corrections. The planner runs on this thread: give it
-     its own buffer (tid 2) so optimization time is visible next to the
-     execution tracks. *)
-  type prepared = { chosen : Plan.t; feedback_due : bool }
-
+  (* The planner runs on this thread: give it its own buffer (tid 2) so
+     optimization time is visible next to the execution tracks. *)
   let prepare ?trace db q =
     let pbuf = Option.map (fun tr -> Trace.buffer ~name:"planner" tr ~tid:2) trace in
-    let p, _, feedback_due = lookup ?trace:pbuf db q in
+    let r = lookup ?trace:pbuf db q in
     (match pbuf with Some b -> Trace.close_all b | None -> ());
-    { chosen = p; feedback_due }
+    r
 
   let prepared_plan r = r.chosen
 
@@ -136,15 +151,16 @@ module Db = struct
      pick the cluster-shard, parallel, adaptive or sequential executor,
      record the query metrics, and fold a profiled, completed run into the
      plan cache's corrections (feedback must never fail a request, so a
-     failure there is swallowed). Estimation rows come from the uncorrected
-     model, so the ratios measure the catalogue's true error. [profile]
+     failure there is swallowed). Estimation rows join the plan's stored
+     uncorrected estimates, so the ratios measure the catalogue's true
+     error and a feedback run estimates nothing again. [profile]
      forces a profiled run (EXPLAIN ANALYZE); otherwise the plan cache's
      warmup and every Nth run of a template are profiled. A sharded run
      never profiles: its actuals are a fraction of the full plan's
      estimates and would poison the correction EWMAs. Returns the
      profile's rows alongside the counters. *)
   let execute ?(adaptive = false) ?(domains = 1) ?scan_part ?budget ?fault ?gov ?trace ?sink
-      ~profile db q { chosen = p; feedback_due } =
+      ~profile db q { chosen = p; estimates; feedback_due; _ } =
     let prof =
       if (profile || feedback_due) && scan_part = None then Some (Profile.create p) else None
     in
@@ -182,14 +198,7 @@ module Db = struct
     in
     let seconds = Gf_util.Timing.now_s () -. t0 in
     observe_run seconds c outcome;
-    let rows =
-      Option.map
-        (fun prof ->
-          lazy
-            (Explain.rows ~cache_conscious:db.opts.Planner.cache_conscious
-               ~weights:db.opts.Planner.weights db.catalog q p prof))
-        prof
-    in
+    let rows = Option.map (fun prof -> lazy (Explain.rows (Lazy.force estimates) prof)) prof in
     (match (db.cache, outcome, rows) with
     | Some cache, Governor.Completed, Some rows -> (
         try Plan_cache.observe cache ~graph_version:db.version q p (Lazy.force rows)

@@ -29,6 +29,10 @@ let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?correcti
 
 let query t = t.q
 let cache_conscious t = t.cache_conscious
+let weights t = t.weights
+let uncorrected t = { t with corrections = None }
+
+let work t = Hashtbl.length t.cards + Hashtbl.length t.mus + Hashtbl.length t.sizes
 
 (* The extension of child-set by v, as (induced sub-query, v's index in it). *)
 let induced_extension t ~child ~v =

@@ -28,6 +28,18 @@ val create :
 
 val query : t -> Gf_query.Query.t
 val cache_conscious : t -> bool
+val weights : t -> Cost.weights
+
+(** [uncorrected t] is [t] without its corrections. It shares [t]'s memo
+    tables, which hold only catalogue-derived values, so estimates [t] has
+    already computed are not computed again. *)
+val uncorrected : t -> t
+
+(** [work t] is the number of distinct estimates (cardinalities,
+    selectivities and descriptor sizes) [t] has computed so far: a
+    deterministic count of the planner work behind a plan, read right after
+    the search. *)
+val work : t -> int
 
 (** [card t s] is the estimated number of matches of the sub-query induced
     on vertex set [s] (|s| >= 2). Memoized. *)

@@ -35,29 +35,38 @@ let chain_below = function
       down [] child
   | _ -> []
 
-let rows ?cache_conscious ?weights cat q plan prof =
-  let model = Cost_model.create ?cache_conscious ?weights cat q in
-  let w = Option.value weights ~default:Cost.default_weights in
-  if not (Profile.plan prof == plan) then
+type estimates = { plan : Plan.t; weights : Cost.weights; ops : (float * float) array }
+
+let estimates model plan =
+  let op (node, _) =
+    let est_cost =
+      match node with
+      | Plan.Scan _ -> 0.0
+      | Plan.Extend { target; child; _ } ->
+          Cost_model.extension_icost model ~chain:(chain_below node)
+            ~child:(Plan.var_set child) ~v:target
+      | Plan.Hash_join { build; probe; _ } ->
+          Cost_model.hash_join_cost model (Plan.var_set build) (Plan.var_set probe)
+    in
+    (Cost_model.card model (Plan.var_set node), est_cost)
+  in
+  { plan; weights = Cost_model.weights model; ops = Array.map op (Plan.operators plan) }
+
+let rows ests prof =
+  if not (Profile.plan prof == ests.plan) then
     invalid_arg "Explain.rows: profile belongs to a different plan";
+  let w = ests.weights in
   Array.map
     (fun (o : Profile.op) ->
-      let node = fst (Plan.operators plan).(o.id) in
-      let est_card = Cost_model.card model (Plan.var_set node) in
-      let est_cost, act_cost, cost_q =
-        match node with
-        | Plan.Scan _ -> (0.0, 0.0, None)
-        | Plan.Extend { target; child; _ } ->
-            let est =
-              Cost_model.extension_icost model ~chain:(chain_below node)
-                ~child:(Plan.var_set child) ~v:target
-            in
+      let est_card, est_cost = ests.ops.(o.id) in
+      let q_error act = Some (Catalog.q_error ~estimate:est_cost ~truth:act) in
+      let act_cost, cost_q =
+        match o.kind with
+        | Profile.Scan -> (0.0, None)
+        | Profile.Extend ->
             let act = float_of_int o.icost in
-            (est, act, Some (Catalog.q_error ~estimate:est ~truth:act))
-        | Plan.Hash_join { build; probe; _ } ->
-            let est =
-              Cost_model.hash_join_cost model (Plan.var_set build) (Plan.var_set probe)
-            in
+            (act, q_error act)
+        | Profile.Hash_join ->
             (* Actual cost under the same weights the model uses (Section
                4.2's w1/w2): build and probe tuples that actually flowed
                through this join's table. *)
@@ -65,7 +74,7 @@ let rows ?cache_conscious ?weights cat q plan prof =
               (w.Cost.w1 *. float_of_int o.hj_build)
               +. (w.Cost.w2 *. float_of_int o.hj_probe)
             in
-            (est, act, Some (Catalog.q_error ~estimate:est ~truth:act))
+            (act, q_error act)
       in
       {
         id = o.id;

@@ -36,19 +36,25 @@ type row = {
   hj_probe : int;
 }
 
-(** [rows cat q plan prof] is one row per operator, in operator-id order.
-    [cache_conscious] and [weights] should match the planner options that
-    produced the plan so estimates are the ones the optimizer acted on.
-    Raises [Invalid_argument] when [prof] was created for a different plan
-    value. *)
-val rows :
-  ?cache_conscious:bool ->
-  ?weights:Cost.weights ->
-  Gf_catalog.Catalog.t ->
-  Gf_query.Query.t ->
-  Gf_plan.Plan.t ->
-  Gf_exec.Profile.t ->
-  row list
+(** The optimizer's estimates for every operator of one plan, computed
+    once and joined against any number of profiled runs of that plan. *)
+type estimates = {
+  plan : Gf_plan.Plan.t;  (** the plan value a joined profile must have run *)
+  weights : Cost.weights;  (** the HASH-JOIN weights actual costs are priced with *)
+  ops : (float * float) array;
+      (** [(est_card, est_cost)] per operator id; [est_cost] is 0 for scans *)
+}
+
+(** [estimates model plan] estimates every operator of [plan] under
+    [model]. To compare against the catalogue's own error, pass an
+    uncorrected model ({!Cost_model.uncorrected}) built with the planner
+    options that produced the plan. *)
+val estimates : Cost_model.t -> Gf_plan.Plan.t -> estimates
+
+(** [rows ests prof] is one row per operator, in operator-id order, joining
+    [ests] against the actuals in [prof]. Raises [Invalid_argument] when
+    [prof] was created for a plan value other than [ests.plan]. *)
+val rows : estimates -> Gf_exec.Profile.t -> row list
 
 (** Fixed-width text table. *)
 val to_string : row list -> string

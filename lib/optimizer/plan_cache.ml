@@ -57,13 +57,18 @@ type entry = {
   mutable version : int;  (* graph_version the skeleton was planned against *)
   mutable skel : skel;
   mutable cost : float;  (* model cost at plan time *)
+  mutable estimates : Explain.estimates;
+      (* per-operator estimates of [skel] under the uncorrected model; by
+         operator id, so they hold for every instantiation *)
+  mutable charge : int;  (* planner work to rebuild [skel]: Cost_model.work *)
   corrections : (Bitset.t, corr) Hashtbl.t;
   mutable snapshot : (Bitset.t * float) list;
       (* correction factors in force when [skel] was chosen; drift is
          measured against these *)
   mutable runs : int;
   mutable stale : bool;  (* drift crossed the threshold: replan on next lookup *)
-  mutable tick : int;  (* LRU recency *)
+  mutable priority : int;  (* inflation at last use + runs * charge *)
+  mutable tick : int;  (* recency, breaks priority ties *)
 }
 
 type outcome = Hit | Miss | Replan
@@ -71,6 +76,7 @@ type outcome = Hit | Miss | Replan
 type lookup_result = {
   plan : Plan.t;
   cost : float;
+  estimates : Explain.estimates;
   outcome : outcome;
   feedback_due : bool;
 }
@@ -93,6 +99,7 @@ type t = {
   table : (string, entry) Hashtbl.t;
   lock : Mutex.t;
   mutable clock : int;
+  mutable inflation : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -112,7 +119,7 @@ let default_feedback_period = 32
 let m_inc name help = Metrics.inc (Metrics.counter ~help name)
 let m_hit () = m_inc "gf_server_plan_cache_hits_total" "Plan cache lookups served from cache"
 let m_miss () = m_inc "gf_server_plan_cache_misses_total" "Plan cache lookups that planned from scratch"
-let m_evict () = m_inc "gf_server_plan_cache_evictions_total" "Plan cache entries evicted (LRU)"
+let m_evict () = m_inc "gf_server_plan_cache_evictions_total" "Plan cache entries evicted (cost-aware)"
 let m_replan () = m_inc "gf_server_plan_cache_replans_total" "Plan cache drift-triggered replans"
 let m_inval () = m_inc "gf_server_plan_cache_invalidations_total" "Plan cache wholesale invalidations (graph version advanced)"
 let m_feedback () = m_inc "gf_server_plan_cache_feedback_total" "Profiled executions folded into plan cache corrections"
@@ -131,6 +138,7 @@ let create ?(capacity = default_capacity) ?(drift_threshold = default_drift_thre
     table = Hashtbl.create 64;
     lock = Mutex.create ();
     clock = 0;
+    inflation = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -162,22 +170,32 @@ let invalidate t =
   Mutex.unlock t.lock;
   m_inval ()
 
-(* Callers hold the lock. *)
+(* GreedyDual-Size-Frequency: an entry's priority is the inflation at its
+   last use plus its runs times the planner work a miss would redo. The
+   victim is the lowest priority, the least recently used among equals,
+   and its priority becomes the new inflation, so an entry nobody uses
+   ages out behind entries used since. Only counts enter, never a clock,
+   so a replayed request sequence evicts identically. Callers hold the
+   lock; [touch] follows every change to [runs]. *)
 let touch t e =
   t.clock <- t.clock + 1;
-  e.tick <- t.clock
+  e.tick <- t.clock;
+  e.priority <- t.inflation + (e.runs * e.charge)
 
-let evict_lru t =
+let evict t =
   let victim = ref None in
   Hashtbl.iter
     (fun k e ->
       match !victim with
-      | Some (_, t0) when t0 <= e.tick -> ()
-      | _ -> victim := Some (k, e.tick))
+      | Some (_, v)
+        when v.priority < e.priority || (v.priority = e.priority && v.tick < e.tick) ->
+          ()
+      | _ -> victim := Some (k, e))
     t.table;
   match !victim with
-  | Some (k, _) ->
+  | Some (k, e) ->
       Hashtbl.remove t.table k;
+      t.inflation <- e.priority;
       t.evictions <- t.evictions + 1;
       m_evict ()
   | None -> ()
@@ -208,10 +226,10 @@ let lookup ?trace t ~opts ~graph_version cat q =
   let cached =
     match Hashtbl.find_opt t.table code with
     | Some e when e.version = graph_version && not e.stale ->
-        touch t e;
         e.runs <- e.runs + 1;
+        touch t e;
         (* Snapshot what instantiation needs, then drop the lock. *)
-        Some (`Hit (e.skel, e.cost, feedback_due t e))
+        Some (`Hit (e.skel, e.cost, e.estimates, feedback_due t e))
     | Some e when e.version = graph_version ->
         touch t e;
         Some (`Drift (current_factors e))
@@ -224,23 +242,31 @@ let lookup ?trace t ~opts ~graph_version cat q =
   in
   Mutex.unlock t.lock;
   let plan_fresh ?corrections outcome =
-    let p, cost = Planner.plan ~opts ?trace ?corrections cat q in
+    let p, cost, model = Planner.search ~opts ?trace ?corrections cat q in
+    let charge = Cost_model.work model in
+    (* Estimated on the uncorrected view of the search's own model: what the
+       search already estimated is reused, and a replan's estimates stay
+       the catalogue's, so feedback keeps measuring its true error. *)
+    let estimates = Explain.estimates (Cost_model.uncorrected model) p in
     let skel = skel_of_plan perm p in
     Mutex.lock t.lock;
     let e =
       match Hashtbl.find_opt t.table code with
       | Some e -> e
       | None ->
-          if Hashtbl.length t.table >= t.capacity then evict_lru t;
+          if Hashtbl.length t.table >= t.capacity then evict t;
           let e =
             {
               version = graph_version;
               skel;
               cost;
+              estimates;
+              charge;
               corrections = Hashtbl.create 8;
               snapshot = [];
               runs = 0;
               stale = false;
+              priority = 0;
               tick = 0;
             }
           in
@@ -250,6 +276,8 @@ let lookup ?trace t ~opts ~graph_version cat q =
     e.version <- graph_version;
     e.skel <- skel;
     e.cost <- cost;
+    e.estimates <- estimates;
+    e.charge <- charge;
     e.stale <- false;
     e.snapshot <- current_factors e;
     e.runs <- e.runs + 1;
@@ -264,18 +292,19 @@ let lookup ?trace t ~opts ~graph_version cat q =
     | Hit -> ());
     let due = feedback_due t e in
     Mutex.unlock t.lock;
-    { plan = p; cost; outcome; feedback_due = due }
+    { plan = p; cost; estimates; outcome; feedback_due = due }
   in
   let result =
     match cached with
-    | Some (`Hit (skel, cost, due)) -> (
+    | Some (`Hit (skel, cost, estimates, due)) -> (
         match instantiate q perm skel with
         | p ->
             Mutex.lock t.lock;
             t.hits <- t.hits + 1;
             Mutex.unlock t.lock;
             m_hit ();
-            { plan = p; cost; outcome = Hit; feedback_due = due }
+            let estimates = { estimates with Explain.plan = p } in
+            { plan = p; cost; estimates; outcome = Hit; feedback_due = due }
         | exception _ ->
             (* A skeleton that does not fit the query means the canonical
                code aliased (cannot happen by construction) — recover by
@@ -295,9 +324,8 @@ let lookup ?trace t ~opts ~graph_version cat q =
   result
 
 (* Fold one profiled execution into the template's correction record.
-   [rows] must come from {!Explain.rows} over the *uncorrected* model (which
-   is what [Explain.rows] builds), so each ratio compares the catalogue's
-   base estimate to ground truth; the EWMA then converges on the stable
+   [rows] must join the *uncorrected* estimates (as [lookup] returns them),
+   so each ratio compares the catalogue's base estimate to ground truth; the EWMA then converges on the stable
    actual/estimate ratio instead of compounding previous corrections. *)
 let observe t ~graph_version q plan rows =
   let code, perm = Canon.code q in

@@ -1,4 +1,4 @@
-(** A bounded LRU plan cache with feedback-driven re-optimization.
+(** A bounded, cost-aware plan cache with feedback-driven re-optimization.
 
     Recurring queries under service traffic pay the optimizer's exponential
     search on every submission even though the plan never changes. This
@@ -20,7 +20,18 @@
       recurring queries converge on true-cost plans;
     - when the graph version advances (mutation merges), entries are
       dropped — lazily on lookup, or wholesale via {!invalidate} from the
-      service's merge hook.
+      service's merge hook;
+    - at capacity, eviction is GreedyDual-Size-Frequency: an entry's
+      priority is the inflation at its last use plus its runs times its
+      charge, the number of distinct estimates its search computed
+      ({!Cost_model.work}). The lowest priority goes (the least recently
+      used among equals) and raises the inflation to its priority, so a
+      plan that is expensive to rebuild outlives cheap ones while it is
+      used, and ages out once it is not. No clock is read: a replayed
+      request sequence evicts identically;
+    - each entry keeps its plan's per-operator estimates under the
+      uncorrected model, computed once at plan time, so a feedback run
+      joins them against its profile instead of estimating again.
 
     All operations are thread-safe; planning itself runs outside the lock,
     so racing clients may both plan the same new template (last insert
@@ -37,6 +48,8 @@ type outcome =
 type lookup_result = {
   plan : Gf_plan.Plan.t;  (** a plan for the submitted query's own numbering *)
   cost : float;  (** model cost at plan time *)
+  estimates : Explain.estimates;
+      (** [plan]'s operators under the uncorrected model, for {!Explain.rows} *)
   outcome : outcome;
   feedback_due : bool;
       (** the caller should run this execution profiled and {!observe} the
@@ -54,10 +67,9 @@ type stats = {
 }
 
 val default_capacity : int
-val default_drift_threshold : float
 
 (** [create ()] makes an empty cache. [capacity] bounds the entry count
-    (LRU eviction; default 256). [drift_threshold] (>= 1.0, default 4.0) is
+    (cost-aware eviction; default 256). [drift_threshold] (>= 1.0, default 4.0) is
     the max ratio between a template's live correction factor and the one
     in force at plan time before the entry is marked stale.
     [feedback_warmup] (default 3) and [feedback_period] (default 32)
@@ -89,8 +101,9 @@ val lookup :
 (** [observe t ~graph_version q plan rows] folds the profiled actuals of one
     execution of [plan] (the exact plan value the profile ran, as returned
     by {!lookup}) into [q]'s template corrections. [rows] must be
-    {!Explain.rows} output for that plan — its estimates come from the
-    uncorrected model, so ratios measure the catalogue's true error. No-op
+    {!Explain.rows} of the [estimates] {!lookup} returned with [plan]: they
+    come from the uncorrected model, so ratios measure the catalogue's true
+    error. No-op
     when the template is absent or was planned against another graph
     version. *)
 val observe :

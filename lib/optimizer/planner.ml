@@ -118,7 +118,7 @@ let connected_subsets q =
   done;
   by_size
 
-let plan ?(opts = default_opts) ?trace ?corrections cat q =
+let search ?(opts = default_opts) ?trace ?corrections cat q =
   check_no_multi_pair q;
   let m = Query.num_vertices q in
   if m < 2 then raise (No_plan "queries need at least 2 vertices");
@@ -359,9 +359,13 @@ let plan ?(opts = default_opts) ?trace ?corrections cat q =
       (match trace with
       | Some tb -> Gf_obs.Trace.end_span ~args:[ ("cost", Gf_obs.Trace.Float info.cost) ] tb
       | None -> ());
-      (info.plan, info.cost)
+      (info.plan, info.cost, model)
   | None ->
       raise
         (No_plan
            (Printf.sprintf "plan space '%s' contains no plan for this query"
               (match opts.mode with Hybrid -> "hybrid" | Wco_only -> "wco" | Bj_only -> "bj")))
+
+let plan ?opts ?trace ?corrections cat q =
+  let p, cost, _ = search ?opts ?trace ?corrections cat q in
+  (p, cost)

@@ -47,6 +47,18 @@ val plan :
   Gf_query.Query.t ->
   Gf_plan.Plan.t * float
 
+(** [search] is {!plan} that also returns the cost model the search ran
+    on, with its memo tables filled: {!Cost_model.work} prices the search,
+    and {!Cost_model.uncorrected} estimates the chosen plan without
+    recomputing what the search already did. *)
+val search :
+  ?opts:opts ->
+  ?trace:Gf_obs.Trace.buf ->
+  ?corrections:(Gf_util.Bitset.t -> float) ->
+  Gf_catalog.Catalog.t ->
+  Gf_query.Query.t ->
+  Gf_plan.Plan.t * float * Cost_model.t
+
 (** [best_wco_order cat q] is the minimum-estimated-cost query vertex
     ordering over all prefix-connected orderings, with its cost. Used both
     by the optimizer and to hand "good" orderings to the EmptyHeaded

@@ -194,6 +194,52 @@ let prop_plan_cache_renumbered_hit =
       in
       check "first run" q ~hits:0 ~misses:1 && check "re-numbered" q2 ~hits:1 ~misses:1)
 
+(* Plan-cache churn: a capacity-4 cache under a stream of labeled 3-7
+   vertex templates cut out of the data graph (more templates than
+   slots), each request re-numbered afresh. Every other run is profiled and
+   fed back under a low drift threshold, so entries are evicted, hit after
+   re-numbering and replanned under corrections; every count must equal
+   Naive's. *)
+let test_plan_cache_churn () =
+  let totals = ref (0, 0, 0) in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        Graph.relabel
+          (Generators.holme_kim rng ~n:80 ~m_per:3 ~p_triad:0.5 ~recip:0.3)
+          rng ~num_vlabels:3 ~num_elabels:2
+      in
+      let templates =
+        Array.init 10 (fun i ->
+            Query_gen.from_data g rng ~num_vertices:(3 + (i mod 5)) ~dense:(i mod 3 = 0))
+      in
+      let expected = Array.map (Naive.count g) templates in
+      let cache =
+        Plan_cache.create ~capacity:4 ~drift_threshold:1.5 ~feedback_warmup:1
+          ~feedback_period:2 ()
+      in
+      let db = Graphflow.Db.create ~z:100 ~plan_cache:cache g in
+      for _ = 1 to 60 do
+        let i = Rng.int rng (Array.length templates) in
+        let q = templates.(i) in
+        let perm = Array.init (Query.num_vertices q) Fun.id in
+        Rng.shuffle rng perm;
+        let q' = Query.relabel_vertices q perm in
+        let got = Graphflow.Db.count db q' in
+        if got <> expected.(i) then
+          Alcotest.failf "seed %d: %d matches <> naive %d on %s" seed got expected.(i)
+            (Query.to_string q')
+      done;
+      let s = Plan_cache.stats cache in
+      let h, e, r = !totals in
+      totals := (h + s.Plan_cache.hits, e + s.Plan_cache.evictions, r + s.Plan_cache.replans))
+    [ 1; 2; 3 ];
+  let hits, evictions, replans = !totals in
+  check_bool "hits" true (hits > 0);
+  check_bool "evictions" true (evictions > 0);
+  check_bool "replans" true (replans > 0)
+
 (* Every spectrum plan counts right, and its count-only run does exactly
    the enumerating run's work. *)
 let prop_spectrum_plans_agree =
@@ -396,6 +442,7 @@ let suite =
       [
         q prop_all_engines_agree;
         q prop_plan_cache_renumbered_hit;
+        Alcotest.test_case "plan-cache churn = naive" `Quick test_plan_cache_churn;
         q prop_spectrum_plans_agree;
         q prop_spectrum_plans_agree_parallel;
         q prop_cfl_agrees_distinct;

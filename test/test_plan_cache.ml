@@ -1,6 +1,7 @@
 (* The plan cache: hit/miss/replan accounting, canonical-space skeleton
    instantiation across renumbered isomorphs, graph-version invalidation,
-   drift-triggered re-optimization, LRU bounds, and thread safety. *)
+   drift-triggered re-optimization, cost-aware eviction, stored estimates,
+   and thread safety. *)
 
 module Gf = Graphflow
 module Plan_cache = Gf.Plan_cache
@@ -128,6 +129,12 @@ let test_drift_triggers_replan () =
   let r2 = Plan_cache.lookup cache ~opts ~graph_version:0 cat triangle in
   check_bool "post-convergence hit" true (r2.Plan_cache.outcome = Plan_cache.Hit)
 
+(* The five 3-vertex templates without anti-parallel pairs. *)
+let three_vertex =
+  List.map Gf.Db.parse_query
+    [ "a1->a2, a2->a3, a1->a3"; "a1->a2, a2->a3, a3->a1"; "a1->a2, a2->a3"; "a1->a2, a3->a2";
+      "a2->a1, a2->a3" ]
+
 let test_bounded_eviction () =
   let db, cache = db_with_cache ~capacity:4 () in
   for i = 1 to 8 do
@@ -137,9 +144,116 @@ let test_bounded_eviction () =
   check_bool "bounded" true (s.Plan_cache.entries <= 4);
   check_int "evictions" 4 s.Plan_cache.evictions;
   check_int "all cold" 8 s.Plan_cache.misses;
-  (* Recency: the last-planned templates survived. *)
-  check_bool "mru survives" true (Plan_cache.mem cache (Gf.Patterns.q 8));
-  check_bool "lru evicted" false (Plan_cache.mem cache (Gf.Patterns.q 1))
+  (* Cost: at capacity, a 7-vertex template outlives the cheaper 3-vertex
+     templates inserted after it (recency alone would evict it first). *)
+  let db, cache = db_with_cache ~capacity:4 () in
+  let seven = Gf.Patterns.path 7 in
+  ignore (Gf.Db.plan db seven);
+  List.iter (fun q -> ignore (Gf.Db.plan db q)) three_vertex;
+  check_int "two evictions" 2 (Plan_cache.stats cache).Plan_cache.evictions;
+  check_bool "7-vertex survives" true (Plan_cache.mem cache seven);
+  check_bool "oldest 3-vertex evicted" false (Plan_cache.mem cache (List.hd three_vertex));
+  (* Aging: a 3-vertex template hit on every round outlives a cold 7-vertex
+     one while cold 3-vertex templates churn through the other slots. Each
+     eviction raises the inflation, which the cold entry's priority never
+     catches up with. *)
+  let db, cache = db_with_cache ~capacity:4 () in
+  let hot = List.hd three_vertex and cold = Array.of_list (List.tl three_vertex) in
+  ignore (Gf.Db.plan db seven);
+  let rec churn round =
+    if round > 2000 || not (Plan_cache.mem cache seven) then round
+    else begin
+      ignore (Gf.Db.plan db hot);
+      ignore (Gf.Db.plan db cold.(round mod Array.length cold));
+      check_bool "hot template kept" true (Plan_cache.mem cache hot);
+      churn (round + 1)
+    end
+  in
+  check_bool "cold 7-vertex ages out" true (churn 0 <= 2000);
+  (* Determinism: eviction reads no clock, so two replays of one seeded
+     sequence over fresh caches evict the same entries at the same steps. *)
+  let pool = Array.of_list (three_vertex @ List.init 8 (fun i -> Gf.Patterns.q (i + 1))) in
+  let replay () =
+    let db, cache = db_with_cache ~capacity:4 () in
+    let rng = Gf.Rng.create 11 in
+    List.init 120 (fun _ ->
+        let q = pool.(Gf.Rng.int rng (Array.length pool)) in
+        ignore (Gf.Db.plan db q);
+        let s = Plan_cache.stats cache in
+        (s.Plan_cache.misses, s.Plan_cache.evictions, Array.map (Plan_cache.mem cache) pool))
+  in
+  let a = replay () and b = replay () in
+  check_bool "replay evicts" true
+    (match List.rev a with (_, ev, _) :: _ -> ev > 0 | [] -> false);
+  check_bool "replays evict identically" true (a = b)
+
+(* Feedback and EXPLAIN ANALYZE rows join the estimates the cache stored
+   at plan time. They must be the rows a fresh uncorrected model gives for
+   the plan that ran: bit for bit on a miss, and on a replan chosen under
+   corrections (the stored estimates stay uncorrected); within float
+   rounding on a re-numbered hit, whose sums run in another edge order. *)
+let test_stored_estimates () =
+  let db, cache = db_with_cache () in
+  let g = Gf.Db.graph db and cat = Gf.Db.catalog db in
+  let opts = Gf.Planner.default_opts in
+  let profiled (r : Plan_cache.lookup_result) =
+    let prof = Gf.Profile.create r.Plan_cache.plan in
+    ignore (Gf.Exec.run_gov ~prof g r.Plan_cache.plan);
+    prof
+  in
+  let compare name ~same q (r : Plan_cache.lookup_result) =
+    let prof = profiled r in
+    let stored = Gf.Explain.rows r.Plan_cache.estimates prof in
+    let fresh =
+      Gf.Explain.rows
+        (Gf.Explain.estimates
+           (Gf.Cost_model.create ~cache_conscious:opts.Gf.Planner.cache_conscious
+              ~weights:opts.Gf.Planner.weights cat q)
+           r.Plan_cache.plan)
+        prof
+    in
+    check_int (name ^ ": rows") (List.length fresh) (List.length stored);
+    List.iter2
+      (fun (a : Gf.Explain.row) (b : Gf.Explain.row) ->
+        List.iter
+          (fun (what, x, y) ->
+            let ok =
+              if same then Int64.bits_of_float x = Int64.bits_of_float y
+              else Float.abs (x -. y) <= 1e-9 *. Float.max (Float.abs x) (Float.abs y)
+            in
+            if not ok then
+              Alcotest.failf "%s: op %d %s: stored %.17g, fresh %.17g" name a.Gf.Explain.id
+                what x y)
+          [ ("est_card", a.Gf.Explain.est_card, b.Gf.Explain.est_card);
+            ("est_cost", a.Gf.Explain.est_cost, b.Gf.Explain.est_cost) ])
+      stored fresh
+  in
+  let rng = Gf.Rng.create 5 in
+  List.iter
+    (fun i ->
+      let q = Gf.Patterns.q i in
+      let name = Printf.sprintf "Q%d" i in
+      let r = Plan_cache.lookup cache ~opts ~graph_version:0 cat q in
+      check_bool (name ^ " misses") true (r.Plan_cache.outcome = Plan_cache.Miss);
+      compare (name ^ " miss") ~same:true q r;
+      let perm = Array.init (Gf.Query.num_vertices q) Fun.id in
+      Gf.Rng.shuffle rng perm;
+      let q' = Gf.Query.relabel_vertices q perm in
+      let r = Plan_cache.lookup cache ~opts ~graph_version:0 cat q' in
+      check_bool (name ^ " re-numbered hits") true (r.Plan_cache.outcome = Plan_cache.Hit);
+      compare (name ^ " re-numbered hit") ~same:false q' r;
+      (* Actuals a thousand times the estimates drift the template; the
+         replan runs under corrections, its stored estimates must not. *)
+      let prof = profiled r in
+      Plan_cache.observe cache ~graph_version:0 q' r.Plan_cache.plan
+        (List.map
+           (fun (row : Gf.Explain.row) ->
+             { row with Gf.Explain.act_card = 1000 * (1 + int_of_float row.Gf.Explain.est_card) })
+           (Gf.Explain.rows r.Plan_cache.estimates prof));
+      let r = Plan_cache.lookup cache ~opts ~graph_version:0 cat q in
+      check_bool (name ^ " replans") true (r.Plan_cache.outcome = Plan_cache.Replan);
+      compare (name ^ " replan") ~same:true q r)
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
 let test_large_pattern_fallback () =
   (* 9 vertices exceeds Canon's exact canonicalization: the structural
@@ -204,12 +318,13 @@ let suite =
         Alcotest.test_case "graph version bump misses" `Quick test_version_bump_misses;
         Alcotest.test_case "invalidate drops all" `Quick test_invalidate;
         Alcotest.test_case "drift triggers replan" `Quick test_drift_triggers_replan;
-        Alcotest.test_case "bounded LRU eviction" `Quick test_bounded_eviction;
+        Alcotest.test_case "bounded cost-aware eviction" `Quick test_bounded_eviction;
         Alcotest.test_case "fallback key beyond 8 vertices" `Quick
           test_large_pattern_fallback;
         Alcotest.test_case "racing clients" `Quick test_racing_clients;
         Alcotest.test_case "run_gov feedback" `Quick test_run_gov_feedback;
         Alcotest.test_case "explain_analyze feeds cache" `Quick
           test_explain_analyze_feeds_cache;
+        Alcotest.test_case "stored estimates = fresh model" `Quick test_stored_estimates;
       ] );
   ]

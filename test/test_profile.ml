@@ -15,6 +15,7 @@ module Profile = Gf_exec.Profile
 module Metrics = Gf_exec.Metrics
 module Parallel = Gf_exec.Parallel
 module Explain = Gf_opt.Explain
+module Cost_model = Gf_opt.Cost_model
 module Db = Graphflow.Db
 
 let check_int = Alcotest.(check int)
@@ -137,7 +138,9 @@ let test_shape_guards () =
   check_bool "explain rejects foreign profile" true
     (try
        ignore
-         (Explain.rows (Db.catalog db) q (fst (Db.plan db q)) (Profile.create (wco_plan ())));
+         (Explain.rows
+            (Explain.estimates (Cost_model.create (Db.catalog db) q) (fst (Db.plan db q)))
+            (Profile.create (wco_plan ())));
        false
      with Invalid_argument _ -> true)
 
