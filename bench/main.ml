@@ -1500,6 +1500,86 @@ let plan_cache_bench () =
     s.Gf.Plan_cache.replans s.Gf.Plan_cache.feedbacks;
   plan_cache_churn ()
 
+(* ---- Planner: what one plan-cache miss costs ---- *)
+
+(* Labeled 3-7 vertex templates cut out of the human analogue, as the
+   labeled-short serving workload sends them, each searched the way a
+   plan-cache miss searches it: on a cold catalogue (a fresh one per
+   template, so the miss samples every entry it reads) and on a warm one
+   (every template searched once before). Per miss: planning time (best of
+   3 on the warm catalogue), ordering prefixes the WCO enumeration visits,
+   [Canon.code] calls, catalogue entries sampled and minor-heap words. *)
+let planner () =
+  header "Planner: plan-miss cost by template size, cold and warm catalogue";
+  let g = dataset_at (Gf.Generators.Human, Float.min 1.0 (scale *. 4.0)) in
+  let rng = Gf.Rng.create 17 in
+  let per_size = 20 in
+  let sizes = [ 3; 4; 5; 6; 7 ] in
+  let templates =
+    List.map
+      (fun nv ->
+        ( nv,
+          List.init per_size (fun i ->
+              Gf.Query_gen.from_data g rng ~num_vertices:nv ~dense:(i mod 2 = 0)) ))
+      sizes
+  in
+  let warm = Gf.Catalog.create g in
+  List.iter (fun (_, qs) -> List.iter (fun q -> ignore (Gf.Planner.search warm q)) qs) templates;
+  (* One miss: seconds, prefixes, Canon.code calls, samples, minor words. *)
+  let miss cat q =
+    let p0 = Gf.Planner.wco_prefixes () and c0 = Gf.Canon.calls () in
+    let e0 = Gf.Catalog.num_entries cat and w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    ignore (Gf.Planner.search cat q);
+    let dt = Unix.gettimeofday () -. t0 in
+    ( dt,
+      Gf.Planner.wco_prefixes () - p0,
+      Gf.Canon.calls () - c0,
+      Gf.Catalog.num_entries cat - e0,
+      Gc.minor_words () -. w0 )
+  in
+  Printf.printf "%d templates per size (seed 17), default catalogue (h=3, z=1000)\n" per_size;
+  Printf.printf "%-5s %-5s %8s %8s %8s %9s %7s %8s %8s\n" "cat" "size" "mean ms" "p50 ms"
+    "max ms" "prefixes" "canon" "samples" "kwords";
+  let total = ref 0.0 in
+  List.iter
+    (fun (label, cold) ->
+      List.iter
+        (fun (nv, qs) ->
+          let runs =
+            List.map
+              (fun q ->
+                if cold then miss (Gf.Catalog.create g) q
+                else
+                  let r = miss warm q in
+                  let t = ref (let dt, _, _, _, _ = r in dt) in
+                  for _ = 1 to 2 do
+                    let dt, _, _, _, _ = miss warm q in
+                    t := Float.min !t dt
+                  done;
+                  let _, p, c, e, w = r in
+                  (!t, p, c, e, w))
+              qs
+          in
+          let n = float_of_int (List.length runs) in
+          let times = Array.of_list (List.map (fun (t, _, _, _, _) -> t) runs) in
+          Array.sort compare times;
+          let mean f = List.fold_left (fun acc r -> acc +. f r) 0.0 runs /. n in
+          let secs = mean (fun (t, _, _, _, _) -> t) in
+          if not cold then total := !total +. (secs *. n);
+          Printf.printf "%-5s %-5d %8.3f %8.3f %8.3f %9.1f %7.1f %8.1f %8.1f\n%!" label nv
+            (1000.0 *. secs)
+            (1000.0 *. times.(Array.length times / 2))
+            (1000.0 *. times.(Array.length times - 1))
+            (mean (fun (_, p, _, _, _) -> float_of_int p))
+            (mean (fun (_, _, c, _, _) -> float_of_int c))
+            (mean (fun (_, _, _, e, _) -> float_of_int e))
+            (mean (fun (_, _, _, _, w) -> w) /. 1000.0))
+        templates)
+    [ ("cold", true); ("warm", false) ];
+  Printf.printf "warm total: %.1f ms for %d misses\n" (1000.0 *. !total)
+    (per_size * List.length sizes)
+
 (* ------------------------------------------------------------------ *)
 (* Cluster: sharded serving overhead, straggler hedging.               *)
 (* ------------------------------------------------------------------ *)
@@ -1683,6 +1763,7 @@ let sections =
     ("storage", storage);
     ("durability", durability);
     ("plan_cache", plan_cache_bench);
+    ("planner", planner);
     ("cluster", cluster);
     ("bechamel", bechamel_suite);
   ]

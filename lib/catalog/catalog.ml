@@ -17,7 +17,7 @@ type t = {
   g : Graph.t;
   h : int;
   z : int;
-  rng : Rng.t;
+  seed : int;
   entries : (string, entry) Hashtbl.t;
   edge_lists : (int * int * int, (int * int) array) Hashtbl.t;
   edge_counts : (int * int * int, int) Hashtbl.t;
@@ -31,7 +31,7 @@ let create ?(h = 3) ?(z = 1000) ?(seed = 7) g =
     g;
     h;
     z;
-    rng = Rng.create seed;
+    seed;
     entries = Hashtbl.create 1024;
     edge_lists = Hashtbl.create 64;
     edge_counts = Hashtbl.create 64;
@@ -97,21 +97,42 @@ let global_avg_sizes t qk new_v =
       ((src, dir, el), avg_partition_size t ~dir ~slabel:(Query.vlabel qk src) ~elabel:el ~nlabel:nl))
     (extension_descriptors qk new_v)
 
+(* The first vertex order, in lexicographic order, whose every prefix
+   induces a connected sub-query and whose last vertex is [last]: a
+   depth-first search that never places [last] early and stops at the first
+   complete order. [last] needs an edge to the rest, which is then connected
+   when the search completes. *)
+let first_order_ending qk last =
+  let k = Query.num_vertices qk in
+  let order = Array.make k last in
+  let exception Found in
+  let rec go depth placed =
+    if depth = k - 1 then raise Found;
+    for v = 0 to k - 1 do
+      if
+        v <> last
+        && (not (Bitset.mem v placed))
+        && (depth = 0 || Bitset.inter (Query.neighbours qk v) placed <> Bitset.empty)
+      then begin
+        order.(depth) <- v;
+        go (depth + 1) (Bitset.add v placed)
+      end
+    done
+  in
+  match go 0 Bitset.empty with
+  | () -> invalid_arg "Catalog: sub-query minus new vertex is disconnected"
+  | exception Found -> order
+
 (* Measure the extension statistics by sampling z edges at the SCAN and
    streaming the sub-query's matches through to the last extension
    (Section 5.1). Work is capped so that a single entry never costs more
-   than a few hundred thousand operations. *)
-let sample_entry t qk new_v =
+   than a few hundred thousand operations. [qk] is in canonical form, so
+   descriptor sources are already canonical vertex ids. *)
+let sample_entry t rng qk new_v =
   let k = Query.num_vertices qk in
   let descriptors = extension_descriptors qk new_v in
   assert (descriptors <> []);
-  (* Choose a connected order ending with the new vertex. *)
-  let order =
-    let all = Query.connected_orders qk in
-    match List.find_opt (fun o -> o.(k - 1) = new_v) all with
-    | Some o -> o
-    | None -> invalid_arg "Catalog: sub-query minus new vertex is disconnected"
-  in
+  let order = first_order_ending qk new_v in
   let scan_edges =
     Array.to_list qk.Query.edges
     |> List.filter (fun (e : Query.edge) ->
@@ -131,7 +152,7 @@ let sample_entry t qk new_v =
     let nsample = min t.z npool in
     let indices =
       if nsample = npool then Array.init npool (fun i -> i)
-      else Rng.sample_without_replacement t.rng ~n:npool ~k:nsample
+      else Rng.sample_without_replacement rng ~n:npool ~k:nsample
     in
     (* Position of each query vertex in the match tuple (= order index). *)
     let pos = Array.make k (-1) in
@@ -210,29 +231,58 @@ let sample_entry t qk new_v =
       { mu = 0.0; sizes = global_avg_sizes t qk new_v; total_size = 0.0; samples = 0 }
     else begin
       let n = float_of_int !measured in
-      (* Map descriptor statistics onto canonical vertex ids. *)
-      let _, perm = Canon.code ~mark:new_v qk in
       let sizes =
         Array.to_list steps.(k - 1)
-        |> List.mapi (fun i (p, dir, el) -> ((perm.(order.(p)), dir, el), size_sums.(i) /. n))
+        |> List.mapi (fun i (p, dir, el) -> ((order.(p), dir, el), size_sums.(i) /. n))
       in
       let total_size = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sizes in
       { mu = !mu_sum /. n; sizes; total_size; samples = !measured }
     end
   end
 
+(* [qk] renumbered by its canonical permutation, edges sorted: every
+   numbering of a pattern (with the same marked vertex) gives one value. *)
+let canonical_form qk perm =
+  let q = Query.relabel_vertices qk perm in
+  let edges = Array.copy q.Query.edges in
+  Array.sort compare edges;
+  Query.create ~num_vertices:(Query.num_vertices q) ~vlabels:q.Query.vlabels ~edges ()
+
+(* The entry whose canonical code and permutation are [code] and [perm],
+   sampled on first use from the canonical form, with a generator seeded by
+   the catalogue seed and the code. An entry thus depends only on the
+   pattern: not on how the requesting query numbers its vertices, nor on
+   which entries were sampled before it. *)
+let find_entry t qk new_vertex (code, perm) =
+  match Hashtbl.find_opt t.entries code with
+  | Some e -> e
+  | None ->
+      let rng = Rng.create (Hashtbl.seeded_hash t.seed code) in
+      let e = sample_entry t rng (canonical_form qk perm) perm.(new_vertex) in
+      Hashtbl.replace t.entries code e;
+      e
+
 let entry t qk ~new_vertex =
-  let k = Query.num_vertices qk in
-  if k > t.h + 1 then None
-  else begin
-    let code, _ = Canon.code ~mark:new_vertex qk in
-    match Hashtbl.find_opt t.entries code with
-    | Some e -> Some e
-    | None ->
-        let e = sample_entry t qk new_vertex in
-        Hashtbl.replace t.entries code e;
-        Some e
-  end
+  if Query.num_vertices qk > t.h + 1 then None
+  else Some (find_entry t qk new_vertex (Canon.code ~mark:new_vertex qk))
+
+(* Section 5.2's removals: every set of |old| - h old vertices, in a fixed
+   order, and the minimum of [base] over the old parts they leave. *)
+let min_over_removals t ~old ~base =
+  let members = Bitset.to_array old in
+  let want = Array.length members - t.h in
+  let candidates = ref [] in
+  let rec choose picked count start =
+    if count = want then candidates := picked :: !candidates
+    else
+      for i = start to Array.length members - 1 do
+        choose (Bitset.add members.(i) picked) (count + 1) (i + 1)
+      done
+  in
+  choose Bitset.empty 0 0;
+  List.fold_left
+    (fun best rm -> match base (Bitset.diff old rm) with Some m when m < best -> m | _ -> best)
+    infinity !candidates
 
 (* Section 5.2 fallback: for oversize patterns, remove every (k - h - 1)-size
    subset of the old vertices that keeps the pattern valid, and take the
@@ -241,40 +291,23 @@ let rec mu_estimate t qk ~new_vertex =
   match entry t qk ~new_vertex with
   | Some e -> e.mu
   | None ->
-      let k = Query.num_vertices qk in
-      let removable = Bitset.remove new_vertex (Bitset.full k) in
-      let want_remove = k - (t.h + 1) in
-      let candidates = ref [] in
-      let rec choose picked count start =
-        if count = want_remove then candidates := picked :: !candidates
-        else
-          for v = start to k - 1 do
-            if Bitset.mem v removable then choose (Bitset.add v picked) (count + 1) (v + 1)
-          done
-      in
-      choose Bitset.empty 0 0;
-      let best = ref infinity in
-      List.iter
-        (fun rm ->
-          let keep = Bitset.diff (Bitset.full k) rm in
-          let sub, map = Query.induced qk keep in
-          (* Position of the new vertex in the reduced pattern. *)
-          let new_pos = ref (-1) in
-          Array.iteri (fun i v -> if v = new_vertex then new_pos := i) map;
-          if !new_pos >= 0 then begin
-            let np = !new_pos in
+      let old = Bitset.remove new_vertex (Bitset.full (Query.num_vertices qk)) in
+      let best =
+        min_over_removals t ~old ~base:(fun rest ->
+            let sub, map = Query.induced qk (Bitset.add new_vertex rest) in
+            (* Position of the new vertex in the reduced pattern. *)
+            let np = ref (-1) in
+            Array.iteri (fun i v -> if v = new_vertex then np := i) map;
+            let np = !np in
             let old_part = Bitset.remove np (Bitset.full (Query.num_vertices sub)) in
             if
               Query.is_connected sub
               && Query.is_connected_subset sub old_part
               && extension_descriptors sub np <> []
-            then begin
-              let m = mu_estimate t sub ~new_vertex:np in
-              if m < !best then best := m
-            end
-          end)
-        !candidates;
-      if !best < infinity then !best
+            then Some (mu_estimate t sub ~new_vertex:np)
+            else None)
+      in
+      if best < infinity then best
       else
         (* No valid removal (heavily disconnected after removal): fall back
            to the least global average list size, a coarse upper bound. *)
@@ -289,16 +322,16 @@ let descriptor_size t qk ~new_vertex ~src ~dir ~elabel =
     avg_partition_size t ~dir ~slabel:(Query.vlabel qk src) ~elabel
       ~nlabel:(Query.vlabel qk new_vertex)
   in
-  match entry t qk ~new_vertex with
-  | None -> global ()
-  | Some e ->
-      if e.samples = 0 then global ()
-      else begin
-        let _, perm = Canon.code ~mark:new_vertex qk in
-        match List.assoc_opt (perm.(src), dir, elabel) e.sizes with
-        | Some s -> s
-        | None -> global ()
-      end
+  if Query.num_vertices qk > t.h + 1 then global ()
+  else begin
+    let ((_, perm) as canon) = Canon.code ~mark:new_vertex qk in
+    let e = find_entry t qk new_vertex canon in
+    if e.samples = 0 then global ()
+    else
+      match List.assoc_opt (perm.(src), dir, elabel) e.sizes with
+      | Some s -> s
+      | None -> global ()
+  end
 
 let estimate_cardinality t q =
   let n = Query.num_vertices q in

@@ -10,7 +10,13 @@
     Entries are keyed by the canonical code of [Q_k] with the new vertex
     distinguished, so isomorphic extensions share one entry. Statistics come
     from sampling: [z] random edges seed a WCO plan of [Q_k] whose last E/I
-    measures list sizes and extension counts (Section 5.1).
+    measures list sizes and extension counts (Section 5.1). The sample runs
+    on [Q_k]'s canonical form (renumbered by {!Gf_query.Canon.code}'s
+    permutation, edges sorted) with a generator seeded by the catalogue's
+    seed and the code, so an entry depends only on the pattern and the
+    seed: not on how the query that first asks for it numbers its
+    vertices, nor on which entries were sampled before it. A plan's cost
+    is thus the same whatever the catalogue's history.
 
     Entries exist only for extensions of at-most-[h]-vertex sub-queries;
     larger patterns are estimated by the minimum-over-removals fallback of
@@ -24,7 +30,8 @@
 type t
 
 (** [create ?h ?z ?seed g] is an empty catalogue over [g]. Defaults match
-    the paper: [h = 3], [z = 1000]. *)
+    the paper: [h = 3], [z = 1000]. [seed] (default 7) seeds every entry's
+    sample together with the entry's code. *)
 val create : ?h:int -> ?z:int -> ?seed:int -> Gf_graph.Graph.t -> t
 
 val h : t -> int
@@ -53,6 +60,16 @@ val entry : t -> Gf_query.Query.t -> new_vertex:int -> entry option
     extension, applying the Section 5.2 fallback (minimum over removals of
     vertex subsets) when the pattern exceeds [h + 1] vertices. *)
 val mu_estimate : t -> Gf_query.Query.t -> new_vertex:int -> float
+
+(** [min_over_removals cat ~old ~base] is the minimum of the Section 5.2
+    fallback for extending the vertex set [old] (more than [h] vertices) by
+    one vertex: [base rest] for every old part [rest] left by removing
+    [|old| - h] vertices of [old], visited in a fixed order, skipping those
+    [base] rejects with [None]; [infinity] when it rejects every one.
+    {!mu_estimate} runs it over a pattern's vertices, the planner's cost
+    model over a query's own vertex subsets. *)
+val min_over_removals :
+  t -> old:Gf_util.Bitset.t -> base:(Gf_util.Bitset.t -> float option) -> float
 
 (** [descriptor_size cat qk ~new_vertex ~src ~dir ~elabel] estimates the
     average size of the descriptor's adjacency list in the context of the

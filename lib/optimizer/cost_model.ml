@@ -9,9 +9,13 @@ type t = {
   cache_conscious : bool;
   weights : Cost.weights;
   corrections : (Bitset.t -> float) option;
+  nbrs : Bitset.t array; (* vertex -> its neighbours in [q], any direction *)
+  conn : Bytes.t; (* vertex set -> connected? 'y' / 'n' / unknown; empty if too many sets *)
   cards : (int, float) Hashtbl.t;
   mus : (int * int, float) Hashtbl.t;
   sizes : (int * int, float) Hashtbl.t; (* (child_set, v) -> sum of descriptor sizes *)
+  bases : (int * int, float) Hashtbl.t; (* catalogue mu of extensions to <= h + 1 vertices *)
+  induced : (int, Query.t) Hashtbl.t; (* vertex set -> induced sub-query *)
 }
 
 let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?corrections
@@ -22,9 +26,15 @@ let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?correcti
     cache_conscious;
     weights;
     corrections;
+    nbrs = Array.init (Query.num_vertices q) (Query.neighbours q);
+    conn =
+      (let m = Query.num_vertices q in
+       if m <= 16 then Bytes.make (1 lsl m) '?' else Bytes.empty);
     cards = Hashtbl.create 64;
     mus = Hashtbl.create 64;
     sizes = Hashtbl.create 64;
+    bases = Hashtbl.create 64;
+    induced = Hashtbl.create 64;
   }
 
 let query t = t.q
@@ -34,20 +44,77 @@ let uncorrected t = { t with corrections = None }
 
 let work t = Hashtbl.length t.cards + Hashtbl.length t.mus + Hashtbl.length t.sizes
 
-(* The extension of child-set by v, as (induced sub-query, v's index in it). *)
-let induced_extension t ~child ~v =
-  let s = Bitset.add v child in
-  let sub, map = Query.induced t.q s in
-  let vpos = ref (-1) in
-  Array.iteri (fun i ov -> if ov = v then vpos := i) map;
-  (sub, map, !vpos)
+(* Whether [s] induces a connected sub-query, memoized per vertex set for
+   queries small enough to index every set. *)
+let connected t s =
+  let compute () =
+    s <> Bitset.empty
+    &&
+    let rec grow seen =
+      let next = ref seen in
+      Bitset.iter (fun u -> next := Bitset.union !next (Bitset.inter t.nbrs.(u) s)) seen;
+      if !next = seen then seen = s else grow !next
+    in
+    grow (Bitset.singleton (Bitset.min_elt s))
+  in
+  if Bytes.length t.conn = 0 then compute ()
+  else
+    match Bytes.get t.conn s with
+    | 'y' -> true
+    | 'n' -> false
+    | _ ->
+        let c = compute () in
+        Bytes.set t.conn s (if c then 'y' else 'n');
+        c
+
+(* The sub-query induced on [s], built once per vertex set. Its vertex [i]
+   is the [i]-th smallest member of [s], so [rank s v] is [v]'s index. *)
+let induced t s =
+  match Hashtbl.find_opt t.induced s with
+  | Some sub -> sub
+  | None ->
+      let sub, _ = Query.induced t.q s in
+      Hashtbl.replace t.induced s sub;
+      sub
+
+let rank s v = Bitset.cardinal (Bitset.inter s ((1 lsl v) - 1))
+let small t s = Bitset.cardinal s <= Catalog.h t.cat + 1
+
+(* The catalogue selectivity of an extension to at most h + 1 vertices. *)
+let base t ~child ~v =
+  match Hashtbl.find_opt t.bases (child, v) with
+  | Some m -> m
+  | None ->
+      let s = Bitset.add v child in
+      let m = Catalog.mu_estimate t.cat (induced t s) ~new_vertex:(rank s v) in
+      Hashtbl.replace t.bases (child, v) m;
+      m
+
+(* Section 5.2's fallback for an extension to more than h + 1 vertices,
+   over the query's own vertex subsets: the same removals and minimum as
+   [Catalog.mu_estimate] on the induced pattern, but each base is induced
+   and canonicalized once per query rather than once per call. *)
+let fallback t ~child ~v =
+  let best =
+    Catalog.min_over_removals t.cat ~old:child ~base:(fun rest ->
+        (* A connected old part that [v] touches makes a connected pattern. *)
+        if Bitset.inter t.nbrs.(v) rest <> Bitset.empty && connected t rest then
+          Some (base t ~child:rest ~v)
+        else None)
+  in
+  if best < infinity then best
+  else
+    (* No valid removal: the catalogue's own last resort. *)
+    let s = Bitset.add v child in
+    Catalog.mu_estimate t.cat (induced t s) ~new_vertex:(rank s v)
 
 let mu t ~child ~v =
   match Hashtbl.find_opt t.mus (child, v) with
   | Some m -> m
   | None ->
-      let sub, _, vpos = induced_extension t ~child ~v in
-      let m = Catalog.mu_estimate t.cat sub ~new_vertex:vpos in
+      let m =
+        if small t (Bitset.add v child) then base t ~child ~v else fallback t ~child ~v
+      in
       Hashtbl.replace t.mus (child, v) m;
       m
 
@@ -86,10 +153,7 @@ let rec raw_card t s =
              Bitset.iter
                (fun v ->
                  let rest = Bitset.remove v s in
-                 if
-                   Query.is_connected_subset t.q rest
-                   && Bitset.inter (Query.neighbours t.q v) rest <> Bitset.empty
-                 then begin
+                 if Bitset.inter t.nbrs.(v) rest <> Bitset.empty && connected t rest then begin
                    let est = raw_card t rest *. mu t ~child:rest ~v in
                    if est < !best then best := est;
                    if not exhaustive then raise Exit
@@ -107,53 +171,49 @@ let card t s =
   match t.corrections with None -> c | Some f -> c *. f s
 
 (* Sum of the estimated sizes of the adjacency lists intersected when
-   extending [child] by [v], and the set of descriptor source vertices. *)
-let descriptor_sources t ~child ~v =
-  Array.fold_left
-    (fun acc (e : Query.edge) ->
-      if e.dst = v && Bitset.mem e.src child then Bitset.add e.src acc
-      else if e.src = v && Bitset.mem e.dst child then Bitset.add e.dst acc
-      else acc)
-    Bitset.empty t.q.Query.edges
-
+   extending [child] by [v]. An extension to more than h + 1 vertices has no
+   catalogue entry, so its sizes are the global label averages the
+   catalogue would fall back to, read without inducing the pattern. *)
 let total_descriptor_size t ~child ~v =
   match Hashtbl.find_opt t.sizes (child, v) with
   | Some s -> s
   | None ->
-      let sub, map, vpos = induced_extension t ~child ~v in
-      (* Positions of the original vertices inside the induced sub-query. *)
-      let pos_of = Hashtbl.create 8 in
-      Array.iteri (fun i ov -> Hashtbl.replace pos_of ov i) map;
+      let s = Bitset.add v child in
+      let size =
+        if small t s then begin
+          let sub = induced t s and vpos = rank s v in
+          fun ~src ~dir ~elabel ->
+            Catalog.descriptor_size t.cat sub ~new_vertex:vpos ~src:(rank s src) ~dir ~elabel
+        end
+        else fun ~src ~dir ~elabel ->
+          Catalog.avg_partition_size t.cat ~dir ~slabel:(Query.vlabel t.q src) ~elabel
+            ~nlabel:(Query.vlabel t.q v)
+      in
       let total = ref 0.0 in
       Array.iter
         (fun (e : Query.edge) ->
           if e.dst = v && Bitset.mem e.src child then
-            total :=
-              !total
-              +. Catalog.descriptor_size t.cat sub ~new_vertex:vpos
-                   ~src:(Hashtbl.find pos_of e.src) ~dir:Graph.Fwd ~elabel:e.label
+            total := !total +. size ~src:e.src ~dir:Graph.Fwd ~elabel:e.label
           else if e.src = v && Bitset.mem e.dst child then
-            total :=
-              !total
-              +. Catalog.descriptor_size t.cat sub ~new_vertex:vpos
-                   ~src:(Hashtbl.find pos_of e.dst) ~dir:Graph.Bwd ~elabel:e.label)
+            total := !total +. size ~src:e.dst ~dir:Graph.Bwd ~elabel:e.label)
         t.q.Query.edges;
       Hashtbl.replace t.sizes (child, v) !total;
       !total
 
 let extension_icost t ~chain ~child ~v =
-  let sources = descriptor_sources t ~child ~v in
+  let sources = Bitset.inter t.nbrs.(v) child in
   if sources = Bitset.empty then invalid_arg "Cost_model.extension_icost: no descriptors";
   let multiplier =
     if t.cache_conscious then begin
       (* Smallest chain prefix covering every descriptor source: consecutive
          tuples share that prefix's bindings, so at most card(prefix)
          distinct intersections run. Never more than card(child) either. *)
-      let rec find = function
-        | [] -> child
-        | prefix :: rest -> if Bitset.subset sources prefix then prefix else find rest
+      let rec find i =
+        if i = Array.length chain then child
+        else if Bitset.subset sources chain.(i) then chain.(i)
+        else find (i + 1)
       in
-      Float.min (card t (find chain)) (card t child)
+      Float.min (card t (find 0)) (card t child)
     end
     else card t child
   in

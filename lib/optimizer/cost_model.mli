@@ -46,13 +46,19 @@ val work : t -> int
 val card : t -> Gf_util.Bitset.t -> float
 
 (** [mu t ~child ~v] is the estimated selectivity of extending the sub-query
-    on [child] by vertex [v]. Memoized. *)
+    on [child] by vertex [v]: {!Gf_catalog.Catalog.mu_estimate} on the
+    induced pattern. An extension to more than [h + 1] vertices takes
+    Section 5.2's minimum over removals on the query's own vertex subsets,
+    each [(h + 1)]-vertex base looked up in the catalogue once per query.
+    Memoized. *)
 val mu : t -> child:Gf_util.Bitset.t -> v:int -> float
 
 (** [extension_icost t ~chain ~child ~v] is the estimated i-cost of the E/I
     operator extending [child] (whose root chain prefixes are [chain],
-    anchor first, [child] last) by [v]. *)
-val extension_icost : t -> chain:Gf_util.Bitset.t list -> child:Gf_util.Bitset.t -> v:int -> float
+    anchor first, [child] last) by [v]. Entries after [child] are never
+    read, so a search may pass a longer array it reuses across prefixes. *)
+val extension_icost :
+  t -> chain:Gf_util.Bitset.t array -> child:Gf_util.Bitset.t -> v:int -> float
 
 (** [hash_join_cost t s1 s2] is [w1 * card s1 + w2 * card s2] ([s1] is the
     build side). *)

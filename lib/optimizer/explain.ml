@@ -43,7 +43,7 @@ let estimates model plan =
       match node with
       | Plan.Scan _ -> 0.0
       | Plan.Extend { target; child; _ } ->
-          Cost_model.extension_icost model ~chain:(chain_below node)
+          Cost_model.extension_icost model ~chain:(Array.of_list (chain_below node))
             ~child:(Plan.var_set child) ~v:target
       | Plan.Hash_join { build; probe; _ } ->
           Cost_model.hash_join_cost model (Plan.var_set build) (Plan.var_set probe)

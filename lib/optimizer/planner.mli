@@ -10,10 +10,15 @@
     (Section 4.3's last rule) but kept in [Bj_only] mode, where they are the
     only way to grow plans.
 
-    WCO plans are enumerated exhaustively (all prefix-connected orderings)
-    so that cache-conscious costs see the full ordering; for queries larger
-    than [beam_threshold] vertices this enumeration is skipped and only the
-    [beam_width] cheapest sub-queries per level are kept (Section 4.4). *)
+    WCO plans are enumerated over whole prefix-connected orderings, so that
+    cache-conscious costs see the full ordering, by branch and bound: a
+    greedy ordering seeds an upper bound, and a prefix costing strictly more
+    than the cheapest complete ordering found so far is not extended. Eq. 1
+    terms are non-negative, so the chosen plan, its cost and the estimates
+    the search computes ({!Cost_model.work}) are those of the exhaustive
+    enumeration, ties included. For queries larger than [beam_threshold]
+    vertices this enumeration is skipped and only the [beam_width] cheapest
+    sub-queries per level are kept (Section 4.4). *)
 
 type mode = Hybrid | Wco_only | Bj_only
 
@@ -60,8 +65,9 @@ val search :
   Gf_plan.Plan.t * float * Cost_model.t
 
 (** [best_wco_order cat q] is the minimum-estimated-cost query vertex
-    ordering over all prefix-connected orderings, with its cost. Used both
-    by the optimizer and to hand "good" orderings to the EmptyHeaded
+    ordering over all prefix-connected orderings (the first one in
+    {!all_wco_orders}'s order on ties), with its cost, found by the
+    bounded enumeration. Hands "good" orderings to the EmptyHeaded
     emulation (EH-g). *)
 val best_wco_order :
   ?cache_conscious:bool -> Gf_catalog.Catalog.t -> Gf_query.Query.t -> int array * float
@@ -72,9 +78,14 @@ val wco_order_cost :
 
 (** [all_wco_orders cat q] lists every prefix-connected ordering with its
     estimated cost, deduplicated so the two orderings that differ only in
-    the orientation of the scanned first edge appear once. *)
+    the orientation of the scanned first edge appear once. Exhaustive:
+    spectra need every ordering. *)
 val all_wco_orders :
   ?cache_conscious:bool ->
   Gf_catalog.Catalog.t ->
   Gf_query.Query.t ->
   (int array * float) list
+
+(** [wco_prefixes ()] is the number of ordering prefixes the WCO
+    enumeration has visited in this process, for benchmarks. *)
+val wco_prefixes : unit -> int

@@ -196,7 +196,11 @@ let memo : (Query.t * int option, string * int array) Hashtbl.t = Hashtbl.create
 let memo_cap = 4096
 let memo_lock = Mutex.create ()
 
+let ncalls = Atomic.make 0
+let calls () = Atomic.get ncalls
+
 let code ?mark q =
+  Atomic.incr ncalls;
   let key = (q, mark) in
   Mutex.lock memo_lock;
   match Hashtbl.find_opt memo key with

@@ -39,3 +39,7 @@ val code : ?mark:int -> Query.t -> string * int array
     the given numbering: it may report [false] for renumbered isomorphs,
     never [true] for non-isomorphs. *)
 val iso : ?mark1:int -> ?mark2:int -> Query.t -> Query.t -> bool
+
+(** [calls ()] is the number of {!code} calls in this process, memo hits
+    included, for benchmarks. *)
+val calls : unit -> int
