@@ -269,12 +269,12 @@ let cat_of g = Catalog.create ~z:300 g
 
 (* Plans [queries] on one fresh catalogue with the planner and on another
    with the reference; returns the mismatches. *)
-let mismatches ?corrections g queries =
+let mismatches ?opts ?corrections g queries =
   let cat = cat_of g and ref_cat = cat_of g in
   List.filter_map
     (fun (name, q) ->
-      let p, cost, model = Planner.search ?corrections cat q in
-      let rp, rcost, rwork = Reference.search ?corrections ref_cat q in
+      let p, cost, model = Planner.search ?opts ?corrections cat q in
+      let rp, rcost, rwork = Reference.search ?opts ?corrections ref_cat q in
       let work = Cost_model.work model in
       if
         Plan.to_string p = Plan.to_string rp
@@ -301,6 +301,17 @@ let test_benchmark_queries () =
       let g = Generators.dataset ~scale:0.02 d in
       check_none (Generators.dataset_name_to_string d) (mismatches g benchmark_queries))
     Generators.[ Google; Amazon; Epinions ]
+
+(* The cache-oblivious costing and other HASH-JOIN weights bound the
+   search the same way. *)
+let test_other_opts () =
+  let g = Generators.dataset ~scale:0.02 Generators.Amazon in
+  List.iter
+    (fun (what, opts) -> check_none what (mismatches ~opts g benchmark_queries))
+    [
+      ("cache-oblivious", { Planner.default_opts with cache_conscious = false });
+      ("w1=0.5, w2=4", { Planner.default_opts with weights = { Cost.w1 = 0.5; w2 = 4.0 } });
+    ]
 
 (* EH-g's ordering comes from the bounded enumeration: the first cheapest
    of all orderings, as a fold over [all_wco_orders] picks it. *)
@@ -379,6 +390,7 @@ let suite =
       [
         Alcotest.test_case "Q1-Q14 on three graphs" `Slow test_benchmark_queries;
         Alcotest.test_case "EH-g ordering" `Quick test_best_wco_order;
+        Alcotest.test_case "other costing options" `Slow test_other_opts;
         Alcotest.test_case "500 labeled templates" `Slow test_labeled_templates;
         Alcotest.test_case "replan under corrections" `Slow test_replan_under_corrections;
         Alcotest.test_case "estimates depend only on the pattern" `Slow
