@@ -1,6 +1,5 @@
 module Bitset = Gf_util.Bitset
-module Int_vec = Gf_util.Int_vec
-module Sorted = Gf_util.Sorted
+module Buf = Gf_util.Buf
 module Graph = Gf_graph.Graph
 module Query = Gf_query.Query
 module Plan = Gf_plan.Plan
@@ -29,20 +28,14 @@ let rec split_chain = function
 
 (* One E/I step of a candidate ordering. *)
 type step = {
-  target : int;
   target_label : int;
-  descriptors : (int * Graph.direction * int) array; (* tuple position, dir, elabel *)
+  descriptors : Plan.descriptor array; (* positions into the partial tuple *)
   est_sizes : float array; (* catalogue average size per descriptor *)
   est_total : float;
   mu : float;
   cover_prefix : int; (* smallest j such that bound + first j targets cover all
                          descriptor sources; 0 = bound alone *)
-  (* runtime intersection-cache state *)
-  srcs : int array;
-  last_srcs : int array;
-  lists : Sorted.lists;
-  result : Int_vec.t;
-  mutable cache_valid : bool;
+  ext : Exec.extension; (* the structural E/I lookup, counting into the chain root *)
 }
 
 type ordering = {
@@ -51,7 +44,7 @@ type ordering = {
   mutable routed : int;
 }
 
-let build_ordering cat model q ~anchor_vars ~bound_set ~fixed_schema order =
+let build_ordering env row cat model q ~anchor_vars ~bound_set ~fixed_schema order =
   let nb = Array.length anchor_vars in
   let pos_of = Hashtbl.create 16 in
   Array.iteri (fun i v -> Hashtbl.replace pos_of v i) anchor_vars;
@@ -92,22 +85,21 @@ let build_ordering cat model q ~anchor_vars ~bound_set ~fixed_schema order =
           in
           find 0 bound_set
         in
-        let nd = Array.length descriptors in
+        let target_label = Query.vlabel q v in
+        let descriptors =
+          Array.map
+            (fun (src, dir, elabel) -> { Plan.pos = Hashtbl.find pos_of src; dir; elabel })
+            descriptors
+        in
         let step =
           {
-            target = v;
-            target_label = Query.vlabel q v;
-            descriptors =
-              Array.map (fun (src, dir, el) -> (Hashtbl.find pos_of src, dir, el)) descriptors;
+            target_label;
+            descriptors;
             est_sizes;
             est_total = Array.fold_left ( +. ) 0.0 est_sizes;
             mu = Cost_model.mu model ~child ~v;
             cover_prefix;
-            srcs = Array.make nd (-1);
-            last_srcs = Array.make nd (-1);
-            lists = Sorted.lists nd;
-            result = Int_vec.create ~capacity:32 ();
-            cache_valid = false;
+            ext = Exec.extension env row ~target_label descriptors;
           }
         in
         prefix := Bitset.add v !prefix;
@@ -132,10 +124,11 @@ let reestimate g ord tuple =
         let ratio = ref 1.0 in
         let actual_total = ref 0.0 in
         Array.iteri
-          (fun i (pos, dir, el) ->
+          (fun i (d : Plan.descriptor) ->
             let actual =
               float_of_int
-                (Graph.partition_size g dir tuple.(pos) ~elabel:el ~nlabel:step.target_label)
+                (Graph.partition_size g d.dir tuple.(d.pos) ~elabel:d.elabel
+                   ~nlabel:step.target_label)
             in
             actual_total := !actual_total +. actual;
             ratio := !ratio *. (actual /. Float.max step.est_sizes.(i) 0.5))
@@ -188,10 +181,13 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
               Query.connected_orders_extending sub ~bound:bound_sub
               |> List.map (fun o -> Array.map (fun i -> map.(i)) o)
             in
+            (* All segment work, whatever ordering a tuple takes, is charged
+               to the chain root's row. *)
+            let row = Exec.row env node in
             let orderings =
               List.map
                 (fun o ->
-                  build_ordering cat model q ~anchor_vars ~bound_set ~fixed_schema o)
+                  build_ordering env row cat model q ~anchor_vars ~bound_set ~fixed_schema o)
                 orders
             in
             incr seg_count;
@@ -203,16 +199,11 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
             let width = Array.length fixed_schema in
             let partial = Array.make width 0 in
             let out_buf = Array.make width 0 in
-            let c = env.Exec.c in
             Some
               (fun sink ->
                 Array.iter
                   (fun (ord : ordering) ->
-                    Array.iter
-                      (fun st ->
-                        st.cache_valid <- false;
-                        Array.fill st.last_srcs 0 (Array.length st.last_srcs) (-1))
-                      ord.steps)
+                    Array.iter (fun st -> Exec.reset_extension st.ext) ord.steps)
                   orderings;
                 anchor_driver (fun t ->
                     incr routed_count;
@@ -231,53 +222,27 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
                     Array.blit t 0 partial 0 nb;
                     let nsteps = Array.length ord.steps in
                     let rec exec_step j =
-                      let st = ord.steps.(j) in
-                      let nd = Array.length st.descriptors in
-                      let same = ref st.cache_valid in
-                      for i = 0 to nd - 1 do
-                        let pos, _, _ = st.descriptors.(i) in
-                        let s = partial.(pos) in
-                        st.srcs.(i) <- s;
-                        if s <> st.last_srcs.(i) then same := false
-                      done;
-                      if env.Exec.cache && !same then c.Counters.cache_hits <- c.Counters.cache_hits + 1
-                      else begin
-                        for i = 0 to nd - 1 do
-                          let _, dir, el = st.descriptors.(i) in
-                          Graph.neighbours_into env.Exec.g dir st.srcs.(i) ~elabel:el
-                            ~nlabel:st.target_label st.lists i;
-                          c.Counters.icost <-
-                            c.Counters.icost + st.lists.hi.(i) - st.lists.lo.(i)
-                        done;
-                        c.Counters.intersections <- c.Counters.intersections + 1;
-                        Int_vec.clear st.result;
-                        Sorted.intersect ~leapfrog:env.Exec.leapfrog st.result st.lists;
-                        Array.blit st.srcs 0 st.last_srcs 0 nd;
-                        st.cache_valid <- true
-                      end;
-                      let n = Int_vec.length st.result in
-                      for i = 0 to n - 1 do
-                        let w = Int_vec.unsafe_get st.result i in
+                      let x = ord.steps.(j).ext in
+                      Exec.lookup x partial;
+                      let set = Exec.extension_set x in
+                      for i = Exec.extension_lo x to Exec.extension_hi x - 1 do
+                        let w = Buf.unsafe_get set i in
                         (* Injectivity under [distinct]: a candidate equal to
                            any already-bound vertex of this partial match is
                            dropped, matching the structural E/I operator. *)
                         if not (env.Exec.distinct && Exec.tuple_contains partial (nb + j) w)
                         then begin
                           partial.(nb + j) <- w;
+                          row.Counters.produced <- row.Counters.produced + 1;
+                          Governor.tick env.Exec.gov;
                           if j + 1 = nsteps then begin
                             (* Permute back to the fixed plan schema. *)
                             for p = 0 to width - 1 do
                               out_buf.(p) <- partial.(ord.out_perm.(p))
                             done;
-                            c.Counters.produced <- c.Counters.produced + 1;
-                            Governor.tick env.Exec.gov c;
                             sink out_buf
                           end
-                          else begin
-                            c.Counters.produced <- c.Counters.produced + 1;
-                            Governor.tick env.Exec.gov c;
-                            exec_step (j + 1)
-                          end
+                          else exec_step (j + 1)
                         end
                       done
                     in
@@ -285,9 +250,10 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
         )
     | _ -> None
   in
-  let counters, _ = Exec.run_gov ~rewrite ?cache ?distinct ?gov ?prof ?sink g plan in
+  let counters, rows, _ = Exec.run_rows ~rewrite ?cache ?distinct ?gov ?prof ?sink g plan in
   let used = List.length (List.filter (fun o -> o.routed > 0) !all_orderings) in
   ( counters,
+    rows,
     {
       segments = !seg_count;
       candidate_orderings = !cand_count;

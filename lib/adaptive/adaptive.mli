@@ -24,14 +24,20 @@ type stats = {
     segments permute their output back to the fixed schema). [distinct]
     requests injective (subgraph-isomorphism) matches: adaptive pipelines
     apply the same repeated-vertex filter as the structural E/I operator, so
-    results match [Exec.run_gov ~distinct:true] of the fixed plan. [gov]
-    runs the query under an externally created governor (its
-    {!Gf_exec.Governor.outcome} tells how the run ended); adaptive
-    pipelines tick it per produced tuple like the structural operators, so
-    budgets, including an output cap, trip inside segments too. [prof] profiles per-operator actuals; all work of
-    an adaptive segment (whatever ordering each tuple was routed to) is
-    charged to the segment's chain-root operator id, and the interior chain
-    operators it replaces report zero. *)
+    results match [Exec.run_gov ~distinct:true] of the fixed plan. Every
+    step looks its extension sets up through the structural E/I's
+    {!Gf_exec.Exec.lookup}, so giant intersections are segmented and
+    charged to the governor as work. [gov] runs the query under an
+    externally created governor (its {!Gf_exec.Governor.outcome} tells how
+    the run ended); adaptive pipelines tick it per produced tuple like the
+    structural operators, so budgets, including an output cap and a
+    deadline, trip inside segments too.
+
+    Returns the counters, the per-operator counts rows (operator-id order)
+    and the segment statistics. All work of an adaptive segment (whatever
+    ordering each tuple was routed to) is counted on the segment's
+    chain-root row, and the interior chain operators it replaces report
+    zero; [prof] times operators the same way. *)
 val run :
   ?cache:bool ->
   ?distinct:bool ->
@@ -42,7 +48,7 @@ val run :
   Gf_graph.Graph.t ->
   Gf_query.Query.t ->
   Gf_plan.Plan.t ->
-  Gf_exec.Counters.t * stats
+  Gf_exec.Counters.t * Gf_exec.Counters.t array * stats
 
 (** [adaptable plan] is true when [plan] contains a chain of >= 2 E/I
     operators (the paper adapts exactly those plans). *)

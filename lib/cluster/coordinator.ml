@@ -551,7 +551,7 @@ let run t ~text (req : Service.request) =
     Governor.create
       (Gf.Governor.budget ?max_bytes:t.cfg.max_result_bytes ())
   in
-  let gov_h = Governor.handle gov in
+  let gov_h = Governor.handle gov [||] in
   let t0 = Unix.gettimeofday () in
   let results = Array.make k None in
   let times = Array.make k 0.0 in

@@ -13,8 +13,6 @@ type conn
 
 val connect : ?timeout_s:float -> Gf_server.Server.endpoint -> (conn, string) result
 val close : conn -> unit
-val send_line : conn -> timeout_s:float -> string -> (unit, string) result
-val recv_line : conn -> timeout_s:float -> (string, string) result
 
 val request : conn -> timeout_s:float -> string -> (string, string) result
 (** One request line out, one response line back. *)

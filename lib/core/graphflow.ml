@@ -77,8 +77,9 @@ module Db = struct
   let parse_query = Query_parser.parse
 
   (* A plan chosen for one execution: its estimated cost, its per-operator
-     estimates under the uncorrected model (forced only by a profiled run),
-     and whether that run is due to feed the plan cache's corrections. *)
+     estimates under the uncorrected model (forced only by a feedback or
+     EXPLAIN ANALYZE run), and whether that run is due to feed the plan
+     cache's corrections. *)
   type prepared = {
     chosen : Plan.t;
     cost : float;
@@ -149,28 +150,27 @@ module Db = struct
 
   (* The one executor dispatch behind every entry point that runs a query:
      pick the cluster-shard, parallel, adaptive or sequential executor,
-     record the query metrics, and fold a profiled, completed run into the
-     plan cache's corrections (feedback must never fail a request, so a
-     failure there is swallowed). Estimation rows join the plan's stored
-     uncorrected estimates, so the ratios measure the catalogue's true
-     error and a feedback run estimates nothing again. [profile]
-     forces a profiled run (EXPLAIN ANALYZE); otherwise the plan cache's
-     warmup and every Nth run of a template are profiled. A sharded run
-     never profiles: its actuals are a fraction of the full plan's
-     estimates and would poison the correction EWMAs. Returns the
-     profile's rows alongside the counters. *)
+     record the query metrics, and fold a completed run's per-operator
+     counts into the plan cache's corrections when feedback is due
+     (feedback must never fail a request, so a failure there is
+     swallowed). Every run counts per operator, so a feedback run is an
+     ordinary untimed run: it carries no profile and keeps the count-only
+     root. Estimation rows join the plan's stored uncorrected estimates, so
+     the ratios measure the catalogue's true error and a feedback run
+     estimates nothing again. [profile] times the operators (EXPLAIN
+     ANALYZE). A sharded run never feeds back: its actuals are a fraction
+     of the full plan's estimates and would poison the correction EWMAs.
+     Returns the explain rows (lazily) alongside the counters. *)
   let execute ?(adaptive = false) ?(domains = 1) ?scan_part ?budget ?fault ?gov ?trace ?sink
       ~profile db q { chosen = p; estimates; feedback_due; _ } =
-    let prof =
-      if (profile || feedback_due) && scan_part = None then Some (Profile.create p) else None
-    in
+    let prof = if profile then Some (Profile.create p) else None in
     let gov =
       match gov with
       | Some g -> g
       | None -> Governor.create ?fault (Option.value budget ~default:Governor.unlimited)
     in
     let t0 = Gf_util.Timing.now_s () in
-    let c, outcome =
+    let c, counts, outcome =
       match scan_part with
       | Some (i, k) ->
           (* Cluster shard: the driving scan restricted to the i-th of k
@@ -184,23 +184,23 @@ module Db = struct
           let rewrite _ env node =
             if node == target then Some (Exec.scan env node (fun emit -> emit lo hi)) else None
           in
-          Exec.run_gov ~rewrite ~gov ?trace ?sink db.graph p
+          Exec.run_rows ~rewrite ~gov ?prof ?trace ?sink db.graph p
       | None when domains > 1 ->
           let r = Parallel.run ~domains ~gov ?prof ?trace ?sink db.graph p in
-          (r.counters, r.Parallel.outcome)
+          (r.counters, r.rows, r.Parallel.outcome)
       | None when adaptive && Adaptive.adaptable p ->
           (* The adaptive evaluator has no span hooks yet: a traced adaptive
              run still records planner spans and the whole-query record,
              just no per-operator tracks. *)
-          let c, _ = Adaptive.run ~gov ?prof ?sink db.catalog db.graph q p in
-          (c, Governor.outcome gov)
-      | None -> Exec.run_gov ~gov ?prof ?trace ?sink db.graph p
+          let c, counts, _ = Adaptive.run ~gov ?prof ?sink db.catalog db.graph q p in
+          (c, counts, Governor.outcome gov)
+      | None -> Exec.run_rows ~gov ?prof ?trace ?sink db.graph p
     in
     let seconds = Gf_util.Timing.now_s () -. t0 in
     observe_run seconds c outcome;
-    let rows = Option.map (fun prof -> lazy (Explain.rows (Lazy.force estimates) prof)) prof in
-    (match (db.cache, outcome, rows) with
-    | Some cache, Governor.Completed, Some rows -> (
+    let rows = lazy (Explain.rows (Lazy.force estimates) counts prof) in
+    (match (db.cache, outcome) with
+    | Some cache, Governor.Completed when feedback_due && scan_part = None -> (
         try Plan_cache.observe cache ~graph_version:db.version q p (Lazy.force rows)
         with _ -> ())
     | _ -> ());
@@ -227,7 +227,7 @@ module Db = struct
     let rows, counters, outcome, seconds =
       execute ?adaptive ?domains ?budget ?fault ~profile:true db q prepared
     in
-    { plan = prepared.chosen; rows = Lazy.force (Option.get rows); counters; outcome; seconds }
+    { plan = prepared.chosen; rows = Lazy.force rows; counters; outcome; seconds }
 
   let analysis_to_string a =
     Format.asprintf "matches: %d@.outcome: %a@.time: %.3fs@.%a@.%s"

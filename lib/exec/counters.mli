@@ -1,4 +1,11 @@
-(** Profiling counters matching the paper's reported metrics.
+(** Execution counters matching the paper's reported metrics.
+
+    The same record serves two roles. Each operator of a running plan
+    counts into its own row ([produced], [icost], [cache_hits],
+    [intersections], [hj_build_tuples], [hj_probe_tuples]); the run keeps
+    the remaining fields ([output], [morsels], [steals], [busy_s],
+    [gov_checks]) in one more record; and a run's counters are the
+    {!merge} of all of them.
 
     [icost] is the *actual* i-cost of a run (Eq. 1): the summed sizes of the
     adjacency lists accessed by E/I operators, not counting lists whose

@@ -3,6 +3,7 @@ module Plan = Gf_plan.Plan
 module Int_vec = Gf_util.Int_vec
 module Sorted = Gf_util.Sorted
 module Trace = Gf_obs.Trace
+module Buf = Gf_util.Buf
 
 type env = {
   g : Graph.t;
@@ -10,10 +11,40 @@ type env = {
   distinct : bool;
   leapfrog : bool;
   c : Counters.t;
+  ops : Plan.t array;
+  rows : Counters.t array;
   gov : Governor.handle;
   prof : Profile.t option;
   trace : Trace.buf option;
 }
+
+let make_env ~cache ~distinct ~leapfrog ?prof ?trace g gov plan =
+  let ops = Array.map fst (Plan.operators plan) in
+  let rows = Array.map (fun _ -> Counters.create ()) ops in
+  {
+    g;
+    cache;
+    distinct;
+    leapfrog;
+    c = Counters.create ();
+    ops;
+    rows;
+    gov = Governor.handle gov rows;
+    prof;
+    trace;
+  }
+
+(* Operators are matched physically against the run's plan, once per
+   compiled operator — never per tuple. *)
+let op_id env node =
+  let rec go i =
+    if i >= Array.length env.ops then invalid_arg "Exec: not an operator of the run's plan"
+    else if env.ops.(i) == node then i
+    else go (i + 1)
+  in
+  go 0
+
+let row env node = env.rows.(op_id env node)
 
 type driver = (int array -> unit) -> unit
 type rewrite = (env -> Plan.t -> driver) -> env -> Plan.t -> driver option
@@ -50,7 +81,7 @@ let governed_intersect env result (l : Sorted.lists) =
       min_i := i
     end
   done;
-  Governor.tick_work env.gov env.c (!total asr work_grain_shift);
+  Governor.tick_work env.gov (!total asr work_grain_shift);
   if !min_len <= segment then Sorted.intersect ~leapfrog:env.leapfrog result l
   else begin
     (* A Trip between segments leaves list [m] narrowed, which is fine:
@@ -66,7 +97,7 @@ let governed_intersect env result (l : Sorted.lists) =
         l.hi.(m) <- seg_hi;
         Sorted.intersect ~leapfrog:env.leapfrog result l;
         seg_lo := seg_hi;
-        if !seg_lo < hi then Governor.tick_work env.gov env.c segment
+        if !seg_lo < hi then Governor.tick_work env.gov segment
       done;
       l.lo.(m) <- lo;
       l.hi.(m) <- hi
@@ -91,13 +122,14 @@ let scan env node ranges =
   match node with
   | Plan.Scan { edge; slabel; dlabel; _ } ->
       let elabel = edge.Gf_query.Query.label in
+      let r = row env node in
       let buf = Array.make 2 0 in
       let stream sink lo hi =
         Graph.iter_edges_range env.g ~elabel ~slabel ~dlabel ~lo ~hi (fun u v ->
             buf.(0) <- u;
             buf.(1) <- v;
-            env.c.produced <- env.c.produced + 1;
-            Governor.tick env.gov env.c;
+            r.produced <- r.produced + 1;
+            Governor.tick env.gov;
             sink buf)
       in
       fun sink -> ranges (stream sink)
@@ -123,14 +155,15 @@ let build_into env node table =
       let key_len = Array.length build_key_pos in
       let key_buf = Array.make key_len 0 in
       let row_bytes = Join_table.bytes_per_row table in
+      let r = row env node in
       fun t ->
         for i = 0 to key_len - 1 do
           key_buf.(i) <- t.(build_key_pos.(i))
         done;
         Join_table.add table key_buf t;
-        env.c.hj_build_tuples <- env.c.hj_build_tuples + 1;
+        r.hj_build_tuples <- r.hj_build_tuples + 1;
         Governor.add_bytes env.gov row_bytes;
-        Governor.tick env.gov env.c
+        Governor.tick env.gov
   | _ -> invalid_arg "Exec.build_into: not a HASH-JOIN"
 
 (* The HASH-JOIN probe: [probe compile env node table] streams the probe
@@ -146,11 +179,12 @@ let probe compile env node =
       let nextra = Array.length build_extra_pos in
       let buf = Array.make width 0 in
       let key_buf = Array.make key_len 0 in
+      let r = row env node in
       fun table sink ->
         let view = Array.make (Join_table.row_len table) 0 in
         probe_driver (fun t ->
-            env.c.hj_probe_tuples <- env.c.hj_probe_tuples + 1;
-            Governor.tick env.gov env.c;
+            r.hj_probe_tuples <- r.hj_probe_tuples + 1;
+            Governor.tick env.gov;
             for i = 0 to key_len - 1 do
               key_buf.(i) <- t.(probe_key_pos.(i))
             done;
@@ -171,11 +205,92 @@ let probe compile env node =
                   done
                 end;
                 if !ok then begin
-                  env.c.produced <- env.c.produced + 1;
-                  Governor.tick env.gov env.c;
+                  r.produced <- r.produced + 1;
+                  Governor.tick env.gov;
                   sink buf
                 end))
   | _ -> invalid_arg "Exec.probe: not a HASH-JOIN"
+
+(* The E/I lookup, shared by the structural operator and the adaptive
+   evaluator's steps: the extension set of a tuple under [descriptors],
+   intersected afresh or kept from the previous tuple when its sources are
+   the same, with every count charged to [row]. *)
+type extension = {
+  env : env;
+  row : Counters.t;
+  target_label : int;
+  descriptors : Plan.descriptor array;
+  lists : Sorted.lists; (* the descriptors' adjacency lists, refilled in place *)
+  srcs : int array;
+  last_srcs : int array;
+  result : Int_vec.t;
+  mutable cached : bool;
+  mutable set : Buf.t;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+let extension env row ~target_label descriptors =
+  let nd = Array.length descriptors in
+  {
+    env;
+    row;
+    target_label;
+    descriptors;
+    lists = Sorted.lists nd;
+    srcs = Array.make nd (-1);
+    last_srcs = Array.make nd (-1);
+    result = Int_vec.create ~capacity:64 ();
+    cached = false;
+    set = Buf.empty;
+    lo = 0;
+    hi = 0;
+  }
+
+let extension_set x = x.set
+let extension_lo x = x.lo
+let extension_hi x = x.hi
+
+let reset_extension x =
+  x.cached <- false;
+  Array.fill x.last_srcs 0 (Array.length x.last_srcs) (-1)
+
+let lookup x t =
+  let env = x.env and r = x.row and l = x.lists in
+  let nd = Array.length x.descriptors in
+  let same = ref x.cached in
+  for i = 0 to nd - 1 do
+    let s = t.(x.descriptors.(i).Plan.pos) in
+    x.srcs.(i) <- s;
+    if s <> x.last_srcs.(i) then same := false
+  done;
+  if env.cache && !same then r.cache_hits <- r.cache_hits + 1
+  else begin
+    for i = 0 to nd - 1 do
+      let d = x.descriptors.(i) in
+      Graph.neighbours_into env.g d.Plan.dir x.srcs.(i) ~elabel:d.Plan.elabel
+        ~nlabel:x.target_label l i;
+      r.icost <- r.icost + l.hi.(i) - l.lo.(i)
+    done;
+    r.intersections <- r.intersections + 1;
+    if nd = 1 then begin
+      (* Single descriptor: the extension set is the adjacency list itself,
+         read in place, no copy. *)
+      Governor.tick_work env.gov ((l.hi.(0) - l.lo.(0)) asr work_grain_shift);
+      x.set <- l.bufs.(0);
+      x.lo <- l.lo.(0);
+      x.hi <- l.hi.(0)
+    end
+    else begin
+      Int_vec.clear x.result;
+      governed_intersect env x.result l;
+      x.set <- Int_vec.buf x.result;
+      x.lo <- 0;
+      x.hi <- Int_vec.length x.result
+    end;
+    Array.blit x.srcs 0 x.last_srcs 0 nd;
+    x.cached <- true
+  end
 
 (* Compile [plan] into a driver function: [driver sink] runs the pipeline,
    passing each produced tuple (a reused buffer) to [sink]. [rewrite] lets a
@@ -191,29 +306,13 @@ let rec compile_rw ?(count = false) rewrite env plan =
     | Some driver -> driver
     | None -> compile_structural ~count rewrite env plan
   in
-  (* The profiling branch is taken here, once per operator at plan-compile
-     time: with no profile the driver is returned untouched and the compiled
-     pipeline is identical to an unprofiled build — zero per-tuple cost. *)
-  match env.prof with
-  | None -> driver
-  | Some p -> (
-      match Profile.id_of p plan with
-      | None -> driver
-      | Some id -> Profile.wrap p env.c id driver)
+  (* The timing branch is taken here, once per operator at plan-compile
+     time: with no profile the driver is returned untouched — no clock is
+     read per tuple. *)
+  match env.prof with None -> driver | Some p -> Profile.wrap p (op_id env plan) driver
 
 and compile_structural ~count rewrite env plan =
   let compile env plan = compile_rw rewrite env plan in
-  (* The count-only root's output: claims [n] slots at once, so an output
-     cap truncates exactly, then unwinds like a refused [claim_output]. The
-     counted tuples drain the governor's fuel as their one-by-one emission
-     would, so checks come at the enumerating run's cadence. *)
-  let[@inline] tally n =
-    let k = Governor.claim_outputs env.gov n in
-    env.c.produced <- env.c.produced + k;
-    env.c.output <- env.c.output + k;
-    if k < n then raise Governor.Trip;
-    Governor.tick_work env.gov env.c k
-  in
   match plan with
   | Plan.Scan { slabel; _ } ->
       let n = Graph.num_with_label env.g slabel in
@@ -221,108 +320,45 @@ and compile_structural ~count rewrite env plan =
   | Plan.Extend { child; target_label; descriptors; vars; _ } ->
       let child_driver = compile env child in
       let width = Array.length vars in
-      let nd = Array.length descriptors in
       let buf = Array.make width 0 in
-      (* The descriptors' adjacency lists, refilled per tuple in place. *)
-      let lists = Sorted.lists nd in
-      let[@inline] load i src =
-        let d = descriptors.(i) in
-        Graph.neighbours_into env.g d.Plan.dir src ~elabel:d.Plan.elabel ~nlabel:target_label
-          lists i;
-        env.c.icost <- env.c.icost + lists.hi.(i) - lists.lo.(i)
-      in
-      if nd = 1 then begin
-        (* Single descriptor: the extension set is the adjacency list itself;
-           iterate it directly, no copy. Cache = remembering the source. *)
-        let pos = descriptors.(0).Plan.pos in
-        let last_src = ref (-1) in
-        let[@inline] lookup t =
-          let src = t.(pos) in
-          if env.cache && src = !last_src then env.c.cache_hits <- env.c.cache_hits + 1
-          else begin
-            load 0 src;
-            env.c.intersections <- env.c.intersections + 1;
-            Governor.tick_work env.gov env.c ((lists.hi.(0) - lists.lo.(0)) asr work_grain_shift);
-            last_src := src
-          end
-        in
-        if count then fun _ ->
-          last_src := -1;
-          child_driver (fun t ->
-              lookup t;
-              tally (lists.hi.(0) - lists.lo.(0)))
-        else fun sink ->
-          last_src := -1;
-          child_driver (fun t ->
-              Array.blit t 0 buf 0 (width - 1);
-              lookup t;
-              let arr = lists.bufs.(0) in
-              for i = lists.lo.(0) to lists.hi.(0) - 1 do
-                let w = Gf_util.Buf.unsafe_get arr i in
-                if not (env.distinct && tuple_contains buf (width - 1) w) then begin
-                  buf.(width - 1) <- w;
-                  env.c.produced <- env.c.produced + 1;
-                  Governor.tick env.gov env.c;
-                  sink buf
-                end
-              done)
-      end
-      else begin
-        let srcs = Array.make nd (-1) in
-        let last_srcs = Array.make nd (-1) in
-        let result = Int_vec.create ~capacity:64 () in
-        let cache_valid = ref false in
-        (* Leaves [t]'s extension set in [result]: intersected afresh, or
-           kept from the previous tuple when it had the same sources. *)
-        let[@inline] extend t =
-          let same = ref !cache_valid in
-          for i = 0 to nd - 1 do
-            let s = t.(descriptors.(i).Plan.pos) in
-            srcs.(i) <- s;
-            if s <> last_srcs.(i) then same := false
-          done;
-          if env.cache && !same then env.c.cache_hits <- env.c.cache_hits + 1
-          else begin
-            for i = 0 to nd - 1 do
-              load i srcs.(i)
-            done;
-            env.c.intersections <- env.c.intersections + 1;
-            Int_vec.clear result;
-            governed_intersect env result lists;
-            Array.blit srcs 0 last_srcs 0 nd;
-            cache_valid := true
-          end
-        in
-        let reset () =
-          cache_valid := false;
-          Array.fill last_srcs 0 nd (-1)
-        in
-        if count then fun _ ->
-          reset ();
-          child_driver (fun t ->
-              extend t;
-              tally (Int_vec.length result))
-        else fun sink ->
-          reset ();
-          child_driver (fun t ->
-              Array.blit t 0 buf 0 (width - 1);
-              extend t;
-              let n = Int_vec.length result in
-              for i = 0 to n - 1 do
-                let w = Int_vec.unsafe_get result i in
-                if not (env.distinct && tuple_contains buf (width - 1) w) then begin
-                  buf.(width - 1) <- w;
-                  env.c.produced <- env.c.produced + 1;
-                  Governor.tick env.gov env.c;
-                  sink buf
-                end
-              done)
-      end
+      let r = row env plan in
+      let x = extension env r ~target_label descriptors in
+      if count then fun _ ->
+        reset_extension x;
+        child_driver (fun t ->
+            lookup x t;
+            (* The count-only root's output: claims the whole set at once,
+               so an output cap truncates exactly, then unwinds like a
+               refused [claim_output]. The counted tuples drain the
+               governor's fuel as their one-by-one emission would, so
+               checks come at the enumerating run's cadence. *)
+            let n = x.hi - x.lo in
+            let k = Governor.claim_outputs env.gov n in
+            r.produced <- r.produced + k;
+            env.c.output <- env.c.output + k;
+            if k < n then raise Governor.Trip;
+            Governor.tick_work env.gov k)
+      else fun sink ->
+        reset_extension x;
+        child_driver (fun t ->
+            Array.blit t 0 buf 0 (width - 1);
+            lookup x t;
+            let set = x.set in
+            for i = x.lo to x.hi - 1 do
+              let w = Buf.unsafe_get set i in
+              if not (env.distinct && tuple_contains buf (width - 1) w) then begin
+                buf.(width - 1) <- w;
+                r.produced <- r.produced + 1;
+                Governor.tick env.gov;
+                sink buf
+              end
+            done)
   | Plan.Hash_join { build; build_key_pos; _ } ->
       let build_driver = compile env build in
       let key_len = Array.length build_key_pos in
       let row_len = Array.length (Plan.vars build) in
       let probe_driver = probe compile env plan in
+      let r = row env plan in
       fun sink ->
         let table = Join_table.create ~key_len ~row_len in
         (* Phase spans, not per-tuple spans: one build span and one probe
@@ -333,16 +369,15 @@ and compile_structural ~count rewrite env plan =
             build_driver (build_into env plan table);
             probe_driver table sink
         | Some tb ->
-            let before = env.c.hj_build_tuples in
+            let before = r.hj_build_tuples in
             Trace.begin_span ~cat:"hash-join" tb "hj-build";
             Fun.protect
               ~finally:(fun () ->
-                Trace.end_span ~args:[ ("rows", Int (env.c.hj_build_tuples - before)) ] tb)
+                Trace.end_span ~args:[ ("rows", Int (r.hj_build_tuples - before)) ] tb)
               (fun () -> build_driver (build_into env plan table));
             Trace.begin_span ~cat:"hash-join" tb "hj-probe";
             Fun.protect
-              ~finally:(fun () ->
-                Trace.end_span ~args:[ ("probes", Int env.c.hj_probe_tuples) ] tb)
+              ~finally:(fun () -> Trace.end_span ~args:[ ("probes", Int r.hj_probe_tuples) ] tb)
               (fun () -> probe_driver table sink)
 
 let no_rewrite _ _ _ = None
@@ -365,13 +400,13 @@ let emit env sink t =
    governor's counters are always closed out. *)
 let governed gov env ~span driver sink =
   (match env.trace with Some b -> Trace.begin_span ~cat:"exec" b span | None -> ());
-  (match env.prof with Some p -> Profile.start p env.c | None -> ());
+  (match env.prof with Some p -> Profile.start p | None -> ());
   (try driver sink with
   | Governor.Trip -> ()
   | e -> Governor.fail gov ~operator:span ~detail:(Printexc.to_string e));
   (* On an unwind the trailing boundary switches were skipped; [finish]
-     charges the outstanding deltas so truncated profiles stay consistent. *)
-  (match env.prof with Some p -> Profile.finish p env.c | None -> ());
+     charges the outstanding time to the operator that was current. *)
+  (match env.prof with Some p -> Profile.finish p | None -> ());
   (match env.trace with
   | Some b ->
       Trace.end_span
@@ -390,25 +425,26 @@ let governed gov env ~span driver sink =
 let traced_profile prof (trace : Trace.t option) plan =
   match (prof, trace) with None, Some _ -> Some (Profile.create plan) | _ -> prof
 
-(* Synthesize one span per operator from a profile's self-times, packed
-   sequentially on a dedicated "operators" track starting at [t0_us]. The
-   real per-tuple boundary switching already lives in [Profile]; re-emitting
-   it as spans per tuple would dominate the trace, so the timeline shows
-   the per-operator totals instead — by construction their durations sum
-   exactly to the profile's totals. *)
-let emit_operator_track tr prof ~t0_us =
+(* Synthesize one span per operator from a profile's self-times and the
+   run's counts rows, packed sequentially on a dedicated "operators" track
+   starting at [t0_us]. The real per-tuple boundary switching already
+   lives in [Profile]; re-emitting it as spans per tuple would dominate the
+   trace, so the timeline shows the per-operator totals instead — by
+   construction their durations sum exactly to the profile's totals. *)
+let emit_operator_track tr prof (rows : Counters.t array) ~t0_us =
   let b = Trace.buffer ~name:"operators" tr ~tid:100 in
   let t = ref t0_us in
   Array.iter
     (fun (op : Profile.op) ->
       let dur = int_of_float (Float.round (op.time_s *. 1e6)) in
+      let r = rows.(op.id) in
       Trace.add_complete ~cat:"operator"
         ~args:
           [
             ("kind", Trace.Str (Profile.kind_to_string op.kind));
-            ("produced", Int op.produced);
-            ("icost", Int op.icost);
-            ("cache_hits", Int op.cache_hits);
+            ("produced", Int r.produced);
+            ("icost", Int r.icost);
+            ("cache_hits", Int r.cache_hits);
             ("self_ms", Float (op.time_s *. 1e3));
           ]
         b ~name:op.label ~ts_us:!t ~dur_us:dur;
@@ -423,7 +459,7 @@ let count_only env sink =
   Option.is_none sink && (not env.distinct) && Option.is_none env.prof
   && Option.is_none env.trace
 
-let run_gov ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapfrog = false)
+let run_rows ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapfrog = false)
     ?budget ?fault ?gov ?prof ?trace ?sink g plan =
   let gov =
     match gov with
@@ -432,15 +468,20 @@ let run_gov ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapfr
   in
   let prof = traced_profile prof trace plan in
   let tbuf = Option.map (fun tr -> Trace.buffer ~name:"exec" tr ~tid:1) trace in
-  let c = Counters.create () in
-  let env = { g; cache; distinct; leapfrog; c; gov = Governor.handle gov; prof; trace = tbuf } in
+  let env = make_env ~cache ~distinct ~leapfrog ?prof ?trace:tbuf g gov plan in
   let driver = compile_rw ~count:(count_only env sink) rewrite env plan in
   let t0_us = Trace.now_us () in
   governed gov env ~span:"execute" driver (emit env (Option.value sink ~default:ignore));
   (match (trace, prof) with
-  | Some tr, Some p -> emit_operator_track tr p ~t0_us
+  | Some tr, Some p -> emit_operator_track tr p env.rows ~t0_us
   | _ -> ());
-  (c, Governor.outcome gov)
+  (Counters.merge (env.c :: Array.to_list env.rows), env.rows, Governor.outcome gov)
+
+let run_gov ?rewrite ?cache ?distinct ?leapfrog ?budget ?fault ?gov ?prof ?trace ?sink g plan =
+  let c, _, outcome =
+    run_rows ?rewrite ?cache ?distinct ?leapfrog ?budget ?fault ?gov ?prof ?trace ?sink g plan
+  in
+  (c, outcome)
 
 let count ?cache ?distinct g plan =
   match run_gov ?cache ?distinct g plan with

@@ -97,26 +97,28 @@ let outcome t =
 
 type handle = {
   shared : t;
+  rows : Counters.t array; (* the domain's per-operator rows *)
   mutable fuel : int;
   mutable last_produced : int; (* produced count already flushed to [shared] *)
   mutable checks : int;
 }
 
 let cadence = 256
-let handle t = { shared = t; fuel = cadence; last_produced = 0; checks = 0 }
+let handle t rows = { shared = t; rows; fuel = cadence; last_produced = 0; checks = 0 }
 
-let flush_produced h (c : Counters.t) =
-  let d = c.Counters.produced - h.last_produced in
+let flush_produced h =
+  let p = Array.fold_left (fun acc (r : Counters.t) -> acc + r.Counters.produced) 0 h.rows in
+  let d = p - h.last_produced in
   if d > 0 then begin
     ignore (Atomic.fetch_and_add h.shared.produced d);
-    h.last_produced <- c.Counters.produced
+    h.last_produced <- p
   end
 
-let check h c =
+let check h =
   h.fuel <- cadence;
   h.checks <- h.checks + 1;
   let t = h.shared in
-  flush_produced h c;
+  flush_produced h;
   if Atomic.get t.flag <> 0 then raise Trip;
   let total = Atomic.get t.produced in
   (match t.fault with
@@ -128,14 +130,14 @@ let check h c =
   if t.deadline < infinity && Timing.now_s () > t.deadline then trip t c_deadline;
   if Atomic.get t.flag <> 0 then raise Trip
 
-let tick h c =
+let tick h =
   h.fuel <- h.fuel - 1;
-  if h.fuel <= 0 then check h c
+  if h.fuel <= 0 then check h
 
-let tick_work h c n =
+let tick_work h n =
   if n > 0 then begin
     h.fuel <- h.fuel - n;
-    if h.fuel <= 0 then check h c
+    if h.fuel <= 0 then check h
   end
 
 let claim_output h =
@@ -180,5 +182,5 @@ let release_bytes h n =
   end
 
 let finish h c =
-  flush_produced h c;
+  flush_produced h;
   c.Counters.gov_checks <- c.Counters.gov_checks + h.checks

@@ -96,28 +96,31 @@ val outcome : t -> outcome
     shared state in the common case. *)
 type handle
 
-val handle : t -> handle
+(** [handle t rows] is a cursor whose produced count is the sum of
+    [rows]' [produced] fields — the domain's per-operator counts, folded
+    at each full check. A handle that only accounts bytes passes [[||]]. *)
+val handle : t -> Counters.t array -> handle
 
 (** Number of full checks between deadline/cap evaluations; {!tick} costs a
     decrement and branch in between. *)
 val cadence : int
 
-(** [tick h c] is the cheap per-tuple call: decrements fuel and runs
+(** [tick h] is the cheap per-tuple call: decrements fuel and runs
     {!check} every {!cadence} calls. *)
-val tick : handle -> Counters.t -> unit
+val tick : handle -> unit
 
-(** [tick_work h c n] charges [n] tuple-equivalents of work at once —
+(** [tick_work h n] charges [n] tuple-equivalents of work at once —
     used by the E/I operator to account the scanned adjacency-list length
     of an intersection that produces few (or no) tuples, so a long run of
     expensive-but-unproductive intersections still reaches a deadline
     check within one cadence of work rather than one cadence of produced
     tuples. A no-op when [n <= 0]. *)
-val tick_work : handle -> Counters.t -> int -> unit
+val tick_work : handle -> int -> unit
 
-(** [check h c] flushes [c.produced] to the shared total, evaluates the
-    fault trigger, the intermediate cap and the deadline, and raises {!Trip}
-    if the governor has tripped (here or elsewhere). *)
-val check : handle -> Counters.t -> unit
+(** [check h] flushes the rows' summed [produced] to the shared total,
+    evaluates the fault trigger, the intermediate cap and the deadline, and
+    raises {!Trip} if the governor has tripped (here or elsewhere). *)
+val check : handle -> unit
 
 (** [claim_output h] atomically claims one output slot. Raises {!Trip} if
     the output cap is already exhausted (the tuple must not be emitted);
@@ -147,7 +150,7 @@ val add_bytes : handle -> int -> unit
 val release_bytes : handle -> int -> unit
 
 (** [finish h c] flushes the remaining produced delta and records the
-    number of full checks into [c.gov_checks]. Call once per domain after
-    its pipeline ends (normally or by {!Trip}) so counter totals survive
-    truncation. *)
+    number of full checks into the run-level [c.gov_checks]. Call once per
+    domain after its pipeline ends (normally or by {!Trip}) so counter
+    totals survive truncation. *)
 val finish : handle -> Counters.t -> unit

@@ -12,7 +12,7 @@ type t = {
   index : Gf_util.Int_vec.t H.t; (* key -> row start offsets *)
   key_len : int;
   row_len : int;
-  view : int array; (* reusable row view handed to iter_matches callbacks *)
+  view : int array; (* reusable row view for [absorb]'s iteration *)
   mutable count : int;
 }
 
@@ -55,8 +55,6 @@ let iter_matches_view t ~view key f =
           Gf_util.Int_vec.blit_to_array t.rows start view 0 t.row_len;
           f view)
         offsets
-
-let iter_matches t key f = iter_matches_view t ~view:t.view key f
 
 let iter_rows t f =
   H.iter

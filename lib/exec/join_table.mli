@@ -17,21 +17,12 @@ val key_len : t -> int
     per {!add}. *)
 val bytes_per_row : t -> int
 
-(** [iter_matches t key f] applies [f row] to every stored row whose key
-    equals [key]; [row] is a view that must not be retained across calls.
-    Single-threaded only: the view buffer is owned by [t]. *)
-val iter_matches : t -> int array -> (int array -> unit) -> unit
-
-(** [iter_matches_view t ~view key f] is [iter_matches] writing rows through
-    the caller-supplied [view] buffer (length [row_len t]) instead of the
-    table's own. This is what makes a frozen table safe to probe from many
-    domains at once: each prober brings its own view and the table itself is
-    only read. *)
+(** [iter_matches_view t ~view key f] applies [f view] to every stored
+    row whose key equals [key], writing each row through the
+    caller-supplied [view] buffer (length [row_len t]). This is what makes
+    a frozen table safe to probe from many domains at once: each prober
+    brings its own view and the table itself is only read. *)
 val iter_matches_view : t -> view:int array -> int array -> (int array -> unit) -> unit
-
-(** [iter_rows t f] applies [f key row] to every stored row (both arguments
-    are reused views). Iteration order is unspecified. *)
-val iter_rows : t -> (int array -> int array -> unit) -> unit
 
 (** [absorb dst src] adds every row of [src] into [dst] — merging the
     per-domain partial tables of a parallel build. Raises [Invalid_argument]

@@ -20,11 +20,9 @@ val counter : ?help:string -> ?labels:(string * string) list -> string -> counte
 val inc : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
-(** Default histogram buckets: log-2 spaced from 1 µs to ~134 s. *)
-val default_buckets : float array
-
 (** [histogram name] registers (or finds) a histogram with log-bucketed
-    upper bounds [buckets] (an implicit +Inf bucket is added). [labels]
+    upper bounds [buckets] (default: log-2 spaced from 1 µs to ~134 s; an
+    implicit +Inf bucket is added). [labels]
     works as for {!counter}; bucket rows merge the series labels with
     [le] inside one brace group. *)
 val histogram :

@@ -5,6 +5,7 @@ module Trace = Gf_obs.Trace
 
 type report = {
   counters : Counters.t;
+  rows : Counters.t array;
   per_domain : Counters.t array;
   per_domain_output : int array;
   outcome : Governor.outcome;
@@ -46,17 +47,15 @@ let probe_shared tables recurse env node =
 (* Build every HASH-JOIN table exactly once, in post-order. Each build runs
    its build sub-plan in parallel: domains pull scan chunks, fill per-domain
    partial tables, and the partials are absorbed into one shared read-only
-   table. Returns the tables (keyed by physical plan node) and the counters
-   of the whole build phase — so build tuples are counted once, not once per
-   execution domain. *)
-let build_tables ~domains ~domain_env ~gov ~prof ~tbuf g plan =
-  let build_c = Counters.create () in
-  let tables = ref [] in
+   table. Returns the tables (keyed by physical plan node) and the
+   environments of the build domains — so build tuples are counted once, not
+   once per execution domain. *)
+let build_tables ~domains ~domain_env ~gov ~tbuf g plan =
+  let tables = ref [] and envs = ref [] in
   List.iter
     (fun node ->
       match node with
       | Plan.Hash_join { build; build_key_pos; _ } ->
-          let before_build = build_c.Counters.hj_build_tuples in
           (match tbuf with
           | Some tb -> Trace.begin_span ~cat:"hash-join" tb "build-table"
           | None -> ());
@@ -78,13 +77,6 @@ let build_tables ~domains ~domain_env ~gov ~prof ~tbuf g plan =
             in
             go ()
           in
-          (* Table inserts are this join node's work: with profiling on, the
-             build sink runs with the join operator current so its time and
-             hj_build tuples land on the join's row — exactly where the
-             sequential executor charges them. *)
-          let join_id =
-            match prof with None -> None | Some p -> Profile.id_of p node
-          in
           let build_worker _ =
             let env = domain_env None in
             let local = Join_table.create ~key_len ~row_len in
@@ -93,38 +85,26 @@ let build_tables ~domains ~domain_env ~gov ~prof ~tbuf g plan =
               else probe_shared !tables recurse env n
             in
             let d = Exec.compile_rw rewrite env build in
-            let d =
-              match (env.Exec.prof, join_id) with
-              | Some p, Some id ->
-                  fun sink ->
-                    Profile.enter p env.Exec.c id;
-                    d sink
-              | _ -> d
-            in
             (* A tripped budget or a faulting operator still hands back the
                partial table and counters. *)
             Exec.governed gov env ~span:"hash-build" d (Exec.build_into env node local);
             (local, env)
           in
           let table = Join_table.create ~key_len ~row_len in
+          let rows = ref 0 in
           Array.iter
             (fun (local, (env : Exec.env)) ->
               Join_table.absorb table local;
-              Counters.add build_c env.c;
-              match (prof, env.prof) with
-              | Some into, Some p -> Profile.merge_into ~into p
-              | _ -> ())
+              rows := !rows + (Exec.row env node).Counters.hj_build_tuples;
+              envs := env :: !envs)
             (on_domains domains build_worker);
           (match tbuf with
-          | Some tb ->
-              Trace.end_span
-                ~args:[ ("rows", Int (build_c.Counters.hj_build_tuples - before_build)) ]
-                tb
+          | Some tb -> Trace.end_span ~args:[ ("rows", Int !rows) ] tb
           | None -> ());
           tables := (node, table) :: !tables
       | _ -> assert false)
     (collect_joins plan);
-  (!tables, build_c)
+  (!tables, !envs)
 
 (* A morsel is either a range of driving-scan source indices or a batch of
    materialized boundary-width partial matches (flat, row-major). *)
@@ -147,24 +127,17 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
     | Some t -> t
     | None -> Governor.create ?fault (Option.value budget ~default:Governor.unlimited)
   in
-  (* Every domain, build or probe, gets private counters, governor handle
-     and profile copy (same operator-id space), merged after the join. *)
+  (* Every domain, build or probe, gets private counts rows, governor
+     handle and profile copy (same operator-id space), merged after the
+     join. *)
   let domain_env trace =
-    {
-      Exec.g;
-      cache;
-      distinct;
-      leapfrog;
-      c = Counters.create ();
-      gov = Governor.handle gov;
-      prof = Option.map Profile.fresh prof;
-      trace;
-    }
+    Exec.make_env ~cache ~distinct ~leapfrog ?prof:(Option.map Profile.fresh prof) ?trace g gov
+      plan
   in
   (match cbuf with
   | Some tb -> Trace.begin_span ~cat:"parallel" ~args:[ ("domains", Int domains) ] tb "build-tables"
   | None -> ());
-  let tables, build_c = build_tables ~domains ~domain_env ~gov ~prof ~tbuf:cbuf g plan in
+  let tables, build_envs = build_tables ~domains ~domain_env ~gov ~tbuf:cbuf g plan in
   (match cbuf with Some tb -> Trace.end_span tb | None -> ());
   let driver_node = Exec.driving_scan plan in
   let boundary_node = find_boundary plan in
@@ -229,7 +202,7 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
               let n = Array.length data / bwidth in
               for r = 0 to n - 1 do
                 Array.blit data (r * bwidth) tuple 0 bwidth;
-                Governor.tick h c;
+                Governor.tick h;
                 sink tuple
               done;
               (* The batch buffer is dead once replayed: return its bytes so
@@ -341,22 +314,29 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
       Trace.end_span tb;
       Trace.close_all tb
   | None -> ());
-  (* Merge the per-domain profiles in the coordinating thread, keyed by the
-     shared preorder operator ids — same shape for every domain, so the
-     merged profile is identical in form to a sequential one. *)
+  (* Merge the per-domain rows and profiles in the coordinating thread,
+     keyed by the shared preorder operator ids — same shape for every
+     domain, so the merged result is identical in form to a sequential
+     one. *)
+  let all = build_envs @ Array.to_list envs in
+  let rows =
+    Array.mapi
+      (fun i _ -> Counters.merge (List.map (fun (e : Exec.env) -> e.rows.(i)) all))
+      envs.(0).Exec.rows
+  in
   (match prof with
-  | Some into ->
-      Array.iter (fun (e : Exec.env) -> Option.iter (fun p -> Profile.merge_into ~into p) e.prof) envs
+  | Some into -> List.iter (fun (e : Exec.env) -> Option.iter (Profile.merge_into ~into) e.prof) all
   | None -> ());
   (* One merged operator-summary track: durations are self-times summed
      across build and all domains, so the track reads as CPU time (it can
      exceed the wall clock, like [busy_s]). *)
   (match (trace, prof) with
-  | Some tr, Some p -> Exec.emit_operator_track tr p ~t0_us
+  | Some tr, Some p -> Exec.emit_operator_track tr p rows ~t0_us
   | _ -> ());
   let per_domain = Array.map (fun (e : Exec.env) -> e.c) envs in
   {
-    counters = Counters.merge (build_c :: Array.to_list per_domain);
+    counters = Counters.merge (Array.to_list rows @ List.map (fun (e : Exec.env) -> e.c) all);
+    rows;
     per_domain;
     per_domain_output = Array.map (fun c -> c.Counters.output) per_domain;
     outcome = Governor.outcome gov;

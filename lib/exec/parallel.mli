@@ -24,9 +24,9 @@
     reused buffers, copy to retain). Without a sink, profile or trace a
     homomorphic run counts at its E/I root like {!Exec.run_gov}, each
     domain claiming its counts through {!Governor.claim_outputs}. The
-    graph and tables are immutable and shared; counters are
-    per-domain and merged, with [morsels], [steals] and [busy_s] recording
-    how the load actually spread.
+    graph and tables are immutable and shared; counts rows and counters
+    are per-domain and merged, with [morsels], [steals] and [busy_s]
+    recording how the load actually spread.
 
     Every run executes under one shared {!Governor}: any domain tripping a
     budget (deadline, output/intermediate cap, byte cap), failing, or being
@@ -39,6 +39,10 @@
 
 type report = {
   counters : Counters.t;  (** merged across domains, plus the build phase once *)
+  rows : Counters.t array;
+      (** per-operator counts in operator-id order, merged across build and
+          execution domains; [counters] is their fold with the run-level
+          fields *)
   per_domain : Counters.t array;
       (** per-domain execution counters — [busy_s] max/min is the imbalance
           signal, [steals] how much rebalancing happened *)
@@ -52,11 +56,12 @@ type report = {
     create the query's governor; [gov] supplies one built externally (for
     cross-thread {!Governor.cancel}) and overrides both.
 
-    [prof] collects a per-operator profile: each domain records into a
+    [prof] times each operator: each domain records into a
     {!Profile.fresh} copy (same operator-id space) and the copies are
-    merged into [prof] after the domains join — counter columns are
-    exact, per-operator time sums CPU time across domains. Build-phase
-    work is profiled once, like its counters.
+    merged into [prof] after the domains join, so per-operator time sums
+    CPU time across domains. In the build phase, table inserts run outside
+    any timed operator; their counts are on the join's row like the
+    sequential run's.
 
     [trace] opts the run into span tracing: a coordinator buffer (tid 9)
     records the table-build and run phases, each domain records its own

@@ -8,166 +8,62 @@ let kind_to_string = function
   | Extend -> "extend"
   | Hash_join -> "hash-join"
 
-type op = {
-  id : int;
-  label : string;
-  kind : kind;
-  depth : int;
-  mutable produced : int;
-  mutable icost : int;
-  mutable cache_hits : int;
-  mutable intersections : int;
-  mutable hj_build : int;
-  mutable hj_probe : int;
-  mutable time_s : float;
-}
-
-(* Attribution works by *boundary switching*: the executor is a stack of
-   nested closures, so at any instant exactly one operator is doing work.
-   [cur] names it (-1 = outside any operator: scheduler idle loops, the
-   user sink). Each switch charges the elapsed wall time and the counter
-   deltas since the previous switch to the operator that was current —
-   all counter mutations happen while the responsible operator is current,
-   so the deltas need no per-counter instrumentation in the kernels. *)
-type t = {
-  plan : Plan.t;
-  nodes : Plan.t array; (* preorder; index = operator id *)
-  ops : op array;
-  mutable cur : int;
-  mutable last_t : float;
-  mutable s_produced : int;
-  mutable s_icost : int;
-  mutable s_cache_hits : int;
-  mutable s_intersections : int;
-  mutable s_hj_build : int;
-  mutable s_hj_probe : int;
-  mutable outside_s : float;
-}
-
 let kind_of = function
   | Plan.Scan _ -> Scan
   | Plan.Extend _ -> Extend
   | Plan.Hash_join _ -> Hash_join
 
+type op = { id : int; label : string; kind : kind; depth : int; mutable time_s : float }
+
+(* Self time by *boundary switching*: the executor is a stack of nested
+   closures, so at any instant exactly one operator is doing work. [cur]
+   names it (-1 = outside any operator: scheduler idle loops, the user
+   sink). Each switch charges the wall time since the previous switch to
+   the operator that was current. *)
+type t = { plan : Plan.t; ops : op array; mutable cur : int; mutable last_t : float }
+
 let create plan =
-  let entries = Plan.operators plan in
   {
     plan;
-    nodes = Array.map fst entries;
     ops =
       Array.mapi
-        (fun i (n, depth) ->
-          {
-            id = i;
-            label = Plan.op_label n;
-            kind = kind_of n;
-            depth;
-            produced = 0;
-            icost = 0;
-            cache_hits = 0;
-            intersections = 0;
-            hj_build = 0;
-            hj_probe = 0;
-            time_s = 0.0;
-          })
-        entries;
+        (fun i (n, depth) -> { id = i; label = Plan.op_label n; kind = kind_of n; depth; time_s = 0.0 })
+        (Plan.operators plan);
     cur = -1;
     last_t = 0.0;
-    s_produced = 0;
-    s_icost = 0;
-    s_cache_hits = 0;
-    s_intersections = 0;
-    s_hj_build = 0;
-    s_hj_probe = 0;
-    outside_s = 0.0;
   }
 
 let fresh t = create t.plan
 let plan t = t.plan
 let ops t = t.ops
-let outside_s t = t.outside_s
 
-let id_of t node =
-  let n = Array.length t.nodes in
-  let rec go i =
-    if i >= n then None else if t.nodes.(i) == node then Some i else go (i + 1)
-  in
-  go 0
-
-let snapshot t (c : Counters.t) =
-  t.s_produced <- c.Counters.produced;
-  t.s_icost <- c.Counters.icost;
-  t.s_cache_hits <- c.Counters.cache_hits;
-  t.s_intersections <- c.Counters.intersections;
-  t.s_hj_build <- c.Counters.hj_build_tuples;
-  t.s_hj_probe <- c.Counters.hj_probe_tuples
-
-let charge t (c : Counters.t) =
+let enter t id =
   let now = Timing.now_s () in
-  let dt = now -. t.last_t in
-  t.last_t <- now;
   if t.cur >= 0 then begin
     let o = t.ops.(t.cur) in
-    o.time_s <- o.time_s +. dt;
-    o.produced <- o.produced + (c.Counters.produced - t.s_produced);
-    o.icost <- o.icost + (c.Counters.icost - t.s_icost);
-    o.cache_hits <- o.cache_hits + (c.Counters.cache_hits - t.s_cache_hits);
-    o.intersections <- o.intersections + (c.Counters.intersections - t.s_intersections);
-    o.hj_build <- o.hj_build + (c.Counters.hj_build_tuples - t.s_hj_build);
-    o.hj_probe <- o.hj_probe + (c.Counters.hj_probe_tuples - t.s_hj_probe)
-  end
-  else t.outside_s <- t.outside_s +. dt;
-  snapshot t c
-
-let enter t c id =
-  charge t c;
+    o.time_s <- o.time_s +. (now -. t.last_t)
+  end;
+  t.last_t <- now;
   t.cur <- id
 
-let start t c =
+let start t =
   t.cur <- -1;
-  t.last_t <- Timing.now_s ();
-  snapshot t c
+  t.last_t <- Timing.now_s ()
 
-let finish t c =
-  charge t c;
-  t.cur <- -1
+let finish t = enter t (-1)
 
-let wrap t c id driver =
+let wrap t id driver =
  fun sink ->
   let prev = t.cur in
-  enter t c id;
+  enter t id;
   driver (fun tuple ->
       let inner = t.cur in
-      enter t c prev;
+      enter t prev;
       sink tuple;
-      enter t c inner);
-  enter t c prev
+      enter t inner);
+  enter t prev
 
 let merge_into ~into src =
   if Array.length into.ops <> Array.length src.ops then
     invalid_arg "Profile.merge_into: profiles of different plans";
-  Array.iteri
-    (fun i (o : op) ->
-      let d = into.ops.(i) in
-      d.produced <- d.produced + o.produced;
-      d.icost <- d.icost + o.icost;
-      d.cache_hits <- d.cache_hits + o.cache_hits;
-      d.intersections <- d.intersections + o.intersections;
-      d.hj_build <- d.hj_build + o.hj_build;
-      d.hj_probe <- d.hj_probe + o.hj_probe;
-      d.time_s <- d.time_s +. o.time_s)
-    src.ops;
-  into.outside_s <- into.outside_s +. src.outside_s
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v 0>";
-  Array.iter
-    (fun o ->
-      Format.fprintf fmt "%2d %s%-24s produced=%-10d icost=%-12d hits=%-8d time=%.4fs@,"
-        o.id
-        (String.make (2 * o.depth) ' ')
-        o.label o.produced o.icost o.cache_hits o.time_s)
-    t.ops;
-  Format.fprintf fmt "   (outside operators: %.4fs)@]" t.outside_s
-
-let to_string t = Format.asprintf "%a" pp t
+  Array.iteri (fun i (o : op) -> into.ops.(i).time_s <- into.ops.(i).time_s +. o.time_s) src.ops

@@ -1,8 +1,11 @@
-(** Per-operator execution profiling.
+(** Opt-in per-operator self time.
 
-    A profile attaches per-operator actuals — produced tuples, i-cost,
-    cache hits, intersections, hash-join build/probe tuples, and *self*
-    wall time — to the stable operator ids of {!Gf_plan.Plan.operators}.
+    Every run counts per operator: each operator increments its own
+    {!Counters} row (see {!Gf_exec.Exec.env}), so counts are always on and
+    cost no clock read. A profile adds what only it can give — the
+    operators' metadata and their *self* wall time — keyed by the stable
+    operator ids of {!Gf_plan.Plan.operators}. EXPLAIN ANALYZE and traced
+    runs ask for one; plan-cache feedback runs do not.
 
     {2 How attribution works}
 
@@ -10,46 +13,36 @@
     any instant exactly one operator is doing work. The profiler tracks
     which one by *boundary switching*: {!wrap} decorates each compiled
     driver so that entering an operator's driver (and every callback into
-    its sink) switches a current-operator register, and each switch charges
-    the wall time and the {!Counters} deltas since the previous switch to
-    the operator that was current. Time charged to an operator is therefore
-    its self time (excluding children and parents), and the per-operator
-    counter columns sum to the run's counter totals — no per-counter
-    instrumentation in the operator kernels.
+    its sink) switches a current-operator register, and each switch
+    charges the wall time since the previous switch to the operator that
+    was current. Time charged to an operator is therefore its self time,
+    excluding children and parents.
 
-    The cost when profiling is on is two clock reads per tuple per wrapped
-    pipeline boundary. When off, {!Gf_exec.Exec.compile_rw} skips {!wrap}
-    entirely at plan-compile time — the compiled pipeline is identical to
-    an unprofiled build, with zero per-tuple overhead.
+    The cost is two clock reads per tuple per wrapped pipeline boundary.
+    Without a profile {!Gf_exec.Exec.compile_rw} skips {!wrap} at
+    plan-compile time, so the compiled pipeline carries no timing code.
 
     {2 Threading}
 
     A profile is single-domain mutable state. Parallel runs give each
-    domain a {!fresh} copy (same plan, same id space) and
-    {!merge_into} the per-domain profiles after the domains join —
-    mirroring how per-domain {!Counters} are merged. Counter columns merge
-    exactly; per-operator [time_s] sums CPU time across domains (like
-    [Counters.busy_s], it can exceed wall time). *)
+    domain a {!fresh} copy (same plan, same id space) and {!merge_into}
+    the copies after the domains join; per-operator [time_s] then sums CPU
+    time across domains (like [Counters.busy_s], it can exceed wall
+    time). *)
 
 type kind = Scan | Extend | Hash_join
 
 val kind_to_string : kind -> string
 
-(** Accumulated actuals for one operator. [produced] counts tuples the
-    operator emitted; [icost] is Eq. 1's summed adjacency-list sizes;
-    [time_s] is self wall time. For a hash join, [hj_build]/[hj_probe]
-    count tuples inserted into / probed against its table. *)
+(** [kind_of node] is the operator kind of a plan node. *)
+val kind_of : Gf_plan.Plan.t -> kind
+
+(** One operator's metadata and accumulated self wall time. *)
 type op = {
   id : int;  (** preorder index from {!Gf_plan.Plan.operators} *)
   label : string;  (** {!Gf_plan.Plan.op_label} *)
   kind : kind;
   depth : int;  (** tree depth, for display *)
-  mutable produced : int;
-  mutable icost : int;
-  mutable cache_hits : int;
-  mutable intersections : int;
-  mutable hj_build : int;
-  mutable hj_probe : int;
   mutable time_s : float;
 }
 
@@ -68,39 +61,22 @@ val plan : t -> Gf_plan.Plan.t
 (** The per-operator rows, in operator-id (preorder) order. *)
 val ops : t -> op array
 
-(** Wall time spent outside any operator (scheduler idle loops, the user
-    sink, final output accounting). *)
-val outside_s : t -> float
+(** [wrap t id driver] decorates operator [id]'s compiled driver with the
+    boundary switches described above. Applied by [Exec.compile_rw] when
+    the environment carries a profile. *)
+val wrap : t -> int -> ((int array -> unit) -> unit) -> (int array -> unit) -> unit
 
-(** [id_of t node] is [node]'s operator id, by physical equality; [None]
-    for a node that is not part of the profiled plan. *)
-val id_of : t -> Gf_plan.Plan.t -> int option
+(** [start t] begins a run: resets the clock without charging anything
+    and sets the current operator to outside. Call once before invoking
+    the root driver. *)
+val start : t -> unit
 
-(** [wrap t c id driver] decorates a compiled driver with the boundary
-    switches described above. Applied by [Exec.compile_rw] when the
-    environment carries a profile. *)
-val wrap : t -> Counters.t -> int -> ((int array -> unit) -> unit) -> (int array -> unit) -> unit
-
-(** [enter t c id] charges the time and counter deltas since the last
-    switch, then makes [id] current ([-1] = outside any operator). For
-    cooperating executors that run operator work outside wrapped drivers
-    (the parallel build phase charges table inserts to the join node). *)
-val enter : t -> Counters.t -> int -> unit
-
-(** [start t c] begins a run: resets the clock and counter snapshots
-    (without charging anything) and sets the current operator to outside.
-    Call once before invoking the root driver. *)
-val start : t -> Counters.t -> unit
-
-(** [finish t c] charges any outstanding deltas (also on the unwind path of
-    a {!Governor.Trip}, where the trailing boundary switches were skipped)
+(** [finish t] charges the time since the last switch (also on the unwind
+    path of a {!Governor.Trip}, where the trailing switches were skipped)
     and resets the current operator. Call once after the root driver
     returns or raises. *)
-val finish : t -> Counters.t -> unit
+val finish : t -> unit
 
-(** [merge_into ~into src] adds [src]'s per-operator totals into [into].
+(** [merge_into ~into src] adds [src]'s per-operator times into [into].
     Raises [Invalid_argument] when the profiles have different shapes. *)
 val merge_into : into:t -> t -> unit
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

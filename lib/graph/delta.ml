@@ -280,9 +280,3 @@ let merge t =
     t.tombs_pending <- 0;
     g
   end
-
-let install t g ~version =
-  if pending t <> 0 then invalid_arg "Delta.install: overlay not empty";
-  t.base <- g;
-  t.version <- version;
-  t.merged_version <- version

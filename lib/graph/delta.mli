@@ -117,6 +117,3 @@ val edge_array : t -> (int * int * int) array
     the versions already agree. *)
 val merge : t -> Graph.t
 
-(** [install t graph ~version] replaces the base outright — recovery uses
-    it to seat a freshly loaded snapshot. Requires an empty overlay. *)
-val install : t -> Graph.t -> version:int -> unit

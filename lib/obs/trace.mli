@@ -43,10 +43,6 @@ val create : ?capacity:int -> unit -> t
     from any domain. *)
 val buffer : ?name:string -> ?pid:int -> t -> tid:int -> buf
 
-(** [register_process t ~pid name] names a process track in the Chrome
-    export ([process_name] metadata). Track 1 is "gfq" by default. *)
-val register_process : t -> pid:int -> string -> unit
-
 (** Current wall clock in integer microseconds — the span timestamp unit,
     re-exported for callers synthesizing spans via {!add_complete}. *)
 val now_us : unit -> int

@@ -2,6 +2,7 @@ module Bitset = Gf_util.Bitset
 module Plan = Gf_plan.Plan
 module Catalog = Gf_catalog.Catalog
 module Profile = Gf_exec.Profile
+module Counters = Gf_exec.Counters
 
 type row = {
   id : int;
@@ -52,16 +53,27 @@ let estimates model plan =
   in
   { plan; weights = Cost_model.weights model; ops = Array.map op (Plan.operators plan) }
 
-let rows ests prof =
-  if not (Profile.plan prof == ests.plan) then
-    invalid_arg "Explain.rows: profile belongs to a different plan";
+let rows ests (counts : Counters.t array) prof =
+  let ops = Plan.operators ests.plan in
+  if Array.length counts <> Array.length ops then
+    invalid_arg "Explain.rows: counts rows of a different plan";
+  let time =
+    match prof with
+    | None -> fun _ -> 0.0
+    | Some p ->
+        if not (Profile.plan p == ests.plan) then
+          invalid_arg "Explain.rows: profile belongs to a different plan";
+        fun id -> (Profile.ops p).(id).Profile.time_s
+  in
   let w = ests.weights in
-  Array.map
-    (fun (o : Profile.op) ->
-      let est_card, est_cost = ests.ops.(o.id) in
+  Array.mapi
+    (fun id (node, depth) ->
+      let o = counts.(id) in
+      let kind = Profile.kind_of node in
+      let est_card, est_cost = ests.ops.(id) in
       let q_error act = Some (Catalog.q_error ~estimate:est_cost ~truth:act) in
       let act_cost, cost_q =
-        match o.kind with
+        match kind with
         | Profile.Scan -> (0.0, None)
         | Profile.Extend ->
             let act = float_of_int o.icost in
@@ -71,29 +83,29 @@ let rows ests prof =
                4.2's w1/w2): build and probe tuples that actually flowed
                through this join's table. *)
             let act =
-              (w.Cost.w1 *. float_of_int o.hj_build)
-              +. (w.Cost.w2 *. float_of_int o.hj_probe)
+              (w.Cost.w1 *. float_of_int o.hj_build_tuples)
+              +. (w.Cost.w2 *. float_of_int o.hj_probe_tuples)
             in
             (act, q_error act)
       in
       {
-        id = o.id;
-        label = o.label;
-        kind = o.kind;
-        depth = o.depth;
+        id;
+        label = Plan.op_label node;
+        kind;
+        depth;
         est_card;
         act_card = o.produced;
         card_q = Catalog.q_error ~estimate:est_card ~truth:(float_of_int o.produced);
         est_cost;
         act_cost;
         cost_q;
-        time_s = o.time_s;
+        time_s = time id;
         cache_hits = o.cache_hits;
         intersections = o.intersections;
-        hj_build = o.hj_build;
-        hj_probe = o.hj_probe;
+        hj_build = o.hj_build_tuples;
+        hj_probe = o.hj_probe_tuples;
       })
-    (Profile.ops prof)
+    ops
   |> Array.to_list
 
 let fmt_f v =

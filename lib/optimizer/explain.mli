@@ -16,7 +16,8 @@
 
     This lives in the optimizer layer (not [Gf_exec]) because it needs the
     catalogue-backed cost model; the execution layer only ever records
-    actuals ({!Gf_exec.Profile}). *)
+    actuals: per-operator counts rows on every run, self time when a
+    {!Gf_exec.Profile} is attached. *)
 
 type row = {
   id : int;  (** stable operator id ({!Gf_plan.Plan.operators} preorder) *)
@@ -29,7 +30,9 @@ type row = {
   est_cost : float;  (** estimated i-cost (E/I) or weighted join cost; 0 for scans *)
   act_cost : float;
   cost_q : float option;  (** [None] for scans (no modeled cost) *)
-  time_s : float;  (** self wall time (summed across domains when parallel) *)
+  time_s : float;
+      (** self wall time (summed across domains when parallel); 0 for an
+          untimed run *)
   cache_hits : int;
   intersections : int;
   hj_build : int;
@@ -37,9 +40,9 @@ type row = {
 }
 
 (** The optimizer's estimates for every operator of one plan, computed
-    once and joined against any number of profiled runs of that plan. *)
+    once and joined against any number of runs of that plan. *)
 type estimates = {
-  plan : Gf_plan.Plan.t;  (** the plan value a joined profile must have run *)
+  plan : Gf_plan.Plan.t;  (** the plan value joined runs must have executed *)
   weights : Cost.weights;  (** the HASH-JOIN weights actual costs are priced with *)
   ops : (float * float) array;
       (** [(est_card, est_cost)] per operator id; [est_cost] is 0 for scans *)
@@ -51,10 +54,13 @@ type estimates = {
     options that produced the plan. *)
 val estimates : Cost_model.t -> Gf_plan.Plan.t -> estimates
 
-(** [rows ests prof] is one row per operator, in operator-id order, joining
-    [ests] against the actuals in [prof]. Raises [Invalid_argument] when
-    [prof] was created for a plan value other than [ests.plan]. *)
-val rows : estimates -> Gf_exec.Profile.t -> row list
+(** [rows ests counts prof] is one row per operator, in operator-id order,
+    joining [ests] against a run's per-operator [counts] (as returned by
+    {!Gf_exec.Exec.run_rows} and friends) and, when [prof] is given, its
+    self times; without one [time_s] is 0. Raises [Invalid_argument] when
+    [counts] has the wrong length or [prof] was created for a plan value
+    other than [ests.plan]. *)
+val rows : estimates -> Gf_exec.Counters.t array -> Gf_exec.Profile.t option -> row list
 
 (** Fixed-width text table. *)
 val to_string : row list -> string

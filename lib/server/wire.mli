@@ -76,7 +76,6 @@ val bad_option : string -> string option -> 'a
 
 val pong : string
 val shutting_down : string
-val draining_resp : string
 
 val ok_run : reply:Service.reply -> string
 (** Includes outcome, matches, attempts/retries/degraded/rung, queue and

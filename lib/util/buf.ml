@@ -69,7 +69,6 @@ let sub_array t lo hi =
   if lo < 0 || hi > length t || lo > hi then invalid_arg "Buf.sub_array";
   Array.init (hi - lo) (fun i -> unsafe_get t (lo + i))
 
-let to_int_array t = sub_array t 0 (length t)
 
 let blit_to_array t lo dst dlo n =
   for i = 0 to n - 1 do

@@ -44,7 +44,6 @@ let is_empty v = v.len = 0
 let big v = v.data
 let buf v = v.tagged
 let unsafe_set_len v n = v.len <- n
-let capacity_bytes v = Bigarray.Array1.dim v.data * 8
 
 let to_array v = Array.init v.len (fun i -> Bigarray.Array1.unsafe_get v.data i)
 

@@ -51,8 +51,6 @@ val buf : t -> Buf.t
     capacity. *)
 val unsafe_set_len : t -> int -> unit
 
-(** [capacity_bytes v] is the off-heap footprint of the backing store. *)
-val capacity_bytes : t -> int
 
 val to_array : t -> int array
 

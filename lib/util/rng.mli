@@ -14,9 +14,6 @@ val split : t -> t
 (** [int t n] is uniform over [0, n). Requires [n > 0]. *)
 val int : t -> int -> int
 
-(** [int64 t] is the next raw 64-bit output. *)
-val int64 : t -> int64
-
 (** [float t x] is uniform over [0, x). *)
 val float : t -> float -> float
 

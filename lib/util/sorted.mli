@@ -44,9 +44,6 @@ val kernel_mode : unit -> kernel_mode
     vector units). *)
 val kernel_name : unit -> string
 
-(** Whether the C stubs report usable vector units (CPUID probe). *)
-val simd_available : unit -> bool
-
 (** [with_kernel_mode m f] runs [f] under mode [m], restoring the
     previous mode afterwards — the benchmark A/B harness. *)
 val with_kernel_mode : kernel_mode -> (unit -> 'a) -> 'a

@@ -300,13 +300,10 @@ type t = {
   mutable next : int;  (** next LSN to assign *)
   mutable appended : int;  (** last LSN handed to the OS *)
   mutable durable : int;  (** last LSN covered by a completed fsync *)
-  mutable fsync_count : int;
   mutable closed : bool;
 }
 
-let next_lsn t = t.next
 let durable_lsn t = t.durable
-let fsyncs t = t.fsync_count
 
 let locked t f =
   Mutex.lock t.m;
@@ -352,7 +349,6 @@ let open_log ?(segment_bytes = 8 * 1024 * 1024) ?(sync_every_append = false) dir
             next;
             appended = next - 1;
             durable = next - 1;
-            fsync_count = 0;
             closed = false;
           }
   with
@@ -374,7 +370,6 @@ let fsync_locked t =
   let target = t.appended in
   Fault.hit Fault.Wal_pre_fsync;
   Unix.fsync t.fd;
-  t.fsync_count <- t.fsync_count + 1;
   if target > t.durable then t.durable <- target;
   Condition.broadcast t.done_cond
 

@@ -55,9 +55,6 @@ type t
     commit. *)
 val open_log : ?segment_bytes:int -> ?sync_every_append:bool -> string -> (t, error) result
 
-(** Next LSN to be assigned (1 on an empty log). *)
-val next_lsn : t -> int
-
 (** Highest LSN covered by a completed fsync; 0 before any. *)
 val durable_lsn : t -> int
 
@@ -81,9 +78,6 @@ val rotate : t -> (unit, error) result
 val drop_segments_below : t -> int -> (int, error) result
 
 val close : t -> unit
-
-(** Number of [fsync] calls issued so far (group-commit effectiveness). *)
-val fsyncs : t -> int
 
 (** {1 Recovery} *)
 

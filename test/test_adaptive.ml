@@ -32,7 +32,7 @@ let test_same_results_wco () =
         (fun order ->
           let plan = Plan.wco q order in
           let fixed = Exec.count g plan in
-          let c, stats = Adaptive.run cat g q plan in
+          let c, _, stats = Adaptive.run cat g q plan in
           check_int (Printf.sprintf "Q%d adaptive output" i) fixed c.Counters.output;
           check_int (Printf.sprintf "Q%d one segment" i) 1 stats.Adaptive.segments;
           check_bool "routed tuples" true (stats.Adaptive.tuples_routed > 0))
@@ -58,7 +58,7 @@ let test_same_results_hybrid () =
   let q = Patterns.q 10 in
   let plan, _ = Planner.plan cat q in
   let fixed = Exec.count g plan in
-  let c, _stats = Adaptive.run cat g q plan in
+  let c, _, _stats = Adaptive.run cat g q plan in
   check_int "hybrid adaptive output" fixed c.Counters.output
 
 let test_adaptivity_actually_routes () =
@@ -69,7 +69,7 @@ let test_adaptivity_actually_routes () =
   let cat = Catalog.create ~z:500 g in
   let q = Patterns.diamond_x in
   let plan = Plan.wco q [| 1; 2; 0; 3 |] in
-  let _, stats = Adaptive.run cat g q plan in
+  let _, _, stats = Adaptive.run cat g q plan in
   check_bool
     (Printf.sprintf "multiple orderings used (%d of %d)" stats.Adaptive.orderings_used
        stats.Adaptive.candidate_orderings)
@@ -83,7 +83,7 @@ let test_limit_respected () =
   let q = Patterns.diamond_x in
   let plan = Plan.wco q [| 0; 1; 2; 3 |] in
   let gov = Governor.create (Governor.budget ~max_output:7 ()) in
-  let c, _ = Adaptive.run ~gov cat g q plan in
+  let c, _, _ = Adaptive.run ~gov cat g q plan in
   check_int "limit" 7 c.Counters.output
 
 let test_adaptive_can_reduce_icost () =
@@ -99,7 +99,7 @@ let test_adaptive_can_reduce_icost () =
   in
   let worst = List.fold_left max 0 fixed_costs in
   let plan = Plan.wco q [| 1; 2; 0; 3 |] in
-  let c, _ = Adaptive.run cat g q plan in
+  let c, _, _ = Adaptive.run cat g q plan in
   check_bool
     (Printf.sprintf "adaptive icost %d < worst fixed %d" c.Counters.icost worst)
     true

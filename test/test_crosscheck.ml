@@ -91,7 +91,7 @@ let prop_all_engines_agree =
         let ((n, _) as got) = delivered (Plan.vars plan) run in
         got = expected_set || fail (msg ^ " match set") n expected
       in
-      let output (c, _) = c.Counters.output in
+      let output (c, _, _) = c.Counters.output in
       same "cache off" (fun sink -> ignore (Exec.run_gov ~cache:false ~sink g plan))
       && same "leapfrog" (fun sink -> ignore (Exec.run_gov ~leapfrog:true ~sink g plan))
       && ok "count" (Exec.count g plan)
@@ -391,7 +391,7 @@ let test_adaptive_distinct () =
         (fst (Exec.run_gov ~distinct:true g plan)).Counters.output;
       check_int (name ^ ": adaptive distinct")
         expected
-        (fst (Adaptive.run ~distinct:true cat g q plan)).Counters.output)
+        (let c, _, _ = Adaptive.run ~distinct:true cat g q plan in c).Counters.output)
     [ ("clique", Patterns.clique 4 ~cyclic:false); ("cycle", Patterns.cycle 4) ];
   (* The cycle admits a1=a3 / a2=a4 homomorphisms over reciprocal edges, so
      distinct must strictly shrink the count here — otherwise this test

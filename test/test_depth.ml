@@ -175,7 +175,7 @@ let test_adaptive_stats_shape () =
   let cat = Catalog.create ~z:200 g in
   let q = Patterns.diamond_x in
   let plan = Plan.wco q [| 1; 2; 0; 3 |] in
-  let _, stats = Adaptive.run cat g q plan in
+  let _, _, stats = Adaptive.run cat g q plan in
   check_int "one segment" 1 stats.Adaptive.segments;
   (* Extending {a2,a3} by {a1,a4}: both orders are connected -> 2 candidates. *)
   check_int "two candidate orderings" 2 stats.Adaptive.candidate_orderings;
@@ -189,7 +189,7 @@ let test_adaptive_sink_and_limit_together () =
   let plan = Plan.wco q [| 0; 1; 2; 3 |] in
   let seen = ref 0 in
   let gov = Gf_exec.Governor.create (Gf_exec.Governor.budget ~max_output:9 ()) in
-  let c, _ = Adaptive.run ~gov ~sink:(fun _ -> incr seen) cat g q plan in
+  let c, _, _ = Adaptive.run ~gov ~sink:(fun _ -> incr seen) cat g q plan in
   check_int "limited" 9 c.Counters.output;
   check_int "sink calls" 9 !seen
 

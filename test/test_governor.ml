@@ -14,6 +14,8 @@ module Counters = Gf_exec.Counters
 module Governor = Gf_exec.Governor
 module Parallel = Gf_exec.Parallel
 module Trace = Gf_obs.Trace
+module Catalog = Gf_catalog.Catalog
+module Adaptive = Gf_adaptive.Adaptive
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -267,21 +269,27 @@ let test_fault_mid_hash_build () =
    [private_each] private per anchor — and the single edge [a -> b]. The
    labeled triangle below scans exactly one tuple off that edge and then
    closes with one intersection over both (huge) adjacency lists. *)
-let anchored_graph ~overlap ~private_each =
+(* With [tail], one more vertex (label 3) that every shared target points
+   to, so a 4-vertex pattern can extend the triangle by one more E/I. *)
+let anchored_graph ?(tail = false) ~overlap ~private_each () =
   let n = 2 + overlap + (2 * private_each) in
-  let vlabel = Array.make n 0 in
+  let vlabel = Array.make (if tail then n + 1 else n) 0 in
   vlabel.(0) <- 1;
   vlabel.(1) <- 2;
+  if tail then vlabel.(n) <- 3;
   let edges = ref [ (0, 1, 0) ] in
   for i = 0 to overlap - 1 do
     let v = 2 + i in
-    edges := (0, v, 0) :: (1, v, 0) :: !edges
+    edges := (0, v, 0) :: (1, v, 0) :: !edges;
+    if tail then edges := (v, n, 0) :: !edges
   done;
   for i = 0 to private_each - 1 do
     edges := (0, 2 + overlap + i, 0) :: !edges;
     edges := (1, 2 + overlap + private_each + i, 0) :: !edges
   done;
-  Graph.build ~num_vlabels:3 ~num_elabels:1 ~vlabel ~edges:(Array.of_list !edges)
+  Graph.build
+    ~num_vlabels:(if tail then 4 else 3)
+    ~num_elabels:1 ~vlabel ~edges:(Array.of_list !edges)
 
 let anchored_triangle () =
   Query.create ~num_vertices:3 ~vlabels:[| 1; 2; 0 |]
@@ -290,6 +298,20 @@ let anchored_triangle () =
         { Query.src = 0; dst = 1; label = 0 };
         { Query.src = 0; dst = 2; label = 0 };
         { Query.src = 1; dst = 2; label = 0 };
+      |]
+    ()
+
+(* The anchored triangle plus its tail vertex: the identity plan's E/I
+   chain has two operators, so the adaptive evaluator takes it over, and
+   its first step is the giant intersection. *)
+let anchored_tailed () =
+  Query.create ~num_vertices:4 ~vlabels:[| 1; 2; 0; 3 |]
+    ~edges:
+      [|
+        { Query.src = 0; dst = 1; label = 0 };
+        { Query.src = 0; dst = 2; label = 0 };
+        { Query.src = 1; dst = 2; label = 0 };
+        { Query.src = 2; dst = 3; label = 0 };
       |]
     ()
 
@@ -302,7 +324,7 @@ let test_tick_granularity () =
      already-expired deadline were both silently outrun: the run came back
      Completed. With [tick_work] the scanned list length itself drains the
      check fuel. Fully deterministic — no wall-clock assertions. *)
-  let g = anchored_graph ~overlap:0 ~private_each:50_000 in
+  let g = anchored_graph ~overlap:0 ~private_each:50_000 () in
   let plan = identity_wco (anchored_triangle ()) in
   check_int "the query itself is empty" 0 (Exec.count g plan);
   let fault = { Governor.at_tuple = 1; operator = "granularity" } in
@@ -321,7 +343,7 @@ let test_segmented_intersection () =
      Both kernels must still find exactly the shared targets, and a tripped
      budget must unwind before the (well-known) full result is emitted. *)
   let overlap = 9_000 and private_each = 2_000 in
-  let g = anchored_graph ~overlap ~private_each in
+  let g = anchored_graph ~overlap ~private_each () in
   let plan = identity_wco (anchored_triangle ()) in
   let collect ?leapfrog () =
     let rows = ref [] in
@@ -338,7 +360,41 @@ let test_segmented_intersection () =
   let c, o = Exec.run_gov ~budget:(Governor.budget ~deadline_s:0.0 ()) g plan in
   check_bool "deadline trips inside the segmented intersection" true
     (is_truncated Governor.Deadline o);
-  check_bool "tripped before the full result" true (c.Counters.output < overlap)
+  check_bool "tripped before the full result" true (c.Counters.output < overlap);
+  (* The adaptive evaluator looks its extension sets up through the same
+     E/I lookup, so its giant intersection is segmented and charged too. *)
+  let g = anchored_graph ~tail:true ~overlap ~private_each () in
+  let q = anchored_tailed () in
+  let plan = identity_wco q in
+  check_bool "tailed plan is adaptable" true (Adaptive.adaptable plan);
+  let cat = Catalog.create g in
+  let collect run =
+    let rows = ref [] in
+    let o = run (fun t -> rows := Array.copy t :: !rows) in
+    check_bool "completed" true (o = Governor.Completed);
+    List.sort compare !rows
+  in
+  let exec ?leapfrog sink = snd (Exec.run_gov ?leapfrog ~sink g plan) in
+  let adaptive sink =
+    let gov = Governor.create Governor.unlimited in
+    ignore (Adaptive.run ~gov ~sink cat g q plan);
+    Governor.outcome gov
+  in
+  List.iter
+    (fun mode ->
+      Gf_util.Sorted.with_kernel_mode mode (fun () ->
+          let name = Gf_util.Sorted.kernel_mode_to_string mode in
+          let expected = collect exec in
+          check_int (name ^ ": every shared target") overlap (List.length expected);
+          check_bool (name ^ ": leapfrog agrees") true (collect (exec ~leapfrog:true) = expected);
+          check_bool (name ^ ": adaptive agrees") true (collect adaptive = expected)))
+    [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Simd ];
+  let gov = Governor.create (Governor.budget ~deadline_s:0.0 ()) in
+  let c, _, _ = Adaptive.run ~gov cat g q plan in
+  check_bool "adaptive: deadline trips inside the segmented intersection" true
+    (is_truncated Governor.Deadline (Governor.outcome gov));
+  check_int "adaptive: the giant intersection started" 1 c.Counters.intersections;
+  check_int "adaptive: tripped between its segments" 0 c.Counters.output
 
 (* Without a sink the root E/I counts, claiming whole extension sets
    through [Governor.claim_outputs]. An output cap — the degraded rung's
@@ -382,7 +438,7 @@ let test_count_root_output_cap () =
    is complete and counted. *)
 let test_count_root_deadline () =
   let overlap = 9_000 and private_each = 2_000 in
-  let g = anchored_graph ~overlap ~private_each in
+  let g = anchored_graph ~overlap ~private_each () in
   let plan = identity_wco (anchored_triangle ()) in
   check_int "full count" overlap (Exec.count g plan);
   let budget = Governor.budget ~deadline_s:0.0 () in

@@ -1,8 +1,9 @@
-(* Per-operator profiling: the boundary-switching attribution must be
-   *conservative* (per-operator columns sum to the run's counter totals,
-   whatever path ran and however it ended) and *order-independent* for the
-   order-independent counters (parallel merge equals sequential per op).
-   Also covers the EXPLAIN ANALYZE join and the metrics registry. *)
+(* Per-operator accounting: every operator counts into its own row, and
+   the rows must fold *exactly* to the run's counter totals on every
+   executor and however the run ended; the order-independent columns must
+   agree between sequential and parallel runs operator by operator; and
+   the opt-in profile only adds self time. Also covers the EXPLAIN ANALYZE
+   join and the metrics registry. *)
 
 open Gf_query
 module Generators = Gf_graph.Generators
@@ -14,8 +15,10 @@ module Governor = Gf_exec.Governor
 module Profile = Gf_exec.Profile
 module Metrics = Gf_exec.Metrics
 module Parallel = Gf_exec.Parallel
+module Catalog = Gf_catalog.Catalog
 module Explain = Gf_opt.Explain
 module Cost_model = Gf_opt.Cost_model
+module Adaptive = Gf_adaptive.Adaptive
 module Db = Graphflow.Db
 
 let check_int = Alcotest.(check int)
@@ -33,96 +36,181 @@ let wco_plan () =
   let q = Patterns.q 5 in
   Plan.wco q (Array.init (Query.num_vertices q) Fun.id)
 
-let sum f prof = Array.fold_left (fun acc o -> acc + f o) 0 (Profile.ops prof)
+let plans () =
+  [ ("hybrid", Patterns.diamond_x, hybrid_plan ()); ("wco", Patterns.q 5, wco_plan ()) ]
 
-(* Per-operator columns must sum to the run's counter totals: the profiler
-   only ever *attributes* counter deltas, it never creates or drops any. *)
-let check_sums msg prof (c : Counters.t) =
-  check_int (msg ^ ": produced") c.Counters.produced (sum (fun o -> o.Profile.produced) prof);
-  check_int (msg ^ ": icost") c.Counters.icost (sum (fun o -> o.Profile.icost) prof);
+let sum f rows = Array.fold_left (fun acc r -> acc + f r) 0 rows
+
+(* The per-operator rows must fold to the run's counter totals: each
+   counted event increments exactly one row, and the run-level fields add
+   nothing to the per-operator columns. *)
+let check_sums msg (rows : Counters.t array) (c : Counters.t) =
+  check_int (msg ^ ": produced") c.Counters.produced (sum (fun r -> r.Counters.produced) rows);
+  check_int (msg ^ ": icost") c.Counters.icost (sum (fun r -> r.Counters.icost) rows);
   check_int (msg ^ ": cache hits") c.Counters.cache_hits
-    (sum (fun o -> o.Profile.cache_hits) prof);
+    (sum (fun r -> r.Counters.cache_hits) rows);
   check_int (msg ^ ": intersections") c.Counters.intersections
-    (sum (fun o -> o.Profile.intersections) prof);
+    (sum (fun r -> r.Counters.intersections) rows);
   check_int (msg ^ ": hj build") c.Counters.hj_build_tuples
-    (sum (fun o -> o.Profile.hj_build) prof);
+    (sum (fun r -> r.Counters.hj_build_tuples) rows);
   check_int (msg ^ ": hj probe") c.Counters.hj_probe_tuples
-    (sum (fun o -> o.Profile.hj_probe) prof)
+    (sum (fun r -> r.Counters.hj_probe_tuples) rows);
+  check_int (msg ^ ": no output on a row") 0 (sum (fun r -> r.Counters.output) rows)
+
+(* Equal on every per-operator column. *)
+let check_rows_equal msg (a : Counters.t array) (b : Counters.t array) =
+  check_int (msg ^ ": row count") (Array.length a) (Array.length b);
+  Array.iteri
+    (fun i (x : Counters.t) ->
+      let y = b.(i) in
+      List.iter
+        (fun (what, f) -> check_int (Printf.sprintf "%s: op %d %s" msg i what) (f x) (f y))
+        [ ("produced", fun r -> r.Counters.produced); ("icost", fun r -> r.Counters.icost);
+          ("cache hits", fun r -> r.Counters.cache_hits);
+          ("intersections", fun r -> r.Counters.intersections);
+          ("hj build", fun r -> r.Counters.hj_build_tuples);
+          ("hj probe", fun r -> r.Counters.hj_probe_tuples) ])
+    a
+
+(* A cluster shard's run: the driving scan restricted to the [i]-th of [k]
+   slices of its source space, as [Db.execute] compiles it. *)
+let shard ?cache g plan i k =
+  let n = Exec.num_scan_sources g plan in
+  let lo = i * n / k and hi = (i + 1) * n / k in
+  let target = Exec.driving_scan plan in
+  let rewrite _ env node =
+    if node == target then Some (Exec.scan env node (fun emit -> emit lo hi)) else None
+  in
+  Exec.run_rows ?cache ~rewrite g plan
 
 let test_sum_consistency_sequential () =
   let g = graph () in
   List.iter
-    (fun (name, plan) ->
+    (fun (name, _, plan) ->
       let prof = Profile.create plan in
-      let c = fst (Exec.run_gov ~prof g plan) in
-      check_int (name ^ ": one row per operator")
-        (Array.length (Plan.operators plan))
+      let c, rows, _ = Exec.run_rows ~prof g plan in
+      check_int (name ^ ": one row per operator") (Array.length (Plan.operators plan))
+        (Array.length rows);
+      check_int (name ^ ": one profile op per operator") (Array.length rows)
         (Array.length (Profile.ops prof));
-      Array.iteri
-        (fun i o -> check_int (name ^ ": preorder ids") i o.Profile.id)
-        (Profile.ops prof);
-      check_sums name prof c;
+      Array.iteri (fun i o -> check_int (name ^ ": preorder ids") i o.Profile.id) (Profile.ops prof);
+      check_sums (name ^ " timed") rows c;
       Array.iter
         (fun o -> check_bool (name ^ ": self time non-negative") true (o.Profile.time_s >= 0.))
         (Profile.ops prof);
-      (* An unprofiled run is unchanged by profiling. *)
-      check_int (name ^ ": same output") c.Counters.output
-        (fst (Exec.run_gov g plan)).Counters.output)
-    [ ("hybrid", hybrid_plan ()); ("wco", wco_plan ()) ]
+      (* Untimed, enumerating and count-only runs count exactly what the
+         timed run counted. *)
+      let ce, erows, _ = Exec.run_rows ~sink:ignore g plan in
+      check_sums (name ^ " enumerating") erows ce;
+      check_rows_equal (name ^ ": enumerating = timed") rows erows;
+      let cc, crows, _ = Exec.run_rows g plan in
+      check_sums (name ^ " count-only root") crows cc;
+      check_rows_equal (name ^ ": count-only = enumerating") erows crows;
+      check_int (name ^ ": same output") ce.Counters.output cc.Counters.output)
+    (plans ())
 
-(* Parallel per-domain profiles merged after the join must equal the
-   sequential profile operator by operator for the order-independent
+(* Every other executor: the parallel runner at 1, 2 and 4 domains
+   (enumerating and count-only), the adaptive evaluator, and the union of
+   four cluster shards. Every shard builds a HASH-JOIN's whole table, so
+   only the WCO plan's shard rows union, with the cache off, to the full
+   run's. *)
+let test_sum_consistency_executors () =
+  let g = graph () in
+  let cat = Catalog.create ~z:150 g in
+  List.iter
+    (fun (name, q, plan) ->
+      List.iter
+        (fun d ->
+          List.iter
+            (fun (how, sink) ->
+              let r = Parallel.run ~domains:d ~chunk:8 ~batch:16 ?sink g plan in
+              check_sums (Printf.sprintf "%s parallel(%d) %s" name d how) r.Parallel.rows
+                r.Parallel.counters)
+            [ ("enumerating", Some ignore); ("count-only", None) ])
+        [ 1; 2; 4 ];
+      let c, rows, _ = Adaptive.run cat g q plan in
+      check_sums (name ^ " adaptive") rows c;
+      let _, full, _ = Exec.run_rows ~cache:false g plan in
+      let k = 4 in
+      let runs = List.init k (fun i -> shard ~cache:false g plan i k) in
+      List.iteri (fun i (c, rows, _) -> check_sums (Printf.sprintf "%s shard %d" name i) rows c) runs;
+      let union =
+        Array.mapi (fun i _ -> Counters.merge (List.map (fun (_, rows, _) -> rows.(i)) runs)) full
+      in
+      check_sums (name ^ " shard union") union
+        (Counters.merge (List.map (fun (c, _, _) -> c) runs));
+      if name = "wco" then check_rows_equal (name ^ ": shard union = full run") full union)
+    (plans ())
+
+(* A plan-cache feedback run is an untimed run with no sink: it counts at
+   the root and carries no profile. Its explain rows must be an EXPLAIN
+   ANALYZE run's on every column except the time. *)
+let test_feedback_rows_equal_analyze () =
+  let g = graph () in
+  let cat = Catalog.create ~z:150 g in
+  List.iter
+    (fun (name, q, plan) ->
+      let ests = Explain.estimates (Cost_model.create cat q) plan in
+      let _, counts, _ = Exec.run_rows g plan in
+      let prof = Profile.create plan in
+      let _, tcounts, _ = Exec.run_rows ~prof g plan in
+      List.iter2
+        (fun (f : Explain.row) (a : Explain.row) ->
+          check_bool
+            (Printf.sprintf "%s: op %d feedback = analyze but time" name f.Explain.id)
+            true
+            ({ f with Explain.time_s = 0.0 } = { a with Explain.time_s = 0.0 });
+          check_bool (name ^ ": feedback untimed") true (f.Explain.time_s = 0.0))
+        (Explain.rows ests counts None)
+        (Explain.rows ests tcounts (Some prof)))
+    (plans ())
+
+(* Parallel per-domain rows merged after the join must equal the
+   sequential rows operator by operator for the order-independent
    columns. [cache:false] because cache-hit streaks (and hence per-operator
    icost) depend on tuple arrival order, which morsel scheduling permutes;
    with the cache off, icost is a pure function of the tuple set. *)
 let test_parallel_merge_equals_sequential () =
   let g = graph () in
   List.iter
-    (fun (name, plan) ->
+    (fun (name, _, plan) ->
       let sprof = Profile.create plan in
-      let sc = fst (Exec.run_gov ~cache:false ~prof:sprof g plan) in
+      let sc, srows, _ = Exec.run_rows ~cache:false ~prof:sprof g plan in
       let pprof = Profile.create plan in
       let r = Parallel.run ~domains:4 ~cache:false ~chunk:8 ~batch:16 ~prof:pprof g plan in
       check_int (name ^ ": output") sc.Counters.output r.counters.Counters.output;
       Array.iter2
         (fun (s : Profile.op) (p : Profile.op) ->
-          check_string (name ^ ": labels align") s.Profile.label p.Profile.label;
-          check_int
-            (Printf.sprintf "%s: op %d produced" name s.Profile.id)
-            s.Profile.produced p.Profile.produced;
-          check_int
-            (Printf.sprintf "%s: op %d icost" name s.Profile.id)
-            s.Profile.icost p.Profile.icost;
-          check_int
-            (Printf.sprintf "%s: op %d intersections" name s.Profile.id)
-            s.Profile.intersections p.Profile.intersections;
-          check_int
-            (Printf.sprintf "%s: op %d hj build" name s.Profile.id)
-            s.Profile.hj_build p.Profile.hj_build;
-          check_int
-            (Printf.sprintf "%s: op %d hj probe" name s.Profile.id)
-            s.Profile.hj_probe p.Profile.hj_probe)
-        (Profile.ops sprof) (Profile.ops pprof))
-    [ ("hybrid", hybrid_plan ()); ("wco", wco_plan ()) ]
+          check_string (name ^ ": labels align") s.Profile.label p.Profile.label)
+        (Profile.ops sprof) (Profile.ops pprof);
+      check_rows_equal name srows r.Parallel.rows)
+    (plans ())
 
-(* Under a governor truncation the per-domain attribution is cut off
-   mid-pipeline at unpredictable points, so sequential equality is off the
-   table — but the merged profile must still sum to the merged counters
-   exactly ([Profile.finish] charges the deltas outstanding on the [Trip]
-   unwind path). *)
+(* Under a governor truncation the runs are cut off mid-pipeline at
+   unpredictable points, so sequential equality is off the table — but the
+   rows must still fold to the counters exactly, sequential and merged
+   across domains. *)
 let test_truncation_sum_consistency () =
   let g = graph () in
-  let plan = wco_plan () in
-  let total = Exec.count g plan in
-  let cap = (total / 3) + 1 in
-  let prof = Profile.create plan in
-  let r =
-    Parallel.run ~domains:4 ~chunk:4 ~batch:8
-      ~budget:(Governor.budget ~max_output:cap ())
-      ~prof g plan
-  in
-  check_bool "truncated" true (r.Parallel.outcome = Governor.Truncated Governor.Output_limit);
-  check_sums "truncated parallel" prof r.counters
+  List.iter
+    (fun (name, _, plan) ->
+      let total = Exec.count g plan in
+      let cap = (total / 3) + 1 in
+      let budget = Governor.budget ~max_output:cap () in
+      let prof = Profile.create plan in
+      let r = Parallel.run ~domains:4 ~chunk:4 ~batch:8 ~budget ~prof g plan in
+      check_bool (name ^ ": truncated") true
+        (r.Parallel.outcome = Governor.Truncated Governor.Output_limit);
+      check_sums (name ^ " truncated parallel") r.Parallel.rows r.counters;
+      List.iter
+        (fun (how, sink) ->
+          let c, rows, o = Exec.run_rows ~budget ?sink g plan in
+          check_bool (name ^ ": truncated " ^ how) true
+            (o = Governor.Truncated Governor.Output_limit);
+          check_int (name ^ ": capped " ^ how) cap c.Counters.output;
+          check_sums (name ^ " truncated " ^ how) rows c)
+        [ ("enumerating", Some ignore); ("count-only", None) ])
+    (plans ())
 
 (* Profiles refuse to merge across shapes and to explain foreign plans. *)
 let test_shape_guards () =
@@ -135,12 +223,17 @@ let test_shape_guards () =
   let g = graph () in
   let db = Db.create ~z:150 g in
   let q = Patterns.diamond_x in
+  let plan = fst (Db.plan db q) in
+  let ests = Explain.estimates (Cost_model.create (Db.catalog db) q) plan in
+  let _, counts, _ = Exec.run_rows g plan in
   check_bool "explain rejects foreign profile" true
     (try
-       ignore
-         (Explain.rows
-            (Explain.estimates (Cost_model.create (Db.catalog db) q) (fst (Db.plan db q)))
-            (Profile.create (wco_plan ())));
+       ignore (Explain.rows ests counts (Some (Profile.create (wco_plan ()))));
+       false
+     with Invalid_argument _ -> true);
+  check_bool "explain rejects foreign counts" true
+    (try
+       ignore (Explain.rows ests (Array.append counts counts) None);
        false
      with Invalid_argument _ -> true)
 
@@ -259,6 +352,10 @@ let suite =
         Alcotest.test_case "shape guards" `Quick test_shape_guards;
         Alcotest.test_case "explain analyze shapes agree" `Quick
           test_explain_analyze_shapes_agree;
+        Alcotest.test_case "every executor sums to counters" `Quick
+          test_sum_consistency_executors;
+        Alcotest.test_case "feedback rows = explain analyze rows" `Quick
+          test_feedback_rows_equal_analyze;
       ] );
     ( "metrics",
       [
