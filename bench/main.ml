@@ -934,11 +934,18 @@ let ablation_hashjoin_weights () =
         match List.find_opt (fun (f, _) -> f = Gf.Spectrum.Bj) plans with
         | None -> None
         | Some (_, p) ->
-            let t, c = time_warm (fun () -> fst (Gf.Exec.run_gov g p)) in
-            Some
-              ( float_of_int c.Gf.Counters.hj_build_tuples,
-                float_of_int c.Gf.Counters.hj_probe_tuples,
-                t ))
+            let w0 = ref 0. in
+            let t, c =
+              time_warm (fun () ->
+                  w0 := Gc.minor_words ();
+                  fst (Gf.Exec.run_gov g p))
+            in
+            let words = Gc.minor_words () -. !w0 in
+            let build = c.Gf.Counters.hj_build_tuples in
+            Printf.printf "Q%-3d BJ  build %9s  probe %9s  %.3fs  %.2f minor words/build tuple\n"
+              qi (fmt_count build) (fmt_count c.Gf.Counters.hj_probe_tuples) t
+              (words /. float_of_int (max 1 build));
+            Some (float_of_int build, float_of_int c.Gf.Counters.hj_probe_tuples, t))
       [ 2; 11; 12; 13 ]
   in
   let w = Gf.Cost.calibrate ~ei ~hj in
@@ -968,25 +975,8 @@ let ablation_estimators () =
     ]
 
 let ablation_intersection_kernel () =
-  header "Ablation: pairwise-cascade vs Leapfrog Triejoin multiway intersection";
-  let g = dataset Gf.Generators.Livejournal in
-  List.iter
-    (fun (label, q, order) ->
-      let plan = Gf.Plan.wco q order in
-      let tp, cp = time_warm (fun () -> fst (Gf.Exec.run_gov ~leapfrog:false g plan)) in
-      let tl, cl = time_warm (fun () -> fst (Gf.Exec.run_gov ~leapfrog:true g plan)) in
-      assert (cp.Gf.Counters.output = cl.Gf.Counters.output);
-      Printf.printf "%-22s pairwise %.3fs  leapfrog %.3fs (%.2fx) on %s matches\n" label tp tl
-        (tp /. Float.max tl 1e-6)
-        (fmt_count cp.Gf.Counters.output))
-    [
-      ("triangle", Gf.Patterns.asymmetric_triangle, [| 0; 1; 2 |]);
-      ("diamond-X", Gf.Patterns.diamond_x, [| 1; 2; 0; 3 |]);
-      ("4-clique", Gf.Patterns.clique 4 ~cyclic:false, [| 0; 1; 2; 3 |]);
-      ("5-clique", Gf.Patterns.clique 5 ~cyclic:false, [| 0; 1; 2; 3; 4 |]);
-    ];
-  subheader
-    (Printf.sprintf "two-list kernels, elements/s by length ratio (C dispatch: %s)"
+  header
+    (Printf.sprintf "Ablation: two-list kernels, elements/s by length ratio (C dispatch: %s)"
        (Gf.Sorted.with_kernel_mode Gf.Sorted.Simd Gf.Sorted.kernel_name));
   (* Synthetic sorted lists with ~50%% overlap; the skewed buckets exercise
      the blocked-galloping path, the balanced ones the shuffle path. *)

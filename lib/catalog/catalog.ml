@@ -194,12 +194,12 @@ let sample_entry t rng qk new_v =
           size_sums.(i) <- size_sums.(i) +. float_of_int (l.Sorted.hi.(i) - l.Sorted.lo.(i))
         done;
         Int_vec.clear result;
-        Sorted.intersect ~leapfrog:false result l;
+        Sorted.intersect result l;
         mu_sum := !mu_sum +. float_of_int (Int_vec.length result)
       end
       else begin
         Int_vec.clear result;
-        Sorted.intersect ~leapfrog:false result l;
+        Sorted.intersect result l;
         (* [result] is reused by recursive calls: copy it out first. *)
         let exts = Int_vec.to_array result in
         Array.iter

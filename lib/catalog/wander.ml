@@ -63,7 +63,7 @@ let estimate_with_order g q ~order ~walks rng =
              Graph.neighbours_into g dir tuple.(p) ~elabel:el ~nlabel:target_label l i
            done;
            Int_vec.clear result;
-           Sorted.intersect ~leapfrog:false result l;
+           Sorted.intersect result l;
            let n = Int_vec.length result in
            if n = 0 then raise Exit;
            tuple.(d) <- Int_vec.get result (Rng.int rng n);

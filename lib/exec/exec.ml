@@ -9,7 +9,6 @@ type env = {
   g : Graph.t;
   cache : bool;
   distinct : bool;
-  leapfrog : bool;
   c : Counters.t;
   ops : Plan.t array;
   rows : Counters.t array;
@@ -18,14 +17,13 @@ type env = {
   trace : Trace.buf option;
 }
 
-let make_env ~cache ~distinct ~leapfrog ?prof ?trace g gov plan =
+let make_env ~cache ~distinct ?prof ?trace g gov plan =
   let ops = Array.map fst (Plan.operators plan) in
   let rows = Array.map (fun _ -> Counters.create ()) ops in
   {
     g;
     cache;
     distinct;
-    leapfrog;
     c = Counters.create ();
     ops;
     rows;
@@ -82,7 +80,7 @@ let governed_intersect env result (l : Sorted.lists) =
     end
   done;
   Governor.tick_work env.gov (!total asr work_grain_shift);
-  if !min_len <= segment then Sorted.intersect ~leapfrog:env.leapfrog result l
+  if !min_len <= segment then Sorted.intersect result l
   else begin
     (* A Trip between segments leaves list [m] narrowed, which is fine:
        the raise unwinds the whole run and the operator state dies with
@@ -95,7 +93,7 @@ let governed_intersect env result (l : Sorted.lists) =
         let seg_hi = min hi (!seg_lo + segment) in
         l.lo.(m) <- !seg_lo;
         l.hi.(m) <- seg_hi;
-        Sorted.intersect ~leapfrog:env.leapfrog result l;
+        Sorted.intersect result l;
         seg_lo := seg_hi;
         if !seg_lo < hi then Governor.tick_work env.gov segment
       done;
@@ -147,68 +145,56 @@ let num_scan_sources g plan =
   | Plan.Scan { slabel; _ } -> Graph.num_with_label g slabel
   | _ -> assert false
 
-(* The HASH-JOIN build side's sink: key extraction and insertion of each
-   build tuple into [table], with its bytes charged to the governor. *)
+(* The HASH-JOIN build side's sink: appends each build tuple to [table],
+   with its bytes charged to the governor. *)
 let build_into env node table =
-  match node with
-  | Plan.Hash_join { build_key_pos; _ } ->
-      let key_len = Array.length build_key_pos in
-      let key_buf = Array.make key_len 0 in
-      let row_bytes = Join_table.bytes_per_row table in
-      let r = row env node in
-      fun t ->
-        for i = 0 to key_len - 1 do
-          key_buf.(i) <- t.(build_key_pos.(i))
-        done;
-        Join_table.add table key_buf t;
-        r.hj_build_tuples <- r.hj_build_tuples + 1;
-        Governor.add_bytes env.gov row_bytes;
-        Governor.tick env.gov
-  | _ -> invalid_arg "Exec.build_into: not a HASH-JOIN"
+  let row_bytes = Join_table.bytes_per_row table in
+  let r = row env node in
+  fun t ->
+    Join_table.add table t;
+    r.hj_build_tuples <- r.hj_build_tuples + 1;
+    Governor.add_bytes env.gov row_bytes;
+    Governor.tick env.gov
 
 (* The HASH-JOIN probe: [probe compile env node table] streams the probe
-   side against [table]. Rows are read through a drive-local view, so any
-   number of domains can probe one frozen table concurrently. *)
+   side against the indexed [table]. Matching rows are read in place, so
+   any number of domains can probe one table concurrently. *)
 let probe compile env node =
   match node with
   | Plan.Hash_join { probe; probe_key_pos; build_extra_pos; vars; _ } ->
       let probe_driver = compile env probe in
-      let key_len = Array.length probe_key_pos in
       let pwidth = Array.length (Plan.vars probe) in
       let width = Array.length vars in
       let nextra = Array.length build_extra_pos in
       let buf = Array.make width 0 in
-      let key_buf = Array.make key_len 0 in
       let r = row env node in
       fun table sink ->
-        let view = Array.make (Join_table.row_len table) 0 in
+        let on_row off =
+          let ok = ref true in
+          for i = 0 to nextra - 1 do
+            let v = Join_table.get table off build_extra_pos.(i) in
+            buf.(pwidth + i) <- v;
+            if env.distinct && tuple_contains buf pwidth v then ok := false
+          done;
+          (* Injectivity among the build-extra columns themselves. *)
+          if !ok && env.distinct && nextra > 1 then begin
+            for i = 0 to nextra - 1 do
+              for j = i + 1 to nextra - 1 do
+                if buf.(pwidth + i) = buf.(pwidth + j) then ok := false
+              done
+            done
+          end;
+          if !ok then begin
+            r.produced <- r.produced + 1;
+            Governor.tick env.gov;
+            sink buf
+          end
+        in
         probe_driver (fun t ->
             r.hj_probe_tuples <- r.hj_probe_tuples + 1;
             Governor.tick env.gov;
-            for i = 0 to key_len - 1 do
-              key_buf.(i) <- t.(probe_key_pos.(i))
-            done;
             Array.blit t 0 buf 0 pwidth;
-            Join_table.iter_matches_view table ~view key_buf (fun row ->
-                let ok = ref true in
-                for i = 0 to nextra - 1 do
-                  let v = row.(build_extra_pos.(i)) in
-                  buf.(pwidth + i) <- v;
-                  if env.distinct && tuple_contains buf pwidth v then ok := false
-                done;
-                (* Injectivity among the build-extra columns themselves. *)
-                if !ok && env.distinct && nextra > 1 then begin
-                  for i = 0 to nextra - 1 do
-                    for j = i + 1 to nextra - 1 do
-                      if buf.(pwidth + i) = buf.(pwidth + j) then ok := false
-                    done
-                  done
-                end;
-                if !ok then begin
-                  r.produced <- r.produced + 1;
-                  Governor.tick env.gov;
-                  sink buf
-                end))
+            Join_table.iter_matches table t probe_key_pos on_row)
   | _ -> invalid_arg "Exec.probe: not a HASH-JOIN"
 
 (* The E/I lookup, shared by the structural operator and the adaptive
@@ -355,18 +341,21 @@ and compile_structural ~count rewrite env plan =
             done)
   | Plan.Hash_join { build; build_key_pos; _ } ->
       let build_driver = compile env build in
-      let key_len = Array.length build_key_pos in
       let row_len = Array.length (Plan.vars build) in
       let probe_driver = probe compile env plan in
       let r = row env plan in
+      let build table =
+        build_driver (build_into env plan table);
+        Join_table.index table
+      in
       fun sink ->
-        let table = Join_table.create ~key_len ~row_len in
+        let table = Join_table.create ~key_pos:build_key_pos ~row_len in
         (* Phase spans, not per-tuple spans: one build span and one probe
            span per hash-join execution keeps the traced hot path identical
            to the untraced one. *)
         match env.trace with
         | None ->
-            build_driver (build_into env plan table);
+            build table;
             probe_driver table sink
         | Some tb ->
             let before = r.hj_build_tuples in
@@ -374,7 +363,7 @@ and compile_structural ~count rewrite env plan =
             Fun.protect
               ~finally:(fun () ->
                 Trace.end_span ~args:[ ("rows", Int (r.hj_build_tuples - before)) ] tb)
-              (fun () -> build_driver (build_into env plan table));
+              (fun () -> build table);
             Trace.begin_span ~cat:"hash-join" tb "hj-probe";
             Fun.protect
               ~finally:(fun () -> Trace.end_span ~args:[ ("probes", Int r.hj_probe_tuples) ] tb)
@@ -459,8 +448,8 @@ let count_only env sink =
   Option.is_none sink && (not env.distinct) && Option.is_none env.prof
   && Option.is_none env.trace
 
-let run_rows ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapfrog = false)
-    ?budget ?fault ?gov ?prof ?trace ?sink g plan =
+let run_rows ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?budget ?fault ?gov
+    ?prof ?trace ?sink g plan =
   let gov =
     match gov with
     | Some t -> t
@@ -468,7 +457,7 @@ let run_rows ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapf
   in
   let prof = traced_profile prof trace plan in
   let tbuf = Option.map (fun tr -> Trace.buffer ~name:"exec" tr ~tid:1) trace in
-  let env = make_env ~cache ~distinct ~leapfrog ?prof ?trace:tbuf g gov plan in
+  let env = make_env ~cache ~distinct ?prof ?trace:tbuf g gov plan in
   let driver = compile_rw ~count:(count_only env sink) rewrite env plan in
   let t0_us = Trace.now_us () in
   governed gov env ~span:"execute" driver (emit env (Option.value sink ~default:ignore));
@@ -477,9 +466,9 @@ let run_rows ?(rewrite = no_rewrite) ?(cache = true) ?(distinct = false) ?(leapf
   | _ -> ());
   (Counters.merge (env.c :: Array.to_list env.rows), env.rows, Governor.outcome gov)
 
-let run_gov ?rewrite ?cache ?distinct ?leapfrog ?budget ?fault ?gov ?prof ?trace ?sink g plan =
+let run_gov ?rewrite ?cache ?distinct ?budget ?fault ?gov ?prof ?trace ?sink g plan =
   let c, _, outcome =
-    run_rows ?rewrite ?cache ?distinct ?leapfrog ?budget ?fault ?gov ?prof ?trace ?sink g plan
+    run_rows ?rewrite ?cache ?distinct ?budget ?fault ?gov ?prof ?trace ?sink g plan
   in
   (c, outcome)
 

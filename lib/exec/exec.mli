@@ -8,8 +8,7 @@
     [cache] toggles the E/I intersection cache (Table 3 studies exactly this
     switch). [distinct] requests injective (subgraph-isomorphism) matches
     instead of the default homomorphic join semantics; the CFL comparison
-    uses it. [leapfrog] computes multiway intersections with Leapfrog
-    Triejoin instead of the pairwise cascade.
+    uses it.
 
     Every run executes under a {!Governor}: budgets (deadline, output cap,
     intermediate cap, byte cap) trip a shared flag checked cooperatively
@@ -27,7 +26,6 @@ type env = {
   g : Gf_graph.Graph.t;
   cache : bool;
   distinct : bool;
-  leapfrog : bool;  (** multiway intersections via Leapfrog Triejoin instead of the pairwise cascade *)
   c : Counters.t;
       (** the run-level fields only: [output], [morsels], [steals],
           [busy_s] and [gov_checks] *)
@@ -51,13 +49,12 @@ type env = {
           phase boundaries *)
 }
 
-(** [make_env ~cache ~distinct ~leapfrog g gov plan] is a fresh
+(** [make_env ~cache ~distinct g gov plan] is a fresh
     environment for one domain running [plan] under [gov]: zeroed counts
     rows, one per operator of [plan], and a governor handle over them. *)
 val make_env :
   cache:bool ->
   distinct:bool ->
-  leapfrog:bool ->
   ?prof:Profile.t ->
   ?trace:Gf_obs.Trace.buf ->
   Gf_graph.Graph.t ->
@@ -139,14 +136,15 @@ val count_only : env -> (int array -> unit) option -> bool
 val scan : env -> Gf_plan.Plan.t -> ((int -> int -> unit) -> unit) -> driver
 
 (** [build_into env join table] is the sink of a HASH-JOIN's build side:
-    it inserts each build tuple into [table] under the join's key, counting
-    it in the join's row. *)
+    it appends each build tuple to [table], counting it in the join's row
+    and charging {!Join_table.bytes_per_row} to the governor. {!Join_table.index}
+    the table once the build side is done. *)
 val build_into : env -> Gf_plan.Plan.t -> Join_table.t -> int array -> unit
 
 (** [probe recurse env join table] is the HASH-JOIN probe: it compiles the
     probe side with [recurse] and joins every probe tuple against [table].
-    The table is only read, through a driver-local row view, so several
-    domains may probe one table at once. *)
+    [table] must be indexed; matching rows are read in place and the table
+    is never written, so several domains may probe one table at once. *)
 val probe :
   (env -> Gf_plan.Plan.t -> driver) -> env -> Gf_plan.Plan.t -> Join_table.t -> driver
 
@@ -214,7 +212,6 @@ val run_gov :
   ?rewrite:rewrite ->
   ?cache:bool ->
   ?distinct:bool ->
-  ?leapfrog:bool ->
   ?budget:Governor.budget ->
   ?fault:Governor.fault ->
   ?gov:Governor.t ->
@@ -232,7 +229,6 @@ val run_rows :
   ?rewrite:rewrite ->
   ?cache:bool ->
   ?distinct:bool ->
-  ?leapfrog:bool ->
   ?budget:Governor.budget ->
   ?fault:Governor.fault ->
   ?gov:Governor.t ->

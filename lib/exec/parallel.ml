@@ -45,11 +45,11 @@ let probe_shared tables recurse env node =
   | None -> None
 
 (* Build every HASH-JOIN table exactly once, in post-order. Each build runs
-   its build sub-plan in parallel: domains pull scan chunks, fill per-domain
-   partial tables, and the partials are absorbed into one shared read-only
-   table. Returns the tables (keyed by physical plan node) and the
-   environments of the build domains — so build tuples are counted once, not
-   once per execution domain. *)
+   its build sub-plan in parallel: domains pull scan chunks and append rows
+   to per-domain partial tables, which are concatenated in domain order and
+   indexed once into one shared read-only table. Returns the tables (keyed
+   by physical plan node) and the environments of the build domains — so
+   build tuples are counted once, not once per execution domain. *)
 let build_tables ~domains ~domain_env ~gov ~tbuf g plan =
   let tables = ref [] and envs = ref [] in
   List.iter
@@ -59,7 +59,6 @@ let build_tables ~domains ~domain_env ~gov ~tbuf g plan =
           (match tbuf with
           | Some tb -> Trace.begin_span ~cat:"hash-join" tb "build-table"
           | None -> ());
-          let key_len = Array.length build_key_pos in
           let row_len = Array.length (Plan.vars build) in
           let bscan = Exec.driving_scan build in
           let num_sources = Exec.num_scan_sources g build in
@@ -79,7 +78,7 @@ let build_tables ~domains ~domain_env ~gov ~tbuf g plan =
           in
           let build_worker _ =
             let env = domain_env None in
-            let local = Join_table.create ~key_len ~row_len in
+            let local = Join_table.create ~key_pos:build_key_pos ~row_len in
             let rewrite recurse env n =
               if n == bscan then Some (Exec.scan env n chunks)
               else probe_shared !tables recurse env n
@@ -90,14 +89,16 @@ let build_tables ~domains ~domain_env ~gov ~tbuf g plan =
             Exec.governed gov env ~span:"hash-build" d (Exec.build_into env node local);
             (local, env)
           in
-          let table = Join_table.create ~key_len ~row_len in
+          let parts = on_domains domains build_worker in
+          let table = fst parts.(0) in
           let rows = ref 0 in
-          Array.iter
-            (fun (local, (env : Exec.env)) ->
-              Join_table.absorb table local;
+          Array.iteri
+            (fun i (local, (env : Exec.env)) ->
+              if i > 0 then Join_table.append table local;
               rows := !rows + (Exec.row env node).Counters.hj_build_tuples;
               envs := env :: !envs)
-            (on_domains domains build_worker);
+            parts;
+          Join_table.index table;
           (match tbuf with
           | Some tb -> Trace.end_span ~args:[ ("rows", Int !rows) ] tb
           | None -> ());
@@ -116,8 +117,8 @@ type morsel = Range of int * int | Batch of int array
    pipeline is much slower than the producer. *)
 let max_local = 32
 
-let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?budget
-    ?fault ?gov ?prof ?trace ?sink ?(chunk = 64) ?(batch = 256) g plan =
+let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?budget ?fault ?gov ?prof ?trace
+    ?sink ?(chunk = 64) ?(batch = 256) g plan =
   let domains = max 1 domains in
   let prof = Exec.traced_profile prof trace plan in
   let cbuf = Option.map (fun tr -> Trace.buffer ~name:"coordinator" tr ~tid:9) trace in
@@ -131,8 +132,7 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?(leapfrog = false) ?
      handle and profile copy (same operator-id space), merged after the
      join. *)
   let domain_env trace =
-    Exec.make_env ~cache ~distinct ~leapfrog ?prof:(Option.map Profile.fresh prof) ?trace g gov
-      plan
+    Exec.make_env ~cache ~distinct ?prof:(Option.map Profile.fresh prof) ?trace g gov plan
   in
   (match cbuf with
   | Some tb -> Trace.begin_span ~cat:"parallel" ~args:[ ("domains", Int domains) ] tb "build-tables"

@@ -9,16 +9,17 @@
     fans out into are batched, pushed, and stolen like any other work.
 
     HASH-JOIN build sides are executed exactly once, before the workers
-    start: each build runs in parallel (domains pull scan chunks into
-    per-domain partial tables, merged into one shared table), and every
-    domain then probes the frozen table read-only through its own row view.
-    Build tuples are therefore counted once, not once per domain.
+    start: each build runs in parallel (domains pull scan chunks and append
+    rows to per-domain partial tables, which are concatenated and indexed
+    once into one shared table), and every domain then probes that table
+    read-only, visiting matching rows in place. Build tuples are therefore
+    counted once, not once per domain.
 
     Each domain runs the sequential executor's compiled pipeline through
     its one governed loop ({!Exec.governed}); only the rewrite hook differs
     (morsel source at the boundary, probe-only joins against the shared
     tables). The full sequential feature set is therefore supported:
-    [distinct], [leapfrog], an output cap (an atomic output claim through
+    [distinct], an output cap (an atomic output claim through
     the governor — exactly [min max_output total] tuples are emitted), and
     [sink] (invoked under a mutex, so any closure is safe; tuples are
     reused buffers, copy to retain). Without a sink, profile or trace a
@@ -59,9 +60,9 @@ type report = {
     [prof] times each operator: each domain records into a
     {!Profile.fresh} copy (same operator-id space) and the copies are
     merged into [prof] after the domains join, so per-operator time sums
-    CPU time across domains. In the build phase, table inserts run outside
-    any timed operator; their counts are on the join's row like the
-    sequential run's.
+    CPU time across domains. In the build phase, concatenating and
+    indexing the partial tables run outside any timed operator; their
+    counts are on the join's row like the sequential run's.
 
     [trace] opts the run into span tracing: a coordinator buffer (tid 9)
     records the table-build and run phases, each domain records its own
@@ -74,7 +75,6 @@ val run :
   ?domains:int ->
   ?cache:bool ->
   ?distinct:bool ->
-  ?leapfrog:bool ->
   ?budget:Governor.budget ->
   ?fault:Governor.fault ->
   ?gov:Governor.t ->

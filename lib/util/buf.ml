@@ -70,11 +70,6 @@ let sub_array t lo hi =
   Array.init (hi - lo) (fun i -> unsafe_get t (lo + i))
 
 
-let blit_to_array t lo dst dlo n =
-  for i = 0 to n - 1 do
-    dst.(dlo + i) <- unsafe_get t (lo + i)
-  done
-
 let iter_range f t lo hi =
   match t with
   | I32 a ->

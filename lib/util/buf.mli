@@ -50,10 +50,6 @@ val of_int_array : ?width:[ `Auto | `I32 | `I64 ] -> int array -> t
     array — boundary helper for non-hot callers. *)
 val sub_array : t -> int -> int -> int array
 
-(** [blit_to_array t lo dst dlo n] copies [n] elements into a heap
-    array. *)
-val blit_to_array : t -> int -> int array -> int -> int -> unit
-
 (** [iter_range f t lo hi] applies [f] over [t.(lo) .. t.(hi-1)] with a
     per-width monomorphic loop. *)
 val iter_range : (int -> unit) -> t -> int -> int -> unit

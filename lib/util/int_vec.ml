@@ -96,19 +96,6 @@ let push_buf dst b lo hi =
 
 let append dst src = push_buf dst src.tagged 0 src.len
 
-let copy_from dst src =
-  ensure dst src.len;
-  if src.len > 0 then
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub src.data 0 src.len)
-      (Bigarray.Array1.sub dst.data 0 src.len);
-  dst.len <- src.len
-
-let blit_to_array v lo dst dlo n =
-  for i = 0 to n - 1 do
-    dst.(dlo + i) <- Bigarray.Array1.unsafe_get v.data (lo + i)
-  done
-
 let pp fmt v =
   Format.fprintf fmt "[@[";
   for i = 0 to v.len - 1 do

@@ -70,12 +70,4 @@ val push_array : t -> int array -> int -> int -> unit
     int32 elements as needed. *)
 val push_buf : t -> Buf.t -> int -> int -> unit
 
-(** [copy_from dst src] makes [dst] an exact copy of [src]'s contents,
-    reusing [dst]'s storage when large enough. *)
-val copy_from : t -> t -> unit
-
-(** [blit_to_array v lo dst dlo n] copies [n] elements starting at [lo]
-    into a heap array — the row-view boundary of the join table. *)
-val blit_to_array : t -> int -> int array -> int -> int -> unit
-
 val pp : Format.formatter -> t -> unit

@@ -188,7 +188,6 @@ type lists = {
   lo : int array;
   hi : int array;
   order : int array;
-  pos : int array;
   scratch : Int_vec.t;
   scratch2 : Int_vec.t;
 }
@@ -206,7 +205,6 @@ let lists k =
     lo = Array.make k 0;
     hi = Array.make k 0;
     order = Array.make k 0;
-    pos = Array.make k 0;
     scratch = vec 3;
     scratch2 = vec 4;
   }
@@ -221,23 +219,22 @@ let of_slices slices =
   Array.iteri (set l) slices;
   l
 
-(* [l.order.(0 .. k-1)] := list indices by ascending [key], by insertion
+let len l i = l.hi.(i) - l.lo.(i)
+
+(* [l.order.(0 .. k-1)] := list indices by ascending length, by insertion
    sort: k is the number of E/I descriptors, a handful at most. *)
-let sort_order l k key =
+let sort_order l k =
   let order = l.order in
   for i = 0 to k - 1 do
     let x = order.(i) in
-    let kx = key l x in
+    let kx = len l x in
     let j = ref (i - 1) in
-    while !j >= 0 && key l order.(!j) > kx do
+    while !j >= 0 && len l order.(!j) > kx do
       order.(!j + 1) <- order.(!j);
       decr j
     done;
     order.(!j + 1) <- x
   done
-
-let len l i = l.hi.(i) - l.lo.(i)
-let first_key l i = Buf.unsafe_get l.bufs.(i) l.lo.(i)
 
 (* [intersect2] of lists [a] and [b] of [l] onto [out]. *)
 let pair out l a b = intersect2 out l.bufs.(a) l.lo.(a) l.hi.(a) l.bufs.(b) l.lo.(b) l.hi.(b)
@@ -249,7 +246,7 @@ let cascade out l k =
     for i = 0 to k - 1 do
       order.(i) <- i
     done;
-    sort_order l k len;
+    sort_order l k;
     (* Narrow a running result from the two smallest lists up, ping-ponging
        between the scratch vectors; k = 3 needs only the first. *)
     let cur = ref l.scratch and next = ref l.scratch2 in
@@ -267,44 +264,11 @@ let cascade out l k =
     intersect2 out (Int_vec.buf !cur) 0 (Int_vec.length !cur) l.bufs.(b) l.lo.(b) l.hi.(b)
   end
 
-(* Leapfrog Triejoin's unary join: iterators sorted by first key, then
-   round-robin, each seeking to >= the running maximum key. *)
-let leapfrog_join out l k =
-  let pos = l.pos and order = l.order in
-  let nonempty = ref true in
-  for i = 0 to k - 1 do
-    pos.(i) <- l.lo.(i);
-    order.(i) <- i;
-    if l.lo.(i) >= l.hi.(i) then nonempty := false
-  done;
-  if !nonempty then begin
-    sort_order l k first_key;
-    let p = ref 0 in
-    (* Largest first key = key of the last iterator in sorted order. *)
-    let max_key = ref (first_key l order.(k - 1)) in
-    let running = ref true in
-    while !running do
-      let it = order.(!p) in
-      let a = l.bufs.(it) and hi = l.hi.(it) in
-      if Buf.unsafe_get a pos.(it) = !max_key then begin
-        (* All k iterators agree. *)
-        Int_vec.push out !max_key;
-        pos.(it) <- pos.(it) + 1
-      end
-      else pos.(it) <- gallop a pos.(it) hi !max_key;
-      if pos.(it) >= hi then running := false
-      else begin
-        max_key := Buf.unsafe_get a pos.(it);
-        p := (!p + 1) mod k
-      end
-    done
-  end
-
-let intersect ~leapfrog out l =
+let intersect out l =
   match Array.length l.lo with
   | 0 -> ()
   | 1 -> Int_vec.push_buf out l.bufs.(0) l.lo.(0) l.hi.(0)
-  | k -> if leapfrog then leapfrog_join out l k else cascade out l k
+  | k -> cascade out l k
 
 let is_sorted_strict a lo hi =
   let ok = ref true in

@@ -4,7 +4,8 @@
     strictly increasing, over an off-heap {!Buf.t}. These kernels are the
     computational core of the EXTEND/INTERSECT operator: the worst-case
     optimal multiway intersection is realized as iterative 2-way
-    intersections, smallest lists first.
+    intersections, smallest lists first ({!intersect}, the one multiway
+    kernel).
 
     Two interchangeable pairwise kernels sit behind {!intersect2}: a
     portable scalar OCaml kernel (in-tandem merge switching to galloping
@@ -62,7 +63,7 @@ val lower_bound : Buf.t -> int -> int -> int -> int
 
 (** [gallop a lo hi x] is [lower_bound] by exponential search from [lo]:
     O(log d) in the distance [d] to the answer instead of O(log (hi - lo)),
-    which is what makes skewed intersections and leapfrog seeks cheap. *)
+    which is what makes skewed intersections cheap. *)
 val gallop : Buf.t -> int -> int -> int -> int
 
 (** {1 Intersection} *)
@@ -74,17 +75,15 @@ val intersect2 : Int_vec.t -> Buf.t -> int -> int -> Buf.t -> int -> int -> unit
 (** The inputs of one k-way intersection, owned by the caller and reused
     across calls so that intersecting allocates nothing: list [i] is
     [bufs.(i).(lo.(i) .. hi.(i) - 1)], and [k] is the length of the
-    arrays. [order] and [pos] are per-call scratch (list order, leapfrog
-    cursors); [scratch] and [scratch2] hold the running result of a
-    cascade over three or more lists. An E/I operator allocates one per
-    operator and refills [bufs]/[lo]/[hi] per tuple (see
-    [Graph.neighbours_into]). *)
+    arrays. [order] is per-call scratch (the lists by length); [scratch]
+    and [scratch2] hold the running result of a cascade over three or
+    more lists. An E/I operator allocates one per operator and refills
+    [bufs]/[lo]/[hi] per tuple (see [Graph.neighbours_into]). *)
 type lists = {
   bufs : Buf.t array;
   lo : int array;
   hi : int array;
   order : int array;
-  pos : int array;
   scratch : Int_vec.t;
   scratch2 : Int_vec.t;
 }
@@ -99,20 +98,14 @@ val set : lists -> int -> slice -> unit
     benches, boundary callers). *)
 val of_slices : slice array -> lists
 
-(** [intersect ~leapfrog out l] appends the k-way intersection of [l]'s
-    lists onto [out] — the one multiway entry point. Allocation-free (bar
-    growth of [out] or of [l]'s scratch vectors).
-
-    By default it is the pairwise cascade, smallest lists first: two lists
-    are one {!intersect2}; three or more are ordered by an insertion sort
-    on length and narrowed through [l.scratch]/[l.scratch2]. With
-    [leapfrog] it is the Leapfrog Triejoin unary join [Veldhuizen 2012]:
-    all iterators chase the running maximum with galloping seeks, emitting
-    on full agreement — worst-case optimal like the cascade but touching
-    every list once instead of narrowing through intermediate buffers;
-    always the portable OCaml implementation. With zero lists the result
-    is empty; with one it is a copy of that list. *)
-val intersect : leapfrog:bool -> Int_vec.t -> lists -> unit
+(** [intersect out l] appends the k-way intersection of [l]'s lists onto
+    [out] — the one multiway entry point, the pairwise cascade smallest
+    lists first. Allocation-free (bar growth of [out] or of [l]'s scratch
+    vectors). Two lists are one {!intersect2}; three or more are ordered
+    by an insertion sort on length and narrowed through
+    [l.scratch]/[l.scratch2]. With zero lists the result is empty; with
+    one it is a copy of that list. *)
+val intersect : Int_vec.t -> lists -> unit
 
 (** [count_intersect2 a alo ahi b blo bhi] counts intersection size without
     materializing it. *)

@@ -71,7 +71,7 @@ let work (c : Counters.t) =
     c.hj_probe_tuples ]
 
 let prop_all_engines_agree =
-  QCheck2.Test.make ~name:"planner/adaptive/ghd/bj/parallel/leapfrog = naive" ~count:30
+  QCheck2.Test.make ~name:"planner/adaptive/ghd/bj/parallel = naive" ~count:30
     QCheck2.Gen.(int_bound 100_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -93,7 +93,6 @@ let prop_all_engines_agree =
       in
       let output (c, _, _) = c.Counters.output in
       same "cache off" (fun sink -> ignore (Exec.run_gov ~cache:false ~sink g plan))
-      && same "leapfrog" (fun sink -> ignore (Exec.run_gov ~leapfrog:true ~sink g plan))
       && ok "count" (Exec.count g plan)
       && ok_distinct "count distinct" (Exec.count ~distinct:true g plan)
       && (work (fst (Exec.run_gov g plan)) = work (fst (Exec.run_gov ~sink:ignore g plan))
@@ -112,8 +111,6 @@ let prop_all_engines_agree =
                   (Parallel.run ~domains:d ~distinct:true ~chunk:5 g plan).counters
                     .Counters.output)
            [ 1; 2; 4 ]
-      && ok "parallel leapfrog"
-           (Parallel.run ~domains:2 ~leapfrog:true g plan).counters.Counters.output
       && same "adaptive" (fun sink -> ignore (Adaptive.run ~sink cat g q plan))
       && ok_distinct "adaptive distinct" (output (Adaptive.run ~distinct:true cat g q plan))
       && (let lim = (expected / 2) + 1 in

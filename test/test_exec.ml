@@ -7,6 +7,7 @@ module Governor = Gf_exec.Governor
 module Graph = Gf_graph.Graph
 module Generators = Gf_graph.Generators
 module Rng = Gf_util.Rng
+module Join_table = Gf_exec.Join_table
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -27,7 +28,7 @@ let to_assignment schema tuple =
   Array.iteri (fun i v -> out.(v) <- tuple.(i)) schema;
   out
 
-let run ?cache ?leapfrog g plan = fst (Exec.run_gov ?cache ?leapfrog g plan)
+let run ?cache g plan = fst (Exec.run_gov ?cache g plan)
 
 let check_plan_matches_naive ?(distinct = false) g q plan label =
   let expected = Naive.collect ~distinct g q |> sort_tuples in
@@ -164,21 +165,6 @@ let test_icost_counts_list_sizes () =
   check_int "output" 10 c.Counters.output;
   check_int "intermediate" 4 (Counters.intermediate c)
 
-let test_leapfrog_execution () =
-  let g = small_graph () in
-  List.iter
-    (fun i ->
-      let q = Patterns.q i in
-      List.iter
-        (fun order ->
-          let plan = Plan.wco q order in
-          check_int
-            (Printf.sprintf "Q%d leapfrog = pairwise" i)
-            (Exec.count g plan)
-            (run ~leapfrog:true g plan).Counters.output)
-        (List.filteri (fun j _ -> j < 2) (Query.connected_orders q)))
-    [ 1; 3; 5; 7 ]
-
 let test_limit () =
   let g = small_graph () in
   let q = Patterns.asymmetric_triangle in
@@ -289,17 +275,15 @@ let test_count_only_root_flags () =
   List.iter
     (fun (name, q) ->
       let plan = Plan.wco q (Array.init (Query.num_vertices q) Fun.id) in
-      let check_same what ?cache ?leapfrog ?distinct () =
-        let enumerated = fst (Exec.run_gov ?cache ?leapfrog ?distinct ~sink:ignore g plan) in
-        let counted = fst (Exec.run_gov ?cache ?leapfrog ?distinct g plan) in
+      let check_same what ?cache ?distinct () =
+        let enumerated = fst (Exec.run_gov ?cache ?distinct ~sink:ignore g plan) in
+        let counted = fst (Exec.run_gov ?cache ?distinct g plan) in
         Alcotest.(check (list int))
           (Printf.sprintf "%s: %s counters" name what)
           (work enumerated) (work counted)
       in
       check_same "plain" ();
       check_same "cache off" ~cache:false ();
-      check_same "leapfrog" ~leapfrog:true ();
-      check_same "leapfrog, cache off" ~cache:false ~leapfrog:true ();
       check_same "distinct" ~distinct:true ();
       check_same "distinct, cache off" ~cache:false ~distinct:true ();
       check_int (name ^ ": count") (Naive.count g q) (Exec.count g plan);
@@ -344,6 +328,126 @@ let test_alloc_free_intersections () =
         [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Simd ])
     [ 1; 5 ]
 
+(* ---------- Join_table ---------- *)
+
+(* Every row matching [tuple]'s key columns [pos], in visiting order. *)
+let matches ?(pos = [| 0 |]) table ~row_len tuple =
+  let out = ref [] in
+  Join_table.iter_matches table tuple pos (fun off ->
+      out := List.init row_len (Join_table.get table off) :: !out);
+  List.rev !out
+
+let table_of ?(key_pos = [| 0 |]) ~row_len rows =
+  let t = Join_table.create ~key_pos ~row_len in
+  List.iter (fun r -> Join_table.add t (Array.of_list r)) rows;
+  t
+
+let test_jt_duplicate_keys () =
+  let t =
+    table_of ~row_len:2 [ [ 1; 10 ]; [ 2; 20 ]; [ 1; 11 ]; [ 3; 30 ]; [ 1; 12 ]; [ 1; 10 ] ]
+  in
+  Join_table.index t;
+  Alcotest.(check (list (list int)))
+    "key 1: every row, in insertion order"
+    [ [ 1; 10 ]; [ 1; 11 ]; [ 1; 12 ]; [ 1; 10 ] ]
+    (matches t ~row_len:2 [| 1 |]);
+  Alcotest.(check (list (list int))) "key 2" [ [ 2; 20 ] ] (matches t ~row_len:2 [| 2 |])
+
+let test_jt_two_column_keys () =
+  (* Keyed on columns 0 and 2; the probe tuple holds the key at 2 and 0. *)
+  let t =
+    table_of ~key_pos:[| 0; 2 |] ~row_len:3
+      [ [ 1; 5; 2 ]; [ 2; 6; 1 ]; [ 1; 7; 2 ]; [ 1; 8; 3 ] ]
+  in
+  Join_table.index t;
+  let m a b = matches ~pos:[| 2; 0 |] t ~row_len:3 [| b; 99; a |] in
+  Alcotest.(check (list (list int))) "(1, 2)" [ [ 1; 5; 2 ]; [ 1; 7; 2 ] ] (m 1 2);
+  Alcotest.(check (list (list int))) "(2, 1)" [ [ 2; 6; 1 ] ] (m 2 1);
+  Alcotest.(check (list (list int))) "(1, 3)" [ [ 1; 8; 3 ] ] (m 1 3);
+  Alcotest.(check (list (list int))) "(3, 1) absent" [] (m 3 1)
+
+let test_jt_colliding_buckets () =
+  (* At most one bucket per row: with every key distinct, 1000 keys share
+     512 buckets, so buckets must hold rows of several keys. *)
+  let n = 1000 in
+  let t = table_of ~row_len:2 (List.init n (fun i -> [ i * 7; i ])) in
+  Join_table.index t;
+  for i = 0 to n - 1 do
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "key %d" (i * 7))
+      [ [ i * 7; i ] ]
+      (matches t ~row_len:2 [| i * 7 |])
+  done;
+  Alcotest.(check (list (list int))) "absent key" [] (matches t ~row_len:2 [| 3 |])
+
+let test_jt_empty_and_missing () =
+  let t = Join_table.create ~key_pos:[| 0 |] ~row_len:2 in
+  Alcotest.check_raises "probing before index"
+    (Invalid_argument "Join_table.iter_matches: table not indexed") (fun () ->
+      ignore (matches t ~row_len:2 [| 1 |]));
+  Join_table.index t;
+  Alcotest.(check (list (list int))) "empty table" [] (matches t ~row_len:2 [| 1 |]);
+  let t = table_of ~row_len:2 [ [ 4; 40 ] ] in
+  Join_table.index t;
+  Alcotest.(check (list (list int))) "missing key" [] (matches t ~row_len:2 [| 5 |]);
+  Alcotest.(check (list (list int))) "present key" [ [ 4; 40 ] ] (matches t ~row_len:2 [| 4 |])
+
+let test_jt_concatenated_partials () =
+  let rng = Rng.create 5 in
+  let rows = List.init 3000 (fun i -> [ Rng.int rng 50; Rng.int rng 50; i ]) in
+  let key_pos = [| 1; 0 |] and row_len = 3 in
+  let seq = table_of ~key_pos ~row_len rows in
+  Join_table.index seq;
+  (* Three partials of uneven size, concatenated in order, indexed once. *)
+  let part lo hi = table_of ~key_pos ~row_len (List.filteri (fun i _ -> i >= lo && i < hi) rows) in
+  let whole = part 0 700 in
+  Join_table.append whole (part 700 2900);
+  Join_table.append whole (part 2900 3000);
+  Join_table.index whole;
+  for a = 0 to 49 do
+    for b = 0 to 49 do
+      let k = [| a; b |] in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "key (%d, %d)" a b)
+        (matches ~pos:[| 1; 0 |] seq ~row_len k)
+        (matches ~pos:[| 1; 0 |] whole ~row_len k)
+    done
+  done
+
+let test_jt_bytes_per_row () =
+  List.iter
+    (fun row_len ->
+      check_int
+        (Printf.sprintf "row_len %d" row_len)
+        ((row_len + 2) * 8)
+        (Join_table.bytes_per_row (Join_table.create ~key_pos:[| 0 |] ~row_len)))
+    [ 2; 3; 6 ]
+
+(* Once the row vector has grown, adding and probing allocate nothing on
+   the minor heap: no boxed key, no row view. *)
+let test_jt_alloc_free () =
+  let n = 20_000 in
+  let t = Join_table.create ~key_pos:[| 0; 1 |] ~row_len:3 in
+  let row = [| 0; 0; 0 |] in
+  for i = 0 to n - 1 do
+    row.(0) <- i mod 100;
+    row.(1) <- i mod 37;
+    Join_table.add t row
+  done;
+  Join_table.index t;
+  let hits = ref 0 in
+  let on_row _ = incr hits in
+  let pos = [| 0; 1 |] in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    row.(0) <- i mod 100;
+    row.(1) <- i mod 37;
+    Join_table.iter_matches t row pos on_row
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "%.0f minor words over %d probes" words n) true (words < 100.);
+  check_bool "every probe matched" true (!hits >= n)
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest t in
   [
@@ -364,13 +468,23 @@ let suite =
         Alcotest.test_case "cache semantics" `Quick test_cache_semantics;
         Alcotest.test_case "cache-friendly ordering" `Quick test_no_cache_benefit_ordering;
         Alcotest.test_case "icost counting" `Quick test_icost_counts_list_sizes;
-        Alcotest.test_case "leapfrog exec" `Quick test_leapfrog_execution;
         Alcotest.test_case "limit" `Quick test_limit;
         Alcotest.test_case "distinct" `Quick test_distinct;
         Alcotest.test_case "distinct hash join" `Quick test_distinct_hash_join;
         Alcotest.test_case "count-only root flags" `Quick test_count_only_root_flags;
         Alcotest.test_case "allocation-free intersections" `Quick
           test_alloc_free_intersections;
+      ] );
+    ( "exec.join_table",
+      [
+        Alcotest.test_case "duplicate keys keep order" `Quick test_jt_duplicate_keys;
+        Alcotest.test_case "two-column keys" `Quick test_jt_two_column_keys;
+        Alcotest.test_case "colliding buckets" `Quick test_jt_colliding_buckets;
+        Alcotest.test_case "empty table, missing key" `Quick test_jt_empty_and_missing;
+        Alcotest.test_case "concatenated partials = one build" `Quick
+          test_jt_concatenated_partials;
+        Alcotest.test_case "bytes_per_row formula" `Quick test_jt_bytes_per_row;
+        Alcotest.test_case "probe allocates nothing" `Quick test_jt_alloc_free;
       ] );
     ( "plan.structure",
       [

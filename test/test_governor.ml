@@ -340,23 +340,15 @@ let test_tick_granularity () =
 let test_segmented_intersection () =
   (* Adjacency lists longer than the segmentation threshold (8192): the
      k-way intersection is computed over sub-slices of its smallest input.
-     Both kernels must still find exactly the shared targets, and a tripped
+     It must still find exactly the shared targets, and a tripped
      budget must unwind before the (well-known) full result is emitted. *)
   let overlap = 9_000 and private_each = 2_000 in
   let g = anchored_graph ~overlap ~private_each () in
   let plan = identity_wco (anchored_triangle ()) in
-  let collect ?leapfrog () =
-    let rows = ref [] in
-    let _, o =
-      Exec.run_gov ?leapfrog ~sink:(fun t -> rows := Array.copy t :: !rows) g plan
-    in
-    check_bool "completed" true (o = Governor.Completed);
-    List.sort compare !rows
-  in
-  let pairwise = collect () in
-  let lf = collect ~leapfrog:true () in
-  check_int "pairwise finds every shared target" overlap (List.length pairwise);
-  check_bool "leapfrog agrees with pairwise" true (pairwise = lf);
+  let rows = ref [] in
+  let _, o = Exec.run_gov ~sink:(fun t -> rows := Array.copy t :: !rows) g plan in
+  check_bool "completed" true (o = Governor.Completed);
+  check_int "pairwise finds every shared target" overlap (List.length !rows);
   let c, o = Exec.run_gov ~budget:(Governor.budget ~deadline_s:0.0 ()) g plan in
   check_bool "deadline trips inside the segmented intersection" true
     (is_truncated Governor.Deadline o);
@@ -374,7 +366,7 @@ let test_segmented_intersection () =
     check_bool "completed" true (o = Governor.Completed);
     List.sort compare !rows
   in
-  let exec ?leapfrog sink = snd (Exec.run_gov ?leapfrog ~sink g plan) in
+  let exec sink = snd (Exec.run_gov ~sink g plan) in
   let adaptive sink =
     let gov = Governor.create Governor.unlimited in
     ignore (Adaptive.run ~gov ~sink cat g q plan);
@@ -386,7 +378,6 @@ let test_segmented_intersection () =
           let name = Gf_util.Sorted.kernel_mode_to_string mode in
           let expected = collect exec in
           check_int (name ^ ": every shared target") overlap (List.length expected);
-          check_bool (name ^ ": leapfrog agrees") true (collect (exec ~leapfrog:true) = expected);
           check_bool (name ^ ": adaptive agrees") true (collect adaptive = expected)))
     [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Simd ];
   let gov = Governor.create (Governor.budget ~deadline_s:0.0 ()) in

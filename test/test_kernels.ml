@@ -1,7 +1,7 @@
 (* Differential tests for the intersection kernels: the scalar OCaml
-   fallback, the C stubs (SIMD where the CPU has it), and leapfrog must all
-   produce bit-identical output — the set intersection of strictly
-   increasing sequences is unique, so any divergence is a kernel bug.
+   fallback and the C stubs (SIMD where the CPU has it) must produce
+   bit-identical output — the set intersection of strictly increasing
+   sequences is unique, so any divergence is a kernel bug.
    Inputs deliberately cover the kernels' dispatch regimes: balanced pairs
    (shuffle path), heavily skewed pairs (blocked galloping), dense
    consecutive runs (full-match compaction), empties and singletons, and
@@ -72,11 +72,7 @@ let differential_trial rng ~la ~lb ~density =
             Printf.sprintf "la=%d lb=%d %s x %s" la lb (width_name wa) (width_name wb)
           in
           Alcotest.(check (array int)) (label ^ " scalar") expect scalar;
-          Alcotest.(check (array int)) (label ^ " simd") expect simd;
-          (* leapfrog over the same pair *)
-          let out = Int_vec.create () in
-          Sorted.intersect ~leapfrog:true out (Sorted.of_slices [| (ba, 0, la); (bb, 0, lb) |]);
-          Alcotest.(check (array int)) (label ^ " leapfrog") expect (Int_vec.to_array out))
+          Alcotest.(check (array int)) (label ^ " simd") expect simd)
         widths)
     widths
 
@@ -172,14 +168,11 @@ let test_multiway_mixed_width () =
     let run mode =
       Sorted.with_kernel_mode mode (fun () ->
           let out = Int_vec.create () in
-          Sorted.intersect ~leapfrog:false out (Sorted.of_slices slices);
+          Sorted.intersect out (Sorted.of_slices slices);
           Int_vec.to_array out)
     in
     let s = run Sorted.Scalar and v = run Sorted.Simd in
-    Alcotest.(check (array int)) "k-way scalar = simd" s v;
-    let out = Int_vec.create () in
-    Sorted.intersect ~leapfrog:true out (Sorted.of_slices slices);
-    Alcotest.(check (array int)) "k-way leapfrog agrees" s (Int_vec.to_array out)
+    Alcotest.(check (array int)) "k-way scalar = simd" s v
   done
 
 (* ---------- full-query crosscheck: scalar vs simd ---------- *)

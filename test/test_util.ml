@@ -35,14 +35,6 @@ let test_int_vec_append () =
   Int_vec.push_array c [| 9; 8; 7; 6 |] 1 3;
   Alcotest.(check (array int)) "push_array slice" [| 8; 7 |] (Int_vec.to_array c)
 
-let test_int_vec_copy_from () =
-  let a = Int_vec.of_array [| 1; 2; 3 |] in
-  let b = Int_vec.of_array [| 9 |] in
-  Int_vec.copy_from b a;
-  Alcotest.(check (array int)) "copied" [| 1; 2; 3 |] (Int_vec.to_array b);
-  Int_vec.push a 4;
-  check_int "independent" 3 (Int_vec.length b)
-
 let test_int_vec_fold_iter () =
   let v = Int_vec.of_array [| 1; 2; 3; 4 |] in
   check_int "fold sum" 10 (Int_vec.fold_left ( + ) 0 v);
@@ -132,8 +124,7 @@ let ba a = Buf.of_int_array a
 let sl a : Sorted.slice = (ba a, 0, Array.length a)
 
 (* The k-way entry point over a fresh [Sorted.lists] of [slices]. *)
-let kway ?(leapfrog = false) out slices = Sorted.intersect ~leapfrog out (Sorted.of_slices slices)
-let leapfrog out slices = kway ~leapfrog:true out slices
+let kway out slices = Sorted.intersect out (Sorted.of_slices slices)
 
 let test_intersect2_small () =
   let a = [| 1; 3; 5; 7; 9 |] and b = [| 2; 3; 4; 7; 10 |] in
@@ -184,42 +175,6 @@ let test_intersect_single_and_zero () =
   kway out [||];
   check_int "0-way empty" 0 (Int_vec.length out)
 
-let test_leapfrog_small () =
-  let slices =
-    [|
-      sl [| 1; 2; 3; 4; 5; 6; 7; 8 |];
-      sl [| 2; 4; 6; 8; 10 |];
-      sl [| 4; 5; 6; 7; 8 |];
-    |]
-  in
-  let out = Int_vec.create () in
-  leapfrog out slices;
-  Alcotest.(check (array int)) "3-way leapfrog" [| 4; 6; 8 |] (Int_vec.to_array out)
-
-let test_leapfrog_edge_cases () =
-  let out = Int_vec.create () in
-  leapfrog out [||];
-  check_int "0-way" 0 (Int_vec.length out);
-  leapfrog out [| sl [| 3; 9 |] |];
-  Alcotest.(check (array int)) "1-way copies" [| 3; 9 |] (Int_vec.to_array out);
-  Int_vec.clear out;
-  leapfrog out [| sl [| 1 |]; sl [||] |];
-  check_int "empty iterator" 0 (Int_vec.length out);
-  Int_vec.clear out;
-  leapfrog out [| sl [| 1; 3 |]; sl [| 2; 4 |] |];
-  check_int "disjoint" 0 (Int_vec.length out)
-
-let prop_leapfrog_matches_pairwise =
-  let gen = QCheck2.Gen.(list_size (int_range 2 6) (list_size (int_bound 120) (int_bound 400))) in
-  QCheck2.Test.make ~name:"leapfrog = pairwise cascade" ~count:300 gen (fun lists ->
-      let arrays = List.map (fun l -> List.sort_uniq compare l |> Array.of_list) lists in
-      let slices = Array.of_list (List.map sl arrays) in
-      let out1 = Int_vec.create () in
-      kway out1 slices;
-      let out2 = Int_vec.create () in
-      leapfrog out2 slices;
-      Int_vec.to_array out1 = Int_vec.to_array out2)
-
 let test_lower_bound_member () =
   let a = ba [| 2; 4; 6; 8 |] in
   check_int "lb exact" 1 (Sorted.lower_bound a 0 4 4);
@@ -263,30 +218,26 @@ let prop_gallop_equals_lower_bound =
       let lo = if n = 0 then 0 else off mod (n + 1) in
       Sorted.gallop (ba a) lo n x = Sorted.lower_bound (ba a) lo n x)
 
-let test_leapfrog_degenerate_slices () =
+let test_degenerate_slices () =
   let out = Int_vec.create () in
   (* single-element slices, all equal keys *)
-  leapfrog out [| sl [| 7 |]; sl [| 7 |]; sl [| 7 |] |];
+  kway out [| sl [| 7 |]; sl [| 7 |]; sl [| 7 |] |];
   Alcotest.(check (array int)) "singletons equal" [| 7 |] (Int_vec.to_array out);
   Int_vec.clear out;
   (* single-element slices, distinct keys *)
-  leapfrog out [| sl [| 7 |]; sl [| 8 |] |];
+  kway out [| sl [| 7 |]; sl [| 8 |] |];
   check_int "singletons distinct" 0 (Int_vec.length out);
   (* identical slices: intersection is the slice itself *)
   let a = [| 1; 4; 9; 16; 25 |] in
   let s = sl a in
-  leapfrog out [| s; s; s |];
+  kway out [| s; s; s |];
   Alcotest.(check (array int)) "identical slices" a (Int_vec.to_array out);
   Int_vec.clear out;
-  (* one slice's first key exceeds every other slice's last key: the very
-     first seek overshoots to the end on all others *)
-  leapfrog out [| sl [| 1; 2; 3 |]; sl [| 90; 100 |] |];
-  check_int "disjoint ranges (high last)" 0 (Int_vec.length out);
-  leapfrog out [| sl [| 90; 100 |]; sl [| 1; 2; 3 |]; sl [| 2; 91 |] |];
-  check_int "disjoint ranges (high first)" 0 (Int_vec.length out);
-  (* same shapes through the pairwise cascade for agreement *)
+  (* one slice's first key exceeds every other slice's last key *)
   kway out [| sl [| 1; 2; 3 |]; sl [| 90; 100 |] |];
-  check_int "cascade agrees" 0 (Int_vec.length out)
+  check_int "disjoint ranges (high last)" 0 (Int_vec.length out);
+  kway out [| sl [| 90; 100 |]; sl [| 1; 2; 3 |]; sl [| 2; 91 |] |];
+  check_int "disjoint ranges (high first)" 0 (Int_vec.length out)
 
 (* 4-way-and-wider intersections exercise the second ping-pong buffer.
    One [Sorted.lists] is reused across calls, as an E/I operator does:
@@ -302,14 +253,14 @@ let test_intersect_wide_scratch2 () =
       |]
   in
   let out = Int_vec.create () in
-  Sorted.intersect ~leapfrog:false out l;
+  Sorted.intersect out l;
   Alcotest.(check (array int)) "4-way" [| 4; 6; 8 |] (Int_vec.to_array out);
   Int_vec.clear out;
-  Sorted.intersect ~leapfrog:false out l;
+  Sorted.intersect out l;
   Alcotest.(check (array int)) "4-way reused lists" [| 4; 6; 8 |] (Int_vec.to_array out);
   Int_vec.clear out;
   Sorted.set l 3 (sl [| 0; 4; 8; 100 |]);
-  Sorted.intersect ~leapfrog:false out l;
+  Sorted.intersect out l;
   Alcotest.(check (array int)) "4-way refilled list" [| 4; 8 |] (Int_vec.to_array out)
 
 (* Property: intersect2 agrees with a naive quadratic implementation. *)
@@ -465,7 +416,6 @@ let suite =
         Alcotest.test_case "basic" `Quick test_int_vec_basic;
         Alcotest.test_case "bounds" `Quick test_int_vec_bounds;
         Alcotest.test_case "append" `Quick test_int_vec_append;
-        Alcotest.test_case "copy_from" `Quick test_int_vec_copy_from;
         Alcotest.test_case "fold/iter" `Quick test_int_vec_fold_iter;
       ] );
     ( "util.rng",
@@ -489,14 +439,11 @@ let suite =
         Alcotest.test_case "lower_bound/member" `Quick test_lower_bound_member;
         Alcotest.test_case "gallop edges" `Quick test_gallop_edges;
         Alcotest.test_case "wide intersect scratch2" `Quick test_intersect_wide_scratch2;
-        Alcotest.test_case "leapfrog small" `Quick test_leapfrog_small;
-        Alcotest.test_case "leapfrog edges" `Quick test_leapfrog_edge_cases;
-        Alcotest.test_case "leapfrog degenerate" `Quick test_leapfrog_degenerate_slices;
+        Alcotest.test_case "degenerate slices" `Quick test_degenerate_slices;
         q prop_intersect2;
         q prop_gallop_equals_lower_bound;
         q prop_intersect_multiway;
         q prop_gallop_equals_tandem;
-        q prop_leapfrog_matches_pairwise;
       ] );
     ( "util.json",
       [
