@@ -754,7 +754,7 @@ let table10 () =
           let errors =
             List.map
               (fun (q, truth) ->
-                Gf.Catalog.q_error ~estimate:(Gf.Catalog.estimate_cardinality cat q) ~truth)
+                Gf.Catalog.q_error ~estimate:(Gf.Cost_model.estimate_cardinality cat q) ~truth)
               queries
           in
           Printf.printf "z=%-5d build %6.2fs (%d entries)  %s\n" z build_t n
@@ -778,7 +778,7 @@ let table11 () =
           let errors =
             List.map
               (fun (q, truth) ->
-                Gf.Catalog.q_error ~estimate:(Gf.Catalog.estimate_cardinality cat q) ~truth)
+                Gf.Catalog.q_error ~estimate:(Gf.Cost_model.estimate_cardinality cat q) ~truth)
               queries
           in
           Printf.printf "h=%d (%6d entries)  %s\n" h n (qerror_distribution errors))
@@ -965,7 +965,7 @@ let ablation_estimators () =
         Printf.printf "%-22s %s  (%.2fs)\n" name (qerror_distribution es)
           (Unix.gettimeofday () -. t0)
       in
-      errs "catalogue (h=3)" (fun q -> Gf.Catalog.estimate_cardinality cat q);
+      errs "catalogue (h=3)" (fun q -> Gf.Cost_model.estimate_cardinality cat q);
       let rng = Gf.Rng.create 99 in
       errs "wander-join (2k walks)" (fun q -> Gf.Wander.estimate g q ~walks:2000 rng);
       errs "independence (PG)" (fun q -> Gf.Independence.estimate g q))
@@ -1169,7 +1169,7 @@ let bechamel_suite () =
       mk "table5/tailed-triangle" (run_plan (Gf.Plan.wco tt [| 0; 1; 2; 3 |]));
       mk "table6/symmetric-diamondx" (run_plan (Gf.Plan.wco sdx [| 1; 2; 0; 3 |]));
       mk "table7/catalogue-entry" (fun () ->
-          ignore (Gf.Catalog.mu_estimate cat tri ~new_vertex:2));
+          ignore (Gf.Catalog.entry cat tri ~new_vertex:2));
       mk "figure7/optimize-diamondx" (fun () -> ignore (Gf.Planner.plan cat dx));
       mk "figure8/adaptive-diamondx" (fun () ->
           ignore (Gf.Adaptive.run cat g dx (Gf.Plan.wco dx [| 1; 2; 0; 3 |])));
@@ -1181,7 +1181,7 @@ let bechamel_suite () =
       mk "figure11/parallel-2dom" (fun () ->
           ignore (Gf.Parallel.run ~domains:2 g (Gf.Plan.wco tri [| 0; 1; 2 |])));
       mk "table10/cardinality-estimate" (fun () ->
-          ignore (Gf.Catalog.estimate_cardinality cat dx));
+          ignore (Gf.Cost_model.estimate_cardinality cat dx));
       mk "table11/independence-estimate" (fun () -> ignore (Gf.Independence.estimate g dx));
       mk "table12/cfl-triangle" (fun () -> ignore (Gf.Cfl_baseline.count ~limit:1000 g tri));
       mk "table13/bj-triangle" (fun () -> ignore (Gf.Bj_baseline.count g tri));

@@ -6,7 +6,6 @@ module Plan = Gf_plan.Plan
 module Exec = Gf_exec.Exec
 module Counters = Gf_exec.Counters
 module Governor = Gf_exec.Governor
-module Catalog = Gf_catalog.Catalog
 module Cost_model = Gf_opt.Cost_model
 
 type stats = {
@@ -30,7 +29,7 @@ let rec split_chain = function
 type step = {
   target_label : int;
   descriptors : Plan.descriptor array; (* positions into the partial tuple *)
-  est_sizes : float array; (* catalogue average size per descriptor *)
+  est_sizes : float array; (* the cost model's estimated size per descriptor *)
   est_total : float;
   mu : float;
   cover_prefix : int; (* smallest j such that bound + first j targets cover all
@@ -44,39 +43,22 @@ type ordering = {
   mutable routed : int;
 }
 
-let build_ordering env row cat model q ~anchor_vars ~bound_set ~fixed_schema order =
+let build_ordering env row model q ~anchor_vars ~bound_set ~fixed_schema order =
+  (* The partial tuple's columns: the anchor's, then the order's targets. *)
+  let columns = Array.append anchor_vars order in
   let nb = Array.length anchor_vars in
-  let pos_of = Hashtbl.create 16 in
-  Array.iteri (fun i v -> Hashtbl.replace pos_of v i) anchor_vars;
-  Array.iteri (fun j v -> Hashtbl.replace pos_of v (nb + j)) order;
   let prefix = ref bound_set in
   let steps =
     Array.mapi
       (fun j v ->
         let child = !prefix in
-        let descriptors = ref [] in
-        Array.iter
-          (fun (e : Query.edge) ->
-            if e.dst = v && Bitset.mem e.src child then
-              descriptors := (e.src, Graph.Fwd, e.label) :: !descriptors
-            else if e.src = v && Bitset.mem e.dst child then
-              descriptors := (e.dst, Graph.Bwd, e.label) :: !descriptors)
-          q.Query.edges;
-        let descriptors = Array.of_list (List.rev !descriptors) in
-        let sub, map = Query.induced q (Bitset.add v child) in
-        let sub_pos = Hashtbl.create 8 in
-        Array.iteri (fun i ov -> Hashtbl.replace sub_pos ov i) map;
-        let vpos = Hashtbl.find sub_pos v in
-        let est_sizes =
-          Array.map
-            (fun (src, dir, el) ->
-              Catalog.descriptor_size cat sub ~new_vertex:vpos
-                ~src:(Hashtbl.find sub_pos src) ~dir ~elabel:el)
-            descriptors
-        in
+        let descriptors = Plan.descriptors q (Array.sub columns 0 (nb + j)) v in
+        let est_sizes = Cost_model.descriptor_sizes model ~child ~v in
         let cover_prefix =
           let sources =
-            Array.fold_left (fun s (src, _, _) -> Bitset.add src s) Bitset.empty descriptors
+            Array.fold_left
+              (fun s (d : Plan.descriptor) -> Bitset.add columns.(d.pos) s)
+              Bitset.empty descriptors
           in
           let rec find i covered =
             if Bitset.subset sources covered then i
@@ -86,30 +68,23 @@ let build_ordering env row cat model q ~anchor_vars ~bound_set ~fixed_schema ord
           find 0 bound_set
         in
         let target_label = Query.vlabel q v in
-        let descriptors =
-          Array.map
-            (fun (src, dir, elabel) -> { Plan.pos = Hashtbl.find pos_of src; dir; elabel })
-            descriptors
-        in
-        let step =
-          {
-            target_label;
-            descriptors;
-            est_sizes;
-            est_total = Array.fold_left ( +. ) 0.0 est_sizes;
-            mu = Cost_model.mu model ~child ~v;
-            cover_prefix;
-            ext = Exec.extension env row ~target_label descriptors;
-          }
-        in
-        prefix := Bitset.add v !prefix;
-        step)
+        prefix := Bitset.add v child;
+        {
+          target_label;
+          descriptors;
+          est_sizes;
+          est_total = Array.fold_left ( +. ) 0.0 est_sizes;
+          mu = Cost_model.mu model ~child ~v;
+          cover_prefix;
+          ext = Exec.extension env row ~target_label descriptors;
+        })
       order
   in
-  let out_perm =
-    Array.map (fun v -> Hashtbl.find pos_of v) fixed_schema
+  let column v =
+    let rec find i = if columns.(i) = v then i else find (i + 1) in
+    find 0
   in
-  { steps; out_perm; routed = 0 }
+  { steps; out_perm = Array.map column fixed_schema; routed = 0 }
 
 (* Per-tuple cost re-evaluation (Example 6.2): replace the first step's
    estimated list sizes with the actual sizes of the anchor tuple's
@@ -187,7 +162,7 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
             let orderings =
               List.map
                 (fun o ->
-                  build_ordering env row cat model q ~anchor_vars ~bound_set ~fixed_schema o)
+                  build_ordering env row model q ~anchor_vars ~bound_set ~fixed_schema o)
                 orders
             in
             incr seg_count;

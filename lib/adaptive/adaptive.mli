@@ -5,8 +5,10 @@
     the chain (its anchor: a SCAN or a HASH-JOIN) and, for each anchor
     tuple, re-estimates the cost of every connected ordering of the chain's
     remaining query vertices using the tuple's *actual* adjacency list sizes
-    (catalogue averages are replaced by observed sizes, and selectivities are
-    scaled by the observed/estimated ratios — Example 6.2). The tuple is
+    (the estimated sizes, {!Gf_opt.Cost_model.descriptor_sizes} of the
+    model the segment plans with, are replaced by observed sizes, and
+    selectivities are scaled by the observed/estimated ratios — Example
+    6.2). The tuple is
     routed to the cheapest ordering's pipeline; each ordering keeps its own
     intersection-cache state.
 

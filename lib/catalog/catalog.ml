@@ -1,10 +1,10 @@
 module Graph = Gf_graph.Graph
 module Query = Gf_query.Query
 module Canon = Gf_query.Canon
-module Bitset = Gf_util.Bitset
 module Rng = Gf_util.Rng
 module Int_vec = Gf_util.Int_vec
 module Sorted = Gf_util.Sorted
+module Plan = Gf_plan.Plan
 
 type entry = {
   mu : float;
@@ -81,48 +81,6 @@ let avg_partition_size t ~dir ~slabel ~elabel ~nlabel =
       Hashtbl.replace t.avg_sizes key s;
       s
 
-(* Descriptors of the extension of [qk minus new_v] to [qk], in qk's own
-   vertex ids: (source vertex, direction, edge label). *)
-let extension_descriptors qk new_v =
-  Array.to_list qk.Query.edges
-  |> List.filter_map (fun (e : Query.edge) ->
-         if e.dst = new_v then Some (e.src, Graph.Fwd, e.label)
-         else if e.src = new_v then Some (e.dst, Graph.Bwd, e.label)
-         else None)
-
-let global_avg_sizes t qk new_v =
-  let nl = Query.vlabel qk new_v in
-  List.map
-    (fun (src, dir, el) ->
-      ((src, dir, el), avg_partition_size t ~dir ~slabel:(Query.vlabel qk src) ~elabel:el ~nlabel:nl))
-    (extension_descriptors qk new_v)
-
-(* The first vertex order, in lexicographic order, whose every prefix
-   induces a connected sub-query and whose last vertex is [last]: a
-   depth-first search that never places [last] early and stops at the first
-   complete order. [last] needs an edge to the rest, which is then connected
-   when the search completes. *)
-let first_order_ending qk last =
-  let k = Query.num_vertices qk in
-  let order = Array.make k last in
-  let exception Found in
-  let rec go depth placed =
-    if depth = k - 1 then raise Found;
-    for v = 0 to k - 1 do
-      if
-        v <> last
-        && (not (Bitset.mem v placed))
-        && (depth = 0 || Bitset.inter (Query.neighbours qk v) placed <> Bitset.empty)
-      then begin
-        order.(depth) <- v;
-        go (depth + 1) (Bitset.add v placed)
-      end
-    done
-  in
-  match go 0 Bitset.empty with
-  | () -> invalid_arg "Catalog: sub-query minus new vertex is disconnected"
-  | exception Found -> order
-
 (* Measure the extension statistics by sampling z edges at the SCAN and
    streaming the sub-query's matches through to the last extension
    (Section 5.1). Work is capped so that a single entry never costs more
@@ -130,9 +88,21 @@ let first_order_ending qk last =
    descriptor sources are already canonical vertex ids. *)
 let sample_entry t rng qk new_v =
   let k = Query.num_vertices qk in
-  let descriptors = extension_descriptors qk new_v in
-  assert (descriptors <> []);
-  let order = first_order_ending qk new_v in
+  let order = Query.first_connected_order ~last:new_v qk in
+  let final = Plan.descriptors qk (Array.sub order 0 (k - 1)) new_v in
+  assert (final <> [||]);
+  (* No measurement: every final list at its global per-label average. *)
+  let unsampled () =
+    let sizes =
+      Array.to_list final
+      |> List.map (fun (d : Plan.descriptor) ->
+             let src = order.(d.pos) in
+             ( (src, d.dir, d.elabel),
+               avg_partition_size t ~dir:d.dir ~slabel:(Query.vlabel qk src) ~elabel:d.elabel
+                 ~nlabel:(Query.vlabel qk new_v) ))
+    in
+    { mu = 0.0; sizes; total_size = 0.0; samples = 0 }
+  in
   let scan_edges =
     Array.to_list qk.Query.edges
     |> List.filter (fun (e : Query.edge) ->
@@ -145,8 +115,7 @@ let sample_entry t rng qk new_v =
       ~slabel:(Query.vlabel qk scan_edge.Query.src)
       ~dlabel:(Query.vlabel qk scan_edge.Query.dst)
   in
-  if Array.length pool = 0 then
-    { mu = 0.0; sizes = global_avg_sizes t qk new_v; total_size = 0.0; samples = 0 }
+  if Array.length pool = 0 then unsampled ()
   else begin
     let npool = Array.length pool in
     let nsample = min t.z npool in
@@ -154,21 +123,11 @@ let sample_entry t rng qk new_v =
       if nsample = npool then Array.init npool (fun i -> i)
       else Rng.sample_without_replacement rng ~n:npool ~k:nsample
     in
-    (* Position of each query vertex in the match tuple (= order index). *)
-    let pos = Array.make k (-1) in
-    Array.iteri (fun i v -> pos.(v) <- i) order;
-    let step_descriptors depth =
-      (* Descriptors for extending to order.(depth). *)
-      let target = order.(depth) in
-      Array.to_list qk.Query.edges
-      |> List.filter_map (fun (e : Query.edge) ->
-             if e.dst = target && pos.(e.src) < depth then Some (pos.(e.src), Graph.Fwd, e.label)
-             else if e.src = target && pos.(e.dst) < depth then
-               Some (pos.(e.dst), Graph.Bwd, e.label)
-             else None)
-      |> Array.of_list
+    (* The match tuple is in [order]: descriptor positions index it. *)
+    let steps =
+      Array.init k (fun d ->
+          if d < 2 then [||] else Plan.descriptors qk (Array.sub order 0 d) order.(d))
     in
-    let steps = Array.init k (fun d -> if d < 2 then [||] else step_descriptors d) in
     (* Accumulators for the final step. *)
     let measured = ref 0 in
     let mu_sum = ref 0.0 in
@@ -176,38 +135,34 @@ let sample_entry t rng qk new_v =
     let size_sums = Array.make nd_final 0.0 in
     let max_measure = max (4 * t.z) 4000 in
     let lists = Array.map (fun ds -> Sorted.lists (Array.length ds)) steps in
-    let result = Int_vec.create () in
+    (* One extension set per depth, so deeper calls leave this one intact. *)
+    let results = Array.init k (fun _ -> Int_vec.create ()) in
     let tuple = Array.make k 0 in
     let exception Done in
     let rec extend depth =
       if !measured >= max_measure then raise Done;
       let target_label = Query.vlabel qk order.(depth) in
-      let ds = steps.(depth) and l = lists.(depth) in
+      let ds = steps.(depth) and l = lists.(depth) and result = results.(depth) in
       for i = 0 to Array.length ds - 1 do
-        let p, dir, el = ds.(i) in
-        Graph.neighbours_into t.g dir tuple.(p) ~elabel:el ~nlabel:target_label l i
+        let d = ds.(i) in
+        Graph.neighbours_into t.g d.Plan.dir tuple.(d.Plan.pos) ~elabel:d.Plan.elabel
+          ~nlabel:target_label l i
       done;
+      Int_vec.clear result;
+      Sorted.intersect result l;
       if depth = k - 1 then begin
         (* Measure: record each list's size and the extension count. *)
         incr measured;
         for i = 0 to Array.length ds - 1 do
           size_sums.(i) <- size_sums.(i) +. float_of_int (l.Sorted.hi.(i) - l.Sorted.lo.(i))
         done;
-        Int_vec.clear result;
-        Sorted.intersect result l;
         mu_sum := !mu_sum +. float_of_int (Int_vec.length result)
       end
-      else begin
-        Int_vec.clear result;
-        Sorted.intersect result l;
-        (* [result] is reused by recursive calls: copy it out first. *)
-        let exts = Int_vec.to_array result in
-        Array.iter
-          (fun w ->
-            tuple.(depth) <- w;
-            extend (depth + 1))
-          exts
-      end
+      else
+        for i = 0 to Int_vec.length result - 1 do
+          tuple.(depth) <- Int_vec.get result i;
+          extend (depth + 1)
+        done
     in
     (try
        Array.iter
@@ -227,13 +182,13 @@ let sample_entry t rng qk new_v =
            if ok then if k = 2 then incr measured else extend 2)
          indices
      with Done -> ());
-    if !measured = 0 then
-      { mu = 0.0; sizes = global_avg_sizes t qk new_v; total_size = 0.0; samples = 0 }
+    if !measured = 0 then unsampled ()
     else begin
       let n = float_of_int !measured in
       let sizes =
         Array.to_list steps.(k - 1)
-        |> List.mapi (fun i (p, dir, el) -> ((order.(p), dir, el), size_sums.(i) /. n))
+        |> List.mapi (fun i (d : Plan.descriptor) ->
+               ((order.(d.pos), d.dir, d.elabel), size_sums.(i) /. n))
       in
       let total_size = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sizes in
       { mu = !mu_sum /. n; sizes; total_size; samples = !measured }
@@ -266,57 +221,6 @@ let entry t qk ~new_vertex =
   if Query.num_vertices qk > t.h + 1 then None
   else Some (find_entry t qk new_vertex (Canon.code ~mark:new_vertex qk))
 
-(* Section 5.2's removals: every set of |old| - h old vertices, in a fixed
-   order, and the minimum of [base] over the old parts they leave. *)
-let min_over_removals t ~old ~base =
-  let members = Bitset.to_array old in
-  let want = Array.length members - t.h in
-  let candidates = ref [] in
-  let rec choose picked count start =
-    if count = want then candidates := picked :: !candidates
-    else
-      for i = start to Array.length members - 1 do
-        choose (Bitset.add members.(i) picked) (count + 1) (i + 1)
-      done
-  in
-  choose Bitset.empty 0 0;
-  List.fold_left
-    (fun best rm -> match base (Bitset.diff old rm) with Some m when m < best -> m | _ -> best)
-    infinity !candidates
-
-(* Section 5.2 fallback: for oversize patterns, remove every (k - h - 1)-size
-   subset of the old vertices that keeps the pattern valid, and take the
-   minimum selectivity over the resulting catalogue entries. *)
-let rec mu_estimate t qk ~new_vertex =
-  match entry t qk ~new_vertex with
-  | Some e -> e.mu
-  | None ->
-      let old = Bitset.remove new_vertex (Bitset.full (Query.num_vertices qk)) in
-      let best =
-        min_over_removals t ~old ~base:(fun rest ->
-            let sub, map = Query.induced qk (Bitset.add new_vertex rest) in
-            (* Position of the new vertex in the reduced pattern. *)
-            let np = ref (-1) in
-            Array.iteri (fun i v -> if v = new_vertex then np := i) map;
-            let np = !np in
-            let old_part = Bitset.remove np (Bitset.full (Query.num_vertices sub)) in
-            if
-              Query.is_connected sub
-              && Query.is_connected_subset sub old_part
-              && extension_descriptors sub np <> []
-            then Some (mu_estimate t sub ~new_vertex:np)
-            else None)
-      in
-      if best < infinity then best
-      else
-        (* No valid removal (heavily disconnected after removal): fall back
-           to the least global average list size, a coarse upper bound. *)
-        List.fold_left
-          (fun acc (_, s) -> Float.min acc s)
-          infinity
-          (global_avg_sizes t qk new_vertex)
-        |> fun x -> if x = infinity then 1.0 else x
-
 let descriptor_size t qk ~new_vertex ~src ~dir ~elabel =
   let global () =
     avg_partition_size t ~dir ~slabel:(Query.vlabel qk src) ~elabel
@@ -332,51 +236,6 @@ let descriptor_size t qk ~new_vertex ~src ~dir ~elabel =
       | Some s -> s
       | None -> global ()
   end
-
-let estimate_cardinality t q =
-  let n = Query.num_vertices q in
-  let memo = Hashtbl.create 64 in
-  let rec card s =
-    match Hashtbl.find_opt memo s with
-    | Some c -> c
-    | None ->
-        let c =
-          if Bitset.cardinal s = 2 then begin
-            match Query.edges_within q s with
-            | [] -> 0.0
-            | es ->
-                (* With >1 edge between the pair the exact joint count is not
-                   indexed; approximate with the most selective edge. *)
-                List.fold_left
-                  (fun acc (e : Query.edge) ->
-                    Float.min acc
-                      (float_of_int
-                         (edge_count t ~elabel:e.label ~slabel:(Query.vlabel q e.src)
-                            ~dlabel:(Query.vlabel q e.dst))))
-                  infinity es
-          end
-          else begin
-            let best = ref infinity in
-            Bitset.iter
-              (fun v ->
-                let rest = Bitset.remove v s in
-                if Query.is_connected_subset q rest then begin
-                  let sub, map = Query.induced q s in
-                  let vpos = ref (-1) in
-                  Array.iteri (fun i ov -> if ov = v then vpos := i) map;
-                  if extension_descriptors sub !vpos <> [] then begin
-                    let est = card rest *. mu_estimate t sub ~new_vertex:!vpos in
-                    if est < !best then best := est
-                  end
-                end)
-              s;
-            if !best < infinity then !best else 0.0
-          end
-        in
-        Hashtbl.replace memo s c;
-        c
-  in
-  card (Bitset.full n)
 
 (* ---------- exhaustive construction (Tables 10-11) ---------- *)
 

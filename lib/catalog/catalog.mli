@@ -18,9 +18,11 @@
     vertices, nor on which entries were sampled before it. A plan's cost
     is thus the same whatever the catalogue's history.
 
-    Entries exist only for extensions of at-most-[h]-vertex sub-queries;
-    larger patterns are estimated by the minimum-over-removals fallback of
-    Section 5.2, implemented by [mu_estimate].
+    Entries exist only for extensions of at-most-[h]-vertex sub-queries.
+    The catalogue only samples, stores and looks entries up: the
+    minimum-over-removals fallback of Section 5.2 for larger patterns, and
+    every cardinality built from entries, are
+    {!Gf_opt.Cost_model}'s.
 
     The default construction is lazy — entries materialize on first lookup —
     so a catalogue is cheap to create and pay-as-you-go for a workload.
@@ -56,21 +58,6 @@ type entry = {
     connected and [qk minus new_vertex] connected and nonempty. *)
 val entry : t -> Gf_query.Query.t -> new_vertex:int -> entry option
 
-(** [mu_estimate cat qk ~new_vertex] estimates the selectivity of the
-    extension, applying the Section 5.2 fallback (minimum over removals of
-    vertex subsets) when the pattern exceeds [h + 1] vertices. *)
-val mu_estimate : t -> Gf_query.Query.t -> new_vertex:int -> float
-
-(** [min_over_removals cat ~old ~base] is the minimum of the Section 5.2
-    fallback for extending the vertex set [old] (more than [h] vertices) by
-    one vertex: [base rest] for every old part [rest] left by removing
-    [|old| - h] vertices of [old], visited in a fixed order, skipping those
-    [base] rejects with [None]; [infinity] when it rejects every one.
-    {!mu_estimate} runs it over a pattern's vertices, the planner's cost
-    model over a query's own vertex subsets. *)
-val min_over_removals :
-  t -> old:Gf_util.Bitset.t -> base:(Gf_util.Bitset.t -> float option) -> float
-
 (** [descriptor_size cat qk ~new_vertex ~src ~dir ~elabel] estimates the
     average size of the descriptor's adjacency list in the context of the
     extension, falling back to global label averages for oversize
@@ -95,11 +82,6 @@ val avg_partition_size :
     data edges (memoized) — the paper's initialization of 2-vertex
     sub-query cardinalities. *)
 val edge_count : t -> elabel:int -> slabel:int -> dlabel:int -> int
-
-(** [estimate_cardinality cat q] estimates [|Q|] as a product of [mu]s along
-    extension sequences, minimized over the choice of extension order
-    (dynamic program over connected vertex subsets). *)
-val estimate_cardinality : t -> Gf_query.Query.t -> float
 
 (** [build_exhaustive cat] eagerly materializes every entry extending a
     connected pattern of 2..h vertices to h+1 vertices, enumerating all

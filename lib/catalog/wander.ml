@@ -3,13 +3,11 @@ module Query = Gf_query.Query
 module Int_vec = Gf_util.Int_vec
 module Sorted = Gf_util.Sorted
 module Rng = Gf_util.Rng
+module Plan = Gf_plan.Plan
 
 let estimate_with_order g q ~order ~walks rng =
   let k = Array.length order in
   assert (k = Query.num_vertices q);
-  (* Position of each query vertex in the walk tuple. *)
-  let pos = Array.make k (-1) in
-  Array.iteri (fun i v -> pos.(v) <- i) order;
   let scan_edge =
     match
       Array.to_list q.Query.edges
@@ -28,21 +26,10 @@ let estimate_with_order g q ~order ~walks rng =
   let pool = Array.of_list !pool in
   if Array.length pool = 0 then 0.0
   else begin
-    (* Extension descriptors per step, as (tuple position, dir, elabel). *)
+    (* The walk tuple is in [order]: descriptor positions index it. *)
     let steps =
       Array.init k (fun d ->
-          if d < 2 then [||]
-          else begin
-            let target = order.(d) in
-            Array.to_list q.Query.edges
-            |> List.filter_map (fun (e : Query.edge) ->
-                   if e.dst = target && pos.(e.src) < d then
-                     Some (pos.(e.src), Graph.Fwd, e.label)
-                   else if e.src = target && pos.(e.dst) < d then
-                     Some (pos.(e.dst), Graph.Bwd, e.label)
-                   else None)
-            |> Array.of_list
-          end)
+          if d < 2 then [||] else Plan.descriptors q (Array.sub order 0 d) order.(d))
     in
     let tuple = Array.make k 0 in
     let lists = Array.map (fun ds -> Sorted.lists (Array.length ds)) steps in
@@ -59,8 +46,9 @@ let estimate_with_order g q ~order ~walks rng =
            let target_label = Query.vlabel q order.(d) in
            let ds = steps.(d) and l = lists.(d) in
            for i = 0 to Array.length ds - 1 do
-             let p, dir, el = ds.(i) in
-             Graph.neighbours_into g dir tuple.(p) ~elabel:el ~nlabel:target_label l i
+             let e = ds.(i) in
+             Graph.neighbours_into g e.Plan.dir tuple.(e.Plan.pos) ~elabel:e.Plan.elabel
+               ~nlabel:target_label l i
            done;
            Int_vec.clear result;
            Sorted.intersect result l;
@@ -76,6 +64,4 @@ let estimate_with_order g q ~order ~walks rng =
   end
 
 let estimate g q ~walks rng =
-  match Query.connected_orders q with
-  | [] -> invalid_arg "Wander: disconnected query"
-  | order :: _ -> estimate_with_order g q ~order ~walks rng
+  estimate_with_order g q ~order:(Query.first_connected_order q) ~walks rng

@@ -260,7 +260,7 @@ module Db = struct
     let p, cost = plan db q in
     Format.asprintf "estimated cost: %.0f i-cost units@.%a@." cost Plan.pp p
 
-  let estimate_cardinality db q = Catalog.estimate_cardinality db.catalog q
+  let estimate_cardinality db q = Cost_model.estimate_cardinality db.catalog q
 
   let count_by ?adaptive db q ~key =
     let prepared = prepare db q in

@@ -216,7 +216,8 @@ module Db : sig
   val metrics_exposition : unit -> string
 
   (** [estimate_cardinality db q] is the catalogue-based estimate of the
-      number of matches. *)
+      number of matches that the planner plans [q] with
+      ({!Cost_model.estimate_cardinality}, no plan-cache corrections). *)
   val estimate_cardinality : t -> Query.t -> float
 
   (** [count_by db q ~key] groups matches by the data vertices bound to the

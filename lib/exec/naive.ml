@@ -4,11 +4,7 @@ module Bitset = Gf_util.Bitset
 
 let iter ?(distinct = false) g q f =
   let n = Query.num_vertices q in
-  let order =
-    match Query.connected_orders q with
-    | o :: _ -> o
-    | [] -> invalid_arg "Naive: disconnected query"
-  in
+  let order = Query.first_connected_order q in
   let assignment = Array.make n (-1) in
   let consistent qv dv =
     Graph.vlabel g dv = Query.vlabel q qv

@@ -1,7 +1,7 @@
 module Bitset = Gf_util.Bitset
 module Query = Gf_query.Query
 module Catalog = Gf_catalog.Catalog
-module Graph = Gf_graph.Graph
+module Plan = Gf_plan.Plan
 
 type t = {
   cat : Catalog.t;
@@ -13,7 +13,7 @@ type t = {
   conn : Bytes.t; (* vertex set -> connected? 'y' / 'n' / unknown; empty if too many sets *)
   cards : (int, float) Hashtbl.t;
   mus : (int * int, float) Hashtbl.t;
-  sizes : (int * int, float) Hashtbl.t; (* (child_set, v) -> sum of descriptor sizes *)
+  sizes : (int * int, float array) Hashtbl.t; (* (child_set, v) -> descriptor sizes *)
   bases : (int * int, float) Hashtbl.t; (* catalogue mu of extensions to <= h + 1 vertices *)
   induced : (int, Query.t) Hashtbl.t; (* vertex set -> induced sub-query *)
 }
@@ -86,27 +86,64 @@ let base t ~child ~v =
   | Some m -> m
   | None ->
       let s = Bitset.add v child in
-      let m = Catalog.mu_estimate t.cat (induced t s) ~new_vertex:(rank s v) in
+      let m = (Option.get (Catalog.entry t.cat (induced t s) ~new_vertex:(rank s v))).mu in
       Hashtbl.replace t.bases (child, v) m;
       m
 
-(* Section 5.2's fallback for an extension to more than h + 1 vertices,
-   over the query's own vertex subsets: the same removals and minimum as
-   [Catalog.mu_estimate] on the induced pattern, but each base is induced
-   and canonicalized once per query rather than once per call. *)
+(* The estimated size of each list intersected when extending [child] by
+   [v], in the order of [q]'s edges. An extension to more than h + 1
+   vertices has no catalogue entry, so its sizes are the global label
+   averages, read without inducing the pattern. *)
+let sizes_of t ~child ~v =
+  let s = Bitset.add v child and sources = Bitset.to_array child in
+  let size =
+    if small t s then begin
+      let sub = induced t s and vpos = rank s v in
+      fun ~src ~dir ~elabel ->
+        Catalog.descriptor_size t.cat sub ~new_vertex:vpos ~src:(rank s src) ~dir ~elabel
+    end
+    else fun ~src ~dir ~elabel ->
+      Catalog.avg_partition_size t.cat ~dir ~slabel:(Query.vlabel t.q src) ~elabel
+        ~nlabel:(Query.vlabel t.q v)
+  in
+  Array.map
+    (fun (d : Plan.descriptor) -> size ~src:sources.(d.pos) ~dir:d.dir ~elabel:d.elabel)
+    (Plan.descriptors t.q sources v)
+
+(* Section 5.2's removals: every set of |old| - h old vertices, in a fixed
+   order, and the minimum of [base] over the old parts they leave. *)
+let min_over_removals t ~old ~base =
+  let members = Bitset.to_array old in
+  let want = Array.length members - Catalog.h t.cat in
+  let candidates = ref [] in
+  let rec choose picked count start =
+    if count = want then candidates := picked :: !candidates
+    else
+      for i = start to Array.length members - 1 do
+        choose (Bitset.add members.(i) picked) (count + 1) (i + 1)
+      done
+  in
+  choose Bitset.empty 0 0;
+  List.fold_left
+    (fun best rm -> match base (Bitset.diff old rm) with Some m when m < best -> m | _ -> best)
+    infinity !candidates
+
+(* Section 5.2's fallback for an extension to more than h + 1 vertices: the
+   least catalogue selectivity over the query's own (h + 1)-vertex
+   sub-patterns that keep [v] and a connected old part it touches. *)
 let fallback t ~child ~v =
   let best =
-    Catalog.min_over_removals t.cat ~old:child ~base:(fun rest ->
-        (* A connected old part that [v] touches makes a connected pattern. *)
+    min_over_removals t ~old:child ~base:(fun rest ->
         if Bitset.inter t.nbrs.(v) rest <> Bitset.empty && connected t rest then
           Some (base t ~child:rest ~v)
         else None)
   in
   if best < infinity then best
   else
-    (* No valid removal: the catalogue's own last resort. *)
-    let s = Bitset.add v child in
-    Catalog.mu_estimate t.cat (induced t s) ~new_vertex:(rank s v)
+    (* No valid removal: the least global average list size, a coarse
+       upper bound. *)
+    let m = Array.fold_left Float.min infinity (sizes_of t ~child ~v) in
+    if m = infinity then 1.0 else m
 
 let mu t ~child ~v =
   match Hashtbl.find_opt t.mus (child, v) with
@@ -170,35 +207,19 @@ let card t s =
   let c = raw_card t s in
   match t.corrections with None -> c | Some f -> c *. f s
 
-(* Sum of the estimated sizes of the adjacency lists intersected when
-   extending [child] by [v]. An extension to more than h + 1 vertices has no
-   catalogue entry, so its sizes are the global label averages the
-   catalogue would fall back to, read without inducing the pattern. *)
-let total_descriptor_size t ~child ~v =
+let estimate_cardinality cat q =
+  let n = Query.num_vertices q in
+  if n < 2 || not (Query.is_connected q) then 0.0 else card (create cat q) (Bitset.full n)
+
+let descriptor_sizes t ~child ~v =
   match Hashtbl.find_opt t.sizes (child, v) with
-  | Some s -> s
+  | Some a -> a
   | None ->
-      let s = Bitset.add v child in
-      let size =
-        if small t s then begin
-          let sub = induced t s and vpos = rank s v in
-          fun ~src ~dir ~elabel ->
-            Catalog.descriptor_size t.cat sub ~new_vertex:vpos ~src:(rank s src) ~dir ~elabel
-        end
-        else fun ~src ~dir ~elabel ->
-          Catalog.avg_partition_size t.cat ~dir ~slabel:(Query.vlabel t.q src) ~elabel
-            ~nlabel:(Query.vlabel t.q v)
-      in
-      let total = ref 0.0 in
-      Array.iter
-        (fun (e : Query.edge) ->
-          if e.dst = v && Bitset.mem e.src child then
-            total := !total +. size ~src:e.src ~dir:Graph.Fwd ~elabel:e.label
-          else if e.src = v && Bitset.mem e.dst child then
-            total := !total +. size ~src:e.dst ~dir:Graph.Bwd ~elabel:e.label)
-        t.q.Query.edges;
-      Hashtbl.replace t.sizes (child, v) !total;
-      !total
+      let a = sizes_of t ~child ~v in
+      Hashtbl.replace t.sizes (child, v) a;
+      a
+
+let total_descriptor_size t ~child ~v = Array.fold_left ( +. ) 0.0 (descriptor_sizes t ~child ~v)
 
 let extension_icost t ~chain ~child ~v =
   let sources = Bitset.inter t.nbrs.(v) child in

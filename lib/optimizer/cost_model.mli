@@ -45,13 +45,27 @@ val work : t -> int
     on vertex set [s] (|s| >= 2). Memoized. *)
 val card : t -> Gf_util.Bitset.t -> float
 
+(** [estimate_cardinality cat q] is {!card} of an uncorrected model of [q]
+    on all of [q]'s vertices: the root estimate the planner plans [q] with.
+    0.0 for a query with fewer than two vertices or a disconnected one. *)
+val estimate_cardinality : Gf_catalog.Catalog.t -> Gf_query.Query.t -> float
+
 (** [mu t ~child ~v] is the estimated selectivity of extending the sub-query
-    on [child] by vertex [v]: {!Gf_catalog.Catalog.mu_estimate} on the
-    induced pattern. An extension to more than [h + 1] vertices takes
+    on [child] by vertex [v]: the catalogue entry of the induced pattern
+    when it has at most [h + 1] vertices. A larger extension takes
     Section 5.2's minimum over removals on the query's own vertex subsets,
-    each [(h + 1)]-vertex base looked up in the catalogue once per query.
-    Memoized. *)
+    each [(h + 1)]-vertex base looked up in the catalogue once per query;
+    when no removal keeps [v] attached to a connected old part, the least
+    of its {!descriptor_sizes}. Memoized. *)
 val mu : t -> child:Gf_util.Bitset.t -> v:int -> float
+
+(** [descriptor_sizes t ~child ~v] is the estimated size of each adjacency
+    list intersected when extending [child] by [v], one per
+    {!Gf_plan.Plan.descriptors} entry (in [q]'s edge order): the
+    catalogue's sampled sizes, or global label averages for an extension
+    to more than [h + 1] vertices. Memoized; the array is shared, do not
+    mutate it. *)
+val descriptor_sizes : t -> child:Gf_util.Bitset.t -> v:int -> float array
 
 (** [extension_icost t ~chain ~child ~v] is the estimated i-cost of the E/I
     operator extending [child] (whose root chain prefixes are [chain],

@@ -44,27 +44,29 @@ let scan q (e : Query.edge) =
       vars = [| e.src; e.dst |];
     }
 
+(* The column of [v] in [schema], or -1. *)
 let position schema v =
   let rec go i =
-    if i >= Array.length schema then raise Not_found
-    else if schema.(i) = v then i
-    else go (i + 1)
+    if i >= Array.length schema then -1 else if schema.(i) = v then i else go (i + 1)
   in
   go 0
+
+let descriptors q bound target =
+  Array.fold_right
+    (fun (e : Query.edge) acc ->
+      let add src dir =
+        match position bound src with -1 -> acc | pos -> { pos; dir; elabel = e.label } :: acc
+      in
+      if e.dst = target then add e.src Graph.Fwd
+      else if e.src = target then add e.dst Graph.Bwd
+      else acc)
+    q.Query.edges []
+  |> Array.of_list
 
 let extend q child target =
   let cvars = vars child in
   if Array.exists (( = ) target) cvars then invalid_arg "Plan.extend: target already bound";
-  let descriptors =
-    Array.to_list q.Query.edges
-    |> List.filter_map (fun (e : Query.edge) ->
-           if e.dst = target && Array.exists (( = ) e.src) cvars then
-             Some { pos = position cvars e.src; dir = Graph.Fwd; elabel = e.label }
-           else if e.src = target && Array.exists (( = ) e.dst) cvars then
-             Some { pos = position cvars e.dst; dir = Graph.Bwd; elabel = e.label }
-           else None)
-    |> Array.of_list
-  in
+  let descriptors = descriptors q cvars target in
   if Array.length descriptors = 0 then
     invalid_arg "Plan.extend: target not adjacent to the sub-plan";
   Extend

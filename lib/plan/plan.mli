@@ -52,9 +52,16 @@ val var_set : t -> Gf_util.Bitset.t
     have at most one edge per ordered pair). *)
 val scan : Gf_query.Query.t -> Gf_query.Query.edge -> t
 
-(** [extend q child target] adds query vertex [target]; the descriptors are
-    derived from every edge of [q] between [target] and the child's
-    vertices. Raises [Invalid_argument] if there is no such edge or [target]
+(** [descriptors q bound target] are the descriptors extending tuples whose
+    columns bind the query vertices [bound] by [target]: one per edge of [q]
+    between [target] and a vertex of [bound], in edge order, [pos] being
+    that vertex's column. Empty when [target] touches no vertex of
+    [bound]. Every E/I step (planned, adaptive, sampled or walked) takes its
+    descriptors from here. *)
+val descriptors : Gf_query.Query.t -> int array -> int -> descriptor array
+
+(** [extend q child target] adds query vertex [target] with the
+    {!descriptors} of the child's schema. Raises [Invalid_argument] if there is no such edge or [target]
     is already covered. *)
 val extend : Gf_query.Query.t -> t -> int -> t
 

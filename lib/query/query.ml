@@ -116,6 +116,32 @@ let connected_orders_extending q ~bound =
 
 let connected_orders q = connected_orders_extending q ~bound:Bitset.empty
 
+(* A depth-first search in the order [connected_orders_extending] visits,
+   stopped at the first complete order. It never backtracks out of a
+   connected query: a connected prefix always has a neighbour left. *)
+let first_connected_order ?last q =
+  let k = q.num_vertices in
+  let skip = Option.value last ~default:(-1) in
+  let order = Array.make k skip in
+  let stop = if last = None then k else k - 1 in
+  let exception Found in
+  let rec go depth placed =
+    if depth = stop then raise Found;
+    for v = 0 to k - 1 do
+      if
+        v <> skip
+        && (not (Bitset.mem v placed))
+        && (depth = 0 || Bitset.inter (neighbours q v) placed <> Bitset.empty)
+      then begin
+        order.(depth) <- v;
+        go (depth + 1) (Bitset.add v placed)
+      end
+    done
+  in
+  match go 0 Bitset.empty with
+  | () -> invalid_arg "Query.first_connected_order: no connected order"
+  | exception Found -> order
+
 let rec permutations = function
   | [] -> [ [] ]
   | l ->

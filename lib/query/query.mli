@@ -62,6 +62,12 @@ val connected_orders : t -> int array list
     given already-matched vertices. *)
 val connected_orders_extending : t -> bound:Gf_util.Bitset.t -> int array list
 
+(** [first_connected_order q] is [List.hd (connected_orders q)] without
+    enumerating the rest; [first_connected_order ~last q] is the first of
+    [connected_orders q] whose final vertex is [last]. Raises
+    [Invalid_argument] when there is no such order. *)
+val first_connected_order : ?last:int -> t -> int array
+
 (** [automorphisms q] is every permutation [p] (as an array, [p.(i)] = image
     of vertex [i]) preserving vertex labels and labeled directed edges. *)
 val automorphisms : t -> int array list

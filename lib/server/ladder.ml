@@ -44,6 +44,9 @@ type result = {
   backoffs : float list;
 }
 
+let planner = "planner"
+let rejected r = r.rung = planner
+
 let backoff_delay cfg rng attempt =
   let base = cfg.backoff_base_s *. (2.0 ** float_of_int attempt) in
   let capped = Float.min base cfg.backoff_cap_s in
@@ -95,14 +98,19 @@ let run ?(sleep = Unix.sleepf) ?(now = Unix.gettimeofday)
                 ]
               b "attempt"
         | None -> ());
-        let prepared, (c, outcome) =
+        let plan, c, outcome =
           Fun.protect
             ~finally:(fun () -> detach ())
             (fun () ->
-              let prepared = Gf.Db.prepare ?trace db q in
-              ( prepared,
-                Gf.Db.run_gov ~prepared ~domains:rung.domains ?scan_part:part ~gov ?trace
-                  ?sink:attempt_sink db q ))
+              match Gf.Db.prepare ?trace db q with
+              | exception Gf.Planner.No_plan detail ->
+                  (None, Gf.Counters.create (), Governor.Failed { operator = planner; detail })
+              | prepared ->
+                  let c, outcome =
+                    Gf.Db.run_gov ~prepared ~domains:rung.domains ?scan_part:part ~gov ?trace
+                      ?sink:attempt_sink db q
+                  in
+                  (Some (Gf.Db.prepared_plan prepared), c, outcome))
         in
         (match tbuf with
         | Some b ->
@@ -117,15 +125,18 @@ let run ?(sleep = Unix.sleepf) ?(now = Unix.gettimeofday)
           {
             outcome;
             counters = c;
-            plan = Some (Gf.Db.prepared_plan prepared);
+            plan;
             attempts = attempt + 1;
             retries = attempt;
             degraded;
-            rung = rung.name;
+            rung = (if Option.is_none plan then planner else rung.name);
             backoffs = List.rev !backoffs;
           }
         in
         match outcome with
+        | _ when Option.is_none plan ->
+            (* The planner rejects the query itself: every rung would too. *)
+            finish ~flush:false ~degraded:false
         | Governor.Completed -> finish ~flush:true ~degraded:(rung.name = "degraded")
         | Governor.Truncated Governor.Cancelled ->
             (* The service is draining: stop immediately, deliver nothing. *)

@@ -55,6 +55,13 @@ type result = {
   backoffs : float list;  (** jittered sleeps taken, in order *)
 }
 
+(** [rejected r] is true when the planner rejected the request's query
+    ({!Gf.Planner.No_plan}): [r] then has rung ["planner"], one attempt,
+    no plan, and the outcome [Failed { operator = "planner"; detail }]
+    with the planner's reason. No rung can run such a query, so it is not
+    retried; the fault is the client's, not the backend's. *)
+val rejected : result -> bool
+
 val run :
   ?sleep:(float -> unit) ->
   ?now:(unit -> float) ->

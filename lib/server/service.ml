@@ -225,7 +225,13 @@ let run_job t job =
         b;
       Trace.close_all b
   | None -> ());
-  let ok = match result.Ladder.outcome with Governor.Failed _ -> false | _ -> true in
+  (* A query the planner rejects, like one that does not parse, is the
+     client's fault: it says nothing about the backend's health. *)
+  let ok =
+    match result.Ladder.outcome with
+    | Governor.Failed _ -> Ladder.rejected result
+    | _ -> true
+  in
   Breaker.record t.breaker ~ok;
   (match result.Ladder.outcome with
   | Governor.Completed ->

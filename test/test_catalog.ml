@@ -1,5 +1,7 @@
 open Gf_query
 module Catalog = Gf_catalog.Catalog
+module Cost_model = Gf_opt.Cost_model
+module Bitset = Gf_util.Bitset
 module Independence = Gf_catalog.Independence
 module Graph = Gf_graph.Graph
 module Generators = Gf_graph.Generators
@@ -81,13 +83,17 @@ let test_mu_fallback_oversize () =
   (* Extending the 2-path prefix of diamond-X (a1,a2,a3) by a4: with h=2 the
      4-vertex pattern is missing; the fallback must return something
      sane (finite, non-negative). *)
-  let mu = Catalog.mu_estimate cat Patterns.diamond_x ~new_vertex:3 in
+  let mu_of cat =
+    Cost_model.mu (Cost_model.create cat Patterns.diamond_x) ~child:(Bitset.of_list [ 0; 1; 2 ])
+      ~v:3
+  in
+  let mu = mu_of cat in
   check_bool "fallback mu finite" true (Float.is_finite mu && mu >= 0.0);
   (* And it should not exceed the direct h=3 estimate wildly: the fallback is
      a minimum over sub-pattern estimates, each >= true selectivity
      in expectation. *)
   let cat3 = Catalog.create ~h:3 ~z:500 g in
-  let mu3 = Catalog.mu_estimate cat3 Patterns.diamond_x ~new_vertex:3 in
+  let mu3 = mu_of cat3 in
   check_bool "h=3 direct entry exists" true (mu3 >= 0.0)
 
 let test_estimate_cardinality_edge () =
@@ -96,14 +102,14 @@ let test_estimate_cardinality_edge () =
   let q = Query.unlabeled_edges 2 [ (0, 1) ] in
   near "edge cardinality exact" ~tolerance:1e-9
     (float_of_int (Graph.num_edges g))
-    (Catalog.estimate_cardinality cat q)
+    (Cost_model.estimate_cardinality cat q)
 
 let test_estimate_cardinality_triangle () =
   let g = graph () in
   let cat = Catalog.create ~z:1_000_000 g in
   let q = Patterns.asymmetric_triangle in
   let truth = float_of_int (Naive.count g q) in
-  let est = Catalog.estimate_cardinality cat q in
+  let est = Cost_model.estimate_cardinality cat q in
   check_bool
     (Printf.sprintf "triangle estimate within 2x (est %f truth %f)" est truth)
     true
@@ -115,7 +121,7 @@ let test_estimate_cardinality_labeled () =
   let rng = Rng.create 3 in
   let q = Patterns.randomize_edge_labels rng Patterns.asymmetric_triangle ~num_elabels:2 in
   let truth = float_of_int (Naive.count g q) in
-  let est = Catalog.estimate_cardinality cat q in
+  let est = Cost_model.estimate_cardinality cat q in
   check_bool
     (Printf.sprintf "labeled triangle within 3x (est %f truth %f)" est truth)
     true
@@ -128,7 +134,7 @@ let test_catalogue_beats_independence_on_triangle () =
   let cat = Catalog.create ~z:2000 g in
   let q = Patterns.asymmetric_triangle in
   let truth = float_of_int (Naive.count g q) in
-  let cat_err = Catalog.q_error ~estimate:(Catalog.estimate_cardinality cat q) ~truth in
+  let cat_err = Catalog.q_error ~estimate:(Cost_model.estimate_cardinality cat q) ~truth in
   let ind_err = Catalog.q_error ~estimate:(Independence.estimate g q) ~truth in
   check_bool
     (Printf.sprintf "catalogue (%.1f) beats independence (%.1f)" cat_err ind_err)

@@ -118,7 +118,10 @@ let test_mu_double_removal () =
   let g = graph () in
   let cat = Catalog.create ~h:2 ~z:200 g in
   let q = Patterns.q 8 (* bowtie, 5 vertices *) in
-  let mu = Catalog.mu_estimate cat q ~new_vertex:4 in
+  let mu =
+    Gf_opt.Cost_model.mu (Gf_opt.Cost_model.create cat q) ~child:(Bitset.of_list [ 0; 1; 2; 3 ])
+      ~v:4
+  in
   check_bool "finite non-negative" true (Float.is_finite mu && mu >= 0.0)
 
 let test_exhaustive_then_save_load () =

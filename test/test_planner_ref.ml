@@ -16,9 +16,51 @@ module Bitset = Gf_util.Bitset
 
 (* The search as it was before branch and bound: every prefix-connected
    ordering enumerated, every HASH-JOIN pair costed, over a cost model that
-   induces each sub-query afresh and hands oversize extensions to
-   [Catalog.mu_estimate]. *)
+   induces each sub-query afresh and recurses on each induced pattern for
+   an oversize extension ([mu_estimate]). *)
 module Reference = struct
+  (* Section 5.2's fallback on a pattern: for an extension past h + 1
+     vertices, the least selectivity over the patterns left by removing
+     |old| - h old vertices, recursing on each, skipping removals that
+     disconnect it; failing any, the least global average list size. *)
+  let rec mu_estimate cat qk ~new_vertex =
+    match Catalog.entry cat qk ~new_vertex with
+    | Some e -> e.Catalog.mu
+    | None ->
+        let old = Bitset.remove new_vertex (Bitset.full (Query.num_vertices qk)) in
+        let members = Bitset.to_array old in
+        let best = ref infinity in
+        let rec choose removed count start =
+          if count = Array.length members - Catalog.h cat then begin
+            let sub, map = Query.induced qk (Bitset.add new_vertex (Bitset.diff old removed)) in
+            let np = ref (-1) in
+            Array.iteri (fun i v -> if v = new_vertex then np := i) map;
+            let np = !np in
+            let old_part = Bitset.remove np (Bitset.full (Query.num_vertices sub)) in
+            if
+              Query.is_connected sub
+              && Query.is_connected_subset sub old_part
+              && Plan.descriptors sub (Bitset.to_array old_part) np <> [||]
+            then best := Float.min !best (mu_estimate cat sub ~new_vertex:np)
+          end
+          else
+            for i = start to Array.length members - 1 do
+              choose (Bitset.add members.(i) removed) (count + 1) (i + 1)
+            done
+        in
+        choose Bitset.empty 0 0;
+        if !best < infinity then !best
+        else
+          Array.fold_left
+            (fun acc (d : Plan.descriptor) ->
+              let src = members.(d.pos) in
+              Float.min acc
+                (Catalog.avg_partition_size cat ~dir:d.dir ~slabel:(Query.vlabel qk src)
+                   ~elabel:d.elabel ~nlabel:(Query.vlabel qk new_vertex)))
+            infinity
+            (Plan.descriptors qk members new_vertex)
+          |> fun x -> if x = infinity then 1.0 else x
+
   type model = {
     cat : Catalog.t;
     q : Query.t;
@@ -43,7 +85,7 @@ module Reference = struct
     | Some m -> m
     | None ->
         let sub, _, vpos = induced_extension t ~child ~v in
-        let m = Catalog.mu_estimate t.cat sub ~new_vertex:vpos in
+        let m = mu_estimate t.cat sub ~new_vertex:vpos in
         Hashtbl.replace t.mus (child, v) m;
         m
 
@@ -160,21 +202,22 @@ module Reference = struct
         dfs s0 [ s0 ] 0.0 [ e.dst; e.src ])
       (scan_pairs q)
 
+  let model ?(opts = Planner.default_opts) ?corrections cat q =
+    {
+      cat;
+      q;
+      cache_conscious = opts.Planner.cache_conscious;
+      weights = opts.Planner.weights;
+      corrections;
+      cards = Hashtbl.create 64;
+      mus = Hashtbl.create 64;
+      sizes = Hashtbl.create 64;
+    }
+
   (* [Planner.search] with the default plan space ([Hybrid], no beam). *)
   let search ?(opts = Planner.default_opts) ?corrections cat q =
     let m = Query.num_vertices q in
-    let model =
-      {
-        cat;
-        q;
-        cache_conscious = opts.Planner.cache_conscious;
-        weights = opts.Planner.weights;
-        corrections;
-        cards = Hashtbl.create 64;
-        mus = Hashtbl.create 64;
-        sizes = Hashtbl.create 64;
-      }
-    in
+    let model = model ~opts ?corrections cat q in
     let table = Hashtbl.create 64 in
     List.iter
       (fun (e : Query.edge) ->
@@ -334,16 +377,16 @@ let test_best_wco_order () =
 
 let human () = Generators.dataset ~scale:0.1 Generators.Human
 
+let human_templates g =
+  let rng = Rng.create 2024 in
+  List.init 500 (fun i ->
+      let nv = 3 + (i mod 5) in
+      ( Printf.sprintf "template %d (%d vertices)" i nv,
+        Gf_baseline.Query_gen.from_data g rng ~num_vertices:nv ~dense:(i mod 2 = 0) ))
+
 let test_labeled_templates () =
   let g = human () in
-  let rng = Rng.create 2024 in
-  let queries =
-    List.init 500 (fun i ->
-        let nv = 3 + (i mod 5) in
-        ( Printf.sprintf "template %d (%d vertices)" i nv,
-          Gf_baseline.Query_gen.from_data g rng ~num_vertices:nv ~dense:(i mod 2 = 0) ))
-  in
-  check_none "human templates" (mismatches g queries)
+  check_none "human templates" (mismatches g (human_templates g))
 
 (* A replan under learned corrections: every third subset's cardinality
    scaled up or down, as a drifted plan-cache template would see. *)
@@ -384,6 +427,53 @@ let test_estimates_depend_only_on_pattern () =
       done)
     [ 1; 2; 3; 4; 5; 8; 9; 10 ]
 
+(* [Cost_model.estimate_cardinality] is the reference DP on the whole
+   query, bit for bit, for every query the cases above plan; a one-vertex
+   query estimates to 0. *)
+let test_cardinality () =
+  let check what g queries =
+    let cat = cat_of g and ref_cat = cat_of g in
+    List.iter
+      (fun (name, q) ->
+        let want =
+          Reference.card (Reference.model ref_cat q) (Bitset.full (Query.num_vertices q))
+        in
+        Alcotest.(check int64)
+          (Printf.sprintf "%s %s" what name)
+          (Int64.bits_of_float want)
+          (Int64.bits_of_float (Cost_model.estimate_cardinality cat q)))
+      queries
+  in
+  List.iter
+    (fun d ->
+      check (Generators.dataset_name_to_string d) (Generators.dataset ~scale:0.02 d)
+        benchmark_queries)
+    Generators.[ Google; Amazon; Epinions ];
+  let g = human () in
+  check "human" g (human_templates g);
+  let one, _ = Cypher.parse "MATCH (a)" in
+  Alcotest.(check (float 0.0)) "MATCH (a)" 0.0 (Cost_model.estimate_cardinality (cat_of g) one)
+
+(* Past 8 vertices the cardinality follows one removal chain; the
+   database's estimate is the root estimate of the plan it runs. *)
+let test_cardinality_large () =
+  let rng = Rng.create 11 in
+  List.iter
+    (fun d ->
+      let g = Generators.dataset ~scale:0.02 d in
+      let db = Graphflow.Db.create ~z:300 g in
+      List.iter
+        (fun nv ->
+          let q = Gf_baseline.Query_gen.from_data g rng ~num_vertices:nv ~dense:(nv mod 2 = 0) in
+          let plan, _, model = Planner.search (Graphflow.Db.catalog db) q in
+          let root, _ = (Gf_opt.Explain.estimates (Cost_model.uncorrected model) plan).ops.(0) in
+          Alcotest.(check int64)
+            (Printf.sprintf "%s, %d vertices" (Generators.dataset_name_to_string d) nv)
+            (Int64.bits_of_float root)
+            (Int64.bits_of_float (Graphflow.Db.estimate_cardinality db q)))
+        [ 9; 10; 11 ])
+    Generators.[ Amazon; Epinions ]
+
 let suite =
   [
     ( "optimizer.reference",
@@ -395,5 +485,7 @@ let suite =
         Alcotest.test_case "replan under corrections" `Slow test_replan_under_corrections;
         Alcotest.test_case "estimates depend only on the pattern" `Slow
           test_estimates_depend_only_on_pattern;
+        Alcotest.test_case "cardinality = reference" `Slow test_cardinality;
+        Alcotest.test_case "cardinality above 8 vertices" `Slow test_cardinality_large;
       ] );
   ]

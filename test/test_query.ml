@@ -90,6 +90,30 @@ let test_connected_orders_extending () =
   check_int "count" 2 (List.length orders);
   List.iter (fun o -> check_int "len" 2 (Array.length o)) orders
 
+(* The early-exit search finds the head of the full enumeration, for any
+   last vertex and for each given one. *)
+let test_first_connected_order () =
+  let rng = Gf_util.Rng.create 5 in
+  let queries =
+    List.init 14 (fun i -> Patterns.q (i + 1))
+    @ List.init 40 (fun i ->
+          Patterns.random_query rng ~num_vertices:(3 + (i mod 6)) ~dense:(i mod 2 = 0)
+            ~num_vlabels:1)
+  in
+  List.iter
+    (fun q ->
+      let orders = Query.connected_orders q in
+      Alcotest.(check (array int)) "any last" (List.hd orders) (Query.first_connected_order q);
+      for last = 0 to Query.num_vertices q - 1 do
+        match List.find_opt (fun o -> o.(Array.length o - 1) = last) orders with
+        | Some o -> Alcotest.(check (array int)) "given last" o (Query.first_connected_order ~last q)
+        | None ->
+            check_bool "no order ends there" true
+              (try ignore (Query.first_connected_order ~last q); false
+               with Invalid_argument _ -> true)
+      done)
+    queries
+
 let test_automorphisms () =
   check_int "asym triangle trivial" 1 (List.length (Query.automorphisms triangle));
   check_int "diamond-x trivial" 1 (List.length (Query.automorphisms dx));
@@ -428,6 +452,7 @@ let suite =
         Alcotest.test_case "orders extending" `Quick test_connected_orders_extending;
         Alcotest.test_case "automorphisms" `Quick test_automorphisms;
         Alcotest.test_case "relabel" `Quick test_relabel_vertices;
+        Alcotest.test_case "first connected order" `Quick test_first_connected_order;
       ] );
     ( "query.canon",
       [

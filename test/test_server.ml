@@ -640,6 +640,63 @@ let test_server_end_to_end () =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Unix.rmdir dir
 
+(* A query that parses but that the planner rejects is answered with a
+   structured failure naming the planner's reason, is not retried, leaves
+   the worker alive for the next request and does not open the breaker. *)
+let test_service_planner_rejection () =
+  Metrics.reset ();
+  let config = { (sync_config ~queue:16 ()) with Service.workers = 1 } in
+  let svc = Service.create ~config (db ()) in
+  let run line =
+    match Wire.parse_request line with
+    | Ok (Wire.Run r) -> r
+    | _ -> Alcotest.failf "%S does not parse" line
+  in
+  let rejected =
+    List.init 10 (fun i -> run (if i mod 2 = 0 then "run q=MATCH (a)" else "run q=a1->a2, a2->a1"))
+  in
+  let tickets =
+    List.map (fun r -> Result.get_ok (Service.submit_async svc r)) (rejected @ [ Service.request triangle ])
+  in
+  (* A worker killed by an escaping exception leaves these unanswered. *)
+  let answered = Atomic.make None in
+  let waiter =
+    Thread.create (fun () -> Atomic.set answered (Some (List.map (Service.await svc) tickets))) ()
+  in
+  let rec wait n =
+    match Atomic.get answered with
+    | Some replies -> replies
+    | None when n = 0 -> Alcotest.fail "requests left unanswered"
+    | None ->
+        Thread.delay 0.01;
+        wait (n - 1)
+  in
+  let replies = wait 3000 in
+  Thread.join waiter;
+  List.iteri
+    (fun i (reply : Service.reply) ->
+      let r = reply.Service.result in
+      if i < 10 then begin
+        check_bool "rejected" true (Ladder.rejected r);
+        (match r.Ladder.outcome with
+        | Governor.Failed { operator; detail } ->
+            check_string "operator" "planner" operator;
+            check_bool "names the reason" true (detail <> "")
+        | _ -> Alcotest.fail "expected Failed");
+        check_int "one attempt" 1 r.Ladder.attempts;
+        check_bool "no plan" true (r.Ladder.plan = None);
+        let json = Result.get_ok (Gf_util.Json.parse (Wire.ok_run ~reply)) in
+        check_bool "wire rung" true (Gf_util.Json.str "rung" json = Some "planner")
+      end
+      else begin
+        check_bool "valid one completes" true (r.Ladder.outcome = Governor.Completed);
+        check_int "valid one's matches" (snd (reference_rows (db ()) triangle))
+          r.Ladder.counters.Gf.Counters.output
+      end)
+    replies;
+  check_bool "breaker closed" true (Service.breaker_state svc = Breaker.Closed);
+  Service.drain svc
+
 let suite =
   [
     ( "server.wire",
@@ -669,6 +726,7 @@ let suite =
         Alcotest.test_case "drain" `Quick test_service_drain;
         Alcotest.test_case "drain cancels in-flight" `Quick test_service_drain_cancels_inflight;
         Alcotest.test_case "flight recorder" `Quick test_service_flight_recorder;
+        Alcotest.test_case "planner rejection answered" `Quick test_service_planner_rejection;
       ] );
     ( "server.socket",
       [ Alcotest.test_case "end to end" `Quick test_server_end_to_end ] );

@@ -69,6 +69,26 @@ let test_labeled () =
     true
     (truth = 0.0 || Catalog.q_error ~estimate:est ~truth <= 2.0)
 
+(* Neither the walk nor the oracle enumerates the 12! connected orders of
+   a 12-clique before starting: both take the first one. On the complete
+   DAG of 14 vertices the acyclic 12-clique has C(14, 12) = 91 matches. On
+   the complete digraph of 12 vertices every walk survives with weight
+   132 * 10! = 12!, the exact count. *)
+let test_twelve_clique () =
+  let graph n edge =
+    let edges =
+      List.concat (List.init n (fun i -> List.filter_map (fun j -> edge i j) (List.init n Fun.id)))
+    in
+    Graph.build ~num_vlabels:1 ~num_elabels:1 ~vlabel:(Array.make n 0)
+      ~edges:(Array.of_list edges)
+  in
+  let q = Patterns.clique 12 ~cyclic:false in
+  let dag = graph 14 (fun i j -> if i < j then Some (i, j, 0) else None) in
+  Alcotest.(check int) "naive count" 91 (Naive.count dag q);
+  let complete = graph 12 (fun i j -> if i <> j then Some (i, j, 0) else None) in
+  Alcotest.(check (float 0.0)) "walk estimate" 479001600.0
+    (Wander.estimate complete q ~walks:100 (Rng.create 12))
+
 let suite =
   [
     ( "catalog.wander",
@@ -78,5 +98,6 @@ let suite =
         Alcotest.test_case "zero matches" `Quick test_zero_matches;
         Alcotest.test_case "order invariance" `Slow test_order_invariance_in_expectation;
         Alcotest.test_case "labeled" `Quick test_labeled;
+        Alcotest.test_case "12-clique" `Quick test_twelve_clique;
       ] );
   ]
