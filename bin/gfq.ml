@@ -169,7 +169,14 @@ let plan_cmd =
 
 (* --- wire client: one line out, one line back --------------------------- *)
 
-let dial_endpoint ep =
+type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+
+(* [dial ep] connects to [ep], or exits with a message. With [retry_s], a
+   refused or not-yet-created socket is retried every 100 ms until that
+   many seconds have passed: the server may still be starting. With
+   [reply_timeout_s], a read or write blocked that long raises [Sys_error],
+   so a hung server fails a soak instead of stalling it. *)
+let dial ?retry_s ?reply_timeout_s ep =
   let sockaddr =
     match ep with
     | Gf_server.Server.Unix_path path -> Unix.ADDR_UNIX path
@@ -180,25 +187,54 @@ let dial_endpoint ep =
         in
         Unix.ADDR_INET (addr, p)
   in
-  let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
-  (match Unix.connect fd sockaddr with
-  | () -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-      die
-        (Printf.sprintf "could not connect to %s: %s"
-           (Gf_cluster.Topology.endpoint_to_string ep)
-           (Unix.error_message e)));
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let ask line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    match input_line ic with
-    | reply -> reply
-    | exception End_of_file -> die "server closed the connection before replying"
+  let deadline = Unix.gettimeofday () +. Option.value retry_s ~default:0. in
+  let rec go () =
+    let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+    match Unix.connect fd sockaddr with
+    | () ->
+        Option.iter
+          (fun t ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO t;
+            Unix.setsockopt_float fd Unix.SO_SNDTIMEO t)
+          reply_timeout_s;
+        { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+    | exception Unix.Unix_error (e, _, _) ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        if (e = Unix.ECONNREFUSED || e = Unix.ENOENT) && Unix.gettimeofday () < deadline
+        then begin
+          Unix.sleepf 0.1;
+          go ()
+        end
+        else
+          die
+            (Printf.sprintf "could not connect to %s: %s"
+               (Gf_cluster.Topology.endpoint_to_string ep)
+               (Unix.error_message e))
   in
-  (fd, ask)
+  go ()
+
+(* One request line out, one reply line back; [None] if the server closed
+   the connection first. *)
+let ask c line =
+  output_string c.oc line;
+  output_char c.oc '\n';
+  flush c.oc;
+  try Some (input_line c.ic) with End_of_file -> None
+
+let hang_up c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+(* [ask] for the interactive commands: a missing reply ends the process. *)
+let ask_or_die c line =
+  match ask c line with
+  | Some reply -> reply
+  | None -> die "server closed the connection before replying"
+
+(* A connection for a single request. I/O errors count as no reply. *)
+let oneshot ?retry_s ?reply_timeout_s ep line =
+  let c = dial ?retry_s ?reply_timeout_s ep in
+  let r = try ask c line with Sys_error _ -> None in
+  hang_up c;
+  r
 
 (* A server reply as a JSON value; [None] for a line that is not JSON. *)
 let reply_json line = Result.to_option (Json.parse line)
@@ -285,14 +321,6 @@ let run_cmd =
       & info [ "trace-tree" ]
           ~doc:"Record a span trace and print it as an indented tree on stdout.")
   in
-  let no_plan_cache =
-    Arg.(
-      value & flag
-      & info [ "no-plan-cache" ]
-          ~doc:
-            "Plan from scratch instead of through a plan cache (a one-shot run plans once \
-             either way; this mainly silences the gf_server_plan_cache_* metrics).")
-  in
   let connect =
     Arg.(
       value
@@ -311,7 +339,8 @@ let run_cmd =
     let ep =
       match Gf_cluster.Topology.parse_endpoint addr with Ok e -> e | Error m -> die m
     in
-    let fd, ask = dial_endpoint ep in
+    let c = dial ep in
+    let ask = ask_or_die c in
     let opts = Buffer.create 32 in
     Option.iter (fun ms -> Buffer.add_string opts (Printf.sprintf " timeout_ms=%d" ms)) timeout_ms;
     Option.iter (fun n -> Buffer.add_string opts (Printf.sprintf " max_rows=%d" n)) max_output;
@@ -330,11 +359,11 @@ let run_cmd =
             | None ->
                 prerr_endline treply;
                 exit 1)));
-    try Unix.close fd with Unix.Unix_error _ -> ()
+    hang_up c
   in
   let go graph_file dataset scale labels seed qs kernel adaptive limit timeout_ms max_rows
       max_intermediate max_bytes domains explain_analyze json metrics trace_out trace_tree
-      no_plan_cache connect =
+      connect =
     apply_kernel kernel;
     let remote_max_output =
       match (limit, max_rows) with
@@ -349,10 +378,7 @@ let run_cmd =
         run_remote ~addr ~qs ~timeout_ms ~max_output:remote_max_output ~trace_out
     | None ->
     let g = load_graph graph_file dataset scale labels seed in
-    let plan_cache =
-      if no_plan_cache then None else Some (Gf.Plan_cache.create ~capacity:64 ())
-    in
-    let db = Gf.Db.create ?plan_cache g in
+    let db = Gf.Db.create g in
     let q = parse_query qs in
     let max_output = remote_max_output in
     let budget =
@@ -399,7 +425,7 @@ let run_cmd =
     Term.(
       const go $ graph_file $ dataset $ scale $ labels $ seed $ query_arg $ kernel_arg
       $ adaptive $ limit $ timeout_ms $ max_rows $ max_intermediate $ max_bytes $ domains
-      $ explain_analyze $ json $ metrics $ trace_out $ trace_tree $ no_plan_cache $ connect)
+      $ explain_analyze $ json $ metrics $ trace_out $ trace_tree $ connect)
 
 let spectrum_cmd =
   let go graph_file dataset scale labels seed qs =
@@ -953,39 +979,20 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
       |]
       ~log:(Filename.concat dir "coord.log") ~fault:None
   in
-  let connect_to ?(timeout_s = connect_timeout_s) path =
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec go () =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | () ->
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-          Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0;
-          fd
-      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          if Unix.gettimeofday () > deadline then
-            die (Printf.sprintf "soak: could not connect to %s" path);
-          Unix.sleepf 0.1;
-          go ()
-    in
-    go ()
+  let node path = Gf_server.Server.Unix_path path in
+  let oneshot ?(retry_s = connect_timeout_s) path line =
+    oneshot ~retry_s ~reply_timeout_s:30.0 (node path) line
   in
-  let oneshot ?timeout_s path line =
-    let fd = connect_to ?timeout_s path in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    output_string oc (line ^ "\n");
-    flush oc;
-    let r = try Some (input_line ic) with End_of_file | Sys_error _ -> None in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    r
+  (* Wait until every node answers a ping: before opening fire, and before
+     teardown, so a worker killed late is back up before the supervisor
+     stops and the shutdown requests go out. *)
+  let await_nodes () =
+    for i = 0 to n_workers - 1 do
+      ignore (oneshot (wsock i) "ping")
+    done;
+    ignore (oneshot csock "ping")
   in
-  (* Wait until every node answers a ping before opening fire. *)
-  for i = 0 to n_workers - 1 do
-    ignore (oneshot (wsock i) "ping")
-  done;
-  ignore (oneshot csock "ping");
+  await_nodes ();
   (* Supervisor: restart any worker that dies (the armed one, or the one we
      kill from outside) — restarts attach the same snapshot, fault disarmed. *)
   let restarts = ref 0 in
@@ -1063,9 +1070,7 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
         else flag_bad "unclassified reply" line
   in
   let client ci =
-    let fd = connect_to csock in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
+    let c = dial ~retry_s:connect_timeout_s ~reply_timeout_s:30.0 (node csock) in
     let rng = Gf.Rng.create (soak_seed lxor (ci * 0x9e3779b9)) in
     (try
        for _ = 1 to requests do
@@ -1078,18 +1083,17 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
                (Printf.sprintf "addedge %d %d" (Gf.Rng.int rng 64) (Gf.Rng.int rng 64), `Mutate)
            | _ -> ("run q=" ^ square, `Any)
          in
-         output_string oc (line ^ "\n");
-         flush oc;
-         match input_line ic with
-         | reply -> validate kind reply
-         | exception End_of_file -> flag_bad "connection closed mid-session" line
+         match ask c line with
+         | Some reply -> validate kind reply
+         | None -> flag_bad "connection closed mid-session" line
        done
      with Sys_error _ | Unix.Unix_error _ -> flag_bad "client i/o error (hung?)" "");
-    try Unix.close fd with Unix.Unix_error _ -> ()
+    hang_up c
   in
   let threads = List.init clients (fun i -> Thread.create client i) in
   List.iter Thread.join threads;
   Option.iter Thread.join killer;
+  await_nodes ();
   (* Read coordinator stats and metrics before teardown. *)
   let ask_json line = Option.bind (oneshot csock line) reply_json in
   let failovers =
@@ -1110,7 +1114,7 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
   Thread.join supervisor;
   ignore (oneshot csock "shutdown");
   for i = 0 to n_workers - 1 do
-    ignore (oneshot ~timeout_s:2.0 (wsock i) "shutdown")
+    ignore (oneshot ~retry_s:2.0 (wsock i) "shutdown")
   done;
   ignore (Unix.waitpid [] coord_pid);
   Array.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) pids;
@@ -1248,30 +1252,6 @@ let soak_cmd =
       exit (if !failures > 0 then 1 else 0)
     end;
     let endpoint = endpoint_arg_of socket port host in
-    let sockaddr =
-      match endpoint with
-      | Gf_server.Server.Unix_path path -> Unix.ADDR_UNIX path
-      | Gf_server.Server.Tcp (h, p) ->
-          let addr =
-            try Unix.inet_addr_of_string h
-            with Failure _ -> (Unix.gethostbyname h).Unix.h_addr_list.(0)
-          in
-          Unix.ADDR_INET (addr, p)
-    in
-    let connect () =
-      let deadline = Unix.gettimeofday () +. connect_timeout_s in
-      let rec go () =
-        let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
-        match Unix.connect fd sockaddr with
-        | () -> fd
-        | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            if Unix.gettimeofday () > deadline then die "soak: could not connect to server";
-            Unix.sleepf 0.1;
-            go ()
-      in
-      go ()
-    in
     (* The request mix: well-behaved runs, budget-tripping runs (truncate),
        and fault-injected runs (exercise the retry ladder). *)
     let request_line rng =
@@ -1313,18 +1293,13 @@ let soak_cmd =
       Mutex.unlock tally
     in
     let client i =
-      let fd = connect () in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
+      let c = dial ~retry_s:connect_timeout_s ~reply_timeout_s:30.0 endpoint in
       let rng = Gf.Rng.create (soak_seed lxor (i * 0x9e3779b9)) in
       (try
          for _ = 1 to requests do
-           output_string oc (request_line rng);
-           output_char oc '\n';
-           flush oc;
-           match input_line ic with
-           | line -> validate line
-           | exception End_of_file ->
+           match ask c (request_line rng) with
+           | Some line -> validate line
+           | None ->
                Mutex.lock tally;
                incr bad;
                Mutex.unlock tally;
@@ -1334,20 +1309,14 @@ let soak_cmd =
          Mutex.lock tally;
          incr bad;
          Mutex.unlock tally);
-      try Unix.close fd with Unix.Unix_error _ -> ()
+      hang_up c
     in
     let threads = List.init clients (fun i -> Thread.create client i) in
     List.iter Thread.join threads;
     if send_shutdown then begin
-      let fd = connect () in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      output_string oc "shutdown\n";
-      flush oc;
-      (match input_line ic with
-      | line -> if Option.bind (reply_json line) (Json.bool "ok") <> Some true then incr bad
-      | exception End_of_file -> incr bad);
-      try Unix.close fd with Unix.Unix_error _ -> ()
+      match oneshot ~retry_s:connect_timeout_s ~reply_timeout_s:30.0 endpoint "shutdown" with
+      | Some line when Option.bind (reply_json line) (Json.bool "ok") = Some true -> ()
+      | _ -> incr bad
     end;
     Printf.printf "soak: %d clients x %d requests: ok=%d rejected=%d error=%d malformed=%d\n"
       clients requests !ok_n !rejected_n !err_n !bad;
@@ -1395,7 +1364,8 @@ let slowlog_cmd =
   in
   let go socket port host count stats trace_id out =
     let endpoint = endpoint_arg_of socket port host in
-    let fd, ask = dial_endpoint endpoint in
+    let c = dial endpoint in
+    let ask = ask_or_die c in
     (match (stats, trace_id) with
     | true, _ -> print_endline (ask "stats")
     | false, Some id -> (
@@ -1409,7 +1379,7 @@ let slowlog_cmd =
             prerr_endline reply;
             exit 1)
     | false, None -> print_endline (ask (Printf.sprintf "slowlog %d" count)));
-    try Unix.close fd with Unix.Unix_error _ -> ()
+    hang_up c
   in
   Cmd.v
     (Cmd.info "slowlog"
@@ -1489,7 +1459,8 @@ let top_cmd =
   let go socket port host interval frames =
     let endpoint = endpoint_arg_of socket port host in
     let addr = endpoint_to_string endpoint in
-    let fd, ask = dial_endpoint endpoint in
+    let c = dial endpoint in
+    let ask = ask_or_die c in
     let frame = ref 0 in
     let continue () = frames <= 0 || !frame < frames in
     while continue () do
@@ -1500,7 +1471,7 @@ let top_cmd =
       flush stdout;
       if continue () then Unix.sleepf (Float.max 0.05 interval)
     done;
-    try Unix.close fd with Unix.Unix_error _ -> ()
+    hang_up c
   in
   Cmd.v
     (Cmd.info "top"

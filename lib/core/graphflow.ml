@@ -78,8 +78,8 @@ module Db = struct
 
   (* A plan chosen for one execution: its estimated cost, its per-operator
      estimates under the uncorrected model (forced only by a feedback or
-     EXPLAIN ANALYZE run), and whether that run is due to feed the plan
-     cache's corrections. *)
+     EXPLAIN ANALYZE run), and whether the plan cache is waiting to observe
+     this run. *)
   type prepared = {
     chosen : Plan.t;
     cost : float;
@@ -150,16 +150,16 @@ module Db = struct
 
   (* The one executor dispatch behind every entry point that runs a query:
      pick the cluster-shard, parallel, adaptive or sequential executor,
-     record the query metrics, and fold a completed run's per-operator
-     counts into the plan cache's corrections when feedback is due
-     (feedback must never fail a request, so a failure there is
-     swallowed). Every run counts per operator, so a feedback run is an
+     record the query metrics, and hand a completed run's per-operator
+     counts to the plan cache when its entry is waiting for its one
+     observation (feedback must never fail a request, so a failure there
+     is swallowed). Every run counts per operator, so a feedback run is an
      ordinary untimed run: it carries no profile and keeps the count-only
      root. Estimation rows join the plan's stored uncorrected estimates, so
      the ratios measure the catalogue's true error and a feedback run
      estimates nothing again. [profile] times the operators (EXPLAIN
      ANALYZE). A sharded run never feeds back: its actuals are a fraction
-     of the full plan's estimates and would poison the correction EWMAs.
+     of the full plan's estimates and would read as misestimates.
      Returns the explain rows (lazily) alongside the counters. *)
   let execute ?(adaptive = false) ?(domains = 1) ?scan_part ?budget ?fault ?gov ?trace ?sink
       ~profile db q { chosen = p; estimates; feedback_due; _ } =

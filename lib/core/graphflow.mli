@@ -70,8 +70,9 @@ module Db : sig
   (** [create g] attaches a lazily-populated catalogue ([h], [z] as in the
       paper; defaults 3 and 1000) and default planner options. [plan_cache]
       attaches a {!Plan_cache.t}: every subsequent plan/run routes planning
-      through it (isomorphic resubmissions are served from cache, profiled
-      runs feed its corrections). [version] is the starting graph version
+      through it (isomorphic resubmissions are served from cache; each
+      template's first completed, unsharded run is observed, and a
+      misestimate of more than 4x triggers one corrected replan). [version] is the starting graph version
       the cache keys against (a durable store passes its merge version;
       default 0). *)
   val create :
@@ -148,8 +149,8 @@ module Db : sig
       of matches over disjoint parts is exactly the full result, provided
       every part is planned against the same catalogue and graph version.
       A sharded run is always sequential ([adaptive]/[domains] are ignored)
-      and never feeds the plan cache — partial actuals would poison the
-      correction EWMAs.
+      and never feeds the plan cache — partial actuals would read as
+      misestimates.
 
       [prepared] runs a plan {!prepare} chose, so the caller knows which
       plan ran; by default [run_gov] prepares one itself. Without a [sink]

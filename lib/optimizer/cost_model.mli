@@ -14,9 +14,9 @@ type t
 
 (** [corrections], when given, maps a vertex subset to a multiplicative
     adjustment applied on top of the catalogue-derived cardinality estimate
-    for that subset (1.0 = no adjustment). The plan cache supplies learned
-    actual/estimate ratios here so that replanning a drifted template sees
-    feedback-corrected cardinalities — and, since every operator cost
+    for that subset (1.0 = no adjustment). The plan cache supplies one run's
+    observed actual/estimate ratios here so that its corrected replan sees
+    observed cardinalities — and, since every operator cost
     derives from [card], corrected costs — without touching the catalogue. *)
 val create :
   ?cache_conscious:bool ->

@@ -49,9 +49,21 @@ let instantiate q perm skel =
 let to_canon perm s =
   List.fold_left (fun acc v -> Bitset.add perm.(v) acc) Bitset.empty (Bitset.elements s)
 
-(* One learned adjustment: the geometric EWMA of observed actual/estimate
-   cardinality ratios for a canonical vertex subset. *)
-type corr = { mutable factor : float; mutable samples : int }
+(* Feedback learns once per entry. A [Learning] entry's next completed,
+   unsharded run is observed; if some operator's actual/estimate ratio is
+   off by more than [threshold] either way, the entry turns [Pending] with
+   that observation's ratios and the next lookup replans under them, which
+   makes it [Final]. Otherwise it turns [Final] at once. Observed counts
+   are exact, so a second run of the same plan would only repeat the
+   first observation. *)
+type learning =
+  | Learning
+  | Pending of {
+      ratios : (Bitset.t * float) list;  (* canonical subset -> clamped actual/estimate *)
+      worst : Bitset.t;  (* the canonical subset with the largest q-error *)
+      qerror : float;
+    }
+  | Final
 
 type entry = {
   mutable version : int;  (* graph_version the skeleton was planned against *)
@@ -61,12 +73,8 @@ type entry = {
       (* per-operator estimates of [skel] under the uncorrected model; by
          operator id, so they hold for every instantiation *)
   mutable charge : int;  (* planner work to rebuild [skel]: Cost_model.work *)
-  corrections : (Bitset.t, corr) Hashtbl.t;
-  mutable snapshot : (Bitset.t * float) list;
-      (* correction factors in force when [skel] was chosen; drift is
-         measured against these *)
+  mutable learning : learning;
   mutable runs : int;
-  mutable stale : bool;  (* drift crossed the threshold: replan on next lookup *)
   mutable priority : int;  (* inflation at last use + runs * charge *)
   mutable tick : int;  (* recency, breaks priority ties *)
 }
@@ -93,9 +101,6 @@ type stats = {
 
 type t = {
   capacity : int;
-  drift_threshold : float;
-  feedback_warmup : int;
-  feedback_period : int;
   table : (string, entry) Hashtbl.t;
   lock : Mutex.t;
   mutable clock : int;
@@ -109,9 +114,7 @@ type t = {
 }
 
 let default_capacity = 256
-let default_drift_threshold = 4.0
-let default_feedback_warmup = 3
-let default_feedback_period = 32
+let threshold = 4.0
 
 (* Service-facing counters (the names the soak CI asserts on); the registry
    is process-global and lookups by name are idempotent, so bumping them
@@ -120,21 +123,14 @@ let m_inc name help = Metrics.inc (Metrics.counter ~help name)
 let m_hit () = m_inc "gf_server_plan_cache_hits_total" "Plan cache lookups served from cache"
 let m_miss () = m_inc "gf_server_plan_cache_misses_total" "Plan cache lookups that planned from scratch"
 let m_evict () = m_inc "gf_server_plan_cache_evictions_total" "Plan cache entries evicted (cost-aware)"
-let m_replan () = m_inc "gf_server_plan_cache_replans_total" "Plan cache drift-triggered replans"
+let m_replan () = m_inc "gf_server_plan_cache_replans_total" "Plan cache replans corrected by an observed run"
 let m_inval () = m_inc "gf_server_plan_cache_invalidations_total" "Plan cache wholesale invalidations (graph version advanced)"
-let m_feedback () = m_inc "gf_server_plan_cache_feedback_total" "Profiled executions folded into plan cache corrections"
+let m_feedback () = m_inc "gf_server_plan_cache_feedback_total" "Runs observed by the plan cache (at most one per entry)"
 
-let create ?(capacity = default_capacity) ?(drift_threshold = default_drift_threshold)
-    ?(feedback_warmup = default_feedback_warmup)
-    ?(feedback_period = default_feedback_period) () =
+let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Plan_cache.create: capacity must be >= 1";
-  if drift_threshold < 1.0 then
-    invalid_arg "Plan_cache.create: drift threshold must be >= 1.0";
   {
     capacity;
-    drift_threshold;
-    feedback_warmup;
-    feedback_period = max 1 feedback_period;
     table = Hashtbl.create 64;
     lock = Mutex.create ();
     clock = 0;
@@ -200,22 +196,18 @@ let evict t =
       m_evict ()
   | None -> ()
 
-let feedback_due t e =
-  e.runs <= t.feedback_warmup || e.runs mod t.feedback_period = 0
-
 let clamp_lo = 1e-3
 let clamp_hi = 1e3
 let clamp r = Float.max clamp_lo (Float.min clamp_hi r)
 
-(* Corrections as a query-space closure for the planner: translate the
-   subset through the canonical permutation and look up the learned factor.
-   [factors] is an immutable snapshot taken under the lock, so planning can
-   run outside it. *)
-let corrections_fn perm factors s =
-  match List.assoc_opt (to_canon perm s) factors with Some f -> f | None -> 1.0
+(* The observed ratios as a query-space closure for the planner: translate
+   the subset through the canonical permutation and look up its ratio.
+   [ratios] is immutable, so planning can run outside the lock. *)
+let corrections_fn perm ratios s =
+  match List.assoc_opt (to_canon perm s) ratios with Some f -> f | None -> 1.0
 
-let current_factors e =
-  Hashtbl.fold (fun s c acc -> (s, c.factor) :: acc) e.corrections []
+(* "0,2,3": a canonical subset as the replan's trace span names it. *)
+let subset_to_string s = String.concat "," (List.map string_of_int (Bitset.elements s))
 
 let lookup ?trace t ~opts ~graph_version cat q =
   (match trace with
@@ -225,17 +217,20 @@ let lookup ?trace t ~opts ~graph_version cat q =
   Mutex.lock t.lock;
   let cached =
     match Hashtbl.find_opt t.table code with
-    | Some e when e.version = graph_version && not e.stale ->
+    | Some ({ learning = Pending p; _ } as e) when e.version = graph_version ->
+        (* Final from here on, so a racing lookup hits the old skeleton
+           instead of replanning a second time. *)
+        e.learning <- Final;
+        touch t e;
+        Some (`Replan (p.ratios, p.worst, p.qerror))
+    | Some e when e.version = graph_version ->
         e.runs <- e.runs + 1;
         touch t e;
         (* Snapshot what instantiation needs, then drop the lock. *)
-        Some (`Hit (e.skel, e.cost, e.estimates, feedback_due t e))
-    | Some e when e.version = graph_version ->
-        touch t e;
-        Some (`Drift (current_factors e))
+        Some (`Hit (e.skel, e.cost, e.estimates, e.learning = Learning))
     | Some _ ->
-        (* Planned against an older graph: the corrections describe a graph
-           that no longer exists, so drop the whole entry. *)
+        (* Planned against an older graph: its observation describes a
+           graph that no longer exists, so drop the whole entry. *)
         Hashtbl.remove t.table code;
         None
     | None -> None
@@ -246,7 +241,7 @@ let lookup ?trace t ~opts ~graph_version cat q =
     let charge = Cost_model.work model in
     (* Estimated on the uncorrected view of the search's own model: what the
        search already estimated is reused, and a replan's estimates stay
-       the catalogue's, so feedback keeps measuring its true error. *)
+       the catalogue's, so EXPLAIN ANALYZE keeps measuring its true error. *)
     let estimates = Explain.estimates (Cost_model.uncorrected model) p in
     let skel = skel_of_plan perm p in
     Mutex.lock t.lock;
@@ -262,10 +257,8 @@ let lookup ?trace t ~opts ~graph_version cat q =
               cost;
               estimates;
               charge;
-              corrections = Hashtbl.create 8;
-              snapshot = [];
+              learning = Learning;
               runs = 0;
-              stale = false;
               priority = 0;
               tick = 0;
             }
@@ -278,8 +271,6 @@ let lookup ?trace t ~opts ~graph_version cat q =
     e.cost <- cost;
     e.estimates <- estimates;
     e.charge <- charge;
-    e.stale <- false;
-    e.snapshot <- current_factors e;
     e.runs <- e.runs + 1;
     touch t e;
     (match outcome with
@@ -290,11 +281,11 @@ let lookup ?trace t ~opts ~graph_version cat q =
         t.replans <- t.replans + 1;
         m_replan ()
     | Hit -> ());
-    let due = feedback_due t e in
+    let due = e.learning = Learning in
     Mutex.unlock t.lock;
     { plan = p; cost; estimates; outcome; feedback_due = due }
   in
-  let result =
+  let result, why =
     match cached with
     | Some (`Hit (skel, cost, estimates, due)) -> (
         match instantiate q perm skel with
@@ -304,72 +295,54 @@ let lookup ?trace t ~opts ~graph_version cat q =
             Mutex.unlock t.lock;
             m_hit ();
             let estimates = { estimates with Explain.plan = p } in
-            { plan = p; cost; estimates; outcome = Hit; feedback_due = due }
+            ({ plan = p; cost; estimates; outcome = Hit; feedback_due = due }, [])
         | exception _ ->
             (* A skeleton that does not fit the query means the canonical
                code aliased (cannot happen by construction) — recover by
                planning from scratch rather than failing the request. *)
-            plan_fresh Miss)
-    | Some (`Drift factors) ->
-        plan_fresh ~corrections:(corrections_fn perm factors) Replan
-    | None -> plan_fresh Miss
+            (plan_fresh Miss, []))
+    | Some (`Replan (ratios, worst, qerror)) ->
+        ( plan_fresh ~corrections:(corrections_fn perm ratios) Replan,
+          [ ("subset", Trace.Str (subset_to_string worst)); ("qerror", Trace.Float qerror) ] )
+    | None -> (plan_fresh Miss, [])
   in
   (match trace with
   | Some tb ->
       let o =
         match result.outcome with Hit -> "hit" | Miss -> "miss" | Replan -> "replan"
       in
-      Trace.end_span ~args:[ ("outcome", Trace.Str o) ] tb
+      Trace.end_span ~args:(("outcome", Trace.Str o) :: why) tb
   | None -> ());
   result
 
-(* Fold one profiled execution into the template's correction record.
-   [rows] must join the *uncorrected* estimates (as [lookup] returns them),
-   so each ratio compares the catalogue's base estimate to ground truth; the EWMA then converges on the stable
-   actual/estimate ratio instead of compounding previous corrections. *)
+(* The one observation of a [Learning] entry. [rows] must join the
+   *uncorrected* estimates (as [lookup] returns them), so each ratio
+   compares the catalogue's base estimate to ground truth. Any later or
+   racing observation of the entry is a no-op. *)
 let observe t ~graph_version q plan rows =
   let code, perm = Canon.code q in
   let ops = Plan.operators plan in
   Mutex.lock t.lock;
   (match Hashtbl.find_opt t.table code with
-  | Some e when e.version = graph_version ->
-      let alpha = 0.5 in
-      let drift = ref 1.0 in
-      List.iter
-        (fun (r : Explain.row) ->
-          if r.Explain.id >= 0 && r.Explain.id < Array.length ops then begin
-            let node = fst ops.(r.Explain.id) in
-            let s = to_canon perm (Plan.var_set node) in
-            let est = Float.max 1.0 r.Explain.est_card in
-            let act = Float.max 1.0 (float_of_int r.Explain.act_card) in
-            let ratio = clamp (act /. est) in
-            let c =
-              match Hashtbl.find_opt e.corrections s with
-              | Some c ->
-                  (* Geometric EWMA: ratios are multiplicative, so smooth
-                     in log space. *)
-                  c.factor <-
-                    clamp
-                      (Float.exp
-                         (((1.0 -. alpha) *. Float.log c.factor)
-                         +. (alpha *. Float.log ratio)));
-                  c.samples <- c.samples + 1;
-                  c
-              | None ->
-                  let c = { factor = ratio; samples = 1 } in
-                  Hashtbl.replace e.corrections s c;
-                  c
-            in
-            let planned =
-              match List.assoc_opt s e.snapshot with Some f -> f | None -> 1.0
-            in
-            let d = Float.max (c.factor /. planned) (planned /. c.factor) in
-            if d > !drift then drift := d
-          end)
-        rows;
+  | Some ({ learning = Learning; _ } as e) when e.version = graph_version ->
+      let ratios, worst, qerror =
+        List.fold_left
+          (fun ((ratios, worst, qmax) as acc) (r : Explain.row) ->
+            if r.Explain.id < 0 || r.Explain.id >= Array.length ops then acc
+            else begin
+              let s = to_canon perm (Plan.var_set (fst ops.(r.Explain.id))) in
+              let est = Float.max 1.0 r.Explain.est_card in
+              let act = Float.max 1.0 (float_of_int r.Explain.act_card) in
+              let ratio = clamp (act /. est) in
+              let ratios = (s, ratio) :: ratios in
+              let qe = Float.max ratio (1.0 /. ratio) in
+              if qe > qmax then (ratios, s, qe) else (ratios, worst, qmax)
+            end)
+          ([], Bitset.empty, 1.0) rows
+      in
       t.feedbacks <- t.feedbacks + 1;
       m_feedback ();
-      if !drift > t.drift_threshold then e.stale <- true
+      e.learning <- (if qerror > threshold then Pending { ratios; worst; qerror } else Final)
   | _ -> ());
   Mutex.unlock t.lock
 
@@ -385,7 +358,9 @@ let is_stale t q =
   let code, _ = Canon.code q in
   Mutex.lock t.lock;
   let r =
-    match Hashtbl.find_opt t.table code with Some e -> e.stale | None -> false
+    match Hashtbl.find_opt t.table code with
+    | Some { learning = Pending _; _ } -> true
+    | _ -> false
   in
   Mutex.unlock t.lock;
   r

@@ -1,4 +1,5 @@
-(** A bounded, cost-aware plan cache with feedback-driven re-optimization.
+(** A bounded, cost-aware plan cache that re-optimizes a mis-costed
+    template once, from one observed run.
 
     Recurring queries under service traffic pay the optimizer's exponential
     search on every submission even though the plan never changes. This
@@ -9,15 +10,15 @@
     - isomorphic resubmissions — even with different vertex numberings —
       are served by re-instantiating a cached canonical-space plan skeleton
       (linear in plan size) instead of replanning;
-    - each template accumulates a correction record: profiled executions
-      fold per-operator actual/estimate cardinality ratios (the q-error
-      actuals of EXPLAIN ANALYZE) into geometric EWMAs keyed by canonical
-      vertex subset;
-    - when the accumulated drift between the live corrections and those in
-      force when the cached plan was chosen crosses a threshold, the entry
-      is marked stale and the next lookup replans with the corrections
-      applied to the cost model ({!Cost_model.create}'s [corrections]) —
-      recurring queries converge on true-cost plans;
+    - each entry learns once: the first completed, unsharded run of its
+      plan (plain or EXPLAIN ANALYZE) is observed, giving each operator's
+      actual/estimate cardinality ratio (the q-error actuals of EXPLAIN
+      ANALYZE) keyed by canonical vertex subset. If some ratio is off by
+      more than 4x either way, the next lookup replans once with those
+      ratios applied to the cost model ({!Cost_model.create}'s
+      [corrections]); either way the entry is then final until it is
+      evicted or the graph version moves. Counts are exact, so observing
+      the same plan again would only repeat the first observation;
     - when the graph version advances (mutation merges), entries are
       dropped — lazily on lookup, or wholesale via {!invalidate} from the
       service's merge hook;
@@ -30,8 +31,8 @@
       used, and ages out once it is not. No clock is read: a replayed
       request sequence evicts identically;
     - each entry keeps its plan's per-operator estimates under the
-      uncorrected model, computed once at plan time, so a feedback run
-      joins them against its profile instead of estimating again.
+      uncorrected model, computed once at plan time, so the observed run
+      joins them against its counts instead of estimating again.
 
     All operations are thread-safe; planning itself runs outside the lock,
     so racing clients may both plan the same new template (last insert
@@ -43,7 +44,7 @@ type t
 type outcome =
   | Hit  (** served by instantiating the cached skeleton *)
   | Miss  (** no usable entry: planned from scratch and inserted *)
-  | Replan  (** drift-stale entry: replanned with learned corrections *)
+  | Replan  (** the entry's one corrected replan, after a misestimate was observed *)
 
 type lookup_result = {
   plan : Gf_plan.Plan.t;  (** a plan for the submitted query's own numbering *)
@@ -52,8 +53,8 @@ type lookup_result = {
       (** [plan]'s operators under the uncorrected model, for {!Explain.rows} *)
   outcome : outcome;
   feedback_due : bool;
-      (** the caller should run this execution profiled and {!observe} the
-          resulting rows: set during warmup and periodically thereafter *)
+      (** the entry has not been observed yet: the caller should
+          {!observe} this execution's rows if it completes unsharded *)
 }
 
 type stats = {
@@ -69,25 +70,16 @@ type stats = {
 val default_capacity : int
 
 (** [create ()] makes an empty cache. [capacity] bounds the entry count
-    (cost-aware eviction; default 256). [drift_threshold] (>= 1.0, default 4.0) is
-    the max ratio between a template's live correction factor and the one
-    in force at plan time before the entry is marked stale.
-    [feedback_warmup] (default 3) and [feedback_period] (default 32)
-    control when [feedback_due] is set: each of the first [feedback_warmup]
-    executions of a template, then every [feedback_period]-th. *)
-val create :
-  ?capacity:int ->
-  ?drift_threshold:float ->
-  ?feedback_warmup:int ->
-  ?feedback_period:int ->
-  unit ->
-  t
+    (cost-aware eviction; default 256). *)
+val create : ?capacity:int -> unit -> t
 
 (** [lookup t ~opts ~graph_version cat q] returns a plan for [q], consulting
     and maintaining the cache. On a miss the planner runs with [opts]
-    against [cat]; on a drift-triggered replan it additionally receives the
-    learned corrections. [trace] forwards to the planner and records a
-    [plan-cache] span with the outcome. May raise {!Planner.No_plan} (never
+    against [cat]; on the one corrected replan it additionally receives the
+    observed ratios. [trace] forwards to the planner and records a
+    [plan-cache] span with the outcome; a replan's span also carries the
+    canonical [subset] (ids joined by commas) with the largest q-error and
+    that [qerror]. May raise {!Planner.No_plan} (never
     caches failures). *)
 val lookup :
   ?trace:Gf_obs.Trace.buf ->
@@ -98,14 +90,13 @@ val lookup :
   Gf_query.Query.t ->
   lookup_result
 
-(** [observe t ~graph_version q plan rows] folds the profiled actuals of one
-    execution of [plan] (the exact plan value the profile ran, as returned
-    by {!lookup}) into [q]'s template corrections. [rows] must be
+(** [observe t ~graph_version q plan rows] records the actuals of one
+    execution of [plan] (the exact plan value the run executed, as returned
+    by {!lookup}) as [q]'s template observation. [rows] must be
     {!Explain.rows} of the [estimates] {!lookup} returned with [plan]: they
     come from the uncorrected model, so ratios measure the catalogue's true
-    error. No-op
-    when the template is absent or was planned against another graph
-    version. *)
+    error. No-op unless the template is present, planned against
+    [graph_version] and not yet observed, so racing first runs fold once. *)
 val observe :
   t ->
   graph_version:int ->
@@ -123,5 +114,6 @@ val stats : t -> stats
 (** [mem t q] — is there an entry for [q]'s template (any version)? *)
 val mem : t -> Gf_query.Query.t -> bool
 
-(** [is_stale t q] — is [q]'s template marked for drift replan? *)
+(** [is_stale t q] — has [q]'s template observed a misestimate that its
+    next lookup replans for? *)
 val is_stale : t -> Gf_query.Query.t -> bool

@@ -42,8 +42,8 @@ exception No_plan of string
     [dp-enumeration] phase spans into the given buffer — the planner runs on
     the caller's thread, so it records into the caller's buffer rather than
     registering its own. [corrections] is forwarded to {!Cost_model.create}:
-    the plan cache passes learned per-subset cardinality adjustments here
-    when replanning a drifted template. *)
+    the plan cache passes observed per-subset cardinality ratios here for a
+    template's one corrected replan. *)
 val plan :
   ?opts:opts ->
   ?trace:Gf_obs.Trace.buf ->

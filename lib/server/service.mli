@@ -205,9 +205,9 @@ type stats = {
                                 cache attached ({!Gf.Db.create}'s [plan_cache]) *)
   s_plan_cache_misses : int;
   s_plan_cache_evictions : int;
-  s_plan_cache_replans : int;  (** drift-triggered re-optimizations *)
+  s_plan_cache_replans : int;  (** corrected replans, at most one per entry *)
   s_plan_cache_invalidations : int;  (** wholesale drops on merge publication *)
-  s_plan_cache_feedbacks : int;  (** profiled executions folded into corrections *)
+  s_plan_cache_feedbacks : int;  (** runs observed, at most one per entry *)
   s_plan_cache_entries : int;  (** live entries *)
 }
 

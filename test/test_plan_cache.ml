@@ -1,6 +1,6 @@
 (* The plan cache: hit/miss/replan accounting, canonical-space skeleton
    instantiation across renumbered isomorphs, graph-version invalidation,
-   drift-triggered re-optimization, cost-aware eviction, stored estimates,
+   one-shot feedback with at most one corrected replan, cost-aware eviction, stored estimates,
    and thread safety. *)
 
 module Gf = Graphflow
@@ -22,6 +22,9 @@ let triangle = Gf.Db.parse_query "a1->a2, a2->a3, a1->a3"
 (* The same labeled shape as [triangle], submitted under a different vertex
    numbering (the scanned edge differs, every edge is renamed). *)
 let triangle_renumbered = Gf.Db.parse_query "a3->a1, a1->a2, a3->a2"
+
+(* A 2-path, whose estimates on [graph ()] are within 4x of its actuals. *)
+let within_threshold = Gf.Db.parse_query "a1->a2, a2->a3"
 
 let test_hit_on_resubmission () =
   let db, cache = db_with_cache () in
@@ -73,61 +76,81 @@ let test_invalidate () =
   check_int "empty" 0 s.Plan_cache.entries;
   check_int "one invalidation" 1 s.Plan_cache.invalidations
 
-(* Synthetic q-error sequence: feed observations whose actuals dwarf the
-   estimates; the correction EWMA must cross the drift threshold, mark the
-   entry stale, and the next lookup must replan (with corrections applied). *)
+let synthetic_rows ?(act = fun _ -> 1_000_000) plan =
+  Gf.Plan.operators plan |> Array.to_list
+  |> List.map (fun (node, id) ->
+         {
+           Gf.Explain.id;
+           label = "synthetic";
+           kind = Gf.Profile.Scan;
+           depth = 0;
+           est_card = 10.0;
+           act_card = act node;
+           card_q = 1.0;
+           est_cost = 0.0;
+           act_cost = 0.0;
+           cost_q = None;
+           time_s = 0.0;
+           cache_hits = 0;
+           intersections = 0;
+           hj_build = 0;
+           hj_probe = 0;
+         })
+
+(* Synthetic q-errors: one observation whose actuals dwarf the estimates
+   marks the entry, the next lookup replans under the observed ratios, and
+   the entry is final from then on: later observations fold nothing and
+   every later lookup hits. *)
 let test_drift_triggers_replan () =
   let db, cache = db_with_cache () in
   let cat = Gf.Db.catalog db in
   let opts = Gf.Planner.default_opts in
   let r0 = Plan_cache.lookup cache ~opts ~graph_version:0 cat triangle in
   check_bool "cold lookup misses" true (r0.Plan_cache.outcome = Plan_cache.Miss);
-  let synthetic_rows plan act =
-    Gf.Plan.operators plan |> Array.to_list
-    |> List.map (fun (_, id) ->
-           {
-             Gf.Explain.id;
-             label = "synthetic";
-             kind = Gf.Profile.Scan;
-             depth = 0;
-             est_card = 10.0;
-             act_card = act;
-             card_q = 1.0;
-             est_cost = 0.0;
-             act_cost = 0.0;
-             cost_q = None;
-             time_s = 0.0;
-             cache_hits = 0;
-             intersections = 0;
-             hj_build = 0;
-             hj_probe = 0;
-           })
-  in
+  check_bool "first run is observed" true r0.Plan_cache.feedback_due;
   check_bool "fresh entry not stale" false (Plan_cache.is_stale cache triangle);
   Plan_cache.observe cache ~graph_version:0 triangle r0.Plan_cache.plan
-    (synthetic_rows r0.Plan_cache.plan 1_000_000);
+    (synthetic_rows r0.Plan_cache.plan);
   check_bool "drift marked" true (Plan_cache.is_stale cache triangle);
   let r1 = Plan_cache.lookup cache ~opts ~graph_version:0 cat triangle in
   check_bool "stale entry replans" true (r1.Plan_cache.outcome = Plan_cache.Replan);
+  check_bool "replan is not observed" false r1.Plan_cache.feedback_due;
+  for _ = 1 to 5 do
+    Plan_cache.observe cache ~graph_version:0 triangle r1.Plan_cache.plan
+      (synthetic_rows r1.Plan_cache.plan);
+    check_bool "final entry not stale" false (Plan_cache.is_stale cache triangle);
+    let r = Plan_cache.lookup cache ~opts ~graph_version:0 cat triangle in
+    check_bool "final entry hits" true (r.Plan_cache.outcome = Plan_cache.Hit);
+    check_bool "hit is not observed" false r.Plan_cache.feedback_due
+  done;
   let s = Plan_cache.stats cache in
-  check_int "replan counted" 1 s.Plan_cache.replans;
-  check_bool "feedback counted" true (s.Plan_cache.feedbacks >= 1);
-  (* Each replan snapshots the corrections in force; a replanned plan may
-     surface operator subsets not yet corrected (drift again), but the
-     subset space is finite, so the same observation stream must stop
-     triggering replans within a few rounds. *)
-  let rec converge n plan =
-    check_bool "converges within a few replans" true (n < 6);
-    Plan_cache.observe cache ~graph_version:0 triangle plan (synthetic_rows plan 1_000_000);
-    if Plan_cache.is_stale cache triangle then begin
-      let r = Plan_cache.lookup cache ~opts ~graph_version:0 cat triangle in
-      check_bool "stale replans" true (r.Plan_cache.outcome = Plan_cache.Replan);
-      converge (n + 1) r.Plan_cache.plan
-    end
+  check_int "one replan" 1 s.Plan_cache.replans;
+  check_int "one fold" 1 s.Plan_cache.feedbacks
+
+(* The replan's plan-cache span names the subset that drove it and its
+   q-error: here only the root, the whole canonical vertex set, is off. *)
+let test_replan_span_says_why () =
+  let db, cache = db_with_cache () in
+  let cat = Gf.Db.catalog db in
+  let opts = Gf.Planner.default_opts in
+  let r0 = Plan_cache.lookup cache ~opts ~graph_version:0 cat triangle in
+  let all = Gf.Plan.var_set r0.Plan_cache.plan in
+  Plan_cache.observe cache ~graph_version:0 triangle r0.Plan_cache.plan
+    (synthetic_rows r0.Plan_cache.plan ~act:(fun node ->
+         if Gf.Plan.var_set node = all then 5_000 else 10));
+  let tr = Gf.Trace.create () in
+  let r1 =
+    Plan_cache.lookup ~trace:(Gf.Trace.buffer tr ~tid:1) cache ~opts ~graph_version:0 cat
+      triangle
   in
-  converge 0 r1.Plan_cache.plan;
-  let r2 = Plan_cache.lookup cache ~opts ~graph_version:0 cat triangle in
-  check_bool "post-convergence hit" true (r2.Plan_cache.outcome = Plan_cache.Hit)
+  check_bool "replans" true (r1.Plan_cache.outcome = Plan_cache.Replan);
+  match List.filter (fun sp -> sp.Gf.Trace.name = "plan-cache") (Gf.Trace.spans tr) with
+  | [ sp ] ->
+      let arg k = List.assoc_opt k sp.Gf.Trace.args in
+      check_bool "outcome" true (arg "outcome" = Some (Gf.Trace.Str "replan"));
+      check_bool "subset" true (arg "subset" = Some (Gf.Trace.Str "0,1,2"));
+      check_bool "qerror" true (arg "qerror" = Some (Gf.Trace.Float 500.0))
+  | l -> Alcotest.failf "%d plan-cache spans" (List.length l)
 
 (* The five 3-vertex templates without anti-parallel pairs. *)
 let three_vertex =
@@ -289,23 +312,64 @@ let test_racing_clients () =
   check_int "every lookup accounted" (threads * per_thread)
     (s.Plan_cache.hits + s.Plan_cache.misses + s.Plan_cache.replans)
 
-(* run_gov's feedback path: warmup executions run profiled and fold
-   observations without failing requests. *)
+(* run_gov's feedback path: the first run is observed without failing the
+   request, later runs are not. *)
 let test_run_gov_feedback () =
   let db, cache = db_with_cache () in
   for _ = 1 to 5 do
     ignore (Gf.Db.run_gov db triangle)
   done;
   let s = Plan_cache.stats cache in
-  check_bool "warmup runs fed back" true (s.Plan_cache.feedbacks >= 1);
+  check_int "first run fed back" 1 s.Plan_cache.feedbacks;
   check_bool "hits recorded" true (s.Plan_cache.hits >= 3)
 
 let test_explain_analyze_feeds_cache () =
   let db, cache = db_with_cache () in
   let a = Gf.Db.explain_analyze db triangle in
   check_bool "completed" true (a.Gf.Db.outcome = Gf.Governor.Completed);
+  ignore (Gf.Db.explain_analyze db triangle);
   let s = Plan_cache.stats cache in
-  check_bool "profiled run observed" true (s.Plan_cache.feedbacks >= 1)
+  check_int "profiled run observed once" 1 s.Plan_cache.feedbacks
+
+(* A first observation within 4x of every estimate makes the entry final
+   at once: no replan, and no run after the first is observed. *)
+let test_accurate_observation_is_final () =
+  let db, cache = db_with_cache () in
+  for _ = 1 to 50 do
+    ignore (Gf.Db.run_gov db within_threshold)
+  done;
+  let s = Plan_cache.stats cache in
+  check_int "one fold" 1 s.Plan_cache.feedbacks;
+  check_int "no replan" 0 s.Plan_cache.replans;
+  check_int "hits" 49 s.Plan_cache.hits
+
+(* Racing first runs: every one was prepared while the entry was still
+   learning, so every one is due feedback, but only one folds. *)
+let test_concurrent_first_runs_fold_once () =
+  let db, cache = db_with_cache () in
+  let expected = Gf.Naive.count (Gf.Db.graph db) triangle in
+  let prepared = List.init 6 (fun _ -> Gf.Db.prepare db triangle) in
+  let failures = Atomic.make 0 in
+  let ts =
+    List.map
+      (fun p ->
+        Thread.create
+          (fun () ->
+            let c, _ = Gf.Db.run_gov ~prepared:p db triangle in
+            if c.Gf.Counters.output <> expected then Atomic.incr failures)
+          ())
+      prepared
+  in
+  List.iter Thread.join ts;
+  check_int "all results correct" 0 (Atomic.get failures);
+  let s = Plan_cache.stats cache in
+  check_int "one fold" 1 s.Plan_cache.feedbacks;
+  for _ = 1 to 3 do
+    ignore (Gf.Db.run_gov db triangle)
+  done;
+  let s = Plan_cache.stats cache in
+  check_int "still one fold" 1 s.Plan_cache.feedbacks;
+  check_bool "at most one replan" true (s.Plan_cache.replans <= 1)
 
 let suite =
   [
@@ -325,5 +389,10 @@ let suite =
         Alcotest.test_case "explain_analyze feeds cache" `Quick
           test_explain_analyze_feeds_cache;
         Alcotest.test_case "stored estimates = fresh model" `Quick test_stored_estimates;
+        Alcotest.test_case "replan span says why" `Quick test_replan_span_says_why;
+        Alcotest.test_case "accurate first observation is final" `Quick
+          test_accurate_observation_is_final;
+        Alcotest.test_case "concurrent first runs fold once" `Quick
+          test_concurrent_first_runs_fold_once;
       ] );
   ]
