@@ -910,6 +910,9 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
     | _ -> die "soak: --topology expects CxW, e.g. 1x4"
   in
   if n_coord <> 1 then die "soak: only one coordinator is supported (use 1xW)";
+  Option.iter
+    (fun i -> if i < 0 || i >= n_workers then die "soak: --kill index out of range")
+    kill_worker;
   let dir = Filename.temp_file "gfq-cluster" "" in
   Unix.unlink dir;
   Unix.mkdir dir 0o700;
@@ -953,13 +956,6 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
   let spawn_worker ?fault i =
     spawn (worker_argv i) ~log:(Filename.concat dir (Printf.sprintf "w%d.log" i)) ~fault
   in
-  (* In crash mode worker 0 self-SIGKILLs on its 6th shard dispatch: the
-     kill lands mid-query, between receiving the morsel and replying. *)
-  let pids =
-    Array.init n_workers (fun i ->
-        let fault = if crash && i = 0 then Some "worker-kill:6" else None in
-        spawn_worker ?fault i)
-  in
   let conf = Filename.concat dir "workers.conf" in
   let oc = open_out conf in
   let reps = max 1 (min replicas n_workers) in
@@ -971,6 +967,13 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
     output_char oc '\n'
   done;
   close_out oc;
+  (* In crash mode worker 0 self-SIGKILLs on its 6th shard dispatch: the
+     kill lands mid-query, between receiving the morsel and replying. *)
+  let pids =
+    Array.init n_workers (fun i ->
+        let fault = if crash && i = 0 then Some "worker-kill:6" else None in
+        spawn_worker ?fault i)
+  in
   let coord_pid =
     spawn
       [|
@@ -979,6 +982,21 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
       |]
       ~log:(Filename.concat dir "coord.log") ~fault:None
   in
+  (* Until the teardown below has reaped them, every exit (a [die] in
+     [dial] included) kills -9 and reaps the workers and the coordinator.
+     Holding [sup_mu] keeps the supervisor from restarting a worker. *)
+  let sup_mu = Mutex.create () in
+  let reaped = ref false in
+  at_exit (fun () ->
+      if not !reaped then begin
+        Mutex.lock sup_mu;
+        let kill pid =
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+        in
+        Array.iter kill pids;
+        kill coord_pid
+      end);
   let node path = Gf_server.Server.Unix_path path in
   let oneshot ?(retry_s = connect_timeout_s) path line =
     oneshot ~retry_s ~reply_timeout_s:30.0 (node path) line
@@ -997,7 +1015,6 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
      kill from outside) — restarts attach the same snapshot, fault disarmed. *)
   let restarts = ref 0 in
   let stop_sup = ref false in
-  let sup_mu = Mutex.create () in
   let supervisor =
     Thread.create
       (fun () ->
@@ -1021,7 +1038,6 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
   let killer =
     Option.map
       (fun i ->
-        if i < 0 || i >= n_workers then die "soak: --kill index out of range";
         Thread.create
           (fun () ->
             Thread.delay 1.0;
@@ -1118,6 +1134,7 @@ let cluster_soak spec ~dataset ~scale ~clients ~requests ~soak_seed ~connect_tim
   done;
   ignore (Unix.waitpid [] coord_pid);
   Array.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) pids;
+  reaped := true;
   Printf.printf
     "soak --topology 1x%d: %d clients x %d requests: completed=%d truncated=%d partial=%d \
      failed=%d refused=%d malformed=%d failovers=%d restarts=%d (expected matches=%d)\n"

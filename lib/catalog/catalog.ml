@@ -2,7 +2,6 @@ module Graph = Gf_graph.Graph
 module Query = Gf_query.Query
 module Canon = Gf_query.Canon
 module Rng = Gf_util.Rng
-module Int_vec = Gf_util.Int_vec
 module Sorted = Gf_util.Sorted
 module Plan = Gf_plan.Plan
 
@@ -57,11 +56,9 @@ let edge_list t ~elabel ~slabel ~dlabel =
   match Hashtbl.find_opt t.edge_lists key with
   | Some l -> l
   | None ->
-      let acc = ref [] in
-      Graph.iter_edges t.g ~elabel ~slabel ~dlabel (fun u v -> acc := (u, v) :: !acc);
-      let arr = Array.of_list !acc in
-      Hashtbl.replace t.edge_lists key arr;
-      arr
+      let l = Wander.edge_pool t.g ~elabel ~slabel ~dlabel in
+      Hashtbl.replace t.edge_lists key l;
+      l
 
 let avg_partition_size t ~dir ~slabel ~elabel ~nlabel =
   let key = (dir, slabel, elabel, nlabel) in
@@ -81,119 +78,51 @@ let avg_partition_size t ~dir ~slabel ~elabel ~nlabel =
       Hashtbl.replace t.avg_sizes key s;
       s
 
-(* Measure the extension statistics by sampling z edges at the SCAN and
-   streaming the sub-query's matches through to the last extension
-   (Section 5.1). Work is capped so that a single entry never costs more
-   than a few hundred thousand operations. [qk] is in canonical form, so
-   descriptor sources are already canonical vertex ids. *)
+(* Section 5.1: sample min z npool distinct scan edges and walk the
+   Q_{k-1} prefix from each one ({!Wander.walks}). A walk of weight w (the
+   product of the fan-outs it chose from) adds w·|ext| to the μ sum and
+   w·|L_i| to each list's size sum at the last step, so every sampled edge
+   gets the same budget whatever its subtree. [qk] is in canonical form,
+   so descriptor sources are already canonical vertex ids. *)
 let sample_entry t rng qk new_v =
   let k = Query.num_vertices qk in
+  if k < 3 then invalid_arg "Catalog.entry: the pattern needs at least three vertices";
   let order = Query.first_connected_order ~last:new_v qk in
   let final = Plan.descriptors qk (Array.sub order 0 (k - 1)) new_v in
-  assert (final <> [||]);
-  (* No measurement: every final list at its global per-label average. *)
-  let unsampled () =
-    let sizes =
-      Array.to_list final
-      |> List.map (fun (d : Plan.descriptor) ->
-             let src = order.(d.pos) in
-             ( (src, d.dir, d.elabel),
-               avg_partition_size t ~dir:d.dir ~slabel:(Query.vlabel qk src) ~elabel:d.elabel
-                 ~nlabel:(Query.vlabel qk new_v) ))
-    in
-    { mu = 0.0; sizes; total_size = 0.0; samples = 0 }
+  (* Total weight, the μ sum, then one size sum per final list. *)
+  let sums = Array.make (Array.length final + 2) 0.0 and walked = ref 0 in
+  let starts npool =
+    if t.z >= npool then Array.init npool Fun.id
+    else Rng.sample_without_replacement rng ~n:npool ~k:t.z
   in
-  let scan_edges =
-    Array.to_list qk.Query.edges
-    |> List.filter (fun (e : Query.edge) ->
-           (e.src = order.(0) && e.dst = order.(1)) || (e.src = order.(1) && e.dst = order.(0)))
+  let measure w ext (l : Sorted.lists) =
+    incr walked;
+    sums.(0) <- sums.(0) +. w;
+    sums.(1) <- sums.(1) +. (w *. float_of_int ext);
+    for i = 0 to Array.length final - 1 do
+      sums.(i + 2) <- sums.(i + 2) +. (w *. float_of_int (l.hi.(i) - l.lo.(i)))
+    done
   in
-  let scan_edge = List.hd scan_edges in
-  let extra_scan_checks = List.tl scan_edges in
-  let pool =
-    edge_list t ~elabel:scan_edge.Query.label
-      ~slabel:(Query.vlabel qk scan_edge.Query.src)
-      ~dlabel:(Query.vlabel qk scan_edge.Query.dst)
+  ignore (Wander.walks ~edges:(edge_list t) t.g qk ~order ~starts rng measure);
+  (* Unmeasured: μ = 0, every final list at its global per-label average. *)
+  let size i (d : Plan.descriptor) =
+    if !walked > 0 then sums.(i + 2) /. sums.(0)
+    else
+      avg_partition_size t ~dir:d.dir ~slabel:(Query.vlabel qk order.(d.pos)) ~elabel:d.elabel
+        ~nlabel:(Query.vlabel qk new_v)
   in
-  if Array.length pool = 0 then unsampled ()
-  else begin
-    let npool = Array.length pool in
-    let nsample = min t.z npool in
-    let indices =
-      if nsample = npool then Array.init npool (fun i -> i)
-      else Rng.sample_without_replacement rng ~n:npool ~k:nsample
-    in
-    (* The match tuple is in [order]: descriptor positions index it. *)
-    let steps =
-      Array.init k (fun d ->
-          if d < 2 then [||] else Plan.descriptors qk (Array.sub order 0 d) order.(d))
-    in
-    (* Accumulators for the final step. *)
-    let measured = ref 0 in
-    let mu_sum = ref 0.0 in
-    let nd_final = Array.length steps.(k - 1) in
-    let size_sums = Array.make nd_final 0.0 in
-    let max_measure = max (4 * t.z) 4000 in
-    let lists = Array.map (fun ds -> Sorted.lists (Array.length ds)) steps in
-    (* One extension set per depth, so deeper calls leave this one intact. *)
-    let results = Array.init k (fun _ -> Int_vec.create ()) in
-    let tuple = Array.make k 0 in
-    let exception Done in
-    let rec extend depth =
-      if !measured >= max_measure then raise Done;
-      let target_label = Query.vlabel qk order.(depth) in
-      let ds = steps.(depth) and l = lists.(depth) and result = results.(depth) in
-      for i = 0 to Array.length ds - 1 do
-        let d = ds.(i) in
-        Graph.neighbours_into t.g d.Plan.dir tuple.(d.Plan.pos) ~elabel:d.Plan.elabel
-          ~nlabel:target_label l i
-      done;
-      Int_vec.clear result;
-      Sorted.intersect result l;
-      if depth = k - 1 then begin
-        (* Measure: record each list's size and the extension count. *)
-        incr measured;
-        for i = 0 to Array.length ds - 1 do
-          size_sums.(i) <- size_sums.(i) +. float_of_int (l.Sorted.hi.(i) - l.Sorted.lo.(i))
-        done;
-        mu_sum := !mu_sum +. float_of_int (Int_vec.length result)
-      end
-      else
-        for i = 0 to Int_vec.length result - 1 do
-          tuple.(depth) <- Int_vec.get result i;
-          extend (depth + 1)
-        done
-    in
-    (try
-       Array.iter
-         (fun i ->
-           let u, v = pool.(i) in
-           let a, b = if scan_edge.Query.src = order.(0) then (u, v) else (v, u) in
-           tuple.(0) <- a;
-           tuple.(1) <- b;
-           let ok =
-             List.for_all
-               (fun (e : Query.edge) ->
-                 let s = if e.src = order.(0) then a else b in
-                 let d = if e.dst = order.(0) then a else b in
-                 Graph.has_edge t.g s d ~elabel:e.label)
-               extra_scan_checks
-           in
-           if ok then if k = 2 then incr measured else extend 2)
-         indices
-     with Done -> ());
-    if !measured = 0 then unsampled ()
-    else begin
-      let n = float_of_int !measured in
-      let sizes =
-        Array.to_list steps.(k - 1)
-        |> List.mapi (fun i (d : Plan.descriptor) ->
-               ((order.(d.pos), d.dir, d.elabel), size_sums.(i) /. n))
-      in
-      let total_size = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sizes in
-      { mu = !mu_sum /. n; sizes; total_size; samples = !measured }
-    end
-  end
+  let sizes =
+    Array.to_list final
+    |> List.mapi (fun i (d : Plan.descriptor) -> ((order.(d.pos), d.dir, d.elabel), size i d))
+  in
+  if !walked = 0 then { mu = 0.0; sizes; total_size = 0.0; samples = 0 }
+  else
+    {
+      mu = sums.(1) /. sums.(0);
+      sizes;
+      total_size = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sizes;
+      samples = !walked;
+    }
 
 (* [qk] renumbered by its canonical permutation, edges sorted: every
    numbering of a pattern (with the same marked vertex) gives one value. *)

@@ -9,14 +9,19 @@
 
     Entries are keyed by the canonical code of [Q_k] with the new vertex
     distinguished, so isomorphic extensions share one entry. Statistics come
-    from sampling: [z] random edges seed a WCO plan of [Q_k] whose last E/I
-    measures list sizes and extension counts (Section 5.1). The sample runs
-    on [Q_k]'s canonical form (renumbered by {!Gf_query.Canon.code}'s
-    permutation, edges sorted) with a generator seeded by the catalogue's
-    seed and the code, so an entry depends only on the pattern and the
-    seed: not on how the query that first asks for it numbers its
-    vertices, nor on which entries were sampled before it. A plan's cost
-    is thus the same whatever the catalogue's history.
+    from sampling (Section 5.1): [min z npool] distinct edges for the scanned
+    query edge each start one random walk ({!Wander.walks}) along a WCO
+    ordering of [Q_k] that ends at the new vertex. A walk of weight [w] (the
+    product of the fan-outs it chose from) adds [w] times its last
+    extension count to [mu]'s sum and [w] times each last list's size to
+    that list's sum; the sums are divided by the total weight. Every
+    sampled edge thus gets the same budget, whatever the size of its
+    subtree. The sample runs on [Q_k]'s canonical form (renumbered by
+    {!Gf_query.Canon.code}'s permutation, edges sorted) with a generator
+    seeded by the catalogue's seed and the code, so an entry depends only
+    on the pattern and the seed: not on how the query that first asks for
+    it numbers its vertices, nor on which entries were sampled before it.
+    A plan's cost is thus the same whatever the catalogue's history.
 
     Entries exist only for extensions of at-most-[h]-vertex sub-queries.
     The catalogue only samples, stores and looks entries up: the
@@ -42,9 +47,9 @@ val graph : t -> Gf_graph.Graph.t
 
 (** Statistics of one materialized entry. [sizes] maps each descriptor —
     identified by (canonical source-vertex id, direction, edge label) — to
-    its average list size. [samples] is the number of measured [Q_{k-1}]
-    matches (0 when the sampler found none, in which case [mu] is 0 and
-    sizes fall back to global per-label averages). *)
+    its average list size. [samples] is the number of walks that reached
+    the last step (0 when none did, in which case [mu] is 0 and sizes fall
+    back to global per-label averages). *)
 type entry = {
   mu : float;
   sizes : ((int * Gf_graph.Graph.direction * int) * float) list;
@@ -55,7 +60,8 @@ type entry = {
 (** [entry cat qk ~new_vertex] is the entry for extending
     [qk minus new_vertex] to [qk]. [None] when [qk] has more than [h + 1]
     vertices (the catalogue does not store such patterns). Requires [qk]
-    connected and [qk minus new_vertex] connected and nonempty. *)
+    connected and [qk minus new_vertex] connected with at least two
+    vertices. *)
 val entry : t -> Gf_query.Query.t -> new_vertex:int -> entry option
 
 (** [descriptor_size cat qk ~new_vertex ~src ~dir ~elabel] estimates the

@@ -127,6 +127,16 @@ let test_estimate_cardinality_labeled () =
     true
     (Catalog.q_error ~estimate:est ~truth <= 3.0)
 
+(* Every sampled edge gets one walk, so an entry whose matches hang off
+   high-id edges still measures them. On google-0.5 Q4 (a diamond with a
+   tail, 58,063 matches) has an entry whose matches do: a sampler that
+   spends its budget on the lowest-id edges reads μ = 0 there, and §5.2's
+   minimum over removals makes the whole estimate 0. *)
+let test_estimate_cardinality_google_q4 () =
+  let g = Generators.dataset ~scale:0.5 Generators.Google in
+  let est = Cost_model.estimate_cardinality (Catalog.create g) (Patterns.q 4) in
+  check_bool (Printf.sprintf "Q4 estimate %f > 0" est) true (est > 0.0)
+
 let test_catalogue_beats_independence_on_triangle () =
   (* The headline of Appendix B: on cyclic patterns the catalogue's q-error
      is much smaller than the independence estimator's. *)
@@ -210,6 +220,7 @@ let suite =
         Alcotest.test_case "beats independence" `Slow test_catalogue_beats_independence_on_triangle;
         Alcotest.test_case "q-error" `Quick test_q_error;
         Alcotest.test_case "independence on path" `Quick test_independence_on_path_reasonable;
+        Alcotest.test_case "google Q4 not zero" `Quick test_estimate_cardinality_google_q4;
       ] );
     ( "catalog.exhaustive",
       [

@@ -69,6 +69,19 @@ let test_labeled () =
     true
     (truth = 0.0 || Catalog.q_error ~estimate:est ~truth <= 2.0)
 
+(* A second query edge between the first two vertices of the order
+   filters the scan: a walk whose scanned data edge lacks the reverse edge
+   dies there instead of counting every edge. *)
+let test_parallel_scan_edges () =
+  let g = graph () in
+  let q = Query.unlabeled_edges 3 [ (0, 1); (1, 0); (1, 2) ] in
+  let truth = float_of_int (Naive.count g q) in
+  let est = Wander.estimate g q ~walks:20_000 (Rng.create 6) in
+  check_bool
+    (Printf.sprintf "reciprocal-edge est %f vs truth %f" est truth)
+    true
+    (truth > 0.0 && Catalog.q_error ~estimate:est ~truth <= 1.3)
+
 (* Neither the walk nor the oracle enumerates the 12! connected orders of
    a 12-clique before starting: both take the first one. On the complete
    DAG of 14 vertices the acyclic 12-clique has C(14, 12) = 91 matches. On
@@ -99,5 +112,6 @@ let suite =
         Alcotest.test_case "order invariance" `Slow test_order_invariance_in_expectation;
         Alcotest.test_case "labeled" `Quick test_labeled;
         Alcotest.test_case "12-clique" `Quick test_twelve_clique;
+        Alcotest.test_case "both scan edges checked" `Quick test_parallel_scan_edges;
       ] );
   ]
