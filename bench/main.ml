@@ -990,47 +990,64 @@ let ablation_intersection_kernel () =
     done;
     out
   in
+  (* Elements per second of [f out] over [elems] input elements. *)
+  let time_loop f elems =
+    let out = Gf.Int_vec.create () in
+    (* pilot to size the measured loop to ~0.15s *)
+    let pilot = 200 in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to pilot do
+      Gf.Int_vec.clear out;
+      f out
+    done;
+    let per = (Unix.gettimeofday () -. t0) /. float_of_int pilot in
+    let reps = max 200 (int_of_float (0.15 /. Float.max per 1e-9)) in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      Gf.Int_vec.clear out;
+      f out
+    done;
+    let t = Unix.gettimeofday () -. t0 in
+    float_of_int (elems * reps) /. t
+  in
   let time_kernel mode a la b lb =
     Gf.Sorted.with_kernel_mode mode (fun () ->
-        let out = Gf.Int_vec.create () in
-        (* pilot to size the measured loop to ~0.15s *)
-        let pilot = 200 in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to pilot do
-          Gf.Int_vec.clear out;
-          Gf.Sorted.intersect2 out a 0 la b 0 lb
-        done;
-        let per = (Unix.gettimeofday () -. t0) /. float_of_int pilot in
-        let reps = max 200 (int_of_float (0.15 /. Float.max per 1e-9)) in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          Gf.Int_vec.clear out;
-          Gf.Sorted.intersect2 out a 0 la b 0 lb
-        done;
-        let t = Unix.gettimeofday () -. t0 in
-        float_of_int ((la + lb) * reps) /. t)
+        time_loop (fun out -> Gf.Sorted.intersect2 out a 0 la b 0 lb) (la + lb))
   in
-  Printf.printf "%-12s %14s %14s %9s\n" "ratio" "scalar el/s" "simd el/s" "speedup";
+  (* The bitmap probe: one bit test per element of the shorter list
+     against a row of the longer (C loop). The cascade takes it only from
+     2:1 on; the 1:1 rows show why. *)
+  let time_probe a la b_arr =
+    let n = 1 + Array.fold_left max 0 b_arr in
+    let bits = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout ((n + 63) / 64) in
+    Bigarray.Array1.fill bits 0L;
+    Array.iter (Gf.Sorted.mark bits 0) b_arr;
+    time_loop (fun out -> Gf.Sorted.probe out a 0 la bits 0) (la + Array.length b_arr)
+  in
+  Printf.printf "%-12s %14s %14s %9s %14s\n" "ratio" "scalar el/s" "simd el/s" "speedup"
+    "probe el/s";
   List.iter
     (fun (label, la, lb) ->
-      let a_arr = gen la in
-      (* keep value ranges aligned so the lists actually intersect *)
-      let b_arr =
-        if la = lb then gen lb
-        else Array.init lb (fun i -> a_arr.(i * la / lb) + (i mod 2))
-             |> Array.to_list |> List.sort_uniq compare |> Array.of_list
+      let b_arr = gen lb in
+      (* Keep value ranges aligned so the lists actually intersect: the
+         shorter list strides through the longer one, every other element
+         shifted off it, so both keep their lengths. *)
+      let a_arr =
+        if la = lb then gen la else Array.init la (fun i -> b_arr.(i * lb / la) + (i mod 2))
       in
-      let lb = Array.length b_arr in
       let a = Gf.Buf.of_int_array a_arr and b = Gf.Buf.of_int_array b_arr in
       let s = time_kernel Gf.Sorted.Scalar a la b lb in
       let v = time_kernel Gf.Sorted.Simd a la b lb in
-      Printf.printf "%-12s %14s %14s %8.2fx\n" label
+      let p = Gf.Sorted.with_kernel_mode Gf.Sorted.Simd (fun () -> time_probe a la b_arr) in
+      Printf.printf "%-12s %14s %14s %8.2fx %14s\n" label
         (fmt_count (int_of_float s))
         (fmt_count (int_of_float v))
-        (v /. s))
+        (v /. s)
+        (fmt_count (int_of_float p)))
     [
       ("1:1 (4K)", 4096, 4096);
       ("1:1 (64K)", 65536, 65536);
+      ("1:2", 8192, 16384);
       ("1:8", 2048, 16384);
       ("1:64", 512, 32768);
       ("1:512", 64, 32768);

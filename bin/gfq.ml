@@ -148,7 +148,10 @@ let snapshot_cmd =
 let stats_cmd =
   let go graph_file dataset scale labels seed =
     let g = load_graph graph_file dataset scale labels seed in
-    Format.printf "%a@." Gf.Graph_stats.pp_summary (Gf.Graph_stats.summarize g)
+    let r = Gf.Graph.residency g in
+    Format.printf "%a@.storage: %d bytes off-heap (%d in hub bitmap rows), %d bytes heap@."
+      Gf.Graph_stats.pp_summary (Gf.Graph_stats.summarize g) r.Gf.Graph.offheap_bytes
+      r.Gf.Graph.row_bytes r.Gf.Graph.heap_bytes
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print structural statistics of a graph.")
     Term.(const go $ graph_file $ dataset $ scale $ labels $ seed)

@@ -7,6 +7,10 @@ type side = {
   (* Partition offsets: slot (v, el, nl) at index (v * ne + el) * nv + nl.
      Length n * ne * nv + 1. Neighbour ids are sorted within a partition. *)
   off : Buf.i64a;
+  (* Hub bitmaps (derived, never persisted): the word offset in [t.bits]
+     of the bitmap row of list (v, el), all neighbour labels, at index
+     v * ne + el, or -1. *)
+  rows : int array;
 }
 
 (* Where the off-heap storage came from: built in-process, or a binary
@@ -22,6 +26,7 @@ type t = {
   fwd : side;
   bwd : side;
   by_label : int array array; (* vertices grouped by label, ascending *)
+  bits : Gf_util.Sorted.bits; (* every bitmap row, n bits each *)
   origin : origin;
 }
 
@@ -50,6 +55,48 @@ let group_by_label ~n ~nv (vlabel : Buf.i64a) =
     cursor.(l) <- cursor.(l) + 1
   done;
   by_label
+
+(* Hub bitmaps, derived from the adjacency in O(n ne log (n ne) + rows
+   n / 64) and never persisted. Whole (vertex, direction, edge label)
+   lists get a row, longest first (ties by direction, vertex, label, so
+   a graph's rows do not depend on how it was built or loaded), until
+   the rows reach a quarter of the adjacency bytes; no list shorter than
+   [min_row_len] gets one. *)
+let min_row_len = 16
+
+let hub_rows ~n ~nv ~ne ~fwd_nbr ~fwd_off ~bwd_nbr ~bwd_off =
+  let words = (n + 63) / 64 in
+  let budget = (Buf.bytes fwd_nbr + Buf.bytes bwd_nbr) / 4 in
+  let max_rows = if words = 0 then 0 else budget / (words * 8) in
+  let lists = n * ne in
+  let list_len (off : Buf.i64a) j =
+    Bigarray.Array1.unsafe_get off ((j + 1) * nv) - Bigarray.Array1.unsafe_get off (j * nv)
+  in
+  (* Candidate c is list c mod lists of side c / lists (0 forward). *)
+  let len c = list_len (if c < lists then fwd_off else bwd_off) (c mod lists) in
+  let cands =
+    if max_rows = 0 then [||]
+    else
+      Array.of_seq
+        (Seq.filter (fun c -> len c >= min_row_len) (Seq.init (2 * lists) Fun.id))
+  in
+  Array.stable_sort (fun a b -> compare (len b) (len a)) cands;
+  let chosen = Array.sub cands 0 (min max_rows (Array.length cands)) in
+  let bits = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (Array.length chosen * words) in
+  Bigarray.Array1.fill bits 0L;
+  let fwd_rows = Array.make lists (-1) and bwd_rows = Array.make lists (-1) in
+  Array.iteri
+    (fun r c ->
+      let row = r * words and j = c mod lists in
+      let nbr, off, rows =
+        if c < lists then (fwd_nbr, fwd_off, fwd_rows) else (bwd_nbr, bwd_off, bwd_rows)
+      in
+      rows.(j) <- row;
+      Buf.iter_range (Gf_util.Sorted.mark bits row) nbr
+        (Bigarray.Array1.get off (j * nv))
+        (Bigarray.Array1.get off ((j + 1) * nv)))
+    chosen;
+  (bits, fwd_rows, bwd_rows)
 
 let build_side ~n ~nv ~ne ~vlabel ~sources ~targets ~elabels =
   let m = Array.length sources in
@@ -85,7 +132,23 @@ let build_side ~n ~nv ~ne ~vlabel ~sources ~targets ~elabels =
       done
     end
   done;
-  { nbr; off }
+  (nbr, off)
+
+(* A graph around its stored arrays, with the derived state rebuilt. *)
+let assemble ~n ~m ~nv ~ne ~vlabel ~fwd_nbr ~fwd_off ~bwd_nbr ~bwd_off ~origin =
+  let bits, fwd_rows, bwd_rows = hub_rows ~n ~nv ~ne ~fwd_nbr ~fwd_off ~bwd_nbr ~bwd_off in
+  {
+    n;
+    m;
+    nv;
+    ne;
+    vlabel;
+    fwd = { nbr = fwd_nbr; off = fwd_off; rows = fwd_rows };
+    bwd = { nbr = bwd_nbr; off = bwd_off; rows = bwd_rows };
+    by_label = group_by_label ~n ~nv vlabel;
+    bits;
+    origin;
+  }
 
 let build ~num_vlabels ~num_elabels ~vlabel ~edges =
   let n = Array.length vlabel in
@@ -118,11 +181,11 @@ let build ~num_vlabels ~num_elabels ~vlabel ~edges =
       dsts.(i) <- v;
       els.(i) <- el)
     !keep;
-  let fwd =
+  let fwd_nbr, fwd_off =
     build_side ~n ~nv:num_vlabels ~ne:num_elabels ~vlabel ~sources:srcs ~targets:dsts
       ~elabels:els
   in
-  let bwd =
+  let bwd_nbr, bwd_off =
     build_side ~n ~nv:num_vlabels ~ne:num_elabels ~vlabel ~sources:dsts ~targets:srcs
       ~elabels:els
   in
@@ -130,17 +193,8 @@ let build ~num_vlabels ~num_elabels ~vlabel ~edges =
   for v = 0 to n - 1 do
     Bigarray.Array1.unsafe_set vl v vlabel.(v)
   done;
-  {
-    n;
-    m;
-    nv = num_vlabels;
-    ne = num_elabels;
-    vlabel = vl;
-    fwd;
-    bwd;
-    by_label = group_by_label ~n ~nv:num_vlabels vl;
-    origin = Built;
-  }
+  assemble ~n ~m ~nv:num_vlabels ~ne:num_elabels ~vlabel:vl ~fwd_nbr ~fwd_off ~bwd_nbr ~bwd_off
+    ~origin:Built
 
 let side g = function Fwd -> g.fwd | Bwd -> g.bwd
 
@@ -154,7 +208,9 @@ let neighbours_into g dir v ~elabel ~nlabel (l : Gf_util.Sorted.lists) i =
   let j = slot g v elabel nlabel in
   l.bufs.(i) <- s.nbr;
   l.lo.(i) <- Bigarray.Array1.unsafe_get s.off j;
-  l.hi.(i) <- Bigarray.Array1.unsafe_get s.off (j + 1)
+  l.hi.(i) <- Bigarray.Array1.unsafe_get s.off (j + 1);
+  l.bits.(i) <- g.bits;
+  l.row.(i) <- s.rows.((v * g.ne) + elabel)
 
 let neighbours_any_nlabel g dir v ~elabel : Gf_util.Sorted.slice =
   let s = side g dir in
@@ -259,6 +315,7 @@ let relabel g rng ~num_vlabels ~num_elabels =
 
 type residency = {
   offheap_bytes : int;
+  row_bytes : int;
   heap_bytes : int;
   mapped : bool;
   nbr_width : int;
@@ -266,14 +323,20 @@ type residency = {
 
 let residency g =
   let side_bytes s = Buf.bytes s.nbr + (Bigarray.Array1.dim s.off * 8) in
+  let row_bytes = Bigarray.Array1.dim g.bits * 8 in
   {
-    offheap_bytes = (Bigarray.Array1.dim g.vlabel * 8) + side_bytes g.fwd + side_bytes g.bwd;
-    (* by_label is the only remaining heap-resident index: n vertex ids
-       plus one header-ish word per label bucket. *)
-    heap_bytes = (g.n + (3 * g.nv)) * 8;
+    offheap_bytes =
+      (Bigarray.Array1.dim g.vlabel * 8) + side_bytes g.fwd + side_bytes g.bwd + row_bytes;
+    row_bytes;
+    (* The heap-resident indexes: by_label's n vertex ids plus one
+       header-ish word per label bucket, and the two row-offset arrays. *)
+    heap_bytes = (g.n + (3 * g.nv) + (2 * g.n * g.ne)) * 8;
     mapped = (match g.origin with Mapped _ -> true | Built -> false);
     nbr_width = Buf.width_bytes g.fwd.nbr;
   }
+
+let bitmap_row g dir v ~elabel = (side g dir).rows.((v * g.ne) + elabel)
+let bitmap_words g = g.bits
 
 module Raw = struct
   type parts = {
@@ -330,14 +393,6 @@ let of_raw ?mapped_from (p : Raw.parts) =
   done;
   let* () = check !labels_ok "vertex label out of range" in
   Ok
-    {
-      n = p.n;
-      m = p.m;
-      nv = p.nv;
-      ne = p.ne;
-      vlabel = p.vlabel;
-      fwd = { nbr = p.fwd_nbr; off = p.fwd_off };
-      bwd = { nbr = p.bwd_nbr; off = p.bwd_off };
-      by_label = group_by_label ~n:p.n ~nv:p.nv p.vlabel;
-      origin = (match mapped_from with Some path -> Mapped path | None -> Built);
-    }
+    (assemble ~n:p.n ~m:p.m ~nv:p.nv ~ne:p.ne ~vlabel:p.vlabel ~fwd_nbr:p.fwd_nbr
+       ~fwd_off:p.fwd_off ~bwd_nbr:p.bwd_nbr ~bwd_off:p.bwd_off
+       ~origin:(match mapped_from with Some path -> Mapped path | None -> Built))

@@ -12,7 +12,17 @@
     payload, C intersection kernels address it directly, and a binary
     snapshot maps straight into place ({!Graph_io}). Only the per-label
     vertex grouping stays on the OCaml heap; it is derived state, rebuilt
-    from the label array in O(n) on load. *)
+    from the label array in O(n) on load.
+
+    Hub bitmaps are derived state too, rebuilt by both {!build} and
+    {!of_raw} and never persisted: the longest whole (vertex, direction,
+    edge label) lists, all neighbour labels, longest first, each get a
+    dense n-bit row in one off-heap word array, until the rows reach a
+    quarter of the adjacency bytes. No list shorter than 16 gets a row.
+    {!neighbours_into} hands a partition's row to the intersection
+    kernels, which then test one bit per element of a shorter list
+    instead of merging or galloping through the hub's list
+    ({!Gf_util.Sorted.intersect}). *)
 
 type t
 
@@ -49,8 +59,9 @@ val neighbours :
   t -> direction -> int -> elabel:int -> nlabel:int -> Gf_util.Sorted.slice
 
 (** [neighbours_into g dir v ~elabel ~nlabel l i] stores the same
-    partition as list [i] of [l] — the E/I operator's bounds lookup, which
-    builds no slice tuple. *)
+    partition as list [i] of [l], with the bitmap row of [v]'s whole
+    [elabel] list when it has one — the E/I operator's bounds lookup,
+    which builds no slice tuple. *)
 val neighbours_into :
   t -> direction -> int -> elabel:int -> nlabel:int -> Gf_util.Sorted.lists -> int -> unit
 
@@ -112,13 +123,22 @@ val edge_array : t -> (int * int * int) array
 (** {1 Storage accounting} *)
 
 type residency = {
-  offheap_bytes : int;  (** bigarray payload: offsets, adjacency, labels *)
-  heap_bytes : int;  (** derived per-label grouping kept on the OCaml heap *)
+  offheap_bytes : int;  (** bigarray payload: offsets, adjacency, labels, bitmap rows *)
+  row_bytes : int;  (** the hub bitmap rows' share of [offheap_bytes] *)
+  heap_bytes : int;  (** derived per-label grouping and row offsets on the OCaml heap *)
   mapped : bool;  (** true when the off-heap payload is a file mapping *)
   nbr_width : int;  (** adjacency element width in bytes: 4 or 8 *)
 }
 
 val residency : t -> residency
+
+(** [bitmap_row g dir v ~elabel] is the word offset in {!bitmap_words} of
+    the row of [v]'s whole [elabel] list along [dir], or [-1]. *)
+val bitmap_row : t -> direction -> int -> elabel:int -> int
+
+(** Every bitmap row, [num_vertices] bits (rounded up to whole words)
+    each. *)
+val bitmap_words : t -> Gf_util.Sorted.bits
 
 (** {1 Raw parts — the snapshot IO boundary} *)
 

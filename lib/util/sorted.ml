@@ -25,6 +25,16 @@ external c_intersect_i64_i64 :
   = "gfq_intersect_i64_i64_bc" "gfq_intersect_i64_i64"
 [@@noalloc]
 
+type bits = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external c_probe_i32 : Buf.i32a -> int -> int -> bits -> int -> Buf.i64a -> int -> int
+  = "gfq_probe_i32_bc" "gfq_probe_i32"
+[@@noalloc]
+
+external c_probe_i64 : Buf.i64a -> int -> int -> bits -> int -> Buf.i64a -> int -> int
+  = "gfq_probe_i64_bc" "gfq_probe_i64"
+[@@noalloc]
+
 type kernel_mode = Scalar | Simd | Auto
 
 let kernel_mode_to_string = function
@@ -174,10 +184,60 @@ let intersect2 out a alo ahi b blo bhi =
   if !use_simd then intersect2_simd out a alo ahi b blo bhi
   else intersect2_scalar out a alo ahi b blo bhi
 
+(* One reused output vector per domain, so counting allocates nothing. *)
+let count_out = Domain.DLS.new_key (fun () -> Int_vec.create ~capacity:64 ())
+
 let count_intersect2 a alo ahi b blo bhi =
-  let out = Int_vec.create ~capacity:64 () in
+  let out = Domain.DLS.get count_out in
+  Int_vec.clear out;
   intersect2 out a alo ahi b blo bhi;
   Int_vec.length out
+
+(* ------------------------------------------------------------------ *)
+(* Bitmap probe                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let no_bits : bits = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 0
+
+let mark (bits : bits) row x =
+  let w = row + (x lsr 6) in
+  Bigarray.Array1.set bits w
+    (Int64.logor (Bigarray.Array1.get bits w) (Int64.shift_left 1L (x land 63)))
+
+let test_bit (bits : bits) row x =
+  Int64.logand
+    (Int64.shift_right_logical (Bigarray.Array1.unsafe_get bits (row + (x lsr 6))) (x land 63))
+    1L
+  <> 0L
+
+let probe_scalar out a alo ahi bits row =
+  match a with
+  | Buf.I32 a ->
+      for i = alo to ahi - 1 do
+        let x = Int32.to_int (Bigarray.Array1.unsafe_get a i) in
+        if test_bit bits row x then Int_vec.push out x
+      done
+  | Buf.I64 a ->
+      for i = alo to ahi - 1 do
+        let x = Bigarray.Array1.unsafe_get a i in
+        if test_bit bits row x then Int_vec.push out x
+      done
+
+(* The C loop stores every element and advances by its bit, so it writes
+   at most |a| slots past the current length. *)
+let probe_simd out a alo ahi bits row =
+  let pos = Int_vec.length out in
+  Int_vec.ensure out (pos + (ahi - alo));
+  let o = Int_vec.big out in
+  let n =
+    match a with
+    | Buf.I32 a32 -> c_probe_i32 a32 alo ahi bits row o pos
+    | Buf.I64 a64 -> c_probe_i64 a64 alo ahi bits row o pos
+  in
+  Int_vec.unsafe_set_len out n
+
+let probe out a alo ahi bits row =
+  if !use_simd then probe_simd out a alo ahi bits row else probe_scalar out a alo ahi bits row
 
 (* ------------------------------------------------------------------ *)
 (* Multiway intersection                                               *)
@@ -187,6 +247,8 @@ type lists = {
   bufs : Buf.t array;
   lo : int array;
   hi : int array;
+  bits : bits array;
+  row : int array;
   order : int array;
   scratch : Int_vec.t;
   scratch2 : Int_vec.t;
@@ -204,6 +266,8 @@ let lists k =
     bufs = Array.make k Buf.empty;
     lo = Array.make k 0;
     hi = Array.make k 0;
+    bits = Array.make k no_bits;
+    row = Array.make k (-1);
     order = Array.make k 0;
     scratch = vec 3;
     scratch2 = vec 4;
@@ -212,7 +276,8 @@ let lists k =
 let set l i ((b, lo, hi) : slice) =
   l.bufs.(i) <- b;
   l.lo.(i) <- lo;
-  l.hi.(i) <- hi
+  l.hi.(i) <- hi;
+  l.row.(i) <- -1
 
 let of_slices slices =
   let l = lists (Array.length slices) in
@@ -236,8 +301,16 @@ let sort_order l k =
     order.(!j + 1) <- x
   done
 
-(* [intersect2] of lists [a] and [b] of [l] onto [out]. *)
-let pair out l a b = intersect2 out l.bufs.(a) l.lo.(a) l.hi.(a) l.bufs.(b) l.lo.(b) l.hi.(b)
+(* The slice [a.(alo .. ahi - 1)], no longer than list [b] of [l],
+   intersected with [b] onto [out]: a probe of [b]'s bitmap row when it has
+   one and is at least twice as long, else {!intersect2}. *)
+let step out a alo ahi l b =
+  let r = l.row.(b) in
+  if r >= 0 && len l b >= 2 * (ahi - alo) then probe out a alo ahi l.bits.(b) r
+  else intersect2 out a alo ahi l.bufs.(b) l.lo.(b) l.hi.(b)
+
+(* Lists [a] and [b] of [l], [a] the shorter, onto [out]. *)
+let pair out l a b = step out l.bufs.(a) l.lo.(a) l.hi.(a) l b
 
 let cascade out l k =
   if k = 2 then if len l 1 < len l 0 then pair out l 1 0 else pair out l 0 1
@@ -255,13 +328,12 @@ let cascade out l k =
     for j = 2 to k - 2 do
       let b = order.(j) in
       Int_vec.clear !next;
-      intersect2 !next (Int_vec.buf !cur) 0 (Int_vec.length !cur) l.bufs.(b) l.lo.(b) l.hi.(b);
+      step !next (Int_vec.buf !cur) 0 (Int_vec.length !cur) l b;
       let t = !cur in
       cur := !next;
       next := t
     done;
-    let b = order.(k - 1) in
-    intersect2 out (Int_vec.buf !cur) 0 (Int_vec.length !cur) l.bufs.(b) l.lo.(b) l.hi.(b)
+    step out (Int_vec.buf !cur) 0 (Int_vec.length !cur) l order.(k - 1)
   end
 
 let intersect out l =

@@ -15,7 +15,15 @@
     set intersection of strictly increasing sequences is unique); the
     differential test suite enforces it. Selection: the [GFQ_KERNEL]
     environment variable ([scalar|simd|auto], default [auto]) at startup,
-    or {!set_kernel_mode} at runtime. *)
+    or {!set_kernel_mode} at runtime.
+
+    A list of a k-way intersection may also carry a bitmap row: one bit
+    per vertex id, set for every member of the list's whole (vertex,
+    direction, edge label) adjacency list ([Graph] derives rows for the
+    longest lists). A cascade step whose longer input has a row at least
+    twice the shorter's length probes the row once per element of the
+    shorter input instead of merging or galloping: same output, sorted,
+    at one bit test per element. *)
 
 type slice = Buf.t * int * int
 
@@ -72,26 +80,51 @@ val gallop : Buf.t -> int -> int -> int -> int
     sorted slices onto [out], through whichever kernel is active. *)
 val intersect2 : Int_vec.t -> Buf.t -> int -> int -> Buf.t -> int -> int -> unit
 
+(** {1 Bitmap rows} *)
+
+(** 64-bit words of bitmap rows; bit [x land 63] of word [row + x lsr 6]
+    stands for element [x] of the row starting at word [row]. *)
+type bits = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [mark bits row x] sets element [x]'s bit in the row at word [row]. *)
+val mark : bits -> int -> int -> unit
+
+(** [probe out a alo ahi bits row] appends the elements of the slice
+    whose bit is set in the row at word [row] of [bits], in slice order:
+    the intersection of the slice with the row's set. Scalar mode runs an
+    OCaml loop, the other modes a branch-free C loop. *)
+val probe : Int_vec.t -> Buf.t -> int -> int -> bits -> int -> unit
+
 (** The inputs of one k-way intersection, owned by the caller and reused
     across calls so that intersecting allocates nothing: list [i] is
     [bufs.(i).(lo.(i) .. hi.(i) - 1)], and [k] is the length of the
-    arrays. [order] is per-call scratch (the lists by length); [scratch]
-    and [scratch2] hold the running result of a cascade over three or
-    more lists. An E/I operator allocates one per operator and refills
-    [bufs]/[lo]/[hi] per tuple (see [Graph.neighbours_into]). *)
+    arrays. [row.(i)] is the word offset in [bits.(i)] of the list's
+    bitmap row, or [-1]. A row may hold more than the list (the other
+    neighbour labels of the same adjacency list): probing it is exact
+    because every list of one intersection holds ids of one vertex
+    label, and it stands for the whole list, so only a list without a
+    row, or the shortest one, may be narrowed to a sub-range. [order] is
+    per-call scratch (the lists by length); [scratch] and [scratch2] hold
+    the running result of a cascade over three or more lists. An E/I
+    operator allocates one per operator and refills
+    [bufs]/[lo]/[hi]/[bits]/[row] per tuple (see
+    [Graph.neighbours_into]). *)
 type lists = {
   bufs : Buf.t array;
   lo : int array;
   hi : int array;
+  bits : bits array;
+  row : int array;
   order : int array;
   scratch : Int_vec.t;
   scratch2 : Int_vec.t;
 }
 
-(** [lists k] is room for a [k]-way intersection, every list empty. *)
+(** [lists k] is room for a [k]-way intersection, every list empty and
+    without a row. *)
 val lists : int -> lists
 
-(** [set l i s] makes slice [s] list [i] of [l]. *)
+(** [set l i s] makes slice [s], without a row, list [i] of [l]. *)
 val set : lists -> int -> slice -> unit
 
 (** [of_slices a] is a fresh {!lists} over the slices of [a] (tests,
@@ -101,14 +134,16 @@ val of_slices : slice array -> lists
 (** [intersect out l] appends the k-way intersection of [l]'s lists onto
     [out] — the one multiway entry point, the pairwise cascade smallest
     lists first. Allocation-free (bar growth of [out] or of [l]'s scratch
-    vectors). Two lists are one {!intersect2}; three or more are ordered
-    by an insertion sort on length and narrowed through
-    [l.scratch]/[l.scratch2]. With zero lists the result is empty; with
-    one it is a copy of that list. *)
+    vectors). Two lists are one step; three or more are ordered by an
+    insertion sort on length and narrowed through [l.scratch]/[l.scratch2].
+    Each step is a probe of the longer input's row when it has one at
+    least twice the shorter's length, else {!intersect2}. With zero lists
+    the result is empty; with one it is a copy of that list. *)
 val intersect : Int_vec.t -> lists -> unit
 
-(** [count_intersect2 a alo ahi b blo bhi] counts intersection size without
-    materializing it. *)
+(** [count_intersect2 a alo ahi b blo bhi] is the intersection's size,
+    computed by {!intersect2} into an output vector reused per domain, so
+    it allocates nothing. *)
 val count_intersect2 : Buf.t -> int -> int -> Buf.t -> int -> int -> int
 
 (** [is_sorted_strict a lo hi] checks strict ascending order (test helper). *)

@@ -393,3 +393,38 @@ value gfq_intersect_i64_i64_bc(value *argv, int argn)
   return gfq_intersect_i64_i64(argv[0], argv[1], argv[2], argv[3], argv[4],
                                argv[5], argv[6], argv[7]);
 }
+
+/* ------------------------------------------------------------------ */
+/* Bitmap probe                                                        */
+/* ------------------------------------------------------------------ */
+
+/* Emit the elements of a whose bit is set in the bitmap row starting at
+ * word [row] of [bits]. Branch-free: every element is stored at out[n]
+ * and n advances by its bit, so the caller reserves pos + |a| slots.
+ * Output order is a's order. */
+#define DEF_PROBE(NAME, T)                                                   \
+  value NAME(value va, value valo, value vahi, value vbits, value vrow,      \
+             value vout, value vpos)                                         \
+  {                                                                          \
+    const T *a = (const T *)Caml_ba_data_val(va);                            \
+    const uint64_t *bits =                                                   \
+        (const uint64_t *)Caml_ba_data_val(vbits) + Long_val(vrow);          \
+    intnat *out = (intnat *)Caml_ba_data_val(vout);                          \
+    intnat ahi = Long_val(vahi), n = Long_val(vpos);                         \
+    for (intnat i = Long_val(valo); i < ahi; i++) {                          \
+      uintnat x = (uintnat)a[i];                                             \
+      out[n] = (intnat)x;                                                    \
+      n += (intnat)((bits[x >> 6] >> (x & 63)) & 1);                         \
+    }                                                                        \
+    return Val_long(n);                                                      \
+  }                                                                          \
+                                                                             \
+  value NAME##_bc(value *argv, int argn)                                     \
+  {                                                                          \
+    (void)argn;                                                              \
+    return NAME(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],        \
+                argv[6]);                                                    \
+  }
+
+DEF_PROBE(gfq_probe_i32, int32_t)
+DEF_PROBE(gfq_probe_i64, intnat)

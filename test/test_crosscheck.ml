@@ -142,6 +142,49 @@ let prop_all_engines_agree =
       && ok "eh plan"
            (Exec.count g (Ghd.to_plan cat q (Ghd.min_width_decomposition q) Ghd.Lexicographic)))
 
+(* Q1-Q14 with random vertex labels on a two-label skewed graph whose
+   hubs have bitmap rows: the E/I steps that probe a hub's all-label row
+   must find Naive's match set through the planner's plan
+   and the all-E/I plan, sequentially under both kernels, in parallel
+   and adaptively. *)
+let test_hub_rows_queries () =
+  let rng = Rng.create 23 in
+  let g =
+    Graph.relabel
+      (Generators.holme_kim rng ~n:200 ~m_per:5 ~p_triad:0.6 ~recip:0.3)
+      rng ~num_vlabels:2 ~num_elabels:1
+  in
+  check_bool "graph has rows" true ((Graph.residency g).Graph.row_bytes > 0);
+  let cat = Catalog.create ~z:150 g in
+  for i = 1 to 14 do
+    let q0 = Patterns.q i in
+    let q =
+      Query.create ~num_vertices:q0.Query.num_vertices
+        ~vlabels:(Array.init q0.Query.num_vertices (fun _ -> Rng.int rng 2))
+        ~edges:q0.Query.edges ()
+    in
+    let expected = fingerprint (Naive.collect g q) in
+    let wco = Plan.wco q (Query.first_connected_order q) in
+    List.iter
+      (fun (which, plan) ->
+        let same how run =
+          let got = delivered (Plan.vars plan) run in
+          if got <> expected then
+            Alcotest.failf "Q%d %s plan %s: %d matches <> naive %d on %s" i which how (fst got)
+              (fst expected) (Query.to_string q)
+        in
+        List.iter
+          (fun mode ->
+            same (Gf_util.Sorted.kernel_mode_to_string mode) (fun sink ->
+                Gf_util.Sorted.with_kernel_mode mode (fun () ->
+                    ignore (Exec.run_gov ~sink g plan))))
+          [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Simd ];
+        same "parallel(3)" (fun sink ->
+            ignore (Parallel.run ~domains:3 ~chunk:5 ~batch:8 ~sink g plan));
+        same "adaptive" (fun sink -> ignore (Adaptive.run ~sink cat g q plan)))
+      [ ("planner", fst (Planner.plan cat q)); ("all-E/I", wco) ]
+  done
+
 (* Unlabeled shapes with automorphisms: re-numbering one can land on the
    same query value or on one whose canonical permutation differs from the
    cached template's by an automorphism. *)
@@ -437,6 +480,7 @@ let suite =
         q prop_all_engines_agree;
         q prop_plan_cache_renumbered_hit;
         Alcotest.test_case "plan-cache churn = naive" `Quick test_plan_cache_churn;
+        Alcotest.test_case "Q1-Q14 over hub rows = naive" `Quick test_hub_rows_queries;
         q prop_spectrum_plans_agree;
         q prop_spectrum_plans_agree_parallel;
         q prop_cfl_agrees_distinct;

@@ -183,9 +183,18 @@ let test_deadline_promptness () =
      than the benchmarked 150 ms to tolerate loaded CI machines. The run
      enumerates into a sink: counting at the root, 4 domains on two cores
      finish this query inside the deadline ("count-only root deadline"
-     trips that path deterministically). *)
-  let g = clique_graph () in
-  let plan = q5_plan () in
+     trips that path deterministically). The run must outlast the deadline
+     by a wide margin on a fast host: Q5 on [clique_graph] enumerates in
+     about 50-75 ms at one domain on a 2-vCPU host, too close to it, so
+     this test runs the acyclic 5-clique Q7 over twice as many, larger
+     planted cliques (about 350 ms there). *)
+  let g =
+    let rng = Rng.create 42 in
+    Generators.plant_cliques rng
+      (Generators.holme_kim rng ~n:6_000 ~m_per:8 ~p_triad:0.9 ~recip:0.3)
+      ~count:240 ~size:10
+  in
+  let plan = identity_wco (Patterns.q 7) in
   List.iter
     (fun domains ->
       let gov = Governor.create (Governor.budget ~deadline_s:0.05 ~max_output:1_000_000 ()) in

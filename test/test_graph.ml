@@ -310,6 +310,101 @@ let prop_partitions_sorted =
         edges;
       !ok)
 
+(* ---------- hub bitmap rows ---------- *)
+
+let rows_graphs () =
+  let rng = Gf_util.Rng.create 31 in
+  [
+    ("fixture", fixture ());
+    ( "skewed labeled",
+      Graph.relabel
+        (Generators.holme_kim rng ~n:600 ~m_per:6 ~p_triad:0.5 ~recip:0.3)
+        rng ~num_vlabels:3 ~num_elabels:2 );
+    ("google", Generators.dataset ~scale:0.05 Generators.Google);
+  ]
+
+let bit (bits : Gf_util.Sorted.bits) row x =
+  Int64.logand
+    (Int64.shift_right_logical (Bigarray.Array1.get bits (row + (x lsr 6))) (x land 63))
+    1L
+  = 1L
+
+let whole_list g dir v el =
+  let arr, lo, hi = Graph.neighbours_any_nlabel g dir v ~elabel:el in
+  Gf_util.Buf.sub_array arr lo hi
+
+let all_lists g f =
+  List.iter
+    (fun dir ->
+      for v = 0 to Graph.num_vertices g - 1 do
+        for el = 0 to Graph.num_elabels g - 1 do
+          f dir v el
+        done
+      done)
+    [ Graph.Fwd; Graph.Bwd ]
+
+(* The rows stay within a quarter of the adjacency bytes, go to the
+   longest lists of at least 16 first, and each row holds exactly its
+   whole list. *)
+let test_rows_budget () =
+  List.iter
+    (fun (name, g) ->
+      let r = Graph.residency g in
+      let adjacency = 2 * Graph.num_edges g * r.Graph.nbr_width in
+      check_bool
+        (Printf.sprintf "%s: %d row bytes <= a quarter of %d" name r.Graph.row_bytes adjacency)
+        true
+        (4 * r.Graph.row_bytes <= adjacency);
+      if name <> "fixture" then check_bool (name ^ ": some rows") true (r.Graph.row_bytes > 0);
+      let bits = Graph.bitmap_words g in
+      let n = Graph.num_vertices g in
+      let min_rowed = ref max_int and max_unrowed = ref 0 and rows = ref 0 in
+      all_lists g (fun dir v el ->
+          let list = whole_list g dir v el in
+          let len = Array.length list in
+          let row = Graph.bitmap_row g dir v ~elabel:el in
+          if row < 0 then max_unrowed := max !max_unrowed len
+          else begin
+            incr rows;
+            min_rowed := min !min_rowed len;
+            let members = ref 0 in
+            for x = 0 to n - 1 do
+              if bit bits row x then incr members
+            done;
+            check_int (name ^ ": row size") len !members;
+            check_bool (name ^ ": row holds its list") true
+              (Array.for_all (bit bits row) list)
+          end);
+      check_int (name ^ ": row bytes") r.Graph.row_bytes (!rows * ((n + 63) / 64) * 8);
+      if !rows > 0 then begin
+        check_bool (name ^ ": no row below 16") true (!min_rowed >= 16);
+        check_bool (name ^ ": longest first") true
+          (!max_unrowed < 16 || !max_unrowed <= !min_rowed)
+      end)
+    (rows_graphs ())
+
+(* Rows are derived state: a graph reassembled from its raw parts, or
+   mapped from a snapshot, derives the same rows as the built one. *)
+let test_rows_build_equals_of_raw () =
+  List.iter
+    (fun (name, g) ->
+      let same what g2 =
+        all_lists g (fun dir v el ->
+            if Graph.bitmap_row g dir v ~elabel:el <> Graph.bitmap_row g2 dir v ~elabel:el then
+              Alcotest.failf "%s %s: row of (%d, %d) differs" name what v el);
+        let b = Graph.bitmap_words g and b2 = Graph.bitmap_words g2 in
+        check_int (name ^ " " ^ what ^ ": words") (Bigarray.Array1.dim b) (Bigarray.Array1.dim b2);
+        for i = 0 to Bigarray.Array1.dim b - 1 do
+          if Bigarray.Array1.get b i <> Bigarray.Array1.get b2 i then
+            Alcotest.failf "%s %s: word %d differs" name what i
+        done
+      in
+      (match Graph.of_raw (Graph.to_raw g) with
+      | Ok g2 -> same "of_raw" g2
+      | Error e -> Alcotest.fail e);
+      with_snapshot g (fun path -> same "mapped" (Graph_io.load_snapshot path)))
+    (rows_graphs ())
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest t in
   [
@@ -344,5 +439,10 @@ let suite =
         Alcotest.test_case "snapshot torn detection" `Quick test_snapshot_torn_detection;
         Alcotest.test_case "snapshot bad version" `Quick test_snapshot_bad_version;
         Alcotest.test_case "snapshot queries agree" `Quick test_snapshot_queries_agree;
+      ] );
+    ( "graph.rows",
+      [
+        Alcotest.test_case "within a quarter of adjacency" `Quick test_rows_budget;
+        Alcotest.test_case "build = of_raw" `Quick test_rows_build_equals_of_raw;
       ] );
   ]

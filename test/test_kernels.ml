@@ -175,6 +175,77 @@ let test_multiway_mixed_width () =
     Alcotest.(check (array int)) "k-way scalar = simd" s v
   done
 
+(* ---------- bitmap probe vs merge/gallop ---------- *)
+
+(* k lists of even ids (one "vertex label"), each given, with probability
+   3/4, a bitmap row that holds the list plus random odd ids (the other
+   labels of a hub's whole adjacency list). The k-way intersection with
+   rows must equal the same lists without rows and the quadratic
+   reference, under both kernels. One short list and long others make the
+   probe fire in most steps; random widths put i32 and i64 lists on both
+   sides, and k >= 3 probes the i64 running result. *)
+let probe_trial rng ~k =
+  let universe = 4096 in
+  let words = universe / 64 in
+  let arrays =
+    Array.init k (fun i ->
+        let len = if i = 0 then Rng.int rng 60 else 20 + Rng.int rng 900 in
+        Array.init len (fun _ -> 2 * Rng.int rng (universe / 2))
+        |> Array.to_list |> List.sort_uniq compare |> Array.of_list)
+  in
+  let slices =
+    Array.map
+      (fun a ->
+        let w = if Rng.int rng 2 = 0 then `I32 else `I64 in
+        (Buf.of_int_array ~width:w a, 0, Array.length a))
+      arrays
+  in
+  let bits = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (k * words) in
+  Bigarray.Array1.fill bits 0L;
+  let with_rows = Sorted.of_slices slices in
+  Array.iteri
+    (fun i a ->
+      if Rng.int rng 4 > 0 then begin
+        let row = i * words in
+        Array.iter (Sorted.mark bits row) a;
+        for _ = 1 to Rng.int rng 400 do
+          Sorted.mark bits row ((2 * Rng.int rng (universe / 2)) + 1)
+        done;
+        with_rows.bits.(i) <- bits;
+        with_rows.row.(i) <- row
+      end)
+    arrays;
+  let expect =
+    Array.fold_left
+      (fun acc a -> List.filter (fun x -> Array.mem x a) acc)
+      (Array.to_list arrays.(0)) arrays
+    |> Array.of_list
+  in
+  List.iter
+    (fun mode ->
+      let run l =
+        Sorted.with_kernel_mode mode (fun () ->
+            let out = Int_vec.create () in
+            Sorted.intersect out l;
+            Int_vec.to_array out)
+      in
+      let label what =
+        Printf.sprintf "k=%d %s %s" k (Sorted.kernel_mode_to_string mode) what
+      in
+      Alcotest.(check (array int)) (label "probe = reference") expect (run with_rows);
+      Alcotest.(check (array int))
+        (label "merge/gallop = reference") expect
+        (run (Sorted.of_slices slices)))
+    [ Sorted.Scalar; Sorted.Simd ]
+
+let test_probe_differential () =
+  let rng = Rng.create 108 in
+  for k = 2 to 5 do
+    for _ = 1 to 40 do
+      probe_trial rng ~k
+    done
+  done
+
 (* ---------- full-query crosscheck: scalar vs simd ---------- *)
 
 let crosscheck_graph seed =
@@ -260,6 +331,7 @@ let suite =
         Alcotest.test_case "sub-slices" `Quick test_differential_sub_slices;
         Alcotest.test_case "append preserves prefix" `Quick test_append_preserves_prefix;
         Alcotest.test_case "multiway mixed width" `Quick test_multiway_mixed_width;
+        Alcotest.test_case "bitmap probe = merge/gallop" `Quick test_probe_differential;
       ] );
     ( "kernels.crosscheck",
       [

@@ -300,6 +300,43 @@ let prop_gallop_equals_tandem =
       Sorted.intersect2 out (ba a) 0 (Array.length a) (ba b) 0 (Array.length b);
       Int_vec.to_array out = naive_intersect a b)
 
+(* [count_intersect2] is [intersect2]'s length, over balanced and skewed
+   pairs both ways round, and allocates nothing: the triangle sampler
+   calls it once per sampled edge. *)
+let test_count_intersect2 () =
+  let rng = Rng.create 17 in
+  let gen len = List.init len (fun _ -> Rng.int rng 5000) |> List.sort_uniq compare |> Array.of_list in
+  let pairs =
+    List.init 30 (fun i ->
+        let la = if i mod 3 = 0 then Rng.int rng 20 else Rng.int rng 800 in
+        (gen la, gen (Rng.int rng 800)))
+  in
+  let pairs = pairs @ List.map (fun (a, b) -> (b, a)) pairs in
+  let bufs = List.map (fun (a, b) -> (ba a, Array.length a, ba b, Array.length b)) pairs in
+  List.iter
+    (fun (a, la, b, lb) ->
+      let out = Int_vec.create () in
+      Sorted.intersect2 out a 0 la b 0 lb;
+      check_int "count = intersect2 length" (Int_vec.length out)
+        (Sorted.count_intersect2 a 0 la b 0 lb))
+    bufs;
+  (* 100 rounds: a per-call allocation would cost thousands of words, the
+     loop itself a handful. *)
+  let bufs = Array.of_list bufs in
+  let w0 = Gc.minor_words () in
+  let total = ref 0 in
+  for _ = 1 to 100 do
+    for i = 0 to Array.length bufs - 1 do
+      let a, la, b, lb = bufs.(i) in
+      total := !total + Sorted.count_intersect2 a 0 la b 0 lb
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool
+    (Printf.sprintf "%.0f minor words for %d counts" words (100 * Array.length bufs))
+    true
+    (words < 100.0 && !total > 0)
+
 (* ---------- Bitset ---------- *)
 
 let test_bitset_basic () =
@@ -440,6 +477,7 @@ let suite =
         Alcotest.test_case "gallop edges" `Quick test_gallop_edges;
         Alcotest.test_case "wide intersect scratch2" `Quick test_intersect_wide_scratch2;
         Alcotest.test_case "degenerate slices" `Quick test_degenerate_slices;
+        Alcotest.test_case "count_intersect2 allocates nothing" `Quick test_count_intersect2;
         q prop_intersect2;
         q prop_gallop_equals_lower_bound;
         q prop_intersect_multiway;
