@@ -29,7 +29,11 @@ let walks ?edges g q ~order ~starts rng f =
         Array.init k (fun d ->
             if d < 2 then [||] else Plan.descriptors q (Array.sub order 0 d) order.(d))
       in
-      let lists = Array.map (fun ds -> Sorted.lists (Array.length ds)) steps in
+      let lists =
+        Array.map
+          (fun ds -> Sorted.lists ~bits:(Graph.bitmap_words g) (Array.length ds))
+          steps
+      in
       let ext = Int_vec.create () and tuple = Array.make k 0 in
       (* Step [d]'s extension set, intersected into [ext]. *)
       let extend d =

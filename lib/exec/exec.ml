@@ -223,7 +223,7 @@ let extension env row ~target_label descriptors =
     row;
     target_label;
     descriptors;
-    lists = Sorted.lists nd;
+    lists = Sorted.lists ~bits:(Graph.bitmap_words env.g) nd;
     srcs = Array.make nd (-1);
     last_srcs = Array.make nd (-1);
     result = Int_vec.create ~capacity:64 ();

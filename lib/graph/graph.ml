@@ -9,8 +9,8 @@ type side = {
   off : Buf.i64a;
   (* Hub bitmaps (derived, never persisted): the word offset in [t.bits]
      of the bitmap row of list (v, el), all neighbour labels, at index
-     v * ne + el, or -1. *)
-  rows : int array;
+     v * ne + el, or -1. Empty when the graph has no rows. *)
+  rows : Buf.i32a;
 }
 
 (* Where the off-heap storage came from: built in-process, or a binary
@@ -84,14 +84,23 @@ let hub_rows ~n ~nv ~ne ~fwd_nbr ~fwd_off ~bwd_nbr ~bwd_off =
   let chosen = Array.sub cands 0 (min max_rows (Array.length cands)) in
   let bits = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (Array.length chosen * words) in
   Bigarray.Array1.fill bits 0L;
-  let fwd_rows = Array.make lists (-1) and bwd_rows = Array.make lists (-1) in
+  (* Off-heap int32 offsets, so a mapped graph keeps its heap small (the
+     row words stay far below 2^31: a quarter of the adjacency bytes),
+     and none at all without rows. *)
+  let index_len = if Array.length chosen = 0 then 0 else lists in
+  let index () =
+    let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout index_len in
+    Bigarray.Array1.fill a (-1l);
+    a
+  in
+  let fwd_rows = index () and bwd_rows = index () in
   Array.iteri
     (fun r c ->
       let row = r * words and j = c mod lists in
       let nbr, off, rows =
         if c < lists then (fwd_nbr, fwd_off, fwd_rows) else (bwd_nbr, bwd_off, bwd_rows)
       in
-      rows.(j) <- row;
+      Bigarray.Array1.set rows j (Int32.of_int row);
       Buf.iter_range (Gf_util.Sorted.mark bits row) nbr
         (Bigarray.Array1.get off (j * nv))
         (Bigarray.Array1.get off ((j + 1) * nv)))
@@ -203,14 +212,18 @@ let neighbours g dir v ~elabel ~nlabel : Gf_util.Sorted.slice =
   let i = slot g v elabel nlabel in
   (s.nbr, Bigarray.Array1.unsafe_get s.off i, Bigarray.Array1.unsafe_get s.off (i + 1))
 
+let row_of g s v el =
+  if Bigarray.Array1.dim s.rows = 0 then -1
+  else Int32.to_int (Bigarray.Array1.unsafe_get s.rows ((v * g.ne) + el))
+
 let neighbours_into g dir v ~elabel ~nlabel (l : Gf_util.Sorted.lists) i =
   let s = side g dir in
   let j = slot g v elabel nlabel in
   l.bufs.(i) <- s.nbr;
   l.lo.(i) <- Bigarray.Array1.unsafe_get s.off j;
   l.hi.(i) <- Bigarray.Array1.unsafe_get s.off (j + 1);
-  l.bits.(i) <- g.bits;
-  l.row.(i) <- s.rows.((v * g.ne) + elabel)
+  (* A row offset only means something in this graph's word array. *)
+  l.row.(i) <- (if l.bits == g.bits then row_of g s v elabel else -1)
 
 let neighbours_any_nlabel g dir v ~elabel : Gf_util.Sorted.slice =
   let s = side g dir in
@@ -324,18 +337,21 @@ type residency = {
 let residency g =
   let side_bytes s = Buf.bytes s.nbr + (Bigarray.Array1.dim s.off * 8) in
   let row_bytes = Bigarray.Array1.dim g.bits * 8 in
+  let index_bytes s = Bigarray.Array1.dim s.rows * 4 in
   {
     offheap_bytes =
-      (Bigarray.Array1.dim g.vlabel * 8) + side_bytes g.fwd + side_bytes g.bwd + row_bytes;
+      (Bigarray.Array1.dim g.vlabel * 8)
+      + side_bytes g.fwd + side_bytes g.bwd + row_bytes + index_bytes g.fwd
+      + index_bytes g.bwd;
     row_bytes;
-    (* The heap-resident indexes: by_label's n vertex ids plus one
-       header-ish word per label bucket, and the two row-offset arrays. *)
-    heap_bytes = (g.n + (3 * g.nv) + (2 * g.n * g.ne)) * 8;
+    (* by_label is the only remaining heap-resident index: n vertex ids
+       plus one header-ish word per label bucket. *)
+    heap_bytes = (g.n + (3 * g.nv)) * 8;
     mapped = (match g.origin with Mapped _ -> true | Built -> false);
     nbr_width = Buf.width_bytes g.fwd.nbr;
   }
 
-let bitmap_row g dir v ~elabel = (side g dir).rows.((v * g.ne) + elabel)
+let bitmap_row g dir v ~elabel = row_of g (side g dir) v elabel
 let bitmap_words g = g.bits
 
 module Raw = struct

@@ -19,6 +19,8 @@
     edge label) lists, all neighbour labels, longest first, each get a
     dense n-bit row in one off-heap word array, until the rows reach a
     quarter of the adjacency bytes. No list shorter than 16 gets a row.
+    An off-heap int32 index per direction, allocated only when there are
+    rows, maps each list to its row.
     {!neighbours_into} hands a partition's row to the intersection
     kernels, which then test one bit per element of a shorter list
     instead of merging or galloping through the hub's list
@@ -60,8 +62,9 @@ val neighbours :
 
 (** [neighbours_into g dir v ~elabel ~nlabel l i] stores the same
     partition as list [i] of [l], with the bitmap row of [v]'s whole
-    [elabel] list when it has one — the E/I operator's bounds lookup,
-    which builds no slice tuple. *)
+    [elabel] list when it has one and [l] was made over
+    [bitmap_words g] — the E/I operator's bounds lookup, which builds
+    no slice tuple. *)
 val neighbours_into :
   t -> direction -> int -> elabel:int -> nlabel:int -> Gf_util.Sorted.lists -> int -> unit
 
@@ -123,9 +126,10 @@ val edge_array : t -> (int * int * int) array
 (** {1 Storage accounting} *)
 
 type residency = {
-  offheap_bytes : int;  (** bigarray payload: offsets, adjacency, labels, bitmap rows *)
+  offheap_bytes : int;
+      (** bigarray payload: offsets, adjacency, labels, bitmap rows and their index *)
   row_bytes : int;  (** the hub bitmap rows' share of [offheap_bytes] *)
-  heap_bytes : int;  (** derived per-label grouping and row offsets on the OCaml heap *)
+  heap_bytes : int;  (** derived per-label grouping on the OCaml heap *)
   mapped : bool;  (** true when the off-heap payload is a file mapping *)
   nbr_width : int;  (** adjacency element width in bytes: 4 or 8 *)
 }
@@ -137,7 +141,8 @@ val residency : t -> residency
 val bitmap_row : t -> direction -> int -> elabel:int -> int
 
 (** Every bitmap row, [num_vertices] bits (rounded up to whole words)
-    each. *)
+    each: the [bits] to make an E/I operator's {!Gf_util.Sorted.lists}
+    over. *)
 val bitmap_words : t -> Gf_util.Sorted.bits
 
 (** {1 Raw parts — the snapshot IO boundary} *)

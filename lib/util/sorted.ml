@@ -204,28 +204,10 @@ let mark (bits : bits) row x =
   Bigarray.Array1.set bits w
     (Int64.logor (Bigarray.Array1.get bits w) (Int64.shift_left 1L (x land 63)))
 
-let test_bit (bits : bits) row x =
-  Int64.logand
-    (Int64.shift_right_logical (Bigarray.Array1.unsafe_get bits (row + (x lsr 6))) (x land 63))
-    1L
-  <> 0L
-
-let probe_scalar out a alo ahi bits row =
-  match a with
-  | Buf.I32 a ->
-      for i = alo to ahi - 1 do
-        let x = Int32.to_int (Bigarray.Array1.unsafe_get a i) in
-        if test_bit bits row x then Int_vec.push out x
-      done
-  | Buf.I64 a ->
-      for i = alo to ahi - 1 do
-        let x = Bigarray.Array1.unsafe_get a i in
-        if test_bit bits row x then Int_vec.push out x
-      done
-
-(* The C loop stores every element and advances by its bit, so it writes
-   at most |a| slots past the current length. *)
-let probe_simd out a alo ahi bits row =
+(* One C loop in every kernel mode: it has no SIMD content. It stores
+   every element and advances by its bit, so it writes at most |a| slots
+   past the current length. *)
+let probe out a alo ahi bits row =
   let pos = Int_vec.length out in
   Int_vec.ensure out (pos + (ahi - alo));
   let o = Int_vec.big out in
@@ -236,9 +218,6 @@ let probe_simd out a alo ahi bits row =
   in
   Int_vec.unsafe_set_len out n
 
-let probe out a alo ahi bits row =
-  if !use_simd then probe_simd out a alo ahi bits row else probe_scalar out a alo ahi bits row
-
 (* ------------------------------------------------------------------ *)
 (* Multiway intersection                                               *)
 (* ------------------------------------------------------------------ *)
@@ -247,7 +226,7 @@ type lists = {
   bufs : Buf.t array;
   lo : int array;
   hi : int array;
-  bits : bits array;
+  bits : bits;
   row : int array;
   order : int array;
   scratch : Int_vec.t;
@@ -260,13 +239,13 @@ type lists = {
    off-heap vectors. *)
 let unused = Int_vec.create ~capacity:1 ()
 
-let lists k =
+let lists ?(bits = no_bits) k =
   let vec min_k = if k >= min_k then Int_vec.create ~capacity:64 () else unused in
   {
     bufs = Array.make k Buf.empty;
     lo = Array.make k 0;
     hi = Array.make k 0;
-    bits = Array.make k no_bits;
+    bits;
     row = Array.make k (-1);
     order = Array.make k 0;
     scratch = vec 3;
@@ -279,8 +258,8 @@ let set l i ((b, lo, hi) : slice) =
   l.hi.(i) <- hi;
   l.row.(i) <- -1
 
-let of_slices slices =
-  let l = lists (Array.length slices) in
+let of_slices ?bits slices =
+  let l = lists ?bits (Array.length slices) in
   Array.iteri (set l) slices;
   l
 
@@ -306,7 +285,7 @@ let sort_order l k =
    one and is at least twice as long, else {!intersect2}. *)
 let step out a alo ahi l b =
   let r = l.row.(b) in
-  if r >= 0 && len l b >= 2 * (ahi - alo) then probe out a alo ahi l.bits.(b) r
+  if r >= 0 && len l b >= 2 * (ahi - alo) then probe out a alo ahi l.bits r
   else intersect2 out a alo ahi l.bufs.(b) l.lo.(b) l.hi.(b)
 
 (* Lists [a] and [b] of [l], [a] the shorter, onto [out]. *)

@@ -91,15 +91,16 @@ val mark : bits -> int -> int -> unit
 
 (** [probe out a alo ahi bits row] appends the elements of the slice
     whose bit is set in the row at word [row] of [bits], in slice order:
-    the intersection of the slice with the row's set. Scalar mode runs an
-    OCaml loop, the other modes a branch-free C loop. *)
+    the intersection of the slice with the row's set. One branch-free C
+    loop in every kernel mode. *)
 val probe : Int_vec.t -> Buf.t -> int -> int -> bits -> int -> unit
 
 (** The inputs of one k-way intersection, owned by the caller and reused
     across calls so that intersecting allocates nothing: list [i] is
     [bufs.(i).(lo.(i) .. hi.(i) - 1)], and [k] is the length of the
-    arrays. [row.(i)] is the word offset in [bits.(i)] of the list's
-    bitmap row, or [-1]. A row may hold more than the list (the other
+    arrays. [row.(i)] is the word offset in [bits] of the list's bitmap
+    row, or [-1]: every list of one intersection comes from one graph, so
+    they share one word array, fixed when [l] is made. A row may hold more than the list (the other
     neighbour labels of the same adjacency list): probing it is exact
     because every list of one intersection holds ids of one vertex
     label, and it stands for the whole list, so only a list without a
@@ -107,29 +108,28 @@ val probe : Int_vec.t -> Buf.t -> int -> int -> bits -> int -> unit
     per-call scratch (the lists by length); [scratch] and [scratch2] hold
     the running result of a cascade over three or more lists. An E/I
     operator allocates one per operator and refills
-    [bufs]/[lo]/[hi]/[bits]/[row] per tuple (see
-    [Graph.neighbours_into]). *)
+    [bufs]/[lo]/[hi]/[row] per tuple (see [Graph.neighbours_into]). *)
 type lists = {
   bufs : Buf.t array;
   lo : int array;
   hi : int array;
-  bits : bits array;
+  bits : bits;
   row : int array;
   order : int array;
   scratch : Int_vec.t;
   scratch2 : Int_vec.t;
 }
 
-(** [lists k] is room for a [k]-way intersection, every list empty and
-    without a row. *)
-val lists : int -> lists
+(** [lists ?bits k] is room for a [k]-way intersection over the rows of
+    [bits] (default: none), every list empty and without a row. *)
+val lists : ?bits:bits -> int -> lists
 
 (** [set l i s] makes slice [s], without a row, list [i] of [l]. *)
 val set : lists -> int -> slice -> unit
 
-(** [of_slices a] is a fresh {!lists} over the slices of [a] (tests,
-    benches, boundary callers). *)
-val of_slices : slice array -> lists
+(** [of_slices ?bits a] is a fresh {!lists} over the slices of [a]
+    (tests, benches, boundary callers). *)
+val of_slices : ?bits:bits -> slice array -> lists
 
 (** [intersect out l] appends the k-way intersection of [l]'s lists onto
     [out] — the one multiway entry point, the pairwise cascade smallest

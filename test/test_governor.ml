@@ -36,7 +36,20 @@ let clique_graph () =
     (Generators.holme_kim rng ~n:6_000 ~m_per:8 ~p_triad:0.9 ~recip:0.3)
     ~count:120 ~size:8
 
+(* Twice as many, larger planted cliques, with the acyclic 5-clique Q7:
+   a run that outlasts a 50 ms deadline, or a cancel 20 ms in, by a wide
+   margin even on a fast host. On a 2-vCPU host Q7 here takes about
+   120 ms counted at the root at 2 domains and 250 ms enumerated at one;
+   Q5 on [clique_graph] takes about 25 and 50 ms, too close. *)
+let heavy_clique_graph () =
+  let rng = Rng.create 42 in
+  Generators.plant_cliques rng
+    (Generators.holme_kim rng ~n:6_000 ~m_per:8 ~p_triad:0.9 ~recip:0.3)
+    ~count:240 ~size:10
+
 let identity_wco q = Plan.wco q (Array.init (Query.num_vertices q) Fun.id)
+
+let q7_plan () = identity_wco (Patterns.q 7)
 
 let q5_plan () =
   let q = Patterns.q 5 in
@@ -182,19 +195,10 @@ let test_deadline_promptness () =
      counter totals intact and every domain joined. The bound here is looser
      than the benchmarked 150 ms to tolerate loaded CI machines. The run
      enumerates into a sink: counting at the root, 4 domains on two cores
-     finish this query inside the deadline ("count-only root deadline"
-     trips that path deterministically). The run must outlast the deadline
-     by a wide margin on a fast host: Q5 on [clique_graph] enumerates in
-     about 50-75 ms at one domain on a 2-vCPU host, too close to it, so
-     this test runs the acyclic 5-clique Q7 over twice as many, larger
-     planted cliques (about 350 ms there). *)
-  let g =
-    let rng = Rng.create 42 in
-    Generators.plant_cliques rng
-      (Generators.holme_kim rng ~n:6_000 ~m_per:8 ~p_triad:0.9 ~recip:0.3)
-      ~count:240 ~size:10
-  in
-  let plan = identity_wco (Patterns.q 7) in
+     can finish a query inside the deadline ("count-only root deadline"
+     trips that path deterministically). *)
+  let g = heavy_clique_graph () in
+  let plan = q7_plan () in
   List.iter
     (fun domains ->
       let gov = Governor.create (Governor.budget ~deadline_s:0.05 ~max_output:1_000_000 ()) in
@@ -222,8 +226,8 @@ let test_deadline_promptness () =
     [ 1; 4 ]
 
 let test_cancel_from_another_domain () =
-  let g = clique_graph () in
-  let plan = q5_plan () in
+  let g = heavy_clique_graph () in
+  let plan = q7_plan () in
   let gov = Governor.create Governor.unlimited in
   let canceller =
     Domain.spawn (fun () ->

@@ -202,7 +202,7 @@ let probe_trial rng ~k =
   in
   let bits = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (k * words) in
   Bigarray.Array1.fill bits 0L;
-  let with_rows = Sorted.of_slices slices in
+  let with_rows = Sorted.of_slices ~bits slices in
   Array.iteri
     (fun i a ->
       if Rng.int rng 4 > 0 then begin
@@ -211,7 +211,6 @@ let probe_trial rng ~k =
         for _ = 1 to Rng.int rng 400 do
           Sorted.mark bits row ((2 * Rng.int rng (universe / 2)) + 1)
         done;
-        with_rows.bits.(i) <- bits;
         with_rows.row.(i) <- row
       end)
     arrays;
