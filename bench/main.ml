@@ -1806,7 +1806,8 @@ let () =
     | [] -> sections
   in
   let chosen = parse args in
-  Printf.printf "bench scale: %.2f (set GF_BENCH_SCALE to change)\n" scale;
+  Printf.printf "bench scale: %.2f (set GF_BENCH_SCALE to change)\nkernel: %s (%s build)\n"
+    scale (Gf.Sorted.kernel_name ()) Gf.Build_info.profile;
   let t0 = Unix.gettimeofday () in
   let failed =
     List.filter

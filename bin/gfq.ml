@@ -405,9 +405,9 @@ let run_cmd =
       let t0 = Unix.gettimeofday () in
       let c, outcome = Gf.Db.run_gov ~adaptive ~domains ~budget ?trace db q in
       let secs = Unix.gettimeofday () -. t0 in
-      Format.printf "matches: %d@.outcome: %a@.time: %.3fs@.kernel: %s@.%a@."
+      Format.printf "matches: %d@.outcome: %a@.time: %.3fs@.kernel: %s (%s build)@.%a@."
         c.Gf.Counters.output Gf.Governor.pp_outcome outcome secs (Gf.Sorted.kernel_name ())
-        Gf.Counters.pp c
+        Gf.Build_info.profile Gf.Counters.pp c
     end;
     Option.iter
       (fun tr ->

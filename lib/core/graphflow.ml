@@ -39,6 +39,7 @@ module Bitset = Gf_util.Bitset
 module Buf = Gf_util.Buf
 module Int_vec = Gf_util.Int_vec
 module Sorted = Gf_util.Sorted
+module Build_info = Gf_util.Build_info
 module Trace = Gf_obs.Trace
 module Recorder = Gf_obs.Recorder
 

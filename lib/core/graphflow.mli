@@ -59,6 +59,12 @@ module Bitset = Gf_util.Bitset
 module Buf = Gf_util.Buf
 module Int_vec = Gf_util.Int_vec
 module Sorted = Gf_util.Sorted
+
+(** Build provenance: [Build_info.profile] is the dune profile
+    ("release" by default, "dev" for [dune build --profile dev]) the
+    libraries were compiled under. *)
+module Build_info = Gf_util.Build_info
+
 module Trace = Gf_obs.Trace
 module Recorder = Gf_obs.Recorder
 

@@ -90,74 +90,209 @@ let () =
 (* Search primitives (portable, allocation-free)                       *)
 (* ------------------------------------------------------------------ *)
 
-let lower_bound a lo hi x =
+(* Every scalar loop below exists once per element width: a loop reads
+   its bigarrays directly, so no element read matches on [Buf.t]. A
+   functor or a loop taking a reader function would not be specialised
+   without flambda, and a read through an unknown bigarray kind is a C
+   call. *)
+module A = Bigarray.Array1
+
+let lower_bound32 (a : Buf.i32a) lo hi x =
   let l = ref lo and h = ref hi in
   while !l < !h do
     let mid = (!l + !h) / 2 in
-    if Buf.unsafe_get a mid < x then l := mid + 1 else h := mid
+    if Int32.to_int (A.unsafe_get a mid) < x then l := mid + 1 else h := mid
   done;
   !l
+
+let lower_bound64 (a : Buf.i64a) lo hi x =
+  let l = ref lo and h = ref hi in
+  while !l < !h do
+    let mid = (!l + !h) / 2 in
+    if A.unsafe_get a mid < x then l := mid + 1 else h := mid
+  done;
+  !l
+
+(* Exponential search for x in a.(lo..hi-1), returns the least index with
+   a.(i) >= x. Starts from lo, doubling the probe distance: O(log d) where d is
+   the distance to the answer, which makes skewed intersections cheap.
+   [cur] never passes [hi]. *)
+let gallop32 (a : Buf.i32a) lo hi x =
+  if lo >= hi || Int32.to_int (A.unsafe_get a lo) >= x then lo
+  else begin
+    let step = ref 1 and prev = ref lo and cur = ref (lo + 1) in
+    while !cur < hi && Int32.to_int (A.unsafe_get a !cur) < x do
+      prev := !cur;
+      step := !step * 2;
+      cur := if !cur + !step < hi then !cur + !step else hi
+    done;
+    lower_bound32 a (!prev + 1) !cur x
+  end
+
+let gallop64 (a : Buf.i64a) lo hi x =
+  if lo >= hi || A.unsafe_get a lo >= x then lo
+  else begin
+    let step = ref 1 and prev = ref lo and cur = ref (lo + 1) in
+    while !cur < hi && A.unsafe_get a !cur < x do
+      prev := !cur;
+      step := !step * 2;
+      cur := if !cur + !step < hi then !cur + !step else hi
+    done;
+    lower_bound64 a (!prev + 1) !cur x
+  end
+
+let lower_bound a lo hi x =
+  match a with
+  | Buf.I32 a -> lower_bound32 a lo hi x
+  | Buf.I64 a -> lower_bound64 a lo hi x
 
 let member a lo hi x =
   let i = lower_bound a lo hi x in
   i < hi && Buf.unsafe_get a i = x
 
-(* Exponential search for x in a.(lo..hi-1), returns the least index with
-   a.(i) >= x. Starts from lo, doubling the probe distance: O(log d) where d is
-   the distance to the answer, which makes skewed intersections cheap. *)
 let gallop a lo hi x =
-  if lo >= hi || Buf.unsafe_get a lo >= x then lo
-  else begin
-    let step = ref 1 in
-    let prev = ref lo in
-    let cur = ref (lo + 1) in
-    while !cur < hi && Buf.unsafe_get a !cur < x do
-      prev := !cur;
-      step := !step * 2;
-      cur := min hi (!cur + !step)
-    done;
-    lower_bound a (!prev + 1) (min !cur hi) x
-  end
+  match a with Buf.I32 a -> gallop32 a lo hi x | Buf.I64 a -> gallop64 a lo hi x
 
 (* ------------------------------------------------------------------ *)
 (* Pairwise intersection: scalar OCaml fallback + SIMD dispatch        *)
 (* ------------------------------------------------------------------ *)
 
-let intersect2_tandem out a alo ahi b blo bhi =
-  let i = ref alo and j = ref blo in
+(* The scalar loops write matches into [o] from slot [n] on, which the
+   caller has reserved, and return the new length. Intersection is
+   symmetric, so merging an int32 list with an int64 one has one loop. *)
+let tandem_32_32 (o : Buf.i64a) n (a : Buf.i32a) alo ahi (b : Buf.i32a) blo bhi =
+  let i = ref alo and j = ref blo and n = ref n in
   while !i < ahi && !j < bhi do
-    let x = Buf.unsafe_get a !i and y = Buf.unsafe_get b !j in
+    let x = Int32.to_int (A.unsafe_get a !i) and y = Int32.to_int (A.unsafe_get b !j) in
     if x < y then incr i
     else if y < x then incr j
     else begin
-      Int_vec.push out x;
+      A.unsafe_set o !n x;
+      incr n;
       incr i;
       incr j
     end
-  done
+  done;
+  !n
 
-(* When |b| >> |a|, iterate over a and gallop in b. *)
-let intersect2_gallop out a alo ahi b blo bhi =
-  let j = ref blo in
-  let i = ref alo in
+let tandem_64_32 (o : Buf.i64a) n (a : Buf.i64a) alo ahi (b : Buf.i32a) blo bhi =
+  let i = ref alo and j = ref blo and n = ref n in
   while !i < ahi && !j < bhi do
-    let x = Buf.unsafe_get a !i in
-    j := gallop b !j bhi x;
-    if !j < bhi && Buf.unsafe_get b !j = x then begin
-      Int_vec.push out x;
+    let x = A.unsafe_get a !i and y = Int32.to_int (A.unsafe_get b !j) in
+    if x < y then incr i
+    else if y < x then incr j
+    else begin
+      A.unsafe_set o !n x;
+      incr n;
+      incr i;
+      incr j
+    end
+  done;
+  !n
+
+let tandem_64_64 (o : Buf.i64a) n (a : Buf.i64a) alo ahi (b : Buf.i64a) blo bhi =
+  let i = ref alo and j = ref blo and n = ref n in
+  while !i < ahi && !j < bhi do
+    let x = A.unsafe_get a !i and y = A.unsafe_get b !j in
+    if x < y then incr i
+    else if y < x then incr j
+    else begin
+      A.unsafe_set o !n x;
+      incr n;
+      incr i;
+      incr j
+    end
+  done;
+  !n
+
+(* When |b| >> |a|, iterate over a and gallop in b: one loop per
+   (a, b) width pair. *)
+let gallop_32_32 (o : Buf.i64a) n (a : Buf.i32a) alo ahi (b : Buf.i32a) blo bhi =
+  let i = ref alo and j = ref blo and n = ref n in
+  while !i < ahi && !j < bhi do
+    let x = Int32.to_int (A.unsafe_get a !i) in
+    j := gallop32 b !j bhi x;
+    if !j < bhi && Int32.to_int (A.unsafe_get b !j) = x then begin
+      A.unsafe_set o !n x;
+      incr n;
       incr j
     end;
     incr i
-  done
+  done;
+  !n
+
+let gallop_64_32 (o : Buf.i64a) n (a : Buf.i64a) alo ahi (b : Buf.i32a) blo bhi =
+  let i = ref alo and j = ref blo and n = ref n in
+  while !i < ahi && !j < bhi do
+    let x = A.unsafe_get a !i in
+    j := gallop32 b !j bhi x;
+    if !j < bhi && Int32.to_int (A.unsafe_get b !j) = x then begin
+      A.unsafe_set o !n x;
+      incr n;
+      incr j
+    end;
+    incr i
+  done;
+  !n
+
+let gallop_32_64 (o : Buf.i64a) n (a : Buf.i32a) alo ahi (b : Buf.i64a) blo bhi =
+  let i = ref alo and j = ref blo and n = ref n in
+  while !i < ahi && !j < bhi do
+    let x = Int32.to_int (A.unsafe_get a !i) in
+    j := gallop64 b !j bhi x;
+    if !j < bhi && A.unsafe_get b !j = x then begin
+      A.unsafe_set o !n x;
+      incr n;
+      incr j
+    end;
+    incr i
+  done;
+  !n
+
+let gallop_64_64 (o : Buf.i64a) n (a : Buf.i64a) alo ahi (b : Buf.i64a) blo bhi =
+  let i = ref alo and j = ref blo and n = ref n in
+  while !i < ahi && !j < bhi do
+    let x = A.unsafe_get a !i in
+    j := gallop64 b !j bhi x;
+    if !j < bhi && A.unsafe_get b !j = x then begin
+      A.unsafe_set o !n x;
+      incr n;
+      incr j
+    end;
+    incr i
+  done;
+  !n
+
+let intersect2_tandem o n a alo ahi b blo bhi =
+  match (a, b) with
+  | Buf.I32 a, Buf.I32 b -> tandem_32_32 o n a alo ahi b blo bhi
+  | Buf.I64 a, Buf.I32 b -> tandem_64_32 o n a alo ahi b blo bhi
+  | Buf.I32 a, Buf.I64 b -> tandem_64_32 o n b blo bhi a alo ahi
+  | Buf.I64 a, Buf.I64 b -> tandem_64_64 o n a alo ahi b blo bhi
+
+let intersect2_gallop o n a alo ahi b blo bhi =
+  match (a, b) with
+  | Buf.I32 a, Buf.I32 b -> gallop_32_32 o n a alo ahi b blo bhi
+  | Buf.I64 a, Buf.I32 b -> gallop_64_32 o n a alo ahi b blo bhi
+  | Buf.I32 a, Buf.I64 b -> gallop_32_64 o n a alo ahi b blo bhi
+  | Buf.I64 a, Buf.I64 b -> gallop_64_64 o n a alo ahi b blo bhi
 
 let gallop_threshold = 16
 
+(* A match is an element of both lists, so min(|a|, |b|) slots suffice. *)
 let intersect2_scalar out a alo ahi b blo bhi =
   let la = ahi - alo and lb = bhi - blo in
-  if la = 0 || lb = 0 then ()
-  else if lb > la * gallop_threshold then intersect2_gallop out a alo ahi b blo bhi
-  else if la > lb * gallop_threshold then intersect2_gallop out b blo bhi a alo ahi
-  else intersect2_tandem out a alo ahi b blo bhi
+  if la > 0 && lb > 0 then begin
+    let pos = Int_vec.length out in
+    Int_vec.ensure out (pos + if la < lb then la else lb);
+    let o = Int_vec.big out in
+    let n =
+      if lb > la * gallop_threshold then intersect2_gallop o pos a alo ahi b blo bhi
+      else if la > lb * gallop_threshold then intersect2_gallop o pos b blo bhi a alo ahi
+      else intersect2_tandem o pos a alo ahi b blo bhi
+    in
+    Int_vec.unsafe_set_len out n
+  end
 
 (* The vectorized kernels use unconditional full-width stores: reserve
    min(|a|, |b|) for results plus 8 lanes of scratch slack. *)
