@@ -448,6 +448,373 @@ let test_jt_alloc_free () =
   check_bool (Printf.sprintf "%.0f minor words over %d probes" words n) true (words < 100.);
   check_bool "every probe matched" true (!hits >= n)
 
+(* ---------- Golden counters ---------- *)
+
+(* A small fixed graph with hubs (hub bitmap rows) and planted cliques, and
+   its relabeled copy for labeled plans. *)
+let golden_graph () =
+  let rng = Rng.create 2025 in
+  Generators.plant_cliques rng
+    (Generators.holme_kim rng ~n:90 ~m_per:3 ~p_triad:0.6 ~recip:0.3)
+    ~count:3 ~size:7
+
+let labeled_golden_graph () =
+  Graph.relabel (golden_graph ()) (Rng.create 2026) ~num_vlabels:2 ~num_elabels:2
+
+(* [q] with vertex labels [v mod 2] and edge labels [i mod 2]. *)
+let labeled_variant q =
+  Query.create ~num_vertices:(Query.num_vertices q)
+    ~vlabels:(Array.init (Query.num_vertices q) (fun v -> v mod 2))
+    ~edges:(Array.mapi (fun i (e : Query.edge) -> { e with Query.label = i mod 2 }) q.Query.edges)
+    ()
+
+let golden_plans () =
+  let rev q = Array.init (Query.num_vertices q) (fun i -> Query.num_vertices q - 1 - i) in
+  let edge q a b =
+    List.find
+      (fun (e : Query.edge) -> (e.src = a && e.dst = b) || (e.src = b && e.dst = a))
+      (Array.to_list q.Query.edges)
+  in
+  let wco =
+    List.concat_map
+      (fun qi ->
+        let q = Patterns.q qi in
+        let id = (Printf.sprintf "Q%d" qi, q, Plan.wco q (Array.init (Query.num_vertices q) Fun.id)) in
+        match Plan.wco q (rev q) with
+        | p -> [ id; (Printf.sprintf "Q%d rev" qi, q, p) ]
+        | exception Invalid_argument _ -> [ id ])
+      [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 13; 14 ]
+  in
+  let q2 = Patterns.q 2 and q3 = Patterns.q 3 and q8 = Patterns.q 8 in
+  let q10 = Patterns.q 10 and q13 = Patterns.q 13 in
+  let hybrid =
+    [
+      ("Q2 hj", q2, Plan.hash_join q2 (Plan.wco q2 [| 0; 1; 2 |]) (Plan.wco q2 [| 2; 3; 0 |]));
+      ("Q3 hj", q3, Plan.hash_join q3 (Plan.wco q3 [| 1; 2; 0 |]) (Plan.wco q3 [| 1; 2; 3 |]));
+      ( "Q3 extend after hj",
+        q3,
+        Plan.extend q3
+          (Plan.hash_join q3 (Plan.scan q3 (edge q3 0 1)) (Plan.scan q3 (edge q3 1 3)))
+          2 );
+      ("Q8 hj", q8, Plan.hash_join q8 (Plan.wco q8 [| 0; 1; 2 |]) (Plan.wco q8 [| 2; 3; 4 |]));
+      ( "Q10 hj",
+        q10,
+        Plan.hash_join q10 (Plan.wco q10 [| 0; 1; 2; 3 |]) (Plan.wco q10 [| 3; 4; 5 |]) );
+      ( "Q13 hj",
+        q13,
+        Plan.hash_join q13 (Plan.wco q13 [| 0; 1; 2 |]) (Plan.wco q13 [| 2; 3; 4; 5 |]) );
+    ]
+  in
+  wco @ hybrid
+
+let labeled_golden_plans () =
+  List.map
+    (fun qi ->
+      let q = labeled_variant (Patterns.q qi) in
+      (Printf.sprintf "L%d" qi, q, Plan.wco q (Array.init (Query.num_vertices q) Fun.id)))
+    [ 1; 3; 5; 8 ]
+
+(* Every counter a run reports except the governor's, under the cache on
+   and off, homomorphic and [distinct], counted at the root and
+   enumerated. *)
+let golden_lines g plans =
+  List.concat_map
+    (fun (name, _, plan) ->
+      List.concat_map
+        (fun (cache, distinct) ->
+          List.map
+            (fun (mode, sink) ->
+              let c, o = Exec.run_gov ~cache ~distinct ?sink g plan in
+              assert (o = Governor.Completed);
+              Printf.sprintf "%s c%b d%b %s: o%d p%d i%d x%d h%d b%d r%d" name cache distinct mode
+                c.Counters.output c.produced c.icost c.intersections c.cache_hits c.hj_build_tuples
+                c.hj_probe_tuples)
+            [ ("count", None); ("enum", Some ignore) ])
+        [ (true, false); (false, false); (true, true); (false, true) ])
+    plans
+
+(* The parent run's counters, one line per plan, setting and root mode:
+   output, produced, icost, intersections, cache hits, HASH-JOIN build and
+   probe tuples. *)
+let golden_expected =
+  [
+    "Q1 ctrue dfalse count: o454 p800 i6022 x346 h0 b0 r0";
+    "Q1 ctrue dfalse enum: o454 p800 i6022 x346 h0 b0 r0";
+    "Q1 cfalse dfalse count: o454 p800 i6022 x346 h0 b0 r0";
+    "Q1 cfalse dfalse enum: o454 p800 i6022 x346 h0 b0 r0";
+    "Q1 ctrue dtrue count: o454 p800 i6022 x346 h0 b0 r0";
+    "Q1 ctrue dtrue enum: o454 p800 i6022 x346 h0 b0 r0";
+    "Q1 cfalse dtrue count: o454 p800 i6022 x346 h0 b0 r0";
+    "Q1 cfalse dtrue enum: o454 p800 i6022 x346 h0 b0 r0";
+    "Q1 rev ctrue dfalse count: o454 p800 i11962 x346 h0 b0 r0";
+    "Q1 rev ctrue dfalse enum: o454 p800 i11962 x346 h0 b0 r0";
+    "Q1 rev cfalse dfalse count: o454 p800 i11962 x346 h0 b0 r0";
+    "Q1 rev cfalse dfalse enum: o454 p800 i11962 x346 h0 b0 r0";
+    "Q1 rev ctrue dtrue count: o454 p800 i11962 x346 h0 b0 r0";
+    "Q1 rev ctrue dtrue enum: o454 p800 i11962 x346 h0 b0 r0";
+    "Q1 rev cfalse dtrue count: o454 p800 i11962 x346 h0 b0 r0";
+    "Q1 rev cfalse dtrue enum: o454 p800 i11962 x346 h0 b0 r0";
+    "Q2 ctrue dfalse count: o3468 p7460 i43456 x3984 h8 b0 r0";
+    "Q2 ctrue dfalse enum: o3468 p7460 i43456 x3984 h8 b0 r0";
+    "Q2 cfalse dfalse count: o3468 p7460 i43816 x3992 h0 b0 r0";
+    "Q2 cfalse dfalse enum: o3468 p7460 i43816 x3992 h0 b0 r0";
+    "Q2 ctrue dtrue count: o1104 p4940 i38689 x3825 h11 b0 r0";
+    "Q2 ctrue dtrue enum: o1104 p4940 i38689 x3825 h11 b0 r0";
+    "Q2 cfalse dtrue count: o1104 p4940 i39193 x3836 h0 b0 r0";
+    "Q2 cfalse dtrue enum: o1104 p4940 i39193 x3836 h0 b0 r0";
+    "Q2 rev ctrue dfalse count: o3468 p7460 i40410 x3735 h257 b0 r0";
+    "Q2 rev ctrue dfalse enum: o3468 p7460 i40410 x3735 h257 b0 r0";
+    "Q2 rev cfalse dfalse count: o3468 p7460 i43816 x3992 h0 b0 r0";
+    "Q2 rev cfalse dfalse enum: o3468 p7460 i43816 x3992 h0 b0 r0";
+    "Q2 rev ctrue dtrue count: o1104 p4940 i35831 x3579 h257 b0 r0";
+    "Q2 rev ctrue dtrue enum: o1104 p4940 i35831 x3579 h257 b0 r0";
+    "Q2 rev cfalse dtrue count: o1104 p4940 i39193 x3836 h0 b0 r0";
+    "Q2 rev cfalse dtrue enum: o1104 p4940 i39193 x3836 h0 b0 r0";
+    "Q3 ctrue dfalse count: o623 p1423 i16726 x798 h2 b0 r0";
+    "Q3 ctrue dfalse enum: o623 p1423 i16726 x798 h2 b0 r0";
+    "Q3 cfalse dfalse count: o623 p1423 i16812 x800 h0 b0 r0";
+    "Q3 cfalse dfalse enum: o623 p1423 i16812 x800 h0 b0 r0";
+    "Q3 ctrue dtrue count: o564 p1364 i16726 x798 h2 b0 r0";
+    "Q3 ctrue dtrue enum: o564 p1364 i16726 x798 h2 b0 r0";
+    "Q3 cfalse dtrue count: o564 p1364 i16812 x800 h0 b0 r0";
+    "Q3 cfalse dtrue enum: o564 p1364 i16812 x800 h0 b0 r0";
+    "Q3 rev ctrue dfalse count: o623 p1423 i23114 x766 h34 b0 r0";
+    "Q3 rev ctrue dfalse enum: o623 p1423 i23114 x766 h34 b0 r0";
+    "Q3 rev cfalse dfalse count: o623 p1423 i23769 x800 h0 b0 r0";
+    "Q3 rev cfalse dfalse enum: o623 p1423 i23769 x800 h0 b0 r0";
+    "Q3 rev ctrue dtrue count: o564 p1364 i23114 x766 h34 b0 r0";
+    "Q3 rev ctrue dtrue enum: o564 p1364 i23114 x766 h34 b0 r0";
+    "Q3 rev cfalse dtrue count: o564 p1364 i23769 x800 h0 b0 r0";
+    "Q3 rev cfalse dtrue enum: o564 p1364 i23769 x800 h0 b0 r0";
+    "Q4 ctrue dfalse count: o529 p1106 i15776 x576 h1 b0 r0";
+    "Q4 ctrue dfalse enum: o529 p1106 i15776 x576 h1 b0 r0";
+    "Q4 cfalse dfalse count: o529 p1106 i15838 x577 h0 b0 r0";
+    "Q4 cfalse dfalse enum: o529 p1106 i15838 x577 h0 b0 r0";
+    "Q4 ctrue dtrue count: o298 p875 i15776 x576 h1 b0 r0";
+    "Q4 ctrue dtrue enum: o298 p875 i15776 x576 h1 b0 r0";
+    "Q4 cfalse dtrue count: o298 p875 i15838 x577 h0 b0 r0";
+    "Q4 cfalse dtrue enum: o298 p875 i15838 x577 h0 b0 r0";
+    "Q4 rev ctrue dfalse count: o529 p1106 i13328 x541 h36 b0 r0";
+    "Q4 rev ctrue dfalse enum: o529 p1106 i13328 x541 h36 b0 r0";
+    "Q4 rev cfalse dfalse count: o529 p1106 i15838 x577 h0 b0 r0";
+    "Q4 rev cfalse dfalse enum: o529 p1106 i15838 x577 h0 b0 r0";
+    "Q4 rev ctrue dtrue count: o298 p875 i13328 x541 h36 b0 r0";
+    "Q4 rev ctrue dtrue enum: o298 p875 i13328 x541 h36 b0 r0";
+    "Q4 rev cfalse dtrue count: o298 p875 i15838 x577 h0 b0 r0";
+    "Q4 rev cfalse dtrue enum: o298 p875 i15838 x577 h0 b0 r0";
+    "Q5 ctrue dfalse count: o364 p1164 i19994 x800 h0 b0 r0";
+    "Q5 ctrue dfalse enum: o364 p1164 i19994 x800 h0 b0 r0";
+    "Q5 cfalse dfalse count: o364 p1164 i19994 x800 h0 b0 r0";
+    "Q5 cfalse dfalse enum: o364 p1164 i19994 x800 h0 b0 r0";
+    "Q5 ctrue dtrue count: o364 p1164 i19994 x800 h0 b0 r0";
+    "Q5 ctrue dtrue enum: o364 p1164 i19994 x800 h0 b0 r0";
+    "Q5 cfalse dtrue count: o364 p1164 i19994 x800 h0 b0 r0";
+    "Q5 cfalse dtrue enum: o364 p1164 i19994 x800 h0 b0 r0";
+    "Q5 rev ctrue dfalse count: o364 p1164 i40349 x800 h0 b0 r0";
+    "Q5 rev ctrue dfalse enum: o364 p1164 i40349 x800 h0 b0 r0";
+    "Q5 rev cfalse dfalse count: o364 p1164 i40349 x800 h0 b0 r0";
+    "Q5 rev cfalse dfalse enum: o364 p1164 i40349 x800 h0 b0 r0";
+    "Q5 rev ctrue dtrue count: o364 p1164 i40349 x800 h0 b0 r0";
+    "Q5 rev ctrue dtrue enum: o364 p1164 i40349 x800 h0 b0 r0";
+    "Q5 rev cfalse dtrue count: o364 p1164 i40349 x800 h0 b0 r0";
+    "Q5 rev cfalse dtrue enum: o364 p1164 i40349 x800 h0 b0 r0";
+    "Q6 ctrue dfalse count: o67 p867 i20264 x800 h0 b0 r0";
+    "Q6 ctrue dfalse enum: o67 p867 i20264 x800 h0 b0 r0";
+    "Q6 cfalse dfalse count: o67 p867 i20264 x800 h0 b0 r0";
+    "Q6 cfalse dfalse enum: o67 p867 i20264 x800 h0 b0 r0";
+    "Q6 ctrue dtrue count: o67 p867 i20264 x800 h0 b0 r0";
+    "Q6 ctrue dtrue enum: o67 p867 i20264 x800 h0 b0 r0";
+    "Q6 cfalse dtrue count: o67 p867 i20264 x800 h0 b0 r0";
+    "Q6 cfalse dtrue enum: o67 p867 i20264 x800 h0 b0 r0";
+    "Q6 rev ctrue dfalse count: o67 p867 i30314 x800 h0 b0 r0";
+    "Q6 rev ctrue dfalse enum: o67 p867 i30314 x800 h0 b0 r0";
+    "Q6 rev cfalse dfalse count: o67 p867 i30314 x800 h0 b0 r0";
+    "Q6 rev cfalse dfalse enum: o67 p867 i30314 x800 h0 b0 r0";
+    "Q6 rev ctrue dtrue count: o67 p867 i30314 x800 h0 b0 r0";
+    "Q6 rev ctrue dtrue enum: o67 p867 i30314 x800 h0 b0 r0";
+    "Q6 rev cfalse dtrue count: o67 p867 i30314 x800 h0 b0 r0";
+    "Q6 rev cfalse dtrue enum: o67 p867 i30314 x800 h0 b0 r0";
+    "Q7 ctrue dfalse count: o270 p1434 i33749 x1164 h0 b0 r0";
+    "Q7 ctrue dfalse enum: o270 p1434 i33749 x1164 h0 b0 r0";
+    "Q7 cfalse dfalse count: o270 p1434 i33749 x1164 h0 b0 r0";
+    "Q7 cfalse dfalse enum: o270 p1434 i33749 x1164 h0 b0 r0";
+    "Q7 ctrue dtrue count: o270 p1434 i33749 x1164 h0 b0 r0";
+    "Q7 ctrue dtrue enum: o270 p1434 i33749 x1164 h0 b0 r0";
+    "Q7 cfalse dtrue count: o270 p1434 i33749 x1164 h0 b0 r0";
+    "Q7 cfalse dtrue enum: o270 p1434 i33749 x1164 h0 b0 r0";
+    "Q7 rev ctrue dfalse count: o270 p1434 i65920 x1164 h0 b0 r0";
+    "Q7 rev ctrue dfalse enum: o270 p1434 i65920 x1164 h0 b0 r0";
+    "Q7 rev cfalse dfalse count: o270 p1434 i65920 x1164 h0 b0 r0";
+    "Q7 rev cfalse dfalse enum: o270 p1434 i65920 x1164 h0 b0 r0";
+    "Q7 rev ctrue dtrue count: o270 p1434 i65920 x1164 h0 b0 r0";
+    "Q7 rev ctrue dtrue enum: o270 p1434 i65920 x1164 h0 b0 r0";
+    "Q7 rev cfalse dtrue count: o270 p1434 i65920 x1164 h0 b0 r0";
+    "Q7 rev cfalse dtrue enum: o270 p1434 i65920 x1164 h0 b0 r0";
+    "Q8 ctrue dfalse count: o5295 p12640 i201659 x7268 h77 b0 r0";
+    "Q8 ctrue dfalse enum: o5295 p12640 i201659 x7268 h77 b0 r0";
+    "Q8 cfalse dfalse count: o5295 p12640 i203784 x7345 h0 b0 r0";
+    "Q8 cfalse dfalse enum: o5295 p12640 i203784 x7345 h0 b0 r0";
+    "Q8 ctrue dtrue count: o4510 p11539 i193053 x6950 h79 b0 r0";
+    "Q8 ctrue dtrue enum: o4510 p11539 i193053 x6950 h79 b0 r0";
+    "Q8 cfalse dtrue count: o4510 p11539 i195188 x7029 h0 b0 r0";
+    "Q8 cfalse dtrue enum: o4510 p11539 i195188 x7029 h0 b0 r0";
+    "Q8 rev ctrue dfalse count: o5295 p9547 i182912 x4210 h42 b0 r0";
+    "Q8 rev ctrue dfalse enum: o5295 p9547 i182912 x4210 h42 b0 r0";
+    "Q8 rev cfalse dfalse count: o5295 p9547 i183505 x4252 h0 b0 r0";
+    "Q8 rev cfalse dfalse enum: o5295 p9547 i183505 x4252 h0 b0 r0";
+    "Q8 rev ctrue dtrue count: o4510 p8464 i170272 x3912 h42 b0 r0";
+    "Q8 rev ctrue dtrue enum: o4510 p8464 i170272 x3912 h42 b0 r0";
+    "Q8 rev cfalse dtrue count: o4510 p8464 i170866 x3954 h0 b0 r0";
+    "Q8 rev cfalse dtrue enum: o4510 p8464 i170866 x3954 h0 b0 r0";
+    "Q9 ctrue dfalse count: o9482 p22122 i260578 x11842 h798 b0 r0";
+    "Q9 ctrue dfalse enum: o9482 p22122 i260578 x11842 h798 b0 r0";
+    "Q9 cfalse dfalse count: o9482 p22122 i277912 x12640 h0 b0 r0";
+    "Q9 cfalse dfalse enum: o9482 p22122 i277912 x12640 h0 b0 r0";
+    "Q9 ctrue dtrue count: o1804 p13343 i238574 x10862 h677 b0 r0";
+    "Q9 ctrue dtrue enum: o1804 p13343 i238574 x10862 h677 b0 r0";
+    "Q9 cfalse dtrue count: o1804 p13343 i252247 x11539 h0 b0 r0";
+    "Q9 cfalse dtrue enum: o1804 p13343 i252247 x11539 h0 b0 r0";
+    "Q9 rev ctrue dfalse count: o9482 p57400 i1843107 x47474 h444 b0 r0";
+    "Q9 rev ctrue dfalse enum: o9482 p57400 i1843107 x47474 h444 b0 r0";
+    "Q9 rev cfalse dfalse count: o9482 p57400 i1849282 x47918 h0 b0 r0";
+    "Q9 rev cfalse dfalse enum: o9482 p57400 i1849282 x47918 h0 b0 r0";
+    "Q9 rev ctrue dtrue count: o1804 p41338 i1277460 x39108 h426 b0 r0";
+    "Q9 rev ctrue dtrue enum: o1804 p41338 i1277460 x39108 h426 b0 r0";
+    "Q9 rev cfalse dtrue count: o1804 p41338 i1283375 x39534 h0 b0 r0";
+    "Q9 rev cfalse dtrue enum: o1804 p41338 i1283375 x39534 h0 b0 r0";
+    "Q10 ctrue dfalse count: o5961 p13869 i201007 x7867 h41 b0 r0";
+    "Q10 ctrue dfalse enum: o5961 p13869 i201007 x7867 h41 b0 r0";
+    "Q10 cfalse dfalse count: o5961 p13869 i201779 x7908 h0 b0 r0";
+    "Q10 cfalse dfalse enum: o5961 p13869 i201779 x7908 h0 b0 r0";
+    "Q10 ctrue dtrue count: o3498 p9929 i160157 x6389 h42 b0 r0";
+    "Q10 ctrue dtrue enum: o3498 p9929 i160157 x6389 h42 b0 r0";
+    "Q10 cfalse dtrue count: o3498 p9929 i160740 x6431 h0 b0 r0";
+    "Q10 cfalse dtrue enum: o3498 p9929 i160740 x6431 h0 b0 r0";
+    "Q10 rev ctrue dfalse count: o5961 p15508 i290778 x9502 h45 b0 r0";
+    "Q10 rev ctrue dfalse enum: o5961 p15508 i290778 x9502 h45 b0 r0";
+    "Q10 rev cfalse dfalse count: o5961 p15508 i291398 x9547 h0 b0 r0";
+    "Q10 rev cfalse dfalse enum: o5961 p15508 i291398 x9547 h0 b0 r0";
+    "Q10 rev ctrue dtrue count: o3498 p11962 i245327 x8407 h57 b0 r0";
+    "Q10 rev ctrue dtrue enum: o3498 p11962 i245327 x8407 h57 b0 r0";
+    "Q10 rev cfalse dtrue count: o3498 p11962 i245999 x8464 h0 b0 r0";
+    "Q10 rev cfalse dtrue enum: o3498 p11962 i245999 x8464 h0 b0 r0";
+    "Q13 ctrue dfalse count: o2029808 p2170869 i253988 x37113 h103948 b0 r0";
+    "Q13 ctrue dfalse enum: o2029808 p2170869 i253988 x37113 h103948 b0 r0";
+    "Q13 cfalse dfalse count: o2029808 p2170869 i2170523 x141061 h0 b0 r0";
+    "Q13 cfalse dfalse enum: o2029808 p2170869 i2170523 x141061 h0 b0 r0";
+    "Q13 ctrue dtrue count: o684358 p752306 i142205 x25001 h42947 b0 r0";
+    "Q13 ctrue dtrue enum: o684358 p752306 i142205 x25001 h42947 b0 r0";
+    "Q13 cfalse dtrue count: o684358 p752306 i874749 x67948 h0 b0 r0";
+    "Q13 cfalse dtrue enum: o684358 p752306 i874749 x67948 h0 b0 r0";
+    "Q14 ctrue dfalse count: o49 p1634 i53279 x1585 h0 b0 r0";
+    "Q14 ctrue dfalse enum: o49 p1634 i53279 x1585 h0 b0 r0";
+    "Q14 cfalse dfalse count: o49 p1634 i53279 x1585 h0 b0 r0";
+    "Q14 cfalse dfalse enum: o49 p1634 i53279 x1585 h0 b0 r0";
+    "Q14 ctrue dtrue count: o49 p1634 i53279 x1585 h0 b0 r0";
+    "Q14 ctrue dtrue enum: o49 p1634 i53279 x1585 h0 b0 r0";
+    "Q14 cfalse dtrue count: o49 p1634 i53279 x1585 h0 b0 r0";
+    "Q14 cfalse dtrue enum: o49 p1634 i53279 x1585 h0 b0 r0";
+    "Q14 rev ctrue dfalse count: o49 p1634 i100336 x1585 h0 b0 r0";
+    "Q14 rev ctrue dfalse enum: o49 p1634 i100336 x1585 h0 b0 r0";
+    "Q14 rev cfalse dfalse count: o49 p1634 i100336 x1585 h0 b0 r0";
+    "Q14 rev cfalse dfalse enum: o49 p1634 i100336 x1585 h0 b0 r0";
+    "Q14 rev ctrue dtrue count: o49 p1634 i100336 x1585 h0 b0 r0";
+    "Q14 rev ctrue dtrue enum: o49 p1634 i100336 x1585 h0 b0 r0";
+    "Q14 rev cfalse dtrue count: o49 p1634 i100336 x1585 h0 b0 r0";
+    "Q14 rev cfalse dtrue enum: o49 p1634 i100336 x1585 h0 b0 r0";
+    "Q2 hj ctrue dfalse count: o3468 p11452 i7118 x686 h6 b3646 r3646";
+    "Q2 hj ctrue dfalse enum: o3468 p11452 i7118 x686 h6 b3646 r3646";
+    "Q2 hj cfalse dfalse count: o3468 p11452 i7292 x692 h0 b3646 r3646";
+    "Q2 hj cfalse dfalse enum: o3468 p11452 i7292 x692 h0 b3646 r3646";
+    "Q2 hj ctrue dtrue count: o1104 p8776 i7118 x686 h6 b3490 r3490";
+    "Q2 hj ctrue dtrue enum: o1104 p8776 i7118 x686 h6 b3490 r3490";
+    "Q2 hj cfalse dtrue count: o1104 p8776 i7292 x692 h0 b3490 r3490";
+    "Q2 hj cfalse dtrue enum: o1104 p8776 i7292 x692 h0 b3490 r3490";
+    "Q3 hj ctrue dfalse count: o623 p2223 i17984 x692 h0 b454 r454";
+    "Q3 hj ctrue dfalse enum: o623 p2223 i17984 x692 h0 b454 r454";
+    "Q3 hj cfalse dfalse count: o623 p2223 i17984 x692 h0 b454 r454";
+    "Q3 hj cfalse dfalse enum: o623 p2223 i17984 x692 h0 b454 r454";
+    "Q3 hj ctrue dtrue count: o564 p2164 i17984 x692 h0 b454 r454";
+    "Q3 hj ctrue dtrue enum: o564 p2164 i17984 x692 h0 b454 r454";
+    "Q3 hj cfalse dtrue count: o564 p2164 i17984 x692 h0 b454 r454";
+    "Q3 hj cfalse dtrue enum: o564 p2164 i17984 x692 h0 b454 r454";
+    "Q3 extend after hj ctrue dfalse count: o623 p4961 i128118 x3646 h0 b346 r346";
+    "Q3 extend after hj ctrue dfalse enum: o623 p4961 i128118 x3646 h0 b346 r346";
+    "Q3 extend after hj cfalse dfalse count: o623 p4961 i128118 x3646 h0 b346 r346";
+    "Q3 extend after hj cfalse dfalse enum: o623 p4961 i128118 x3646 h0 b346 r346";
+    "Q3 extend after hj ctrue dtrue count: o564 p4746 i121996 x3490 h0 b346 r346";
+    "Q3 extend after hj ctrue dtrue enum: o564 p4746 i121996 x3490 h0 b346 r346";
+    "Q3 extend after hj cfalse dtrue count: o564 p4746 i121996 x3490 h0 b346 r346";
+    "Q3 extend after hj cfalse dtrue enum: o564 p4746 i121996 x3490 h0 b346 r346";
+    "Q8 hj ctrue dfalse count: o5295 p6895 i12044 x692 h0 b454 r454";
+    "Q8 hj ctrue dfalse enum: o5295 p6895 i12044 x692 h0 b454 r454";
+    "Q8 hj cfalse dfalse count: o5295 p6895 i12044 x692 h0 b454 r454";
+    "Q8 hj cfalse dfalse enum: o5295 p6895 i12044 x692 h0 b454 r454";
+    "Q8 hj ctrue dtrue count: o4510 p6110 i12044 x692 h0 b454 r454";
+    "Q8 hj ctrue dtrue enum: o4510 p6110 i12044 x692 h0 b454 r454";
+    "Q8 hj cfalse dtrue count: o4510 p6110 i12044 x692 h0 b454 r454";
+    "Q8 hj cfalse dtrue enum: o4510 p6110 i12044 x692 h0 b454 r454";
+    "Q10 hj ctrue dfalse count: o5961 p8184 i22748 x1144 h2 b623 r454";
+    "Q10 hj ctrue dfalse enum: o5961 p8184 i22748 x1144 h2 b623 r454";
+    "Q10 hj cfalse dfalse count: o5961 p8184 i22834 x1146 h0 b623 r454";
+    "Q10 hj cfalse dfalse enum: o5961 p8184 i22834 x1146 h0 b623 r454";
+    "Q10 hj ctrue dtrue count: o3498 p5662 i22748 x1144 h2 b564 r454";
+    "Q10 hj ctrue dtrue enum: o3498 p5662 i22748 x1144 h2 b564 r454";
+    "Q10 hj cfalse dtrue count: o3498 p5662 i22834 x1146 h0 b564 r454";
+    "Q10 hj cfalse dtrue enum: o3498 p5662 i22834 x1146 h0 b564 r454";
+    "Q13 hj ctrue dfalse count: o2029808 p2112504 i7464 x776 h3562 b2376 r75982";
+    "Q13 hj ctrue dfalse enum: o2029808 p2112504 i7464 x776 h3562 b2376 r75982";
+    "Q13 hj cfalse dfalse count: o2029808 p2112504 i82004 x4338 h0 b2376 r75982";
+    "Q13 hj cfalse dfalse enum: o2029808 p2112504 i82004 x4338 h0 b2376 r75982";
+    "Q13 hj ctrue dtrue count: o684358 p760220 i7461 x773 h3409 b2030 r69650";
+    "Q13 hj ctrue dtrue enum: o684358 p760220 i7461 x773 h3409 b2030 r69650";
+    "Q13 hj cfalse dtrue count: o684358 p760220 i80505 x4182 h0 b2030 r69650";
+    "Q13 hj cfalse dtrue enum: o684358 p760220 i80505 x4182 h0 b2030 r69650";
+    "L1 ctrue dfalse count: o10 p53 i148 x43 h0 b0 r0";
+    "L1 ctrue dfalse enum: o10 p53 i148 x43 h0 b0 r0";
+    "L1 cfalse dfalse count: o10 p53 i148 x43 h0 b0 r0";
+    "L1 cfalse dfalse enum: o10 p53 i148 x43 h0 b0 r0";
+    "L1 ctrue dtrue count: o10 p53 i148 x43 h0 b0 r0";
+    "L1 ctrue dtrue enum: o10 p53 i148 x43 h0 b0 r0";
+    "L1 cfalse dtrue count: o10 p53 i148 x43 h0 b0 r0";
+    "L1 cfalse dtrue enum: o10 p53 i148 x43 h0 b0 r0";
+    "L3 ctrue dfalse count: o1 p58 i279 x57 h0 b0 r0";
+    "L3 ctrue dfalse enum: o1 p58 i279 x57 h0 b0 r0";
+    "L3 cfalse dfalse count: o1 p58 i279 x57 h0 b0 r0";
+    "L3 cfalse dfalse enum: o1 p58 i279 x57 h0 b0 r0";
+    "L3 ctrue dtrue count: o1 p58 i279 x57 h0 b0 r0";
+    "L3 ctrue dtrue enum: o1 p58 i279 x57 h0 b0 r0";
+    "L3 cfalse dtrue count: o1 p58 i279 x57 h0 b0 r0";
+    "L3 cfalse dtrue enum: o1 p58 i279 x57 h0 b0 r0";
+    "L5 ctrue dfalse count: o0 p40 i197 x40 h0 b0 r0";
+    "L5 ctrue dfalse enum: o0 p40 i197 x40 h0 b0 r0";
+    "L5 cfalse dfalse count: o0 p40 i197 x40 h0 b0 r0";
+    "L5 cfalse dfalse enum: o0 p40 i197 x40 h0 b0 r0";
+    "L5 ctrue dtrue count: o0 p40 i197 x40 h0 b0 r0";
+    "L5 ctrue dtrue enum: o0 p40 i197 x40 h0 b0 r0";
+    "L5 cfalse dtrue count: o0 p40 i197 x40 h0 b0 r0";
+    "L5 cfalse dtrue enum: o0 p40 i197 x40 h0 b0 r0";
+    "L8 ctrue dfalse count: o2 p96 i455 x92 h2 b0 r0";
+    "L8 ctrue dfalse enum: o2 p96 i455 x92 h2 b0 r0";
+    "L8 cfalse dfalse count: o2 p96 i471 x94 h0 b0 r0";
+    "L8 cfalse dfalse enum: o2 p96 i471 x94 h0 b0 r0";
+    "L8 ctrue dtrue count: o0 p90 i429 x88 h2 b0 r0";
+    "L8 ctrue dtrue enum: o0 p90 i429 x88 h2 b0 r0";
+    "L8 cfalse dtrue count: o0 p90 i445 x90 h0 b0 r0";
+    "L8 cfalse dtrue enum: o0 p90 i445 x90 h0 b0 r0";
+  ]
+
+let test_golden_counters () =
+  List.iter
+    (fun kernel ->
+      Gf_util.Sorted.with_kernel_mode kernel (fun () ->
+          let got =
+            golden_lines (golden_graph ()) (golden_plans ())
+            @ golden_lines (labeled_golden_graph ()) (labeled_golden_plans ())
+          in
+          Alcotest.(check (list string)) (Gf_util.Sorted.kernel_mode_to_string kernel) golden_expected got))
+    [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Simd ]
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest t in
   [
@@ -492,4 +859,5 @@ let suite =
         Alcotest.test_case "printing/signature" `Quick test_plan_printing_and_signature;
         Alcotest.test_case "ei chains" `Quick test_ei_chain_metrics;
       ] );
+    ("exec.golden", [ Alcotest.test_case "counters" `Quick test_golden_counters ]);
   ]
