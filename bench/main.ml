@@ -1052,6 +1052,96 @@ let ablation_intersection_kernel () =
       ("1:512", 64, 32768);
     ]
 
+(* Run-at-a-time E/I: the run kernel against one [Sorted.intersect] per
+   tuple, on google 0.5's edge runs. A run is a source vertex u and the
+   first [len] of its forward neighbours; each candidate c is extended as
+   Q1's E/I extends (u, c): u's forward list (with its bitmap row) is the
+   shared list, c's forward list the varying one. Per tuple, both lists
+   are looked up and intersected by one call; per run, the shared list is
+   looked up once and one kernel call covers up to 64 candidates. *)
+let ablation_runs () =
+  header "Ablation: run kernel vs per-tuple intersect, ns per candidate (google 0.5 edge runs)";
+  let g = dataset_at (Gf.Generators.Google, 0.5) in
+  let bits = Gf.Graph.bitmap_words g in
+  let fwd = Gf.Graph.csr g Gf.Graph.Fwd ~elabel:0 ~nlabel:0 in
+  let size u = Gf.Graph.partition_size g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 in
+  (* ns per candidate of [f ()] over [cands] candidates, ~0.2 s of reps. *)
+  let time f cands =
+    f ();
+    let reps = ref 0 and t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < 0.2 do
+      f ();
+      incr reps
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (!reps * cands)
+  in
+  Printf.printf "%-8s %6s %13s %11s %9s %13s %11s %9s\n" "run len" "runs" "scalar tuple"
+    "scalar run" "speedup" "simd tuple" "simd run" "speedup";
+  List.iter
+    (fun len ->
+      let sources =
+        List.filter (fun u -> size u >= len) (List.init (Gf.Graph.num_vertices g) Fun.id)
+      in
+      (* At most 4096 runs, spread over the eligible sources. *)
+      let step = max 1 (List.length sources / 4096) in
+      let sources = Array.of_list (List.filteri (fun i _ -> i mod step = 0) sources) in
+      let cands = Array.length sources * len in
+      let out = Gf.Int_vec.create ~capacity:4096 () in
+      let per_tuple () =
+        let l = Gf.Sorted.lists ~bits 2 in
+        Array.iter
+          (fun u ->
+            let cb, clo, _ = Gf.Graph.neighbours g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 in
+            for i = clo to clo + len - 1 do
+              Gf.Graph.neighbours_into g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 l 0;
+              Gf.Graph.neighbours_into g Gf.Graph.Fwd (Gf.Buf.unsafe_get cb i) ~elabel:0 ~nlabel:0 l 1;
+              Gf.Int_vec.clear out;
+              Gf.Sorted.intersect out l
+            done)
+          sources
+      in
+      let per_run () =
+        let l = Gf.Sorted.lists ~bits 1 in
+        let r = Gf.Sorted.run_state ~bits ~shared:true [| fwd |] in
+        Array.iter
+          (fun u ->
+            Gf.Graph.neighbours_into g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 l 0;
+            Gf.Sorted.set_shared r l.bufs.(0) l.lo.(0) l.hi.(0) l.row.(0);
+            let cb, clo, _ = Gf.Graph.neighbours g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 in
+            let i = ref clo in
+            while !i < clo + len do
+              i := !i + Gf.Sorted.run_kernel ~count:false ~giant:max_int r out cb !i (clo + len)
+            done)
+          sources
+      in
+      let cell mode =
+        Gf.Sorted.with_kernel_mode mode (fun () -> (time per_tuple cands, time per_run cands))
+      in
+      let st, sr = cell Gf.Sorted.Scalar and vt, vr = cell Gf.Sorted.Simd in
+      Printf.printf "%-8d %6d %13.1f %11.1f %8.2fx %13.1f %11.1f %8.2fx\n%!" len
+        (Array.length sources) st sr (st /. sr) vt vr (vt /. vr))
+    [ 1; 8; 64; 512 ];
+  (* The E/I path end to end: the wco-heavy workload's seven plans on the
+     same graph, counted at the root as a rows=false request runs them;
+     best of [rounds] runs each. *)
+  let db = Gf.Db.create g in
+  let rounds = 15 in
+  Printf.printf "%-5s %10s %12s\n" "query" "best ms" "matches";
+  let total = ref 0.0 in
+  List.iter
+    (fun qi ->
+      let plan, _ = Gf.Db.plan db (Gf.Patterns.q qi) in
+      let best = ref infinity and matches = ref 0 in
+      for _ = 1 to rounds do
+        let t, (c, _) = time_once (fun () -> Gf.Exec.run_gov g plan) in
+        best := Float.min !best t;
+        matches := c.Gf.Counters.output
+      done;
+      total := !total +. !best;
+      Printf.printf "Q%-4d %10.2f %12d\n%!" qi (!best *. 1e3) !matches)
+    [ 1; 3; 4; 5; 6; 7; 14 ];
+  Printf.printf "%-5s %10.2f\n" "sum" (!total *. 1e3)
+
 (* ------------------------------------------------------------------ *)
 (* Storage: heap int-array CSR vs off-heap Bigarray CSR vs mmap.       *)
 (* ------------------------------------------------------------------ *)
@@ -1779,6 +1869,7 @@ let sections =
     ("ablation_weights", ablation_hashjoin_weights);
     ("ablation_estimators", ablation_estimators);
     ("ablation_intersection", ablation_intersection_kernel);
+    ("ablation_runs", ablation_runs);
     ("ablation_factorized", ablation_factorized_count);
     ("storage", storage);
     ("durability", durability);

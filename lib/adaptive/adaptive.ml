@@ -34,7 +34,7 @@ type step = {
   mu : float;
   cover_prefix : int; (* smallest j such that bound + first j targets cover all
                          descriptor sources; 0 = bound alone *)
-  ext : Exec.extension; (* the structural E/I lookup, counting into the chain root *)
+  ext : Exec.extend; (* the structural E/I operator, counting into the chain root *)
 }
 
 type ordering = {
@@ -48,6 +48,7 @@ let build_ordering env row model q ~anchor_vars ~bound_set ~fixed_schema order =
   let columns = Array.append anchor_vars order in
   let nb = Array.length anchor_vars in
   let prefix = ref bound_set in
+  let prev = ref None in
   let steps =
     Array.mapi
       (fun j v ->
@@ -69,6 +70,8 @@ let build_ordering env row model q ~anchor_vars ~bound_set ~fixed_schema order =
         in
         let target_label = Query.vlabel q v in
         prefix := Bitset.add v child;
+        let ext = Exec.extend ?from:!prev env row ~target_label ~width:(nb + j) descriptors in
+        prev := Some ext;
         {
           target_label;
           descriptors;
@@ -76,7 +79,7 @@ let build_ordering env row model q ~anchor_vars ~bound_set ~fixed_schema order =
           est_total = Array.fold_left ( +. ) 0.0 est_sizes;
           mu = Cost_model.mu model ~child ~v;
           cover_prefix;
-          ext = Exec.extension env row ~target_label descriptors;
+          ext;
         })
       order
   in
@@ -172,57 +175,62 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
             let anchor_driver = recurse env anchor in
             let nb = Array.length anchor_vars in
             let width = Array.length fixed_schema in
-            let partial = Array.make width 0 in
             let out_buf = Array.make width 0 in
+            let out_sink = ref ignore in
+            (* An ordering's steps chained run to run; the last step's
+               runs are taken apart, permuted back to the fixed plan
+               schema and emitted. *)
+            let feed (ord : ordering) =
+              let nsteps = Array.length ord.steps in
+              let last (run : Exec.run) =
+                let t = run.tuple in
+                for i = run.lo to run.hi - 1 do
+                  t.(width - 1) <- Buf.unsafe_get run.cands i;
+                  for p = 0 to width - 1 do
+                    out_buf.(p) <- t.(ord.out_perm.(p))
+                  done;
+                  !out_sink out_buf
+                done
+              in
+              let rec from j =
+                let next = if j + 1 = nsteps then last else from (j + 1) in
+                Exec.extend_run ord.steps.(j).ext ~count:false next
+              in
+              from 0
+            in
+            let feeds = Array.map feed orderings in
+            let one = { Exec.tuple = [||]; cands = Buf.empty; lo = 0; hi = 0 } in
             Some
-              (fun sink ->
-                Array.iter
-                  (fun (ord : ordering) ->
-                    Array.iter (fun st -> Exec.reset_extension st.ext) ord.steps)
-                  orderings;
-                anchor_driver (fun t ->
-                    incr routed_count;
-                    (* Route to the cheapest re-estimated ordering. *)
-                    let best = ref 0 and best_cost = ref infinity in
-                    Array.iteri
-                      (fun i ord ->
-                        let est = reestimate env.Exec.g ord t in
-                        if est < !best_cost then begin
-                          best_cost := est;
-                          best := i
-                        end)
-                      orderings;
-                    let ord = orderings.(!best) in
-                    ord.routed <- ord.routed + 1;
-                    Array.blit t 0 partial 0 nb;
-                    let nsteps = Array.length ord.steps in
-                    let rec exec_step j =
-                      let x = ord.steps.(j).ext in
-                      Exec.lookup x partial;
-                      let set = Exec.extension_set x in
-                      for i = Exec.extension_lo x to Exec.extension_hi x - 1 do
-                        let w = Buf.unsafe_get set i in
-                        (* Injectivity under [distinct]: a candidate equal to
-                           any already-bound vertex of this partial match is
-                           dropped, matching the structural E/I operator. *)
-                        if not (env.Exec.distinct && Exec.tuple_contains partial (nb + j) w)
-                        then begin
-                          partial.(nb + j) <- w;
-                          row.Counters.produced <- row.Counters.produced + 1;
-                          Governor.tick env.Exec.gov;
-                          if j + 1 = nsteps then begin
-                            (* Permute back to the fixed plan schema. *)
-                            for p = 0 to width - 1 do
-                              out_buf.(p) <- partial.(ord.out_perm.(p))
-                            done;
-                            sink out_buf
-                          end
-                          else exec_step (j + 1)
-                        end
-                      done
-                    in
-                    exec_step 0))
-        )
+              (Exec.of_tuples env @@ fun sink ->
+               out_sink := sink;
+               Array.iter
+                 (fun (ord : ordering) -> Array.iter (fun st -> Exec.reset_extend st.ext) ord.steps)
+                 orderings;
+               anchor_driver (fun (run : Exec.run) ->
+                   let t = run.tuple in
+                   for i = run.lo to run.hi - 1 do
+                     t.(nb - 1) <- Buf.unsafe_get run.cands i;
+                     incr routed_count;
+                     (* Route to the cheapest re-estimated ordering. *)
+                     let best = ref 0 and best_cost = ref infinity in
+                     Array.iteri
+                       (fun i ord ->
+                         let est = reestimate env.Exec.g ord t in
+                         if est < !best_cost then begin
+                           best_cost := est;
+                           best := i
+                         end)
+                       orderings;
+                     let ord = orderings.(!best) in
+                     ord.routed <- ord.routed + 1;
+                     (* The anchor tuple as a run of length one through
+                        the ordering's E/I steps. *)
+                     one.tuple <- t;
+                     one.cands <- run.cands;
+                     one.lo <- i;
+                     one.hi <- i + 1;
+                     feeds.(!best) one
+                   done)))
     | _ -> None
   in
   let counters, rows, _ = Exec.run_rows ~rewrite ?cache ?distinct ?gov ?prof ?sink g plan in

@@ -27,8 +27,9 @@ type stats = {
     requests injective (subgraph-isomorphism) matches: adaptive pipelines
     apply the same repeated-vertex filter as the structural E/I operator, so
     results match [Exec.run_gov ~distinct:true] of the fixed plan. Every
-    step looks its extension sets up through the structural E/I's
-    {!Gf_exec.Exec.lookup}, so giant intersections are segmented and
+    step is the structural E/I operator ({!Gf_exec.Exec.extend_run}): each
+    anchor tuple enters its ordering as a run of length one and the steps
+    pass runs to each other, so giant intersections are segmented and
     charged to the governor as work. [gov] runs the query under an
     externally created governor (its {!Gf_exec.Governor.outcome} tells how
     the run ended); adaptive pipelines tick it per produced tuple like the

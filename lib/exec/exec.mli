@@ -19,6 +19,10 @@
     rewrite hook they compile with and the number of domains that run the
     loop. *)
 
+(** The E/I operator, run at a time: the structural operator's, also every
+    step of an adaptive segment (see {!extend}). *)
+type extend
+
 (** The executor's environment: exposed so cooperating executors (the
     adaptive evaluator, the parallel runner) can build custom drivers that
     share counters and semantics. *)
@@ -47,6 +51,11 @@ type env = {
           giant segmented intersections) into this buffer; per-tuple code is
           never instrumented, so [None] vs [Some] differs only at operator
           phase boundaries *)
+  mutable held : Gf_util.Int_vec.t list;
+      (** the pooled scratch vectors this environment's operators hold,
+          returned to the domain's pool by {!governed} *)
+  mutable extends : (Gf_plan.Plan.t * extend) list;
+      (** the structurally compiled E/I operators, by plan node *)
 }
 
 (** [make_env ~cache ~distinct g gov plan] is a fresh
@@ -66,58 +75,85 @@ val make_env :
     Raises [Invalid_argument] for a node outside the run's plan. *)
 val row : env -> Gf_plan.Plan.t -> Counters.t
 
-(** A compiled pipeline: [driver sink] runs it, pushing every produced
-    tuple into [sink]. *)
+(** A run: the tuples [tuple.(0 .. w - 2) ++ [c]] for [c] in
+    [cands.(lo .. hi - 1)], [w = Array.length tuple] — a bound prefix and a
+    slice of candidates for its last column. SCAN hands on one run per
+    source vertex (its adjacency slice) and E/I one per tuple it extends
+    (its extension set); HASH-JOIN probes and rewrites that produce single
+    tuples hand on runs of length one. A consumer may write
+    [tuple.(w - 1)] and must not keep the run past its call. *)
+type run = { mutable tuple : int array; mutable cands : Gf_util.Buf.t; mutable lo : int; mutable hi : int }
+
+(** A compiled pipeline over runs: [runs sink] pushes every produced run
+    into [sink]. *)
+type runs = (run -> unit) -> unit
+
+(** A compiled pipeline over tuples: [driver sink] runs it, pushing every
+    produced tuple into [sink]. *)
 type driver = (int array -> unit) -> unit
 
+(** [tuples d] is [d] one tuple at a time, each in its run's buffer. *)
+val tuples : runs -> driver
+
+(** [of_tuples env d] hands on each tuple of [d] as a run of length one —
+    how a rewrite that produces tuples feeds the operators above it. *)
+val of_tuples : env -> driver -> runs
+
 (** [tuple_contains t len v] tests whether [v] occurs in [t.(0 .. len-1)] —
-    the injectivity check behind [distinct], shared with the adaptive
-    executor's E/I steps. *)
+    the injectivity check behind [distinct]. *)
 val tuple_contains : int array -> int -> int -> bool
 
-(** An E/I extension-set lookup: the structural E/I operator's, also run
-    by every step of an adaptive segment. *)
-type extension
+(** [extend env row ~target_label ~width descriptors] extends runs of
+    [width]-wide tuples by a [target_label] vertex under [descriptors],
+    whose positions index those tuples. A descriptor sourced from the
+    run's prefix is {e stable}: its lists are intersected once per prefix.
+    One sourced from the last column is {e varying}: the run kernel
+    ({!Gf_util.Sorted.run_kernel}) intersects its lists with the stable
+    result for a chunk of candidates per call. Every count goes to [row],
+    exactly as if the tuples were extended one by one: one intersection
+    and all list lengths per tuple, or a cache hit for a tuple whose
+    sources equal the previous tuple's. List lengths are charged to the
+    governor as work, and an intersection whose smallest list is longer
+    than 8192 entries is computed in segments with a charge between
+    them. [from] is the E/I whose runs this one extends: when it has this
+    one's stable descriptors and target label, its extension set is the
+    stable intersection, which is then read instead of recomputed. *)
+val extend :
+  ?from:extend ->
+  env ->
+  Counters.t ->
+  target_label:int ->
+  width:int ->
+  Gf_plan.Plan.descriptor array ->
+  extend
 
-(** [extension env row ~target_label descriptors] looks up extension sets
-    of [target_label] vertices under [descriptors], whose positions index
-    the tuples passed to {!lookup}. Every count goes to [row]; an
-    intersection's list lengths are charged to the governor as work, and
-    one whose smallest list is longer than 8192 entries is computed in
-    segments with a charge between them. *)
-val extension :
-  env -> Counters.t -> target_label:int -> Gf_plan.Plan.descriptor array -> extension
+(** [reset_extend x] forgets the previous tuple; call at every drive. *)
+val reset_extend : extend -> unit
 
-(** [reset_extension x] forgets the cached sources; call at every drive. *)
-val reset_extension : extension -> unit
-
-(** [lookup x t] leaves [t]'s extension set in [x]: intersected afresh, or
-    kept from the previous tuple when its sources are the same (with the
-    cache on, a cache hit). *)
-val lookup : extension -> int array -> unit
-
-(** The last {!lookup}'s extension set is
-    [extension_set x] at [\[extension_lo x, extension_hi x)]: sorted,
-    valid until the next lookup. *)
-val extension_set : extension -> Gf_util.Buf.t
-
-val extension_lo : extension -> int
-val extension_hi : extension -> int
+(** [extend_run x ~count sink run] extends every tuple of [run] and hands
+    each one's extension set to [sink] as the run [tuple ++ [c]] + set,
+    with [distinct]'s bound vertices left out; the tuples are counted as
+    [x]'s row's output. With [count] the sets are counted at the root
+    instead (see {!compile_rw}) and [sink] is never called. *)
+val extend_run : extend -> count:bool -> (run -> unit) -> run -> unit
 
 (** A rewrite hook: [rewrite recurse env plan] may return a replacement
     driver for [plan]; [recurse env child] compiles children with the same
     hook applied. Returning [None] compiles [plan] structurally. *)
-type rewrite = (env -> Gf_plan.Plan.t -> driver) -> env -> Gf_plan.Plan.t -> driver option
+type rewrite = (env -> Gf_plan.Plan.t -> runs) -> env -> Gf_plan.Plan.t -> runs option
 
 (** [compile_rw rewrite env plan] is the compiler itself: returns the driver
-    that pushes each produced tuple into a sink. Every operator counts into
-    its own row of [env.rows]; with [env.prof] set each operator is also
-    timed. With [count] (default [false]) a structurally compiled E/I root
-    is count-only: it adds each extension set's size to its row's
-    [produced] and to [env.c.output] through {!Governor.claim_outputs} and
-    never calls the sink — the rows are those of the enumerating run. A
-    SCAN or HASH-JOIN root, or one a rewrite takes over, still enumerates.
-    Only for runs {!count_only} accepts. *)
+    that pushes each produced tuple into a sink. Operators pass runs to
+    each other; the root's runs are taken apart into tuples. Every
+    operator counts into its own row of [env.rows]; with [env.prof] set
+    each operator is also timed. With [count] (default [false]) a
+    structurally compiled E/I root is count-only: it adds each extension
+    set's size to its row's [produced] and to [env.c.output] through
+    {!Governor.claim_outputs} and never calls the sink — the rows are
+    those of the enumerating run. A SCAN or HASH-JOIN root, or one a
+    rewrite takes over, still enumerates. Only for runs {!count_only}
+    accepts. Operators take their off-heap scratch vectors from a
+    per-domain pool, which {!governed} refills when the run ends. *)
 val compile_rw : ?count:bool -> rewrite -> env -> Gf_plan.Plan.t -> driver
 
 (** [count_only env sink] is whether a run with this environment and sink
@@ -128,12 +164,12 @@ val compile_rw : ?count:bool -> rewrite -> env -> Gf_plan.Plan.t -> driver
     feedback run — stays count-only. *)
 val count_only : env -> (int array -> unit) option -> bool
 
-(** [scan env node ranges] is the SCAN operator for the scan node [node]:
-    at each drive it calls [ranges emit], which must call [emit lo hi] for
+(** [scan env node ranges] is the SCAN operator for the scan node [node],
+    one run per source vertex (its adjacency slice): at each drive it calls [ranges emit], which must call [emit lo hi] for
     every range [\[lo, hi)] of source indices (into the scan's source
     label, see {!num_scan_sources}) to stream. Rewrites use it to restrict
     a driving scan to a shard, a morsel or work-shared chunks. *)
-val scan : env -> Gf_plan.Plan.t -> ((int -> int -> unit) -> unit) -> driver
+val scan : env -> Gf_plan.Plan.t -> ((int -> int -> unit) -> unit) -> runs
 
 (** [build_into env join table] is the sink of a HASH-JOIN's build side:
     it appends each build tuple to [table], counting it in the join's row
@@ -142,11 +178,12 @@ val scan : env -> Gf_plan.Plan.t -> ((int -> int -> unit) -> unit) -> driver
 val build_into : env -> Gf_plan.Plan.t -> Join_table.t -> int array -> unit
 
 (** [probe recurse env join table] is the HASH-JOIN probe: it compiles the
-    probe side with [recurse] and joins every probe tuple against [table].
+    probe side with [recurse] and joins every probe tuple against [table],
+    handing each joined tuple on as a run of length one.
     [table] must be indexed; matching rows are read in place and the table
     is never written, so several domains may probe one table at once. *)
 val probe :
-  (env -> Gf_plan.Plan.t -> driver) -> env -> Gf_plan.Plan.t -> Join_table.t -> driver
+  (env -> Gf_plan.Plan.t -> runs) -> env -> Gf_plan.Plan.t -> Join_table.t -> runs
 
 (** [emit env sink] is the root sink: it claims one output slot from the
     governor (exactly [max_output] tuples are emitted under an output cap),

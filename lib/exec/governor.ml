@@ -134,6 +134,8 @@ let tick h =
   h.fuel <- h.fuel - 1;
   if h.fuel <= 0 then check h
 
+let fuel h = max 1 h.fuel
+
 let tick_work h n =
   if n > 0 then begin
     h.fuel <- h.fuel - n;

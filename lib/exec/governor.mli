@@ -117,6 +117,12 @@ val tick : handle -> unit
     tuples. A no-op when [n <= 0]. *)
 val tick_work : handle -> int -> unit
 
+(** [fuel h] is how many tuples [h] may still {!tick} before its next
+    full check, at least 1. The E/I operator hands runs on in pieces no
+    longer than this, each charged with one {!tick_work}, so checks fall
+    where per-tuple ticks would put them. *)
+val fuel : handle -> int
+
 (** [check h] flushes the rows' summed [produced] to the shared total,
     evaluates the fault trigger, the intermediate cap and the deadline, and
     raises {!Trip} if the governor has tripped (here or elsewhere). *)

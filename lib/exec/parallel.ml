@@ -184,7 +184,7 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?budget ?fault ?gov ?
     let rewrite recurse env node =
       if node == boundary_node then
         Some
-          (fun sink ->
+          (Exec.of_tuples env @@ fun sink ->
             (* [sink] is the compiled pipeline above the boundary; this
                driver feeds it from the work-stealing scheduler. *)
             let cur_lo = ref 0 and cur_hi = ref 0 in

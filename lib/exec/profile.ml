@@ -56,10 +56,10 @@ let wrap t id driver =
  fun sink ->
   let prev = t.cur in
   enter t id;
-  driver (fun tuple ->
+  driver (fun x ->
       let inner = t.cur in
       enter t prev;
-      sink tuple;
+      sink x;
       enter t inner);
   enter t prev
 

@@ -18,7 +18,8 @@
     was current. Time charged to an operator is therefore its self time,
     excluding children and parents.
 
-    The cost is two clock reads per tuple per wrapped pipeline boundary.
+    The cost is two clock reads per run (a tuple, or a run of sibling
+    tuples, see [Exec]) per wrapped pipeline boundary.
     Without a profile {!Gf_exec.Exec.compile_rw} skips {!wrap} at
     plan-compile time, so the compiled pipeline carries no timing code.
 
@@ -64,7 +65,7 @@ val ops : t -> op array
 (** [wrap t id driver] decorates operator [id]'s compiled driver with the
     boundary switches described above. Applied by [Exec.compile_rw] when
     the environment carries a profile. *)
-val wrap : t -> int -> ((int array -> unit) -> unit) -> (int array -> unit) -> unit
+val wrap : t -> int -> (('a -> unit) -> unit) -> ('a -> unit) -> unit
 
 (** [start t] begins a run: resets the clock without charging anything
     and sets the current operator to outside. Call once before invoking

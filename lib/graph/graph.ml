@@ -225,6 +225,18 @@ let neighbours_into g dir v ~elabel ~nlabel (l : Gf_util.Sorted.lists) i =
   (* A row offset only means something in this graph's word array. *)
   l.row.(i) <- (if l.bits == g.bits then row_of g s v elabel else -1)
 
+let csr g dir ~elabel ~nlabel : Gf_util.Sorted.csr =
+  let s = side g dir in
+  {
+    nbr = s.nbr;
+    off = s.off;
+    stride = g.ne * g.nv;
+    base = (elabel * g.nv) + nlabel;
+    rows = s.rows;
+    rstride = g.ne;
+    rbase = elabel;
+  }
+
 let neighbours_any_nlabel g dir v ~elabel : Gf_util.Sorted.slice =
   let s = side g dir in
   let i0 = slot g v elabel 0 in

@@ -68,6 +68,12 @@ val neighbours :
 val neighbours_into :
   t -> direction -> int -> elabel:int -> nlabel:int -> Gf_util.Sorted.lists -> int -> unit
 
+(** [csr g dir ~elabel ~nlabel] hands the run kernel
+    ({!Gf_util.Sorted.run_kernel}) one side's arrays: candidate [v]'s list
+    is [neighbours g dir v ~elabel ~nlabel], with the bitmap row of [v]'s
+    whole [elabel] list, read from {!bitmap_words}. *)
+val csr : t -> direction -> elabel:int -> nlabel:int -> Gf_util.Sorted.csr
+
 (** [neighbours_any_nlabel g dir v ~elabel] is the slice covering every
     neighbour label for [elabel] (partitions for a given edge label are
     contiguous; note ids are only sorted within one neighbour-label

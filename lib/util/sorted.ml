@@ -374,8 +374,11 @@ type lists = {
    off-heap vectors. *)
 let unused = Int_vec.create ~capacity:1 ()
 
-let lists ?(bits = no_bits) k =
-  let vec min_k = if k >= min_k then Int_vec.create ~capacity:64 () else unused in
+let lists ?(bits = no_bits) ?scratch k =
+  let vec min_k which =
+    if k < min_k then unused
+    else match scratch with Some s -> which s | None -> Int_vec.create ~capacity:64 ()
+  in
   {
     bufs = Array.make k Buf.empty;
     lo = Array.make k 0;
@@ -383,8 +386,8 @@ let lists ?(bits = no_bits) k =
     bits;
     row = Array.make k (-1);
     order = Array.make k 0;
-    scratch = vec 3;
-    scratch2 = vec 4;
+    scratch = vec 3 fst;
+    scratch2 = vec 4 snd;
   }
 
 let set l i ((b, lo, hi) : slice) =
@@ -455,6 +458,160 @@ let intersect out l =
   | 0 -> ()
   | 1 -> Int_vec.push_buf out l.bufs.(0) l.lo.(0) l.hi.(0)
   | k -> cascade out l k
+
+(* ------------------------------------------------------------------ *)
+(* Run kernel                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type csr = {
+  nbr : Buf.t;
+  off : Buf.i64a;
+  stride : int;
+  base : int;
+  rows : Buf.i32a;
+  rstride : int;
+  rbase : int;
+}
+
+(* The C kernel reads these fields by position: keep the order in step
+   with the R_* indices of sorted_stubs.c. *)
+type run = {
+  shared : bool;
+  mutable s : Buf.t;
+  mutable s_lo : int;
+  mutable s_hi : int;
+  mutable s_row : int;
+  run_bits : bits;
+  vary : csr array;
+  ends : int array;
+  mutable icost : int;
+  mutable need : int;
+  cl : lists;
+}
+
+let run_chunk = 64
+
+(* Lists per candidate the C kernel keeps on its stack; a run with more
+   takes the OCaml loop. *)
+let c_max_lists = 16
+
+external c_run : run -> bool -> int -> Buf.i64a -> Buf.t -> int -> int -> int
+  = "gfq_run_bc" "gfq_run"
+[@@noalloc]
+
+let run_state ?(bits = no_bits) ?scratch ~shared vary =
+  if Array.length vary = 0 then invalid_arg "Sorted.run_state: no varying list";
+  let k = Array.length vary + if shared then 1 else 0 in
+  {
+    shared;
+    s = Buf.empty;
+    s_lo = 0;
+    s_hi = 0;
+    s_row = -1;
+    run_bits = bits;
+    vary;
+    ends = Array.make run_chunk 0;
+    icost = 0;
+    need = 0;
+    cl = lists ~bits ?scratch k;
+  }
+
+let set_shared r s lo hi row =
+  r.s <- s;
+  r.s_lo <- lo;
+  r.s_hi <- hi;
+  r.s_row <- row
+
+(* List [i] of [r.cl] := candidate [c]'s list of [v]; returns its length. *)
+let fill_vary r i c (v : csr) =
+  let l = r.cl in
+  let k = (c * v.stride) + v.base in
+  let lo = Bigarray.Array1.unsafe_get v.off k and hi = Bigarray.Array1.unsafe_get v.off (k + 1) in
+  l.bufs.(i) <- v.nbr;
+  l.lo.(i) <- lo;
+  l.hi.(i) <- hi;
+  l.row.(i) <-
+    (if Bigarray.Array1.dim v.rows = 0 || Bigarray.Array1.dim r.run_bits = 0 then -1
+     else Int32.to_int (Bigarray.Array1.unsafe_get v.rows ((c * v.rstride) + v.rbase)));
+  hi - lo
+
+(* [r.cl] := the lists of candidate [c]; returns the varying lists'
+   total length. *)
+let fill r c =
+  let l = r.cl in
+  let first =
+    if r.shared then begin
+      l.bufs.(0) <- r.s;
+      l.lo.(0) <- r.s_lo;
+      l.hi.(0) <- r.s_hi;
+      l.row.(0) <- r.s_row;
+      1
+    end
+    else 0
+  in
+  let total = ref 0 in
+  for j = 0 to Array.length r.vary - 1 do
+    total := !total + fill_vary r (first + j) c r.vary.(j)
+  done;
+  !total
+
+let run_lists r c =
+  ignore (fill r c);
+  r.cl
+
+let min_len l =
+  let m = ref max_int in
+  for i = 0 to Array.length l.lo - 1 do
+    m := min !m (len l i)
+  done;
+  !m
+
+(* The OCaml twin of the C kernel, for [Scalar] mode: the same stops, the
+   same ends, each candidate through {!intersect}. *)
+let run_ocaml ~count ~giant r out cands lo hi =
+  let k = ref 0 and acc = ref 0 and stop = ref false and i = ref lo in
+  r.icost <- 0;
+  r.need <- 0;
+  while (not !stop) && !i < hi do
+    let c = Buf.unsafe_get cands !i in
+    let vl = fill r c in
+    let m = min_len r.cl in
+    let at = Int_vec.length out in
+    if m > giant then stop := true
+    else if at + m + simd_slack > Bigarray.Array1.dim (Int_vec.big out) then begin
+      r.need <- at + m + simd_slack;
+      stop := true
+    end
+    else begin
+      intersect out r.cl;
+      acc := !acc + (Int_vec.length out - at);
+      r.ends.(!k) <- !acc;
+      if count then Int_vec.clear out;
+      r.icost <- r.icost + vl;
+      incr k;
+      incr i
+    end
+  done;
+  !k
+
+let run_call ~count ~giant r out cands lo hi =
+  Int_vec.clear out;
+  if !use_simd && Array.length r.cl.lo <= c_max_lists then
+    c_run r count giant (Int_vec.big out) cands lo hi
+  else run_ocaml ~count ~giant r out cands lo hi
+
+let run_kernel ~count ~giant r out cands lo hi =
+  let hi = min hi (lo + run_chunk) in
+  let k = run_call ~count ~giant r out cands lo hi in
+  let k =
+    if k = 0 && r.need > 0 then begin
+      Int_vec.ensure out r.need;
+      run_call ~count ~giant r out cands lo hi
+    end
+    else k
+  in
+  if (not count) && k > 0 then Int_vec.unsafe_set_len out r.ends.(k - 1);
+  k
 
 let is_sorted_strict a lo hi =
   let ok = ref true in

@@ -120,9 +120,11 @@ type lists = {
   scratch2 : Int_vec.t;
 }
 
-(** [lists ?bits k] is room for a [k]-way intersection over the rows of
-    [bits] (default: none), every list empty and without a row. *)
-val lists : ?bits:bits -> int -> lists
+(** [lists ?bits ?scratch k] is room for a [k]-way intersection over the
+    rows of [bits] (default: none), every list empty and without a row.
+    [scratch] supplies the cascade's two vectors (default: fresh ones, made
+    only for [k >= 3] and [k >= 4]). *)
+val lists : ?bits:bits -> ?scratch:Int_vec.t * Int_vec.t -> int -> lists
 
 (** [set l i s] makes slice [s], without a row, list [i] of [l]. *)
 val set : lists -> int -> slice -> unit
@@ -140,6 +142,83 @@ val of_slices : ?bits:bits -> slice array -> lists
     least twice the shorter's length, else {!intersect2}. With zero lists
     the result is empty; with one it is a copy of that list. *)
 val intersect : Int_vec.t -> lists -> unit
+
+(** {1 Run kernel}
+
+    A run is a bound prefix [p] plus a candidate slice [C]: it stands for
+    the tuples [p ++ [c]]. The E/I operator extends a whole run at once.
+    The lists its descriptors source from [p] (the {e stable} lists) are
+    the same for every candidate and are intersected once into a shared
+    set [S]; the lists sourced from [c] itself (the {e varying} lists) are
+    read per candidate from the CSR arrays, and the run kernel computes
+    every [S ∩ V_1(c) ∩ ...] in one call per chunk of candidates. *)
+
+(** The varying lists of one (direction, edge label, neighbour label):
+    candidate [c]'s list is [nbr.(off.(x) .. off.(x + 1) - 1)] with
+    [x = c * stride + base], and its bitmap row, when [rows] is not empty,
+    is the word offset [rows.(c * rstride + rbase)] (or [-1]) in the run's
+    [bits]. [Graph.csr] makes one. *)
+type csr = {
+  nbr : Buf.t;
+  off : Buf.i64a;
+  stride : int;
+  base : int;
+  rows : Buf.i32a;
+  rstride : int;
+  rbase : int;
+}
+
+(** The state of one run kernel, reused across calls: the shared set (when
+    [shared]) set by {!set_shared}, the varying lists, and what the last
+    {!run_kernel} call reports — [ends.(i)] is the running result size
+    after its [i]th candidate, [icost] the total length of the varying
+    lists it read. The other fields are the kernel's own. *)
+type run = private {
+  shared : bool;
+  mutable s : Buf.t;
+  mutable s_lo : int;
+  mutable s_hi : int;
+  mutable s_row : int;
+  run_bits : bits;
+  vary : csr array;
+  ends : int array;
+  mutable icost : int;
+  mutable need : int;
+  cl : lists;
+}
+
+(** The most candidates one {!run_kernel} call takes: [64]. *)
+val run_chunk : int
+
+(** [run_state ?bits ?scratch ~shared vary] is a kernel over the varying
+    lists [vary] (at least one), with a shared set when [shared]. Rows are
+    read from [bits], which must be the word array [vary]'s row offsets
+    point into; without [bits] no row is probed. [scratch] is as for
+    {!lists}, used when a candidate has three or more lists. *)
+val run_state : ?bits:bits -> ?scratch:Int_vec.t * Int_vec.t -> shared:bool -> csr array -> run
+
+(** [set_shared r s lo hi row] makes [s.(lo .. hi - 1)], with bitmap row
+    [row] (or [-1]), the shared set. *)
+val set_shared : run -> Buf.t -> int -> int -> int -> unit
+
+(** [run_kernel ~count ~giant r out cands lo hi] extends the candidates
+    [cands.(lo)], [cands.(lo + 1)], ... — at most {!run_chunk} of them —
+    computing for each candidate [c] the intersection of the shared set
+    with every varying list of [c], each pair by {!intersect}'s rule
+    (probe a row at least twice as long, else merge or gallop). It clears
+    [out]; result [i] is [out] between [ends.(i - 1)] (0 for the first)
+    and [ends.(i)]. With [count] only the sizes are kept ([out] is
+    scratch). It stops before a candidate whose smallest list is longer
+    than [giant] and returns the number of candidates done: [0] only when
+    the candidate at [lo] is such a giant (see {!run_lists}). Under [Simd]
+    one C call does the chunk; [Scalar] runs its OCaml twin. *)
+val run_kernel : count:bool -> giant:int -> run -> Int_vec.t -> Buf.t -> int -> int -> int
+
+(** [run_lists r c] is candidate [c]'s lists — the shared set first, then
+    the varying lists — as a {!lists} of [r], for {!intersect} (or a
+    segmented intersection) outside the kernel. Valid until the next call
+    on [r]. *)
+val run_lists : run -> int -> lists
 
 (** [count_intersect2 a alo ahi b blo bhi] is the intersection's size,
     computed by {!intersect2} into an output vector reused per domain, so

@@ -325,20 +325,48 @@ static intnat isect_avx2_i64_i64(const intnat *a, intnat alo, intnat ahi,
 /* OCaml entry points                                                  */
 /* ------------------------------------------------------------------ */
 
+/* Width dispatch, shared by the pairwise entry points and the run
+ * kernel: AVX2 when the CPU has it, portable C otherwise. */
+static intnat isect_i32_i32(const int32_t *a, intnat alo, intnat ahi,
+                            const int32_t *b, intnat blo, intnat bhi,
+                            intnat *out, intnat n)
+{
+#ifdef GFQ_X86
+  if (cpu_level() >= 2)
+    return isect_avx2_i32_i32(a, alo, ahi, b, blo, bhi, out, n);
+#endif
+  return isect_scalar_i32_i32(a, alo, ahi, b, blo, bhi, out, n);
+}
+
+static intnat isect_i64_i32(const intnat *a, intnat alo, intnat ahi,
+                            const int32_t *b, intnat blo, intnat bhi,
+                            intnat *out, intnat n)
+{
+#ifdef GFQ_X86
+  if (cpu_level() >= 2)
+    return isect_avx2_i64_i32(a, alo, ahi, b, blo, bhi, out, n);
+#endif
+  return isect_scalar_i64_i32(a, alo, ahi, b, blo, bhi, out, n);
+}
+
+static intnat isect_i64_i64(const intnat *a, intnat alo, intnat ahi,
+                            const intnat *b, intnat blo, intnat bhi,
+                            intnat *out, intnat n)
+{
+#ifdef GFQ_X86
+  if (cpu_level() >= 2)
+    return isect_avx2_i64_i64(a, alo, ahi, b, blo, bhi, out, n);
+#endif
+  return isect_scalar_i64_i64(a, alo, ahi, b, blo, bhi, out, n);
+}
+
 value gfq_intersect_i32_i32(value va, value valo, value vahi, value vb,
                             value vblo, value vbhi, value vout, value vpos)
 {
-  const int32_t *a = (const int32_t *)Caml_ba_data_val(va);
-  const int32_t *b = (const int32_t *)Caml_ba_data_val(vb);
-  intnat *out = (intnat *)Caml_ba_data_val(vout);
-  intnat alo = Long_val(valo), ahi = Long_val(vahi);
-  intnat blo = Long_val(vblo), bhi = Long_val(vbhi);
-  intnat n = Long_val(vpos);
-#ifdef GFQ_X86
-  if (cpu_level() >= 2)
-    return Val_long(isect_avx2_i32_i32(a, alo, ahi, b, blo, bhi, out, n));
-#endif
-  return Val_long(isect_scalar_i32_i32(a, alo, ahi, b, blo, bhi, out, n));
+  return Val_long(isect_i32_i32(
+      (const int32_t *)Caml_ba_data_val(va), Long_val(valo), Long_val(vahi),
+      (const int32_t *)Caml_ba_data_val(vb), Long_val(vblo), Long_val(vbhi),
+      (intnat *)Caml_ba_data_val(vout), Long_val(vpos)));
 }
 
 value gfq_intersect_i32_i32_bc(value *argv, int argn)
@@ -351,17 +379,10 @@ value gfq_intersect_i32_i32_bc(value *argv, int argn)
 value gfq_intersect_i64_i32(value va, value valo, value vahi, value vb,
                             value vblo, value vbhi, value vout, value vpos)
 {
-  const intnat *a = (const intnat *)Caml_ba_data_val(va);
-  const int32_t *b = (const int32_t *)Caml_ba_data_val(vb);
-  intnat *out = (intnat *)Caml_ba_data_val(vout);
-  intnat alo = Long_val(valo), ahi = Long_val(vahi);
-  intnat blo = Long_val(vblo), bhi = Long_val(vbhi);
-  intnat n = Long_val(vpos);
-#ifdef GFQ_X86
-  if (cpu_level() >= 2)
-    return Val_long(isect_avx2_i64_i32(a, alo, ahi, b, blo, bhi, out, n));
-#endif
-  return Val_long(isect_scalar_i64_i32(a, alo, ahi, b, blo, bhi, out, n));
+  return Val_long(isect_i64_i32(
+      (const intnat *)Caml_ba_data_val(va), Long_val(valo), Long_val(vahi),
+      (const int32_t *)Caml_ba_data_val(vb), Long_val(vblo), Long_val(vbhi),
+      (intnat *)Caml_ba_data_val(vout), Long_val(vpos)));
 }
 
 value gfq_intersect_i64_i32_bc(value *argv, int argn)
@@ -374,17 +395,10 @@ value gfq_intersect_i64_i32_bc(value *argv, int argn)
 value gfq_intersect_i64_i64(value va, value valo, value vahi, value vb,
                             value vblo, value vbhi, value vout, value vpos)
 {
-  const intnat *a = (const intnat *)Caml_ba_data_val(va);
-  const intnat *b = (const intnat *)Caml_ba_data_val(vb);
-  intnat *out = (intnat *)Caml_ba_data_val(vout);
-  intnat alo = Long_val(valo), ahi = Long_val(vahi);
-  intnat blo = Long_val(vblo), bhi = Long_val(vbhi);
-  intnat n = Long_val(vpos);
-#ifdef GFQ_X86
-  if (cpu_level() >= 2)
-    return Val_long(isect_avx2_i64_i64(a, alo, ahi, b, blo, bhi, out, n));
-#endif
-  return Val_long(isect_scalar_i64_i64(a, alo, ahi, b, blo, bhi, out, n));
+  return Val_long(isect_i64_i64(
+      (const intnat *)Caml_ba_data_val(va), Long_val(valo), Long_val(vahi),
+      (const intnat *)Caml_ba_data_val(vb), Long_val(vblo), Long_val(vbhi),
+      (intnat *)Caml_ba_data_val(vout), Long_val(vpos)));
 }
 
 value gfq_intersect_i64_i64_bc(value *argv, int argn)
@@ -402,21 +416,26 @@ value gfq_intersect_i64_i64_bc(value *argv, int argn)
  * word [row] of [bits]. Branch-free: every element is stored at out[n]
  * and n advances by its bit, so the caller reserves pos + |a| slots.
  * Output order is a's order. */
-#define DEF_PROBE(NAME, T)                                                   \
-  value NAME(value va, value valo, value vahi, value vbits, value vrow,      \
-             value vout, value vpos)                                         \
+#define DEF_PROBE(NAME, LOOP, T)                                             \
+  static intnat LOOP(const T *a, intnat alo, intnat ahi,                     \
+                     const uint64_t *bits, intnat *out, intnat n)            \
   {                                                                          \
-    const T *a = (const T *)Caml_ba_data_val(va);                            \
-    const uint64_t *bits =                                                   \
-        (const uint64_t *)Caml_ba_data_val(vbits) + Long_val(vrow);          \
-    intnat *out = (intnat *)Caml_ba_data_val(vout);                          \
-    intnat ahi = Long_val(vahi), n = Long_val(vpos);                         \
-    for (intnat i = Long_val(valo); i < ahi; i++) {                          \
+    for (intnat i = alo; i < ahi; i++) {                                     \
       uintnat x = (uintnat)a[i];                                             \
       out[n] = (intnat)x;                                                    \
       n += (intnat)((bits[x >> 6] >> (x & 63)) & 1);                         \
     }                                                                        \
-    return Val_long(n);                                                      \
+    return n;                                                                \
+  }                                                                          \
+                                                                             \
+  value NAME(value va, value valo, value vahi, value vbits, value vrow,      \
+             value vout, value vpos)                                         \
+  {                                                                          \
+    return Val_long(LOOP((const T *)Caml_ba_data_val(va), Long_val(valo),    \
+                         Long_val(vahi),                                     \
+                         (const uint64_t *)Caml_ba_data_val(vbits) +         \
+                             Long_val(vrow),                                 \
+                         (intnat *)Caml_ba_data_val(vout), Long_val(vpos))); \
   }                                                                          \
                                                                              \
   value NAME##_bc(value *argv, int argn)                                     \
@@ -426,5 +445,173 @@ value gfq_intersect_i64_i64_bc(value *argv, int argn)
                 argv[6]);                                                    \
   }
 
-DEF_PROBE(gfq_probe_i32, int32_t)
-DEF_PROBE(gfq_probe_i64, intnat)
+DEF_PROBE(gfq_probe_i32, probe_i32, int32_t)
+DEF_PROBE(gfq_probe_i64, probe_i64, intnat)
+
+/* ------------------------------------------------------------------ */
+/* Run kernel                                                          */
+/* ------------------------------------------------------------------ */
+
+/* One list of a candidate's intersection: a slice of an int32 (w = 0) or
+ * native-int (w = 1) array, with its bitmap row's word offset or -1. */
+typedef struct {
+  const void *p;
+  int w;
+  intnat lo, hi, row;
+} glist;
+
+static inline void buf_of(value vbuf, const void **p, int *w)
+{
+  /* Buf.t: I32 of i32a (tag 0) | I64 of i64a (tag 1). */
+  *p = Caml_ba_data_val(Field(vbuf, 0));
+  *w = Tag_val(vbuf) == 1;
+}
+
+static inline intnat rd(const void *p, int w, intnat i)
+{
+  return w ? ((const intnat *)p)[i] : (intnat)((const int32_t *)p)[i];
+}
+
+static intnat isect_any(const void *a, int aw, intnat alo, intnat ahi,
+                        const void *b, int bw, intnat blo, intnat bhi,
+                        intnat *out, intnat n)
+{
+  if (!aw && !bw) return isect_i32_i32(a, alo, ahi, b, blo, bhi, out, n);
+  if (aw && !bw) return isect_i64_i32(a, alo, ahi, b, blo, bhi, out, n);
+  if (!aw && bw) return isect_i64_i32(b, blo, bhi, a, alo, ahi, out, n);
+  return isect_i64_i64(a, alo, ahi, b, blo, bhi, out, n);
+}
+
+/* Sorted.step: the slice a, no longer than list b, against b — a probe of
+ * b's row when it has one at least twice a's length, else the pairwise
+ * kernel. Writes at out[n], never past a read position of a when a is the
+ * output region itself, so a cascade narrows in place. */
+static intnat step_any(const void *a, int aw, intnat alo, intnat ahi,
+                       const glist *b, const uint64_t *bits, intnat *out,
+                       intnat n)
+{
+  if (b->row >= 0 && b->hi - b->lo >= 2 * (ahi - alo))
+    return aw ? probe_i64(a, alo, ahi, bits + b->row, out, n)
+              : probe_i32(a, alo, ahi, bits + b->row, out, n);
+  return isect_any(a, aw, alo, ahi, b->p, b->w, b->lo, b->hi, out, n);
+}
+
+/* Field positions of Sorted.run and Sorted.csr. */
+enum { R_SHARED, R_S, R_S_LO, R_S_HI, R_S_ROW, R_BITS, R_VARY, R_ENDS,
+       R_ICOST, R_NEED };
+enum { C_NBR, C_OFF, C_STRIDE, C_BASE, C_ROWS, C_RSTRIDE, C_RBASE };
+
+#define MAX_LISTS 16
+
+typedef struct {
+  const void *p;
+  int w;
+  const intnat *off;
+  intnat stride, base;
+  const int32_t *rows;
+  intnat rstride, rbase;
+} vlist;
+
+/* For each candidate c of cands[lo, hi): the intersection of the shared
+ * list (when there is one) with every varying list of c, smallest lists
+ * first. Results go back to back from out[0] (count mode: each one over
+ * the last), and ends[i] is the running total after candidate i. Stops
+ * before a candidate whose smallest list is longer than [giant], or whose
+ * result might not fit the output; [need] is then the capacity it wants.
+ * Returns the number of candidates done; [icost] gets their varying
+ * lists' total length. */
+value gfq_run(value vr, value vcount, value vgiant, value vout, value vcands,
+              value vlo, value vhi)
+{
+  int count = Bool_val(vcount);
+  intnat giant = Long_val(vgiant);
+  intnat *out = (intnat *)Caml_ba_data_val(vout);
+  intnat cap = Caml_ba_array_val(vout)->dim[0];
+  const void *cp;
+  int cw;
+  buf_of(vcands, &cp, &cw);
+  intnat lo = Long_val(vlo), hi = Long_val(vhi);
+  const uint64_t *bits = (const uint64_t *)Caml_ba_data_val(Field(vr, R_BITS));
+  intnat nbits = Caml_ba_array_val(Field(vr, R_BITS))->dim[0];
+  value vary = Field(vr, R_VARY);
+  value ends = Field(vr, R_ENDS);
+  int shared = Bool_val(Field(vr, R_SHARED));
+  int nv = (int)Wosize_val(vary);
+  glist s = {0};
+  vlist v[MAX_LISTS];
+  if (shared) {
+    buf_of(Field(vr, R_S), &s.p, &s.w);
+    s.lo = Long_val(Field(vr, R_S_LO));
+    s.hi = Long_val(Field(vr, R_S_HI));
+    s.row = Long_val(Field(vr, R_S_ROW));
+  }
+  for (int j = 0; j < nv; j++) {
+    value c = Field(vary, j);
+    value rows = Field(c, C_ROWS);
+    buf_of(Field(c, C_NBR), &v[j].p, &v[j].w);
+    v[j].off = (const intnat *)Caml_ba_data_val(Field(c, C_OFF));
+    v[j].stride = Long_val(Field(c, C_STRIDE));
+    v[j].base = Long_val(Field(c, C_BASE));
+    v[j].rows = Caml_ba_array_val(rows)->dim[0] == 0 || nbits == 0
+                    ? NULL
+                    : (const int32_t *)Caml_ba_data_val(rows);
+    v[j].rstride = Long_val(Field(c, C_RSTRIDE));
+    v[j].rbase = Long_val(Field(c, C_RBASE));
+  }
+  intnat n = 0, acc = 0, icost = 0, need = 0, k = 0;
+  for (intnat i = lo; i < hi; i++) {
+    intnat c = rd(cp, cw, i), vl = 0;
+    glist l[MAX_LISTS];
+    int m = 0;
+    if (shared) l[m++] = s;
+    for (int j = 0; j < nv; j++, m++) {
+      intnat x = c * v[j].stride + v[j].base;
+      l[m].p = v[j].p;
+      l[m].w = v[j].w;
+      l[m].lo = v[j].off[x];
+      l[m].hi = v[j].off[x + 1];
+      l[m].row = v[j].rows ? (intnat)v[j].rows[c * v[j].rstride + v[j].rbase] : -1;
+      vl += l[m].hi - l[m].lo;
+    }
+    /* Insertion sort by length: a handful of lists. */
+    for (int a = 1; a < m; a++) {
+      glist t = l[a];
+      int b = a - 1;
+      while (b >= 0 && l[b].hi - l[b].lo > t.hi - t.lo) {
+        l[b + 1] = l[b];
+        b--;
+      }
+      l[b + 1] = t;
+    }
+    intnat mn = l[0].hi - l[0].lo;
+    if (mn > giant) break;
+    if (n + mn + 8 > cap) {
+      need = n + mn + 8;
+      break;
+    }
+    intnat e;
+    if (m == 1) {
+      for (intnat q = l[0].lo; q < l[0].hi; q++) out[n + q - l[0].lo] = rd(l[0].p, l[0].w, q);
+      e = n + mn;
+    } else {
+      e = step_any(l[0].p, l[0].w, l[0].lo, l[0].hi, &l[1], bits, out, n);
+      for (int q = 2; q < m && e > n; q++)
+        e = step_any(out, 1, n, e, &l[q], bits, out, n);
+    }
+    acc += e - n;
+    Field(ends, k) = Val_long(acc);
+    if (!count) n = e;
+    icost += vl;
+    k++;
+  }
+  Field(vr, R_ICOST) = Val_long(icost);
+  Field(vr, R_NEED) = Val_long(need);
+  return Val_long(k);
+}
+
+value gfq_run_bc(value *argv, int argn)
+{
+  (void)argn;
+  return gfq_run(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                 argv[6]);
+}

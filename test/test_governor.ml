@@ -459,6 +459,80 @@ let test_count_root_deadline () =
       expect (Printf.sprintf "%d domains" domains) r.counters r.Parallel.outcome)
     [ 1; 2; 4 ]
 
+(* A hub (vertex 0, label 1) with [fan] out-neighbours (label 0), each
+   pointing at the next three: anchored at the hub, the triangle's SCAN
+   hands the E/I one run of [fan] candidates. *)
+let hub_run_graph ~fan =
+  let vlabel = Array.init (fan + 4) (fun v -> if v = 0 then 1 else 0) in
+  let edges = ref [] in
+  for i = 1 to fan do
+    edges := (0, i, 0) :: !edges;
+    for d = 1 to 3 do
+      edges := (i, i + d, 0) :: !edges
+    done
+  done;
+  Graph.build ~num_vlabels:2 ~num_elabels:1 ~vlabel ~edges:(Array.of_list !edges)
+
+let hub_triangle () =
+  Query.create ~num_vertices:3 ~vlabels:[| 1; 0; 0 |]
+    ~edges:
+      [|
+        { Query.src = 0; dst = 1; label = 0 };
+        { Query.src = 0; dst = 2; label = 0 };
+        { Query.src = 1; dst = 2; label = 0 };
+      |]
+    ()
+
+(* Inside one run the E/I consults the governor between chunks: handed the
+   hub's whole run under an expired deadline, it stops after one kernel
+   chunk, not after the run. *)
+let test_run_deadline_within_chunk () =
+  let fan = 3_000 in
+  let g = hub_run_graph ~fan in
+  let plan = identity_wco (hub_triangle ()) in
+  let descriptors =
+    match plan with Plan.Extend { descriptors; _ } -> descriptors | _ -> assert false
+  in
+  let gov = Governor.create (Governor.budget ~deadline_s:0.0 ()) in
+  let env = Exec.make_env ~cache:true ~distinct:false g gov plan in
+  let row = Exec.row env plan in
+  let x = Exec.extend env row ~target_label:0 ~width:2 descriptors in
+  let cands, lo, hi = Graph.neighbours g Graph.Fwd 0 ~elabel:0 ~nlabel:0 in
+  check_int "one run of the whole fan" fan (hi - lo);
+  let run = { Exec.tuple = [| 0; 0 |]; cands; lo; hi } in
+  List.iter
+    (fun count ->
+      row.Counters.intersections <- 0;
+      Exec.reset_extend x;
+      let tripped = try Exec.extend_run x ~count ignore run; false with Governor.Trip -> true in
+      check_bool (Printf.sprintf "count=%b: deadline seen inside the run" count) true tripped;
+      check_bool
+        (Printf.sprintf "count=%b: within one chunk (%d intersections)" count
+           row.Counters.intersections)
+        true
+        (row.Counters.intersections > 0
+        && row.Counters.intersections <= Gf_util.Sorted.run_chunk))
+    [ true; false ];
+  check_bool "outcome" true (Governor.outcome gov = Governor.Truncated Governor.Deadline)
+
+(* A count-only root claims whole chunks of extension sets at once; under
+   an output cap it still counts exactly [min cap total], wherever the cap
+   falls among the chunks of the hub's run. *)
+let test_run_count_cap_across_chunks () =
+  let g = hub_run_graph ~fan:3_000 in
+  let plan = identity_wco (hub_triangle ()) in
+  let total = Exec.count g plan in
+  check_bool "several chunks of output" true (total > 10 * Gf_util.Sorted.run_chunk);
+  List.iter
+    (fun cap ->
+      let c, o = Exec.run_gov ~budget:(Governor.budget ~max_output:cap ()) g plan in
+      check_int (Printf.sprintf "cap %d: outputs" cap) (min cap total) c.Counters.output;
+      check_bool
+        (Printf.sprintf "cap %d: outcome" cap)
+        true
+        (if cap <= total then is_truncated Governor.Output_limit o else o = Governor.Completed))
+    [ 1; 100; 191; 192; 193; 1_000; total - 1; total; total + 1 ]
+
 let test_fault_seed_sweep () =
   (* GFQ_FAULT_SEED sweep: wherever the seeded fault lands, a Failed run
      reports only rows the clean run reports and no duplicates, and a run
@@ -564,5 +638,8 @@ let suite =
         Alcotest.test_case "count-only root deadline" `Quick test_count_root_deadline;
         Alcotest.test_case "fault seed sweep" `Quick test_fault_seed_sweep;
         Alcotest.test_case "sink exception frees mutex" `Quick test_sink_exception_releases_mutex;
+        Alcotest.test_case "deadline within one chunk of a run" `Quick
+          test_run_deadline_within_chunk;
+        Alcotest.test_case "count-only cap across chunks" `Quick test_run_count_cap_across_chunks;
       ] );
   ]

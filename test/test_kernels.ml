@@ -12,6 +12,7 @@ module Graph = Gf_graph.Graph
 module Gf = Graphflow
 
 let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 
 let run_kernel mode a alo ahi b blo bhi =
   Sorted.with_kernel_mode mode (fun () ->
@@ -245,6 +246,177 @@ let test_probe_differential () =
     done
   done
 
+(* ---------- run kernel vs per-candidate intersect ---------- *)
+
+(* A labeled random graph whose first few vertices are hubs (so the
+   longest lists get bitmap rows), with int32 adjacency, or with the same
+   lists widened to int64 and the graph rebuilt around them. *)
+let run_graph rng ~wide =
+  let n = 1_200 in
+  let vlabel = Array.init n (fun _ -> Rng.int rng 2) in
+  let edges =
+    Array.init 9_000 (fun i ->
+        let src = if i mod 3 = 0 then Rng.int rng 6 else Rng.int rng n in
+        (src, Rng.int rng n, Rng.int rng 2))
+  in
+  let g = Graph.build ~num_vlabels:2 ~num_elabels:2 ~vlabel ~edges in
+  if not wide then g
+  else begin
+    let raw = Graph.to_raw g in
+    let widen b = Buf.of_int_array ~width:`I64 (Buf.sub_array b 0 (Buf.length b)) in
+    match Graph.of_raw { raw with fwd_nbr = widen raw.fwd_nbr; bwd_nbr = widen raw.bwd_nbr } with
+    | Ok g -> g
+    | Error e -> failwith e
+  end
+
+let random_dir rng = if Rng.int rng 2 = 0 then Graph.Fwd else Graph.Bwd
+
+(* One trial: [ns] stable lists (hubs among their sources) intersected
+   into the shared set, [nv] varying lists, and [len] candidates, checked
+   against {!Sorted.intersect} per candidate, enumerating and counting,
+   under both kernels. A small [giant] makes the kernel stop at long
+   lists; those candidates go through [run_lists], as the E/I operator
+   takes them. *)
+let run_trial rng g ~rows ~ns ~nv ~len ~source =
+  let n = Graph.num_vertices g in
+  let tl = Rng.int rng 2 in
+  let bits = if rows then Some (Graph.bitmap_words g) else None in
+  let sources =
+    Array.init ns (fun _ ->
+        let v = if Rng.int rng 2 = 0 then Rng.int rng 6 else Rng.int rng n in
+        (random_dir rng, v, Rng.int rng 2))
+  in
+  let stable = Array.map (fun (d, v, elabel) -> Graph.neighbours g d v ~elabel ~nlabel:tl) sources in
+  let sl = Sorted.of_slices stable in
+  let shared = Int_vec.create () in
+  Sorted.intersect shared sl;
+  let vary =
+    Array.init nv (fun _ -> Graph.csr g (random_dir rng) ~elabel:(Rng.int rng 2) ~nlabel:tl)
+  in
+  let cands =
+    match source with
+    | `Slice ->
+        (* A hub's adjacency slice, cut to [len] when it is longer. *)
+        let b, lo, hi = Graph.neighbours g Graph.Fwd (Rng.int rng 6) ~elabel:0 ~nlabel:(1 - tl) in
+        (b, lo, min hi (lo + len))
+    | `Vec | `Distinct ->
+        let c = Array.init len (fun _ -> Rng.int rng n) |> Array.to_list |> List.sort_uniq compare in
+        (* [`Distinct]: the candidates an E/I hands on under [distinct],
+           a bound prefix's vertices left out. *)
+        let prefix = if source = `Distinct then List.filteri (fun i _ -> i mod 7 = 3) c else [] in
+        let v = Int_vec.of_array (Array.of_list (List.filter (fun x -> not (List.mem x prefix)) c)) in
+        (Int_vec.buf v, 0, Int_vec.length v)
+  in
+  let cb, clo, chi = cands in
+  let expect =
+    Array.init (chi - clo) (fun i ->
+        let c = Buf.get cb (clo + i) in
+        let lists =
+          Array.append stable
+            (Array.map
+               (fun (v : Sorted.csr) ->
+                 let x = (c * v.stride) + v.base in
+                 (v.nbr, Bigarray.Array1.get v.off x, Bigarray.Array1.get v.off (x + 1)))
+               vary)
+        in
+        let out = Int_vec.create () in
+        Sorted.intersect out (Sorted.of_slices lists);
+        Int_vec.to_array out)
+  in
+  let icost_expect =
+    Array.fold_left
+      (fun acc (v : Sorted.csr) ->
+        let t = ref acc in
+        for i = clo to chi - 1 do
+          let x = (Buf.get cb i * v.stride) + v.base in
+          t := !t + Bigarray.Array1.get v.off (x + 1) - Bigarray.Array1.get v.off x
+        done;
+        !t)
+      0 vary
+  in
+  List.iter
+    (fun mode ->
+      Sorted.with_kernel_mode mode (fun () ->
+          let scratch = (Int_vec.create (), Int_vec.create ()) in
+          let r = Sorted.run_state ?bits ~scratch ~shared:(ns > 0) vary in
+          if ns = 1 then begin
+            (* The one stable list in place, with its row. *)
+            let l = Sorted.lists ?bits 1 in
+            let d, v, elabel = sources.(0) in
+            Graph.neighbours_into g d v ~elabel ~nlabel:tl l 0;
+            Sorted.set_shared r l.bufs.(0) l.lo.(0) l.hi.(0) l.row.(0)
+          end
+          else if ns > 1 then Sorted.set_shared r (Int_vec.buf shared) 0 (Int_vec.length shared) (-1);
+          List.iter
+            (fun count ->
+              let giant = if Rng.int rng 3 = 0 then 40 else max_int in
+              let got = ref [] and sizes = ref [] and icost = ref 0 in
+              let out = Int_vec.create () in
+              let i = ref clo in
+              while !i < chi do
+                let k = Sorted.run_kernel ~count ~giant r out cb !i chi in
+                check_int "a chunk at most" 0 (if k > Sorted.run_chunk then k else 0);
+                if k = 0 then begin
+                  let c = Buf.get cb !i in
+                  let o = Int_vec.create () in
+                  Sorted.intersect o (Sorted.run_lists r c);
+                  got := Int_vec.to_array o :: !got;
+                  sizes := Int_vec.length o :: !sizes;
+                  for j = (if ns > 0 then 1 else 0) to nv + (if ns > 0 then 1 else 0) - 1 do
+                    let l = r.Sorted.cl in
+                    icost := !icost + l.hi.(j) - l.lo.(j)
+                  done;
+                  incr i
+                end
+                else begin
+                  icost := !icost + r.Sorted.icost;
+                  let start = ref 0 in
+                  for j = 0 to k - 1 do
+                    let e = r.Sorted.ends.(j) in
+                    sizes := (e - !start) :: !sizes;
+                    if not count then
+                      got := Array.init (e - !start) (fun x -> Int_vec.get out (!start + x)) :: !got;
+                    start := e
+                  done;
+                  i := !i + k
+                end
+              done;
+              let label what =
+                Printf.sprintf "%s ns=%d nv=%d len=%d rows=%b %s %s" (Sorted.kernel_mode_to_string mode)
+                  ns nv (chi - clo) rows (if count then "count" else "enum") what
+              in
+              Alcotest.(check (list int))
+                (label "sizes") (Array.to_list (Array.map Array.length expect)) (List.rev !sizes);
+              if not count then
+                Alcotest.(check (list (array int))) (label "sets") (Array.to_list expect) (List.rev !got);
+              check_int (label "icost") icost_expect !icost)
+            [ false; true ]))
+    [ Sorted.Scalar; Sorted.Simd ]
+
+let test_run_kernel_differential () =
+  let rng = Rng.create 125 in
+  List.iter
+    (fun wide ->
+      let g = run_graph rng ~wide in
+      check_int "adjacency width" (if wide then 8 else 4) (Graph.residency g).Graph.nbr_width;
+      check_bool "hub rows" true ((Graph.residency g).Graph.row_bytes > 0);
+      List.iter
+        (fun ns ->
+          List.iter
+            (fun nv ->
+              List.iter
+                (fun len ->
+                  List.iter
+                    (fun source ->
+                      List.iter
+                        (fun rows -> run_trial rng g ~rows ~ns ~nv ~len ~source)
+                        [ true; false ])
+                    [ `Slice; `Vec; `Distinct ])
+                [ 1; 63; 64; 65; 1_000 ])
+            [ 1; 2 ])
+        [ 0; 1; 2; 3 ])
+    [ false; true ]
+
 (* ---------- full-query crosscheck: scalar vs simd ---------- *)
 
 let crosscheck_graph seed =
@@ -331,6 +503,8 @@ let suite =
         Alcotest.test_case "append preserves prefix" `Quick test_append_preserves_prefix;
         Alcotest.test_case "multiway mixed width" `Quick test_multiway_mixed_width;
         Alcotest.test_case "bitmap probe = merge/gallop" `Quick test_probe_differential;
+        Alcotest.test_case "run kernel = per-candidate intersect" `Quick
+          test_run_kernel_differential;
       ] );
     ( "kernels.crosscheck",
       [
