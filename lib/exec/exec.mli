@@ -92,16 +92,9 @@ type runs = (run -> unit) -> unit
     produced tuple into [sink]. *)
 type driver = (int array -> unit) -> unit
 
-(** [tuples d] is [d] one tuple at a time, each in its run's buffer. *)
-val tuples : runs -> driver
-
 (** [of_tuples env d] hands on each tuple of [d] as a run of length one —
     how a rewrite that produces tuples feeds the operators above it. *)
 val of_tuples : env -> driver -> runs
-
-(** [tuple_contains t len v] tests whether [v] occurs in [t.(0 .. len-1)] —
-    the injectivity check behind [distinct]. *)
-val tuple_contains : int array -> int -> int -> bool
 
 (** [extend env row ~target_label ~width descriptors] extends runs of
     [width]-wide tuples by a [target_label] vertex under [descriptors],

@@ -259,7 +259,7 @@ let has_edge g u v ~elabel =
 let vertices_with_label g l = g.by_label.(l)
 let num_with_label g l = Array.length g.by_label.(l)
 
-(* The SCAN's loop: no slice tuple or closure per source vertex. *)
+(* No slice tuple or closure per source vertex. *)
 let iter_edges_range g ~elabel ~slabel ~dlabel ~lo ~hi f =
   let vs = g.by_label.(slabel) in
   let s = g.fwd in

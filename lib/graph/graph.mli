@@ -102,12 +102,12 @@ val num_with_label : t -> int -> int
 
 (** [iter_edges g ~elabel ~slabel ~dlabel f] calls [f u v] for every edge
     [u -> v] with edge label [elabel], source label [slabel], destination
-    label [dlabel] — the SCAN operator's access path. *)
+    label [dlabel]. (The SCAN operator reads each source's slice through
+    {!csr} instead.) *)
 val iter_edges : t -> elabel:int -> slabel:int -> dlabel:int -> (int -> int -> unit) -> unit
 
 (** [iter_edges_range] is [iter_edges] restricted to sources drawn from a
-    sub-range of the label's vertex array — the unit of parallel work
-    division. [lo] inclusive, [hi] exclusive, indices into
+    sub-range of the label's vertex array. [lo] inclusive, [hi] exclusive, indices into
     [vertices_with_label g slabel]. *)
 val iter_edges_range :
   t -> elabel:int -> slabel:int -> dlabel:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
