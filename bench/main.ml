@@ -1123,24 +1123,28 @@ let ablation_runs () =
     [ 1; 8; 64; 512 ];
   (* The E/I path end to end: the wco-heavy workload's seven plans on the
      same graph, counted at the root as a rows=false request runs them;
-     best of [rounds] runs each. *)
+     best, median and range of [rounds] runs each. *)
   let db = Gf.Db.create g in
   let rounds = 15 in
-  Printf.printf "%-5s %10s %12s\n" "query" "best ms" "matches";
-  let total = ref 0.0 in
+  Printf.printf "%-5s %10s %10s %17s %12s\n" "query" "best ms" "median ms" "min-max ms" "matches";
+  let best_sum = ref 0.0 and median_sum = ref 0.0 in
   List.iter
     (fun qi ->
       let plan, _ = Gf.Db.plan db (Gf.Patterns.q qi) in
-      let best = ref infinity and matches = ref 0 in
-      for _ = 1 to rounds do
-        let t, (c, _) = time_once (fun () -> Gf.Exec.run_gov g plan) in
-        best := Float.min !best t;
-        matches := c.Gf.Counters.output
-      done;
-      total := !total +. !best;
-      Printf.printf "Q%-4d %10.2f %12d\n%!" qi (!best *. 1e3) !matches)
+      let matches = ref 0 in
+      let times =
+        Array.init rounds (fun _ ->
+            let t, (c, _) = time_once (fun () -> Gf.Exec.run_gov g plan) in
+            matches := c.Gf.Counters.output;
+            t *. 1e3)
+      in
+      Array.sort Float.compare times;
+      let best = times.(0) and median = times.(rounds / 2) and worst = times.(rounds - 1) in
+      best_sum := !best_sum +. best;
+      median_sum := !median_sum +. median;
+      Printf.printf "Q%-4d %10.2f %10.2f %8.2f-%-8.2f %12d\n%!" qi best median best worst !matches)
     [ 1; 3; 4; 5; 6; 7; 14 ];
-  Printf.printf "%-5s %10.2f\n" "sum" (!total *. 1e3)
+  Printf.printf "%-5s %10.2f %10.2f\n" "sum" !best_sum !median_sum
 
 (* ------------------------------------------------------------------ *)
 (* Storage: heap int-array CSR vs off-heap Bigarray CSR vs mmap.       *)

@@ -225,8 +225,8 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
                      ord.routed <- ord.routed + 1;
                      (* The anchor tuple as a run of length one through
                         the ordering's E/I steps. *)
-                     one.tuple <- t;
-                     one.cands <- run.cands;
+                     if one.tuple != t then one.tuple <- t;
+                     if one.cands != run.cands then one.cands <- run.cands;
                      one.lo <- i;
                      one.hi <- i + 1;
                      feeds.(!best) one

@@ -1,3 +1,6 @@
+(* Stdlib.min/max are polymorphic: on ints every call is a C compare. *)
+let[@warning "-32"] min = Int.min and[@warning "-32"] max = Int.max
+
 module Graph = Gf_graph.Graph
 module Plan = Gf_plan.Plan
 module Int_vec = Gf_util.Int_vec
@@ -122,7 +125,7 @@ type runs = (run -> unit) -> unit
 type driver = (int array -> unit) -> unit
 type rewrite = (env -> Plan.t -> runs) -> env -> Plan.t -> runs option
 
-let tuple_contains tuple len v =
+let tuple_contains tuple len (v : int) =
   let rec go i = i < len && (tuple.(i) = v || go (i + 1)) in
   go 0
 
@@ -147,7 +150,7 @@ let of_tuples env (d : driver) : runs =
   fun sink ->
     d (fun t ->
         Buf.unsafe_set b 0 t.(Array.length t - 1);
-        r.tuple <- t;
+        if r.tuple != t then r.tuple <- t;
         sink r)
 
 (* Hand the tuples [out.tuple ++ [c]], c in [buf.(lo .. hi - 1)], to
@@ -156,7 +159,7 @@ let of_tuples env (d : driver) : runs =
    handle's fuel, so checks (and an intermediate cap's overshoot) fall
    exactly where one tick per tuple would put them. *)
 let deliver gov (r : Counters.t) out sink buf lo hi =
-  out.cands <- buf;
+  if out.cands != buf then out.cands <- buf;
   let lo = ref lo in
   while !lo < hi do
     let n = min (hi - !lo) (Governor.fuel gov) in
@@ -318,7 +321,9 @@ let probe compile env node =
         probe_driver (fun t ->
             r.hj_probe_tuples <- r.hj_probe_tuples + 1;
             Governor.tick env.gov;
-            Array.blit t 0 buf 0 pwidth;
+            for i = 0 to pwidth - 1 do
+              buf.(i) <- t.(i)
+            done;
             Join_table.iter_matches table t probe_key_pos on_row)
   | _ -> invalid_arg "Exec.probe: not a HASH-JOIN"
 
@@ -429,7 +434,7 @@ let compute_stable x =
   let row =
     match x.from with
     | Some p ->
-        x.s <- p.set;
+        if x.s != p.set then x.s <- p.set;
         x.s_lo <- p.set_lo;
         x.s_hi <- p.set_hi;
         -1
@@ -439,7 +444,7 @@ let compute_stable x =
       (* One stable list: [S] is the adjacency list itself, read in
          place, with its bitmap row. *)
       Governor.tick_work env.gov (!total asr work_grain_shift);
-      x.s <- l.bufs.(0);
+      if x.s != l.bufs.(0) then x.s <- l.bufs.(0);
       x.s_lo <- l.lo.(0);
       x.s_hi <- l.hi.(0);
       l.row.(0)
@@ -447,14 +452,16 @@ let compute_stable x =
     else begin
       Int_vec.clear x.svec;
       governed_intersect env x.svec l;
-      x.s <- Int_vec.buf x.svec;
+      if x.s != Int_vec.buf x.svec then x.s <- Int_vec.buf x.svec;
       x.s_lo <- 0;
       x.s_hi <- Int_vec.length x.svec;
       -1
     end
   in
   (match x.shape with Kernel kr -> Sorted.set_shared kr x.s x.s_lo x.s_hi row | _ -> ());
-  Array.blit x.ss 0 x.last_ss 0 (Array.length x.ss);
+  for i = 0 to Array.length x.ss - 1 do
+    x.last_ss.(i) <- x.ss.(i)
+  done;
   x.valid <- true
 
 (* One extension set, of the tuple in [x.obuf]: counted at a count-only
@@ -481,12 +488,12 @@ let emit x ~count sink buf lo hi =
         let w = Buf.unsafe_get buf i in
         if not (tuple_contains x.obuf x.width w) then Int_vec.push f w
       done;
-      x.set <- Int_vec.buf f;
+      if x.set != Int_vec.buf f then x.set <- Int_vec.buf f;
       x.set_lo <- 0;
       x.set_hi <- Int_vec.length f
     end
     else begin
-      x.set <- buf;
+      if x.set != buf then x.set <- buf;
       x.set_lo <- lo;
       x.set_hi <- hi
     end;
@@ -555,7 +562,9 @@ let extend_run x ~count sink (run : run) =
     (* An [S] read from [from] lives in its buffers, valid only for this
        run. *)
     if (not !same) || Option.is_some x.from then compute_stable x;
-    Array.blit t 0 x.obuf 0 (w - 1);
+    for i = 0 to w - 2 do
+      x.obuf.(i) <- t.(i)
+    done;
     (match x.shape with
     | All_stable ->
         let n = hi - lo in

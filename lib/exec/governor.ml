@@ -1,3 +1,6 @@
+(* Stdlib.min/max are polymorphic: on ints every call is a C compare. *)
+let[@warning "-32"] min = Int.min and[@warning "-32"] max = Int.max
+
 module Timing = Gf_util.Timing
 
 type reason = Deadline | Output_limit | Intermediate_limit | Memory_limit | Cancelled

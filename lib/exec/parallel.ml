@@ -1,3 +1,6 @@
+(* Stdlib.min/max are polymorphic: on ints every call is a C compare. *)
+let[@warning "-32"] min = Int.min and[@warning "-32"] max = Int.max
+
 module Plan = Gf_plan.Plan
 module Deque = Gf_util.Deque
 module Timing = Gf_util.Timing
@@ -197,11 +200,16 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?budget ?fault ?gov ?
               Exec.compile_rw ~count:(count && boundary_node == plan) lower_rw env boundary_node
             in
             let tuple = Array.make bwidth 0 in
+            let copy_row (src : int array) si (dst : int array) di =
+              for j = 0 to bwidth - 1 do
+                dst.(di + j) <- src.(si + j)
+              done
+            in
             let batch_bytes = batch * bwidth * 8 in
             let replay data =
               let n = Array.length data / bwidth in
               for r = 0 to n - 1 do
-                Array.blit data (r * bwidth) tuple 0 bwidth;
+                copy_row data (r * bwidth) tuple 0;
                 Governor.tick h;
                 sink tuple
               done;
@@ -215,7 +223,7 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?budget ?fault ?gov ?
             let bn = ref 0 in
             let emit_lower t =
               if Deque.length own < max_local then begin
-                Array.blit t 0 !bbuf (!bn * bwidth) bwidth;
+                copy_row t 0 !bbuf (!bn * bwidth);
                 incr bn;
                 if !bn = batch then begin
                   Atomic.incr pending;
@@ -232,7 +240,7 @@ let run ?(domains = 1) ?(cache = true) ?(distinct = false) ?budget ?fault ?gov ?
               bn := 0;
               let data = !bbuf in
               for r = 0 to n - 1 do
-                Array.blit data (r * bwidth) tuple 0 bwidth;
+                copy_row data (r * bwidth) tuple 0;
                 sink tuple
               done
             in

@@ -1,3 +1,6 @@
+(* Stdlib.min/max are polymorphic: on ints every call is a C compare. *)
+let[@warning "-32"] min = Int.min and[@warning "-32"] max = Int.max
+
 module Buf = Gf_util.Buf
 
 type direction = Fwd | Bwd
@@ -219,7 +222,7 @@ let row_of g s v el =
 let neighbours_into g dir v ~elabel ~nlabel (l : Gf_util.Sorted.lists) i =
   let s = side g dir in
   let j = slot g v elabel nlabel in
-  l.bufs.(i) <- s.nbr;
+  if l.bufs.(i) != s.nbr then l.bufs.(i) <- s.nbr;
   l.lo.(i) <- Bigarray.Array1.unsafe_get s.off j;
   l.hi.(i) <- Bigarray.Array1.unsafe_get s.off (j + 1);
   (* A row offset only means something in this graph's word array. *)

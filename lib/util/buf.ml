@@ -1,3 +1,6 @@
+(* Stdlib.min/max are polymorphic: on ints every call is a C compare. *)
+let[@warning "-32"] min = Int.min and[@warning "-32"] max = Int.max
+
 type i32a = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type i64a = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -1,3 +1,6 @@
+(* Stdlib.min/max are polymorphic: on ints every call is a C compare. *)
+let[@warning "-32"] min = Int.min and[@warning "-32"] max = Int.max
+
 (* [tagged] is [Buf.I64 data], rebuilt only when [data] grows, so handing
    the running result of a k-way intersection to the next pairwise kernel
    allocates nothing. *)

@@ -1,3 +1,6 @@
+(* Stdlib.min/max are polymorphic: on ints every call is a C compare. *)
+let[@warning "-32"] min = Int.min and[@warning "-32"] max = Int.max
+
 type slice = Buf.t * int * int
 
 let slice_len ((_, lo, hi) : slice) = hi - lo
@@ -517,7 +520,7 @@ let run_state ?(bits = no_bits) ?scratch ~shared vary =
   }
 
 let set_shared r s lo hi row =
-  r.s <- s;
+  if r.s != s then r.s <- s;
   r.s_lo <- lo;
   r.s_hi <- hi;
   r.s_row <- row
@@ -527,7 +530,7 @@ let fill_vary r i c (v : csr) =
   let l = r.cl in
   let k = (c * v.stride) + v.base in
   let lo = Bigarray.Array1.unsafe_get v.off k and hi = Bigarray.Array1.unsafe_get v.off (k + 1) in
-  l.bufs.(i) <- v.nbr;
+  if l.bufs.(i) != v.nbr then l.bufs.(i) <- v.nbr;
   l.lo.(i) <- lo;
   l.hi.(i) <- hi;
   l.row.(i) <-
@@ -541,7 +544,7 @@ let fill r c =
   let l = r.cl in
   let first =
     if r.shared then begin
-      l.bufs.(0) <- r.s;
+      if l.bufs.(0) != r.s then l.bufs.(0) <- r.s;
       l.lo.(0) <- r.s_lo;
       l.hi.(0) <- r.s_hi;
       l.row.(0) <- r.s_row;

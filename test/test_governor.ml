@@ -400,6 +400,22 @@ let test_segmented_intersection () =
   check_int "adaptive: the giant intersection started" 1 c.Counters.intersections;
   check_int "adaptive: tripped between its segments" 0 c.Counters.output
 
+(* The clamp arithmetic of [claim_outputs] and [fuel] on one handle: the
+   claim that crosses the cap gets the remainder and the next one gets
+   nothing, a branch otherwise reached only by concurrent domains; fuel
+   reads at least 1 after a charge larger than what was left. *)
+let test_claim_clamp () =
+  let gov = Governor.create (Governor.budget ~max_output:10 ()) in
+  let h = Governor.handle gov [||] in
+  List.iter2
+    (fun n want -> check_int (Printf.sprintf "claim %d" n) want (Governor.claim_outputs h n))
+    [ 8; 5; 3 ] [ 8; 2; 0 ];
+  check_bool "truncated by the output cap" true
+    (is_truncated Governor.Output_limit (Governor.outcome gov));
+  let h = Governor.handle (Governor.create Governor.unlimited) [||] in
+  Governor.tick_work h (Governor.fuel h + 100);
+  check_bool "fuel at least 1 after an overdraw" true (Governor.fuel h >= 1)
+
 (* Without a sink the root E/I counts, claiming whole extension sets
    through [Governor.claim_outputs]. An output cap — the degraded rung's
    10 000 among them — must still stop it at exactly the cap, sequential,
@@ -634,6 +650,7 @@ let suite =
         Alcotest.test_case "tick granularity mid-intersection" `Quick test_tick_granularity;
         Alcotest.test_case "segmented intersection correct" `Quick
           test_segmented_intersection;
+        Alcotest.test_case "claim and fuel clamps" `Quick test_claim_clamp;
         Alcotest.test_case "count-only root output cap" `Quick test_count_root_output_cap;
         Alcotest.test_case "count-only root deadline" `Quick test_count_root_deadline;
         Alcotest.test_case "fault seed sweep" `Quick test_fault_seed_sweep;
