@@ -1058,7 +1058,9 @@ let ablation_intersection_kernel () =
    Q1's E/I extends (u, c): u's forward list (with its bitmap row) is the
    shared list, c's forward list the varying one. Per tuple, both lists
    are looked up and intersected by one call; per run, the shared list is
-   looked up once and one kernel call covers up to 64 candidates. *)
+   looked up once and one kernel call covers up to 64 candidates. The
+   "1 x64" row groups 64 runs of length 1 per kernel call, each run's
+   shared list its key u's, read by the kernel itself. *)
 let ablation_runs () =
   header "Ablation: run kernel vs per-tuple intersect, ns per candidate (google 0.5 edge runs)";
   let g = dataset_at (Gf.Generators.Google, 0.5) in
@@ -1078,7 +1080,7 @@ let ablation_runs () =
   Printf.printf "%-8s %6s %13s %11s %9s %13s %11s %9s\n" "run len" "runs" "scalar tuple"
     "scalar run" "speedup" "simd tuple" "simd run" "speedup";
   List.iter
-    (fun len ->
+    (fun (label, len, grouped) ->
       let sources =
         List.filter (fun u -> size u >= len) (List.init (Gf.Graph.num_vertices g) Fun.id)
       in
@@ -1100,27 +1102,63 @@ let ablation_runs () =
             done)
           sources
       in
+      let n = Gf.Sorted.run_chunk in
+      let grp =
+        { Gf.Sorted.tuple = [| 0; 0 |]; cands = fwd.nbr; keys = Array.make n 0; starts = Array.make n 0;
+          ends = Array.make n 0; first = 0; last = 0; lo = 0; hi = 0 }
+      in
+      let drive r =
+        Gf.Sorted.seek r ~j:0 ~i:grp.lo ~stop:grp.last;
+        while r.Gf.Sorted.j < grp.last do
+          ignore (Gf.Sorted.run_kernel ~count:false ~giant:max_int r out grp)
+        done
+      in
       let per_run () =
         let l = Gf.Sorted.lists ~bits 1 in
-        let r = Gf.Sorted.run_state ~bits ~shared:true [| fwd |] in
+        let r = Gf.Sorted.run_state ~bits ~cache:true ~source:Fixed [| fwd |] in
         Array.iter
           (fun u ->
             Gf.Graph.neighbours_into g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 l 0;
             Gf.Sorted.set_shared r l.bufs.(0) l.lo.(0) l.hi.(0) l.row.(0);
-            let cb, clo, _ = Gf.Graph.neighbours g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 in
-            let i = ref clo in
-            while !i < clo + len do
-              i := !i + Gf.Sorted.run_kernel ~count:false ~giant:max_int r out cb !i (clo + len)
-            done)
+            let _, clo, _ = Gf.Graph.neighbours g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 in
+            grp.keys.(0) <- u;
+            grp.starts.(0) <- clo;
+            grp.ends.(0) <- clo + len;
+            grp.last <- 1;
+            grp.lo <- clo;
+            grp.hi <- clo + len;
+            drive r)
           sources
       in
+      let per_group () =
+        let r = Gf.Sorted.run_state ~bits ~keyed:[| fwd |] ~cache:true ~source:Key [| fwd |] in
+        let q = ref 0 in
+        let flush () =
+          grp.last <- !q;
+          grp.lo <- grp.starts.(0);
+          grp.hi <- grp.ends.(!q - 1);
+          drive r;
+          q := 0
+        in
+        Array.iter
+          (fun u ->
+            let _, clo, _ = Gf.Graph.neighbours g Gf.Graph.Fwd u ~elabel:0 ~nlabel:0 in
+            grp.keys.(!q) <- u;
+            grp.starts.(!q) <- clo;
+            grp.ends.(!q) <- clo + 1;
+            incr q;
+            if !q = n then flush ())
+          sources;
+        if !q > 0 then flush ()
+      in
       let cell mode =
-        Gf.Sorted.with_kernel_mode mode (fun () -> (time per_tuple cands, time per_run cands))
+        Gf.Sorted.with_kernel_mode mode (fun () ->
+            (time per_tuple cands, time (if grouped then per_group else per_run) cands))
       in
       let st, sr = cell Gf.Sorted.Scalar and vt, vr = cell Gf.Sorted.Simd in
-      Printf.printf "%-8d %6d %13.1f %11.1f %8.2fx %13.1f %11.1f %8.2fx\n%!" len
+      Printf.printf "%-8s %6d %13.1f %11.1f %8.2fx %13.1f %11.1f %8.2fx\n%!" label
         (Array.length sources) st sr (st /. sr) vt vr (vt /. vr))
-    [ 1; 8; 64; 512 ];
+    [ ("1", 1, false); ("1 x64", 1, true); ("8", 8, false); ("64", 64, false); ("512", 512, false) ];
   (* The E/I path end to end: the wco-heavy workload's seven plans on the
      same graph, counted at the root as a rows=false request runs them;
      best, median and range of [rounds] runs each. *)

@@ -1,5 +1,6 @@
 module Bitset = Gf_util.Bitset
 module Buf = Gf_util.Buf
+module Sorted = Gf_util.Sorted
 module Graph = Gf_graph.Graph
 module Query = Gf_query.Query
 module Plan = Gf_plan.Plan
@@ -177,59 +178,71 @@ let run ?cache ?distinct ?gov ?prof ?sink cat g q plan =
             let width = Array.length fixed_schema in
             let out_buf = Array.make width 0 in
             let out_sink = ref ignore in
-            (* An ordering's steps chained run to run; the last step's
-               runs are taken apart, permuted back to the fixed plan
-               schema and emitted. *)
+            (* An ordering's steps chained group to group; the last
+               step's groups are taken apart, permuted back to the fixed
+               plan schema and emitted. *)
             let feed (ord : ordering) =
               let nsteps = Array.length ord.steps in
-              let last (run : Exec.run) =
-                let t = run.tuple in
-                for i = run.lo to run.hi - 1 do
-                  t.(width - 1) <- Buf.unsafe_get run.cands i;
-                  for p = 0 to width - 1 do
-                    out_buf.(p) <- t.(ord.out_perm.(p))
-                  done;
-                  !out_sink out_buf
+              let last (g : Exec.group) =
+                let t = g.tuple in
+                for j = g.first to g.last - 1 do
+                  t.(width - 2) <- g.keys.(j);
+                  for i = Sorted.run_lo g j to Sorted.run_hi g j - 1 do
+                    t.(width - 1) <- Buf.unsafe_get g.cands i;
+                    for p = 0 to width - 1 do
+                      out_buf.(p) <- t.(ord.out_perm.(p))
+                    done;
+                    !out_sink out_buf
+                  done
                 done
               in
               let rec from j =
                 let next = if j + 1 = nsteps then last else from (j + 1) in
-                Exec.extend_run ord.steps.(j).ext ~count:false next
+                Exec.extend_group ord.steps.(j).ext ~count:false next
               in
               from 0
             in
             let feeds = Array.map feed orderings in
-            let one = { Exec.tuple = [||]; cands = Buf.empty; lo = 0; hi = 0 } in
+            let one =
+              { Exec.tuple = [||]; cands = Buf.empty; keys = [| 0 |]; starts = [| 0 |]; ends = [| 0 |];
+                first = 0; last = 1; lo = 0; hi = 0 }
+            in
             Some
               (Exec.of_tuples env @@ fun sink ->
                out_sink := sink;
                Array.iter
                  (fun (ord : ordering) -> Array.iter (fun st -> Exec.reset_extend st.ext) ord.steps)
                  orderings;
-               anchor_driver (fun (run : Exec.run) ->
-                   let t = run.tuple in
-                   for i = run.lo to run.hi - 1 do
-                     t.(nb - 1) <- Buf.unsafe_get run.cands i;
-                     incr routed_count;
-                     (* Route to the cheapest re-estimated ordering. *)
-                     let best = ref 0 and best_cost = ref infinity in
-                     Array.iteri
-                       (fun i ord ->
-                         let est = reestimate env.Exec.g ord t in
-                         if est < !best_cost then begin
-                           best_cost := est;
-                           best := i
-                         end)
-                       orderings;
-                     let ord = orderings.(!best) in
-                     ord.routed <- ord.routed + 1;
-                     (* The anchor tuple as a run of length one through
-                        the ordering's E/I steps. *)
-                     if one.tuple != t then one.tuple <- t;
-                     if one.cands != run.cands then one.cands <- run.cands;
-                     one.lo <- i;
-                     one.hi <- i + 1;
-                     feeds.(!best) one
+               anchor_driver (fun (g : Exec.group) ->
+                   let t = g.tuple in
+                   for j = g.first to g.last - 1 do
+                     t.(nb - 2) <- g.keys.(j);
+                     for i = Sorted.run_lo g j to Sorted.run_hi g j - 1 do
+                       t.(nb - 1) <- Buf.unsafe_get g.cands i;
+                       incr routed_count;
+                       (* Route to the cheapest re-estimated ordering. *)
+                       let best = ref 0 and best_cost = ref infinity in
+                       Array.iteri
+                         (fun i ord ->
+                           let est = reestimate env.Exec.g ord t in
+                           if est < !best_cost then begin
+                             best_cost := est;
+                             best := i
+                           end)
+                         orderings;
+                       let ord = orderings.(!best) in
+                       ord.routed <- ord.routed + 1;
+                       (* The anchor tuple as a group of one run of length
+                          one through the ordering's E/I steps. *)
+                       if one.tuple != t then one.tuple <- t;
+                       if one.cands != g.cands then one.cands <- g.cands;
+                       one.keys.(0) <- g.keys.(j);
+                       one.starts.(0) <- g.starts.(j);
+                       one.ends.(0) <- g.ends.(j);
+                       one.lo <- i;
+                       one.hi <- i + 1;
+                       feeds.(!best) one
+                     done
                    done)))
     | _ -> None
   in

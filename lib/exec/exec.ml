@@ -8,7 +8,20 @@ module Sorted = Gf_util.Sorted
 module Trace = Gf_obs.Trace
 module Buf = Gf_util.Buf
 
-type run = { mutable tuple : int array; mutable cands : Buf.t; mutable lo : int; mutable hi : int }
+type group = Sorted.group = {
+  mutable tuple : int array;
+  mutable cands : Buf.t;
+  mutable keys : int array;
+  mutable starts : int array;
+  mutable ends : int array;
+  mutable first : int;
+  mutable last : int;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+let run_lo = Sorted.run_lo
+let run_hi = Sorted.run_hi
 
 type env = {
   g : Graph.t;
@@ -36,29 +49,32 @@ and extend = {
   width : int; (* the input tuples' width *)
   descriptors : Plan.descriptor array;
   stable : Plan.descriptor array;
+  keyed : bool array; (* [stable.(i)] is sourced from the key column *)
+  key_stable : bool; (* some stable descriptor is *)
   sl : Sorted.lists; (* the stable lists, refilled in place *)
-  ss : int array; (* this run's stable sources *)
-  last_ss : int array; (* the previous tuple's; [S] is theirs *)
-  mutable valid : bool;
-  mutable last_c : int; (* the previous tuple's last column *)
+  ss : int array; (* the current run's stable sources *)
+  last_ss : int array; (* the previous tuple's, in the prefix columns *)
+  mutable valid : bool; (* there is a previous tuple *)
+  prev : Sorted.prev;
   mutable stable_total : int;
   svec : Int_vec.t;
   mutable s : Buf.t;
   mutable s_lo : int;
   mutable s_hi : int;
   shape : shape;
+  per_run : bool;
+      (* a [Kernel] whose [S] is intersected here run by run: two or more
+         stable lists, one sourced from the key column *)
   out : Int_vec.t; (* the kernel's results *)
-  filt : Int_vec.t; (* [distinct]: an extension set without the bound vertices *)
+  filt : Int_vec.t; (* [distinct]: extension sets without the bound vertices *)
   obuf : int array;
-  orun : run;
-  from : extend option;
-      (* the E/I whose runs this one extends, when its extension sets are
-         this one's [S]: the same descriptors and target label *)
-  mutable set : Buf.t; (* the extension set being handed on *)
-  mutable set_lo : int;
-  mutable set_hi : int;
+  og : group; (* output runs gathered here *)
+  kg : group; (* output runs in the kernel's own arrays ([og] when there is no kernel) *)
+  from : bool;
+      (* the E/I whose runs this one extends has this one's stable
+         descriptors and target label: a run's whole candidate slice is
+         its [S] *)
 }
-
 
 let make_env ~cache ~distinct ?prof ?trace g gov plan =
   let ops = Array.map fst (Plan.operators plan) in
@@ -121,55 +137,134 @@ let release env =
     env.held;
   env.held <- []
 
-type runs = (run -> unit) -> unit
+type groups = (group -> unit) -> unit
 type driver = (int array -> unit) -> unit
-type rewrite = (env -> Plan.t -> runs) -> env -> Plan.t -> runs option
+type rewrite = (env -> Plan.t -> groups) -> env -> Plan.t -> groups option
 
 let tuple_contains tuple len (v : int) =
   let rec go i = i < len && (tuple.(i) = v || go (i + 1)) in
   go 0
 
-(* A run's tuples, one by one, in the run's own buffer. *)
-let tuples (d : runs) : driver =
+module A = Bigarray.Array1
+
+(* A group's tuples, one by one, in the group's own buffer. *)
+let tuples (d : groups) : driver =
  fun sink ->
-  d (fun r ->
-      let t = r.tuple in
+  d (fun g ->
+      let t = g.tuple in
       let w = Array.length t - 1 in
-      for i = r.lo to r.hi - 1 do
-        t.(w) <- Buf.unsafe_get r.cands i;
-        sink t
+      for j = g.first to g.last - 1 do
+        t.(w - 1) <- g.keys.(j);
+        let lo = run_lo g j and hi = run_hi g j in
+        match g.cands with
+        | Buf.I32 a ->
+            for i = lo to hi - 1 do
+              t.(w) <- Int32.to_int (A.unsafe_get a i);
+              sink t
+            done
+        | Buf.I64 a ->
+            for i = lo to hi - 1 do
+              t.(w) <- A.unsafe_get a i;
+              sink t
+            done
       done)
 
-(* A run of length one per tuple: the tuple itself, its last column
-   copied into a one-element candidate slice. *)
-let of_tuples env (d : driver) : runs =
+(* A group of one run with one candidate, [cands.(0)]: its key is for
+   the caller to set per tuple. *)
+let group_of_one tuple cands =
+  { tuple; cands; keys = [| 0 |]; starts = [| 0 |]; ends = [| 1 |]; first = 0; last = 1; lo = 0; hi = 1 }
+
+(* A group of one run of length one per tuple: the tuple itself, its last
+   column copied into a one-element candidate slice. *)
+let of_tuples env (d : driver) : groups =
   let one = scratch env in
   Int_vec.push one 0;
   let b = Int_vec.buf one in
-  let r = { tuple = [||]; cands = b; lo = 0; hi = 1 } in
+  let g = group_of_one [||] b in
   fun sink ->
     d (fun t ->
-        Buf.unsafe_set b 0 t.(Array.length t - 1);
-        if r.tuple != t then r.tuple <- t;
-        sink r)
+        let w = Array.length t in
+        Buf.unsafe_set b 0 t.(w - 1);
+        g.keys.(0) <- t.(w - 2);
+        if g.tuple != t then g.tuple <- t;
+        sink g)
 
-(* Hand the tuples [out.tuple ++ [c]], c in [buf.(lo .. hi - 1)], to
-   [sink] as output of the operator counting into [r]: counted as
-   produced and charged to the governor in pieces no longer than the
-   handle's fuel, so checks (and an intermediate cap's overshoot) fall
-   exactly where one tick per tuple would put them. *)
-let deliver gov (r : Counters.t) out sink buf lo hi =
-  if out.cands != buf then out.cands <- buf;
-  let lo = ref lo in
-  while !lo < hi do
-    let n = min (hi - !lo) (Governor.fuel gov) in
+(* The most runs an operator gathers into one group. *)
+let group_size = Sorted.run_chunk
+
+let new_group tuple cands =
+  {
+    tuple;
+    cands;
+    keys = Array.make group_size 0;
+    starts = Array.make group_size 0;
+    ends = Array.make group_size 0;
+    first = 0;
+    last = 0;
+    lo = 0;
+    hi = 0;
+  }
+
+(* [deliver] of a group with more tuples than the fuel left. *)
+let deliver_pieces gov (r : Counters.t) (g : group) sink =
+  let last = g.last and hi = g.hi in
+  let j = ref g.first and p = ref g.lo in
+  while !j < last do
+    let fuel = Governor.fuel gov in
+    let a = !j in
+    (* Whole runs while they fit: [!k] is the first that does not, or
+       [last], and [!start] its first position. *)
+    let n = ref 0 and k = ref a and start = ref !p and fits = ref true in
+    while !fits && !k < last do
+      let len = (if !k = last - 1 then hi else g.ends.(!k)) - !start in
+      if !n + len <= fuel then begin
+        n := !n + len;
+        incr k;
+        if !k < last then start := g.starts.(!k)
+      end
+      else fits := false
+    done;
+    (* The piece ends in run [!b] at [!bhi]: inside run [!k] when fuel is
+       left over. *)
+    let b = ref (!k - 1) and bhi = ref 0 in
+    if !k < last && !n < fuel then begin
+      b := !k;
+      bhi := !start + fuel - !n;
+      n := fuel
+    end
+    else bhi := if !b = last - 1 then hi else g.ends.(!b);
+    r.produced <- r.produced + !n;
+    Governor.tick_work gov !n;
+    if !n > 0 then begin
+      g.first <- a;
+      g.lo <- !p;
+      g.last <- !b + 1;
+      g.hi <- !bhi;
+      sink g
+    end;
+    if !bhi < (if !b = last - 1 then hi else g.ends.(!b)) then begin
+      j := !b;
+      p := !bhi
+    end
+    else begin
+      j := !b + 1;
+      if !j < last then p := g.starts.(!j)
+    end
+  done
+
+(* Hand [g]'s [n] tuples to [sink] as output of the operator counting
+   into [r]: counted as produced and charged to the governor in pieces no
+   longer than the handle's fuel, so checks (and an intermediate cap's
+   overshoot) fall exactly where one tick per tuple would put them. A
+   piece is [g] itself with [first], [lo], [last] and [hi] cut to it; a
+   piece with no tuple is not handed on. *)
+let deliver gov (r : Counters.t) (g : group) ~n sink =
+  if n <= Governor.fuel gov then begin
     r.produced <- r.produced + n;
     Governor.tick_work gov n;
-    out.lo <- !lo;
-    out.hi <- !lo + n;
-    sink out;
-    lo := !lo + n
-  done
+    if n > 0 then sink g
+  end
+  else deliver_pieces gov r g sink
 
 (* Deadline granularity inside one E/I intersection. [tick] fires per
    *produced* tuple, so an intersection over huge adjacency lists that emits
@@ -232,7 +327,8 @@ let governed_intersect env result (l : Sorted.lists) =
   end
 
 (* The SCAN operator, the only loop over the edge list: one run per source
-   vertex, its adjacency slice. [ranges] is called once per drive with the
+   vertex with neighbours (its adjacency slice), handed on in groups of
+   up to [group_size] sources. [ranges] is called once per drive with the
    scan's emitter, and feeds it every [\[lo, hi)] range of source indices
    to stream this time: the whole space for a structural scan, one shard
    for a cluster part, one morsel, or the chunks a parallel hash build
@@ -243,15 +339,31 @@ let scan env node ranges =
       let v = Graph.csr env.g Graph.Fwd ~elabel:edge.Gf_query.Query.label ~nlabel:dlabel in
       let sources = Graph.vertices_with_label env.g slabel in
       let r = row env node in
-      let out = { tuple = Array.make 2 0; cands = v.nbr; lo = 0; hi = 0 } in
+      let out = new_group (Array.make 2 0) v.nbr in
       let stream sink lo hi =
-        for i = lo to hi - 1 do
-          let u = sources.(i) in
-          let x = (u * v.stride) + v.base in
-          out.tuple.(0) <- u;
-          deliver env.gov r out sink v.nbr
-            (Bigarray.Array1.unsafe_get v.off x)
-            (Bigarray.Array1.unsafe_get v.off (x + 1))
+        let i = ref lo in
+        while !i < hi do
+          let n = ref 0 and total = ref 0 in
+          while !n < group_size && !i < hi do
+            let u = sources.(!i) in
+            let x = (u * v.stride) + v.base in
+            let a = A.unsafe_get v.off x and b = A.unsafe_get v.off (x + 1) in
+            if a < b then begin
+              out.keys.(!n) <- u;
+              out.starts.(!n) <- a;
+              out.ends.(!n) <- b;
+              total := !total + b - a;
+              incr n
+            end;
+            incr i
+          done;
+          if !n > 0 then begin
+            out.first <- 0;
+            out.last <- !n;
+            out.lo <- out.starts.(0);
+            out.hi <- out.ends.(!n - 1);
+            deliver env.gov r out ~n:!total sink
+          end
         done
       in
       fun sink -> ranges (stream sink)
@@ -282,7 +394,7 @@ let build_into env node table =
 
 (* The HASH-JOIN probe: [probe compile env node table] streams the probe
    side against the indexed [table] and hands each joined tuple on as a
-   run of length one. Matching rows are read in place, so any number of
+   group of one run of length one. Matching rows are read in place, so any number of
    domains can probe one table concurrently. *)
 let probe compile env node =
   match node with
@@ -296,7 +408,7 @@ let probe compile env node =
       let one = scratch env in
       Int_vec.push one 0;
       let last = Int_vec.buf one in
-      let out = { tuple = buf; cands = last; lo = 0; hi = 1 } in
+      let out = group_of_one buf last in
       fun table sink ->
         let on_row off =
           let ok = ref true in
@@ -315,7 +427,12 @@ let probe compile env node =
           end;
           if !ok then begin
             Buf.unsafe_set last 0 buf.(width - 1);
-            deliver env.gov r out sink last 0 1
+            out.keys.(0) <- buf.(width - 2);
+            out.first <- 0;
+            out.last <- 1;
+            out.lo <- 0;
+            out.hi <- 1;
+            deliver env.gov r out ~n:1 sink
           end
         in
         probe_driver (fun t ->
@@ -327,28 +444,31 @@ let probe compile env node =
             Join_table.iter_matches table t probe_key_pos on_row)
   | _ -> invalid_arg "Exec.probe: not a HASH-JOIN"
 
-(* The E/I operator, run at a time, shared by the structural operator and
-   the adaptive evaluator's steps. An input run is a bound prefix [p] and
-   candidates [C]: the tuples [p ++ [c]]. A descriptor sourced from [p]
-   is *stable* — its list is the same for every tuple of the run — and
-   one sourced from [c] is *varying*. The stable lists are intersected
-   once per prefix into [S]; the extension set of [p ++ [c]] is then [S]
-   itself (no varying descriptor), [c]'s list read in place (one varying
-   descriptor, no stable one), or [S ∩ V(c) ∩ ...] from the run kernel,
-   one call per chunk of candidates. Every extension set goes on as the
-   run [p ++ [c]] + set.
+(* The E/I operator, group at a time, shared by the structural operator
+   and the adaptive evaluator's steps. An input group is runs sharing a
+   prefix [p], each with its key [k] and candidates [C]: the tuples
+   [p ++ [k] ++ [c]]. A descriptor sourced from [p ++ [k]] is *stable* —
+   its list is the same for every tuple of a run — and one sourced from
+   [c] is *varying*. The stable lists are intersected once per run into
+   [S] (once per group when none is sourced from [k]); the extension set
+   of a tuple is then [S] itself (no varying descriptor), [c]'s list read
+   in place (one varying descriptor, no stable one), or [S ∩ V(c) ∩ ...]
+   from the run kernel, one call per chunk of candidates across the
+   group's runs. The kernel takes each run's [S] from the run's own
+   candidate slice when the E/I that produced the group has this one's
+   stable descriptors and target label ([from]: its extension set for
+   [p ++ [k]] is [S]; under [distinct] that set lacks the bound vertices,
+   which this E/I's own output leaves out anyway), or from [k]'s list
+   when that is the one stable list. With two or more stable lists, one
+   sourced from [k], [S] is intersected here and the runs go to the
+   kernel one at a time. The extension sets of one input run go on as one
+   group: prefix [p ++ [k]], key [c].
 
    The counters are those of extending one tuple at a time: each tuple
    costs one intersection and the length of all its lists, except a tuple
    whose sources equal the previous tuple's, which with the cache on is a
    cache hit. Within a run only the first tuple can repeat its
-   predecessor's sources, unless no descriptor varies.
-
-   When the E/I that produced the run has this one's stable descriptors
-   and target label ([from]), its extension set for [p] is [S] itself:
-   [S] is read from it instead of intersected again. Under [distinct]
-   that set lacks [p]'s vertices, which this E/I's own output leaves out
-   anyway. *)
+   predecessor's sources, unless no descriptor varies. *)
 let out_room = 4096
 
 (* The stand-in for a vector an operator never writes. *)
@@ -363,26 +483,40 @@ let extend ?from env row ~target_label ~width descriptors =
   (* One stable list is [S] in place already. *)
   let from =
     match from with
-    | Some p
-      when List.length stable >= 2
-           && p.target_label = target_label
-           && same_descriptors stable (Array.to_list p.descriptors) ->
-        Some p
-    | _ -> None
+    | Some p ->
+        List.length stable >= 2
+        && p.target_label = target_label
+        && same_descriptors stable (Array.to_list p.descriptors)
+    | None -> false
   in
   let vary = List.filter (fun (d : Plan.descriptor) -> d.pos = width - 1) (Array.to_list descriptors) in
   let stable = Array.of_list stable in
   let ns = Array.length stable in
+  let keyed = Array.map (fun (d : Plan.descriptor) -> d.pos = width - 2) stable in
+  let key_stable = Array.exists Fun.id keyed in
   let bits = Graph.bitmap_words env.g in
   let pair k = if k >= 3 then Some (scratch env, scratch env) else None in
   let csr (d : Plan.descriptor) = Graph.csr env.g d.dir ~elabel:d.elabel ~nlabel:target_label in
+  let source : Sorted.source =
+    if from then Own else if ns = 0 then Absent else if ns = 1 && key_stable then Key else Fixed
+  in
+  let keyed_csrs =
+    match source with
+    | Own | Key ->
+        Array.of_list
+          (List.filter_map
+             (fun (d : Plan.descriptor) -> if d.pos = width - 2 then Some (csr d) else None)
+             (Array.to_list stable))
+    | Absent | Fixed -> [||]
+  in
   let shape =
     match vary with
     | [] -> All_stable
     | [ d ] when ns = 0 -> Single (csr d)
     | _ ->
         Kernel
-          (Sorted.run_state ~bits ?scratch:(pair (List.length vary + min ns 1)) ~shared:(ns > 0)
+          (Sorted.run_state ~bits ?scratch:(pair (List.length vary + min ns 1)) ~keyed:keyed_csrs
+             ~cache:env.cache ~source
              (Array.of_list (List.map csr vary)))
   in
   let obuf = Array.make (width + 1) 0 in
@@ -390,6 +524,15 @@ let extend ?from env row ~target_label ~width descriptors =
   (* Room for a chunk's results: the kernel stops a chunk early when the
      next result might not fit. *)
   Int_vec.ensure out out_room;
+  let og = new_group obuf Buf.empty in
+  let prev, kg =
+    match shape with
+    | Kernel kr ->
+        ( kr.prev,
+          { tuple = obuf; cands = Int_vec.buf out; keys = kr.keys; starts = kr.starts; ends = kr.ends;
+            first = 0; last = 0; lo = 0; hi = 0 } )
+    | All_stable | Single _ -> ({ Sorted.same = false; last_key = 0; last_c = 0 }, og)
+  in
   {
     env;
     row;
@@ -397,33 +540,38 @@ let extend ?from env row ~target_label ~width descriptors =
     width;
     descriptors;
     stable;
+    keyed;
+    key_stable;
     sl = Sorted.lists ~bits ?scratch:(pair ns) ns;
     ss = Array.make ns (-1);
     last_ss = Array.make ns (-1);
     valid = false;
-    last_c = -1;
+    prev;
     stable_total = 0;
     svec = (if ns >= 2 then scratch env else unused);
     s = Buf.empty;
     s_lo = 0;
     s_hi = 0;
     shape;
+    per_run = (not from) && ns >= 2 && key_stable;
     out;
     filt = (if env.distinct then scratch env else unused);
     obuf;
-    orun = { tuple = obuf; cands = Buf.empty; lo = 0; hi = 0 };
+    og;
+    kg;
     from;
-    set = Buf.empty;
-    set_lo = 0;
-    set_hi = 0;
   }
 
-let reset_extend x = x.valid <- false
-
-(* [S] := the intersection of the stable lists of sources [x.ss]. *)
-let compute_stable x =
-  let env = x.env and l = x.sl in
+let reset_extend x =
   x.valid <- false;
+  x.prev.same <- false;
+  x.og.last <- 0;
+  if x.env.distinct then Int_vec.clear x.filt
+
+(* [S] := the intersection of the stable lists of sources [x.ss], for run
+   [j] of [g]. *)
+let compute_stable x (g : group) j =
+  let env = x.env and l = x.sl in
   let total = ref 0 in
   for i = 0 to Array.length x.stable - 1 do
     let d = x.stable.(i) in
@@ -432,14 +580,13 @@ let compute_stable x =
   done;
   x.stable_total <- !total;
   let row =
-    match x.from with
-    | Some p ->
-        if x.s != p.set then x.s <- p.set;
-        x.s_lo <- p.set_lo;
-        x.s_hi <- p.set_hi;
-        -1
-    | None ->
-    if Array.length x.stable = 0 then -1
+    if x.from then begin
+      if x.s != g.cands then x.s <- g.cands;
+      x.s_lo <- g.starts.(j);
+      x.s_hi <- g.ends.(j);
+      -1
+    end
+    else if Array.length x.stable = 0 then -1
     else if Array.length x.stable = 1 then begin
       (* One stable list: [S] is the adjacency list itself, read in
          place, with its bitmap row. *)
@@ -458,172 +605,318 @@ let compute_stable x =
       -1
     end
   in
-  (match x.shape with Kernel kr -> Sorted.set_shared kr x.s x.s_lo x.s_hi row | _ -> ());
-  for i = 0 to Array.length x.ss - 1 do
-    x.last_ss.(i) <- x.ss.(i)
-  done;
-  x.valid <- true
+  match x.shape with
+  | Kernel kr ->
+      Sorted.set_shared kr x.s x.s_lo x.s_hi row;
+      Sorted.set_total kr !total
+  | All_stable | Single _ -> ()
 
-(* One extension set, of the tuple in [x.obuf]: counted at a count-only
-   root (claimed whole, so an output cap truncates exactly, then unwinds
-   like a refused [claim_output]; the counted tuples drain the governor's
-   fuel as their one-by-one emission would), else handed on as a run. *)
-let emit x ~count sink buf lo hi =
-  let env = x.env and r = x.row in
-  if count then begin
-    let n = hi - lo in
-    if n > 0 then begin
-      let k = Governor.claim_outputs env.gov n in
-      r.produced <- r.produced + k;
-      env.c.output <- env.c.output + k;
-      if k < n then raise Governor.Trip;
-      Governor.tick_work env.gov k
-    end
+(* [n] tuples counted at a count-only root: claimed whole, so an output
+   cap truncates exactly, then unwinds like a refused [claim_output]; the
+   counted tuples drain the governor's fuel as their one-by-one emission
+   would. *)
+let claim x n =
+  if n > 0 then begin
+    let env = x.env in
+    let k = Governor.claim_outputs env.gov n in
+    x.row.produced <- x.row.produced + k;
+    env.c.output <- env.c.output + k;
+    if k < n then raise Governor.Trip;
+    Governor.tick_work env.gov k
   end
+
+(* Hand on the runs gathered in [x.og]. *)
+let flush x sink =
+  let og = x.og in
+  let n = og.last in
+  if n > 0 then begin
+    if x.env.distinct then begin
+      let b = Int_vec.buf x.filt in
+      if og.cands != b then og.cands <- b
+    end;
+    og.first <- 0;
+    og.lo <- og.starts.(0);
+    og.hi <- og.ends.(n - 1);
+    let total = ref 0 in
+    for j = 0 to n - 1 do
+      total := !total + og.ends.(j) - og.starts.(j)
+    done;
+    deliver x.env.gov x.row og ~n:!total sink;
+    og.last <- 0;
+    if x.env.distinct then Int_vec.clear x.filt
+  end
+
+(* The extension set [buf.(lo .. hi - 1)] of the tuple [x.obuf] with last
+   column [c]: gathered as the run [c] of [x.og] (under [distinct],
+   filtered first), or counted at a count-only root. *)
+let emit x ~count sink c buf lo hi =
+  if count then claim x (hi - lo)
   else begin
-    if env.distinct then begin
-      let f = x.filt in
-      Int_vec.clear f;
-      for i = lo to hi - 1 do
-        let w = Buf.unsafe_get buf i in
-        if not (tuple_contains x.obuf x.width w) then Int_vec.push f w
-      done;
-      if x.set != Int_vec.buf f then x.set <- Int_vec.buf f;
-      x.set_lo <- 0;
-      x.set_hi <- Int_vec.length f
+    let og = x.og in
+    if x.env.distinct then begin
+      if og.last = group_size then flush x sink;
+      let f = x.filt and w = x.width in
+      x.obuf.(w - 1) <- c;
+      let start = Int_vec.length f in
+      (match buf with
+      | Buf.I32 a ->
+          for i = lo to hi - 1 do
+            let v = Int32.to_int (A.unsafe_get a i) in
+            if not (tuple_contains x.obuf w v) then Int_vec.push f v
+          done
+      | Buf.I64 a ->
+          for i = lo to hi - 1 do
+            let v = A.unsafe_get a i in
+            if not (tuple_contains x.obuf w v) then Int_vec.push f v
+          done);
+      let n = og.last in
+      og.keys.(n) <- c;
+      og.starts.(n) <- start;
+      og.ends.(n) <- Int_vec.length f;
+      og.last <- n + 1
     end
     else begin
-      if x.set != buf then x.set <- buf;
-      x.set_lo <- lo;
-      x.set_hi <- hi
-    end;
-    deliver env.gov r x.orun sink x.set x.set_lo x.set_hi
+      if og.last = group_size || (og.last > 0 && og.cands != buf) then flush x sink;
+      if og.cands != buf then og.cands <- buf;
+      let n = og.last in
+      og.keys.(n) <- c;
+      og.starts.(n) <- lo;
+      og.ends.(n) <- hi;
+      og.last <- n + 1
+    end
   end
 
-(* Candidates [run.cands.(i ..)] through the run kernel, up to [hi] or the
-   kernel's chunk; returns where it stopped. A candidate whose smallest
+(* The kernel's [k] results, from candidate [i0] of run [j0] of [g] on,
+   handed on one group per input run. *)
+let hand_on x (kr : Sorted.run) sink (g : group) j0 i0 k =
+  let w = x.width and kg = x.kg in
+  let out = Int_vec.buf x.out in
+  if kg.cands != out then kg.cands <- out;
+  let q = ref 0 and j = ref j0 and i = ref i0 in
+  while !q < k do
+    let hi = run_hi g !j in
+    if !i >= hi then begin
+      incr j;
+      i := g.starts.(!j)
+    end
+    else begin
+      let n = min (hi - !i) (k - !q) in
+      x.obuf.(w - 2) <- g.keys.(!j);
+      if x.env.distinct then begin
+        for p = !q to !q + n - 1 do
+          emit x ~count:false sink kr.keys.(p) out kr.starts.(p) kr.ends.(p)
+        done;
+        flush x sink
+      end
+      else begin
+        kg.first <- !q;
+        kg.last <- !q + n;
+        kg.lo <- kr.starts.(!q);
+        kg.hi <- kr.ends.(!q + n - 1);
+        (* The kernel's results lie back to back. *)
+        deliver x.env.gov x.row kg ~n:(kg.hi - kg.lo) sink
+      end;
+      q := !q + n;
+      i := !i + n
+    end
+  done
+
+(* The candidate the kernel stopped on, outside it: one whose smallest
    list is longer than [segment] goes alone through the segmented
-   intersection. [charge] is false for a cache hit. *)
-let kernel_chunk x kr ~count ~charge sink (run : run) i hi =
-  let env = x.env and r = x.row and w = x.width in
-  let k = Sorted.run_kernel ~count ~giant:segment kr x.out run.cands i hi in
-  if k = 0 then begin
-    let c = Buf.unsafe_get run.cands i in
-    let l = Sorted.run_lists kr c in
-    if charge then begin
+   intersection, as does every candidate of a kernel with more lists than
+   the C kernel keeps. Counted as the kernel counts. *)
+let giant x (kr : Sorted.run) ~count sink (g : group) =
+  let stop = kr.stop in
+  let j = ref kr.j and i = ref kr.i in
+  while !j < stop && !i >= run_hi g !j do
+    incr j;
+    if !j < stop then i := g.starts.(!j)
+  done;
+  let j = !j and i = !i in
+  if j >= stop then Sorted.seek kr ~j ~i ~stop
+  else begin
+    let env = x.env and r = x.row and p = x.prev in
+    let key = g.keys.(j) and c = Buf.get g.cands i in
+    let same = p.same && match kr.source with Own | Key -> key = p.last_key | Absent | Fixed -> true in
+    let l = Sorted.run_lists kr g j c in
+    if env.cache && same && c = p.last_c then r.cache_hits <- r.cache_hits + 1
+    else begin
       r.intersections <- r.intersections + 1;
-      r.icost <- r.icost + x.stable_total;
-      for j = (if kr.Sorted.shared then 1 else 0) to Array.length l.lo - 1 do
-        r.icost <- r.icost + l.hi.(j) - l.lo.(j)
-      done
+      r.icost <- r.icost + kr.icost
     end;
+    if (not same) && kr.source = Key then
+      Governor.tick_work env.gov ((l.hi.(0) - l.lo.(0)) asr work_grain_shift);
+    p.same <- true;
+    p.last_key <- key;
+    p.last_c <- c;
+    Sorted.seek kr ~j ~i:(i + 1) ~stop;
     Int_vec.clear x.out;
     governed_intersect env x.out l;
-    x.obuf.(w - 1) <- c;
-    emit x ~count sink (Int_vec.buf x.out) 0 (Int_vec.length x.out);
-    i + 1
-  end
-  else begin
-    if charge then begin
-      let work = (k * x.stable_total) + kr.Sorted.icost in
-      r.intersections <- r.intersections + k;
-      r.icost <- r.icost + work;
-      Governor.tick_work env.gov (work asr work_grain_shift)
-    end;
-    let buf = Int_vec.buf x.out and ends = kr.Sorted.ends in
-    if count && ends.(k - 1) < Governor.fuel env.gov then
-      (* The whole chunk's count at once: it drains less fuel than is
-         left, so no check falls inside it. *)
-      emit x ~count sink buf 0 ends.(k - 1)
-    else begin
-      let start = ref 0 in
-      for j = 0 to k - 1 do
-        x.obuf.(w - 1) <- Buf.unsafe_get run.cands (i + j);
-        emit x ~count sink buf !start ends.(j);
-        start := ends.(j)
-      done
-    end;
-    i + k
+    x.obuf.(x.width - 2) <- key;
+    emit x ~count sink c (Int_vec.buf x.out) 0 (Int_vec.length x.out);
+    flush x sink
   end
 
-let extend_run x ~count sink (run : run) =
-  let lo = run.lo and hi = run.hi in
+(* The candidates of [g] from the kernel's position to its stop, through
+   the run kernel. *)
+let kernel_runs x (kr : Sorted.run) ~count sink (g : group) =
+  let env = x.env and r = x.row in
+  while kr.j < kr.stop do
+    let j0 = kr.j and i0 = kr.i in
+    let k = Sorted.run_kernel ~count ~giant:segment kr x.out g in
+    if k > 0 then begin
+      r.intersections <- r.intersections + kr.charged;
+      r.cache_hits <- r.cache_hits + kr.hits;
+      r.icost <- r.icost + kr.icost;
+      Governor.tick_work env.gov (kr.ticks + (kr.icost asr work_grain_shift));
+      if count then begin
+        let starts = kr.starts and ends = kr.ends in
+        if ends.(k - 1) < Governor.fuel env.gov then
+          (* The whole chunk's count at once: it drains less fuel than is
+             left, so no check falls inside it. *)
+          claim x ends.(k - 1)
+        else
+          for q = 0 to k - 1 do
+            claim x (ends.(q) - starts.(q))
+          done
+      end
+      else hand_on x kr sink g j0 i0 k
+    end
+    else giant x kr ~count sink g
+  done
+
+(* One tuple of an [All_stable] run: its extension set is [S]. *)
+let stable_one x ~count sink c = emit x ~count sink c x.s x.s_lo x.s_hi
+
+(* One tuple of a [Single] run: its extension set is [c]'s list, read in
+   place; [hit] when it repeats its predecessor's sources. *)
+let single_one x ~count sink (v : Sorted.csr) ~hit c =
+  let r = x.row in
+  let k = (c * v.stride) + v.base in
+  let plo = A.unsafe_get v.off k and phi = A.unsafe_get v.off (k + 1) in
+  if hit then r.cache_hits <- r.cache_hits + 1
+  else begin
+    r.intersections <- r.intersections + 1;
+    r.icost <- r.icost + phi - plo;
+    Governor.tick_work x.env.gov ((phi - plo) asr work_grain_shift)
+  end;
+  emit x ~count sink c v.nbr plo phi
+
+(* Run [j] of [g] on its own: the shapes whose [S] is computed here per
+   run. *)
+let extend_one x ~count sink (g : group) j =
+  let lo = run_lo g j and hi = run_hi g j in
   if lo < hi then begin
-    let env = x.env and r = x.row and w = x.width in
-    let t = run.tuple and cands = run.cands in
-    let same = ref x.valid in
+    let env = x.env and r = x.row and p = x.prev in
+    let key = g.keys.(j) in
+    let same = p.same && ((not x.key_stable) || key = p.last_key) in
     for i = 0 to Array.length x.stable - 1 do
-      let s = t.(x.stable.(i).pos) in
-      x.ss.(i) <- s;
-      if s <> x.last_ss.(i) then same := false
+      if x.keyed.(i) then x.ss.(i) <- key
     done;
-    let first = Buf.unsafe_get cands lo in
-    let hit = env.cache && !same && (x.shape == All_stable || first = x.last_c) in
-    (* An [S] read from [from] lives in its buffers, valid only for this
-       run. *)
-    if (not !same) || Option.is_some x.from then compute_stable x;
-    for i = 0 to w - 2 do
-      x.obuf.(i) <- t.(i)
-    done;
+    (* An [S] read from [from] is the run's own slice. *)
+    if (not same) || x.from then compute_stable x g j;
+    x.obuf.(x.width - 2) <- key;
+    let cands = g.cands in
     (match x.shape with
-    | All_stable ->
+    | All_stable -> (
         let n = hi - lo in
-        let misses = if not env.cache then n else if hit then 0 else 1 in
+        let misses = if not env.cache then n else if same then 0 else 1 in
         r.cache_hits <- r.cache_hits + n - misses;
         r.intersections <- r.intersections + misses;
         r.icost <- r.icost + (misses * x.stable_total);
-        for i = lo to hi - 1 do
-          x.obuf.(w - 1) <- Buf.unsafe_get cands i;
-          emit x ~count sink x.s x.s_lo x.s_hi
-        done
-    | Single v ->
-        for i = lo to hi - 1 do
-          let c = Buf.unsafe_get cands i in
-          let k = (c * v.stride) + v.base in
-          let plo = Bigarray.Array1.unsafe_get v.off k
-          and phi = Bigarray.Array1.unsafe_get v.off (k + 1) in
-          if i = lo && hit then r.cache_hits <- r.cache_hits + 1
-          else begin
-            r.intersections <- r.intersections + 1;
-            r.icost <- r.icost + phi - plo;
-            Governor.tick_work env.gov ((phi - plo) asr work_grain_shift)
-          end;
-          x.obuf.(w - 1) <- c;
-          emit x ~count sink v.nbr plo phi
-        done
+        match cands with
+        | Buf.I32 a ->
+            for i = lo to hi - 1 do
+              stable_one x ~count sink (Int32.to_int (A.unsafe_get a i))
+            done
+        | Buf.I64 a ->
+            for i = lo to hi - 1 do
+              stable_one x ~count sink (A.unsafe_get a i)
+            done)
+    | Single v -> (
+        let hit = env.cache && same && Buf.unsafe_get cands lo = p.last_c in
+        match cands with
+        | Buf.I32 a ->
+            for i = lo to hi - 1 do
+              single_one x ~count sink v ~hit:(hit && i = lo) (Int32.to_int (A.unsafe_get a i))
+            done
+        | Buf.I64 a ->
+            for i = lo to hi - 1 do
+              single_one x ~count sink v ~hit:(hit && i = lo) (A.unsafe_get a i)
+            done)
     | Kernel kr ->
-        let i = ref lo in
-        if hit then begin
-          (* The first tuple repeats its predecessor's sources: a cache
-             hit, recomputed here without being counted. *)
-          r.cache_hits <- r.cache_hits + 1;
-          i := kernel_chunk x kr ~count ~charge:false sink run lo (lo + 1)
-        end;
-        while !i < hi do
-          i := kernel_chunk x kr ~count ~charge:true sink run !i hi
-        done);
-    x.last_c <- Buf.unsafe_get cands (hi - 1)
+        (* The kernel compares no key for a [Fixed] [S]. *)
+        p.same <- same;
+        Sorted.seek kr ~j ~i:lo ~stop:(j + 1);
+        kernel_runs x kr ~count sink g);
+    flush x sink;
+    p.same <- true;
+    p.last_key <- key;
+    p.last_c <- Buf.unsafe_get cands (hi - 1)
   end
 
-(* Compile [plan] into a run driver. [rewrite] lets a caller (the adaptive
+let extend_group x ~count sink (g : group) =
+  let t = g.tuple and w = x.width and p = x.prev in
+  for i = 0 to w - 3 do
+    x.obuf.(i) <- t.(i)
+  done;
+  let same = ref x.valid in
+  for i = 0 to Array.length x.stable - 1 do
+    if not x.keyed.(i) then begin
+      let s = t.(x.stable.(i).pos) in
+      x.ss.(i) <- s;
+      if s <> x.last_ss.(i) then same := false
+    end
+  done;
+  p.same <- !same;
+  (match x.shape with
+  | Kernel kr when not x.per_run ->
+      (match kr.source with
+      | Fixed -> if not !same then compute_stable x g g.first
+      | Own ->
+          let total = ref 0 in
+          for i = 0 to Array.length x.stable - 1 do
+            if not x.keyed.(i) then begin
+              let d = x.stable.(i) in
+              total :=
+                !total
+                + Graph.partition_size x.env.g d.dir x.ss.(i) ~elabel:d.elabel ~nlabel:x.target_label
+            end
+          done;
+          Sorted.set_total kr !total
+      | Absent | Key -> ());
+      Sorted.seek kr ~j:g.first ~i:g.lo ~stop:g.last;
+      kernel_runs x kr ~count sink g
+  | Kernel _ | All_stable | Single _ ->
+      for j = g.first to g.last - 1 do
+        extend_one x ~count sink g j
+      done);
+  if p.same then begin
+    x.valid <- true;
+    for i = 0 to Array.length x.ss - 1 do
+      x.last_ss.(i) <- x.ss.(i)
+    done
+  end
+
+(* Compile [plan] into a group driver. [rewrite] lets a caller (the adaptive
    and parallel executors, cluster shards) take over compilation of chosen
    sub-plans; it receives the recursive compiler so intercepted segments
    can still compile their own children normally. [count] makes a root
    E/I operator count-only: each extension set adds its size to the
    output instead of being enumerated, and the sink is never called. *)
-let rec compile_runs ~count rewrite env plan =
+let rec compile_groups ~count rewrite env plan =
   let driver =
-    match rewrite (compile_runs ~count:false rewrite) env plan with
+    match rewrite (compile_groups ~count:false rewrite) env plan with
     | Some driver -> driver
     | None -> compile_structural ~count rewrite env plan
   in
   (* The timing branch is taken here, once per operator at plan-compile
      time: with no profile the driver is returned untouched — no clock is
-     read per run. *)
+     read per group. *)
   match env.prof with None -> driver | Some p -> Profile.wrap p (op_id env plan) driver
 
-and compile_structural ~count rewrite env plan : runs =
-  let compile env plan = compile_runs ~count:false rewrite env plan in
+and compile_structural ~count rewrite env plan : groups =
+  let compile env plan = compile_groups ~count:false rewrite env plan in
   match plan with
   | Plan.Scan { slabel; _ } ->
       let n = Graph.num_with_label env.g slabel in
@@ -637,7 +930,7 @@ and compile_structural ~count rewrite env plan : runs =
       env.extends <- (plan, x) :: env.extends;
       fun sink ->
         reset_extend x;
-        child_driver (extend_run x ~count sink)
+        child_driver (extend_group x ~count sink)
   | Plan.Hash_join { build; build_key_pos; _ } ->
       let build_driver = tuples (compile env build) in
       let row_len = Array.length (Plan.vars build) in
@@ -668,7 +961,7 @@ and compile_structural ~count rewrite env plan : runs =
               ~finally:(fun () -> Trace.end_span ~args:[ ("probes", Int r.hj_probe_tuples) ] tb)
               (fun () -> probe_driver table sink)
 
-let compile_rw ?(count = false) rewrite env plan = tuples (compile_runs ~count rewrite env plan)
+let compile_rw ?(count = false) rewrite env plan = tuples (compile_groups ~count rewrite env plan)
 
 
 let no_rewrite _ _ _ = None

@@ -75,42 +75,62 @@ val make_env :
     Raises [Invalid_argument] for a node outside the run's plan. *)
 val row : env -> Gf_plan.Plan.t -> Counters.t
 
-(** A run: the tuples [tuple.(0 .. w - 2) ++ [c]] for [c] in
-    [cands.(lo .. hi - 1)], [w = Array.length tuple] — a bound prefix and a
-    slice of candidates for its last column. SCAN hands on one run per
-    source vertex (its adjacency slice) and E/I one per tuple it extends
-    (its extension set); HASH-JOIN probes and rewrites that produce single
-    tuples hand on runs of length one. A consumer may write
-    [tuple.(w - 1)] and must not keep the run past its call. *)
-type run = { mutable tuple : int array; mutable cands : Gf_util.Buf.t; mutable lo : int; mutable hi : int }
+(** A group of sibling runs ({!Gf_util.Sorted.group}): runs [j] in
+    [\[first, last)] sharing the prefix [tuple.(0 .. w - 3)],
+    [w = Array.length tuple], each with its key [keys.(j)] for column
+    [w - 2] and its candidates for column [w - 1] in
+    [cands.(Sorted.run_lo g j .. Sorted.run_hi g j - 1)] — a plain run is
+    a group of one run. SCAN hands on one group per chunk of source
+    vertices (their adjacency slices) and E/I one per input run and
+    kernel chunk (the extension sets of its candidates); HASH-JOIN probes
+    and rewrites that produce single tuples hand on groups of one run of
+    length one. A consumer may write [tuple.(w - 2)] and [tuple.(w - 1)]
+    and must not keep the group past its call. *)
+type group = Gf_util.Sorted.group = {
+  mutable tuple : int array;
+  mutable cands : Gf_util.Buf.t;
+  mutable keys : int array;
+  mutable starts : int array;
+  mutable ends : int array;
+  mutable first : int;
+  mutable last : int;
+  mutable lo : int;
+  mutable hi : int;
+}
 
-(** A compiled pipeline over runs: [runs sink] pushes every produced run
-    into [sink]. *)
-type runs = (run -> unit) -> unit
+(** A compiled pipeline over groups: [groups sink] pushes every produced
+    group into [sink]. *)
+type groups = (group -> unit) -> unit
 
 (** A compiled pipeline over tuples: [driver sink] runs it, pushing every
     produced tuple into [sink]. *)
 type driver = (int array -> unit) -> unit
 
-(** [of_tuples env d] hands on each tuple of [d] as a run of length one —
-    how a rewrite that produces tuples feeds the operators above it. *)
-val of_tuples : env -> driver -> runs
+(** [of_tuples env d] hands on each tuple of [d] as a group of one run of
+    length one — how a rewrite that produces tuples feeds the operators
+    above it. *)
+val of_tuples : env -> driver -> groups
 
-(** [extend env row ~target_label ~width descriptors] extends runs of
+(** [extend env row ~target_label ~width descriptors] extends groups of
     [width]-wide tuples by a [target_label] vertex under [descriptors],
-    whose positions index those tuples. A descriptor sourced from the
-    run's prefix is {e stable}: its lists are intersected once per prefix.
-    One sourced from the last column is {e varying}: the run kernel
+    whose positions index those tuples. A descriptor sourced from a run's
+    prefix or key is {e stable}: its lists are intersected once per run,
+    or once per group when none is sourced from the key. One sourced from
+    the last column is {e varying}: the run kernel
     ({!Gf_util.Sorted.run_kernel}) intersects its lists with the stable
-    result for a chunk of candidates per call. Every count goes to [row],
-    exactly as if the tuples were extended one by one: one intersection
-    and all list lengths per tuple, or a cache hit for a tuple whose
-    sources equal the previous tuple's. List lengths are charged to the
-    governor as work, and an intersection whose smallest list is longer
-    than 8192 entries is computed in segments with a charge between
-    them. [from] is the E/I whose runs this one extends: when it has this
-    one's stable descriptors and target label, its extension set is the
-    stable intersection, which is then read instead of recomputed. *)
+    result for a chunk of candidates per call, across the group's runs,
+    taking each run's stable result from the run's own candidates (see
+    [from]) or, when it is the key's one list, from that list. With two or
+    more stable lists, one sourced from the key, the runs go to the kernel
+    one at a time. Every count goes to [row], exactly as if the tuples
+    were extended one by one: one intersection and all list lengths per
+    tuple, or a cache hit for a tuple whose sources equal the previous
+    tuple's. List lengths are charged to the governor as work, and an
+    intersection whose smallest list is longer than 8192 entries is
+    computed in segments with a charge between them. [from] is the E/I
+    whose groups this one extends: when it has this one's stable
+    descriptors and target label, its extension set is the stable
+    intersection, which is then read instead of recomputed. *)
 val extend :
   ?from:extend ->
   env ->
@@ -123,21 +143,22 @@ val extend :
 (** [reset_extend x] forgets the previous tuple; call at every drive. *)
 val reset_extend : extend -> unit
 
-(** [extend_run x ~count sink run] extends every tuple of [run] and hands
-    each one's extension set to [sink] as the run [tuple ++ [c]] + set,
-    with [distinct]'s bound vertices left out; the tuples are counted as
-    [x]'s row's output. With [count] the sets are counted at the root
-    instead (see {!compile_rw}) and [sink] is never called. *)
-val extend_run : extend -> count:bool -> (run -> unit) -> run -> unit
+(** [extend_group x ~count sink g] extends every tuple of [g] and hands
+    the extension sets of each run's tuples on to [sink] as groups (prefix
+    [tuple ++ [key]], key the extended candidate), with [distinct]'s
+    bound vertices left out; the tuples are counted as [x]'s row's
+    output. With [count] the sets are counted at the root instead (see
+    {!compile_rw}) and [sink] is never called. *)
+val extend_group : extend -> count:bool -> (group -> unit) -> group -> unit
 
 (** A rewrite hook: [rewrite recurse env plan] may return a replacement
     driver for [plan]; [recurse env child] compiles children with the same
     hook applied. Returning [None] compiles [plan] structurally. *)
-type rewrite = (env -> Gf_plan.Plan.t -> runs) -> env -> Gf_plan.Plan.t -> runs option
+type rewrite = (env -> Gf_plan.Plan.t -> groups) -> env -> Gf_plan.Plan.t -> groups option
 
 (** [compile_rw rewrite env plan] is the compiler itself: returns the driver
-    that pushes each produced tuple into a sink. Operators pass runs to
-    each other; the root's runs are taken apart into tuples. Every
+    that pushes each produced tuple into a sink. Operators pass groups of
+    runs to each other; the root's groups are taken apart into tuples. Every
     operator counts into its own row of [env.rows]; with [env.prof] set
     each operator is also timed. With [count] (default [false]) a
     structurally compiled E/I root is count-only: it adds each extension
@@ -158,11 +179,12 @@ val compile_rw : ?count:bool -> rewrite -> env -> Gf_plan.Plan.t -> driver
 val count_only : env -> (int array -> unit) option -> bool
 
 (** [scan env node ranges] is the SCAN operator for the scan node [node],
-    one run per source vertex (its adjacency slice): at each drive it calls [ranges emit], which must call [emit lo hi] for
+    one run per source vertex with neighbours (its adjacency slice), in
+    groups of up to 64 sources: at each drive it calls [ranges emit], which must call [emit lo hi] for
     every range [\[lo, hi)] of source indices (into the scan's source
     label, see {!num_scan_sources}) to stream. Rewrites use it to restrict
     a driving scan to a shard, a morsel or work-shared chunks. *)
-val scan : env -> Gf_plan.Plan.t -> ((int -> int -> unit) -> unit) -> runs
+val scan : env -> Gf_plan.Plan.t -> ((int -> int -> unit) -> unit) -> groups
 
 (** [build_into env join table] is the sink of a HASH-JOIN's build side:
     it appends each build tuple to [table], counting it in the join's row
@@ -172,11 +194,11 @@ val build_into : env -> Gf_plan.Plan.t -> Join_table.t -> int array -> unit
 
 (** [probe recurse env join table] is the HASH-JOIN probe: it compiles the
     probe side with [recurse] and joins every probe tuple against [table],
-    handing each joined tuple on as a run of length one.
+    handing each joined tuple on as a group of one run of length one.
     [table] must be indexed; matching rows are read in place and the table
     is never written, so several domains may probe one table at once. *)
 val probe :
-  (env -> Gf_plan.Plan.t -> runs) -> env -> Gf_plan.Plan.t -> Join_table.t -> runs
+  (env -> Gf_plan.Plan.t -> groups) -> env -> Gf_plan.Plan.t -> Join_table.t -> groups
 
 (** [emit env sink] is the root sink: it claims one output slot from the
     governor (exactly [max_output] tuples are emitted under an output cap),

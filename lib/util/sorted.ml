@@ -12,6 +12,7 @@ let of_array ?width a : slice = (Buf.of_int_array ?width a, 0, Array.length a)
 (* ------------------------------------------------------------------ *)
 
 external cpu_level : unit -> int = "gfq_cpu_level" [@@noalloc]
+external set_level : int -> unit = "gfq_set_level" [@@noalloc]
 
 external c_intersect_i32_i32 :
   Buf.i32a -> int -> int -> Buf.i32a -> int -> int -> Buf.i64a -> int -> int
@@ -56,10 +57,13 @@ let simd_available () = cpu_level () >= 1
 let requested = ref Auto
 let use_simd = ref false
 
+(* [Scalar] holds the C kernels to their portable loops; the pairwise
+   intersections then run the OCaml loops below. *)
 let set_kernel_mode m =
   requested := m;
   use_simd :=
-    match m with Scalar -> false | Simd -> true | Auto -> simd_available ()
+    (match m with Scalar -> false | Simd -> true | Auto -> simd_available ());
+  set_level (if !use_simd then 2 else 0)
 
 let kernel_mode () = !requested
 
@@ -476,18 +480,51 @@ type csr = {
   rbase : int;
 }
 
-(* The C kernel reads these fields by position: keep the order in step
-   with the R_* indices of sorted_stubs.c. *)
+(* A group of runs: one shared prefix, one key column whose value changes
+   from run to run, and each run's candidates in one buffer. The C kernel
+   reads these fields by position: keep the order in step with the G_*
+   indices of sorted_stubs.c. *)
+type group = {
+  mutable tuple : int array;
+  mutable cands : Buf.t;
+  mutable keys : int array;
+  mutable starts : int array;
+  mutable ends : int array;
+  mutable first : int;
+  mutable last : int;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+let run_lo (g : group) j = if j = g.first then g.lo else g.starts.(j)
+let run_hi (g : group) j = if j = g.last - 1 then g.hi else g.ends.(j)
+
+type prev = { mutable same : bool; mutable last_key : int; mutable last_c : int }
+type source = Absent | Fixed | Own | Key
+
+(* Field order in step with the R_* indices of sorted_stubs.c. *)
 type run = {
-  shared : bool;
+  source : source;
+  cache : bool;
   mutable s : Buf.t;
   mutable s_lo : int;
   mutable s_hi : int;
   mutable s_row : int;
+  mutable s_total : int;
   run_bits : bits;
   vary : csr array;
+  keyed : csr array;
+  prev : prev;
+  keys : int array;
+  starts : int array;
   ends : int array;
+  mutable j : int;
+  mutable i : int;
+  mutable stop : int;
   mutable icost : int;
+  mutable charged : int;
+  mutable hits : int;
+  mutable ticks : int;
   mutable need : int;
   cl : lists;
 }
@@ -495,26 +532,37 @@ type run = {
 let run_chunk = 64
 
 (* Lists per candidate the C kernel keeps on its stack; a run with more
-   takes the OCaml loop. *)
+   takes {!intersect}, one candidate at a time. *)
 let c_max_lists = 16
 
-external c_run : run -> bool -> int -> Buf.i64a -> Buf.t -> int -> int -> int
-  = "gfq_run_bc" "gfq_run"
-[@@noalloc]
+external c_run : run -> bool -> int -> Buf.i64a -> group -> int = "gfq_run" [@@noalloc]
 
-let run_state ?(bits = no_bits) ?scratch ~shared vary =
+let run_state ?(bits = no_bits) ?scratch ?(keyed = [||]) ~cache ~source vary =
   if Array.length vary = 0 then invalid_arg "Sorted.run_state: no varying list";
-  let k = Array.length vary + if shared then 1 else 0 in
+  if source = Key && Array.length keyed = 0 then invalid_arg "Sorted.run_state: no keyed list";
+  let k = Array.length vary + if source = Absent then 0 else 1 in
   {
-    shared;
+    source;
+    cache;
     s = Buf.empty;
     s_lo = 0;
     s_hi = 0;
     s_row = -1;
+    s_total = 0;
     run_bits = bits;
     vary;
+    keyed;
+    prev = { same = false; last_key = 0; last_c = 0 };
+    keys = Array.make run_chunk 0;
+    starts = Array.make run_chunk 0;
     ends = Array.make run_chunk 0;
+    j = 0;
+    i = 0;
+    stop = 0;
     icost = 0;
+    charged = 0;
+    hits = 0;
+    ticks = 0;
     need = 0;
     cl = lists ~bits ?scratch k;
   }
@@ -525,8 +573,15 @@ let set_shared r s lo hi row =
   r.s_hi <- hi;
   r.s_row <- row
 
-(* List [i] of [r.cl] := candidate [c]'s list of [v]; returns its length. *)
-let fill_vary r i c (v : csr) =
+let set_total r n = r.s_total <- n
+
+let seek r ~j ~i ~stop =
+  r.j <- j;
+  r.i <- i;
+  r.stop <- stop
+
+(* List [i] of [r.cl] := vertex [c]'s list of [v]; returns its length. *)
+let fill_list r i c (v : csr) =
   let l = r.cl in
   let k = (c * v.stride) + v.base in
   let lo = Bigarray.Array1.unsafe_get v.off k and hi = Bigarray.Array1.unsafe_get v.off (k + 1) in
@@ -538,78 +593,50 @@ let fill_vary r i c (v : csr) =
      else Int32.to_int (Bigarray.Array1.unsafe_get v.rows ((c * v.rstride) + v.rbase)));
   hi - lo
 
-(* [r.cl] := the lists of candidate [c]; returns the varying lists'
-   total length. *)
-let fill r c =
-  let l = r.cl in
+let csr_len (v : csr) c =
+  let k = (c * v.stride) + v.base in
+  Bigarray.Array1.unsafe_get v.off (k + 1) - Bigarray.Array1.unsafe_get v.off k
+
+let run_lists r (g : group) j c =
+  let l = r.cl and key = g.keys.(j) in
+  let stable = ref r.s_total in
+  Array.iter (fun v -> stable := !stable + csr_len v key) r.keyed;
   let first =
-    if r.shared then begin
-      if l.bufs.(0) != r.s then l.bufs.(0) <- r.s;
-      l.lo.(0) <- r.s_lo;
-      l.hi.(0) <- r.s_hi;
-      l.row.(0) <- r.s_row;
-      1
-    end
-    else 0
+    match r.source with
+    | Absent -> 0
+    | Fixed ->
+        if l.bufs.(0) != r.s then l.bufs.(0) <- r.s;
+        l.lo.(0) <- r.s_lo;
+        l.hi.(0) <- r.s_hi;
+        l.row.(0) <- r.s_row;
+        1
+    | Own ->
+        if l.bufs.(0) != g.cands then l.bufs.(0) <- g.cands;
+        l.lo.(0) <- g.starts.(j);
+        l.hi.(0) <- g.ends.(j);
+        l.row.(0) <- -1;
+        1
+    | Key ->
+        ignore (fill_list r 0 key r.keyed.(0));
+        1
   in
-  let total = ref 0 in
-  for j = 0 to Array.length r.vary - 1 do
-    total := !total + fill_vary r (first + j) c r.vary.(j)
+  let total = ref !stable in
+  for q = 0 to Array.length r.vary - 1 do
+    total := !total + fill_list r (first + q) c r.vary.(q)
   done;
-  !total
+  r.icost <- !total;
+  l
 
-let run_lists r c =
-  ignore (fill r c);
-  r.cl
+let run_call ~count ~giant r out g =
+  if Array.length r.cl.lo > c_max_lists then 0 else c_run r count giant (Int_vec.big out) g
 
-let min_len l =
-  let m = ref max_int in
-  for i = 0 to Array.length l.lo - 1 do
-    m := min !m (len l i)
-  done;
-  !m
-
-(* The OCaml twin of the C kernel, for [Scalar] mode: the same stops, the
-   same ends, each candidate through {!intersect}. *)
-let run_ocaml ~count ~giant r out cands lo hi =
-  let k = ref 0 and acc = ref 0 and stop = ref false and i = ref lo in
-  r.icost <- 0;
-  r.need <- 0;
-  while (not !stop) && !i < hi do
-    let c = Buf.unsafe_get cands !i in
-    let vl = fill r c in
-    let m = min_len r.cl in
-    let at = Int_vec.length out in
-    if m > giant then stop := true
-    else if at + m + simd_slack > Bigarray.Array1.dim (Int_vec.big out) then begin
-      r.need <- at + m + simd_slack;
-      stop := true
-    end
-    else begin
-      intersect out r.cl;
-      acc := !acc + (Int_vec.length out - at);
-      r.ends.(!k) <- !acc;
-      if count then Int_vec.clear out;
-      r.icost <- r.icost + vl;
-      incr k;
-      incr i
-    end
-  done;
-  !k
-
-let run_call ~count ~giant r out cands lo hi =
+let run_kernel ~count ~giant r out g =
   Int_vec.clear out;
-  if !use_simd && Array.length r.cl.lo <= c_max_lists then
-    c_run r count giant (Int_vec.big out) cands lo hi
-  else run_ocaml ~count ~giant r out cands lo hi
-
-let run_kernel ~count ~giant r out cands lo hi =
-  let hi = min hi (lo + run_chunk) in
-  let k = run_call ~count ~giant r out cands lo hi in
+  let k = run_call ~count ~giant r out g in
   let k =
     if k = 0 && r.need > 0 then begin
       Int_vec.ensure out r.need;
-      run_call ~count ~giant r out cands lo hi
+      run_call ~count ~giant r out g
     end
     else k
   in

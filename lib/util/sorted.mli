@@ -42,15 +42,17 @@ val kernel_mode_to_string : kernel_mode -> string
 
 (** [set_kernel_mode m] routes subsequent {!intersect2} calls: [Scalar]
     forces the portable OCaml kernel, [Simd] the C stubs, [Auto] picks
-    the stubs when the CPU has vector units. *)
+    the stubs when the CPU has vector units. The run kernel
+    ({!run_kernel}) is C in every mode; [Scalar] holds it to its portable
+    loops. *)
 val set_kernel_mode : kernel_mode -> unit
 
 (** The currently requested mode. *)
 val kernel_mode : unit -> kernel_mode
 
-(** The resolved kernel actually running: ["scalar"], ["simd-avx2"],
-    ["simd-sse"], or ["simd-c-scalar"] (C stubs forced on a CPU without
-    vector units). *)
+(** The resolved kernel actually running: ["scalar"] (the OCaml pairwise
+    loops and the portable C run kernel), ["simd-avx2"], ["simd-sse"], or
+    ["simd-c-scalar"] (C stubs forced on a CPU without vector units). *)
 val kernel_name : unit -> string
 
 (** [with_kernel_mode m f] runs [f] under mode [m], restoring the
@@ -151,7 +153,8 @@ val intersect : Int_vec.t -> lists -> unit
     the same for every candidate and are intersected once into a shared
     set [S]; the lists sourced from [c] itself (the {e varying} lists) are
     read per candidate from the CSR arrays, and the run kernel computes
-    every [S ∩ V_1(c) ∩ ...] in one call per chunk of candidates. *)
+    every [S ∩ V_1(c) ∩ ...] in one call per chunk of candidates. A chunk
+    may span the runs of a {!group}, each with its own [S]. *)
 
 (** The varying lists of one (direction, edge label, neighbour label):
     candidate [c]'s list is [nbr.(off.(x) .. off.(x + 1) - 1)] with
@@ -168,21 +171,78 @@ type csr = {
   rbase : int;
 }
 
-(** The state of one run kernel, reused across calls: the shared set (when
-    [shared]) set by {!set_shared}, the varying lists, and what the last
-    {!run_kernel} call reports — [ends.(i)] is the running result size
-    after its [i]th candidate, [icost] the total length of the varying
-    lists it read. The other fields are the kernel's own. *)
+(** A group of sibling runs: one shared prefix, one {e key} column whose
+    value changes from run to run, and each run's candidates in one
+    buffer. With [w = Array.length tuple], run [j] for [j] in
+    [\[first, last)] stands for the tuples
+    [tuple.(0 .. w - 3) ++ [keys.(j)] ++ [c]] for [c] in
+    [cands.(run_lo g j .. run_hi g j - 1)]. [starts.(j) .. ends.(j) - 1] is
+    the whole run — the extension set of [prefix ++ [keys.(j)]] when an
+    E/I made it — and [lo] and [hi] cut the first and last run when the
+    group is handed on in pieces. A plain run is a group of one run. A
+    consumer may write [tuple.(w - 2)] and [tuple.(w - 1)], must not
+    write the rest, and must not keep the group past its call. *)
+type group = {
+  mutable tuple : int array;
+  mutable cands : Buf.t;
+  mutable keys : int array;
+  mutable starts : int array;
+  mutable ends : int array;
+  mutable first : int;
+  mutable last : int;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+(** [run_lo g j] and [run_hi g j] bound run [j]'s candidates in [g]. *)
+val run_lo : group -> int -> int
+val run_hi : group -> int -> int
+
+(** The previous tuple an E/I extended, for its cache: [same] when it
+    exists and its sources in the current group's prefix equal this
+    group's, then its key and its candidate. *)
+type prev = { mutable same : bool; mutable last_key : int; mutable last_c : int }
+
+(** Where a run's shared set [S] comes from: nowhere ([Absent], every list
+    varies), one set for the whole call ([Fixed], set by {!set_shared}),
+    the run's own whole candidate slice ([Own]: the E/I below has this
+    one's stable descriptors, so its extension set is [S]), or the key's
+    list in the first [keyed] CSR, with its bitmap row ([Key]: the one
+    stable list is sourced from the key column). *)
+type source = Absent | Fixed | Own | Key
+
+(** The state of one run kernel, reused across calls: where [S] comes from
+    and the fixed one, the varying lists, the stable lists sourced from
+    the key column ([keyed]), the previous tuple, and what the last
+    {!run_kernel} call reports — for its [q]th candidate, [keys.(q)] is
+    the candidate and its result is between [starts.(q)] and [ends.(q)];
+    [(j, i)] is where it stopped; [charged] candidates were charged
+    [icost] in all (the stable lists' total — [s_total] plus the key's
+    [keyed] lists — plus their varying lists'), [hits] were cache hits,
+    and [ticks] is the governor work of [Key] sets that changed. The
+    other fields are the kernel's own. *)
 type run = private {
-  shared : bool;
+  source : source;
+  cache : bool;
   mutable s : Buf.t;
   mutable s_lo : int;
   mutable s_hi : int;
   mutable s_row : int;
+  mutable s_total : int;
   run_bits : bits;
   vary : csr array;
+  keyed : csr array;
+  prev : prev;
+  keys : int array;
+  starts : int array;
   ends : int array;
+  mutable j : int;
+  mutable i : int;
+  mutable stop : int;
   mutable icost : int;
+  mutable charged : int;
+  mutable hits : int;
+  mutable ticks : int;
   mutable need : int;
   cl : lists;
 }
@@ -190,35 +250,55 @@ type run = private {
 (** The most candidates one {!run_kernel} call takes: [64]. *)
 val run_chunk : int
 
-(** [run_state ?bits ?scratch ~shared vary] is a kernel over the varying
-    lists [vary] (at least one), with a shared set when [shared]. Rows are
-    read from [bits], which must be the word array [vary]'s row offsets
-    point into; without [bits] no row is probed. [scratch] is as for
-    {!lists}, used when a candidate has three or more lists. *)
-val run_state : ?bits:bits -> ?scratch:Int_vec.t * Int_vec.t -> shared:bool -> csr array -> run
+(** [run_state ?bits ?scratch ?keyed ~cache ~source vary] is a kernel over
+    the varying lists [vary] (at least one), its shared set from [source]
+    ([Key] needs [keyed]), counting cache hits when [cache]. Rows are read
+    from [bits], which must be the word array the CSR row offsets point
+    into; without [bits] no row is probed. [scratch] is as for {!lists},
+    used when a candidate has three or more lists. *)
+val run_state :
+  ?bits:bits ->
+  ?scratch:Int_vec.t * Int_vec.t ->
+  ?keyed:csr array ->
+  cache:bool ->
+  source:source ->
+  csr array ->
+  run
 
 (** [set_shared r s lo hi row] makes [s.(lo .. hi - 1)], with bitmap row
-    [row] (or [-1]), the shared set. *)
+    [row] (or [-1]), the [Fixed] shared set. *)
 val set_shared : run -> Buf.t -> int -> int -> int -> unit
 
-(** [run_kernel ~count ~giant r out cands lo hi] extends the candidates
-    [cands.(lo)], [cands.(lo + 1)], ... — at most {!run_chunk} of them —
-    computing for each candidate [c] the intersection of the shared set
-    with every varying list of [c], each pair by {!intersect}'s rule
-    (probe a row at least twice as long, else merge or gallop). It clears
-    [out]; result [i] is [out] between [ends.(i - 1)] (0 for the first)
-    and [ends.(i)]. With [count] only the sizes are kept ([out] is
-    scratch). It stops before a candidate whose smallest list is longer
-    than [giant] and returns the number of candidates done: [0] only when
-    the candidate at [lo] is such a giant (see {!run_lists}). Under [Simd]
-    one C call does the chunk; [Scalar] runs its OCaml twin. *)
-val run_kernel : count:bool -> giant:int -> run -> Int_vec.t -> Buf.t -> int -> int -> int
+(** [set_total r n] makes [n] the stable lists' length charged per tuple
+    besides the [keyed] lists'. *)
+val set_total : run -> int -> unit
 
-(** [run_lists r c] is candidate [c]'s lists — the shared set first, then
-    the varying lists — as a {!lists} of [r], for {!intersect} (or a
-    segmented intersection) outside the kernel. Valid until the next call
-    on [r]. *)
-val run_lists : run -> int -> lists
+(** [seek r ~j ~i ~stop] makes the next {!run_kernel} call start at
+    candidate position [i] of run [j] and stop before run [stop]. *)
+val seek : run -> j:int -> i:int -> stop:int -> unit
+
+(** [run_kernel ~count ~giant r out g] extends the candidates of group
+    [g] from [(r.j, r.i)] on, up to run [r.stop] — at most {!run_chunk} of
+    them, across runs — computing for each candidate [c] of run [j] the
+    intersection of run [j]'s shared set with every varying list of [c],
+    each pair by {!intersect}'s rule (probe a row at least twice as long,
+    else merge or gallop), and counting it as {!run} says. It clears
+    [out]; result [q] is [out] between [starts.(q)] and [ends.(q)]. With
+    [count] only the sizes are kept ([out] is scratch). It stops before a
+    candidate whose smallest list is longer than [giant], leaving
+    [(r.j, r.i)] on it, and returns the number of candidates done: [0]
+    with [r.j < r.stop] only at such a giant, or when a candidate has more
+    than 16 lists (see {!run_lists}). One C call does the chunk, under
+    [Scalar] with portable loops. *)
+val run_kernel : count:bool -> giant:int -> run -> Int_vec.t -> group -> int
+
+(** [run_lists r g j c] is the lists of candidate [c] of run [j] of [g] —
+    the run's shared set first, then the varying lists — as a {!lists} of
+    [r], for {!intersect} (or a segmented intersection) outside the
+    kernel; [r.icost] is set to their total length with the stable
+    lists', what the tuple is charged. Valid until the next call on
+    [r]. *)
+val run_lists : run -> group -> int -> int -> lists
 
 (** [count_intersect2 a alo ahi b blo bhi] is the intersection's size,
     computed by {!intersect2} into an output vector reused per domain, so

@@ -10,7 +10,8 @@
  *
  * Dispatch is CPUID-based and happens once: gfq_cpu_level() probes AVX2 /
  * SSE4.2 support at first use; non-x86 builds compile only the portable
- * scalar paths and report level 0. All stubs are [@@noalloc]: they never
+ * scalar paths and report level 0. gfq_set_level() caps the level the
+ * kernels dispatch on (0 holds them to portable C: Sorted's Scalar mode). All stubs are [@@noalloc]: they never
  * allocate, raise, or touch the OCaml heap beyond reading tagged ints.
  */
 
@@ -49,6 +50,22 @@ value gfq_cpu_level(value unit)
 {
   (void)unit;
   return Val_long(cpu_level());
+}
+
+/* The level the kernels dispatch on: the CPU's, or lower when capped. */
+static int dispatch_level = -1;
+
+static inline int level(void)
+{
+  if (dispatch_level < 0) dispatch_level = cpu_level();
+  return dispatch_level;
+}
+
+value gfq_set_level(value vlevel)
+{
+  int l = (int)Long_val(vlevel), c = cpu_level();
+  dispatch_level = l < c ? l : c;
+  return Val_unit;
 }
 
 /* ------------------------------------------------------------------ */
@@ -332,7 +349,7 @@ static intnat isect_i32_i32(const int32_t *a, intnat alo, intnat ahi,
                             intnat *out, intnat n)
 {
 #ifdef GFQ_X86
-  if (cpu_level() >= 2)
+  if (level() >= 2)
     return isect_avx2_i32_i32(a, alo, ahi, b, blo, bhi, out, n);
 #endif
   return isect_scalar_i32_i32(a, alo, ahi, b, blo, bhi, out, n);
@@ -343,7 +360,7 @@ static intnat isect_i64_i32(const intnat *a, intnat alo, intnat ahi,
                             intnat *out, intnat n)
 {
 #ifdef GFQ_X86
-  if (cpu_level() >= 2)
+  if (level() >= 2)
     return isect_avx2_i64_i32(a, alo, ahi, b, blo, bhi, out, n);
 #endif
   return isect_scalar_i64_i32(a, alo, ahi, b, blo, bhi, out, n);
@@ -354,7 +371,7 @@ static intnat isect_i64_i64(const intnat *a, intnat alo, intnat ahi,
                             intnat *out, intnat n)
 {
 #ifdef GFQ_X86
-  if (cpu_level() >= 2)
+  if (level() >= 2)
     return isect_avx2_i64_i64(a, alo, ahi, b, blo, bhi, out, n);
 #endif
   return isect_scalar_i64_i64(a, alo, ahi, b, blo, bhi, out, n);
@@ -496,13 +513,21 @@ static intnat step_any(const void *a, int aw, intnat alo, intnat ahi,
   return isect_any(a, aw, alo, ahi, b->p, b->w, b->lo, b->hi, out, n);
 }
 
-/* Field positions of Sorted.run and Sorted.csr. */
-enum { R_SHARED, R_S, R_S_LO, R_S_HI, R_S_ROW, R_BITS, R_VARY, R_ENDS,
-       R_ICOST, R_NEED };
+/* Field positions of Sorted.run, Sorted.group, Sorted.prev and
+ * Sorted.csr, and the constructors of Sorted.source. */
+enum { R_SOURCE, R_CACHE, R_S, R_S_LO, R_S_HI, R_S_ROW, R_S_TOTAL, R_BITS,
+       R_VARY, R_KEYED, R_PREV, R_KEYS, R_STARTS, R_ENDS, R_J, R_I, R_STOP,
+       R_ICOST, R_CHARGED, R_HITS, R_TICKS, R_NEED };
+enum { G_TUPLE, G_CANDS, G_KEYS, G_STARTS, G_ENDS, G_FIRST, G_LAST, G_LO,
+       G_HI };
+enum { P_SAME, P_LAST_KEY, P_LAST_C };
 enum { C_NBR, C_OFF, C_STRIDE, C_BASE, C_ROWS, C_RSTRIDE, C_RBASE };
+enum { S_ABSENT, S_FIXED, S_OWN, S_KEY };
 
 #define MAX_LISTS 16
 
+/* A CSR side: vertex c's list is p[off[x] .. off[x + 1]), x = c * stride
+ * + base; its bitmap row rows[c * rstride + rbase] when rows is set. */
 typedef struct {
   const void *p;
   int w;
@@ -512,16 +537,47 @@ typedef struct {
   intnat rstride, rbase;
 } vlist;
 
-/* For each candidate c of cands[lo, hi): the intersection of the shared
- * list (when there is one) with every varying list of c, smallest lists
- * first. Results go back to back from out[0] (count mode: each one over
- * the last), and ends[i] is the running total after candidate i. Stops
- * before a candidate whose smallest list is longer than [giant], or whose
- * result might not fit the output; [need] is then the capacity it wants.
- * Returns the number of candidates done; [icost] gets their varying
- * lists' total length. */
-value gfq_run(value vr, value vcount, value vgiant, value vout, value vcands,
-              value vlo, value vhi)
+static void vlist_of(value c, intnat nbits, vlist *v)
+{
+  value rows = Field(c, C_ROWS);
+  buf_of(Field(c, C_NBR), &v->p, &v->w);
+  v->off = (const intnat *)Caml_ba_data_val(Field(c, C_OFF));
+  v->stride = Long_val(Field(c, C_STRIDE));
+  v->base = Long_val(Field(c, C_BASE));
+  v->rows = Caml_ba_array_val(rows)->dim[0] == 0 || nbits == 0
+                ? NULL
+                : (const int32_t *)Caml_ba_data_val(rows);
+  v->rstride = Long_val(Field(c, C_RSTRIDE));
+  v->rbase = Long_val(Field(c, C_RBASE));
+}
+
+static inline void list_of(const vlist *v, intnat c, glist *l)
+{
+  intnat x = c * v->stride + v->base;
+  l->p = v->p;
+  l->w = v->w;
+  l->lo = v->off[x];
+  l->hi = v->off[x + 1];
+  l->row = v->rows ? (intnat)v->rows[c * v->rstride + v->rbase] : -1;
+}
+
+/* The candidates of a group from run j, position i on (r.j, r.i), up to
+ * run r.stop, at most Wosize(ends) of them. For each candidate c of run
+ * j: the intersection of the run's shared list S (none, the fixed one,
+ * the run's own candidate slice, or the key's list of keyed[0]) with
+ * every varying list of c, smallest lists first. Results go back to back
+ * from out[0] (count mode: each one over the last); for candidate number
+ * q, keys[q] is c and its result is out[starts[q] .. ends[q]) (in count
+ * mode only the sizes mean anything). Stops before a candidate whose
+ * smallest list is longer than [giant], or whose result might not fit the
+ * output ([need] is then the capacity it wants), and leaves (r.j, r.i) on
+ * it. The counts are those of extending one tuple at a time: a candidate
+ * whose sources equal the previous tuple's (same prefix, same key when S
+ * depends on it, same candidate) is a cache hit, the others are charged
+ * the stable lists' length (s_total plus the key's keyed lists) and their
+ * varying lists'; a run whose S is the key's list and changed is charged
+ * its length >> 8 in [ticks]. Returns the number of candidates done. */
+value gfq_run(value vr, value vcount, value vgiant, value vout, value vg)
 {
   int count = Bool_val(vcount);
   intnat giant = Long_val(vgiant);
@@ -529,89 +585,137 @@ value gfq_run(value vr, value vcount, value vgiant, value vout, value vcands,
   intnat cap = Caml_ba_array_val(vout)->dim[0];
   const void *cp;
   int cw;
-  buf_of(vcands, &cp, &cw);
-  intnat lo = Long_val(vlo), hi = Long_val(vhi);
+  buf_of(Field(vg, G_CANDS), &cp, &cw);
+  value gkeys = Field(vg, G_KEYS), gstarts = Field(vg, G_STARTS),
+        gends = Field(vg, G_ENDS);
+  intnat last = Long_val(Field(vg, G_LAST)), ghi = Long_val(Field(vg, G_HI));
   const uint64_t *bits = (const uint64_t *)Caml_ba_data_val(Field(vr, R_BITS));
   intnat nbits = Caml_ba_array_val(Field(vr, R_BITS))->dim[0];
-  value vary = Field(vr, R_VARY);
-  value ends = Field(vr, R_ENDS);
-  int shared = Bool_val(Field(vr, R_SHARED));
-  int nv = (int)Wosize_val(vary);
+  int src = (int)Long_val(Field(vr, R_SOURCE));
+  int cache = Bool_val(Field(vr, R_CACHE));
+  int key_dep = src == S_OWN || src == S_KEY;
+  value vary = Field(vr, R_VARY), keyed = Field(vr, R_KEYED);
+  int nv = (int)Wosize_val(vary), nk = (int)Wosize_val(keyed);
+  vlist v[MAX_LISTS], kv[MAX_LISTS];
+  for (int q = 0; q < nv; q++) vlist_of(Field(vary, q), nbits, &v[q]);
+  for (int q = 0; q < nk; q++) vlist_of(Field(keyed, q), nbits, &kv[q]);
   glist s = {0};
-  vlist v[MAX_LISTS];
-  if (shared) {
+  if (src == S_FIXED) {
     buf_of(Field(vr, R_S), &s.p, &s.w);
     s.lo = Long_val(Field(vr, R_S_LO));
     s.hi = Long_val(Field(vr, R_S_HI));
     s.row = Long_val(Field(vr, R_S_ROW));
   }
-  for (int j = 0; j < nv; j++) {
-    value c = Field(vary, j);
-    value rows = Field(c, C_ROWS);
-    buf_of(Field(c, C_NBR), &v[j].p, &v[j].w);
-    v[j].off = (const intnat *)Caml_ba_data_val(Field(c, C_OFF));
-    v[j].stride = Long_val(Field(c, C_STRIDE));
-    v[j].base = Long_val(Field(c, C_BASE));
-    v[j].rows = Caml_ba_array_val(rows)->dim[0] == 0 || nbits == 0
-                    ? NULL
-                    : (const int32_t *)Caml_ba_data_val(rows);
-    v[j].rstride = Long_val(Field(c, C_RSTRIDE));
-    v[j].rbase = Long_val(Field(c, C_RBASE));
-  }
-  intnat n = 0, acc = 0, icost = 0, need = 0, k = 0;
-  for (intnat i = lo; i < hi; i++) {
-    intnat c = rd(cp, cw, i), vl = 0;
-    glist l[MAX_LISTS];
-    int m = 0;
-    if (shared) l[m++] = s;
-    for (int j = 0; j < nv; j++, m++) {
-      intnat x = c * v[j].stride + v[j].base;
-      l[m].p = v[j].p;
-      l[m].w = v[j].w;
-      l[m].lo = v[j].off[x];
-      l[m].hi = v[j].off[x + 1];
-      l[m].row = v[j].rows ? (intnat)v[j].rows[c * v[j].rstride + v[j].rbase] : -1;
-      vl += l[m].hi - l[m].lo;
-    }
-    /* Insertion sort by length: a handful of lists. */
-    for (int a = 1; a < m; a++) {
-      glist t = l[a];
-      int b = a - 1;
-      while (b >= 0 && l[b].hi - l[b].lo > t.hi - t.lo) {
-        l[b + 1] = l[b];
-        b--;
+  intnat s_total = Long_val(Field(vr, R_S_TOTAL)), stot = s_total;
+  value prev = Field(vr, R_PREV);
+  int same = Bool_val(Field(prev, P_SAME));
+  intnat last_key = Long_val(Field(prev, P_LAST_KEY));
+  intnat last_c = Long_val(Field(prev, P_LAST_C));
+  value keys = Field(vr, R_KEYS), starts = Field(vr, R_STARTS),
+        ends = Field(vr, R_ENDS);
+  intnat chunk = (intnat)Wosize_val(ends);
+  intnat j = Long_val(Field(vr, R_J)), i = Long_val(Field(vr, R_I));
+  intnat stop = Long_val(Field(vr, R_STOP));
+  intnat n = 0, acc = 0, icost = 0, charged = 0, hits = 0, ticks = 0;
+  intnat need = 0, k = 0, key = 0;
+  while (j < stop && k < chunk) {
+    intnat rhi = j == last - 1 ? ghi : Long_val(Field(gends, j));
+    if (i < rhi) {
+      /* The run's S and stable length, and whether its sources repeat
+       * the previous tuple's. */
+      key = Long_val(Field(gkeys, j));
+      stot = s_total;
+      if (src == S_KEY) {
+        list_of(&kv[0], key, &s);
+        stot += s.hi - s.lo;
+      } else
+        for (int q = 0; q < nk; q++) {
+          intnat x = key * kv[q].stride + kv[q].base;
+          stot += kv[q].off[x + 1] - kv[q].off[x];
+        }
+      if (src == S_OWN) {
+        s.p = cp;
+        s.w = cw;
+        s.lo = Long_val(Field(gstarts, j));
+        s.hi = Long_val(Field(gends, j));
+        s.row = -1;
       }
-      l[b + 1] = t;
+      int same_cur = same && (!key_dep || key == last_key);
+      for (; i < rhi && k < chunk; i++) {
+        intnat c = rd(cp, cw, i), vl = 0;
+        glist l[MAX_LISTS];
+        int m = 0;
+        if (src != S_ABSENT) l[m++] = s;
+        for (int q = 0; q < nv; q++, m++) {
+          list_of(&v[q], c, &l[m]);
+          vl += l[m].hi - l[m].lo;
+        }
+        /* Shortest list first: an insertion sort by length, a handful of
+         * lists, usually two. */
+        if (m == 2) {
+          if (l[1].hi - l[1].lo < l[0].hi - l[0].lo) {
+            glist t = l[0];
+            l[0] = l[1];
+            l[1] = t;
+          }
+        } else
+          for (int a = 1; a < m; a++) {
+            glist t = l[a];
+            int b = a - 1;
+            while (b >= 0 && l[b].hi - l[b].lo > t.hi - t.lo) {
+              l[b + 1] = l[b];
+              b--;
+            }
+            l[b + 1] = t;
+          }
+        intnat mn = l[0].hi - l[0].lo;
+        if (mn > giant) goto stopped;
+        if (n + mn + 8 > cap) {
+          need = n + mn + 8;
+          goto stopped;
+        }
+        intnat e;
+        if (m == 1) {
+          for (intnat q = l[0].lo; q < l[0].hi; q++) out[n + q - l[0].lo] = rd(l[0].p, l[0].w, q);
+          e = n + mn;
+        } else {
+          e = step_any(l[0].p, l[0].w, l[0].lo, l[0].hi, &l[1], bits, out, n);
+          for (int q = 2; q < m && e > n; q++)
+            e = step_any(out, 1, n, e, &l[q], bits, out, n);
+        }
+        if (!same_cur && src == S_KEY) ticks += (s.hi - s.lo) >> 8;
+        if (cache && same_cur && c == last_c)
+          hits++;
+        else {
+          charged++;
+          icost += stot + vl;
+        }
+        Field(keys, k) = Val_long(c);
+        Field(starts, k) = Val_long(acc);
+        acc += e - n;
+        Field(ends, k) = Val_long(acc);
+        if (!count) n = e;
+        k++;
+        same = same_cur = 1;
+        last_key = key;
+        last_c = c;
+      }
     }
-    intnat mn = l[0].hi - l[0].lo;
-    if (mn > giant) break;
-    if (n + mn + 8 > cap) {
-      need = n + mn + 8;
-      break;
+    if (i >= rhi) {
+      j++;
+      if (j < stop) i = Long_val(Field(gstarts, j));
     }
-    intnat e;
-    if (m == 1) {
-      for (intnat q = l[0].lo; q < l[0].hi; q++) out[n + q - l[0].lo] = rd(l[0].p, l[0].w, q);
-      e = n + mn;
-    } else {
-      e = step_any(l[0].p, l[0].w, l[0].lo, l[0].hi, &l[1], bits, out, n);
-      for (int q = 2; q < m && e > n; q++)
-        e = step_any(out, 1, n, e, &l[q], bits, out, n);
-    }
-    acc += e - n;
-    Field(ends, k) = Val_long(acc);
-    if (!count) n = e;
-    icost += vl;
-    k++;
   }
+stopped:
+  Field(vr, R_J) = Val_long(j);
+  Field(vr, R_I) = Val_long(i);
+  Field(prev, P_SAME) = Val_bool(same);
+  Field(prev, P_LAST_KEY) = Val_long(last_key);
+  Field(prev, P_LAST_C) = Val_long(last_c);
   Field(vr, R_ICOST) = Val_long(icost);
+  Field(vr, R_CHARGED) = Val_long(charged);
+  Field(vr, R_HITS) = Val_long(hits);
+  Field(vr, R_TICKS) = Val_long(ticks);
   Field(vr, R_NEED) = Val_long(need);
   return Val_long(k);
-}
-
-value gfq_run_bc(value *argv, int argn)
-{
-  (void)argn;
-  return gfq_run(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                 argv[6]);
 }

@@ -142,6 +142,68 @@ let prop_all_engines_agree =
       && ok "eh plan"
            (Exec.count g (Ghd.to_plan cat q (Ghd.min_width_decomposition q) Ghd.Lexicographic)))
 
+(* Every SCAN taken apart and fed on one tuple at a time: groups of one
+   run of length one all the way up (an E/I hands on one group per input
+   run), the tuple-at-a-time reference for grouped execution. *)
+let tuple_fed : Exec.rewrite =
+ fun _ env node ->
+  match node with
+  | Plan.Scan { slabel; _ } ->
+      let groups = Exec.scan env node (fun emit -> emit 0 (Graph.num_with_label env.Exec.g slabel)) in
+      Some
+        (Exec.of_tuples env (fun sink ->
+             groups (fun (grp : Exec.group) ->
+                 let t = grp.tuple in
+                 let w = Array.length t in
+                 for j = grp.first to grp.last - 1 do
+                   t.(w - 2) <- grp.keys.(j);
+                   for i = Gf_util.Sorted.run_lo grp j to Gf_util.Sorted.run_hi grp j - 1 do
+                     t.(w - 1) <- Gf_util.Buf.get grp.cands i;
+                     sink t
+                   done
+                 done)))
+  | _ -> None
+
+(* Grouped execution is tuple-at-a-time execution: on random queries and
+   plans, every work counter and the delivered rows, in order, equal those
+   of the same plan fed one tuple at a time, with the cache on and off,
+   homomorphic and [distinct], counted at the root and enumerated, under
+   both kernels. *)
+let prop_grouped_equals_tuple_fed =
+  QCheck2.Test.make ~name:"grouped = tuple at a time" ~count:25
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng in
+      let q = random_query rng g in
+      let cat = Catalog.create ~z:150 g in
+      let planned, _ = Planner.plan cat q in
+      let order = Query.first_connected_order q in
+      List.for_all
+        (fun plan ->
+          List.for_all
+            (fun kernel ->
+              Gf_util.Sorted.with_kernel_mode kernel (fun () ->
+                  List.for_all
+                    (fun (cache, distinct) ->
+                      let rows = ref [] in
+                      let run ?rewrite ~enum () =
+                        rows := [];
+                        let sink = if enum then Some (fun t -> rows := Array.copy t :: !rows) else None in
+                        let c, _ = Exec.run_gov ?rewrite ~cache ~distinct ?sink g plan in
+                        (work c, !rows)
+                      in
+                      List.for_all
+                        (fun enum ->
+                          run ~enum () = run ~rewrite:tuple_fed ~enum ()
+                          || QCheck2.Test.fail_reportf "%s cache=%b distinct=%b enum=%b %s: grouped <> tuple at a time on %s"
+                               (Gf_util.Sorted.kernel_mode_to_string kernel) cache distinct enum
+                               (Plan.signature plan) (Query.to_string q))
+                        [ false; true ])
+                    [ (true, false); (false, false); (true, true); (false, true) ]))
+            [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Simd ])
+        [ planned; Plan.wco q order ])
+
 (* Q1-Q14 with random vertex labels on a two-label skewed graph whose
    hubs have bitmap rows: the E/I steps that probe a hub's all-label row
    must find Naive's match set through the planner's plan
@@ -478,6 +540,7 @@ let suite =
     ( "crosscheck",
       [
         q prop_all_engines_agree;
+        q prop_grouped_equals_tuple_fed;
         q prop_plan_cache_renumbered_hit;
         Alcotest.test_case "plan-cache churn = naive" `Quick test_plan_cache_churn;
         Alcotest.test_case "Q1-Q14 over hub rows = naive" `Quick test_hub_rows_queries;

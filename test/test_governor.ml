@@ -515,12 +515,15 @@ let test_run_deadline_within_chunk () =
   let x = Exec.extend env row ~target_label:0 ~width:2 descriptors in
   let cands, lo, hi = Graph.neighbours g Graph.Fwd 0 ~elabel:0 ~nlabel:0 in
   check_int "one run of the whole fan" fan (hi - lo);
-  let run = { Exec.tuple = [| 0; 0 |]; cands; lo; hi } in
+  let run =
+    { Exec.tuple = [| 0; 0 |]; cands; keys = [| 0 |]; starts = [| lo |]; ends = [| hi |]; first = 0;
+      last = 1; lo; hi }
+  in
   List.iter
     (fun count ->
       row.Counters.intersections <- 0;
       Exec.reset_extend x;
-      let tripped = try Exec.extend_run x ~count ignore run; false with Governor.Trip -> true in
+      let tripped = try Exec.extend_group x ~count ignore run; false with Governor.Trip -> true in
       check_bool (Printf.sprintf "count=%b: deadline seen inside the run" count) true tripped;
       check_bool
         (Printf.sprintf "count=%b: within one chunk (%d intersections)" count
@@ -548,6 +551,110 @@ let test_run_count_cap_across_chunks () =
         true
         (if cap <= total then is_truncated Governor.Output_limit o else o = Governor.Completed))
     [ 1; 100; 191; 192; 193; 1_000; total - 1; total; total + 1 ]
+
+(* Grouped execution against the same plan fed one tuple at a time
+   ([Test_crosscheck.tuple_fed]): SCAN hands the E/I groups of 64 source
+   runs and each E/I hands on groups of sibling runs, so budget trips fall
+   inside groups. *)
+let tuple_fed = Test_crosscheck.tuple_fed
+
+(* The rows of a run, in delivery order, and its counters and outcome. *)
+let rows_of ?rewrite ?budget ?fault g plan =
+  let rows = ref [] in
+  let c, o = Exec.run_gov ?rewrite ?budget ?fault ~sink:(fun t -> rows := Array.copy t :: !rows) g plan in
+  (List.rev !rows, c, o)
+
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | x :: a, y :: b -> x = y && is_prefix a b
+  | _ :: _, [] -> false
+
+(* A count-only root claims a kernel chunk's counts in one go, across the
+   runs of a group: an output cap landing inside the k-th run of a SCAN
+   group still counts exactly [min cap total], the tuple-at-a-time
+   count. *)
+let test_group_count_cap () =
+  let g = graph () in
+  let plan = triangle_plan () in
+  let full, _, _ = rows_of ~rewrite:tuple_fed g plan in
+  let total = List.length full in
+  check_int "grouped count = tuple at a time" total (Exec.count g plan);
+  (* The outputs of each SCAN run (source vertex), in order. *)
+  let per_run =
+    List.fold_left
+      (fun acc t -> match acc with (u, n) :: rest when u = t.(0) -> (u, n + 1) :: rest | _ -> (t.(0), 1) :: acc)
+      [] full
+    |> List.rev |> Array.of_list
+  in
+  check_bool "several groups of runs" true (Array.length per_run > 2 * 64);
+  let before k = Array.fold_left ( + ) 0 (Array.sub (Array.map snd per_run) 0 k) in
+  let inside k = before k + max 1 (snd per_run.(k) / 2) in
+  List.iter
+    (fun cap ->
+      let c, o = Exec.run_gov ~budget:(Governor.budget ~max_output:cap ()) g plan in
+      check_int (Printf.sprintf "cap %d: outputs" cap) (min cap total) c.Counters.output;
+      check_bool
+        (Printf.sprintf "cap %d: outcome" cap)
+        true
+        (if cap <= total then is_truncated Governor.Output_limit o else o = Governor.Completed))
+    ([ 1; total - 1; total; total + 1 ] @ List.map inside [ 1; 2; 5; 40; 63; 64; 65; 130 ])
+
+(* An intermediate cap trips inside a group: the overshoot stays within
+   one check cadence, as one tick per tuple puts it, counted at the root
+   or enumerated, and the rows handed on before the trip are the first
+   rows of the tuple-at-a-time run. *)
+let test_group_intermediate_cap () =
+  let g = graph () in
+  let plan = q5_plan () in
+  let full, _, _ = rows_of ~rewrite:tuple_fed g plan in
+  List.iter
+    (fun cap ->
+      let budget = Governor.budget ~max_intermediate:cap () in
+      let within what (c : Counters.t) o =
+        check_bool (Printf.sprintf "cap %d %s: truncated" cap what) true
+          (is_truncated Governor.Intermediate_limit o);
+        check_bool
+          (Printf.sprintf "cap %d %s: overshoot %d within one cadence" cap what (c.Counters.produced - cap))
+          true
+          (c.Counters.produced >= cap && c.Counters.produced <= cap + Governor.cadence)
+      in
+      let c, o = Exec.run_gov ~budget g plan in
+      within "counted" c o;
+      let rows, c, o = rows_of ~budget g plan in
+      within "enumerated" c o;
+      check_int (Printf.sprintf "cap %d: rows = outputs" cap) c.Counters.output (List.length rows);
+      check_bool (Printf.sprintf "cap %d: rows a prefix of the full run" cap) true (is_prefix rows full);
+      let _, c, o = rows_of ~rewrite:tuple_fed ~budget g plan in
+      within "tuple at a time" c o)
+    [ 300; 1_000; 5_000 ]
+
+(* A fuel check (a seeded fault) or a deadline trips in the middle of a
+   group: the rows handed on before it are exactly the first rows of the
+   tuple-at-a-time run, and the counted output is their number; a run the
+   fault misses is the whole run. *)
+let test_group_trip () =
+  let g = graph () in
+  let plan = q5_plan () in
+  let full, _, _ = rows_of ~rewrite:tuple_fed g plan in
+  let total = List.length full in
+  let rng = Rng.create fault_seed in
+  let faults = List.init 8 (fun _ -> 1 + Rng.int rng (4 * total)) in
+  List.iter
+    (fun at ->
+      let fault = { Governor.at_tuple = at; operator = "group" } in
+      let rows, c, o = rows_of ~fault g plan in
+      check_int (Printf.sprintf "fault %d: rows = outputs" at) c.Counters.output (List.length rows);
+      (match o with
+      | Governor.Failed _ ->
+          check_bool (Printf.sprintf "fault %d: rows a prefix of the full run" at) true (is_prefix rows full)
+      | Governor.Completed -> check_bool (Printf.sprintf "fault %d missed: the whole run" at) true (rows = full)
+      | Governor.Truncated _ -> Alcotest.fail "no budget: Truncated impossible"))
+    faults;
+  let rows, c, o = rows_of ~budget:(Governor.budget ~deadline_s:0.0 ()) g plan in
+  check_bool "deadline: truncated" true (is_truncated Governor.Deadline o);
+  check_int "deadline: rows = outputs" c.Counters.output (List.length rows);
+  check_bool "deadline: rows a prefix of the full run" true (is_prefix rows full)
 
 let test_fault_seed_sweep () =
   (* GFQ_FAULT_SEED sweep: wherever the seeded fault lands, a Failed run
@@ -658,5 +765,8 @@ let suite =
         Alcotest.test_case "deadline within one chunk of a run" `Quick
           test_run_deadline_within_chunk;
         Alcotest.test_case "count-only cap across chunks" `Quick test_run_count_cap_across_chunks;
+        Alcotest.test_case "count-only cap inside a group" `Quick test_group_count_cap;
+        Alcotest.test_case "intermediate cap inside a group" `Quick test_group_intermediate_cap;
+        Alcotest.test_case "trip inside a group" `Quick test_group_trip;
       ] );
   ]

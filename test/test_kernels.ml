@@ -338,7 +338,9 @@ let run_trial rng g ~rows ~ns ~nv ~len ~source =
     (fun mode ->
       Sorted.with_kernel_mode mode (fun () ->
           let scratch = (Int_vec.create (), Int_vec.create ()) in
-          let r = Sorted.run_state ?bits ~scratch ~shared:(ns > 0) vary in
+          let r =
+            Sorted.run_state ?bits ~scratch ~cache:false ~source:(if ns > 0 then Fixed else Absent) vary
+          in
           if ns = 1 then begin
             (* The one stable list in place, with its row. *)
             let l = Sorted.lists ?bits 1 in
@@ -347,38 +349,37 @@ let run_trial rng g ~rows ~ns ~nv ~len ~source =
             Sorted.set_shared r l.bufs.(0) l.lo.(0) l.hi.(0) l.row.(0)
           end
           else if ns > 1 then Sorted.set_shared r (Int_vec.buf shared) 0 (Int_vec.length shared) (-1);
+          (* The candidates as a group of one run. *)
+          let grp =
+            { Sorted.tuple = [| 0; 0 |]; cands = cb; keys = [| 0 |]; starts = [| clo |]; ends = [| chi |];
+              first = 0; last = 1; lo = clo; hi = chi }
+          in
           List.iter
             (fun count ->
               let giant = if Rng.int rng 3 = 0 then 40 else max_int in
               let got = ref [] and sizes = ref [] and icost = ref 0 in
               let out = Int_vec.create () in
-              let i = ref clo in
-              while !i < chi do
-                let k = Sorted.run_kernel ~count ~giant r out cb !i chi in
+              Sorted.seek r ~j:0 ~i:clo ~stop:1;
+              while r.Sorted.j < 1 do
+                let k = Sorted.run_kernel ~count ~giant r out grp in
                 check_int "a chunk at most" 0 (if k > Sorted.run_chunk then k else 0);
-                if k = 0 then begin
-                  let c = Buf.get cb !i in
+                if k = 0 && r.Sorted.j < 1 then begin
+                  let i = r.Sorted.i in
+                  let c = Buf.get cb i in
                   let o = Int_vec.create () in
-                  Sorted.intersect o (Sorted.run_lists r c);
+                  Sorted.intersect o (Sorted.run_lists r grp 0 c);
                   got := Int_vec.to_array o :: !got;
                   sizes := Int_vec.length o :: !sizes;
-                  for j = (if ns > 0 then 1 else 0) to nv + (if ns > 0 then 1 else 0) - 1 do
-                    let l = r.Sorted.cl in
-                    icost := !icost + l.hi.(j) - l.lo.(j)
-                  done;
-                  incr i
+                  icost := !icost + r.Sorted.icost;
+                  Sorted.seek r ~j:0 ~i:(i + 1) ~stop:1
                 end
                 else begin
                   icost := !icost + r.Sorted.icost;
-                  let start = ref 0 in
                   for j = 0 to k - 1 do
-                    let e = r.Sorted.ends.(j) in
-                    sizes := (e - !start) :: !sizes;
-                    if not count then
-                      got := Array.init (e - !start) (fun x -> Int_vec.get out (!start + x)) :: !got;
-                    start := e
-                  done;
-                  i := !i + k
+                    let s = r.Sorted.starts.(j) and e = r.Sorted.ends.(j) in
+                    sizes := (e - s) :: !sizes;
+                    if not count then got := Array.init (e - s) (fun x -> Int_vec.get out (s + x)) :: !got
+                  done
                 end
               done;
               let label what =
@@ -416,6 +417,204 @@ let test_run_kernel_differential () =
             [ 1; 2 ])
         [ 0; 1; 2; 3 ])
     [ false; true ]
+
+(* One group trial: [nruns] sibling runs in one candidate buffer, each
+   run's shared set from [source] — its own whole slice ([Own]) or its
+   key's list in a keyed CSR, with the row ([Key]) — through as many
+   {!Sorted.run_kernel} calls as the kernel wants, the candidates it stops
+   on taken through [run_lists] as the E/I operator takes them. Some runs
+   are empty, some repeat the previous run's key and start on its last
+   candidate (a cache hit across runs), the group is cut inside its first
+   and last run, a small [giant] sends some candidates outside the
+   kernel, and a group of more than 64 candidates spans several calls.
+   Checked against a tuple-at-a-time reference: every result set, and the
+   charged intersections, their cost, the cache hits and the [Key] set
+   ticks. *)
+(* What the group trials covered, checked once they are done. *)
+let seen_hits = ref 0 and seen_giants = ref 0 and seen_spans = ref 0 and seen_empty = ref 0
+
+let group_trial rng g ~rows ~source ~nv ~nruns =
+  let n = Graph.num_vertices g in
+  let tl = Rng.int rng 2 in
+  let bits = if rows then Some (Graph.bitmap_words g) else None in
+  let csr () = Graph.csr g (random_dir rng) ~elabel:(Rng.int rng 2) ~nlabel:tl in
+  let vary = Array.init nv (fun _ -> csr ()) in
+  let keyed = Array.init (if source = Sorted.Key then 1 else 1 + Rng.int rng 2) (fun _ -> csr ()) in
+  let slice (v : Sorted.csr) c =
+    let x = (c * v.stride) + v.base in
+    (v.nbr, Bigarray.Array1.get v.off x, Bigarray.Array1.get v.off (x + 1))
+  in
+  (* Runs: a key (a hub now and then) and sorted candidates. *)
+  let runs =
+    let last = ref (0, []) in
+    List.init nruns (fun j ->
+        let key, prev_c =
+          match !last with
+          | k, (_ :: _ as cs) when j > 0 && Rng.int rng 3 = 0 -> (k, Some (List.nth cs (List.length cs - 1)))
+          | _ -> ((if Rng.int rng 3 = 0 then Rng.int rng 6 else Rng.int rng n), None)
+        in
+        let len = if Rng.int rng 4 = 0 then 0 else 1 + Rng.int rng 9 in
+        (* An [Own] run is an extension set: all of the target label, as a
+           bitmap row probe of it assumes. *)
+        let cs =
+          List.sort_uniq compare
+            (List.init len (fun _ -> if Rng.int rng 5 = 0 then Rng.int rng 6 else Rng.int rng n))
+          |> List.filter (fun c -> source = Sorted.Key || Graph.vlabel g c = tl)
+        in
+        let cs =
+          match prev_c with
+          | Some p -> p :: List.filter (fun c -> c > p) cs
+          | None -> cs
+        in
+        last := (key, cs);
+        (key, cs))
+  in
+  let all = List.concat_map snd runs in
+  let cands = Buf.of_int_array ~width:(if Rng.bool rng then `I32 else `I64) (Array.of_list all) in
+  let keys = Array.of_list (List.map fst runs) in
+  let starts = Array.make nruns 0 and ends = Array.make nruns 0 in
+  let pos = ref 0 in
+  List.iteri
+    (fun j (_, cs) ->
+      starts.(j) <- !pos;
+      pos := !pos + List.length cs;
+      ends.(j) <- !pos)
+    runs;
+  (* Cut the first and last run when they have room. *)
+  let lo = if ends.(0) - starts.(0) >= 2 then starts.(0) + 1 else starts.(0) in
+  let hi = if ends.(nruns - 1) - starts.(nruns - 1) >= 2 then ends.(nruns - 1) - 1 else ends.(nruns - 1) in
+  let grp =
+    { Sorted.tuple = [| 0; 0 |]; cands; keys; starts; ends; first = 0; last = nruns; lo; hi }
+  in
+  for j = 1 to nruns - 2 do
+    if starts.(j) = ends.(j) then incr seen_empty
+  done;
+  let s_total = Rng.int rng 50 in
+  (* The tuple-at-a-time reference. *)
+  let expect = ref [] and charged = ref 0 and icost = ref 0 and hits = ref 0 and ticks = ref 0 in
+  let prev = ref None in
+  for j = 0 to nruns - 1 do
+    let key = keys.(j) in
+    let s =
+      match source with
+      | Sorted.Own -> (cands, starts.(j), ends.(j))
+      | _ -> slice keyed.(0) key
+    in
+    let stable = s_total + Array.fold_left (fun acc v -> acc + Sorted.slice_len (slice v key)) 0 keyed in
+    for i = Sorted.run_lo grp j to Sorted.run_hi grp j - 1 do
+      let c = Buf.get cands i in
+      let vl = Array.map (fun v -> slice v c) vary in
+      let out = Int_vec.create () in
+      Sorted.intersect out (Sorted.of_slices (Array.append [| s |] vl));
+      expect := (c, Int_vec.to_array out) :: !expect;
+      let same = match !prev with Some (k, _) -> k = key | None -> false in
+      if same && snd (Option.get !prev) = c then incr hits
+      else begin
+        incr charged;
+        icost := !icost + stable + Array.fold_left (fun acc l -> acc + Sorted.slice_len l) 0 vl
+      end;
+      if (not same) && source = Sorted.Key then ticks := !ticks + (Sorted.slice_len s asr 8);
+      prev := Some (key, c)
+    done
+  done;
+  let expect = List.rev !expect in
+  List.iter
+    (fun mode ->
+      Sorted.with_kernel_mode mode (fun () ->
+          List.iter
+            (fun count ->
+              let scratch = (Int_vec.create (), Int_vec.create ()) in
+              let r = Sorted.run_state ?bits ~scratch ~keyed ~cache:true ~source vary in
+              Sorted.set_total r s_total;
+              let giant = if Rng.int rng 3 = 0 then 3 else max_int in
+              let got = ref [] and c_charged = ref 0 and c_icost = ref 0 and c_hits = ref 0 in
+              let c_ticks = ref 0 in
+              let out = Int_vec.create () in
+              let p = r.Sorted.prev in
+              Sorted.seek r ~j:0 ~i:lo ~stop:nruns;
+              while r.Sorted.j < nruns do
+                let j0 = r.Sorted.j in
+                let k = Sorted.run_kernel ~count ~giant r out grp in
+                check_int "a chunk at most" 0 (if k > Sorted.run_chunk then k else 0);
+                if k > 0 && r.Sorted.j > j0 + 1 then incr seen_spans;
+                if k > 0 then begin
+                  c_charged := !c_charged + r.Sorted.charged;
+                  c_icost := !c_icost + r.Sorted.icost;
+                  c_hits := !c_hits + r.Sorted.hits;
+                  c_ticks := !c_ticks + r.Sorted.ticks;
+                  for q = 0 to k - 1 do
+                    let s = r.Sorted.starts.(q) and e = r.Sorted.ends.(q) in
+                    got :=
+                      ( r.Sorted.keys.(q),
+                        if count then Array.make (e - s) 0
+                        else Array.init (e - s) (fun x -> Int_vec.get out (s + x)) )
+                      :: !got
+                  done
+                end
+                else if r.Sorted.j < nruns then begin
+                  (* Outside the kernel, as the E/I operator goes. *)
+                  let j = r.Sorted.j and i = r.Sorted.i in
+                  check_bool "stopped on a candidate" true (i < Sorted.run_hi grp j);
+                  incr seen_giants;
+                  let key = keys.(j) and c = Buf.get cands i in
+                  let same = p.same && key = p.last_key in
+                  let l = Sorted.run_lists r grp j c in
+                  if same && c = p.last_c then incr c_hits
+                  else begin
+                    incr c_charged;
+                    c_icost := !c_icost + r.Sorted.icost
+                  end;
+                  if (not same) && source = Sorted.Key then
+                    c_ticks := !c_ticks + ((l.hi.(0) - l.lo.(0)) asr 8);
+                  p.same <- true;
+                  p.last_key <- key;
+                  p.last_c <- c;
+                  let o = Int_vec.create () in
+                  Sorted.intersect o l;
+                  got := (c, if count then Array.make (Int_vec.length o) 0 else Int_vec.to_array o) :: !got;
+                  Sorted.seek r ~j ~i:(i + 1) ~stop:nruns
+                end
+              done;
+              let label what =
+                Printf.sprintf "%s %s nv=%d runs=%d rows=%b giant=%d %s %s"
+                  (Sorted.kernel_mode_to_string mode)
+                  (if source = Sorted.Own then "own" else "key")
+                  nv nruns rows giant (if count then "count" else "enum") what
+              in
+              let got = List.rev !got in
+              Alcotest.(check (list int)) (label "candidates") (List.map fst expect) (List.map fst got);
+              Alcotest.(check (list int))
+                (label "sizes")
+                (List.map (fun (_, a) -> Array.length a) expect)
+                (List.map (fun (_, a) -> Array.length a) got);
+              if not count then Alcotest.(check (list (array int))) (label "sets") (List.map snd expect) (List.map snd got);
+              check_int (label "intersections") !charged !c_charged;
+              check_int (label "icost") !icost !c_icost;
+              check_int (label "cache hits") !hits !c_hits;
+              seen_hits := !seen_hits + !c_hits;
+              check_int (label "ticks") !ticks !c_ticks)
+            [ false; true ]))
+    [ Sorted.Scalar; Sorted.Simd ]
+
+let test_run_kernel_groups () =
+  let rng = Rng.create 127 in
+  List.iter
+    (fun wide ->
+      let g = run_graph rng ~wide in
+      List.iter
+        (fun source ->
+          List.iter
+            (fun nruns ->
+              for _ = 1 to 6 do
+                List.iter (fun rows -> group_trial rng g ~rows ~source ~nv:(1 + Rng.int rng 2) ~nruns) [ true; false ]
+              done)
+            [ 1; 2; 7; 40 ])
+        [ Sorted.Own; Sorted.Key ])
+    [ false; true ];
+  check_bool "cache hits across runs" true (!seen_hits > 0);
+  check_bool "candidates outside the kernel" true (!seen_giants > 0);
+  check_bool "calls across runs" true (!seen_spans > 0);
+  check_bool "empty runs inside groups" true (!seen_empty > 0)
 
 (* ---------- full-query crosscheck: scalar vs simd ---------- *)
 
@@ -505,6 +704,7 @@ let suite =
         Alcotest.test_case "bitmap probe = merge/gallop" `Quick test_probe_differential;
         Alcotest.test_case "run kernel = per-candidate intersect" `Quick
           test_run_kernel_differential;
+        Alcotest.test_case "run kernel groups = tuple at a time" `Quick test_run_kernel_groups;
       ] );
     ( "kernels.crosscheck",
       [
