@@ -27,9 +27,10 @@ type stats = {
     requests injective (subgraph-isomorphism) matches: adaptive pipelines
     apply the same repeated-vertex filter as the structural E/I operator, so
     results match [Exec.run_gov ~distinct:true] of the fixed plan. Every
-    step is the structural E/I operator ({!Gf_exec.Exec.extend_run}): each
-    anchor tuple enters its ordering as a run of length one and the steps
-    pass runs to each other, so giant intersections are segmented and
+    step is the structural E/I operator ({!Gf_exec.Exec.extend_group}):
+    each anchor tuple enters its ordering as a group of one run of length
+    one and the steps pass groups to each other, so giant intersections
+    are segmented and
     charged to the governor as work. [gov] runs the query under an
     externally created governor (its {!Gf_exec.Governor.outcome} tells how
     the run ended); adaptive pipelines tick it per produced tuple like the
