@@ -192,13 +192,13 @@ let of_tuples env (d : driver) : groups =
 (* The most runs an operator gathers into one group. *)
 let group_size = Sorted.run_chunk
 
-let new_group tuple cands =
+let new_group ?(size = group_size) tuple cands =
   {
     tuple;
     cands;
-    keys = Array.make group_size 0;
-    starts = Array.make group_size 0;
-    ends = Array.make group_size 0;
+    keys = Array.make size 0;
+    starts = Array.make size 0;
+    ends = Array.make size 0;
     first = 0;
     last = 0;
     lo = 0;
@@ -524,7 +524,14 @@ let extend ?from env row ~target_label ~width descriptors =
   (* Room for a chunk's results: the kernel stops a chunk early when the
      next result might not fit. *)
   Int_vec.ensure out out_room;
-  let og = new_group obuf Buf.empty in
+  (* Without [distinct] a kernel's output goes on from its own arrays,
+     so only the candidates it leaves to the segmented intersection are
+     gathered, one at a time. *)
+  let og =
+    new_group
+      ~size:(match shape with Kernel _ when not env.distinct -> 1 | _ -> group_size)
+      obuf Buf.empty
+  in
   let prev, kg =
     match shape with
     | Kernel kr ->
@@ -654,7 +661,7 @@ let emit x ~count sink c buf lo hi =
   else begin
     let og = x.og in
     if x.env.distinct then begin
-      if og.last = group_size then flush x sink;
+      if og.last = Array.length og.keys then flush x sink;
       let f = x.filt and w = x.width in
       x.obuf.(w - 1) <- c;
       let start = Int_vec.length f in
@@ -676,7 +683,7 @@ let emit x ~count sink c buf lo hi =
       og.last <- n + 1
     end
     else begin
-      if og.last = group_size || (og.last > 0 && og.cands != buf) then flush x sink;
+      if og.last = Array.length og.keys || (og.last > 0 && og.cands != buf) then flush x sink;
       if og.cands != buf then og.cands <- buf;
       let n = og.last in
       og.keys.(n) <- c;
