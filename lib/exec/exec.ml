@@ -728,41 +728,25 @@ let hand_on x (kr : Sorted.run) sink (g : group) j0 i0 k =
     end
   done
 
-(* The candidate the kernel stopped on, outside it: one whose smallest
-   list is longer than [segment] goes alone through the segmented
-   intersection, as does every candidate of a kernel with more lists than
-   the C kernel keeps. Counted as the kernel counts. *)
-let giant x (kr : Sorted.run) ~count sink (g : group) =
-  let stop = kr.stop in
-  let j = ref kr.j and i = ref kr.i in
-  while !j < stop && !i >= run_hi g !j do
-    incr j;
-    if !j < stop then i := g.starts.(!j)
-  done;
-  let j = !j and i = !i in
-  if j >= stop then Sorted.seek kr ~j ~i ~stop
-  else begin
-    let env = x.env and r = x.row and p = x.prev in
-    let key = g.keys.(j) and c = Buf.get g.cands i in
-    let same = p.same && match kr.source with Own | Key -> key = p.last_key | Absent | Fixed -> true in
-    let l = Sorted.run_lists kr g j c in
-    if env.cache && same && c = p.last_c then r.cache_hits <- r.cache_hits + 1
-    else begin
-      r.intersections <- r.intersections + 1;
-      r.icost <- r.icost + kr.icost
-    end;
-    if (not same) && kr.source = Key then
-      Governor.tick_work env.gov ((l.hi.(0) - l.lo.(0)) asr work_grain_shift);
-    p.same <- true;
-    p.last_key <- key;
-    p.last_c <- c;
-    Sorted.seek kr ~j ~i:(i + 1) ~stop;
-    Int_vec.clear x.out;
-    governed_intersect env x.out l;
-    x.obuf.(x.width - 2) <- key;
-    emit x ~count sink c (Int_vec.buf x.out) 0 (Int_vec.length x.out);
-    flush x sink
-  end
+(* The candidate the kernel left outside it, already counted: one whose
+   smallest list is longer than [segment] goes alone through the
+   segmented intersection, as does every candidate of a kernel with more
+   lists than the C kernel keeps. *)
+let outside x (kr : Sorted.run) ~count sink (g : group) =
+  let env = x.env and r = x.row in
+  let j = kr.j and i = kr.i in
+  let key = g.keys.(j) and c = Buf.get g.cands i in
+  r.intersections <- r.intersections + kr.charged;
+  r.cache_hits <- r.cache_hits + kr.hits;
+  r.icost <- r.icost + kr.icost;
+  Governor.tick_work env.gov kr.ticks;
+  let l = Sorted.run_lists kr g j c in
+  Sorted.seek kr ~j ~i:(i + 1) ~stop:kr.stop;
+  Int_vec.clear x.out;
+  governed_intersect env x.out l;
+  x.obuf.(x.width - 2) <- key;
+  emit x ~count sink c (Int_vec.buf x.out) 0 (Int_vec.length x.out);
+  flush x sink
 
 (* The candidates of [g] from the kernel's position to its stop, through
    the run kernel. *)
@@ -789,7 +773,7 @@ let kernel_runs x (kr : Sorted.run) ~count sink (g : group) =
       end
       else hand_on x kr sink g j0 i0 k
     end
-    else giant x kr ~count sink g
+    else if kr.outside then outside x kr ~count sink g
   done
 
 (* One tuple of an [All_stable] run: its extension set is [S]. *)

@@ -526,14 +526,11 @@ type run = {
   mutable hits : int;
   mutable ticks : int;
   mutable need : int;
+  mutable outside : bool;
   cl : lists;
 }
 
 let run_chunk = 64
-
-(* Lists per candidate the C kernel keeps on its stack; a run with more
-   takes {!intersect}, one candidate at a time. *)
-let c_max_lists = 16
 
 external c_run : run -> bool -> int -> Buf.i64a -> group -> int = "gfq_run" [@@noalloc]
 
@@ -564,6 +561,7 @@ let run_state ?(bits = no_bits) ?scratch ?(keyed = [||]) ~cache ~source vary =
     hits = 0;
     ticks = 0;
     need = 0;
+    outside = false;
     cl = lists ~bits ?scratch k;
   }
 
@@ -580,7 +578,7 @@ let seek r ~j ~i ~stop =
   r.i <- i;
   r.stop <- stop
 
-(* List [i] of [r.cl] := vertex [c]'s list of [v]; returns its length. *)
+(* List [i] of [r.cl] := vertex [c]'s list of [v]. *)
 let fill_list r i c (v : csr) =
   let l = r.cl in
   let k = (c * v.stride) + v.base in
@@ -590,17 +588,10 @@ let fill_list r i c (v : csr) =
   l.hi.(i) <- hi;
   l.row.(i) <-
     (if Bigarray.Array1.dim v.rows = 0 || Bigarray.Array1.dim r.run_bits = 0 then -1
-     else Int32.to_int (Bigarray.Array1.unsafe_get v.rows ((c * v.rstride) + v.rbase)));
-  hi - lo
-
-let csr_len (v : csr) c =
-  let k = (c * v.stride) + v.base in
-  Bigarray.Array1.unsafe_get v.off (k + 1) - Bigarray.Array1.unsafe_get v.off k
+     else Int32.to_int (Bigarray.Array1.unsafe_get v.rows ((c * v.rstride) + v.rbase)))
 
 let run_lists r (g : group) j c =
   let l = r.cl and key = g.keys.(j) in
-  let stable = ref r.s_total in
-  Array.iter (fun v -> stable := !stable + csr_len v key) r.keyed;
   let first =
     match r.source with
     | Absent -> 0
@@ -617,18 +608,15 @@ let run_lists r (g : group) j c =
         l.row.(0) <- -1;
         1
     | Key ->
-        ignore (fill_list r 0 key r.keyed.(0));
+        fill_list r 0 key r.keyed.(0);
         1
   in
-  let total = ref !stable in
   for q = 0 to Array.length r.vary - 1 do
-    total := !total + fill_list r (first + q) c r.vary.(q)
+    fill_list r (first + q) c r.vary.(q)
   done;
-  r.icost <- !total;
   l
 
-let run_call ~count ~giant r out g =
-  if Array.length r.cl.lo > c_max_lists then 0 else c_run r count giant (Int_vec.big out) g
+let run_call ~count ~giant r out g = c_run r count giant (Int_vec.big out) g
 
 let run_kernel ~count ~giant r out g =
   Int_vec.clear out;

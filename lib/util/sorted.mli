@@ -216,11 +216,12 @@ type source = Absent | Fixed | Own | Key
     the key column ([keyed]), the previous tuple, and what the last
     {!run_kernel} call reports — for its [q]th candidate, [keys.(q)] is
     the candidate and its result is between [starts.(q)] and [ends.(q)];
-    [(j, i)] is where it stopped; [charged] candidates were charged
-    [icost] in all (the stable lists' total — [s_total] plus the key's
-    [keyed] lists — plus their varying lists'), [hits] were cache hits,
-    and [ticks] is the governor work of [Key] sets that changed. The
-    other fields are the kernel's own. *)
+    [(j, i)] is where it stopped, and [outside] whether it stopped on a
+    candidate left outside it; [charged] candidates were charged [icost]
+    in all (the stable lists' total — [s_total] plus the key's [keyed]
+    lists — plus their varying lists'), [hits] were cache hits, and
+    [ticks] is the governor work of [Key] sets that changed. The other
+    fields are the kernel's own. *)
 type run = private {
   source : source;
   cache : bool;
@@ -244,6 +245,7 @@ type run = private {
   mutable hits : int;
   mutable ticks : int;
   mutable need : int;
+  mutable outside : bool;
   cl : lists;
 }
 
@@ -284,20 +286,20 @@ val seek : run -> j:int -> i:int -> stop:int -> unit
     each pair by {!intersect}'s rule (probe a row at least twice as long,
     else merge or gallop), and counting it as {!run} says. It clears
     [out]; result [q] is [out] between [starts.(q)] and [ends.(q)]. With
-    [count] only the sizes are kept ([out] is scratch). It stops before a
-    candidate whose smallest list is longer than [giant], leaving
-    [(r.j, r.i)] on it, and returns the number of candidates done: [0]
-    with [r.j < r.stop] only at such a giant, or when a candidate has more
-    than 16 lists (see {!run_lists}). One C call does the chunk, under
-    [Scalar] with portable loops. *)
+    [count] only the sizes are kept ([out] is scratch). It returns the
+    number of candidates intersected. A candidate whose smallest list is
+    longer than [giant], or that has more than 16 lists, is left outside
+    the kernel: the call stops before it, or, when it comes first, counts
+    it alone, leaves [(r.j, r.i)] on it and sets [r.outside], returning
+    [0]; the caller intersects it (see {!run_lists}) and moves past it
+    with {!seek}. [0] without [r.outside] means [r.j = r.stop]. One C
+    call does the chunk, under [Scalar] with portable loops. *)
 val run_kernel : count:bool -> giant:int -> run -> Int_vec.t -> group -> int
 
 (** [run_lists r g j c] is the lists of candidate [c] of run [j] of [g] —
     the run's shared set first, then the varying lists — as a {!lists} of
     [r], for {!intersect} (or a segmented intersection) outside the
-    kernel; [r.icost] is set to their total length with the stable
-    lists', what the tuple is charged. Valid until the next call on
-    [r]. *)
+    kernel. Valid until the next call on [r]. *)
 val run_lists : run -> group -> int -> int -> lists
 
 (** [count_intersect2 a alo ahi b blo bhi] is the intersection's size,

@@ -517,7 +517,7 @@ static intnat step_any(const void *a, int aw, intnat alo, intnat ahi,
  * Sorted.csr, and the constructors of Sorted.source. */
 enum { R_SOURCE, R_CACHE, R_S, R_S_LO, R_S_HI, R_S_ROW, R_S_TOTAL, R_BITS,
        R_VARY, R_KEYED, R_PREV, R_KEYS, R_STARTS, R_ENDS, R_J, R_I, R_STOP,
-       R_ICOST, R_CHARGED, R_HITS, R_TICKS, R_NEED };
+       R_ICOST, R_CHARGED, R_HITS, R_TICKS, R_NEED, R_OUTSIDE };
 enum { G_TUPLE, G_CANDS, G_KEYS, G_STARTS, G_ENDS, G_FIRST, G_LAST, G_LO,
        G_HI };
 enum { P_SAME, P_LAST_KEY, P_LAST_C };
@@ -551,6 +551,15 @@ static void vlist_of(value c, intnat nbits, vlist *v)
   v->rbase = Long_val(Field(c, C_RBASE));
 }
 
+/* The length of vertex c's list of the CSR side vc (a Sorted.csr), read
+ * from its fields: for lists the kernel only charges, however many. */
+static inline intnat csr_len(value vc, intnat c)
+{
+  const intnat *off = (const intnat *)Caml_ba_data_val(Field(vc, C_OFF));
+  intnat x = c * Long_val(Field(vc, C_STRIDE)) + Long_val(Field(vc, C_BASE));
+  return off[x + 1] - off[x];
+}
+
 static inline void list_of(const vlist *v, intnat c, glist *l)
 {
   intnat x = c * v->stride + v->base;
@@ -569,14 +578,18 @@ static inline void list_of(const vlist *v, intnat c, glist *l)
  * from out[0] (count mode: each one over the last); for candidate number
  * q, keys[q] is c and its result is out[starts[q] .. ends[q]) (in count
  * mode only the sizes mean anything). Stops before a candidate whose
- * smallest list is longer than [giant], or whose result might not fit the
- * output ([need] is then the capacity it wants), and leaves (r.j, r.i) on
- * it. The counts are those of extending one tuple at a time: a candidate
- * whose sources equal the previous tuple's (same prefix, same key when S
- * depends on it, same candidate) is a cache hit, the others are charged
- * the stable lists' length (s_total plus the key's keyed lists) and their
- * varying lists'; a run whose S is the key's list and changed is charged
- * its length >> 8 in [ticks]. Returns the number of candidates done. */
+ * result might not fit the output ([need] is then the capacity it
+ * wants). A candidate left outside the kernel — its smallest list is
+ * longer than [giant], or it has more than MAX_LISTS lists — ends the
+ * call: when it is the first, it is counted alone and (r.j, r.i) is left
+ * on it with [outside] set, for the caller to intersect; else the call
+ * stops before it. The counts are those of extending one tuple at a
+ * time: a candidate whose sources equal the previous tuple's (same
+ * prefix, same key when S depends on it, same candidate) is a cache hit,
+ * the others are charged the stable lists' length (s_total plus the
+ * key's keyed lists) and their varying lists'; a run whose S is the
+ * key's list and changed is charged its length >> 8 in [ticks]. Returns
+ * the number of candidates intersected. */
 value gfq_run(value vr, value vcount, value vgiant, value vout, value vg)
 {
   int count = Bool_val(vcount);
@@ -596,9 +609,13 @@ value gfq_run(value vr, value vcount, value vgiant, value vout, value vg)
   int key_dep = src == S_OWN || src == S_KEY;
   value vary = Field(vr, R_VARY), keyed = Field(vr, R_KEYED);
   int nv = (int)Wosize_val(vary), nk = (int)Wosize_val(keyed);
-  vlist v[MAX_LISTS], kv[MAX_LISTS];
-  for (int q = 0; q < nv; q++) vlist_of(Field(vary, q), nbits, &v[q]);
-  for (int q = 0; q < nk; q++) vlist_of(Field(keyed, q), nbits, &kv[q]);
+  /* Too many lists to keep on the stack: every candidate goes outside,
+   * its varying lists only measured. */
+  int wide = nv + (src != S_ABSENT) > MAX_LISTS;
+  vlist v[MAX_LISTS], kv;
+  if (!wide)
+    for (int q = 0; q < nv; q++) vlist_of(Field(vary, q), nbits, &v[q]);
+  if (src == S_KEY) vlist_of(Field(keyed, 0), nbits, &kv);
   glist s = {0};
   if (src == S_FIXED) {
     buf_of(Field(vr, R_S), &s.p, &s.w);
@@ -618,6 +635,7 @@ value gfq_run(value vr, value vcount, value vgiant, value vout, value vg)
   intnat stop = Long_val(Field(vr, R_STOP));
   intnat n = 0, acc = 0, icost = 0, charged = 0, hits = 0, ticks = 0;
   intnat need = 0, k = 0, key = 0;
+  int outside = 0;
   while (j < stop && k < chunk) {
     intnat rhi = j == last - 1 ? ghi : Long_val(Field(gends, j));
     if (i < rhi) {
@@ -625,14 +643,8 @@ value gfq_run(value vr, value vcount, value vgiant, value vout, value vg)
        * the previous tuple's. */
       key = Long_val(Field(gkeys, j));
       stot = s_total;
-      if (src == S_KEY) {
-        list_of(&kv[0], key, &s);
-        stot += s.hi - s.lo;
-      } else
-        for (int q = 0; q < nk; q++) {
-          intnat x = key * kv[q].stride + kv[q].base;
-          stot += kv[q].off[x + 1] - kv[q].off[x];
-        }
+      for (int q = 0; q < nk; q++) stot += csr_len(Field(keyed, q), key);
+      if (src == S_KEY) list_of(&kv, key, &s);
       if (src == S_OWN) {
         s.p = cp;
         s.w = cw;
@@ -642,42 +654,52 @@ value gfq_run(value vr, value vcount, value vgiant, value vout, value vg)
       }
       int same_cur = same && (!key_dep || key == last_key);
       for (; i < rhi && k < chunk; i++) {
-        intnat c = rd(cp, cw, i), vl = 0;
+        intnat c = rd(cp, cw, i), vl = 0, e = n;
         glist l[MAX_LISTS];
         int m = 0;
-        if (src != S_ABSENT) l[m++] = s;
-        for (int q = 0; q < nv; q++, m++) {
-          list_of(&v[q], c, &l[m]);
-          vl += l[m].hi - l[m].lo;
-        }
-        /* Shortest list first: an insertion sort by length, a handful of
-         * lists, usually two. */
-        if (m == 2) {
-          if (l[1].hi - l[1].lo < l[0].hi - l[0].lo) {
-            glist t = l[0];
-            l[0] = l[1];
-            l[1] = t;
+        if (wide) {
+          for (int q = 0; q < nv; q++) vl += csr_len(Field(vary, q), c);
+          outside = 1;
+        } else {
+          if (src != S_ABSENT) l[m++] = s;
+          for (int q = 0; q < nv; q++, m++) {
+            list_of(&v[q], c, &l[m]);
+            vl += l[m].hi - l[m].lo;
           }
-        } else
-          for (int a = 1; a < m; a++) {
-            glist t = l[a];
-            int b = a - 1;
-            while (b >= 0 && l[b].hi - l[b].lo > t.hi - t.lo) {
-              l[b + 1] = l[b];
-              b--;
+          /* Shortest list first: an insertion sort by length, a handful
+           * of lists, usually two. */
+          if (m == 2) {
+            if (l[1].hi - l[1].lo < l[0].hi - l[0].lo) {
+              glist t = l[0];
+              l[0] = l[1];
+              l[1] = t;
             }
-            l[b + 1] = t;
+          } else
+            for (int a = 1; a < m; a++) {
+              glist t = l[a];
+              int b = a - 1;
+              while (b >= 0 && l[b].hi - l[b].lo > t.hi - t.lo) {
+                l[b + 1] = l[b];
+                b--;
+              }
+              l[b + 1] = t;
+            }
+          intnat mn = l[0].hi - l[0].lo;
+          outside = mn > giant;
+          if (!outside && n + mn + 8 > cap) {
+            need = n + mn + 8;
+            goto stopped;
           }
-        intnat mn = l[0].hi - l[0].lo;
-        if (mn > giant) goto stopped;
-        if (n + mn + 8 > cap) {
-          need = n + mn + 8;
-          goto stopped;
         }
-        intnat e;
-        if (m == 1) {
-          for (intnat q = l[0].lo; q < l[0].hi; q++) out[n + q - l[0].lo] = rd(l[0].p, l[0].w, q);
-          e = n + mn;
+        if (outside) {
+          if (k > 0) {
+            outside = 0;
+            goto stopped;
+          }
+        } else if (m == 1) {
+          for (intnat q = l[0].lo; q < l[0].hi; q++)
+            out[n + q - l[0].lo] = rd(l[0].p, l[0].w, q);
+          e = n + (l[0].hi - l[0].lo);
         } else {
           e = step_any(l[0].p, l[0].w, l[0].lo, l[0].hi, &l[1], bits, out, n);
           for (int q = 2; q < m && e > n; q++)
@@ -690,15 +712,16 @@ value gfq_run(value vr, value vcount, value vgiant, value vout, value vg)
           charged++;
           icost += stot + vl;
         }
+        same = same_cur = 1;
+        last_key = key;
+        last_c = c;
+        if (outside) goto stopped;
         Field(keys, k) = Val_long(c);
         Field(starts, k) = Val_long(acc);
         acc += e - n;
         Field(ends, k) = Val_long(acc);
         if (!count) n = e;
         k++;
-        same = same_cur = 1;
-        last_key = key;
-        last_c = c;
       }
     }
     if (i >= rhi) {
@@ -717,5 +740,6 @@ stopped:
   Field(vr, R_HITS) = Val_long(hits);
   Field(vr, R_TICKS) = Val_long(ticks);
   Field(vr, R_NEED) = Val_long(need);
+  Field(vr, R_OUTSIDE) = Val_bool(outside);
   return Val_long(k);
 }

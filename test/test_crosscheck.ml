@@ -247,6 +247,67 @@ let test_hub_rows_queries () =
       [ ("planner", fst (Planner.plan cat q)); ("all-E/I", wco) ]
   done
 
+(* Many parallel query edges: x->a, b->c and 17 (label, direction) edges
+   on each of a-b and a-c, on a multigraph where some pairs carry every
+   one of the 18, so an E/I has 17 stable lists from one column. The
+   all-E/I plan of every ordering that scans a single edge must find
+   Naive's match set
+   under both kernels, with the counters of the same plan fed one tuple
+   at a time. *)
+let test_parallel_edges () =
+  let rng = Rng.create 31 in
+  let n = 12 and labels = 9 in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Rng.int rng 2 = 0 then
+        for l = 0 to labels - 1 do
+          edges := (u, v, l) :: (v, u, l) :: !edges
+        done
+      else if Rng.int rng 2 = 0 then edges := (u, v, 0) :: !edges
+    done
+  done;
+  let g =
+    Graph.build ~num_vlabels:1 ~num_elabels:labels ~vlabel:(Array.make n 0)
+      ~edges:(Array.of_list !edges)
+  in
+  let x = 0 and a = 1 and b = 2 and c = 3 in
+  let parallel u v =
+    List.init 17 (fun i ->
+        if i mod 2 = 0 then { Query.src = u; dst = v; label = i / 2 }
+        else { Query.src = v; dst = u; label = i / 2 })
+  in
+  let q =
+    Query.create ~num_vertices:4
+      ~edges:
+        (Array.of_list
+           (({ Query.src = x; dst = a; label = 0 } :: { Query.src = b; dst = c; label = 0 } :: parallel a b)
+           @ parallel a c))
+      ()
+  in
+  let expected = fingerprint (Naive.collect g q) in
+  check_bool "matches exist" true (fst expected > 0);
+  List.iter
+    (fun order ->
+      let plan = Plan.wco q order in
+      List.iter
+        (fun mode ->
+          Gf_util.Sorted.with_kernel_mode mode (fun () ->
+              let label what =
+                Printf.sprintf "%s %s: %s" (Gf_util.Sorted.kernel_mode_to_string mode)
+                  (Plan.signature plan) what
+              in
+              let got = delivered (Plan.vars plan) (fun sink -> ignore (Exec.run_gov ~sink g plan)) in
+              check_int (label "matches") (fst expected) (fst got);
+              check_bool (label "match set") true (got = expected);
+              List.iter
+                (fun cache ->
+                  let run ?rewrite () = work (fst (Exec.run_gov ?rewrite ~cache ~sink:ignore g plan)) in
+                  Alcotest.(check (list int)) (label "counters") (run ~rewrite:tuple_fed ()) (run ()))
+                [ true; false ]))
+        [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Simd ])
+    [ [| x; a; b; c |]; [| x; a; c; b |]; [| b; c; a; x |]; [| c; b; a; x |] ]
+
 (* Unlabeled shapes with automorphisms: re-numbering one can land on the
    same query value or on one whose canonical permutation differs from the
    cached template's by an automorphism. *)
@@ -544,6 +605,7 @@ let suite =
         q prop_plan_cache_renumbered_hit;
         Alcotest.test_case "plan-cache churn = naive" `Quick test_plan_cache_churn;
         Alcotest.test_case "Q1-Q14 over hub rows = naive" `Quick test_hub_rows_queries;
+        Alcotest.test_case "17 parallel edges = naive" `Quick test_parallel_edges;
         q prop_spectrum_plans_agree;
         q prop_spectrum_plans_agree_parallel;
         q prop_cfl_agrees_distinct;

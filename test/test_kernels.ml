@@ -274,9 +274,9 @@ let random_dir rng = if Rng.int rng 2 = 0 then Graph.Fwd else Graph.Bwd
 (* One trial: [ns] stable lists (hubs among their sources) intersected
    into the shared set, [nv] varying lists, and [len] candidates, checked
    against {!Sorted.intersect} per candidate, enumerating and counting,
-   under both kernels. A small [giant] makes the kernel stop at long
-   lists; those candidates go through [run_lists], as the E/I operator
-   takes them. *)
+   under both kernels. A small [giant] makes the kernel leave long lists
+   outside it; those candidates go through [run_lists], as the E/I
+   operator takes them. *)
 let run_trial rng g ~rows ~ns ~nv ~len ~source =
   let n = Graph.num_vertices g in
   let tl = Rng.int rng 2 in
@@ -363,18 +363,17 @@ let run_trial rng g ~rows ~ns ~nv ~len ~source =
               while r.Sorted.j < 1 do
                 let k = Sorted.run_kernel ~count ~giant r out grp in
                 check_int "a chunk at most" 0 (if k > Sorted.run_chunk then k else 0);
-                if k = 0 && r.Sorted.j < 1 then begin
+                icost := !icost + r.Sorted.icost;
+                if r.Sorted.outside then begin
                   let i = r.Sorted.i in
                   let c = Buf.get cb i in
                   let o = Int_vec.create () in
                   Sorted.intersect o (Sorted.run_lists r grp 0 c);
                   got := Int_vec.to_array o :: !got;
                   sizes := Int_vec.length o :: !sizes;
-                  icost := !icost + r.Sorted.icost;
                   Sorted.seek r ~j:0 ~i:(i + 1) ~stop:1
                 end
                 else begin
-                  icost := !icost + r.Sorted.icost;
                   for j = 0 to k - 1 do
                     let s = r.Sorted.starts.(j) and e = r.Sorted.ends.(j) in
                     sizes := (e - s) :: !sizes;
@@ -418,11 +417,15 @@ let test_run_kernel_differential () =
         [ 0; 1; 2; 3 ])
     [ false; true ]
 
+(* What the group trials covered, checked once they are done. *)
+let seen_hits = ref 0 and seen_giants = ref 0 and seen_spans = ref 0 and seen_empty = ref 0
+
 (* One group trial: [nruns] sibling runs in one candidate buffer, each
    run's shared set from [source] — its own whole slice ([Own]) or its
    key's list in a keyed CSR, with the row ([Key]) — through as many
-   {!Sorted.run_kernel} calls as the kernel wants, the candidates it stops
-   on taken through [run_lists] as the E/I operator takes them. Some runs
+   {!Sorted.run_kernel} calls as the kernel wants, the candidates it
+   leaves outside taken through [run_lists] as the E/I operator takes
+   them. [nk] stable lists are sourced from the key column. Some runs
    are empty, some repeat the previous run's key and start on its last
    candidate (a cache hit across runs), the group is cut inside its first
    and last run, a small [giant] sends some candidates outside the
@@ -430,16 +433,18 @@ let test_run_kernel_differential () =
    Checked against a tuple-at-a-time reference: every result set, and the
    charged intersections, their cost, the cache hits and the [Key] set
    ticks. *)
-(* What the group trials covered, checked once they are done. *)
-let seen_hits = ref 0 and seen_giants = ref 0 and seen_spans = ref 0 and seen_empty = ref 0
-
-let group_trial rng g ~rows ~source ~nv ~nruns =
+let group_trial ?nk rng g ~rows ~source ~nv ~nruns =
   let n = Graph.num_vertices g in
   let tl = Rng.int rng 2 in
   let bits = if rows then Some (Graph.bitmap_words g) else None in
   let csr () = Graph.csr g (random_dir rng) ~elabel:(Rng.int rng 2) ~nlabel:tl in
   let vary = Array.init nv (fun _ -> csr ()) in
-  let keyed = Array.init (if source = Sorted.Key then 1 else 1 + Rng.int rng 2) (fun _ -> csr ()) in
+  let nk =
+    match nk with
+    | Some k -> k
+    | None -> if source = Sorted.Key then 1 else 1 + Rng.int rng 2
+  in
+  let keyed = Array.init nk (fun _ -> csr ()) in
   let slice (v : Sorted.csr) c =
     let x = (c * v.stride) + v.base in
     (v.nbr, Bigarray.Array1.get v.off x, Bigarray.Array1.get v.off (x + 1))
@@ -530,18 +535,17 @@ let group_trial rng g ~rows ~source ~nv ~nruns =
               let got = ref [] and c_charged = ref 0 and c_icost = ref 0 and c_hits = ref 0 in
               let c_ticks = ref 0 in
               let out = Int_vec.create () in
-              let p = r.Sorted.prev in
               Sorted.seek r ~j:0 ~i:lo ~stop:nruns;
               while r.Sorted.j < nruns do
                 let j0 = r.Sorted.j in
                 let k = Sorted.run_kernel ~count ~giant r out grp in
                 check_int "a chunk at most" 0 (if k > Sorted.run_chunk then k else 0);
                 if k > 0 && r.Sorted.j > j0 + 1 then incr seen_spans;
+                c_charged := !c_charged + r.Sorted.charged;
+                c_icost := !c_icost + r.Sorted.icost;
+                c_hits := !c_hits + r.Sorted.hits;
+                c_ticks := !c_ticks + r.Sorted.ticks;
                 if k > 0 then begin
-                  c_charged := !c_charged + r.Sorted.charged;
-                  c_icost := !c_icost + r.Sorted.icost;
-                  c_hits := !c_hits + r.Sorted.hits;
-                  c_ticks := !c_ticks + r.Sorted.ticks;
                   for q = 0 to k - 1 do
                     let s = r.Sorted.starts.(q) and e = r.Sorted.ends.(q) in
                     got :=
@@ -551,35 +555,25 @@ let group_trial rng g ~rows ~source ~nv ~nruns =
                       :: !got
                   done
                 end
-                else if r.Sorted.j < nruns then begin
-                  (* Outside the kernel, as the E/I operator goes. *)
+                else if r.Sorted.outside then begin
+                  (* Outside the kernel, already counted, as the E/I
+                     operator goes. *)
                   let j = r.Sorted.j and i = r.Sorted.i in
                   check_bool "stopped on a candidate" true (i < Sorted.run_hi grp j);
                   incr seen_giants;
-                  let key = keys.(j) and c = Buf.get cands i in
-                  let same = p.same && key = p.last_key in
-                  let l = Sorted.run_lists r grp j c in
-                  if same && c = p.last_c then incr c_hits
-                  else begin
-                    incr c_charged;
-                    c_icost := !c_icost + r.Sorted.icost
-                  end;
-                  if (not same) && source = Sorted.Key then
-                    c_ticks := !c_ticks + ((l.hi.(0) - l.lo.(0)) asr 8);
-                  p.same <- true;
-                  p.last_key <- key;
-                  p.last_c <- c;
+                  let c = Buf.get cands i in
                   let o = Int_vec.create () in
-                  Sorted.intersect o l;
+                  Sorted.intersect o (Sorted.run_lists r grp j c);
                   got := (c, if count then Array.make (Int_vec.length o) 0 else Int_vec.to_array o) :: !got;
                   Sorted.seek r ~j ~i:(i + 1) ~stop:nruns
                 end
+                else check_int "stopped at the last run" nruns r.Sorted.j
               done;
               let label what =
-                Printf.sprintf "%s %s nv=%d runs=%d rows=%b giant=%d %s %s"
+                Printf.sprintf "%s %s nv=%d nk=%d runs=%d rows=%b giant=%d %s %s"
                   (Sorted.kernel_mode_to_string mode)
                   (if source = Sorted.Own then "own" else "key")
-                  nv nruns rows giant (if count then "count" else "enum") what
+                  nv nk nruns rows giant (if count then "count" else "enum") what
               in
               let got = List.rev !got in
               Alcotest.(check (list int)) (label "candidates") (List.map fst expect) (List.map fst got);
@@ -609,6 +603,13 @@ let test_run_kernel_groups () =
                 List.iter (fun rows -> group_trial rng g ~rows ~source ~nv:(1 + Rng.int rng 2) ~nruns) [ true; false ]
               done)
             [ 1; 2; 7; 40 ])
+        [ Sorted.Own; Sorted.Key ];
+      (* More lists than the C kernel keeps on its stack: 17 key-column
+         lists, which it only measures, and 16 varying lists besides
+         [S], which leave every candidate outside it. *)
+      List.iter
+        (fun source ->
+          List.iter (fun nv -> group_trial ~nk:17 rng g ~rows:true ~source ~nv ~nruns:7) [ 1; 16 ])
         [ Sorted.Own; Sorted.Key ])
     [ false; true ];
   check_bool "cache hits across runs" true (!seen_hits > 0);
