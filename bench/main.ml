@@ -913,27 +913,80 @@ let ablation_projection_constraint () =
     (fmt_count c2.Gf.Counters.output)
     (t2 /. Float.max t1 1e-6)
 
+(* Section 4.2's calibration in the planner's unit, nanoseconds. First the
+   E/I prices: every WCO ordering of the wco-heavy queries on their graph
+   (Q14's every 60th), each plan's summed features against its best time
+   over [rounds] interleaved rounds, counted at the root, fitted by
+   least squares. Then the HASH-JOIN weights: seconds become cost units
+   through those E/I plans, and BJ plans' build and probe tuples are
+   fitted in them. *)
 let ablation_hashjoin_weights () =
-  header "Ablation: empirical HASH-JOIN weight calibration (Section 4.2)";
-  let g = dataset_at (Gf.Generators.Amazon, spectrum_scale) in
-  (* E/I profile points. *)
-  let ei =
-    List.map
-      (fun o ->
-        let plan = Gf.Plan.wco Gf.Patterns.diamond_x o in
-        let t, c = time_warm (fun () -> fst (Gf.Exec.run_gov ~cache:false g plan)) in
-        (float_of_int c.Gf.Counters.icost, t))
-      (Gf.Query.connected_orders Gf.Patterns.diamond_x |> List.filteri (fun i _ -> i < 6))
+  let sc = 2.0 *. scale in
+  header
+    (Printf.sprintf "Calibration: E/I prices and HASH-JOIN weights in ns (Section 4.2, google %.2f)"
+       sc);
+  let g = dataset_at (Gf.Generators.Google, sc) in
+  let cat = Gf.Db.catalog (Gf.Db.create g) in
+  let rounds = 5 in
+  let plans =
+    List.concat_map
+      (fun qi ->
+        let q = Gf.Patterns.q qi in
+        Gf.Planner.all_wco_orders cat q
+        |> List.filteri (fun i _ -> qi <> 14 || i mod 60 = 0)
+        |> List.map (fun (o, _) -> (qi, Gf.Plan.wco q o, Gf.Planner.wco_order_features cat q o)))
+      [ 1; 3; 4; 5; 6; 7; 14 ]
+    |> Array.of_list
   in
+  let best = Array.make (Array.length plans) infinity in
+  (* After the first round a plan over 3x its query's fastest is dropped:
+     the fit is for telling close plans apart. *)
+  let fastest qi =
+    Array.fold_left min infinity
+      (Array.mapi (fun i (qj, _, _) -> if qi = qj then best.(i) else infinity) plans)
+  in
+  for r = 1 to rounds do
+    Array.iteri
+      (fun i (qi, p, _) ->
+        if r = 1 || best.(i) <= 3.0 *. fastest qi then begin
+          let t, _ = time_once (fun () -> Gf.Exec.run_gov g p) in
+          best.(i) <- Float.min best.(i) t
+        end)
+      plans
+  done;
+  let samples =
+    List.filteri
+      (fun i _ -> let qi, _, _ = plans.(i) in best.(i) <= 3.0 *. fastest qi)
+      (Array.to_list (Array.mapi (fun i (_, _, f) -> (f, best.(i))) plans))
+  in
+  let fitted = Gf.Cost.fit samples in
+  let error prices =
+    List.fold_left
+      (fun acc (f, t) -> acc +. (Float.abs ((Gf.Cost.price_at prices f *. 1e-9) -. t) /. t))
+      0.0 samples
+    /. float_of_int (List.length samples)
+  in
+  let show name (k : Gf.Cost.features) =
+    Printf.printf
+      "%-8s candidate %6.2f  tuple %6.2f  intersection %6.2f  merged %5.3f  gallop %5.3f  probed %5.3f  (mean rel. error %.2f)\n"
+      name k.candidates k.tuples k.intersections k.merged k.galloped k.probed (error k)
+  in
+  Printf.printf "%d WCO plans, %d within 3x of their query's fastest, best of %d interleaved rounds\n"
+    (Array.length plans) (List.length samples) rounds;
+  show "fitted" fitted;
+  show "in use" Gf.Cost.kernel;
+  let ei = List.map (fun (f, t) -> (Gf.Cost.price f, t)) samples in
   (* HASH-JOIN profile points from BJ-style joins of sub-plans. *)
+  let g = dataset_at (Gf.Generators.Amazon, spectrum_scale) in
   let hj =
-    List.filter_map
+    List.concat_map
       (fun qi ->
         let q = Gf.Patterns.q qi in
         let plans, _ = Gf.Spectrum.plans ~per_subset_cap:3 ~family_cap:4 q in
-        match List.find_opt (fun (f, _) -> f = Gf.Spectrum.Bj) plans with
-        | None -> None
-        | Some (_, p) ->
+        List.filter_map
+          (fun (f, p) ->
+            if f <> Gf.Spectrum.Bj then None
+            else
             let w0 = ref 0. in
             let t, c =
               time_warm (fun () ->
@@ -946,11 +999,13 @@ let ablation_hashjoin_weights () =
               qi (fmt_count build) (fmt_count c.Gf.Counters.hj_probe_tuples) t
               (words /. float_of_int (max 1 build));
             Some (float_of_int build, float_of_int c.Gf.Counters.hj_probe_tuples, t))
-      [ 2; 11; 12; 13 ]
+          plans)
+      [ 2; 8; 11; 12; 13 ]
   in
   let w = Gf.Cost.calibrate ~ei ~hj in
-  Printf.printf "profiled %d E/I points, %d HASH-JOIN points -> w1 = %.2f, w2 = %.2f\n"
-    (List.length ei) (List.length hj) w.Gf.Cost.w1 w.Gf.Cost.w2
+  Printf.printf "profiled %d E/I points, %d HASH-JOIN points -> w1 = %.2f, w2 = %.2f (in use: %.2f, %.2f)\n"
+    (List.length ei) (List.length hj) w.Gf.Cost.w1 w.Gf.Cost.w2 Gf.Cost.default_weights.w1
+    Gf.Cost.default_weights.w2
 
 let ablation_estimators () =
   header "Ablation: cardinality estimators (catalogue vs wander-join sampling vs independence)";
@@ -1183,6 +1238,79 @@ let ablation_runs () =
       Printf.printf "Q%-4d %10.2f %10.2f %8.2f-%-8.2f %12d\n%!" qi best median best worst !matches)
     [ 1; 3; 4; 5; 6; 7; 14 ];
   Printf.printf "%-5s %10.2f %10.2f\n" "sum" !best_sum !median_sum
+
+(* ------------------------------------------------------------------ *)
+(* Picks: the Db's plan against every WCO ordering of its query.       *)
+(* ------------------------------------------------------------------ *)
+
+(* The wco-heavy workload's seven queries on google at twice the bench
+   scale (0.5 by default, the workload's graph), counted at the root as a
+   rows=false request runs them. Every ordering runs once; the pick and
+   the [keep] fastest of that pass are then timed in [rounds] interleaved
+   rounds, best of each. A row shows the model's estimate, the ordering's
+   Eq. 1 i-cost (exec.icost) and its best time; [*] marks the pick. *)
+let picks () =
+  let sc = 2.0 *. scale in
+  header (Printf.sprintf "Picks: the planner's pick against every WCO ordering (google %.2f)" sc);
+  let g = dataset_at (Gf.Generators.Google, sc) in
+  let db = Gf.Db.create g in
+  let cat = Gf.Db.catalog db in
+  let rounds = 9 and keep = 12 in
+  let run p = fst (Gf.Exec.run_gov g p) in
+  let pick_sum = ref 0.0 and best_sum = ref 0.0 in
+  List.iter
+    (fun qi ->
+      let q = Gf.Patterns.q qi in
+      let pick, pick_est = Gf.Db.plan db q in
+      let pick_sig = Gf.Plan.signature pick in
+      let screened =
+        List.map
+          (fun (o, est) ->
+            let plan = Gf.Plan.wco q o in
+            let t, c = time_once (fun () -> run plan) in
+            (order_name o, plan, est, c.Gf.Counters.icost, t))
+          (Gf.Planner.all_wco_orders cat q)
+      in
+      let n_orders = List.length screened in
+      let others =
+        List.filter (fun (_, p, _, _, _) -> Gf.Plan.signature p <> pick_sig) screened
+        |> List.sort (fun (_, _, _, _, a) (_, _, _, _, b) -> Float.compare a b)
+        |> List.filteri (fun i _ -> i < keep)
+      in
+      let pick_name =
+        match List.find_opt (fun (_, p, _, _, _) -> Gf.Plan.signature p = pick_sig) screened with
+        | Some (name, _, _, _, _) -> name
+        | None -> "(not WCO)"
+      in
+      let pick_icost = (run pick).Gf.Counters.icost in
+      let cands =
+        Array.of_list ((pick_name, pick, pick_est, pick_icost, 0.0) :: others)
+      in
+      let best = Array.make (Array.length cands) infinity in
+      for _ = 1 to rounds do
+        Array.iteri
+          (fun i (_, p, _, _, _) ->
+            let t, _ = time_once (fun () -> run p) in
+            best.(i) <- Float.min best.(i) (t *. 1e3))
+          cands
+      done;
+      let fastest = Array.fold_left Float.min infinity best in
+      pick_sum := !pick_sum +. best.(0);
+      best_sum := !best_sum +. fastest;
+      subheader
+        (Printf.sprintf "Q%d: %d orderings, pick %s at %.2fx of the fastest" qi n_orders pick_name
+           (best.(0) /. fastest));
+      Printf.printf "  %-16s %14s %16s %9s\n" "ordering" "estimate" "Eq.1 i-cost" "best ms";
+      Array.to_list (Array.mapi (fun i c -> (i, c)) cands)
+      |> List.sort (fun (a, _) (b, _) -> Float.compare best.(a) best.(b))
+      |> List.iter (fun (i, (name, _, est, icost, _)) ->
+             Printf.printf "%s %-16s %14.4g %16s %9.2f\n" (if i = 0 then "*" else " ") name est
+               (fmt_count icost) best.(i));
+      flush stdout)
+    [ 1; 3; 4; 5; 6; 7; 14 ];
+  Printf.printf "sum of picks %.2f ms, sum of the fastest plans %.2f ms (%.2fx)\n" !pick_sum
+    !best_sum
+    (!pick_sum /. Float.max !best_sum 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Storage: heap int-array CSR vs off-heap Bigarray CSR vs mmap.       *)
@@ -1912,6 +2040,7 @@ let sections =
     ("ablation_estimators", ablation_estimators);
     ("ablation_intersection", ablation_intersection_kernel);
     ("ablation_runs", ablation_runs);
+    ("picks", picks);
     ("ablation_factorized", ablation_factorized_count);
     ("storage", storage);
     ("durability", durability);

@@ -3,14 +3,55 @@ module Query = Gf_query.Query
 module Canon = Gf_query.Canon
 module Rng = Gf_util.Rng
 module Sorted = Gf_util.Sorted
+module Int_vec = Gf_util.Int_vec
 module Plan = Gf_plan.Plan
+
+type work = { merged : float; galloped : float; probed : float }
 
 type entry = {
   mu : float;
   sizes : ((int * Graph.direction * int) * float) list;
   total_size : float;
   samples : int;
+  kernel : (work * work) array;
+  all_work : work;
 }
+
+type stat = { size : float; step : work; stable : work }
+
+let no_work = { merged = 0.0; galloped = 0.0; probed = 0.0 }
+let freeze (w : Sorted.work) weight =
+  { merged = w.merged /. weight; galloped = w.galloped /. weight; probed = w.probed /. weight }
+
+(* A v1 or v2 entry loaded from a file has no work statistics: it is
+   sampled again on first use. *)
+let current e = Array.length e.kernel = List.length e.sizes
+
+(* The work of intersecting lists of [sizes] with no bitmap row, each
+   intersection as long as its shortest input: the estimate for lists the
+   catalogue did not walk. *)
+let cascade_work sizes =
+  let w = Sorted.work () in
+  (match List.sort Float.compare sizes with
+  | a :: rest -> List.iter (fun b -> Sorted.step_work w 1.0 ~a ~b ~row:false) rest
+  | [] -> ());
+  freeze w 1.0
+
+let analytic sizes =
+  let n = Array.length sizes in
+  let stats =
+    Array.init n (fun i ->
+        let others = List.filteri (fun j _ -> j <> i) (Array.to_list sizes) in
+        let step =
+          match others with
+          | [] -> no_work
+          | _ ->
+              let s = List.fold_left Float.min infinity others in
+              cascade_work [ s; sizes.(i) ]
+        in
+        { size = sizes.(i); step; stable = cascade_work others })
+  in
+  (stats, cascade_work (Array.to_list sizes))
 
 type t = {
   g : Graph.t;
@@ -89,19 +130,56 @@ let sample_entry t rng qk new_v =
   if k < 3 then invalid_arg "Catalog.entry: the pattern needs at least three vertices";
   let order = Query.first_connected_order ~last:new_v qk in
   let final = Plan.descriptors qk (Array.sub order 0 (k - 1)) new_v in
+  let nf = Array.length final in
   (* Total weight, the μ sum, then one size sum per final list. *)
-  let sums = Array.make (Array.length final + 2) 0.0 and walked = ref 0 in
+  let sums = Array.make (nf + 2) 0.0 and walked = ref 0 in
   let starts npool =
     if t.z >= npool then Array.init npool Fun.id
     else Rng.sample_without_replacement rng ~n:npool ~k:t.z
   in
+  (* The work sums: for each final list as the E/I's varying one, the run
+     kernel's step of [S] (the other lists' intersection, or the one other
+     list with its row) against it and the intersection into [S]; and the
+     intersection of every list, an E/I's [S] when none varies. *)
+  let step = Array.init nf (fun _ -> Sorted.work ())
+  and stable = Array.init nf (fun _ -> Sorted.work ())
+  and all = Sorted.work () in
+  let bits = Graph.bitmap_words t.g in
+  let others = Sorted.lists ~bits (max 0 (nf - 1)) and out = Int_vec.create () in
   let measure w ext (l : Sorted.lists) =
     incr walked;
     sums.(0) <- sums.(0) +. w;
     sums.(1) <- sums.(1) +. (w *. float_of_int ext);
-    for i = 0 to Array.length final - 1 do
+    for i = 0 to nf - 1 do
       sums.(i + 2) <- sums.(i + 2) +. (w *. float_of_int (l.hi.(i) - l.lo.(i)))
-    done
+    done;
+    if nf >= 2 then begin
+      Int_vec.clear out;
+      Sorted.intersect_work all w out l;
+      for i = 0 to nf - 1 do
+        let s_len, s_row =
+          if nf = 2 then (l.hi.(1 - i) - l.lo.(1 - i), l.row.(1 - i) >= 0)
+          else begin
+            for j = 0 to nf - 2 do
+              let o = if j < i then j else j + 1 in
+              others.bufs.(j) <- l.bufs.(o);
+              others.lo.(j) <- l.lo.(o);
+              others.hi.(j) <- l.hi.(o);
+              others.row.(j) <- l.row.(o)
+            done;
+            Int_vec.clear out;
+            Sorted.intersect_work stable.(i) w out others;
+            (Int_vec.length out, false)
+          end
+        in
+        (* The kernel keeps [S] first on a tie. *)
+        let v_len = l.hi.(i) - l.lo.(i) in
+        let a, b, row =
+          if v_len < s_len then (v_len, s_len, s_row) else (s_len, v_len, l.row.(i) >= 0)
+        in
+        Sorted.step_work step.(i) w ~a:(float_of_int a) ~b:(float_of_int b) ~row
+      done
+    end
   in
   ignore (Wander.walks ~edges:(edge_list t) t.g qk ~order ~starts rng measure);
   (* Unmeasured: μ = 0, every final list at its global per-label average. *)
@@ -115,13 +193,26 @@ let sample_entry t rng qk new_v =
     Array.to_list final
     |> List.mapi (fun i (d : Plan.descriptor) -> ((order.(d.pos), d.dir, d.elabel), size i d))
   in
-  if !walked = 0 then { mu = 0.0; sizes; total_size = 0.0; samples = 0 }
-  else
+  if !walked = 0 then begin
+    let stats, all_work = analytic (Array.of_list (List.map snd sizes)) in
     {
-      mu = sums.(1) /. sums.(0);
+      mu = 0.0;
+      sizes;
+      total_size = 0.0;
+      samples = 0;
+      kernel = Array.map (fun st -> (st.step, st.stable)) stats;
+      all_work;
+    }
+  end
+  else
+    let w = sums.(0) in
+    {
+      mu = sums.(1) /. w;
       sizes;
       total_size = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sizes;
       samples = !walked;
+      kernel = Array.init nf (fun i -> (freeze step.(i) w, freeze stable.(i) w));
+      all_work = freeze all w;
     }
 
 (* [qk] renumbered by its canonical permutation, edges sorted: every
@@ -139,8 +230,8 @@ let canonical_form qk perm =
    which entries were sampled before it. *)
 let find_entry t qk new_vertex (code, perm) =
   match Hashtbl.find_opt t.entries code with
-  | Some e -> e
-  | None ->
+  | Some e when current e -> e
+  | _ ->
       let rng = Rng.create (Hashtbl.seeded_hash t.seed code) in
       let e = sample_entry t rng (canonical_form qk perm) perm.(new_vertex) in
       Hashtbl.replace t.entries code e;
@@ -150,21 +241,38 @@ let entry t qk ~new_vertex =
   if Query.num_vertices qk > t.h + 1 then None
   else Some (find_entry t qk new_vertex (Canon.code ~mark:new_vertex qk))
 
-let descriptor_size t qk ~new_vertex ~src ~dir ~elabel =
-  let global () =
-    avg_partition_size t ~dir ~slabel:(Query.vlabel qk src) ~elabel
-      ~nlabel:(Query.vlabel qk new_vertex)
-  in
+let global_size t qk ~new_vertex (src, dir, elabel) =
+  avg_partition_size t ~dir ~slabel:(Query.vlabel qk src) ~elabel
+    ~nlabel:(Query.vlabel qk new_vertex)
+
+let descriptor_stats t qk ~new_vertex descriptors =
+  let global () = analytic (Array.map (global_size t qk ~new_vertex) descriptors) in
   if Query.num_vertices qk > t.h + 1 then global ()
   else begin
     let ((_, perm) as canon) = Canon.code ~mark:new_vertex qk in
     let e = find_entry t qk new_vertex canon in
-    if e.samples = 0 then global ()
+    let index (src, dir, elabel) =
+      let key = (perm.(src), dir, elabel) in
+      let rec go i = function
+        | [] -> None
+        | (k, _) :: rest -> if k = key then Some i else go (i + 1) rest
+      in
+      go 0 e.sizes
+    in
+    let found = Array.map index descriptors in
+    if e.samples = 0 || Array.exists Option.is_none found then global ()
     else
-      match List.assoc_opt (perm.(src), dir, elabel) e.sizes with
-      | Some s -> s
-      | None -> global ()
+      ( Array.map
+          (fun i ->
+            let i = Option.get i in
+            let step, stable = e.kernel.(i) in
+            { size = snd (List.nth e.sizes i); step; stable })
+          found,
+        e.all_work )
   end
+
+let descriptor_size t qk ~new_vertex ~src ~dir ~elabel =
+  (fst (descriptor_stats t qk ~new_vertex [| (src, dir, elabel) |])).(0).size
 
 (* ---------- exhaustive construction (Tables 10-11) ---------- *)
 
@@ -258,24 +366,34 @@ let build_exhaustive t =
   done;
   num_entries t
 
-(* Crash-safe: temp sibling + rename ({!Gf_util.Atomic_file}). The v2
-   format carries the entry count in the parameter line and a trailing
-   [end] marker so [load_result] can tell a torn file from a complete
-   one. *)
+(* Crash-safe: temp sibling + rename ({!Gf_util.Atomic_file}). The
+   parameter line carries the entry count and a trailing [end] marker
+   closes the file, so [load_result] can tell a torn file from a complete
+   one. v3 adds the work statistics: an entry line ends with its
+   all-lists work, a size line with its list's step and stable work. *)
 let save t path =
+  let work oc w = Printf.fprintf oc " %.17g %.17g %.17g" w.merged w.galloped w.probed in
   Gf_util.Atomic_file.write path (fun oc ->
-      Printf.fprintf oc "graphflow-catalog v2\n%d %d %d\n" t.h t.z
-        (Hashtbl.length t.entries);
+      Printf.fprintf oc "graphflow-catalog v3\n%d %d %d\n" t.h t.z
+        (Hashtbl.fold (fun _ e n -> if current e then n + 1 else n) t.entries 0);
       Hashtbl.iter
         (fun code e ->
-          Printf.fprintf oc "entry %s %.17g %.17g %d %d\n" code e.mu e.total_size e.samples
-            (List.length e.sizes);
-          List.iter
-            (fun ((v, dir, el), s) ->
-              Printf.fprintf oc "size %d %c %d %.17g\n" v
-                (match dir with Graph.Fwd -> 'f' | Graph.Bwd -> 'b')
-                el s)
-            e.sizes)
+          if current e then begin
+            Printf.fprintf oc "entry %s %.17g %.17g %d %d" code e.mu e.total_size e.samples
+              (List.length e.sizes);
+            work oc e.all_work;
+            output_char oc '\n';
+            List.iteri
+              (fun i ((v, dir, el), s) ->
+                Printf.fprintf oc "size %d %c %d %.17g" v
+                  (match dir with Graph.Fwd -> 'f' | Graph.Bwd -> 'b')
+                  el s;
+                let step, stable = e.kernel.(i) in
+                work oc step;
+                work oc stable;
+                output_char oc '\n')
+              e.sizes
+          end)
         t.entries;
       Printf.fprintf oc "end\n")
 
@@ -293,7 +411,7 @@ and error_kind =
 let kind_to_string = function
   | Unreadable msg -> "cannot read: " ^ msg
   | Bad_header h ->
-      Printf.sprintf "bad header %S (expected \"graphflow-catalog v1|v2\")" h
+      Printf.sprintf "bad header %S (expected \"graphflow-catalog v1|v2|v3\")" h
   | Bad_params p -> Printf.sprintf "bad parameter line %S (expected \"h z [entries]\")" p
   | Bad_token tok -> Printf.sprintf "malformed token %S" tok
   | Orphan_size -> "size line without a preceding entry"
@@ -333,10 +451,11 @@ let load_result g path =
             let header =
               try input_line ic with End_of_file -> fail (Bad_header "<empty file>")
             in
-            let v2 =
+            let version =
               match header with
-              | "graphflow-catalog v2" -> true
-              | "graphflow-catalog v1" -> false
+              | "graphflow-catalog v3" -> 3
+              | "graphflow-catalog v2" -> 2
+              | "graphflow-catalog v1" -> 1
               | h -> fail (Bad_header h)
             in
             incr lineno;
@@ -345,9 +464,9 @@ let load_result g path =
               with End_of_file -> fail (Bad_params "<end of file>")
             in
             let h, z, expected_entries =
-              match (v2, String.split_on_char ' ' params) with
-              | false, [ a; b ] -> (int_of a, int_of b, None)
-              | true, [ a; b; c ] -> (int_of a, int_of b, Some (int_of c))
+              match (version, String.split_on_char ' ' params) with
+              | 1, [ a; b ] -> (int_of a, int_of b, None)
+              | (2 | 3), [ a; b; c ] -> (int_of a, int_of b, Some (int_of c))
               | _ -> fail (Bad_params params)
             in
             let t =
@@ -355,57 +474,73 @@ let load_result g path =
               | t -> t
               | exception Invalid_argument msg -> fail (Bad_params msg)
             in
-            (* (code, mu, total_size, samples, declared size count, sizes rev) *)
+            let work m g p = { merged = float_of m; galloped = float_of g; probed = float_of p } in
+            (* (code, entry with its sizes and kernel reversed, declared size
+               count); a v1 or v2 entry has no kernel. *)
             let pending = ref None in
             let flush_pending () =
               match !pending with
-              | Some (code, mu, total_size, samples, declared, sizes) ->
-                  let got = List.length sizes in
+              | Some (code, e, declared) ->
+                  let got = List.length e.sizes in
                   if got <> declared then
                     fail (Size_count_mismatch { expected = declared; got });
                   Hashtbl.replace t.entries code
-                    { mu; total_size; samples; sizes = List.rev sizes };
+                    {
+                      e with
+                      sizes = List.rev e.sizes;
+                      kernel = Array.of_list (List.rev (Array.to_list e.kernel));
+                    };
                   pending := None
               | None -> ()
+            in
+            let start code mu total samples nsizes all_work =
+              flush_pending ();
+              pending :=
+                Some
+                  ( code,
+                    {
+                      mu = float_of mu;
+                      total_size = float_of total;
+                      samples = int_of samples;
+                      sizes = [];
+                      kernel = [||];
+                      all_work;
+                    },
+                    int_of nsizes )
+            in
+            let size v dir el s kernel =
+              match !pending with
+              | None -> fail Orphan_size
+              | Some (code, e, declared) ->
+                  let d =
+                    match dir with "f" -> Graph.Fwd | "b" -> Graph.Bwd | _ -> fail (Bad_token dir)
+                  in
+                  let e =
+                    {
+                      e with
+                      sizes = ((int_of v, d, int_of el), float_of s) :: e.sizes;
+                      kernel = Array.append kernel e.kernel;
+                    }
+                  in
+                  pending := Some (code, e, declared)
             in
             let finished = ref false in
             (try
                while not !finished do
                  incr lineno;
                  let line = input_line ic in
-                 match String.split_on_char ' ' line with
-                 | [ "entry"; code; mu; total; samples; nsizes ] ->
-                     flush_pending ();
-                     pending :=
-                       Some
-                         ( code,
-                           float_of mu,
-                           float_of total,
-                           int_of samples,
-                           int_of nsizes,
-                           [] )
-                 | [ "size"; v; dir; el; s ] -> (
-                     match !pending with
-                     | None -> fail Orphan_size
-                     | Some (code, mu, total, samples, declared, sizes) ->
-                         let d =
-                           match dir with
-                           | "f" -> Graph.Fwd
-                           | "b" -> Graph.Bwd
-                           | _ -> fail (Bad_token dir)
-                         in
-                         pending :=
-                           Some
-                             ( code,
-                               mu,
-                               total,
-                               samples,
-                               declared,
-                               ((int_of v, d, int_of el), float_of s) :: sizes ))
-                 | [ "end" ] ->
+                 match (version, String.split_on_char ' ' line) with
+                 | (1 | 2), [ "entry"; code; mu; total; samples; nsizes ] ->
+                     start code mu total samples nsizes no_work
+                 | 3, [ "entry"; code; mu; total; samples; nsizes; m; g; p ] ->
+                     start code mu total samples nsizes (work m g p)
+                 | (1 | 2), [ "size"; v; dir; el; s ] -> size v dir el s [||]
+                 | 3, [ "size"; v; dir; el; s; km; kg; kp; sm; sg; sp ] ->
+                     size v dir el s [| (work km kg kp, work sm sg sp) |]
+                 | _, [ "end" ] ->
                      flush_pending ();
                      finished := true
-                 | [ "" ] -> ()
+                 | _, [ "" ] -> ()
                  | _ -> fail (Bad_token line)
                done
              with End_of_file -> ());

@@ -45,17 +45,36 @@ val h : t -> int
 val z : t -> int
 val graph : t -> Gf_graph.Graph.t
 
+(** Average kernel work of one intersection, by path
+    ({!Gf_util.Sorted.step_work}): merged elements, gallop steps, probed
+    elements. *)
+type work = { merged : float; galloped : float; probed : float }
+
 (** Statistics of one materialized entry. [sizes] maps each descriptor —
     identified by (canonical source-vertex id, direction, edge label) — to
     its average list size. [samples] is the number of walks that reached
     the last step (0 when none did, in which case [mu] is 0 and sizes fall
-    back to global per-label averages). *)
+    back to global per-label averages). [kernel.(i)] belongs to
+    [sizes]'s [i]-th list as an E/I's varying list, the other lists being
+    the stable ones: the work of the run kernel's step of their
+    intersection [S] (or the one other list, with its bitmap row) against
+    it, and of intersecting them into [S]. [all_work] is the work of
+    intersecting every list, an E/I's [S] when no list varies. Work is
+    measured at each walk's last step, where the lists and their rows are
+    the data's, and weighted like the sizes. *)
 type entry = {
   mu : float;
   sizes : ((int * Gf_graph.Graph.direction * int) * float) list;
   total_size : float;
   samples : int;
+  kernel : (work * work) array;
+  all_work : work;
 }
+
+(** One descriptor's statistics for an extension: its list's average
+    size, the run kernel's [step] work when it is the varying list, and
+    the [stable] work of intersecting the other lists. *)
+type stat = { size : float; step : work; stable : work }
 
 (** [entry cat qk ~new_vertex] is the entry for extending
     [qk minus new_vertex] to [qk]. [None] when [qk] has more than [h + 1]
@@ -76,6 +95,24 @@ val descriptor_size :
   dir:Gf_graph.Graph.direction ->
   elabel:int ->
   float
+
+(** [descriptor_stats cat qk ~new_vertex ds] is the {!stat} of each
+    descriptor [(src, dir, elabel)] of [ds] (sources are [qk]'s vertex
+    ids) and the work of intersecting all of them, from the entry for
+    extending [qk minus new_vertex] to [qk]. An oversize or unmeasured
+    extension gets global label averages for sizes and {!analytic} work. *)
+val descriptor_stats :
+  t ->
+  Gf_query.Query.t ->
+  new_vertex:int ->
+  (int * Gf_graph.Graph.direction * int) array ->
+  stat array * work
+
+(** [analytic sizes] prices lists of [sizes] without a walk: no list has a
+    bitmap row and an intersection is as long as its shortest input. It
+    returns each list's {!stat} and the work of intersecting all of them,
+    as {!descriptor_stats} does. *)
+val analytic : float array -> stat array * work
 
 (** [avg_partition_size cat ~dir ~slabel ~elabel ~nlabel] is the global
     average adjacency-partition size: the mean, over vertices labeled
@@ -129,15 +166,17 @@ and error_kind =
       (** an entry declared more size lines than it carried — the signature
           of a file cut mid-entry *)
   | Truncated of { expected_entries : int; got : int }
-      (** a v2 file missing entries or its trailing [end] marker *)
+      (** a v2 or v3 file missing entries or its trailing [end] marker *)
 
 val load_error_to_string : load_error -> string
 val pp_load_error : Format.formatter -> load_error -> unit
 
 (** [load_result g path] restores a catalogue saved by [save], reporting
     missing, truncated, and malformed files as a structured {!load_error}.
-    Accepts both the current v2 format and legacy v1 files (which carry no
-    entry count, so torn v1 files are detected only when cut mid-entry). The
+    Accepts the current v3 format and the older v2 and v1 ones (v1 carries
+    no entry count, so a torn v1 file is detected only when cut
+    mid-entry). A v2 or v1 entry has no work statistics: it is kept, and
+    sampled again on first use. The
     graph must be the one the statistics were sampled from (the file records
     only parameters and entries). *)
 val load_result : Gf_graph.Graph.t -> string -> (t, load_error) result

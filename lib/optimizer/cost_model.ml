@@ -3,6 +3,11 @@ module Query = Gf_query.Query
 module Catalog = Gf_catalog.Catalog
 module Plan = Gf_plan.Plan
 
+(* The lists intersected when extending a vertex set by one vertex, one
+   per {!Plan.descriptors} entry: each one's source vertex and
+   statistics, and the work of intersecting all of them. *)
+type ext = { src : int array; sizes : float array; stats : Catalog.stat array; all : Catalog.work }
+
 type t = {
   cat : Catalog.t;
   q : Query.t;
@@ -13,7 +18,7 @@ type t = {
   conn : Bytes.t; (* vertex set -> connected? 'y' / 'n' / unknown; empty if too many sets *)
   cards : (int, float) Hashtbl.t;
   mus : (int * int, float) Hashtbl.t;
-  sizes : (int * int, float array) Hashtbl.t; (* (child_set, v) -> descriptor sizes *)
+  sizes : (int * int, ext) Hashtbl.t; (* (child_set, v) -> its lists' statistics *)
   bases : (int * int, float) Hashtbl.t; (* catalogue mu of extensions to <= h + 1 vertices *)
   induced : (int, Query.t) Hashtbl.t; (* vertex set -> induced sub-query *)
 }
@@ -90,25 +95,69 @@ let base t ~child ~v =
       Hashtbl.replace t.bases (child, v) m;
       m
 
-(* The estimated size of each list intersected when extending [child] by
-   [v], in the order of [q]'s edges. An extension to more than h + 1
-   vertices has no catalogue entry, so its sizes are the global label
-   averages, read without inducing the pattern. *)
-let sizes_of t ~child ~v =
-  let s = Bitset.add v child and sources = Bitset.to_array child in
-  let size =
-    if small t s then begin
-      let sub = induced t s and vpos = rank s v in
-      fun ~src ~dir ~elabel ->
-        Catalog.descriptor_size t.cat sub ~new_vertex:vpos ~src:(rank s src) ~dir ~elabel
+(* The descriptors of extending [child] by [v], in the order of [q]'s
+   edges, and each one's source vertex. *)
+let descriptors t ~child ~v =
+  let sources = Bitset.to_array child in
+  let ds = Plan.descriptors t.q sources v in
+  (ds, Array.map (fun (d : Plan.descriptor) -> sources.(d.pos)) ds)
+
+(* The global label averages of those lists' sizes: an extension to more
+   than h + 1 vertices has no catalogue entry. *)
+let global_sizes t ~v ds src =
+  Array.mapi
+    (fun i (d : Plan.descriptor) ->
+      Catalog.avg_partition_size t.cat ~dir:d.dir ~slabel:(Query.vlabel t.q src.(i))
+        ~elabel:d.elabel ~nlabel:(Query.vlabel t.q v))
+    ds
+
+(* The h vertices of [child] grown from [u], each step adding the lowest
+   vertex adjacent to those taken, a neighbour of [v] first. *)
+let grow t ~child ~v u =
+  let h = Catalog.h t.cat in
+  let rec go set =
+    if Bitset.cardinal set = h then set
+    else begin
+      let front = ref Bitset.empty in
+      Bitset.iter (fun w -> front := Bitset.union !front t.nbrs.(w)) set;
+      let front = Bitset.diff (Bitset.inter !front child) set in
+      if front = Bitset.empty then set
+      else
+        let near = Bitset.inter front t.nbrs.(v) in
+        go (Bitset.add (Bitset.min_elt (if near = Bitset.empty then front else near)) set)
     end
-    else fun ~src ~dir ~elabel ->
-      Catalog.avg_partition_size t.cat ~dir ~slabel:(Query.vlabel t.q src) ~elabel
-        ~nlabel:(Query.vlabel t.q v)
   in
-  Array.map
-    (fun (d : Plan.descriptor) -> size ~src:sources.(d.pos) ~dir:d.dir ~elabel:d.elabel)
-    (Plan.descriptors t.q sources v)
+  go (Bitset.singleton u)
+
+(* The lists intersected when extending [child] by [v]. Past h + 1
+   vertices, sizes are the global label averages, read without inducing
+   the pattern, and the intersection work {!Catalog.analytic}'s on them,
+   except each list's own step and stable work as the varying list: those
+   come from the entry of the (h + 1)-vertex sub-pattern of [v] and the
+   old part {!grow}n from the list's source, so that the list's direction
+   and its hubs' bitmap rows still count. *)
+let ext_of t ~child ~v =
+  let s = Bitset.add v child in
+  let ds, src = descriptors t ~child ~v in
+  let stats, all =
+    if small t s then
+      Catalog.descriptor_stats t.cat (induced t s) ~new_vertex:(rank s v)
+        (Array.mapi (fun i (d : Plan.descriptor) -> (rank s src.(i), d.dir, d.elabel)) ds)
+    else begin
+      let stats, all = Catalog.analytic (global_sizes t ~v ds src) in
+      ( Array.mapi
+          (fun i (st : Catalog.stat) ->
+            let sub = Bitset.add v (grow t ~child ~v src.(i)) in
+            let own, _ =
+              Catalog.descriptor_stats t.cat (induced t sub) ~new_vertex:(rank sub v)
+                [| (rank sub src.(i), ds.(i).dir, ds.(i).elabel) |]
+            in
+            { st with step = own.(0).step; stable = own.(0).stable })
+          stats,
+        all )
+    end
+  in
+  { src; sizes = Array.map (fun (st : Catalog.stat) -> st.size) stats; stats; all }
 
 (* Section 5.2's removals: every set of |old| - h old vertices, in a fixed
    order, and the minimum of [base] over the old parts they leave. *)
@@ -142,7 +191,8 @@ let fallback t ~child ~v =
   else
     (* No valid removal: the least global average list size, a coarse
        upper bound. *)
-    let m = Array.fold_left Float.min infinity (sizes_of t ~child ~v) in
+    let ds, src = descriptors t ~child ~v in
+    let m = Array.fold_left Float.min infinity (global_sizes t ~v ds src) in
     if m = infinity then 1.0 else m
 
 let mu t ~child ~v =
@@ -211,34 +261,80 @@ let estimate_cardinality cat q =
   let n = Query.num_vertices q in
   if n < 2 || not (Query.is_connected q) then 0.0 else card (create cat q) (Bitset.full n)
 
-let descriptor_sizes t ~child ~v =
+let ext t ~child ~v =
   match Hashtbl.find_opt t.sizes (child, v) with
-  | Some a -> a
+  | Some x -> x
   | None ->
-      let a = sizes_of t ~child ~v in
-      Hashtbl.replace t.sizes (child, v) a;
-      a
+      let x = ext_of t ~child ~v in
+      Hashtbl.replace t.sizes (child, v) x;
+      x
+
+let descriptor_sizes t ~child ~v = (ext t ~child ~v).sizes
 
 let total_descriptor_size t ~child ~v = Array.fold_left ( +. ) 0.0 (descriptor_sizes t ~child ~v)
+
+(* The smallest chain prefix holding every vertex of [sources]; [child]
+   when none does. Consecutive tuples share that prefix's bindings, so at
+   most card(prefix) distinct intersections over those sources run. *)
+let cover ~chain ~child sources =
+  let rec find i =
+    if i = Array.length chain then child
+    else if Bitset.subset sources chain.(i) then chain.(i)
+    else find (i + 1)
+  in
+  find 0
 
 let extension_icost t ~chain ~child ~v =
   let sources = Bitset.inter t.nbrs.(v) child in
   if sources = Bitset.empty then invalid_arg "Cost_model.extension_icost: no descriptors";
   let multiplier =
-    if t.cache_conscious then begin
-      (* Smallest chain prefix covering every descriptor source: consecutive
-         tuples share that prefix's bindings, so at most card(prefix)
-         distinct intersections run. Never more than card(child) either. *)
-      let rec find i =
-        if i = Array.length chain then child
-        else if Bitset.subset sources chain.(i) then chain.(i)
-        else find (i + 1)
-      in
-      Float.min (card t (find 0)) (card t child)
-    end
+    if t.cache_conscious then Float.min (card t (cover ~chain ~child sources)) (card t child)
     else card t child
   in
   multiplier *. total_descriptor_size t ~child ~v
+
+(* Whether the E/I that bound [u] from [p] has the descriptors an
+   extension of [p + u] by [v] takes from [p], with [v]'s label: [S] is
+   then each of its runs' candidate slice. *)
+let twins t p u v =
+  Query.vlabel t.q u = Query.vlabel t.q v
+  &&
+  let key (d : Plan.descriptor) = (d.pos, d.dir, d.elabel) in
+  let links w = List.sort compare (List.map key (Array.to_list (Plan.descriptors t.q (Bitset.to_array p) w))) in
+  links u = links v
+
+let extension_features t ~chain ~last ~child ~v =
+  let x = ext t ~child ~v in
+  let n = Array.length x.src in
+  if n = 0 then invalid_arg "Cost_model.extension_features: no descriptors";
+  let tuples = card t child in
+  let rec varying i = if i = n then -1 else if x.src.(i) = last then i else varying (i + 1) in
+  let vi = varying 0 in
+  let ns = if vi < 0 then n else n - 1 in
+  (* [S], the stable lists' intersection: nothing to do for one list, read
+     in place, or when it is each run's own candidate slice; else
+     intersected once per distinct binding of its sources. *)
+  let s_features work =
+    let rec index i = if i = Array.length chain || chain.(i) = child then i else index (i + 1) in
+    let i = index 0 in
+    if ns < 2 || (i >= 1 && i < Array.length chain && twins t chain.(i - 1) last v) then Cost.zero
+    else
+      let per =
+        if t.cache_conscious then
+          Float.min tuples
+            (card t (cover ~chain ~child (Bitset.remove last (Bitset.inter t.nbrs.(v) child))))
+        else tuples
+      in
+      { (Cost.work per work) with intersections = per }
+  in
+  if vi < 0 then Cost.add { Cost.zero with tuples } (s_features x.all)
+  else if ns = 0 then { Cost.zero with tuples }
+  else
+    let st = x.stats.(vi) in
+    Cost.add { (Cost.work tuples st.step) with candidates = tuples } (s_features st.stable)
+
+let extension_cost t ~chain ~last ~child ~v =
+  Cost.price (extension_features t ~chain ~last ~child ~v)
 
 let hash_join_cost t s1 s2 =
   (t.weights.Cost.w1 *. card t s1) +. (t.weights.Cost.w2 *. card t s2)

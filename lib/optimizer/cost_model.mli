@@ -67,12 +67,35 @@ val mu : t -> child:Gf_util.Bitset.t -> v:int -> float
     mutate it. *)
 val descriptor_sizes : t -> child:Gf_util.Bitset.t -> v:int -> float array
 
-(** [extension_icost t ~chain ~child ~v] is the estimated i-cost of the E/I
-    operator extending [child] (whose root chain prefixes are [chain],
-    anchor first, [child] last) by [v]. Entries after [child] are never
+(** [extension_icost t ~chain ~child ~v] is the estimated i-cost (Eq. 1,
+    what [exec.icost] counts) of the E/I operator extending [child] (whose
+    root chain prefixes are [chain], anchor first, [child] last) by [v]:
+    EXPLAIN's estimate, not the planner's objective. Entries after [child] are never
     read, so a search may pass a longer array it reuses across prefixes. *)
 val extension_icost :
   t -> chain:Gf_util.Bitset.t array -> child:Gf_util.Bitset.t -> v:int -> float
+
+(** [extension_features t ~chain ~last ~child ~v] is what the executor
+    does for that E/I ({!Cost.features}). [last] is the child's last column, the vertex its
+    runs' candidates bind: the descriptor sourced from it varies from
+    tuple to tuple, the others are stable. A kernel E/I (one varying and
+    some stable lists) counts each tuple of [child] as a candidate and
+    the sampled work of its step of [S] (the stable lists'
+    intersection) against the varying list; one without a kernel call
+    (no varying list, or no stable one) counts its tuples as [tuples].
+    [S] is intersected once per distinct binding of its sources (the
+    cardinality of the smallest chain prefix holding them), and costs
+    nothing when it is one list read in place or the runs' own candidate
+    slice (the previous E/I extended by [last] with the same descriptors).
+    An extension past [h + 1] vertices prices the fallback sizes alike
+    ({!Gf_catalog.Catalog.analytic}). *)
+val extension_features :
+  t -> chain:Gf_util.Bitset.t array -> last:int -> child:Gf_util.Bitset.t -> v:int -> Cost.features
+
+(** [extension_cost] is {!extension_features} at {!Cost.price}: the
+    planner's cost of the E/I, never negative. *)
+val extension_cost :
+  t -> chain:Gf_util.Bitset.t array -> last:int -> child:Gf_util.Bitset.t -> v:int -> float
 
 (** [hash_join_cost t s1 s2] is [w1 * card s1 + w2 * card s2] ([s1] is the
     build side). *)

@@ -59,7 +59,7 @@ let to_canon perm s =
 type learning =
   | Learning
   | Pending of {
-      ratios : (Bitset.t * float) list;  (* canonical subset -> clamped actual/estimate *)
+      ratios : (string * float) list;  (* induced sub-pattern's code -> clamped actual/estimate *)
       worst : Bitset.t;  (* the canonical subset with the largest q-error *)
       qerror : float;
     }
@@ -200,11 +200,24 @@ let clamp_lo = 1e-3
 let clamp_hi = 1e3
 let clamp r = Float.max clamp_lo (Float.min clamp_hi r)
 
-(* The observed ratios as a query-space closure for the planner: translate
-   the subset through the canonical permutation and look up its ratio.
-   [ratios] is immutable, so planning can run outside the lock. *)
-let corrections_fn perm ratios s =
-  match List.assoc_opt (to_canon perm s) ratios with Some f -> f | None -> 1.0
+(* The canonical code of the sub-query [q] induces on [s]. Sub-queries
+   that are isomorphic have the same matches and the same catalogue
+   estimate, so a ratio observed on one vertex set corrects every set that
+   induces the same pattern, whichever plan observed it. *)
+let pattern_code q s = fst (Canon.code (fst (Query.induced q s)))
+
+(* The observed ratios as a query-space closure for the planner, memoized
+   per vertex set. [ratios] is immutable and the memo is the closure's
+   own, so planning can run outside the lock. *)
+let corrections_fn q ratios =
+  let memo = Hashtbl.create 16 in
+  fun s ->
+    match Hashtbl.find_opt memo s with
+    | Some f -> f
+    | None ->
+        let f = match List.assoc_opt (pattern_code q s) ratios with Some f -> f | None -> 1.0 in
+        Hashtbl.replace memo s f;
+        f
 
 (* "0,2,3": a canonical subset as the replan's trace span names it. *)
 let subset_to_string s = String.concat "," (List.map string_of_int (Bitset.elements s))
@@ -302,7 +315,7 @@ let lookup ?trace t ~opts ~graph_version cat q =
                planning from scratch rather than failing the request. *)
             (plan_fresh Miss, []))
     | Some (`Replan (ratios, worst, qerror)) ->
-        ( plan_fresh ~corrections:(corrections_fn perm ratios) Replan,
+        ( plan_fresh ~corrections:(corrections_fn q ratios) Replan,
           [ ("subset", Trace.Str (subset_to_string worst)); ("qerror", Trace.Float qerror) ] )
     | None -> (plan_fresh Miss, [])
   in
@@ -330,11 +343,12 @@ let observe t ~graph_version q plan rows =
           (fun ((ratios, worst, qmax) as acc) (r : Explain.row) ->
             if r.Explain.id < 0 || r.Explain.id >= Array.length ops then acc
             else begin
-              let s = to_canon perm (Plan.var_set (fst ops.(r.Explain.id))) in
+              let vs = Plan.var_set (fst ops.(r.Explain.id)) in
+              let s = to_canon perm vs in
               let est = Float.max 1.0 r.Explain.est_card in
               let act = Float.max 1.0 (float_of_int r.Explain.act_card) in
               let ratio = clamp (act /. est) in
-              let ratios = (s, ratio) :: ratios in
+              let ratios = (pattern_code q vs, ratio) :: ratios in
               let qe = Float.max ratio (1.0 /. ratio) in
               if qe > qmax then (ratios, s, qe) else (ratios, worst, qmax)
             end)

@@ -59,14 +59,14 @@ let wco_prefixes () = Atomic.get prefixes_visited
 let greedy_cost model nbrs (e : Query.edge) =
   let m = Array.length nbrs in
   let chain = Array.make (m - 1) Bitset.empty in
-  let subset = ref (Bitset.of_list [ e.src; e.dst ]) and cost = ref 0.0 in
+  let subset = ref (Bitset.of_list [ e.src; e.dst ]) and cost = ref 0.0 and last = ref e.dst in
   chain.(0) <- !subset;
   try
     for depth = 2 to m - 1 do
       let best_v = ref (-1) and best_c = ref infinity in
       Bitset.iter
         (fun v ->
-          let c = Cost_model.extension_icost model ~chain ~child:!subset ~v in
+          let c = Cost_model.extension_cost model ~chain ~last:!last ~child:!subset ~v in
           if !best_v < 0 || c < !best_c then begin
             best_v := v;
             best_c := c
@@ -74,6 +74,7 @@ let greedy_cost model nbrs (e : Query.edge) =
         (frontier nbrs !subset);
       if !best_v < 0 then raise Exit;
       cost := !cost +. !best_c;
+      last := !best_v;
       subset := Bitset.add !best_v !subset;
       chain.(depth - 1) <- !subset
     done;
@@ -109,7 +110,9 @@ let enumerate_wco ~prune model q visit =
     else
       Bitset.iter
         (fun v ->
-          let c = cost +. Cost_model.extension_icost model ~chain ~child:subset ~v in
+          let c =
+            cost +. Cost_model.extension_cost model ~chain ~last:order.(depth - 1) ~child:subset ~v
+          in
           if not (c > !bound) then begin
             let s' = Bitset.add v subset in
             order.(depth) <- v;
@@ -157,19 +160,34 @@ let best_wco_order ?(cache_conscious = true) cat q =
   | Some b -> b
   | None -> raise (No_plan "no WCO ordering (query must have >= 2 vertices)")
 
-let wco_order_cost ?(cache_conscious = true) cat q order =
+(* [f] folded over the E/I operators of [order]'s WCO plan. *)
+let fold_order ~cache_conscious cat q order f init =
   check_no_multi_pair q;
   let model = Cost_model.create ~cache_conscious cat q in
   let n = Array.length order in
   let chain = Array.make (max 1 (n - 1)) Bitset.empty in
   chain.(0) <- Bitset.of_list [ order.(0); order.(1) ];
-  let cost = ref 0.0 in
+  (* The scan binds its edge's destination last, whichever way [order]
+     lists the pair. *)
+  let scan = Plan.scan_edge q order.(0) order.(1) in
+  let acc = ref init in
   for k = 2 to n - 1 do
-    let child = chain.(k - 2) in
-    cost := !cost +. Cost_model.extension_icost model ~chain ~child ~v:order.(k);
+    let child = chain.(k - 2) and last = if k = 2 then scan.Query.dst else order.(k - 1) in
+    acc := f model ~chain ~last ~child ~v:order.(k) !acc;
     chain.(k - 1) <- Bitset.add order.(k) child
   done;
-  !cost
+  !acc
+
+let wco_order_cost ?(cache_conscious = true) cat q order =
+  fold_order ~cache_conscious cat q order
+    (fun m ~chain ~last ~child ~v acc -> acc +. Cost_model.extension_cost m ~chain ~last ~child ~v)
+    0.0
+
+let wco_order_features ?(cache_conscious = true) cat q order =
+  fold_order ~cache_conscious cat q order
+    (fun m ~chain ~last ~child ~v acc ->
+      Cost.add acc (Cost_model.extension_features m ~chain ~last ~child ~v))
+    Cost.zero
 
 (* Connected vertex subsets grouped by size, each group in decreasing
    order. A set of two or more vertices is connected exactly when some
@@ -324,8 +342,10 @@ let search ?(opts = default_opts) ?trace ?corrections cat q =
               if Bitset.inter nbrs.(v) child <> Bitset.empty then
                 match find child with
                 | Some ci ->
+                    let vars = Plan.vars ci.plan in
+                    let last = vars.(Array.length vars - 1) in
                     offer
-                      (ci.cost +. Cost_model.extension_icost model ~chain:ci.chain ~child ~v)
+                      (ci.cost +. Cost_model.extension_cost model ~chain:ci.chain ~last ~child ~v)
                       (fun cost ->
                         {
                           plan = Plan.extend q ci.plan v;
@@ -415,6 +435,21 @@ let search ?(opts = default_opts) ?trace ?corrections cat q =
         (No_plan
            (Printf.sprintf "plan space '%s' contains no plan for this query"
               (match opts.mode with Hybrid -> "hybrid" | Wco_only -> "wco" | Bj_only -> "bj")))
+
+let rec chain_of_plan = function
+  | Plan.Extend { child; _ } as p -> Array.append (chain_of_plan child) [| Plan.var_set p |]
+  | p -> [| Plan.var_set p |]
+
+let rec plan_cost model = function
+  | Plan.Scan _ -> 0.0
+  | Plan.Extend { child; target; _ } ->
+      let vars = Plan.vars child in
+      plan_cost model child
+      +. Cost_model.extension_cost model ~chain:(chain_of_plan child)
+           ~last:vars.(Array.length vars - 1) ~child:(Plan.var_set child) ~v:target
+  | Plan.Hash_join { build; probe; _ } ->
+      plan_cost model build +. plan_cost model probe
+      +. Cost_model.hash_join_cost model (Plan.var_set build) (Plan.var_set probe)
 
 let plan ?opts ?trace ?corrections cat q =
   let p, cost, _ = search ?opts ?trace ?corrections cat q in

@@ -64,6 +64,11 @@ val search :
   Gf_query.Query.t ->
   Gf_plan.Plan.t * float * Cost_model.t
 
+(** [plan_cost model p] is the planner's cost of [p] under [model]: the
+    sum {!search} minimizes, in the order it adds it, so a plan [search]
+    returns costs what it reported. *)
+val plan_cost : Cost_model.t -> Gf_plan.Plan.t -> float
+
 (** [best_wco_order cat q] is the minimum-estimated-cost query vertex
     ordering over all prefix-connected orderings (the first one in
     {!all_wco_orders}'s order on ties), with its cost, found by the
@@ -75,6 +80,12 @@ val best_wco_order :
 (** [wco_order_cost cat q order] is the estimated cost of one ordering. *)
 val wco_order_cost :
   ?cache_conscious:bool -> Gf_catalog.Catalog.t -> Gf_query.Query.t -> int array -> float
+
+(** [wco_order_features cat q order] is what the executor does for one
+    ordering's E/I operators, summed: {!wco_order_cost} is its
+    {!Cost.price}, up to rounding. *)
+val wco_order_features :
+  ?cache_conscious:bool -> Gf_catalog.Catalog.t -> Gf_query.Query.t -> int array -> Cost.features
 
 (** [all_wco_orders cat q] lists every prefix-connected ordering with its
     estimated cost, deduplicated so the two orderings that differ only in

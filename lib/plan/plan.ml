@@ -110,22 +110,23 @@ let hash_join q build probe =
       vars = Array.append pvars build_extra;
     }
 
+let scan_edge q a b =
+  match
+    Array.to_list q.Query.edges
+    |> List.find_opt (fun (e : Query.edge) ->
+           (e.src = a && e.dst = b) || (e.src = b && e.dst = a))
+  with
+  | Some e -> e
+  | None -> invalid_arg "Plan.wco: first two vertices are not adjacent"
+
 let wco q order =
   let n = Array.length order in
   if n < 2 then invalid_arg "Plan.wco: need at least two vertices";
-  let first =
-    Array.to_list q.Query.edges
-    |> List.find_opt (fun (e : Query.edge) ->
-           (e.src = order.(0) && e.dst = order.(1)) || (e.src = order.(1) && e.dst = order.(0)))
-  in
-  match first with
-  | None -> invalid_arg "Plan.wco: first two vertices are not adjacent"
-  | Some e ->
-      let plan = ref (scan q e) in
-      for k = 2 to n - 1 do
-        plan := extend q !plan order.(k)
-      done;
-      !plan
+  let plan = ref (scan q (scan_edge q order.(0) order.(1))) in
+  for k = 2 to n - 1 do
+    plan := extend q !plan order.(k)
+  done;
+  !plan
 
 let rec num_ei_operators = function
   | Scan _ -> 0

@@ -71,6 +71,12 @@ val extend : Gf_query.Query.t -> t -> int -> t
     union of their vertices (such a plan would silently drop a predicate). *)
 val hash_join : Gf_query.Query.t -> t -> t -> t
 
+(** [scan_edge q a b] is the query edge between [a] and [b], either way:
+    the edge {!wco} scans for an ordering that starts with [a], [b]. Its
+    destination is the scan's last column. Raises [Invalid_argument] when
+    they are not adjacent. *)
+val scan_edge : Gf_query.Query.t -> int -> int -> Gf_query.Query.edge
+
 (** [wco q order] is the WCO plan for the query vertex ordering [order]:
     a [Scan] of the edge between [order.(0)] and [order.(1)] followed by
     E/I extensions. [order] may cover a subset of [q]'s vertices, producing

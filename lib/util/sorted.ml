@@ -467,6 +467,54 @@ let intersect out l =
   | k -> cascade out l k
 
 (* ------------------------------------------------------------------ *)
+(* Kernel work                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type work = { mutable merged : float; mutable galloped : float; mutable probed : float }
+
+let work () = { merged = 0.0; galloped = 0.0; probed = 0.0 }
+
+(* The path {!step} and the C kernel's step take for [a] elements against
+   a list of [b >= a]: a probe of the list's row, a gallop, or a merge. *)
+let step_work w weight ~a ~b ~row =
+  if a > 0.0 then
+    if row && b >= 2.0 *. a then w.probed <- w.probed +. (weight *. a)
+    else if b > a *. float_of_int gallop_threshold then
+      w.galloped <- w.galloped +. (weight *. a *. Float.log2 (b /. a))
+    else w.merged <- w.merged +. (weight *. (a +. b))
+
+(* {!cascade}'s steps, each priced before it runs. *)
+let intersect_work w weight out l =
+  let k = Array.length l.lo in
+  let price la b =
+    step_work w weight ~a:(float_of_int la) ~b:(float_of_int (len l b)) ~row:(l.row.(b) >= 0)
+  in
+  if k < 2 then intersect out l
+  else begin
+    let order = l.order in
+    for i = 0 to k - 1 do
+      order.(i) <- i
+    done;
+    sort_order l k;
+    price (len l order.(0)) order.(1);
+    if k = 2 then pair out l order.(0) order.(1)
+    else begin
+      let cur = ref l.scratch and next = ref l.scratch2 in
+      Int_vec.clear !cur;
+      pair !cur l order.(0) order.(1);
+      for j = 2 to k - 1 do
+        let b = order.(j) in
+        price (Int_vec.length !cur) b;
+        let dst = if j = k - 1 then out else (Int_vec.clear !next; !next) in
+        step dst (Int_vec.buf !cur) 0 (Int_vec.length !cur) l b;
+        let t = !cur in
+        cur := !next;
+        next := t
+      done
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Run kernel                                                          *)
 (* ------------------------------------------------------------------ *)
 

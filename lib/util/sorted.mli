@@ -145,6 +145,30 @@ val of_slices : ?bits:bits -> slice array -> lists
     the result is empty; with one it is a copy of that list. *)
 val intersect : Int_vec.t -> lists -> unit
 
+(** {1 Kernel work}
+
+    What an intersection costs the kernels, by the path each pairwise step
+    takes ({!intersect}'s cascade and the run kernel choose alike): the
+    shorter input of [a] elements against a list of [b] elements is a
+    probe of that list's bitmap row ([a] probed elements) when it has one
+    and [b >= 2a], a gallop ([a * log2 (b / a)] steps) when
+    [b > 16a], else a merge ([a + b] elements). The planner prices these
+    counts ({!Gf_opt.Cost}); the catalogue samples them. *)
+
+type work = { mutable merged : float; mutable galloped : float; mutable probed : float }
+
+(** [work ()] is a zero count. *)
+val work : unit -> work
+
+(** [step_work w weight ~a ~b ~row] adds [weight] times the work of one
+    step of [a] elements against a list of [b >= a] elements, with a row
+    when [row], to [w]. *)
+val step_work : work -> float -> a:float -> b:float -> row:bool -> unit
+
+(** [intersect_work w weight out l] is [intersect out l] that also adds
+    [weight] times the work of its steps to [w]. *)
+val intersect_work : work -> float -> Int_vec.t -> lists -> unit
+
 (** {1 Run kernel}
 
     A run is a bound prefix [p] plus a candidate slice [C]: it stands for

@@ -8,6 +8,8 @@ module Rng = Gf_util.Rng
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let read_all p = In_channel.with_open_text p In_channel.input_all
+let write_file p s = Out_channel.with_open_text p (fun oc -> output_string oc s)
 let graph () = Generators.holme_kim (Rng.create 95) ~n:200 ~m_per:4 ~p_triad:0.5 ~recip:0.3
 
 let test_catalog_roundtrip () =
@@ -34,6 +36,63 @@ let test_catalog_roundtrip () =
       check_bool "identical mu" true (e1.Catalog.mu = e2.Catalog.mu);
       check_int "identical samples" e1.Catalog.samples e2.Catalog.samples;
       check_bool "identical sizes" true (e1.Catalog.sizes = e2.Catalog.sizes))
+
+(* v3 keeps each entry's work statistics. *)
+let test_catalog_v3_roundtrip () =
+  let g = graph () in
+  let cat = Catalog.create ~h:3 ~z:200 g in
+  let patterns =
+    [ (Patterns.asymmetric_triangle, 2); (Patterns.diamond_x, 3); (Patterns.clique 4 ~cyclic:false, 3) ]
+  in
+  let entries = List.map (fun (q, v) -> Option.get (Catalog.entry cat q ~new_vertex:v)) patterns in
+  List.iter
+    (fun e -> check_int "a work pair per list" (List.length e.Catalog.sizes) (Array.length e.Catalog.kernel))
+    entries;
+  let path = Filename.temp_file "gf_cat" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Catalog.save cat path;
+      check_bool "v3 header" true
+        (String.starts_with ~prefix:"graphflow-catalog v3\n" (read_all path));
+      let cat2 = Catalog.load g path in
+      List.iter2
+        (fun (q, v) e1 ->
+          let e2 = Option.get (Catalog.entry cat2 q ~new_vertex:v) in
+          check_bool "identical entry" true (e1 = e2))
+        patterns entries;
+      check_int "nothing sampled after load" (Catalog.num_entries cat) (Catalog.num_entries cat2))
+
+(* A v2 file's entries load without work statistics and are sampled again
+   on first use, to what a fresh catalogue with the same parameters
+   samples. *)
+let test_catalog_v2_resampled () =
+  let g = graph () in
+  let cat = Catalog.create ~h:3 ~z:200 g in
+  let e1 = Option.get (Catalog.entry cat Patterns.diamond_x ~new_vertex:3) in
+  let path = Filename.temp_file "gf_cat" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Catalog.save cat path;
+      (* The same file as v2 wrote it: no work fields. *)
+      let v2 =
+        String.split_on_char '\n' (read_all path)
+        |> List.map (fun line ->
+               match String.split_on_char ' ' line with
+               | "graphflow-catalog" :: _ -> "graphflow-catalog v2"
+               | "entry" :: _ as f -> String.concat " " (List.filteri (fun i _ -> i < 6) f)
+               | "size" :: _ as f -> String.concat " " (List.filteri (fun i _ -> i < 5) f)
+               | _ -> line)
+        |> String.concat "\n"
+      in
+      write_file path v2;
+      let cat2 = Catalog.load g path in
+      check_int "v2 entries kept" (Catalog.num_entries cat) (Catalog.num_entries cat2);
+      let e2 = Option.get (Catalog.entry cat2 Patterns.diamond_x ~new_vertex:3) in
+      check_bool "re-sampled with work" true (Array.length e2.Catalog.kernel > 0);
+      check_bool "re-sampled = fresh" true (e1 = e2);
+      check_int "replaced, not added" (Catalog.num_entries cat) (Catalog.num_entries cat2))
 
 let test_catalog_load_then_extend () =
   (* A loaded catalogue still materializes new entries lazily. *)
@@ -71,9 +130,6 @@ let test_catalog_load_errors () =
   check_bool "orphan size" true (fails "graphflow-catalog v1\n3 100\nsize 0 f 0 1.0\n")
 
 (* --- crash-safe writes and structured catalog errors ------------------- *)
-
-let read_all p = In_channel.with_open_text p In_channel.input_all
-let write_file p s = Out_channel.with_open_text p (fun oc -> output_string oc s)
 
 let with_temp_dir f =
   let dir = Filename.temp_file "gf_persist" "" in
@@ -329,6 +385,8 @@ let suite =
     ( "persistence",
       [
         Alcotest.test_case "catalog roundtrip" `Quick test_catalog_roundtrip;
+        Alcotest.test_case "catalog v3 roundtrip keeps work" `Quick test_catalog_v3_roundtrip;
+        Alcotest.test_case "catalog v2 entries re-sampled" `Quick test_catalog_v2_resampled;
         Alcotest.test_case "load then extend" `Quick test_catalog_load_then_extend;
         Alcotest.test_case "load errors" `Quick test_catalog_load_errors;
         Alcotest.test_case "atomic write crash" `Quick test_atomic_file_crash;

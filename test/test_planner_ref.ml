@@ -69,10 +69,10 @@ module Reference = struct
     corrections : (Bitset.t -> float) option;
     cards : (int, float) Hashtbl.t;
     mus : (int * int, float) Hashtbl.t;
-    sizes : (int * int, float) Hashtbl.t;
+    exts : (int * int, (int * Catalog.stat) array * Catalog.work) Hashtbl.t;
   }
 
-  let work t = Hashtbl.length t.cards + Hashtbl.length t.mus + Hashtbl.length t.sizes
+  let work t = Hashtbl.length t.cards + Hashtbl.length t.mus + Hashtbl.length t.exts
 
   let induced_extension t ~child ~v =
     let sub, map = Query.induced t.q (Bitset.add v child) in
@@ -129,43 +129,104 @@ module Reference = struct
     let c = raw_card t s in
     match t.corrections with None -> c | Some f -> c *. f s
 
-  let total_descriptor_size t ~child ~v =
-    match Hashtbl.find_opt t.sizes (child, v) with
-    | Some s -> s
+  (* Each list of the extension, in [q]'s edge order, with its source
+     vertex and the catalogue's statistics for the induced pattern. *)
+  let ext t ~child ~v =
+    match Hashtbl.find_opt t.exts (child, v) with
+    | Some x -> x
     | None ->
         let sub, map, vpos = induced_extension t ~child ~v in
         let pos_of = Hashtbl.create 8 in
         Array.iteri (fun i ov -> Hashtbl.replace pos_of ov i) map;
-        let total = ref 0.0 in
-        Array.iter
-          (fun (e : Query.edge) ->
-            if e.dst = v && Bitset.mem e.src child then
-              total :=
-                !total
-                +. Catalog.descriptor_size t.cat sub ~new_vertex:vpos
-                     ~src:(Hashtbl.find pos_of e.src) ~dir:Graph.Fwd ~elabel:e.label
-            else if e.src = v && Bitset.mem e.dst child then
-              total :=
-                !total
-                +. Catalog.descriptor_size t.cat sub ~new_vertex:vpos
-                     ~src:(Hashtbl.find pos_of e.dst) ~dir:Graph.Bwd ~elabel:e.label)
-          t.q.Query.edges;
-        Hashtbl.replace t.sizes (child, v) !total;
-        !total
+        let ds =
+          Array.to_list t.q.Query.edges
+          |> List.filter_map (fun (e : Query.edge) ->
+                 if e.dst = v && Bitset.mem e.src child then Some (e.src, Graph.Fwd, e.label)
+                 else if e.src = v && Bitset.mem e.dst child then Some (e.dst, Graph.Bwd, e.label)
+                 else None)
+          |> Array.of_list
+        in
+        let stats, all =
+          Catalog.descriptor_stats t.cat sub ~new_vertex:vpos
+            (Array.map (fun (u, dir, l) -> (Hashtbl.find pos_of u, dir, l)) ds)
+        in
+        (* Past h + 1 vertices a list's step and stable work come from the
+           (h + 1)-vertex pattern of [v] and h old vertices reached from the
+           list's source: breadth first within [child], lowest vertex
+           first, neighbours of [v] before the others. *)
+        let stats =
+          if Query.num_vertices sub <= Catalog.h t.cat + 1 then stats
+          else
+            Array.map2
+              (fun (u, dir, l) (st : Catalog.stat) ->
+                let rec grow taken =
+                  if List.length taken = Catalog.h t.cat then taken
+                  else
+                    let adjacent w = List.exists (fun x -> Bitset.mem w (Query.neighbours t.q x)) taken in
+                    let cands =
+                      List.filter
+                        (fun w -> Bitset.mem w child && (not (List.mem w taken)) && adjacent w)
+                        (List.init (Query.num_vertices t.q) Fun.id)
+                    in
+                    let near = List.filter (fun w -> Bitset.mem w (Query.neighbours t.q v)) cands in
+                    match (near, cands) with
+                    | w :: _, _ | [], w :: _ -> grow (w :: taken)
+                    | [], [] -> taken
+                in
+                let part, map, vp = induced_extension t ~child:(Bitset.of_list (grow [ u ])) ~v in
+                let up = ref (-1) in
+                Array.iteri (fun i ov -> if ov = u then up := i) map;
+                let own, _ = Catalog.descriptor_stats t.cat part ~new_vertex:vp [| (!up, dir, l) |] in
+                { st with Catalog.step = own.(0).Catalog.step; stable = own.(0).Catalog.stable })
+              ds stats
+        in
+        let x = (Array.map2 (fun (u, _, _) st -> (u, st)) ds stats, all) in
+        Hashtbl.replace t.exts (child, v) x;
+        x
 
-  let extension_icost t ~chain ~child ~v =
-    let sources = Bitset.inter (Query.neighbours t.q v) child in
-    let multiplier =
-      if t.cache_conscious then begin
+  (* The edges between [a] and [b]: direction and label. *)
+  let links t a b =
+    Array.to_list t.q.Query.edges
+    |> List.filter_map (fun (e : Query.edge) ->
+           if e.src = a && e.dst = b then Some (true, e.label)
+           else if e.src = b && e.dst = a then Some (false, e.label)
+           else None)
+
+  (* The run kernel's work: [last]'s list varies, the others form [S]. *)
+  let extension_cost t ~chain ~last ~child ~v =
+    let lists, all = ext t ~child ~v in
+    let tuples = card t child in
+    let stable =
+      List.filter (fun u -> u <> last)
+        (Array.to_list (Bitset.to_array (Bitset.inter (Query.neighbours t.q v) child)))
+    in
+    let ns = List.length stable in
+    let own =
+      List.hd chain <> child
+      && Query.vlabel t.q last = Query.vlabel t.q v
+      && List.for_all
+           (fun p -> links t p last = links t p v)
+           (Array.to_list (Bitset.to_array (Bitset.remove last child)))
+    in
+    let s_features work =
+      if ns < 2 || own then Cost.zero
+      else begin
+        let sources = Bitset.of_list stable in
         let rec find = function
           | [] -> child
           | prefix :: rest -> if Bitset.subset sources prefix then prefix else find rest
         in
-        Float.min (card t (find chain)) (card t child)
+        let per = if t.cache_conscious then Float.min tuples (card t (find chain)) else tuples in
+        { (Cost.work per work) with intersections = per }
       end
-      else card t child
     in
-    multiplier *. total_descriptor_size t ~child ~v
+    Cost.price
+      (match List.find_opt (fun (u, _) -> u = last) (Array.to_list lists) with
+      | None -> Cost.add { Cost.zero with tuples } (s_features all)
+      | Some _ when ns = 0 -> { Cost.zero with tuples }
+      | Some (_, st) ->
+          Cost.add { (Cost.work tuples st.Catalog.step) with candidates = tuples }
+            (s_features st.Catalog.stable))
 
   let hash_join_cost t s1 s2 = (t.weights.Cost.w1 *. card t s1) +. (t.weights.Cost.w2 *. card t s2)
 
@@ -190,7 +251,9 @@ module Reference = struct
           then begin
             let s' = Bitset.add v subset in
             let c =
-              cost +. extension_icost model ~chain:(List.rev chain_rev) ~child:subset ~v
+              cost
+              +. extension_cost model ~chain:(List.rev chain_rev) ~last:(List.hd order_rev)
+                   ~child:subset ~v
             in
             dfs s' (s' :: chain_rev) c (v :: order_rev)
           end
@@ -211,7 +274,7 @@ module Reference = struct
       corrections;
       cards = Hashtbl.create 64;
       mus = Hashtbl.create 64;
-      sizes = Hashtbl.create 64;
+      exts = Hashtbl.create 64;
     }
 
   (* [Planner.search] with the default plan space ([Hybrid], no beam). *)
@@ -258,7 +321,9 @@ module Reference = struct
               if Bitset.inter (Query.neighbours q v) child <> Bitset.empty then
                 match Hashtbl.find_opt table child with
                 | Some ci ->
-                    let c = ci.cost +. extension_icost model ~chain:ci.chain ~child ~v in
+                    let vars = Plan.vars ci.plan in
+                    let last = vars.(Array.length vars - 1) in
+                    let c = ci.cost +. extension_cost model ~chain:ci.chain ~last ~child ~v in
                     best :=
                       consider !best
                         { plan = Plan.extend q ci.plan v; cost = c; chain = ci.chain @ [ s ] }
