@@ -24,7 +24,15 @@ let of_array a =
     probed = a.(5);
   }
 
-let add a b = of_array (Array.map2 ( +. ) (to_array a) (to_array b))
+let add a b =
+  {
+    candidates = a.candidates +. b.candidates;
+    tuples = a.tuples +. b.tuples;
+    intersections = a.intersections +. b.intersections;
+    merged = a.merged +. b.merged;
+    galloped = a.galloped +. b.galloped;
+    probed = a.probed +. b.probed;
+  }
 
 let work n (w : Gf_catalog.Catalog.work) =
   { zero with merged = n *. w.merged; galloped = n *. w.galloped; probed = n *. w.probed }
@@ -39,7 +47,7 @@ let kernel =
     probed = 0.0;
   }
 
-let default_weights = { w1 = 585.0; w2 = 68.0 }
+let default_weights = { w1 = 180.0; w2 = 60.0 }
 
 let price_at k f =
   (k.candidates *. f.candidates)

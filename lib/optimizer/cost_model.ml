@@ -18,7 +18,7 @@ type t = {
   conn : Bytes.t; (* vertex set -> connected? 'y' / 'n' / unknown; empty if too many sets *)
   cards : (int, float) Hashtbl.t;
   mus : (int * int, float) Hashtbl.t;
-  sizes : (int * int, ext) Hashtbl.t; (* (child_set, v) -> its lists' statistics *)
+  exts : (int * int, ext) Hashtbl.t; (* (child_set, v) -> its lists' statistics *)
   bases : (int * int, float) Hashtbl.t; (* catalogue mu of extensions to <= h + 1 vertices *)
   induced : (int, Query.t) Hashtbl.t; (* vertex set -> induced sub-query *)
 }
@@ -37,7 +37,7 @@ let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?correcti
        if m <= 16 then Bytes.make (1 lsl m) '?' else Bytes.empty);
     cards = Hashtbl.create 64;
     mus = Hashtbl.create 64;
-    sizes = Hashtbl.create 64;
+    exts = Hashtbl.create 64;
     bases = Hashtbl.create 64;
     induced = Hashtbl.create 64;
   }
@@ -47,7 +47,7 @@ let cache_conscious t = t.cache_conscious
 let weights t = t.weights
 let uncorrected t = { t with corrections = None }
 
-let work t = Hashtbl.length t.cards + Hashtbl.length t.mus + Hashtbl.length t.sizes
+let work t = Hashtbl.length t.cards + Hashtbl.length t.mus + Hashtbl.length t.exts
 
 (* Whether [s] induces a connected sub-query, memoized per vertex set for
    queries small enough to index every set. *)
@@ -262,11 +262,11 @@ let estimate_cardinality cat q =
   if n < 2 || not (Query.is_connected q) then 0.0 else card (create cat q) (Bitset.full n)
 
 let ext t ~child ~v =
-  match Hashtbl.find_opt t.sizes (child, v) with
+  match Hashtbl.find_opt t.exts (child, v) with
   | Some x -> x
   | None ->
       let x = ext_of t ~child ~v in
-      Hashtbl.replace t.sizes (child, v) x;
+      Hashtbl.replace t.exts (child, v) x;
       x
 
 let descriptor_sizes t ~child ~v = (ext t ~child ~v).sizes

@@ -1,5 +1,7 @@
 (** The optimizer's estimation layer: per-query memoized cardinalities and
-    the i-cost of candidate operators, backed by the subgraph catalogue.
+    the cost of candidate operators, backed by the subgraph catalogue: the
+    kernel work the planner minimizes ({!extension_cost}) and the Eq. 1
+    i-cost EXPLAIN estimates ({!extension_icost}).
 
     The "chain" of a plan is the sequence of sub-query vertex sets from the
     anchor of its root E/I chain (a SCAN pair or a HASH-JOIN output) to the

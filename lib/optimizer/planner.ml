@@ -89,7 +89,7 @@ let greedy_cost model nbrs (e : Query.edge) =
 
    With [~prune:true], a prefix costing strictly more than the cheapest
    complete ordering found so far (initially the greedy one) is neither
-   visited nor extended. Eq. 1 terms are non-negative, so every prefix of
+   visited nor extended. Cost terms are non-negative, so every prefix of
    an ordering that costs at most the optimum is still visited, in the same
    order: each vertex set whose cheapest ordering costs at most the optimum
    still sees that ordering first. *)
