@@ -915,40 +915,48 @@ let ablation_projection_constraint () =
 
 (* Section 4.2's calibration in the planner's unit, nanoseconds. First the
    E/I prices: every WCO ordering of the wco-heavy queries on their graph
-   (Q14's every 60th), each plan's summed features against its best time
-   over [rounds] interleaved rounds, counted at the root, fitted by
-   least squares. Then the HASH-JOIN weights: seconds become cost units
-   through those E/I plans, and BJ plans' build and probe tuples are
-   fitted in them. *)
+   (Q14's every 60th), whose E/Is are mostly kernel calls, and of Figure
+   7's path- and star-shaped Q2, Q11, Q12 and Q13 on amazon (every 4th for
+   Q12 and Q13), whose E/Is are mostly not; each plan's summed features
+   against its best time over [rounds] interleaved rounds, counted at the
+   root, fitted by least squares of relative error. Then the HASH-JOIN
+   weights: seconds become cost units through those E/I plans, and BJ
+   plans' build and probe tuples are fitted in them. *)
 let ablation_hashjoin_weights () =
   let sc = 2.0 *. scale in
   header
-    (Printf.sprintf "Calibration: E/I prices and HASH-JOIN weights in ns (Section 4.2, google %.2f)"
-       sc);
-  let g = dataset_at (Gf.Generators.Google, sc) in
-  let cat = Gf.Db.catalog (Gf.Db.create g) in
+    (Printf.sprintf
+       "Calibration: E/I prices and HASH-JOIN weights in ns (Section 4.2, google %.2f, amazon %.3f)" sc
+       spectrum_scale);
   let rounds = 5 in
-  let plans =
+  let orderings g cat queries keep =
     List.concat_map
       (fun qi ->
         let q = Gf.Patterns.q qi in
         Gf.Planner.all_wco_orders cat q
-        |> List.filteri (fun i _ -> qi <> 14 || i mod 60 = 0)
-        |> List.map (fun (o, _) -> (qi, Gf.Plan.wco q o, Gf.Planner.wco_order_features cat q o)))
-      [ 1; 3; 4; 5; 6; 7; 14 ]
-    |> Array.of_list
+        |> List.filteri (fun i _ -> keep qi i)
+        |> List.map (fun (o, _) -> (g, qi, Gf.Plan.wco q o, Gf.Planner.wco_order_features cat q o)))
+      queries
+  in
+  let google = dataset_at (Gf.Generators.Google, sc) in
+  let amazon = dataset_at (Gf.Generators.Amazon, spectrum_scale) in
+  let plans =
+    Array.of_list
+      (orderings google (Gf.Db.catalog (Gf.Db.create google)) [ 1; 3; 4; 5; 6; 7; 14 ]
+         (fun qi i -> qi <> 14 || i mod 60 = 0)
+      @ orderings amazon (catalog amazon) [ 2; 11; 12; 13 ] (fun qi i -> qi < 12 || i mod 4 = 0))
   in
   let best = Array.make (Array.length plans) infinity in
   (* After the first round a plan over 3x its query's fastest is dropped:
      the fit is for telling close plans apart. *)
-  let fastest qi =
+  let fastest g qi =
     Array.fold_left min infinity
-      (Array.mapi (fun i (qj, _, _) -> if qi = qj then best.(i) else infinity) plans)
+      (Array.mapi (fun i (g', qj, _, _) -> if g == g' && qi = qj then best.(i) else infinity) plans)
   in
   for r = 1 to rounds do
     Array.iteri
-      (fun i (qi, p, _) ->
-        if r = 1 || best.(i) <= 3.0 *. fastest qi then begin
+      (fun i (g, qi, p, _) ->
+        if r = 1 || best.(i) <= 3.0 *. fastest g qi then begin
           let t, _ = time_once (fun () -> Gf.Exec.run_gov g p) in
           best.(i) <- Float.min best.(i) t
         end)
@@ -956,8 +964,8 @@ let ablation_hashjoin_weights () =
   done;
   let samples =
     List.filteri
-      (fun i _ -> let qi, _, _ = plans.(i) in best.(i) <= 3.0 *. fastest qi)
-      (Array.to_list (Array.mapi (fun i (_, _, f) -> (f, best.(i))) plans))
+      (fun i _ -> let g, qi, _, _ = plans.(i) in best.(i) <= 3.0 *. fastest g qi)
+      (Array.to_list (Array.mapi (fun i (_, _, _, f) -> (f, best.(i))) plans))
   in
   let fitted = Gf.Cost.fit samples in
   let error prices =
@@ -977,7 +985,7 @@ let ablation_hashjoin_weights () =
   show "in use" Gf.Cost.kernel;
   let ei = List.map (fun (f, t) -> (Gf.Cost.price f, t)) samples in
   (* HASH-JOIN profile points from BJ-style joins of sub-plans. *)
-  let g = dataset_at (Gf.Generators.Amazon, spectrum_scale) in
+  let g = amazon in
   let hj =
     List.concat_map
       (fun qi ->

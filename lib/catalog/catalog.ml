@@ -245,9 +245,14 @@ let global_size t qk ~new_vertex (src, dir, elabel) =
   avg_partition_size t ~dir ~slabel:(Query.vlabel qk src) ~elabel
     ~nlabel:(Query.vlabel qk new_vertex)
 
+type extension = { mu : float option; stats : stat array; all : work }
+
 let descriptor_stats t qk ~new_vertex descriptors =
-  let global () = analytic (Array.map (global_size t qk ~new_vertex) descriptors) in
-  if Query.num_vertices qk > t.h + 1 then global ()
+  let global mu =
+    let stats, all = analytic (Array.map (global_size t qk ~new_vertex) descriptors) in
+    { mu; stats; all }
+  in
+  if Query.num_vertices qk > t.h + 1 then global None
   else begin
     let ((_, perm) as canon) = Canon.code ~mark:new_vertex qk in
     let e = find_entry t qk new_vertex canon in
@@ -260,19 +265,23 @@ let descriptor_stats t qk ~new_vertex descriptors =
       go 0 e.sizes
     in
     let found = Array.map index descriptors in
-    if e.samples = 0 || Array.exists Option.is_none found then global ()
+    if e.samples = 0 || Array.exists Option.is_none found then global (Some e.mu)
     else
-      ( Array.map
-          (fun i ->
-            let i = Option.get i in
-            let step, stable = e.kernel.(i) in
-            { size = snd (List.nth e.sizes i); step; stable })
-          found,
-        e.all_work )
+      {
+        mu = Some e.mu;
+        stats =
+          Array.map
+            (fun i ->
+              let i = Option.get i in
+              let step, stable = e.kernel.(i) in
+              { size = snd (List.nth e.sizes i); step; stable })
+            found;
+        all = e.all_work;
+      }
   end
 
 let descriptor_size t qk ~new_vertex ~src ~dir ~elabel =
-  (fst (descriptor_stats t qk ~new_vertex [| (src, dir, elabel) |])).(0).size
+  (descriptor_stats t qk ~new_vertex [| (src, dir, elabel) |]).stats.(0).size
 
 (* ---------- exhaustive construction (Tables 10-11) ---------- *)
 
@@ -565,7 +574,7 @@ let q_error ~estimate ~truth =
   let e = Float.max 1.0 estimate and r = Float.max 1.0 truth in
   Float.max (e /. r) (r /. e)
 
-let pp_entry fmt e =
+let pp_entry fmt (e : entry) =
   Format.fprintf fmt "mu=%.3f samples=%d sizes=[%s]" e.mu e.samples
     (String.concat "; "
        (List.map

@@ -96,17 +96,18 @@ val descriptor_size :
   elabel:int ->
   float
 
-(** [descriptor_stats cat qk ~new_vertex ds] is the {!stat} of each
-    descriptor [(src, dir, elabel)] of [ds] (sources are [qk]'s vertex
-    ids) and the work of intersecting all of them, from the entry for
-    extending [qk minus new_vertex] to [qk]. An oversize or unmeasured
-    extension gets global label averages for sizes and {!analytic} work. *)
+(** What the catalogue knows of one extension: the entry's [mu] ([None]
+    when the pattern has more than [h + 1] vertices), each descriptor's
+    {!stat} and the work of intersecting all of them. *)
+type extension = { mu : float option; stats : stat array; all : work }
+
+(** [descriptor_stats cat qk ~new_vertex ds] is the {!extension} of
+    [qk minus new_vertex] to [qk] for the descriptors [(src, dir, elabel)]
+    of [ds] (sources are [qk]'s vertex ids), from one lookup of its entry.
+    An oversize or unmeasured extension gets global label averages for
+    sizes and {!analytic} work. *)
 val descriptor_stats :
-  t ->
-  Gf_query.Query.t ->
-  new_vertex:int ->
-  (int * Gf_graph.Graph.direction * int) array ->
-  stat array * work
+  t -> Gf_query.Query.t -> new_vertex:int -> (int * Gf_graph.Graph.direction * int) array -> extension
 
 (** [analytic sizes] prices lists of [sizes] without a walk: no list has a
     bitmap row and an intersection is as long as its shortest input. It

@@ -39,11 +39,11 @@ let work n (w : Gf_catalog.Catalog.work) =
 
 let kernel =
   {
-    candidates = 80.0;
-    tuples = 0.0;
-    intersections = 40.0;
-    merged = 0.8;
-    galloped = 7.5;
+    candidates = 65.0;
+    tuples = 14.0;
+    intersections = 44.0;
+    merged = 1.45;
+    galloped = 7.7;
     probed = 0.0;
   }
 

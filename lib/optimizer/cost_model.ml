@@ -19,7 +19,9 @@ type t = {
   cards : (int, float) Hashtbl.t;
   mus : (int * int, float) Hashtbl.t;
   exts : (int * int, ext) Hashtbl.t; (* (child_set, v) -> its lists' statistics *)
-  bases : (int * int, float) Hashtbl.t; (* catalogue mu of extensions to <= h + 1 vertices *)
+  views : (int * int, int array * Catalog.extension) Hashtbl.t;
+      (* (old part, v) -> its descriptors' sources and the catalogue's
+         view of the extension, for at most h + 1 vertices *)
   induced : (int, Query.t) Hashtbl.t; (* vertex set -> induced sub-query *)
 }
 
@@ -38,7 +40,7 @@ let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?correcti
     cards = Hashtbl.create 64;
     mus = Hashtbl.create 64;
     exts = Hashtbl.create 64;
-    bases = Hashtbl.create 64;
+    views = Hashtbl.create 64;
     induced = Hashtbl.create 64;
   }
 
@@ -85,22 +87,31 @@ let induced t s =
 let rank s v = Bitset.cardinal (Bitset.inter s ((1 lsl v) - 1))
 let small t s = Bitset.cardinal s <= Catalog.h t.cat + 1
 
-(* The catalogue selectivity of an extension to at most h + 1 vertices. *)
-let base t ~child ~v =
-  match Hashtbl.find_opt t.bases (child, v) with
-  | Some m -> m
-  | None ->
-      let s = Bitset.add v child in
-      let m = (Option.get (Catalog.entry t.cat (induced t s) ~new_vertex:(rank s v))).mu in
-      Hashtbl.replace t.bases (child, v) m;
-      m
-
 (* The descriptors of extending [child] by [v], in the order of [q]'s
    edges, and each one's source vertex. *)
 let descriptors t ~child ~v =
   let sources = Bitset.to_array child in
   let ds = Plan.descriptors t.q sources v in
   (ds, Array.map (fun (d : Plan.descriptor) -> sources.(d.pos)) ds)
+
+(* The catalogue entry of extending [old] by [v] (at most h + 1 vertices),
+   looked up once per query: its mu and its lists' statistics. *)
+let view t ~old ~v =
+  match Hashtbl.find_opt t.views (old, v) with
+  | Some x -> x
+  | None ->
+      let s = Bitset.add v old in
+      let ds, src = descriptors t ~child:old ~v in
+      let x =
+        ( src,
+          Catalog.descriptor_stats t.cat (induced t s) ~new_vertex:(rank s v)
+            (Array.mapi (fun i (d : Plan.descriptor) -> (rank s src.(i), d.dir, d.elabel)) ds) )
+      in
+      Hashtbl.replace t.views (old, v) x;
+      x
+
+(* The catalogue selectivity of an extension to at most h + 1 vertices. *)
+let base t ~child ~v = Option.get (snd (view t ~old:child ~v)).mu
 
 (* The global label averages of those lists' sizes: an extension to more
    than h + 1 vertices has no catalogue entry. *)
@@ -111,71 +122,27 @@ let global_sizes t ~v ds src =
         ~elabel:d.elabel ~nlabel:(Query.vlabel t.q v))
     ds
 
-(* The h vertices of [child] grown from [u], each step adding the lowest
-   vertex adjacent to those taken, a neighbour of [v] first. *)
-let grow t ~child ~v u =
-  let h = Catalog.h t.cat in
-  let rec go set =
-    if Bitset.cardinal set = h then set
-    else begin
-      let front = ref Bitset.empty in
-      Bitset.iter (fun w -> front := Bitset.union !front t.nbrs.(w)) set;
-      let front = Bitset.diff (Bitset.inter !front child) set in
-      if front = Bitset.empty then set
-      else
-        let near = Bitset.inter front t.nbrs.(v) in
-        go (Bitset.add (Bitset.min_elt (if near = Bitset.empty then front else near)) set)
-    end
-  in
-  go (Bitset.singleton u)
-
-(* The lists intersected when extending [child] by [v]. Past h + 1
-   vertices, sizes are the global label averages, read without inducing
-   the pattern, and the intersection work {!Catalog.analytic}'s on them,
-   except each list's own step and stable work as the varying list: those
-   come from the entry of the (h + 1)-vertex sub-pattern of [v] and the
-   old part {!grow}n from the list's source, so that the list's direction
-   and its hubs' bitmap rows still count. *)
-let ext_of t ~child ~v =
-  let s = Bitset.add v child in
-  let ds, src = descriptors t ~child ~v in
-  let stats, all =
-    if small t s then
-      Catalog.descriptor_stats t.cat (induced t s) ~new_vertex:(rank s v)
-        (Array.mapi (fun i (d : Plan.descriptor) -> (rank s src.(i), d.dir, d.elabel)) ds)
-    else begin
-      let stats, all = Catalog.analytic (global_sizes t ~v ds src) in
-      ( Array.mapi
-          (fun i (st : Catalog.stat) ->
-            let sub = Bitset.add v (grow t ~child ~v src.(i)) in
-            let own, _ =
-              Catalog.descriptor_stats t.cat (induced t sub) ~new_vertex:(rank sub v)
-                [| (rank sub src.(i), ds.(i).dir, ds.(i).elabel) |]
-            in
-            { st with step = own.(0).step; stable = own.(0).stable })
-          stats,
-        all )
-    end
-  in
-  { src; sizes = Array.map (fun (st : Catalog.stat) -> st.size) stats; stats; all }
-
-(* Section 5.2's removals: every set of |old| - h old vertices, in a fixed
-   order, and the minimum of [base] over the old parts they leave. *)
-let min_over_removals t ~old ~base =
+(* Every h-vertex part of [old] that Section 5.2's removals of |old| - h
+   vertices leave, in a fixed order. *)
+let parts t old =
   let members = Bitset.to_array old in
   let want = Array.length members - Catalog.h t.cat in
-  let candidates = ref [] in
+  let acc = ref [] in
   let rec choose picked count start =
-    if count = want then candidates := picked :: !candidates
+    if count = want then acc := Bitset.diff old picked :: !acc
     else
       for i = start to Array.length members - 1 do
         choose (Bitset.add members.(i) picked) (count + 1) (i + 1)
       done
   in
   choose Bitset.empty 0 0;
+  !acc
+
+(* The minimum of [base] over those parts. *)
+let min_over_removals t ~old ~base =
   List.fold_left
-    (fun best rm -> match base (Bitset.diff old rm) with Some m when m < best -> m | _ -> best)
-    infinity !candidates
+    (fun best rest -> match base rest with Some m when m < best -> m | _ -> best)
+    infinity (parts t old)
 
 (* Section 5.2's fallback for an extension to more than h + 1 vertices: the
    least catalogue selectivity over the query's own (h + 1)-vertex
@@ -194,6 +161,51 @@ let fallback t ~child ~v =
     let ds, src = descriptors t ~child ~v in
     let m = Array.fold_left Float.min infinity (global_sizes t ~v ds src) in
     if m = infinity then 1.0 else m
+
+(* Past h + 1 vertices, the work of [u]'s list as the varying one: the
+   least over the (h + 1)-vertex sub-patterns of [v] and a connected
+   h-vertex part of [child] that holds [u], step work first, as Section
+   5.2 takes the least selectivity. Those parts are the query's own, so
+   the value does not depend on how the query numbers its vertices. *)
+let part_stat t ~child ~v u =
+  let price w = Cost.price (Cost.work 1.0 w) in
+  List.fold_left
+    (fun best old ->
+      if not (Bitset.mem u old && connected t old) then best
+      else begin
+        let src, x = view t ~old ~v in
+        let rec find j = if src.(j) = u then x.stats.(j) else find (j + 1) in
+        let st = find 0 in
+        let key = (price st.step, price st.stable) in
+        match best with Some (k, _) when k <= key -> best | _ -> Some (key, st)
+      end)
+    None (parts t child)
+  |> Option.map snd
+
+(* The lists intersected when extending [child] by [v]. Past h + 1
+   vertices, sizes are the global label averages, read without inducing
+   the pattern, and the intersection work {!Catalog.analytic}'s on them,
+   except each list's own step and stable work as the varying list
+   ({!part_stat}), so that the list's direction and its hubs' bitmap rows
+   still count. *)
+let ext_of t ~child ~v =
+  if small t (Bitset.add v child) then begin
+    let src, x = view t ~old:child ~v in
+    { src; sizes = Array.map (fun (st : Catalog.stat) -> st.size) x.stats; stats = x.stats; all = x.all }
+  end
+  else begin
+    let ds, src = descriptors t ~child ~v in
+    let stats, all = Catalog.analytic (global_sizes t ~v ds src) in
+    let stats =
+      Array.mapi
+        (fun i (st : Catalog.stat) ->
+          match part_stat t ~child ~v src.(i) with
+          | Some own -> { st with step = own.step; stable = own.stable }
+          | None -> st)
+        stats
+    in
+    { src; sizes = Array.map (fun (st : Catalog.stat) -> st.size) stats; stats; all }
+  end
 
 let mu t ~child ~v =
   match Hashtbl.find_opt t.mus (child, v) with

@@ -146,38 +146,42 @@ module Reference = struct
                  else None)
           |> Array.of_list
         in
-        let stats, all =
+        let { Catalog.stats; all; _ } =
           Catalog.descriptor_stats t.cat sub ~new_vertex:vpos
             (Array.map (fun (u, dir, l) -> (Hashtbl.find pos_of u, dir, l)) ds)
         in
         (* Past h + 1 vertices a list's step and stable work come from the
-           (h + 1)-vertex pattern of [v] and h old vertices reached from the
-           list's source: breadth first within [child], lowest vertex
-           first, neighbours of [v] before the others. *)
+           (h + 1)-vertex patterns of [v] and h connected vertices of
+           [child] holding the list's source: the least step work, then
+           the least stable work. *)
         let stats =
           if Query.num_vertices sub <= Catalog.h t.cat + 1 then stats
           else
+            let price w = Cost.price (Cost.work 1.0 w) in
             Array.map2
               (fun (u, dir, l) (st : Catalog.stat) ->
-                let rec grow taken =
-                  if List.length taken = Catalog.h t.cat then taken
-                  else
-                    let adjacent w = List.exists (fun x -> Bitset.mem w (Query.neighbours t.q x)) taken in
-                    let cands =
-                      List.filter
-                        (fun w -> Bitset.mem w child && (not (List.mem w taken)) && adjacent w)
-                        (List.init (Query.num_vertices t.q) Fun.id)
+                let best = ref None in
+                for part = 1 to Bitset.full (Query.num_vertices t.q) do
+                  if
+                    Bitset.subset part child && Bitset.mem u part
+                    && Bitset.cardinal part = Catalog.h t.cat
+                    && Query.is_connected_subset t.q part
+                  then begin
+                    let psub, map, vp = induced_extension t ~child:part ~v in
+                    let up = ref (-1) in
+                    Array.iteri (fun i ov -> if ov = u then up := i) map;
+                    let own =
+                      (Catalog.descriptor_stats t.cat psub ~new_vertex:vp [| (!up, dir, l) |]).stats.(0)
                     in
-                    let near = List.filter (fun w -> Bitset.mem w (Query.neighbours t.q v)) cands in
-                    match (near, cands) with
-                    | w :: _, _ | [], w :: _ -> grow (w :: taken)
-                    | [], [] -> taken
-                in
-                let part, map, vp = induced_extension t ~child:(Bitset.of_list (grow [ u ])) ~v in
-                let up = ref (-1) in
-                Array.iteri (fun i ov -> if ov = u then up := i) map;
-                let own, _ = Catalog.descriptor_stats t.cat part ~new_vertex:vp [| (!up, dir, l) |] in
-                { st with Catalog.step = own.(0).Catalog.step; stable = own.(0).Catalog.stable })
+                    let key = (price own.Catalog.step, price own.Catalog.stable) in
+                    match !best with
+                    | Some (k, _) when k <= key -> ()
+                    | _ -> best := Some (key, own)
+                  end
+                done;
+                match !best with
+                | Some (_, own) -> { st with Catalog.step = own.Catalog.step; stable = own.Catalog.stable }
+                | None -> st)
               ds stats
         in
         let x = (Array.map2 (fun (u, _, _) st -> (u, st)) ds stats, all) in
