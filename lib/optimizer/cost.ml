@@ -59,6 +59,9 @@ let price_at k f =
 
 let price f = price_at kernel f
 
+let price_work (w : Gf_catalog.Catalog.work) =
+  (kernel.merged *. w.merged) +. (kernel.galloped *. w.galloped) +. (kernel.probed *. w.probed)
+
 (* Gaussian elimination with partial pivoting on the augmented [m] x
    [m + 1] matrix [a]; an unknown without a pivot is 0. *)
 let gauss a m =

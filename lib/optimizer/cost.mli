@@ -42,6 +42,10 @@ val price_at : features -> features -> float
 
 val price : features -> float
 
+(** [price_work w] is one intersection of work [w] at {!kernel}'s
+    per-element prices. *)
+val price_work : Gf_catalog.Catalog.work -> float
+
 (** [fit samples] is the price of each feature, non-negative, that
     least-squares fits [(features, seconds)] samples by relative error:
     whole plans' summed features against their run times. {!kernel} when

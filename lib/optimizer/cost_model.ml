@@ -23,6 +23,9 @@ type t = {
       (* (old part, v) -> its descriptors' sources and the catalogue's
          view of the extension, for at most h + 1 vertices *)
   induced : (int, Query.t) Hashtbl.t; (* vertex set -> induced sub-query *)
+  link : int array;
+      (* [a * m + b] -> the edge between [a] and [b]: 2 * label from [a],
+         2 * label + 1 into [a], -1 none (one edge per pair, as planned) *)
 }
 
 let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?corrections
@@ -42,6 +45,15 @@ let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?correcti
     exts = Hashtbl.create 64;
     views = Hashtbl.create 64;
     induced = Hashtbl.create 64;
+    link =
+      (let m = Query.num_vertices q in
+       let a = Array.make (m * m) (-1) in
+       Array.iter
+         (fun (e : Query.edge) ->
+           a.((e.src * m) + e.dst) <- 2 * e.label;
+           a.((e.dst * m) + e.src) <- (2 * e.label) + 1)
+         q.Query.edges;
+       a);
   }
 
 let query t = t.q
@@ -311,42 +323,72 @@ let extension_icost t ~chain ~child ~v =
 let twins t p u v =
   Query.vlabel t.q u = Query.vlabel t.q v
   &&
-  let key (d : Plan.descriptor) = (d.pos, d.dir, d.elabel) in
-  let links w = List.sort compare (List.map key (Array.to_list (Plan.descriptors t.q (Bitset.to_array p) w))) in
-  links u = links v
+  let m = Array.length t.nbrs in
+  let rec same r =
+    r = Bitset.empty
+    ||
+    let w = Bitset.min_elt r in
+    t.link.((w * m) + u) = t.link.((w * m) + v) && same (Bitset.remove w r)
+  in
+  same p
+
+(* The index of [last]'s list among [x]'s, the varying one, or -1. *)
+let varying x last =
+  let n = Array.length x.src in
+  let i = ref 0 in
+  while !i < n && x.src.(!i) <> last do
+    incr i
+  done;
+  if !i = n then -1 else !i
+
+(* How many times [S], the intersection of [ns] stable lists, is
+   computed: never for one list, read in place, or when it is each run's
+   own candidate slice; else once per distinct binding of its sources. *)
+let s_count t ~chain ~last ~child ~v ~ns ~tuples =
+  if ns < 2 then 0.0
+  else begin
+    let i = ref 0 in
+    while !i < Array.length chain && chain.(!i) <> child do
+      incr i
+    done;
+    if !i >= 1 && !i < Array.length chain && twins t chain.(!i - 1) last v then 0.0
+    else if t.cache_conscious then
+      Float.min tuples
+        (card t (cover ~chain ~child (Bitset.remove last (Bitset.inter t.nbrs.(v) child))))
+    else tuples
+  end
+
+let ext_checked t ~child ~v =
+  let x = ext t ~child ~v in
+  if Array.length x.src = 0 then invalid_arg "Cost_model.extension_cost: no descriptors";
+  x
 
 let extension_features t ~chain ~last ~child ~v =
-  let x = ext t ~child ~v in
-  let n = Array.length x.src in
-  if n = 0 then invalid_arg "Cost_model.extension_features: no descriptors";
-  let tuples = card t child in
-  let rec varying i = if i = n then -1 else if x.src.(i) = last then i else varying (i + 1) in
-  let vi = varying 0 in
-  let ns = if vi < 0 then n else n - 1 in
-  (* [S], the stable lists' intersection: nothing to do for one list, read
-     in place, or when it is each run's own candidate slice; else
-     intersected once per distinct binding of its sources. *)
-  let s_features work =
-    let rec index i = if i = Array.length chain || chain.(i) = child then i else index (i + 1) in
-    let i = index 0 in
-    if ns < 2 || (i >= 1 && i < Array.length chain && twins t chain.(i - 1) last v) then Cost.zero
-    else
-      let per =
-        if t.cache_conscious then
-          Float.min tuples
-            (card t (cover ~chain ~child (Bitset.remove last (Bitset.inter t.nbrs.(v) child))))
-        else tuples
-      in
-      { (Cost.work per work) with intersections = per }
-  in
-  if vi < 0 then Cost.add { Cost.zero with tuples } (s_features x.all)
+  let x = ext_checked t ~child ~v and tuples = card t child in
+  let vi = varying x last in
+  let ns = Array.length x.src - if vi < 0 then 0 else 1 in
+  let per = s_count t ~chain ~last ~child ~v ~ns ~tuples in
+  let s work = { (Cost.work per work) with intersections = per } in
+  if vi < 0 then Cost.add { Cost.zero with tuples } (s x.all)
   else if ns = 0 then { Cost.zero with tuples }
   else
     let st = x.stats.(vi) in
-    Cost.add { (Cost.work tuples st.step) with candidates = tuples } (s_features st.stable)
+    Cost.add { (Cost.work tuples st.step) with candidates = tuples } (s st.stable)
 
+(* {!extension_features} at {!Cost.price}, summed without building them:
+   the planner calls this once per ordering prefix. *)
 let extension_cost t ~chain ~last ~child ~v =
-  Cost.price (extension_features t ~chain ~last ~child ~v)
+  let x = ext_checked t ~child ~v and tuples = card t child in
+  let k = Cost.kernel in
+  let vi = varying x last in
+  let ns = Array.length x.src - if vi < 0 then 0 else 1 in
+  let per = s_count t ~chain ~last ~child ~v ~ns ~tuples in
+  let s work = if per = 0.0 then 0.0 else per *. (k.intersections +. Cost.price_work work) in
+  if vi < 0 then (tuples *. k.tuples) +. s x.all
+  else if ns = 0 then tuples *. k.tuples
+  else
+    let st = x.stats.(vi) in
+    (tuples *. (k.candidates +. Cost.price_work st.step)) +. s st.stable
 
 let hash_join_cost t s1 s2 =
   (t.weights.Cost.w1 *. card t s1) +. (t.weights.Cost.w2 *. card t s2)

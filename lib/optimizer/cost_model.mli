@@ -94,8 +94,9 @@ val extension_icost :
 val extension_features :
   t -> chain:Gf_util.Bitset.t array -> last:int -> child:Gf_util.Bitset.t -> v:int -> Cost.features
 
-(** [extension_cost] is {!extension_features} at {!Cost.price}: the
-    planner's cost of the E/I, never negative. *)
+(** [extension_cost] is {!extension_features} at {!Cost.price} (up to
+    rounding), summed without building the features: the planner's cost
+    of the E/I, never negative. *)
 val extension_cost :
   t -> chain:Gf_util.Bitset.t array -> last:int -> child:Gf_util.Bitset.t -> v:int -> float
 

@@ -212,25 +212,23 @@ module Reference = struct
            (fun p -> links t p last = links t p v)
            (Array.to_list (Bitset.to_array (Bitset.remove last child)))
     in
-    let s_features work =
-      if ns < 2 || own then Cost.zero
+    let per =
+      if ns < 2 || own then 0.0
       else begin
         let sources = Bitset.of_list stable in
         let rec find = function
           | [] -> child
           | prefix :: rest -> if Bitset.subset sources prefix then prefix else find rest
         in
-        let per = if t.cache_conscious then Float.min tuples (card t (find chain)) else tuples in
-        { (Cost.work per work) with intersections = per }
+        if t.cache_conscious then Float.min tuples (card t (find chain)) else tuples
       end
     in
-    Cost.price
-      (match List.find_opt (fun (u, _) -> u = last) (Array.to_list lists) with
-      | None -> Cost.add { Cost.zero with tuples } (s_features all)
-      | Some _ when ns = 0 -> { Cost.zero with tuples }
-      | Some (_, st) ->
-          Cost.add { (Cost.work tuples st.Catalog.step) with candidates = tuples }
-            (s_features st.Catalog.stable))
+    let k = Cost.kernel in
+    let s work = if per = 0.0 then 0.0 else per *. (k.intersections +. Cost.price_work work) in
+    match List.find_opt (fun (u, _) -> u = last) (Array.to_list lists) with
+    | None -> (tuples *. k.tuples) +. s all
+    | Some _ when ns = 0 -> tuples *. k.tuples
+    | Some (_, st) -> (tuples *. (k.candidates +. Cost.price_work st.Catalog.step)) +. s st.Catalog.stable
 
   let hash_join_cost t s1 s2 = (t.weights.Cost.w1 *. card t s1) +. (t.weights.Cost.w2 *. card t s2)
 
