@@ -27,31 +27,29 @@ let freeze (w : Sorted.work) weight =
    sampled again on first use. *)
 let current e = Array.length e.kernel = List.length e.sizes
 
-(* The work of intersecting lists of [sizes] with no bitmap row, each
-   intersection as long as its shortest input: the estimate for lists the
-   catalogue did not walk. *)
-let cascade_work sizes =
+(* The work of intersecting the lists of [sizes] but list [skip] (-1:
+   none) with no bitmap row, each intersection as long as its shortest
+   input: the estimate for lists the catalogue did not walk. *)
+let cascade_work sizes skip =
   let w = Sorted.work () in
-  (match List.sort Float.compare sizes with
-  | a :: rest -> List.iter (fun b -> Sorted.step_work w 1.0 ~a ~b ~row:false) rest
-  | [] -> ());
+  let a = ref infinity and at = ref (-1) in
+  Array.iteri (fun j s -> if j <> skip && s < !a then (a := s; at := j)) sizes;
+  Array.iteri
+    (fun j b -> if j <> skip && j <> !at then Sorted.step_work w 1.0 ~a:!a ~b ~row:false)
+    sizes;
   freeze w 1.0
 
 let analytic sizes =
-  let n = Array.length sizes in
   let stats =
-    Array.init n (fun i ->
-        let others = List.filteri (fun j _ -> j <> i) (Array.to_list sizes) in
-        let step =
-          match others with
-          | [] -> no_work
-          | _ ->
-              let s = List.fold_left Float.min infinity others in
-              cascade_work [ s; sizes.(i) ]
-        in
-        { size = sizes.(i); step; stable = cascade_work others })
+    Array.mapi
+      (fun i size ->
+        let s = ref infinity in
+        Array.iteri (fun j x -> if j <> i then s := Float.min !s x) sizes;
+        let step = if !s = infinity then no_work else cascade_work [| !s; size |] (-1) in
+        { size; step; stable = cascade_work sizes i })
+      sizes
   in
-  (stats, cascade_work (Array.to_list sizes))
+  (stats, cascade_work sizes (-1))
 
 type t = {
   g : Graph.t;
@@ -141,11 +139,12 @@ let sample_entry t rng qk new_v =
      kernel's step of [S] (the other lists' intersection, or the one other
      list with its row) against it and the intersection into [S]; and the
      intersection of every list, an E/I's [S] when none varies. *)
-  let step = Array.init nf (fun _ -> Sorted.work ())
+  let step_w = Array.init nf (fun _ -> Sorted.work ())
   and stable = Array.init nf (fun _ -> Sorted.work ())
   and all = Sorted.work () in
   let bits = Graph.bitmap_words t.g in
   let others = Sorted.lists ~bits (max 0 (nf - 1)) and out = Int_vec.create () in
+  let s_len = Array.make nf 0 in
   let measure w ext (l : Sorted.lists) =
     incr walked;
     sums.(0) <- sums.(0) +. w;
@@ -153,12 +152,17 @@ let sample_entry t rng qk new_v =
     for i = 0 to nf - 1 do
       sums.(i + 2) <- sums.(i + 2) +. (w *. float_of_int (l.hi.(i) - l.lo.(i)))
     done;
+    let len i = l.hi.(i) - l.lo.(i) in
+    let step acc a b ~row =
+      Sorted.step_work acc w ~a:(float_of_int a) ~b:(float_of_int b) ~row
+    in
     if nf >= 2 then begin
-      Int_vec.clear out;
-      Sorted.intersect_work all w out l;
       for i = 0 to nf - 1 do
-        let s_len, s_row =
-          if nf = 2 then (l.hi.(1 - i) - l.lo.(1 - i), l.row.(1 - i) >= 0)
+        let s_row =
+          if nf = 2 then begin
+            s_len.(i) <- len (1 - i);
+            l.row.(1 - i) >= 0
+          end
           else begin
             for j = 0 to nf - 2 do
               let o = if j < i then j else j + 1 in
@@ -169,16 +173,26 @@ let sample_entry t rng qk new_v =
             done;
             Int_vec.clear out;
             Sorted.intersect_work stable.(i) w out others;
-            (Int_vec.length out, false)
+            s_len.(i) <- Int_vec.length out;
+            false
           end
         in
         (* The kernel keeps [S] first on a tie. *)
-        let v_len = l.hi.(i) - l.lo.(i) in
-        let a, b, row =
-          if v_len < s_len then (v_len, s_len, s_row) else (s_len, v_len, l.row.(i) >= 0)
-        in
-        Sorted.step_work step.(i) w ~a:(float_of_int a) ~b:(float_of_int b) ~row
-      done
+        if len i < s_len.(i) then step step_w.(i) (len i) s_len.(i) ~row:s_row
+        else step step_w.(i) s_len.(i) (len i) ~row:(l.row.(i) >= 0)
+      done;
+      (* Every list, as {!Sorted.intersect} cascades them: for two or
+         three lists the first step's result is an [S] above. *)
+      if nf <= 3 then begin
+        let o = Array.init nf Fun.id in
+        Array.stable_sort (fun a b -> compare (len a) (len b)) o;
+        step all (len o.(0)) (len o.(1)) ~row:(l.row.(o.(1)) >= 0);
+        if nf = 3 then step all s_len.(o.(2)) (len o.(2)) ~row:(l.row.(o.(2)) >= 0)
+      end
+      else begin
+        Int_vec.clear out;
+        Sorted.intersect_work all w out l
+      end
     end
   in
   ignore (Wander.walks ~edges:(edge_list t) t.g qk ~order ~starts rng measure);
@@ -211,7 +225,7 @@ let sample_entry t rng qk new_v =
       sizes;
       total_size = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sizes;
       samples = !walked;
-      kernel = Array.init nf (fun i -> (freeze step.(i) w, freeze stable.(i) w));
+      kernel = Array.init nf (fun i -> (freeze step_w.(i) w, freeze stable.(i) w));
       all_work = freeze all w;
     }
 

@@ -174,31 +174,43 @@ let fallback t ~child ~v =
     let m = Array.fold_left Float.min infinity (global_sizes t ~v ds src) in
     if m = infinity then 1.0 else m
 
-(* Past h + 1 vertices, the work of [u]'s list as the varying one: the
-   least over the (h + 1)-vertex sub-patterns of [v] and a connected
-   h-vertex part of [child] that holds [u], step work first, as Section
-   5.2 takes the least selectivity. Those parts are the query's own, so
-   the value does not depend on how the query numbers its vertices. *)
-let part_stat t ~child ~v u =
-  let price w = Cost.price (Cost.work 1.0 w) in
-  List.fold_left
-    (fun best old ->
-      if not (Bitset.mem u old && connected t old) then best
-      else begin
-        let src, x = view t ~old ~v in
-        let rec find j = if src.(j) = u then x.stats.(j) else find (j + 1) in
-        let st = find 0 in
-        let key = (price st.step, price st.stable) in
-        match best with Some (k, _) when k <= key -> best | _ -> Some (key, st)
+(* Past h + 1 vertices, the work of each list of [src] as the varying one:
+   the least over the (h + 1)-vertex sub-patterns of [v] and a connected
+   h-vertex part of [child] that holds the list's source, step work
+   first, as Section 5.2 takes the least selectivity. Those parts are the
+   query's own, so the value does not depend on how the query numbers its
+   vertices. Each part is looked up once for all of its lists. *)
+let part_stats t ~child ~v src =
+  let n = Array.length src in
+  let best = Array.make n None and step = Array.make n infinity and stable = Array.make n infinity in
+  List.iter
+    (fun old ->
+      if Bitset.inter t.nbrs.(v) old <> Bitset.empty && connected t old then begin
+        let psrc, x = view t ~old ~v in
+        Array.iteri
+          (fun j u ->
+            let st = x.stats.(j) in
+            let i = ref 0 in
+            while src.(!i) <> u do
+              incr i
+            done;
+            let i = !i in
+            let ps = Cost.price_work st.step and pt = Cost.price_work st.stable in
+            if ps < step.(i) || (ps = step.(i) && pt < stable.(i)) then begin
+              best.(i) <- Some st;
+              step.(i) <- ps;
+              stable.(i) <- pt
+            end)
+          psrc
       end)
-    None (parts t child)
-  |> Option.map snd
+    (parts t child);
+  best
 
 (* The lists intersected when extending [child] by [v]. Past h + 1
    vertices, sizes are the global label averages, read without inducing
    the pattern, and the intersection work {!Catalog.analytic}'s on them,
    except each list's own step and stable work as the varying list
-   ({!part_stat}), so that the list's direction and its hubs' bitmap rows
+   ({!part_stats}), so that the list's direction and its hubs' bitmap rows
    still count. *)
 let ext_of t ~child ~v =
   if small t (Bitset.add v child) then begin
@@ -208,11 +220,12 @@ let ext_of t ~child ~v =
   else begin
     let ds, src = descriptors t ~child ~v in
     let stats, all = Catalog.analytic (global_sizes t ~v ds src) in
+    let own = part_stats t ~child ~v src in
     let stats =
       Array.mapi
         (fun i (st : Catalog.stat) ->
-          match part_stat t ~child ~v src.(i) with
-          | Some own -> { st with step = own.step; stable = own.stable }
+          match own.(i) with
+          | Some (o : Catalog.stat) -> { st with step = o.step; stable = o.stable }
           | None -> st)
         stats
     in
@@ -301,12 +314,11 @@ let total_descriptor_size t ~child ~v = Array.fold_left ( +. ) 0.0 (descriptor_s
    when none does. Consecutive tuples share that prefix's bindings, so at
    most card(prefix) distinct intersections over those sources run. *)
 let cover ~chain ~child sources =
-  let rec find i =
-    if i = Array.length chain then child
-    else if Bitset.subset sources chain.(i) then chain.(i)
-    else find (i + 1)
-  in
-  find 0
+  let i = ref 0 in
+  while !i < Array.length chain && not (Bitset.subset sources chain.(!i)) do
+    incr i
+  done;
+  if !i = Array.length chain then child else chain.(!i)
 
 let extension_icost t ~chain ~child ~v =
   let sources = Bitset.inter t.nbrs.(v) child in
@@ -324,13 +336,11 @@ let twins t p u v =
   Query.vlabel t.q u = Query.vlabel t.q v
   &&
   let m = Array.length t.nbrs in
-  let rec same r =
-    r = Bitset.empty
-    ||
-    let w = Bitset.min_elt r in
-    t.link.((w * m) + u) = t.link.((w * m) + v) && same (Bitset.remove w r)
-  in
-  same p
+  let r = ref p in
+  while !r <> Bitset.empty && t.link.((Bitset.min_elt !r * m) + u) = t.link.((Bitset.min_elt !r * m) + v) do
+    r := Bitset.remove (Bitset.min_elt !r) !r
+  done;
+  !r = Bitset.empty
 
 (* The index of [last]'s list among [x]'s, the varying one, or -1. *)
 let varying x last =

@@ -53,9 +53,9 @@ let frontier nbrs s =
 let prefixes_visited = Atomic.make 0
 let wco_prefixes () = Atomic.get prefixes_visited
 
-(* The cost of the ordering that starts at scan pair [e] and always adds
-   the cheapest next vertex (the lowest one on ties), summed as the walk
-   below sums it: an upper bound on the cheapest ordering. *)
+(* The cost of the ordering that starts at the first scan pair and always
+   adds the cheapest next vertex (the lowest one on ties), summed as the
+   walk below sums it: an upper bound on the cheapest ordering. *)
 let greedy_cost model nbrs (e : Query.edge) =
   let m = Array.length nbrs in
   let chain = Array.make (m - 1) Bitset.empty in
@@ -88,9 +88,7 @@ let greedy_cost model nbrs (e : Query.edge) =
    what it keeps. The chain array holds the prefixes' vertex sets.
 
    With [~prune:true], a prefix costing strictly more than the cheapest
-   complete ordering found so far (initially the best greedy one over the
-   scan pairs: under kernel costs many prefixes cost alike, and one greedy
-   start left a fifth to a third more of them to visit) is neither
+   complete ordering found so far (initially the greedy one) is neither
    visited nor extended. Cost terms are non-negative, so every prefix of
    an ordering that costs at most the optimum is still visited, in the same
    order: each vertex set whose cheapest ordering costs at most the optimum
@@ -101,10 +99,7 @@ let enumerate_wco ~prune model q visit =
   let scans = scan_pairs q in
   let order = Array.make m 0 and chain = Array.make (max 1 (m - 1)) Bitset.empty in
   let bound =
-    ref
-      (if prune then
-         List.fold_left (fun b e -> Float.min b (greedy_cost model nbrs e)) infinity scans
-       else infinity)
+    ref (match scans with e :: _ when prune -> greedy_cost model nbrs e | _ -> infinity)
   in
   let rec dfs depth subset front cost =
     Atomic.incr prefixes_visited;

@@ -11,9 +11,8 @@
     only way to grow plans.
 
     WCO plans are enumerated over whole prefix-connected orderings, so that
-    cache-conscious costs see the full ordering, by branch and bound: the
-    best greedy ordering over the scan pairs seeds an upper bound, and a
-    prefix costing strictly more than the cheapest complete ordering found
+    cache-conscious costs see the full ordering, by branch and bound: a
+    greedy ordering seeds an upper bound, and a prefix costing strictly more than the cheapest complete ordering found
     so far is not extended. Cost terms ({!Cost_model.extension_cost}) are
     non-negative, so the chosen plan, its cost and the estimates
     the search computes ({!Cost_model.work}) are those of the exhaustive

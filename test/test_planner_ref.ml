@@ -157,7 +157,7 @@ module Reference = struct
         let stats =
           if Query.num_vertices sub <= Catalog.h t.cat + 1 then stats
           else
-            let price w = Cost.price (Cost.work 1.0 w) in
+            let price = Cost.price_work in
             Array.map2
               (fun (u, dir, l) (st : Catalog.stat) ->
                 let best = ref None in
