@@ -19,6 +19,8 @@ type t = {
   cards : (int, float) Hashtbl.t;
   mus : (int * int, float) Hashtbl.t;
   exts : (int * int, ext) Hashtbl.t; (* (child_set, v) -> its lists' statistics *)
+  card_slots : float array; (* vertex set -> [cards] entry, nan unknown; empty if too many sets *)
+  ext_slots : ext option array; (* child_set * m + v -> [exts] entry; empty if too many *)
   views : (int * int, int array * Catalog.extension) Hashtbl.t;
       (* (old part, v) -> its descriptors' sources and the catalogue's
          view of the extension, for at most h + 1 vertices *)
@@ -27,6 +29,11 @@ type t = {
       (* [a * m + b] -> the edge between [a] and [b]: 2 * label from [a],
          2 * label + 1 into [a], -1 none (one edge per pair, as planned) *)
 }
+
+(* Queries of up to this many vertices memoize cardinalities and list
+   statistics in arrays indexed by vertex set, ahead of the tables: the
+   search reads them once per ordering prefix and HASH-JOIN pair. *)
+let slot_vertices = 10
 
 let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?corrections
     cat q =
@@ -43,6 +50,12 @@ let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?correcti
     cards = Hashtbl.create 64;
     mus = Hashtbl.create 64;
     exts = Hashtbl.create 64;
+    card_slots =
+      (let m = Query.num_vertices q in
+       if m <= slot_vertices then Array.make (1 lsl m) nan else [||]);
+    ext_slots =
+      (let m = Query.num_vertices q in
+       if m <= slot_vertices then Array.make ((1 lsl m) * m) None else [||]);
     views = Hashtbl.create 64;
     induced = Hashtbl.create 64;
     link =
@@ -175,17 +188,19 @@ let fallback t ~child ~v =
     if m = infinity then 1.0 else m
 
 (* Past h + 1 vertices, the work of each list of [src] as the varying one:
-   the least over the (h + 1)-vertex sub-patterns of [v] and a connected
-   h-vertex part of [child] that holds the list's source, step work
-   first, as Section 5.2 takes the least selectivity. Those parts are the
-   query's own, so the value does not depend on how the query numbers its
-   vertices. Each part is looked up once for all of its lists. *)
+   the least over the (h + 1)-vertex sub-patterns of [v] and h of its
+   neighbours in [child], connected, that hold the list's source, step
+   work first, as Section 5.2 takes the least selectivity. Those parts
+   are the query's own, so the value does not depend on how the query
+   numbers its vertices; a list with none keeps the analytic work. Each
+   part is looked up once for all of its lists. *)
 let part_stats t ~child ~v src =
   let n = Array.length src in
   let best = Array.make n None and step = Array.make n infinity and stable = Array.make n infinity in
+  let near = Bitset.inter t.nbrs.(v) child in
   List.iter
     (fun old ->
-      if Bitset.inter t.nbrs.(v) old <> Bitset.empty && connected t old then begin
+      if connected t old then begin
         let psrc, x = view t ~old ~v in
         Array.iteri
           (fun j u ->
@@ -203,7 +218,7 @@ let part_stats t ~child ~v src =
             end)
           psrc
       end)
-    (parts t child);
+    (if Bitset.cardinal near < Catalog.h t.cat then [] else parts t near);
   best
 
 (* The lists intersected when extending [child] by [v]. Past h + 1
@@ -247,6 +262,9 @@ let mu t ~child ~v =
    is the observed ratio actual/raw-estimate, so it must scale the raw
    estimate exactly once, at the point of use. *)
 let rec raw_card t s =
+  let slot = Array.length t.card_slots > 0 in
+  if slot && not (Float.is_nan (Array.unsafe_get t.card_slots s)) then Array.unsafe_get t.card_slots s
+  else
   match Hashtbl.find_opt t.cards s with
   | Some c -> c
   | None ->
@@ -288,6 +306,7 @@ let rec raw_card t s =
         end
       in
       Hashtbl.replace t.cards s c;
+      if slot then t.card_slots.(s) <- c;
       c
 
 let card t s =
@@ -299,11 +318,14 @@ let estimate_cardinality cat q =
   if n < 2 || not (Query.is_connected q) then 0.0 else card (create cat q) (Bitset.full n)
 
 let ext t ~child ~v =
-  match Hashtbl.find_opt t.exts (child, v) with
+  let m = Array.length t.nbrs in
+  let slot = Array.length t.ext_slots > 0 in
+  match if slot then t.ext_slots.((child * m) + v) else Hashtbl.find_opt t.exts (child, v) with
   | Some x -> x
   | None ->
       let x = ext_of t ~child ~v in
       Hashtbl.replace t.exts (child, v) x;
+      if slot then t.ext_slots.((child * m) + v) <- Some x;
       x
 
 let descriptor_sizes t ~child ~v = (ext t ~child ~v).sizes

@@ -151,9 +151,9 @@ module Reference = struct
             (Array.map (fun (u, dir, l) -> (Hashtbl.find pos_of u, dir, l)) ds)
         in
         (* Past h + 1 vertices a list's step and stable work come from the
-           (h + 1)-vertex patterns of [v] and h connected vertices of
-           [child] holding the list's source: the least step work, then
-           the least stable work. *)
+           (h + 1)-vertex patterns of [v] and h of its neighbours in
+           [child], connected, holding the list's source: the least step
+           work, then the least stable work. *)
         let stats =
           if Query.num_vertices sub <= Catalog.h t.cat + 1 then stats
           else
@@ -163,7 +163,8 @@ module Reference = struct
                 let best = ref None in
                 for part = 1 to Bitset.full (Query.num_vertices t.q) do
                   if
-                    Bitset.subset part child && Bitset.mem u part
+                    Bitset.subset part (Bitset.inter child (Query.neighbours t.q v))
+                    && Bitset.mem u part
                     && Bitset.cardinal part = Catalog.h t.cat
                     && Query.is_connected_subset t.q part
                   then begin
