@@ -184,10 +184,16 @@ let sample_entry t rng qk new_v =
       (* Every list, as {!Sorted.intersect} cascades them: for two or
          three lists the first step's result is an [S] above. *)
       if nf <= 3 then begin
-        let o = Array.init nf Fun.id in
-        Array.stable_sort (fun a b -> compare (len a) (len b)) o;
-        step all (len o.(0)) (len o.(1)) ~row:(l.row.(o.(1)) >= 0);
-        if nf = 3 then step all s_len.(o.(2)) (len o.(2)) ~row:(l.row.(o.(2)) >= 0)
+        (* The insertion sort's order: ascending length, ties by index. *)
+        let o0 = ref 0 and o1 = ref 1 and o2 = ref (nf - 1) in
+        let order a b = if len !b < len !a then begin let t = !a in a := !b; b := t end in
+        order o0 o1;
+        if nf = 3 then begin
+          order o1 o2;
+          order o0 o1
+        end;
+        step all (len !o0) (len !o1) ~row:(l.row.(!o1) >= 0);
+        if nf = 3 then step all s_len.(!o2) (len !o2) ~row:(l.row.(!o2) >= 0)
       end
       else begin
         Int_vec.clear out;

@@ -20,7 +20,6 @@ type t = {
   mus : (int * int, float) Hashtbl.t;
   exts : (int * int, ext) Hashtbl.t; (* (child_set, v) -> its lists' statistics *)
   card_slots : float array; (* vertex set -> [cards] entry, nan unknown; empty if too many sets *)
-  ext_slots : ext option array; (* child_set * m + v -> [exts] entry; empty if too many *)
   views : (int * int, int array * Catalog.extension) Hashtbl.t;
       (* (old part, v) -> its descriptors' sources and the catalogue's
          view of the extension, for at most h + 1 vertices *)
@@ -30,10 +29,11 @@ type t = {
          2 * label + 1 into [a], -1 none (one edge per pair, as planned) *)
 }
 
-(* Queries of up to this many vertices memoize cardinalities and list
-   statistics in arrays indexed by vertex set, ahead of the tables: the
-   search reads them once per ordering prefix and HASH-JOIN pair. *)
-let slot_vertices = 10
+(* Queries of up to this many vertices memoize cardinalities in an array
+   indexed by vertex set, ahead of the table: the search reads them once
+   per ordering prefix and HASH-JOIN pair. 2^8 floats still fit the minor
+   heap, so creating a model allocates nothing in the major one. *)
+let slot_vertices = 8
 
 let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?corrections
     cat q =
@@ -53,9 +53,6 @@ let create ?(cache_conscious = true) ?(weights = Cost.default_weights) ?correcti
     card_slots =
       (let m = Query.num_vertices q in
        if m <= slot_vertices then Array.make (1 lsl m) nan else [||]);
-    ext_slots =
-      (let m = Query.num_vertices q in
-       if m <= slot_vertices then Array.make ((1 lsl m) * m) None else [||]);
     views = Hashtbl.create 64;
     induced = Hashtbl.create 64;
     link =
@@ -318,14 +315,11 @@ let estimate_cardinality cat q =
   if n < 2 || not (Query.is_connected q) then 0.0 else card (create cat q) (Bitset.full n)
 
 let ext t ~child ~v =
-  let m = Array.length t.nbrs in
-  let slot = Array.length t.ext_slots > 0 in
-  match if slot then t.ext_slots.((child * m) + v) else Hashtbl.find_opt t.exts (child, v) with
+  match Hashtbl.find_opt t.exts (child, v) with
   | Some x -> x
   | None ->
       let x = ext_of t ~child ~v in
       Hashtbl.replace t.exts (child, v) x;
-      if slot then t.ext_slots.((child * m) + v) <- Some x;
       x
 
 let descriptor_sizes t ~child ~v = (ext t ~child ~v).sizes

@@ -348,7 +348,7 @@ let observe t ~graph_version q plan rows =
               let est = Float.max 1.0 r.Explain.est_card in
               let act = Float.max 1.0 (float_of_int r.Explain.act_card) in
               let ratio = clamp (act /. est) in
-              let ratios = (pattern_code q vs, ratio) :: ratios in
+              let ratios = (vs, ratio) :: ratios in
               let qe = Float.max ratio (1.0 /. ratio) in
               if qe > qmax then (ratios, s, qe) else (ratios, worst, qmax)
             end)
@@ -356,7 +356,12 @@ let observe t ~graph_version q plan rows =
       in
       t.feedbacks <- t.feedbacks + 1;
       m_feedback ();
-      e.learning <- (if qerror > threshold then Pending { ratios; worst; qerror } else Final)
+      (* Codes only for a replan: most observations end Final. *)
+      e.learning <-
+        (if qerror > threshold then
+           Pending
+             { ratios = List.map (fun (vs, r) -> (pattern_code q vs, r)) ratios; worst; qerror }
+         else Final)
   | _ -> ());
   Mutex.unlock t.lock
 
