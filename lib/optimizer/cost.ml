@@ -47,7 +47,7 @@ let kernel =
     probed = 0.0;
   }
 
-let default_weights = { w1 = 180.0; w2 = 60.0 }
+let default_weights = { w1 = 600.0; w2 = 200.0 }
 
 let price_at k f =
   (k.candidates *. f.candidates)

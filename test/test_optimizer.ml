@@ -221,6 +221,34 @@ let test_calibration_recovers_weights () =
   check_bool (Printf.sprintf "w1 ~5 (%f)" w.Cost.w1) true (abs_float (w.Cost.w1 -. 5.0) < 0.01);
   check_bool (Printf.sprintf "w2 ~2 (%f)" w.Cost.w2) true (abs_float (w.Cost.w2 -. 2.0) < 0.01)
 
+(* Synthetic plans timed at known prices: the fit recovers them, and a
+   feature no sample exercises stays at 0. *)
+let test_fit_recovers_prices () =
+  let price = { Cost.zero with candidates = 60.0; tuples = 15.0; merged = 1.5; galloped = 8.0 } in
+  let samples =
+    List.init 24 (fun i ->
+        let f =
+          {
+            Cost.zero with
+            candidates = float_of_int (1000 + (137 * i));
+            tuples = float_of_int (500 * (i mod 5));
+            merged = float_of_int (20_000 + (3_001 * (i mod 7)));
+            galloped = float_of_int (900 * (i mod 3));
+          }
+        in
+        (f, Cost.price_at price f *. 1e-9))
+  in
+  let got = Cost.fit samples in
+  let near what want x =
+    check_bool (Printf.sprintf "%s ~%g (%g)" what want x) true (Float.abs (x -. want) <= 1e-6 *. Float.max 1.0 want)
+  in
+  near "candidate" 60.0 got.Cost.candidates;
+  near "tuple" 15.0 got.Cost.tuples;
+  near "merged" 1.5 got.Cost.merged;
+  near "gallop" 8.0 got.Cost.galloped;
+  near "intersection" 0.0 got.Cost.intersections;
+  near "probed" 0.0 got.Cost.probed
+
 let test_calibration_degenerate () =
   let w = Cost.calibrate ~ei:[] ~hj:[] in
   check_bool "defaults" true (w = Cost.default_weights)
@@ -337,10 +365,9 @@ let picks_lines () =
       (fun i -> line (Printf.sprintf "wco-heavy Q%d" i) (fst (Graphflow.Db.plan google (Patterns.q i))))
       [ 1; 3; 4; 5; 6; 7; 14 ]
 
-(* Since kernel-aware costing: golden Q1, Q3, Q4, Q6, Q7 and Q14 take other
-   orderings, Q8, Q10 and Q12 other hybrid plans, Q9 a WCO plan instead of
-   a hybrid one and Q13 a hybrid plan instead of a WCO one; every
-   wco-heavy pick moved (CHANGES.md). *)
+(* Since kernel-aware costing: golden Q1, Q3, Q4, Q6, Q7, Q13 and Q14 take
+   other orderings, Q8, Q9, Q10 and Q12 WCO plans instead of hybrid ones,
+   and every wco-heavy pick moved (CHANGES.md). *)
 let picks_expected =
   [
     "golden Q1 E(S(1>2@0);0;[1b0,2b0])";
@@ -350,12 +377,12 @@ let picks_expected =
     "golden Q5 E(E(S(0>1@0);2;[0f0,1f0]);3;[0f0,1f0,2f0])";
     "golden Q6 E(E(S(3>0@0);2;[0f0,3b0]);1;[0f0,2b0,3b0])";
     "golden Q7 E(E(E(S(0>1@0);2;[0f0,1f0]);3;[0f0,1f0,2f0]);4;[0f0,1f0,2f0,3f0])";
-    "golden Q8 J(E(S(3>4@0);2;[3b0,4b0]);E(S(1>2@0);0;[1b0,2b0]);[2])";
+    "golden Q8 E(E(E(S(3>4@0);2;[3b0,4b0]);0;[2b0]);1;[0f0,2b0])";
     "golden Q9 E(E(E(E(S(3>4@0);2;[3b0,4b0]);0;[2b0]);5;[0f0,4f0]);1;[0f0,2b0])";
-    "golden Q10 J(E(S(4>5@0);3;[4b0,5b0]);E(E(S(1>2@0);0;[1b0,2b0]);3;[1f0,2f0]);[3])";
+    "golden Q10 E(E(E(E(S(1>2@0);0;[1b0,2b0]);3;[1f0,2f0]);4;[3f0]);5;[3f0,4f0])";
     "golden Q11 E(E(E(S(0>1@0);2;[0f0]);3;[0f0]);4;[0f0])";
-    "golden Q12 J(E(E(S(2>3@0);4;[3f0]);5;[4f0]);E(E(S(0>1@0);2;[1f0]);5;[0b0]);[2,5])";
-    "golden Q13 J(E(S(3>4@0);5;[3f0]);E(E(S(0>1@0);2;[0f0]);3;[2f0]);[3])";
+    "golden Q12 E(E(E(E(S(0>1@0);2;[1f0]);3;[2f0]);4;[3f0]);5;[0b0,4f0])";
+    "golden Q13 E(E(E(E(S(0>1@0);2;[0f0]);3;[2f0]);4;[3f0]);5;[3f0])";
     "golden Q14 E(E(E(E(E(S(0>1@0);2;[0f0,1f0]);3;[0f0,1f0,2f0]);4;[0f0,1f0,2f0,3f0]);5;[0f0,1f0,2f0,3f0,4f0]);6;[0f0,1f0,2f0,3f0,4f0,5f0])";
     "wco-heavy Q1 E(S(1>2@0);0;[1b0,2b0])";
     "wco-heavy Q3 E(E(S(1>2@0);0;[1b0,2b0]);3;[1f0,2f0])";
@@ -394,6 +421,7 @@ let suite =
     ( "optimizer.cost",
       [
         Alcotest.test_case "calibration" `Quick test_calibration_recovers_weights;
+        Alcotest.test_case "fit recovers prices" `Quick test_fit_recovers_prices;
         Alcotest.test_case "calibration degenerate" `Quick test_calibration_degenerate;
         Alcotest.test_case "card matches" `Slow test_cost_model_card_matches_catalog;
         Alcotest.test_case "conscious cheaper" `Quick test_cost_model_cache_conscious_cheaper;
