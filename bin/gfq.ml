@@ -510,7 +510,10 @@ let host_arg =
 
 let serve_cmd =
   let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc:"Worker threads.")
+    Arg.(
+      value & opt int 4
+      & info [ "workers" ] ~docv:"N"
+          ~doc:"Requests executed at once, each on its connection's thread (at least 1).")
   in
   let queue =
     Arg.(
@@ -698,6 +701,7 @@ let serve_cmd =
       worker_node coordinator attach_snap hedge_ms rpc_timeout_ms cluster_retries
       metrics_port =
     apply_kernel kernel;
+    if workers < 1 then die "--workers must be at least 1";
     let endpoint = endpoint_arg_of socket port host in
     (* The exposition listener serves the process-wide registry, so one
        endpoint covers whatever roles this process plays. *)

@@ -34,6 +34,7 @@ type env = {
   prof : Profile.t option;
   trace : Trace.buf option;
   mutable held : Int_vec.t list;
+  mutable held_slots : int array list;
   mutable extends : (Plan.t * extend) list;
 }
 
@@ -90,6 +91,7 @@ let make_env ~cache ~distinct ?prof ?trace g gov plan =
     prof;
     trace;
     held = [];
+    held_slots = [];
     extends = [];
   }
 
@@ -110,32 +112,52 @@ let row env node = env.rows.(op_id env node)
    run ends, so compiling a plan allocates no bigarray once the pool is
    warm. A domain's service threads share its pool, hence the atomic
    list. A vector grown past [pool_keep] elements is left to the GC
-   instead of being kept. *)
+   instead of being kept. The [group_size]-slot key, start and end arrays
+   of groups and run kernels are pooled the same way. *)
 let pool : Int_vec.t list Atomic.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Atomic.make [])
+let slot_pool : int array list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
 let pool_keep = 1 lsl 16
 
-let scratch env =
-  let p = Domain.DLS.get pool in
-  let rec take () =
+let take key make =
+  let p = Domain.DLS.get key in
+  let rec go () =
     match Atomic.get p with
-    | [] -> Int_vec.create ~capacity:64 ()
-    | v :: rest as l -> if Atomic.compare_and_set p l rest then v else take ()
+    | [] -> make ()
+    | v :: rest as l -> if Atomic.compare_and_set p l rest then v else go ()
   in
-  let v = take () in
+  go ()
+
+let give key v =
+  let p = Domain.DLS.get key in
+  let rec go () =
+    let l = Atomic.get p in
+    if not (Atomic.compare_and_set p l (v :: l)) then go ()
+  in
+  go ()
+
+let scratch env =
+  let v = take pool (fun () -> Int_vec.create ~capacity:64 ()) in
   Int_vec.clear v;
   env.held <- v :: env.held;
   v
 
+(* The most runs an operator gathers into one group. *)
+let group_size = Sorted.run_chunk
+
+(* A [group_size]-slot array; its contents are stale. *)
+let slots env =
+  let a = take slot_pool (fun () -> Array.make group_size 0) in
+  env.held_slots <- a :: env.held_slots;
+  a
+
 let release env =
-  let p = Domain.DLS.get pool in
-  let rec give v =
-    let l = Atomic.get p in
-    if not (Atomic.compare_and_set p l (v :: l)) then give v
-  in
   List.iter
-    (fun v -> if Bigarray.Array1.dim (Int_vec.big v) <= pool_keep then give v)
+    (fun v -> if Bigarray.Array1.dim (Int_vec.big v) <= pool_keep then give pool v)
     env.held;
-  env.held <- []
+  List.iter (give slot_pool) env.held_slots;
+  env.held <- [];
+  env.held_slots <- []
 
 type groups = (group -> unit) -> unit
 type driver = (int array -> unit) -> unit
@@ -189,16 +211,15 @@ let of_tuples env (d : driver) : groups =
         if g.tuple != t then g.tuple <- t;
         sink g)
 
-(* The most runs an operator gathers into one group. *)
-let group_size = Sorted.run_chunk
-
-let new_group ?(size = group_size) tuple cands =
+(* A group of up to [size] runs, [group_size] by default (pooled). *)
+let new_group ?size env tuple cands =
+  let arr () = match size with Some n -> Array.make n 0 | None -> slots env in
   {
     tuple;
     cands;
-    keys = Array.make size 0;
-    starts = Array.make size 0;
-    ends = Array.make size 0;
+    keys = arr ();
+    starts = arr ();
+    ends = arr ();
     first = 0;
     last = 0;
     lo = 0;
@@ -339,7 +360,7 @@ let scan env node ranges =
       let v = Graph.csr env.g Graph.Fwd ~elabel:edge.Gf_query.Query.label ~nlabel:dlabel in
       let sources = Graph.vertices_with_label env.g slabel in
       let r = row env node in
-      let out = new_group (Array.make 2 0) v.nbr in
+      let out = new_group env (Array.make 2 0) v.nbr in
       let stream sink lo hi =
         let i = ref lo in
         while !i < hi do
@@ -515,7 +536,8 @@ let extend ?from env row ~target_label ~width descriptors =
     | [ d ] when ns = 0 -> Single (csr d)
     | _ ->
         Kernel
-          (Sorted.run_state ~bits ?scratch:(pair (List.length vary + min ns 1)) ~keyed:keyed_csrs
+          (Sorted.run_state ~bits ?scratch:(pair (List.length vary + min ns 1))
+             ~slots:(fun () -> slots env) ~keyed:keyed_csrs
              ~cache:env.cache ~source
              (Array.of_list (List.map csr vary)))
   in
@@ -529,8 +551,8 @@ let extend ?from env row ~target_label ~width descriptors =
      gathered, one at a time. *)
   let og =
     new_group
-      ~size:(match shape with Kernel _ when not env.distinct -> 1 | _ -> group_size)
-      obuf Buf.empty
+      ?size:(match shape with Kernel _ when not env.distinct -> Some 1 | _ -> None)
+      env obuf Buf.empty
   in
   let prev, kg =
     match shape with

@@ -54,6 +54,9 @@ type env = {
   mutable held : Gf_util.Int_vec.t list;
       (** the pooled scratch vectors this environment's operators hold,
           returned to the domain's pool by {!governed} *)
+  mutable held_slots : int array list;
+      (** likewise, the pooled key/start/end arrays of its groups and run
+          kernels *)
   mutable extends : (Gf_plan.Plan.t * extend) list;
       (** the structurally compiled E/I operators, by plan node *)
 }

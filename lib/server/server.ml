@@ -83,10 +83,20 @@ let handle_conn st conn =
         if continue then loop ()
   in
   (try loop () with Sys_error _ | Unix.Unix_error _ -> ());
+  (* Closed under the lock, so [cut] never reaches a reused descriptor. *)
   Mutex.lock st.m;
   st.conns <- List.filter (fun c -> c != conn) st.conns;
+  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+  Mutex.unlock st.m
+
+(* Shut every open connection down in direction [how]; [true] if any was
+   still open. *)
+let cut st how =
+  Mutex.lock st.m;
+  List.iter (fun c -> try Unix.shutdown c.fd how with Unix.Unix_error _ -> ()) st.conns;
+  let any = st.conns <> [] in
   Mutex.unlock st.m;
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
+  any
 
 let bind_endpoint = function
   | Unix_path path ->
@@ -153,17 +163,21 @@ let serve ?(on_ready = fun _ -> ()) ?(hook = fun _ -> `Pass) service endpoint =
     end
   in
   accept_loop ();
-  (* Graceful drain: stop admitting, answer the queue, cancel stragglers,
-     join workers — then cut the remaining connections and join their
-     threads. *)
+  (* Graceful drain: stop admitting, answer the queue, cancel stragglers
+     and wait until no request executes. Then stop reading: an idle
+     connection sees end of input, while a reply still being written (a
+     ticket the drain answered) goes out. Connections still open after a
+     second are cut, and every connection thread is joined. *)
   Service.drain service;
   Mutex.lock st.m;
-  let conns = st.conns in
+  let threads = List.filter_map (fun c -> c.thread) st.conns in
   Mutex.unlock st.m;
-  List.iter
-    (fun c -> try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    conns;
-  List.iter (fun c -> match c.thread with Some th -> Thread.join th | None -> ()) conns;
+  let linger_until = Unix.gettimeofday () +. 1.0 in
+  while cut st Unix.SHUTDOWN_RECEIVE && Unix.gettimeofday () < linger_until do
+    Thread.delay 0.005
+  done;
+  ignore (cut st Unix.SHUTDOWN_ALL);
+  List.iter Thread.join threads;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (try Sys.set_signal Sys.sigint !old_int with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigterm !old_term with Invalid_argument _ -> ());

@@ -82,14 +82,11 @@ type reply = {
   graph_version : int;
 }
 
-type ticket = {
-  tid : int;
-  tm : Mutex.t;
-  tcv : Condition.t;
-  mutable answer : reply option;
-}
+(* A ticket waits in the queue until a slot is handed to it, runs on the
+   thread that awaits it, and keeps its reply for a repeated [await]. *)
+type state = Waiting | Granted | Answered of reply
 
-type job = { req : request; tkt : ticket; enqueued_at : float }
+type ticket = { tid : int; req : request; enqueued_at : float; mutable state : state }
 
 type t = {
   mutable db : Gf.Db.t;
@@ -97,12 +94,15 @@ type t = {
   breaker : Breaker.t;
   recorder : Recorder.t;
   m : Mutex.t;
-  not_empty : Condition.t;
-  queue : job Queue.t;
+  changed : Condition.t;
+      (** a slot was handed on, a ticket answered, or a run ended while
+          draining *)
+  queue : ticket Queue.t;  (** admitted tickets waiting for a slot *)
+  mutable free : int;  (** slots neither granted nor running *)
+  mutable running : int;  (** tickets executing now *)
   active : (int, Governor.t) Hashtbl.t;  (** in-flight attempt governors, by id *)
   mutable next_id : int;
   mutable is_draining : bool;
-  mutable threads : Thread.t list;
   mutable store : Gf_wal.Store.t option;
 }
 
@@ -116,20 +116,13 @@ let graph_version t =
    so a [Metrics.reset] between tests is harmless. *)
 let c_inc ?by name help = Metrics.inc ?by (Metrics.counter ~help name)
 
-let fulfill tkt answer =
-  Mutex.lock tkt.tm;
-  tkt.answer <- Some answer;
-  Condition.broadcast tkt.tcv;
-  Mutex.unlock tkt.tm
-
-let run_job t job =
-  let tkt = job.tkt in
-  let queue_s = t.cfg.now () -. job.enqueued_at in
+let run_job t tkt =
+  let queue_s = t.cfg.now () -. tkt.enqueued_at in
   Metrics.observe
     (Metrics.histogram ~help:"Seconds spent in the admission queue"
        "gf_server_queue_seconds")
     queue_s;
-  let req = job.req in
+  let req = tkt.req in
   (* Per-request deterministic streams: backoff jitter from the service
      seed, chaos faults from the fault seed (GFQ_FAULT_SEED convention). *)
   let rng = Gf.Rng.create (t.cfg.seed lxor (tkt.tid * 0x9e3779b9)) in
@@ -179,7 +172,7 @@ let run_job t job =
   in
   let attach gov =
     Mutex.lock t.m;
-    (* A drain may have started since this job was dequeued: make sure the
+    (* A drain may have started since this ticket was granted its slot: make sure the
        attempt sees the cancellation rather than running to completion. *)
     if t.is_draining then Governor.cancel gov;
     Hashtbl.replace t.active tkt.tid gov;
@@ -209,7 +202,7 @@ let run_job t job =
     end
     else (None, None)
   in
-  (* One load of the (mutable) db for the whole job, so every attempt runs
+  (* One load of the (mutable) db for the whole request, so every attempt runs
      on one graph even if a merge publishes mid-request. *)
   let db = t.db in
   let t0 = t.cfg.now () in
@@ -275,53 +268,62 @@ let run_job t job =
       ?trace_json:(Option.map Trace.to_chrome_json trace)
       ()
   in
-  fulfill tkt
-    {
-      id = tkt.tid;
-      result;
-      rows = List.rev !rows;
-      queue_s;
-      exec_s;
-      record_id;
-      traced = req.trace;
-      trace_obj = trace;
-      graph_version = graph_version t;
-    }
+  {
+    id = tkt.tid;
+    result;
+    rows = List.rev !rows;
+    queue_s;
+    exec_s;
+    record_id;
+    traced = req.trace;
+    trace_obj = trace;
+    graph_version = graph_version t;
+  }
 
-let rec worker_loop t =
-  Mutex.lock t.m;
-  while Queue.is_empty t.queue && not t.is_draining do
-    Condition.wait t.not_empty t.m
-  done;
-  if Queue.is_empty t.queue then Mutex.unlock t.m (* draining: exit *)
-  else begin
-    let job = Queue.pop t.queue in
-    Mutex.unlock t.m;
-    run_job t job;
-    worker_loop t
-  end
+(* The answer to a ticket drain stopped before it ran. *)
+let cancelled t tkt =
+  c_inc "gf_server_requests_truncated_total" "Requests answered Truncated";
+  {
+    id = tkt.tid;
+    result =
+      {
+        Ladder.outcome = Governor.Truncated Governor.Cancelled;
+        counters = Counters.create ();
+        plan = None;
+        attempts = 0;
+        retries = 0;
+        degraded = false;
+        rung = "none";
+        backoffs = [];
+      };
+    rows = [];
+    queue_s = t.cfg.now () -. tkt.enqueued_at;
+    exec_s = 0.0;
+    record_id = 0;
+    traced = false;
+    trace_obj = None;
+    graph_version = graph_version t;
+  }
 
 let create ?(config = default_config) db =
-  let t =
-    {
-      db;
-      cfg = config;
-      breaker = Breaker.create ~now:config.now config.breaker;
-      recorder =
-        Recorder.create ~capacity:config.slowlog_capacity ~retain:config.trace_retain
-          ~slow_s:config.slow_s ();
-      m = Mutex.create ();
-      not_empty = Condition.create ();
-      queue = Queue.create ();
-      active = Hashtbl.create 16;
-      next_id = 0;
-      is_draining = false;
-      threads = [];
-      store = None;
-    }
-  in
-  t.threads <- List.init config.workers (fun _ -> Thread.create worker_loop t);
-  t
+  if config.workers < 1 then invalid_arg "Service.create: workers must be at least 1";
+  {
+    db;
+    cfg = config;
+    breaker = Breaker.create ~now:config.now config.breaker;
+    recorder =
+      Recorder.create ~capacity:config.slowlog_capacity ~retain:config.trace_retain
+        ~slow_s:config.slow_s ();
+    m = Mutex.create ();
+    changed = Condition.create ();
+    queue = Queue.create ();
+    free = config.workers;
+    running = 0;
+    active = Hashtbl.create 16;
+    next_id = 0;
+    is_draining = false;
+    store = None;
+  }
 
 let submit_async t req =
   Mutex.lock t.m;
@@ -343,99 +345,79 @@ let submit_async t req =
           Error Breaker_open
       | `Admit ->
           t.next_id <- t.next_id + 1;
+          (* A free slot is taken at once; the queue is empty then. *)
+          let granted = t.free > 0 in
           let tkt =
             {
               tid = t.next_id;
-              tm = Mutex.create ();
-              tcv = Condition.create ();
-              answer = None;
+              req;
+              enqueued_at = t.cfg.now ();
+              state = (if granted then Granted else Waiting);
             }
           in
-          Queue.push { req; tkt; enqueued_at = t.cfg.now () } t.queue;
+          if granted then t.free <- t.free - 1 else Queue.push tkt t.queue;
           c_inc "gf_server_admitted_total" "Requests admitted to the queue";
-          Condition.signal t.not_empty;
           Ok tkt
   in
   Mutex.unlock t.m;
   decision
 
-let await _t tkt =
-  Mutex.lock tkt.tm;
-  while tkt.answer = None do
-    Condition.wait tkt.tcv tkt.tm
-  done;
-  let answer = Option.get tkt.answer in
-  Mutex.unlock tkt.tm;
-  answer
+(* Give up a slot, under [t.m]: to the oldest waiting ticket, if any. *)
+let hand_on t =
+  match Queue.take_opt t.queue with
+  | Some next ->
+      next.state <- Granted;
+      Condition.broadcast t.changed
+  | None ->
+      t.free <- t.free + 1;
+      if t.is_draining then Condition.broadcast t.changed
 
-let fulfilled tkt =
-  Mutex.lock tkt.tm;
-  let r = tkt.answer <> None in
-  Mutex.unlock tkt.tm;
-  r
-
-let step t =
+let finish t =
   Mutex.lock t.m;
-  if Queue.is_empty t.queue then begin
-    Mutex.unlock t.m;
-    false
-  end
-  else begin
-    let job = Queue.pop t.queue in
-    Mutex.unlock t.m;
-    run_job t job;
-    true
-  end
+  t.running <- t.running - 1;
+  hand_on t;
+  Mutex.unlock t.m
 
-let submit t req =
-  match submit_async t req with
-  | Error r -> Error r
-  | Ok tkt ->
-      if t.cfg.workers = 0 then while (not (fulfilled tkt)) && step t do () done;
-      Ok (await t tkt)
+let await t tkt =
+  Mutex.lock t.m;
+  while match tkt.state with Waiting -> true | Granted | Answered _ -> false do
+    Condition.wait t.changed t.m
+  done;
+  match tkt.state with
+  | Answered r ->
+      Mutex.unlock t.m;
+      r
+  | _ when t.is_draining ->
+      (* Drain came between the grant and this call: do not start. *)
+      let r = cancelled t tkt in
+      tkt.state <- Answered r;
+      hand_on t;
+      Mutex.unlock t.m;
+      r
+  | _ ->
+      t.running <- t.running + 1;
+      Mutex.unlock t.m;
+      let r = Fun.protect ~finally:(fun () -> finish t) (fun () -> run_job t tkt) in
+      tkt.state <- Answered r;
+      r
+
+let submit t req = Result.map (await t) (submit_async t req)
 
 let drain t =
   Mutex.lock t.m;
   let first = not t.is_draining in
   t.is_draining <- true;
-  let queued = Queue.fold (fun acc j -> j :: acc) [] t.queue in
-  Queue.clear t.queue;
-  let govs = Hashtbl.fold (fun _ g acc -> g :: acc) t.active [] in
-  let threads = t.threads in
-  t.threads <- [];
-  Condition.broadcast t.not_empty;
-  Mutex.unlock t.m;
   (* Cancel in-flight attempts: their governors trip at the next check and
      the ladder reports [Truncated Cancelled]. *)
-  List.iter Governor.cancel govs;
-  (* Answer everything still queued without running it. *)
-  List.iter
-    (fun job ->
-      c_inc "gf_server_requests_truncated_total" "Requests answered Truncated";
-      fulfill job.tkt
-        {
-          id = job.tkt.tid;
-          result =
-            {
-              Ladder.outcome = Governor.Truncated Governor.Cancelled;
-              counters = Counters.create ();
-              plan = None;
-              attempts = 0;
-              retries = 0;
-              degraded = false;
-              rung = "none";
-              backoffs = [];
-            };
-          rows = [];
-          queue_s = t.cfg.now () -. job.enqueued_at;
-          exec_s = 0.0;
-          record_id = 0;
-          traced = false;
-          trace_obj = None;
-          graph_version = graph_version t;
-        })
-    (List.rev queued);
-  List.iter Thread.join threads;
+  Hashtbl.iter (fun _ gov -> Governor.cancel gov) t.active;
+  (* Answer everything still waiting for a slot without running it. *)
+  Queue.iter (fun tkt -> tkt.state <- Answered (cancelled t tkt)) t.queue;
+  Queue.clear t.queue;
+  Condition.broadcast t.changed;
+  while t.running > 0 do
+    Condition.wait t.changed t.m
+  done;
+  Mutex.unlock t.m;
   if first then c_inc "gf_server_drains_total" "Service drains completed"
 
 let draining t =

@@ -1,6 +1,12 @@
-(** The concurrent query service: a bounded admission queue in front of a
-    worker pool, each request executed through the {!Ladder} under the
-    {!Breaker}'s verdict.
+(** The concurrent query service: a bounded admission queue in front of
+    [workers] execution slots, each request executed through the {!Ladder}
+    under the {!Breaker}'s verdict.
+
+    A request runs on the thread that submitted it. When a slot is free it
+    runs at once; otherwise its ticket waits in the queue until a finishing
+    request hands it a slot, so at most [workers] requests execute at once.
+    The service starts no thread of its own: a query's parallelism comes
+    from the ladder's domains.
 
     Admission ({!submit_async}) never blocks: when the service is draining,
     the queue is full, or the breaker is open, it returns a structured
@@ -10,24 +16,21 @@
     Shutdown ({!drain}) is graceful: admission stops, requests still queued
     are answered [Truncated Cancelled] without running, in-flight requests
     are cancelled through their registered governors
-    ({!Gf.Governor.cancel}), and worker threads are joined before [drain]
-    returns. Idempotent.
+    ({!Gf.Governor.cancel}), and [drain] returns once no request is
+    executing. Idempotent.
 
     Everything observable is counted in the {!Gf_exec.Metrics} registry:
     [gf_server_admitted_total], the three [gf_server_shed_*_total]
     rejection counters, [gf_server_requests_{completed,truncated,failed}_total],
     [gf_server_retries_total], [gf_server_degraded_total],
     [gf_server_drains_total], and the [gf_server_queue_seconds] /
-    [gf_server_request_seconds] histograms.
-
-    With [workers = 0] no threads are spawned and {!step} pumps the queue
-    synchronously — the deterministic mode the unit tests use. *)
+    [gf_server_request_seconds] histograms. *)
 
 module Gf = Graphflow
 
 type config = {
-  queue_capacity : int;
-  workers : int;
+  queue_capacity : int;  (** tickets that may wait for a slot *)
+  workers : int;  (** requests executed at once (slots), at least 1 *)
   ladder : Ladder.config;
   breaker : Breaker.config;
   fault_seed : int option;
@@ -149,19 +152,19 @@ val mutate :
 
 val submit_async : t -> request -> (ticket, reject_reason) result
 (** Non-blocking admission. [Error] is the structured shed decision;
-    rejected requests do no work at all. *)
+    rejected requests do no work at all. An admitted ticket takes a free
+    slot at once or waits in the queue for one; a slot it holds is given
+    up only by {!await}, so every admitted ticket must be awaited. *)
 
 val await : t -> ticket -> reply
-(** Block until the ticket's request has been answered (run, or cancelled
-    by {!drain}). *)
+(** Wait for the ticket's slot, then run its request on the calling thread
+    and return the reply. A ticket answered by {!drain} returns its
+    [Truncated Cancelled] reply without running, and so does one granted a
+    slot but not yet started when a drain began. Call it once per ticket,
+    from one thread; a later call returns the same reply. *)
 
 val submit : t -> request -> (reply, reject_reason) result
-(** [submit_async] + [await]. With [workers = 0] the request is pumped
-    inline, so this is also the synchronous single-threaded entry point. *)
-
-val step : t -> bool
-(** Run one queued request on the calling thread; [false] when the queue
-    is empty. The [workers = 0] test pump. *)
+(** [submit_async] + [await]. *)
 
 val drain : t -> unit
 val draining : t -> bool

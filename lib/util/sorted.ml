@@ -582,7 +582,8 @@ let run_chunk = 64
 
 external c_run : run -> bool -> int -> Buf.i64a -> group -> int = "gfq_run" [@@noalloc]
 
-let run_state ?(bits = no_bits) ?scratch ?(keyed = [||]) ~cache ~source vary =
+let run_state ?(bits = no_bits) ?scratch ?(slots = fun () -> Array.make run_chunk 0) ?(keyed = [||])
+    ~cache ~source vary =
   if Array.length vary = 0 then invalid_arg "Sorted.run_state: no varying list";
   if source = Key && Array.length keyed = 0 then invalid_arg "Sorted.run_state: no keyed list";
   let k = Array.length vary + if source = Absent then 0 else 1 in
@@ -598,9 +599,9 @@ let run_state ?(bits = no_bits) ?scratch ?(keyed = [||]) ~cache ~source vary =
     vary;
     keyed;
     prev = { same = false; last_key = 0; last_c = 0 };
-    keys = Array.make run_chunk 0;
-    starts = Array.make run_chunk 0;
-    ends = Array.make run_chunk 0;
+    keys = slots ();
+    starts = slots ();
+    ends = slots ();
     j = 0;
     i = 0;
     stop = 0;

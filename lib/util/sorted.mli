@@ -281,10 +281,13 @@ val run_chunk : int
     ([Key] needs [keyed]), counting cache hits when [cache]. Rows are read
     from [bits], which must be the word array the CSR row offsets point
     into; without [bits] no row is probed. [scratch] is as for {!lists},
-    used when a candidate has three or more lists. *)
+    used when a candidate has three or more lists. [slots] supplies the
+    [run_chunk]-slot [keys], [starts] and [ends] arrays (fresh ones by
+    default); the kernel writes each slot before reading it. *)
 val run_state :
   ?bits:bits ->
   ?scratch:Int_vec.t * Int_vec.t ->
+  ?slots:(unit -> int array) ->
   ?keyed:csr array ->
   cache:bool ->
   source:source ->

@@ -1,7 +1,8 @@
 (* The service layer: wire protocol, circuit breaker, retry ladder,
    admission queue, drain, and the socket server end-to-end. Every test is
    deterministic: fake clocks drive the breaker cooldown, recorded sleeps
-   replace real backoff, and workers = 0 pumps the queue synchronously. *)
+   replace real backoff, and an awaited ticket runs on the awaiting
+   thread, so one slot serializes the service tests. *)
 
 module Gf = Graphflow
 module Breaker = Gf_server.Breaker
@@ -340,7 +341,7 @@ let sync_config ?(queue = 2) ?(ladder = ladder_cfg) ?(breaker = Breaker.default_
   {
     Service.default_config with
     Service.queue_capacity = queue;
-    workers = 0;
+    workers = 1;
     ladder;
     breaker;
     now = (fun () -> !clock);
@@ -360,21 +361,27 @@ let test_service_queue_full () =
   Metrics.reset ();
   let svc = Service.create ~config:(sync_config ~queue:2 ()) (db ()) in
   let req = Service.request triangle in
+  (* The first ticket takes the one slot; two more fill the queue. *)
   let t1 = Result.get_ok (Service.submit_async svc req) in
   let t2 = Result.get_ok (Service.submit_async svc req) in
+  let t3 = Result.get_ok (Service.submit_async svc req) in
   (match Service.submit_async svc req with
   | Error Service.Queue_full -> ()
-  | _ -> Alcotest.fail "third submit must be shed: queue full");
+  | _ -> Alcotest.fail "fourth submit must be shed: queue full");
   check_int "depth" 2 (Service.queue_depth svc);
-  check_bool "pump 1" true (Service.step svc);
-  check_bool "pump 2" true (Service.step svc);
-  check_bool "queue dry" true (not (Service.step svc));
-  let r1 = Service.await svc t1 and r2 = Service.await svc t2 in
-  check_bool "both completed" true
-    (r1.Service.result.Ladder.outcome = Governor.Completed
-    && r2.Service.result.Ladder.outcome = Governor.Completed);
+  let r1 = Service.await svc t1 in
+  check_int "slot handed to the next ticket" 1 (Service.queue_depth svc);
+  let r2 = Service.await svc t2 in
+  let r3 = Service.await svc t3 in
+  check_int "queue dry" 0 (Service.queue_depth svc);
+  check_bool "all completed" true
+    (List.for_all
+       (fun (r : Service.reply) -> r.Service.result.Ladder.outcome = Governor.Completed)
+       [ r1; r2; r3 ]);
   check_int "ids in admission order" 1 r1.Service.id;
   check_int "second id" 2 r2.Service.id;
+  check_int "third id" 3 r3.Service.id;
+  check_bool "answer kept for a repeated await" true (Service.await svc t1 == r1);
   let exposition = Metrics.exposition () in
   let has needle =
     let nh = String.length exposition and nn = String.length needle in
@@ -382,7 +389,7 @@ let test_service_queue_full () =
     at 0
   in
   check_bool "shed counted" true (has "gf_server_shed_queue_full_total 1");
-  check_bool "admissions counted" true (has "gf_server_admitted_total 2")
+  check_bool "admissions counted" true (has "gf_server_admitted_total 3")
 
 let test_service_breaker_recovery () =
   let clock = ref 0.0 in
@@ -443,10 +450,11 @@ let test_service_drain () =
   Metrics.reset ();
   let svc = Service.create ~config:(sync_config ~queue:8 ()) (db ()) in
   let req = Service.request triangle in
+  (* One ticket holds the slot without having started, one waits. *)
   let t1 = Result.get_ok (Service.submit_async svc req) in
   let t2 = Result.get_ok (Service.submit_async svc req) in
   Service.drain svc;
-  (* Queued work is answered, not run. *)
+  (* Neither has run, and neither runs now. *)
   let r1 = Service.await svc t1 and r2 = Service.await svc t2 in
   check_bool "queued answered cancelled" true
     (r1.Service.result.Ladder.outcome = Governor.Truncated Governor.Cancelled
@@ -461,10 +469,10 @@ let test_service_drain () =
   check_bool "drain flag" true (Service.draining svc)
 
 let test_service_drain_cancels_inflight () =
-  (* Drain cancels a request a real worker thread has already dequeued.
+  (* Drain cancels a request already executing on another thread.
      Deterministic: the first attempt fails (injected fault) and the
-     backoff sleep parks the worker until the main thread starts the
-     drain — the retry's governor is then cancelled at attach, so the
+     backoff sleep parks the executing thread until the main thread starts
+     the drain — the retry's governor is then cancelled at attach, so the
      request is answered [Truncated Cancelled] without a timing race. *)
   let svc = ref None in
   let bm = Mutex.create () and bc = Condition.create () in
@@ -483,13 +491,13 @@ let test_service_drain_cancels_inflight () =
     in
     until_draining ()
   in
-  let config =
-    { (sync_config ~queue:4 ~ladder:roomy_ladder ()) with Service.workers = 1; sleep }
-  in
+  let config = { (sync_config ~queue:4 ~ladder:roomy_ladder ()) with Service.sleep } in
   let s = Service.create ~config (db ()) in
   svc := Some s;
   let req = { (Service.request triangle) with Service.fault_at = Some 1 } in
   let tkt = Result.get_ok (Service.submit_async s req) in
+  let reply = ref None in
+  let runner = Thread.create (fun () -> reply := Some (Service.await s tkt)) () in
   Mutex.lock bm;
   while not !in_backoff do
     Condition.wait bc bm
@@ -497,8 +505,9 @@ let test_service_drain_cancels_inflight () =
   Mutex.unlock bm;
   let t0 = Unix.gettimeofday () in
   Service.drain s;
-  let reply = Service.await s tkt in
   let elapsed = Unix.gettimeofday () -. t0 in
+  Thread.join runner;
+  let reply = Option.get !reply in
   check_bool "in-flight query cancelled" true
     (reply.Service.result.Ladder.outcome = Governor.Truncated Governor.Cancelled);
   check_bool "the failed attempt was made" true (reply.Service.result.Ladder.attempts >= 1);
@@ -554,15 +563,13 @@ let test_service_flight_recorder () =
 
 (* --- socket server end-to-end ----------------------------------------- *)
 
-let test_server_end_to_end () =
+(* [Server.serve] on a fresh Unix socket, on its own thread; returns once
+   it listens. *)
+let start_server svc =
   let dir = Filename.temp_file "gfsrv" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let path = Filename.concat dir "gfq.sock" in
-  let config =
-    { Service.default_config with Service.workers = 2; ladder = ladder_cfg }
-  in
-  let svc = Service.create ~config (db ()) in
   let ready_m = Mutex.create () and ready_cv = Condition.create () in
   let ready = ref false in
   let server_thread =
@@ -582,16 +589,28 @@ let test_server_end_to_end () =
     Condition.wait ready_cv ready_m
   done;
   Mutex.unlock ready_m;
+  (dir, path, server_thread)
+
+(* A connection to [path]; the function sends one line and reads one. *)
+let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let roundtrip line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    input_line ic
+  ( fd,
+    fun line ->
+      output_string oc line;
+      output_char oc '\n';
+      flush oc;
+      input_line ic )
+
+let test_server_end_to_end () =
+  let config =
+    { Service.default_config with Service.workers = 2; ladder = ladder_cfg }
   in
+  let svc = Service.create ~config (db ()) in
+  let dir, path, server_thread = start_server svc in
+  let fd, roundtrip = connect path in
   let has hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
@@ -641,12 +660,11 @@ let test_server_end_to_end () =
   Unix.rmdir dir
 
 (* A query that parses but that the planner rejects is answered with a
-   structured failure naming the planner's reason, is not retried, leaves
-   the worker alive for the next request and does not open the breaker. *)
+   structured failure naming the planner's reason, is not retried, hands
+   its slot on to the next request and does not open the breaker. *)
 let test_service_planner_rejection () =
   Metrics.reset ();
-  let config = { (sync_config ~queue:16 ()) with Service.workers = 1 } in
-  let svc = Service.create ~config (db ()) in
+  let svc = Service.create ~config:(sync_config ~queue:16 ()) (db ()) in
   let run line =
     match Wire.parse_request line with
     | Ok (Wire.Run r) -> r
@@ -658,7 +676,7 @@ let test_service_planner_rejection () =
   let tickets =
     List.map (fun r -> Result.get_ok (Service.submit_async svc r)) (rejected @ [ Service.request triangle ])
   in
-  (* A worker killed by an escaping exception leaves these unanswered. *)
+  (* An exception escaping a request leaves the rest unanswered. *)
   let answered = Atomic.make None in
   let waiter =
     Thread.create (fun () -> Atomic.set answered (Some (List.map (Service.await svc) tickets))) ()
@@ -697,6 +715,109 @@ let test_service_planner_rejection () =
   check_bool "breaker closed" true (Service.breaker_state svc = Breaker.Closed);
   Service.drain svc
 
+(* Slots bound concurrency at the socket: six clients against two slots
+   and a queue of two. Every request faults once, so each executing
+   request takes exactly one ladder backoff, and the injected sleep counts
+   how many run at once. Then the sleep parks both slot holders until a
+   drain, two more tickets wait, and a shutdown answers all four. *)
+let test_server_slots_bound () =
+  let g = graph () in
+  let expected = Gf.Naive.count g triangle in
+  let lock = Mutex.create () in
+  let inside = ref 0 and peak = ref 0 and park = ref false in
+  let svc = ref None in
+  let sleep _ =
+    Mutex.lock lock;
+    incr inside;
+    peak := max !peak !inside;
+    let parked = !park in
+    Mutex.unlock lock;
+    if parked then
+      while not (Service.draining (Option.get !svc)) do
+        Thread.delay 0.001
+      done
+    else Thread.delay 0.002;
+    Mutex.lock lock;
+    decr inside;
+    Mutex.unlock lock
+  in
+  let config =
+    {
+      Service.default_config with
+      Service.workers = 2;
+      queue_capacity = 2;
+      ladder = roomy_ladder;
+      sleep;
+    }
+  in
+  let s = Service.create ~config (Gf.Db.create g) in
+  svc := Some s;
+  let dir, path, server_thread = start_server s in
+  let line = "run fault_at=5 q=a1->a2, a2->a3, a1->a3" in
+  let parse reply = Result.get_ok (Gf_util.Json.parse reply) in
+  let ok = Atomic.make 0 and shed = Atomic.make 0 in
+  let client () =
+    let fd, roundtrip = connect path in
+    for _ = 1 to 5 do
+      let j = parse (roundtrip line) in
+      match Gf_util.Json.bool "ok" j with
+      | Some true ->
+          check_bool "completed" true (Gf_util.Json.str "outcome" j = Some "completed");
+          check_bool "matches = Naive" true (Gf_util.Json.int "matches" j = Some expected);
+          Atomic.incr ok
+      | _ ->
+          check_bool "refusal is a structured queue_full" true
+            (Gf_util.Json.str "error" j = Some "rejected"
+            && Gf_util.Json.str "reason" j = Some "queue_full");
+          Atomic.incr shed
+    done;
+    Unix.close fd
+  in
+  List.iter Thread.join (List.init 6 (fun _ -> Thread.create client ()));
+  check_int "every request answered" 30 (Atomic.get ok + Atomic.get shed);
+  check_bool "requests ran" true (Atomic.get ok > 0);
+  check_bool "never more than two at once" true (!peak >= 1 && !peak <= 2);
+  (* Two slot holders parked in their backoff, two tickets queued. *)
+  Mutex.lock lock;
+  park := true;
+  peak := 0;
+  Mutex.unlock lock;
+  let answers = Array.make 4 "" in
+  let waiters =
+    List.init 4 (fun i ->
+        Thread.create
+          (fun () ->
+            let fd, roundtrip = connect path in
+            answers.(i) <- roundtrip line;
+            Unix.close fd)
+          ())
+  in
+  let rec settle n =
+    Mutex.lock lock;
+    let held = !inside in
+    Mutex.unlock lock;
+    if held = 2 && Service.queue_depth s = 2 then ()
+    else if n = 0 then Alcotest.fail "two running and two queued never seen"
+    else begin
+      Thread.delay 0.005;
+      settle (n - 1)
+    end
+  in
+  settle 2000;
+  let fd, roundtrip = connect path in
+  check_bool "shutdown acked" true
+    (Gf_util.Json.str "type" (parse (roundtrip "shutdown")) = Some "shutting_down");
+  List.iter Thread.join waiters;
+  Thread.join server_thread;
+  let replies = Array.to_list (Array.map parse answers) in
+  check_bool "all four answered Truncated Cancelled" true
+    (List.for_all (fun j -> Gf_util.Json.str "outcome" j = Some "truncated (cancelled)") replies);
+  check_int "the queued two never ran" 2
+    (List.length (List.filter (fun j -> Gf_util.Json.int "attempts" j = Some 0) replies));
+  check_bool "service drained" true (Service.draining s);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Unix.rmdir dir
+
 let suite =
   [
     ( "server.wire",
@@ -729,5 +850,8 @@ let suite =
         Alcotest.test_case "planner rejection answered" `Quick test_service_planner_rejection;
       ] );
     ( "server.socket",
-      [ Alcotest.test_case "end to end" `Quick test_server_end_to_end ] );
+      [
+        Alcotest.test_case "end to end" `Quick test_server_end_to_end;
+        Alcotest.test_case "slots bound concurrency" `Quick test_server_slots_bound;
+      ] );
   ]

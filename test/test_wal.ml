@@ -467,7 +467,7 @@ let test_store_auto_merge_and_invalidation () =
 (* --- service mutation path -------------------------------------------- *)
 
 let service_config =
-  { Service.default_config with workers = 0; slowlog_capacity = 32 }
+  { Service.default_config with workers = 1; slowlog_capacity = 32 }
 
 let test_service_mutations () =
   with_temp_dir (fun dir ->
