@@ -183,7 +183,8 @@ module Db = struct
           let lo = i * n / k and hi = (i + 1) * n / k in
           let target = Exec.driving_scan p in
           let rewrite _ env node =
-            if node == target then Some (Exec.scan env node (fun emit -> emit lo hi)) else None
+            if node == target then Some (Exec.scan env node (fun emit -> emit (Exec.Sources (lo, hi))))
+            else None
           in
           Exec.run_rows ~rewrite ~gov ?prof ?trace ?sink db.graph p
       | None when domains > 1 ->
@@ -245,7 +246,7 @@ module Db = struct
           ("intersections", Int c.Counters.intersections);
           ("hj_build", Int c.Counters.hj_build_tuples);
           ("hj_probe", Int c.Counters.hj_probe_tuples); ("morsels", Int c.Counters.morsels);
-          ("steals", Int c.Counters.steals); ("busy_s", decimals 6 c.Counters.busy_s);
+          ("busy_s", decimals 6 c.Counters.busy_s);
           ("gov_checks", Int c.Counters.gov_checks) ]
     in
     to_string

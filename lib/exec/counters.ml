@@ -7,7 +7,6 @@ type t = {
   mutable hj_build_tuples : int;
   mutable hj_probe_tuples : int;
   mutable morsels : int;
-  mutable steals : int;
   mutable busy_s : float;
   mutable gov_checks : int;
 }
@@ -22,7 +21,6 @@ let create () =
     hj_build_tuples = 0;
     hj_probe_tuples = 0;
     morsels = 0;
-    steals = 0;
     busy_s = 0.0;
     gov_checks = 0;
   }
@@ -38,7 +36,6 @@ let add dst src =
   dst.hj_build_tuples <- dst.hj_build_tuples + src.hj_build_tuples;
   dst.hj_probe_tuples <- dst.hj_probe_tuples + src.hj_probe_tuples;
   dst.morsels <- dst.morsels + src.morsels;
-  dst.steals <- dst.steals + src.steals;
   dst.busy_s <- dst.busy_s +. src.busy_s;
   dst.gov_checks <- dst.gov_checks + src.gov_checks
 
@@ -52,5 +49,5 @@ let pp fmt c =
     "output=%d intermediate=%d icost=%d cache_hits=%d intersections=%d hj=(%d,%d)" c.output
     (intermediate c) c.icost c.cache_hits c.intersections c.hj_build_tuples c.hj_probe_tuples;
   if c.morsels > 0 then
-    Format.fprintf fmt " morsels=%d steals=%d busy=%.3fs" c.morsels c.steals c.busy_s;
+    Format.fprintf fmt " morsels=%d busy=%.3fs" c.morsels c.busy_s;
   if c.gov_checks > 0 then Format.fprintf fmt " gov_checks=%d" c.gov_checks

@@ -3,9 +3,9 @@
     The same record serves two roles. Each operator of a running plan
     counts into its own row ([produced], [icost], [cache_hits],
     [intersections], [hj_build_tuples], [hj_probe_tuples]); the run keeps
-    the remaining fields ([output], [morsels], [steals], [busy_s],
-    [gov_checks]) in one more record; and a run's counters are the
-    {!merge} of all of them.
+    the remaining fields ([output], [morsels], [busy_s], [gov_checks]) in
+    one more record; and a run's counters are the {!merge} of all of
+    them.
 
     [icost] is the *actual* i-cost of a run (Eq. 1): the summed sizes of the
     adjacency lists accessed by E/I operators, not counting lists whose
@@ -22,10 +22,9 @@ type t = {
   mutable hj_build_tuples : int;
   mutable hj_probe_tuples : int;
   mutable morsels : int;  (** morsels executed by this domain (parallel runs) *)
-  mutable steals : int;  (** morsels taken from another domain's deque *)
   mutable busy_s : float;
-      (** wall-clock seconds spent executing morsels, excluding idle spinning
-          — the per-domain load-imbalance signal of Figure 11 *)
+      (** wall-clock seconds a domain spent running its morsels — the
+          per-domain load-imbalance signal of Figure 11 *)
   mutable gov_checks : int;
       (** full governor checks performed (deadline/cap evaluations; ticks in
           between cost a decrement) — the overhead signal for the governor *)

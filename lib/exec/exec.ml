@@ -347,13 +347,17 @@ let governed_intersect env result (l : Sorted.lists) =
           tb "giant-intersect" segmented
   end
 
+(* A piece of a SCAN's source space: whole sources, or one source's edge
+   sub-slice. *)
+type range = Sources of int * int | Edges of int * int * int
+
 (* The SCAN operator, the only loop over the edge list: one run per source
    vertex with neighbours (its adjacency slice), handed on in groups of
    up to [group_size] sources. [ranges] is called once per drive with the
-   scan's emitter, and feeds it every [\[lo, hi)] range of source indices
-   to stream this time: the whole space for a structural scan, one shard
-   for a cluster part, one morsel, or the chunks a parallel hash build
-   pulls from a shared counter. *)
+   scan's emitter, and feeds it every range to stream this time: the whole
+   space for a structural scan, one shard for a cluster part, or the
+   morsels a parallel domain pulls from a shared counter. An [Edges] range
+   is one run cut by [lo]/[hi], as a kernel piece is. *)
 let scan env node ranges =
   match node with
   | Plan.Scan { edge; slabel; dlabel; _ } ->
@@ -387,7 +391,20 @@ let scan env node ranges =
           end
         done
       in
-      fun sink -> ranges (stream sink)
+      let slice sink i a b =
+        let u = sources.(i) in
+        let s = A.unsafe_get v.off ((u * v.stride) + v.base) in
+        out.keys.(0) <- u;
+        out.starts.(0) <- s + a;
+        out.ends.(0) <- s + b;
+        out.first <- 0;
+        out.last <- 1;
+        out.lo <- s + a;
+        out.hi <- s + b;
+        deliver env.gov r out ~n:(b - a) sink
+      in
+      fun sink ->
+        ranges (function Sources (lo, hi) -> stream sink lo hi | Edges (i, a, b) -> slice sink i a b)
   | _ -> invalid_arg "Exec.scan: not a SCAN"
 
 (* The SCAN that streams tuples into the root pipeline: the leftmost scan
@@ -932,8 +949,8 @@ and compile_structural ~count rewrite env plan : groups =
   let compile env plan = compile_groups ~count:false rewrite env plan in
   match plan with
   | Plan.Scan { slabel; _ } ->
-      let n = Graph.num_with_label env.g slabel in
-      scan env plan (fun emit -> emit 0 n)
+      let all = Sources (0, Graph.num_with_label env.g slabel) in
+      scan env plan (fun emit -> emit all)
   | Plan.Extend { child; target_label; descriptors; vars; _ } ->
       let child_driver = compile env child in
       let x =
@@ -1007,13 +1024,7 @@ let governed gov env ~span driver sink =
   release env;
   (match env.trace with
   | Some b ->
-      Trace.end_span
-        ~args:
-          [ ("output", Int env.c.output);
-            ("morsels", Int env.c.morsels);
-            ("steals", Int env.c.steals);
-          ]
-        b;
+      Trace.end_span ~args:[ ("output", Int env.c.output); ("morsels", Int env.c.morsels) ] b;
       Trace.close_all b
   | None -> ());
   Governor.finish env.gov env.c

@@ -31,8 +31,8 @@ type env = {
   cache : bool;
   distinct : bool;
   c : Counters.t;
-      (** the run-level fields only: [output], [morsels], [steals],
-          [busy_s] and [gov_checks] *)
+      (** the run-level fields only: [output], [morsels], [busy_s] and
+          [gov_checks] *)
   ops : Gf_plan.Plan.t array;  (** the run's plan in preorder; index = operator id *)
   rows : Counters.t array;
       (** one counts row per operator: each operator increments only its
@@ -181,13 +181,19 @@ val compile_rw : ?count:bool -> rewrite -> env -> Gf_plan.Plan.t -> driver
     feedback run — stays count-only. *)
 val count_only : env -> (int array -> unit) option -> bool
 
+(** A piece of a SCAN's source space, in source indices (into the scan's
+    source label, see {!num_scan_sources}): [Sources (lo, hi)] is every
+    source in [\[lo, hi)], [Edges (i, a, b)] source [i]'s edges [a] to
+    [b - 1] of its adjacency slice. *)
+type range = Sources of int * int | Edges of int * int * int
+
 (** [scan env node ranges] is the SCAN operator for the scan node [node],
     one run per source vertex with neighbours (its adjacency slice), in
-    groups of up to 64 sources: at each drive it calls [ranges emit], which must call [emit lo hi] for
-    every range [\[lo, hi)] of source indices (into the scan's source
-    label, see {!num_scan_sources}) to stream. Rewrites use it to restrict
-    a driving scan to a shard, a morsel or work-shared chunks. *)
-val scan : env -> Gf_plan.Plan.t -> ((int -> int -> unit) -> unit) -> groups
+    groups of up to 64 sources; an [Edges] range is one group of one run,
+    the slice's piece. At each drive it calls [ranges emit], which must
+    call [emit] with every range to stream. Rewrites use it to restrict a
+    driving scan to a shard or to the morsels of a parallel run. *)
+val scan : env -> Gf_plan.Plan.t -> ((range -> unit) -> unit) -> groups
 
 (** [build_into env join table] is the sink of a HASH-JOIN's build side:
     it appends each build tuple to [table], counting it in the join's row
@@ -224,8 +230,8 @@ val traced_profile :
 
 (** [driving_scan p] is the SCAN that streams tuples into [p]'s root
     pipeline: the leftmost scan through E/I children and HASH-JOIN probe
-    sides. Its source-vertex range is the unit of work division shared by
-    the parallel executor's morsels and the cluster's shard requests. *)
+    sides. Its source space is what the parallel executor's morsels and
+    the cluster's shard requests divide. *)
 val driving_scan : Gf_plan.Plan.t -> Gf_plan.Plan.t
 
 (** [num_scan_sources g p] is the size of the driving scan's source space —

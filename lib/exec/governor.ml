@@ -172,20 +172,6 @@ let add_bytes h n =
     if b > t.byte_cap then trip t c_memory
   end
 
-let release_bytes h n =
-  let t = h.shared in
-  if t.byte_cap < max_int && n > 0 then begin
-    (* Clamp at zero under a CAS loop: releases racing with each other (or
-       with a release of bytes accounted before a partial unwind) must never
-       drive the live total negative and mask later allocations. *)
-    let rec go () =
-      let b = Atomic.get t.bytes in
-      let b' = max 0 (b - n) in
-      if not (Atomic.compare_and_set t.bytes b b') then go ()
-    in
-    go ()
-  end
-
 let finish h c =
   flush_produced h;
   c.Counters.gov_checks <- c.Counters.gov_checks + h.checks

@@ -3,7 +3,7 @@
 
     A query runs under a {!budget} — wall-clock deadline, output-row cap,
     intermediate-tuple cap, approximate byte cap for materialized state
-    (hash-join build tables, morsel batches). One {!t} is created per query
+    (hash-join build tables, merged shard rows). One {!t} is created per query
     and shared by every domain working on it; each domain derives a private
     {!handle} and calls {!tick} from its inner loops. A tick decrements a
     local fuel counter and only every [cadence] ticks performs the full
@@ -38,7 +38,8 @@ val outcome_to_string : outcome -> string
 
 (** Per-query resource budget; [None] fields are unchecked. [max_bytes]
     bounds the approximate bytes of materialized state (join-table rows,
-    morsel batch buffers) accounted via {!add_bytes}. *)
+    a coordinator's merged shard rows) accounted via {!add_bytes}; they are
+    never given back within a query. *)
 type budget = {
   deadline_s : float option;  (** relative to query start, in seconds *)
   max_output : int option;
@@ -148,12 +149,6 @@ val claim_outputs : handle -> int -> int
     and trips the governor (without raising — a subsequent {!tick} unwinds)
     once the byte cap is exceeded. A no-op when no byte cap is set. *)
 val add_bytes : handle -> int -> unit
-
-(** [release_bytes h n] returns [n] bytes of materialized state that is no
-    longer live (a consumed morsel batch), so [max_bytes] bounds *live*
-    bytes rather than cumulative allocation. The shared total is clamped at
-    zero. A no-op when no byte cap is set or [n <= 0]. *)
-val release_bytes : handle -> int -> unit
 
 (** [finish h c] flushes the remaining produced delta and records the
     number of full checks into the run-level [c.gov_checks]. Call once per

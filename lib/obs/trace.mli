@@ -58,7 +58,7 @@ val end_span : ?args:(string * arg) list -> buf -> unit
 (** [span b name f] runs [f ()] inside a span, closing it even on raise. *)
 val span : ?cat:string -> ?args:(string * arg) list -> buf -> string -> (unit -> 'a) -> 'a
 
-(** [instant b name] records a zero-duration marker (steals, trips). *)
+(** [instant b name] records a zero-duration marker. *)
 val instant : ?cat:string -> ?args:(string * arg) list -> buf -> string -> unit
 
 (** [add_complete b ~name ~ts_us ~dur_us] records an already-measured span

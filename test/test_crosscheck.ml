@@ -102,10 +102,10 @@ let prop_all_engines_agree =
            (fun d ->
              same
                (Printf.sprintf "parallel(%d) small morsels" d)
-               (fun sink -> ignore (Parallel.run ~domains:d ~chunk:3 ~batch:4 ~sink g plan))
+               (fun sink -> ignore (Parallel.run ~domains:d ~chunk:3 ~sink g plan))
              && ok
                   (Printf.sprintf "parallel count-only(%d)" d)
-                  (Parallel.run ~domains:d ~chunk:3 ~batch:4 g plan).counters.Counters.output
+                  (Parallel.run ~domains:d ~chunk:3 g plan).counters.Counters.output
              && ok_distinct
                   (Printf.sprintf "parallel distinct(%d)" d)
                   (Parallel.run ~domains:d ~distinct:true ~chunk:5 g plan).counters
@@ -116,7 +116,7 @@ let prop_all_engines_agree =
       && (let lim = (expected / 2) + 1 in
           let budget = Governor.budget ~max_output:lim () in
           let got =
-            (Parallel.run ~domains:3 ~budget ~chunk:4 ~batch:8 g plan).counters
+            (Parallel.run ~domains:3 ~budget ~chunk:4 g plan).counters
               .Counters.output
           in
           let want = min lim expected in
@@ -149,7 +149,8 @@ let tuple_fed : Exec.rewrite =
  fun _ env node ->
   match node with
   | Plan.Scan { slabel; _ } ->
-      let groups = Exec.scan env node (fun emit -> emit 0 (Graph.num_with_label env.Exec.g slabel)) in
+      let all = Exec.Sources (0, Graph.num_with_label env.Exec.g slabel) in
+      let groups = Exec.scan env node (fun emit -> emit all) in
       Some
         (Exec.of_tuples env (fun sink ->
              groups (fun (grp : Exec.group) ->
@@ -242,7 +243,7 @@ let test_hub_rows_queries () =
                     ignore (Exec.run_gov ~sink g plan))))
           [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Simd ];
         same "parallel(3)" (fun sink ->
-            ignore (Parallel.run ~domains:3 ~chunk:5 ~batch:8 ~sink g plan));
+            ignore (Parallel.run ~domains:3 ~chunk:5 ~sink g plan));
         same "adaptive" (fun sink -> ignore (Adaptive.run ~sink cat g q plan)))
       [ ("planner", fst (Planner.plan cat q)); ("all-E/I", wco) ]
   done
@@ -442,7 +443,7 @@ let prop_spectrum_plans_agree_parallel =
           let seq = fst (Exec.run_gov g p) in
           List.for_all
             (fun d ->
-              let r = Parallel.run ~domains:d ~chunk:7 ~batch:16 g p in
+              let r = Parallel.run ~domains:d ~chunk:7 g p in
               if r.counters.Counters.output <> expected then
                 QCheck2.Test.fail_reportf "%s plan parallel(%d): %d <> %d on %s"
                   (Spectrum.family_to_string fam) d r.counters.Counters.output
@@ -478,26 +479,78 @@ let prop_data_queries_match =
       let q = Query_gen.from_data g rng ~num_vertices:(4 + Rng.int rng 4) ~dense:(Rng.bool rng) in
       Naive.count ~distinct:true g q >= 1)
 
-(* Acceptance criteria for the morsel-driven executor: on a skewed
-   (power-law) graph, a multi-domain run actually steals work, and the
-   per-domain outputs partition the sequential result exactly. *)
-let test_work_stealing_skew () =
+(* The morsels of a skewed (power-law) graph's driving scan tile its edges
+   exactly, each within the edge budget, with the largest hub cut over
+   several of them; a scan with no edges has none; and the domains'
+   outputs, one morsel at a time, add up to the sequential count. *)
+let test_morsels_cut_edges () =
   let g = Generators.dataset ~scale:0.02 Generators.Twitter in
   let q = Patterns.q 1 in
   let plan = Plan.wco q [| 0; 1; 2 |] in
-  let seq = Exec.count g plan in
-  (* Scheduling on a loaded single-core machine could in principle let every
-     domain consume exactly its own seed; retry a few times before calling
-     the absence of steals a failure. *)
-  let rec attempt k =
-    let r = Parallel.run ~domains:4 ~chunk:4 ~batch:32 g plan in
-    check_int "skewed count" seq r.counters.Counters.output;
-    check_int "shares sum to output" seq (Array.fold_left ( + ) 0 r.Parallel.per_domain_output);
-    check_bool "morsels executed" true (r.counters.Counters.morsels > 4);
-    if r.counters.Counters.steals = 0 && k > 0 then attempt (k - 1)
-    else check_bool "steals observed" true (r.counters.Counters.steals > 0)
+  let elabel, slabel, dlabel =
+    match Exec.driving_scan plan with
+    | Plan.Scan { edge; slabel; dlabel; _ } -> (edge.Gf_query.Query.label, slabel, dlabel)
+    | _ -> assert false
   in
-  attempt 5
+  let sources = Graph.vertices_with_label g slabel in
+  let degree i = Graph.partition_size g Graph.Fwd sources.(i) ~elabel ~nlabel:dlabel in
+  (* Each source's pieces, as [a, b) edge offsets. *)
+  let pieces = Array.make (Array.length sources) [] in
+  let hub = ref 0 in
+  Array.iteri (fun i _ -> if degree i > degree !hub then hub := i) sources;
+  (* A budget the largest hub exceeds about threefold. *)
+  let chunk = degree !hub / 3 in
+  let ms = Parallel.morsels ~chunk g plan in
+  let hub_morsels = ref 0 in
+  Array.iter
+    (fun m ->
+      let edges =
+        match m with
+        | Exec.Sources (lo, hi) ->
+            let n = ref 0 in
+            for i = lo to hi - 1 do
+              if degree i > 0 then pieces.(i) <- (0, degree i) :: pieces.(i);
+              n := !n + degree i;
+              if i = !hub then incr hub_morsels
+            done;
+            !n
+        | Exec.Edges (i, a, b) ->
+            pieces.(i) <- (a, b) :: pieces.(i);
+            if i = !hub then incr hub_morsels;
+            b - a
+      in
+      check_bool "a morsel has edges" true (edges > 0);
+      check_bool "a morsel fits the budget" true (edges <= chunk))
+    ms;
+  Array.iteri
+    (fun i ps ->
+      let tiled =
+        List.fold_left (fun at (a, b) -> if a = at && b > a then b else -1) 0
+          (List.sort compare ps)
+      in
+      if tiled <> degree i then
+        Alcotest.failf "source %d: pieces do not tile its %d edges" i (degree i))
+    pieces;
+  check_bool "the largest hub spans several morsels" true (!hub_morsels > 1);
+  let seq = Exec.count g plan in
+  let r = Parallel.run ~domains:4 ~chunk g plan in
+  check_int "skewed count" seq r.counters.Counters.output;
+  check_int "shares sum to output" seq (Array.fold_left ( + ) 0 r.Parallel.per_domain_output);
+  check_int "every morsel run once" (Array.length ms) r.counters.Counters.morsels;
+  (* A scan without sources, and one whose sources have no edges. *)
+  let edge =
+    Query.create ~num_vertices:2 ~vlabels:[| 1; 0 |]
+      ~edges:[| { Query.src = 0; dst = 1; label = 0 } |]
+      ()
+  in
+  let scan = Plan.wco edge [| 0; 1 |] in
+  List.iter
+    (fun (what, vlabel) ->
+      let g = Graph.build ~num_vlabels:2 ~num_elabels:1 ~vlabel ~edges:[| (1, 2, 0); (2, 0, 0) |] in
+      check_int (what ^ ": no morsels") 0 (Array.length (Parallel.morsels ~chunk:4 g scan));
+      check_int (what ^ ": nothing matched") 0
+        (Parallel.run ~domains:2 ~chunk:4 g scan).counters.Counters.output)
+    [ ("no sources", [| 0; 0; 0 |]); ("degree-0 sources", [| 1; 0; 0 |]) ]
 
 let test_parallel_hybrid_features () =
   let g = Generators.holme_kim (Rng.create 11) ~n:300 ~m_per:4 ~p_triad:0.5 ~recip:0.4 in
@@ -506,7 +559,7 @@ let test_parallel_hybrid_features () =
   let seqc = fst (Exec.run_gov g plan) in
   List.iter
     (fun d ->
-      let r = Parallel.run ~domains:d ~chunk:8 ~batch:16 g plan in
+      let r = Parallel.run ~domains:d ~chunk:8 g plan in
       check_int (Printf.sprintf "hybrid count %dd" d) seqc.Counters.output
         r.counters.Counters.output;
       (* Build side executed once, not once per domain. *)
@@ -525,7 +578,7 @@ let test_parallel_hybrid_features () =
   let lim = (seqc.Counters.output / 3) + 1 in
   check_int "hybrid limit exact"
     (min lim seqc.Counters.output)
-    (Parallel.run ~domains:4 ~budget:(Governor.budget ~max_output:lim ()) ~chunk:8 ~batch:16
+    (Parallel.run ~domains:4 ~budget:(Governor.budget ~max_output:lim ()) ~chunk:8
        g plan)
       .counters
       .Counters.output;
@@ -613,7 +666,7 @@ let suite =
       ] );
     ( "parallel.morsel",
       [
-        Alcotest.test_case "work stealing on skew" `Quick test_work_stealing_skew;
+        Alcotest.test_case "morsels cut the driving scan's edges" `Quick test_morsels_cut_edges;
         Alcotest.test_case "hybrid features" `Quick test_parallel_hybrid_features;
       ] );
     ( "api",

@@ -79,7 +79,8 @@ let shard ?cache g plan i k =
   let lo = i * n / k and hi = (i + 1) * n / k in
   let target = Exec.driving_scan plan in
   let rewrite _ env node =
-    if node == target then Some (Exec.scan env node (fun emit -> emit lo hi)) else None
+    if node == target then Some (Exec.scan env node (fun emit -> emit (Exec.Sources (lo, hi))))
+    else None
   in
   Exec.run_rows ?cache ~rewrite g plan
 
@@ -123,7 +124,7 @@ let test_sum_consistency_executors () =
         (fun d ->
           List.iter
             (fun (how, sink) ->
-              let r = Parallel.run ~domains:d ~chunk:8 ~batch:16 ?sink g plan in
+              let r = Parallel.run ~domains:d ~chunk:8 ?sink g plan in
               check_sums (Printf.sprintf "%s parallel(%d) %s" name d how) r.Parallel.rows
                 r.Parallel.counters)
             [ ("enumerating", Some ignore); ("count-only", None) ])
@@ -177,7 +178,7 @@ let test_parallel_merge_equals_sequential () =
       let sprof = Profile.create plan in
       let sc, srows, _ = Exec.run_rows ~cache:false ~prof:sprof g plan in
       let pprof = Profile.create plan in
-      let r = Parallel.run ~domains:4 ~cache:false ~chunk:8 ~batch:16 ~prof:pprof g plan in
+      let r = Parallel.run ~domains:4 ~cache:false ~chunk:8 ~prof:pprof g plan in
       check_int (name ^ ": output") sc.Counters.output r.counters.Counters.output;
       Array.iter2
         (fun (s : Profile.op) (p : Profile.op) ->
@@ -198,7 +199,7 @@ let test_truncation_sum_consistency () =
       let cap = (total / 3) + 1 in
       let budget = Governor.budget ~max_output:cap () in
       let prof = Profile.create plan in
-      let r = Parallel.run ~domains:4 ~chunk:4 ~batch:8 ~budget ~prof g plan in
+      let r = Parallel.run ~domains:4 ~chunk:4 ~budget ~prof g plan in
       check_bool (name ^ ": truncated") true
         (r.Parallel.outcome = Governor.Truncated Governor.Output_limit);
       check_sums (name ^ " truncated parallel") r.Parallel.rows r.counters;
