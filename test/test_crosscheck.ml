@@ -666,7 +666,7 @@ let suite =
       ] );
     ( "parallel.morsel",
       [
-        Alcotest.test_case "morsels cut the driving scan's edges" `Quick test_morsels_cut_edges;
+        Alcotest.test_case "morsels tile the scan" `Quick test_morsels_cut_edges;
         Alcotest.test_case "hybrid features" `Quick test_parallel_hybrid_features;
       ] );
     ( "api",
