@@ -3,7 +3,6 @@ module Query = Gf_query.Query
 module Canon = Gf_query.Canon
 module Rng = Gf_util.Rng
 module Sorted = Gf_util.Sorted
-module Int_vec = Gf_util.Int_vec
 module Plan = Gf_plan.Plan
 
 type work = { merged : float; galloped : float; probed : float }
@@ -56,8 +55,11 @@ type t = {
   h : int;
   z : int;
   seed : int;
+  (* Guards the four lazy tables, which request threads share: held for
+     lookups and inserts only, never while sampling or counting. *)
+  lock : Mutex.t;
   entries : (string, entry) Hashtbl.t;
-  edge_lists : (int * int * int, (int * int) array) Hashtbl.t;
+  edge_lists : (int * int * int, int array) Hashtbl.t;
   edge_counts : (int * int * int, int) Hashtbl.t;
   avg_sizes : (Graph.direction * int * int * int, float) Hashtbl.t;
 }
@@ -70,6 +72,7 @@ let create ?(h = 3) ?(z = 1000) ?(seed = 7) g =
     h;
     z;
     seed;
+    lock = Mutex.create ();
     entries = Hashtbl.create 1024;
     edge_lists = Hashtbl.create 64;
     edge_counts = Hashtbl.create 64;
@@ -79,141 +82,79 @@ let create ?(h = 3) ?(z = 1000) ?(seed = 7) g =
 let h t = t.h
 let z t = t.z
 let graph t = t.g
-let num_entries t = Hashtbl.length t.entries
+let locked t f = Mutex.protect t.lock f
+
+(* [tbl]'s value for [key], computed by [make] outside the lock when there
+   is none or it is not [fresh]. A value is a function of the graph, the
+   seed and the key, so when two threads race, both compute the same one
+   and the first insert wins. *)
+let memo ?(fresh = fun _ -> true) t tbl key make =
+  match locked t (fun () -> Hashtbl.find_opt tbl key) with
+  | Some v when fresh v -> v
+  | _ ->
+      let v = make () in
+      locked t (fun () ->
+          match Hashtbl.find_opt tbl key with
+          | Some v when fresh v -> v
+          | _ ->
+              Hashtbl.replace tbl key v;
+              v)
+
+let num_entries t = locked t (fun () -> Hashtbl.length t.entries)
+
+let entries t =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (locked t (fun () -> Hashtbl.fold (fun code e acc -> (code, e) :: acc) t.entries []))
 
 let edge_count t ~elabel ~slabel ~dlabel =
-  let key = (elabel, slabel, dlabel) in
-  match Hashtbl.find_opt t.edge_counts key with
-  | Some c -> c
-  | None ->
-      let c = Graph.count_edges t.g ~elabel ~slabel ~dlabel in
-      Hashtbl.replace t.edge_counts key c;
-      c
+  memo t t.edge_counts (elabel, slabel, dlabel) (fun () ->
+      Graph.count_edges t.g ~elabel ~slabel ~dlabel)
 
 let edge_list t ~elabel ~slabel ~dlabel =
-  let key = (elabel, slabel, dlabel) in
-  match Hashtbl.find_opt t.edge_lists key with
-  | Some l -> l
-  | None ->
-      let l = Wander.edge_pool t.g ~elabel ~slabel ~dlabel in
-      Hashtbl.replace t.edge_lists key l;
-      l
+  memo t t.edge_lists (elabel, slabel, dlabel) (fun () ->
+      Wander.edge_pool t.g ~elabel ~slabel ~dlabel)
 
 let avg_partition_size t ~dir ~slabel ~elabel ~nlabel =
-  let key = (dir, slabel, elabel, nlabel) in
-  match Hashtbl.find_opt t.avg_sizes key with
-  | Some s -> s
-  | None ->
+  memo t t.avg_sizes (dir, slabel, elabel, nlabel) (fun () ->
       let vs = Graph.vertices_with_label t.g slabel in
       let total =
         Array.fold_left
           (fun acc v -> acc + Graph.partition_size t.g dir v ~elabel ~nlabel)
           0 vs
       in
-      let s =
-        if Array.length vs = 0 then 0.0
-        else float_of_int total /. float_of_int (Array.length vs)
-      in
-      Hashtbl.replace t.avg_sizes key s;
-      s
+      if Array.length vs = 0 then 0.0
+      else float_of_int total /. float_of_int (Array.length vs))
 
 (* Section 5.1: sample min z npool distinct scan edges and walk the
-   Q_{k-1} prefix from each one ({!Wander.walks}). A walk of weight w (the
-   product of the fan-outs it chose from) adds w·|ext| to the μ sum and
-   w·|L_i| to each list's size sum at the last step, so every sampled edge
-   gets the same budget whatever its subtree. [qk] is in canonical form,
-   so descriptor sources are already canonical vertex ids. *)
+   Q_{k-1} prefix from each one, all in one walk-kernel call
+   ({!Wander.walks}). A walk of weight w (the product of the fan-outs it
+   chose from) adds w·|ext| to the μ sum, w·|L_i| to each list's size sum
+   and w times each intersection's work to its work sum at the last step,
+   so every sampled edge gets the same budget whatever its subtree. [qk]
+   is in canonical form, so descriptor sources are already canonical
+   vertex ids. *)
 let sample_entry t rng qk new_v =
   let k = Query.num_vertices qk in
   if k < 3 then invalid_arg "Catalog.entry: the pattern needs at least three vertices";
   let order = Query.first_connected_order ~last:new_v qk in
-  let final = Plan.descriptors qk (Array.sub order 0 (k - 1)) new_v in
-  let nf = Array.length final in
-  (* Total weight, the μ sum, then one size sum per final list. *)
-  let sums = Array.make (nf + 2) 0.0 and walked = ref 0 in
   let starts npool =
     if t.z >= npool then Array.init npool Fun.id
     else Rng.sample_without_replacement rng ~n:npool ~k:t.z
   in
-  (* The work sums: for each final list as the E/I's varying one, the run
-     kernel's step of [S] (the other lists' intersection, or the one other
-     list with its row) against it and the intersection into [S]; and the
-     intersection of every list, an E/I's [S] when none varies. *)
-  let step_w = Array.init nf (fun _ -> Sorted.work ())
-  and stable = Array.init nf (fun _ -> Sorted.work ())
-  and all = Sorted.work () in
-  let bits = Graph.bitmap_words t.g in
-  let others = Sorted.lists ~bits (max 0 (nf - 1)) and out = Int_vec.create () in
-  let s_len = Array.make nf 0 in
-  let measure w ext (l : Sorted.lists) =
-    incr walked;
-    sums.(0) <- sums.(0) +. w;
-    sums.(1) <- sums.(1) +. (w *. float_of_int ext);
-    for i = 0 to nf - 1 do
-      sums.(i + 2) <- sums.(i + 2) +. (w *. float_of_int (l.hi.(i) - l.lo.(i)))
-    done;
-    let len i = l.hi.(i) - l.lo.(i) in
-    let step acc a b ~row =
-      Sorted.step_work acc w ~a:(float_of_int a) ~b:(float_of_int b) ~row
-    in
-    if nf >= 2 then begin
-      for i = 0 to nf - 1 do
-        let s_row =
-          if nf = 2 then begin
-            s_len.(i) <- len (1 - i);
-            l.row.(1 - i) >= 0
-          end
-          else begin
-            for j = 0 to nf - 2 do
-              let o = if j < i then j else j + 1 in
-              others.bufs.(j) <- l.bufs.(o);
-              others.lo.(j) <- l.lo.(o);
-              others.hi.(j) <- l.hi.(o);
-              others.row.(j) <- l.row.(o)
-            done;
-            Int_vec.clear out;
-            Sorted.intersect_work stable.(i) w out others;
-            s_len.(i) <- Int_vec.length out;
-            false
-          end
-        in
-        (* The kernel keeps [S] first on a tie. *)
-        if len i < s_len.(i) then step step_w.(i) (len i) s_len.(i) ~row:s_row
-        else step step_w.(i) s_len.(i) (len i) ~row:(l.row.(i) >= 0)
-      done;
-      (* Every list, as {!Sorted.intersect} cascades them: for two or
-         three lists the first step's result is an [S] above. *)
-      if nf <= 3 then begin
-        (* The insertion sort's order: ascending length, ties by index. *)
-        let o0 = ref 0 and o1 = ref 1 and o2 = ref (nf - 1) in
-        let order a b = if len !b < len !a then begin let t = !a in a := !b; b := t end in
-        order o0 o1;
-        if nf = 3 then begin
-          order o1 o2;
-          order o0 o1
-        end;
-        step all (len !o0) (len !o1) ~row:(l.row.(!o1) >= 0);
-        if nf = 3 then step all s_len.(!o2) (len !o2) ~row:(l.row.(!o2) >= 0)
-      end
-      else begin
-        Int_vec.clear out;
-        Sorted.intersect_work all w out l
-      end
-    end
-  in
-  ignore (Wander.walks ~edges:(edge_list t) t.g qk ~order ~starts rng measure);
+  let s = Wander.walks ~edges:(edge_list t) t.g qk ~order ~starts rng in
   (* Unmeasured: μ = 0, every final list at its global per-label average. *)
   let size i (d : Plan.descriptor) =
-    if !walked > 0 then sums.(i + 2) /. sums.(0)
+    if s.walked > 0 then s.sizes.(i) /. s.weight
     else
       avg_partition_size t ~dir:d.dir ~slabel:(Query.vlabel qk order.(d.pos)) ~elabel:d.elabel
         ~nlabel:(Query.vlabel qk new_v)
   in
   let sizes =
-    Array.to_list final
+    Array.to_list s.last
     |> List.mapi (fun i (d : Plan.descriptor) -> ((order.(d.pos), d.dir, d.elabel), size i d))
   in
-  if !walked = 0 then begin
+  if s.walked = 0 then begin
     let stats, all_work = analytic (Array.of_list (List.map snd sizes)) in
     {
       mu = 0.0;
@@ -225,23 +166,36 @@ let sample_entry t rng qk new_v =
     }
   end
   else
-    let w = sums.(0) in
+    let w = s.weight in
     {
-      mu = sums.(1) /. w;
+      mu = s.ext /. w;
       sizes;
-      total_size = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sizes;
-      samples = !walked;
-      kernel = Array.init nf (fun i -> (freeze step_w.(i) w, freeze stable.(i) w));
-      all_work = freeze all w;
+      total_size = List.fold_left (fun acc (_, x) -> acc +. x) 0.0 sizes;
+      samples = s.walked;
+      kernel = Array.map2 (fun st sb -> (freeze st w, freeze sb w)) s.step s.stable;
+      all_work = freeze s.all w;
     }
 
 (* [qk] renumbered by its canonical permutation, edges sorted: every
    numbering of a pattern (with the same marked vertex) gives one value. *)
 let canonical_form qk perm =
-  let q = Query.relabel_vertices qk perm in
-  let edges = Array.copy q.Query.edges in
-  Array.sort compare edges;
-  Query.create ~num_vertices:(Query.num_vertices q) ~vlabels:q.Query.vlabels ~edges ()
+  let vlabels = Array.make (Query.num_vertices qk) 0 in
+  Array.iteri (fun v l -> vlabels.(perm.(v)) <- l) qk.Query.vlabels;
+  let edges =
+    Array.map
+      (fun (e : Query.edge) -> { e with Query.src = perm.(e.src); dst = perm.(e.dst) })
+      qk.Query.edges
+  in
+  (* [compare]'s order on edges, without its polymorphic walk. *)
+  Array.sort
+    (fun (a : Query.edge) (b : Query.edge) ->
+      let c = Int.compare a.src b.src in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.dst b.dst in
+        if c <> 0 then c else Int.compare a.label b.label)
+    edges;
+  Query.create ~num_vertices:(Query.num_vertices qk) ~vlabels ~edges ()
 
 (* The entry whose canonical code and permutation are [code] and [perm],
    sampled on first use from the canonical form, with a generator seeded by
@@ -249,13 +203,13 @@ let canonical_form qk perm =
    pattern: not on how the requesting query numbers its vertices, nor on
    which entries were sampled before it. *)
 let find_entry t qk new_vertex (code, perm) =
-  match Hashtbl.find_opt t.entries code with
-  | Some e when current e -> e
-  | _ ->
+  memo ~fresh:current t t.entries code (fun () ->
       let rng = Rng.create (Hashtbl.seeded_hash t.seed code) in
       let e = sample_entry t rng (canonical_form qk perm) perm.(new_vertex) in
-      Hashtbl.replace t.entries code e;
-      e
+      Gf_exec.Metrics.inc
+        (Gf_exec.Metrics.counter ~help:"Catalogue entries sampled"
+           "gf_catalog_entries_sampled_total");
+      e)
 
 let entry t qk ~new_vertex =
   if Query.num_vertices qk > t.h + 1 then None
@@ -402,28 +356,26 @@ let build_exhaustive t =
    all-lists work, a size line with its list's step and stable work. *)
 let save t path =
   let work oc w = Printf.fprintf oc " %.17g %.17g %.17g" w.merged w.galloped w.probed in
+  let saved = List.filter (fun (_, (e : entry)) -> current e) (entries t) in
   Gf_util.Atomic_file.write path (fun oc ->
-      Printf.fprintf oc "graphflow-catalog v3\n%d %d %d\n" t.h t.z
-        (Hashtbl.fold (fun _ e n -> if current e then n + 1 else n) t.entries 0);
-      Hashtbl.iter
-        (fun code e ->
-          if current e then begin
-            Printf.fprintf oc "entry %s %.17g %.17g %d %d" code e.mu e.total_size e.samples
-              (List.length e.sizes);
-            work oc e.all_work;
-            output_char oc '\n';
-            List.iteri
-              (fun i ((v, dir, el), s) ->
-                Printf.fprintf oc "size %d %c %d %.17g" v
-                  (match dir with Graph.Fwd -> 'f' | Graph.Bwd -> 'b')
-                  el s;
-                let step, stable = e.kernel.(i) in
-                work oc step;
-                work oc stable;
-                output_char oc '\n')
-              e.sizes
-          end)
-        t.entries;
+      Printf.fprintf oc "graphflow-catalog v3\n%d %d %d\n" t.h t.z (List.length saved);
+      List.iter
+        (fun (code, (e : entry)) ->
+          Printf.fprintf oc "entry %s %.17g %.17g %d %d" code e.mu e.total_size e.samples
+            (List.length e.sizes);
+          work oc e.all_work;
+          output_char oc '\n';
+          List.iteri
+            (fun i ((v, dir, el), s) ->
+              Printf.fprintf oc "size %d %c %d %.17g" v
+                (match dir with Graph.Fwd -> 'f' | Graph.Bwd -> 'b')
+                el s;
+              let step, stable = e.kernel.(i) in
+              work oc step;
+              work oc stable;
+              output_char oc '\n')
+            e.sizes)
+        saved;
       Printf.fprintf oc "end\n")
 
 type load_error = { path : string; line : int; kind : error_kind }

@@ -31,6 +31,9 @@
 
     The default construction is lazy — entries materialize on first lookup —
     so a catalogue is cheap to create and pay-as-you-go for a workload.
+    Threads may share one: its lazy tables sit behind one mutex, held for
+    lookups and inserts only, and an entry is sampled outside it (two
+    threads racing for one sample the same entry; the first insert wins).
     [build_exhaustive] eagerly enumerates every pattern (the paper's
     construction, measured in Tables 10-11). *)
 
@@ -135,6 +138,10 @@ val edge_count : t -> elabel:int -> slabel:int -> dlabel:int -> int
 val build_exhaustive : t -> int
 
 val num_entries : t -> int
+
+(** [entries cat] is every stored entry with its canonical code, by
+    code. *)
+val entries : t -> (string * entry) list
 
 (** [q_error ~estimate ~truth] is
     [max (estimate / truth) (truth / estimate)] with both clamped to at

@@ -260,7 +260,7 @@ module Db = struct
 
   let explain db q =
     let p, cost = plan db q in
-    Format.asprintf "estimated cost: %.0f i-cost units@.%a@." cost Plan.pp p
+    Format.asprintf "estimated cost: %.0f ns@.%a@." cost Plan.pp p
 
   let estimate_cardinality db q = Cost_model.estimate_cardinality db.catalog q
 

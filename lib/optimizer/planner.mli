@@ -37,7 +37,8 @@ val default_opts : opts
     constraint a triangle is only computable by an intersection). *)
 exception No_plan of string
 
-(** [plan cat q] is the chosen plan and its estimated cost (i-cost units).
+(** [plan cat q] is the chosen plan and its estimated cost, in the
+    nanoseconds of {!Cost}.
     [trace] records an [optimize] span with [wco-enumeration] and
     [dp-enumeration] phase spans into the given buffer — the planner runs on
     the caller's thread, so it records into the caller's buffer rather than

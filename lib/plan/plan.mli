@@ -56,8 +56,9 @@ val scan : Gf_query.Query.t -> Gf_query.Query.edge -> t
     columns bind the query vertices [bound] by [target]: one per edge of [q]
     between [target] and a vertex of [bound], in edge order, [pos] being
     that vertex's column. Empty when [target] touches no vertex of
-    [bound]. Every E/I step (planned, adaptive, sampled or walked) takes its
-    descriptors from here. *)
+    [bound]. Every E/I step (planned, adaptive or sampled) takes its
+    descriptors from here; a walk ({!Gf_catalog.Wander.walks}) computes all
+    its steps' by this rule in one pass. *)
 val descriptors : Gf_query.Query.t -> int array -> int -> descriptor array
 
 (** [extend q child target] adds query vertex [target] with the

@@ -483,37 +483,6 @@ let step_work w weight ~a ~b ~row =
       w.galloped <- w.galloped +. (weight *. a *. Float.log2 (b /. a))
     else w.merged <- w.merged +. (weight *. (a +. b))
 
-(* {!cascade}'s steps, each priced before it runs. *)
-let intersect_work w weight out l =
-  let k = Array.length l.lo in
-  let price la b =
-    step_work w weight ~a:(float_of_int la) ~b:(float_of_int (len l b)) ~row:(l.row.(b) >= 0)
-  in
-  if k < 2 then intersect out l
-  else begin
-    let order = l.order in
-    for i = 0 to k - 1 do
-      order.(i) <- i
-    done;
-    sort_order l k;
-    price (len l order.(0)) order.(1);
-    if k = 2 then pair out l order.(0) order.(1)
-    else begin
-      let cur = ref l.scratch and next = ref l.scratch2 in
-      Int_vec.clear !cur;
-      pair !cur l order.(0) order.(1);
-      for j = 2 to k - 1 do
-        let b = order.(j) in
-        price (Int_vec.length !cur) b;
-        let dst = if j = k - 1 then out else (Int_vec.clear !next; !next) in
-        step dst (Int_vec.buf !cur) 0 (Int_vec.length !cur) l b;
-        let t = !cur in
-        cur := !next;
-        next := t
-      done
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Run kernel                                                          *)
 (* ------------------------------------------------------------------ *)

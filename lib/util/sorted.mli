@@ -165,10 +165,6 @@ val work : unit -> work
     when [row], to [w]. *)
 val step_work : work -> float -> a:float -> b:float -> row:bool -> unit
 
-(** [intersect_work w weight out l] is [intersect out l] that also adds
-    [weight] times the work of its steps to [w]. *)
-val intersect_work : work -> float -> Int_vec.t -> lists -> unit
-
 (** {1 Run kernel}
 
     A run is a bound prefix [p] plus a candidate slice [C]: it stands for

@@ -11,13 +11,22 @@
  * Dispatch is CPUID-based and happens once: gfq_cpu_level() probes AVX2 /
  * SSE4.2 support at first use; non-x86 builds compile only the portable
  * scalar paths and report level 0. gfq_set_level() caps the level the
- * kernels dispatch on (0 holds them to portable C: Sorted's Scalar mode). All stubs are [@@noalloc]: they never
- * allocate, raise, or touch the OCaml heap beyond reading tagged ints.
+ * kernels dispatch on (0 holds them to portable C: Sorted's Scalar mode). All stubs but the
+ * walk kernel are [@@noalloc]: they never allocate, raise, or touch the
+ * OCaml heap beyond reading tagged ints. The walk kernel (Wander.walks)
+ * takes its scratch from the stack and malloc, per call, and boxes the generator state it
+ * writes back. This file is compiled with -ffp-contract=off: the walk
+ * kernel's float sums must round exactly as OCaml's.
  */
 
 #include <caml/mlvalues.h>
+#include <caml/alloc.h>
 #include <caml/bigarray.h>
+#include <caml/fail.h>
+#include <caml/memory.h>
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -742,4 +751,254 @@ stopped:
   Field(vr, R_NEED) = Val_long(need);
   Field(vr, R_OUTSIDE) = Val_bool(outside);
   return Val_long(k);
+}
+
+/* ------------------------------------------------------------------ */
+/* Walk kernel                                                         */
+/* ------------------------------------------------------------------ */
+
+/* Gf_util.Rng.int: the SplitMix64 state advances by the golden gamma and
+ * is mixed; the draw is the top 63 bits modulo n. */
+static inline intnat rng_int(uint64_t *state, intnat n)
+{
+  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  z ^= z >> 31;
+  return (intnat)((z >> 1) % (uint64_t)n);
+}
+
+static int list_member(const glist *l, intnat x)
+{
+  intnat lo = l->lo, hi = l->hi;
+  while (lo < hi) {
+    intnat mid = lo + ((hi - lo) >> 1);
+    if (rd(l->p, l->w, mid) < x) lo = mid + 1; else hi = mid;
+  }
+  return lo < l->hi && rd(l->p, l->w, lo) == x;
+}
+
+static inline intnat glen(const glist *l) { return l->hi - l->lo; }
+
+/* Sorted.step_work: [w] times the work of a elements against a list of
+ * b >= a, with a bitmap row when [row], added to wk = {merged, galloped,
+ * probed}. Compiled without FP contraction, so every sum rounds as
+ * OCaml's does. */
+static void step_work(double *wk, double w, double a, double b, int row)
+{
+  if (a > 0.0) {
+    if (row && b >= 2.0 * a) wk[2] += w * a;
+    else if (b > a * 16.0) wk[1] += w * a * log2(b / a);
+    else wk[0] += w * (a + b);
+  }
+}
+
+/* A native-int buffer owned by one kernel call: a stack array until a
+ * cascade needs more, then the heap. Its contents do not survive a
+ * reserve: each cascade reserves before it writes. */
+typedef struct {
+  intnat *p;
+  intnat cap;
+  int heap;
+} wbuf;
+
+static int wbuf_reserve(wbuf *b, intnat n)
+{
+  intnat c = b->cap;
+  if (n <= c) return 1;
+  while (c < n) c *= 2;
+  if (b->heap) free(b->p);
+  b->p = malloc((size_t)c * sizeof(intnat));
+  b->heap = 1;
+  if (b->p == NULL) {
+    b->cap = 0;
+    return 0;
+  }
+  b->cap = c;
+  return 1;
+}
+
+/* Sorted.intersect of the m >= 2 lists l[0 .. m): ordered by length,
+ * ties by index, into b from 0, smallest first, each step narrowing in
+ * place; with [wk], each step's work is added before it runs (step_work).
+ * [o] is room for m pointers. Returns the result's length, or -1 when b
+ * cannot grow. */
+static intnat cascade(const glist *l, int m, const glist **o, const uint64_t *bits,
+                      wbuf *b, double *wk, double w)
+{
+  intnat e;
+  for (int a = 0; a < m; a++) {
+    const glist *t = &l[a];
+    int c = a - 1;
+    while (c >= 0 && glen(o[c]) > glen(t)) {
+      o[c + 1] = o[c];
+      c--;
+    }
+    o[c + 1] = t;
+  }
+  if (!wbuf_reserve(b, glen(o[0]) + 8)) return -1;
+  if (wk) step_work(wk, w, (double)glen(o[0]), (double)glen(o[1]), o[1]->row >= 0);
+  e = step_any(o[0]->p, o[0]->w, o[0]->lo, o[0]->hi, o[1], bits, b->p, 0);
+  for (int q = 2; q < m && e > 0; q++) {
+    if (wk) step_work(wk, w, (double)e, (double)glen(o[q]), o[q]->row >= 0);
+    e = step_any(b->p, 1, 0, e, o[q], bits, b->p, 0);
+  }
+  return e;
+}
+
+/* What a walk measures at its last step, for weight w and the step's nf
+ * lists l (Catalog.sample_entry's sums): out = {sum w, sum w n, sum w
+ * |l_i| for each i, then the work triples of each list's run-kernel
+ * step, each list's stable intersection, and every list's intersection},
+ * n being the extension set's size (1 for a two-vertex query, nf = 0).
+ * The per-list [S] is the other list (two lists) or the other lists'
+ * intersection; every list's work follows Sorted.intersect's cascade, and
+ * so does n, from the lists' intersection computed for that work. Returns
+ * 0 when b cannot grow. */
+static int measure(double *out, double w, const glist *l, int nf, glist *oth,
+                   const glist **o, intnat *slen, const uint64_t *bits, wbuf *b)
+{
+  double *stepw = out + 2 + nf, *stable = stepw + 3 * nf, *all = stable + 3 * nf;
+  intnat n = nf == 0 ? 1 : glen(&l[0]);
+  /* Sorted.intersect's order of two or three lists: ascending length,
+   * ties by index. */
+  int o0 = 0, o1 = 1, o2 = nf - 1, t;
+#define ORDER(x, y) if (glen(&l[y]) < glen(&l[x])) { t = x; x = y; y = t; }
+  if (nf == 2 || nf == 3) ORDER(o0, o1);
+  if (nf == 3) {
+    ORDER(o1, o2);
+    ORDER(o0, o1);
+  }
+#undef ORDER
+  out[0] += w;
+  for (int i = 0; i < nf; i++) out[2 + i] += w * (double)glen(&l[i]);
+  if (nf == 2 && (n = cascade(l, 2, o, bits, b, NULL, 0.0)) < 0) return 0;
+  for (int i = 0; nf >= 2 && i < nf; i++) {
+    int srow = 0;
+    intnat li = glen(&l[i]);
+    if (nf == 2) {
+      slen[i] = glen(&l[1 - i]);
+      srow = l[1 - i].row >= 0;
+    } else {
+      for (int j = 0; j < nf - 1; j++) oth[j] = l[j < i ? j : j + 1];
+      if ((slen[i] = cascade(oth, nf - 1, o, bits, b, stable + 3 * i, w)) < 0) return 0;
+      /* The cascade's last step: the two shorter lists' intersection
+       * against the longest. */
+      if (nf == 3 && i == o2)
+        n = slen[i] ? step_any(b->p, 1, 0, slen[i], &l[i], bits, b->p, 0) : 0;
+    }
+    /* The run kernel keeps [S] first on a tie. */
+    if (li < slen[i]) step_work(stepw + 3 * i, w, (double)li, (double)slen[i], srow);
+    else step_work(stepw + 3 * i, w, (double)slen[i], (double)li, l[i].row >= 0);
+  }
+  if (nf == 2 || nf == 3) {
+    /* With three lists the second step's input is an [S] above. */
+    step_work(all, w, (double)glen(&l[o0]), (double)glen(&l[o1]), l[o1].row >= 0);
+    if (nf == 3)
+      step_work(all, w, (double)slen[o2], (double)glen(&l[o2]), l[o2].row >= 0);
+  } else if (nf >= 4 && (n = cascade(l, nf, o, bits, b, all, w)) < 0)
+    return 0;
+  out[1] += w * (double)n;
+  return 1;
+}
+
+/* Wander.walks: one walk per start, all in one call. Pool edge i is
+ * (vpool[2i], vpool[2i + 1]), and a walk's first two tuple columns are
+ * its ends (swapped when [flip]). Step 1's descriptors are the checks of
+ * the scan's other query edges between them, and step d >= 2's the lists
+ * whose intersection extends the walk to column d. spec = {k, one
+ * descriptor count per step 1 .. k - 1, then each descriptor's source
+ * column}; csrs holds each descriptor's Sorted.csr, in the same order.
+ * Before the last step a walk draws a uniform member of the extension set
+ * (Rng.int on [rng]'s state) and multiplies its weight by the set's size;
+ * it dies on a failed check or an empty set. Each walk that reaches the
+ * last step is measured into out (measure) in start order, so the sums
+ * add up in OCaml's order. Writes [rng]'s state back and returns the
+ * number of walks measured. */
+value gfq_walks(value vcsrs, value vspec, value vbits, value vpool, value vflip,
+                value vstarts, value vrng, value vout)
+{
+  CAMLparam5(vcsrs, vspec, vbits, vpool, vflip);
+  CAMLxparam3(vstarts, vrng, vout);
+  CAMLlocal1(vstate);
+  const uint64_t *bits = (const uint64_t *)Caml_ba_data_val(vbits);
+  intnat nbits = Caml_ba_array_val(vbits)->dim[0];
+  int k = (int)Long_val(Field(vspec, 0));
+  int nd = (int)Wosize_val(vcsrs), flip = Bool_val(vflip);
+  intnat nstarts = (intnat)Wosize_val(vstarts), nout = (intnat)Wosize_val(vout) / Double_wosize;
+  int nf = k >= 3 ? (int)Long_val(Field(vspec, k - 1)) : 0, maxm = 1, walked = 0, ok = 1;
+  uint64_t state = (uint64_t)Int64_val(Field(vrng, 0));
+  intnat ebuf[256], sbuf[256];
+  wbuf eb = {ebuf, 256, 0}, sb = {sbuf, 256, 0};
+  for (int d = 1; d < k; d++)
+    if (Long_val(Field(vspec, d)) > maxm) maxm = (int)Long_val(Field(vspec, d));
+  /* One block: first[d] is step d's first descriptor (d = 1 .. k,
+   * first[k] = nd), then the tuple, the stable lengths, the sums, the
+   * descriptors' CSR sides and room for one step's lists. */
+  char *block = malloc((size_t)(2 * k + 1 + maxm) * sizeof(intnat) + (size_t)nout * sizeof(double)
+                       + (size_t)nd * sizeof(vlist)
+                       + (size_t)maxm * (2 * sizeof(glist) + sizeof(glist *)));
+  if (block == NULL) caml_raise_out_of_memory();
+  intnat *first = (intnat *)block, *tuple = first + k + 1, *slen = tuple + k;
+  double *out = (double *)(slen + maxm);
+  vlist *v = (vlist *)(out + nout);
+  glist *l = (glist *)(v + nd), *oth = l + maxm;
+  const glist **o = (const glist **)(oth + maxm);
+  for (intnat q = 0; q < nout; q++) out[q] = 0.0;
+  first[1] = 0;
+  for (int d = 1; d < k; d++) first[d + 1] = first[d] + Long_val(Field(vspec, d));
+  for (int q = 0; q < nd; q++) vlist_of(Field(vcsrs, q), nbits, &v[q]);
+  for (intnat s = 0; s < nstarts && ok; s++) {
+    intnat i = Long_val(Field(vstarts, s)), d, n, m;
+    double w = 1.0;
+    int alive = 1;
+    glist c;
+    tuple[0] = Long_val(Field(vpool, 2 * i + flip));
+    tuple[1] = Long_val(Field(vpool, 2 * i + 1 - flip));
+    for (intnat q = first[1]; q < first[2] && alive; q++) {
+      list_of(&v[q], tuple[Long_val(Field(vspec, k + q))], &c);
+      alive = list_member(&c, tuple[1]);
+    }
+    if (!alive) continue;
+    /* Step d's lists into l; before the last step, its extension set's
+     * size into n, the set being l[0]'s slice (one list) or eb.p[0 .. n).
+     * The last step's set is measure's. */
+    for (d = 2; d < k; d++) {
+      m = first[d + 1] - first[d];
+      for (intnat q = 0; q < m; q++)
+        list_of(&v[first[d] + q], tuple[Long_val(Field(vspec, k + first[d] + q))], &l[q]);
+      if (d == k - 1) break;
+      if (m == 1) n = glen(&l[0]);
+      else if ((n = cascade(l, (int)m, o, bits, &eb, NULL, 0.0)) < 0) {
+        ok = 0;
+        break;
+      }
+      if (n == 0) break;
+      {
+        intnat r = rng_int(&state, n);
+        tuple[d] = m == 1 ? rd(l[0].p, l[0].w, l[0].lo + r) : eb.p[r];
+      }
+      w *= (double)n;
+    }
+    if (ok && d >= k - 1) {
+      walked++;
+      ok = measure(out, w, l, nf, oth, o, slen, bits, &sb);
+    }
+  }
+  if (ok)
+    for (intnat q = 0; q < nout; q++) Store_double_flat_field(vout, q, out[q]);
+  free(block);
+  if (eb.heap) free(eb.p);
+  if (sb.heap) free(sb.p);
+  if (!ok) caml_raise_out_of_memory();
+  vstate = caml_copy_int64((int64_t)state);
+  Store_field(vrng, 0, vstate);
+  CAMLreturn(Val_long(walked));
+}
+
+value gfq_walks_bc(value *argv, int argn)
+{
+  (void)argn;
+  return gfq_walks(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6],
+                   argv[7]);
 }

@@ -7,6 +7,7 @@ module Graph = Gf_graph.Graph
 module Generators = Gf_graph.Generators
 module Naive = Gf_exec.Naive
 module Rng = Gf_util.Rng
+module Wander = Gf_catalog.Wander
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -199,8 +200,136 @@ let test_descriptor_size_sane () =
   let global = Catalog.avg_partition_size cat ~dir:Graph.Fwd ~slabel:0 ~elabel:0 ~nlabel:0 in
   check_bool "edge-source bias" true (s1 >= global *. 0.8)
 
+(* ---------- golden entries ---------- *)
+
+(* Every entry that planning creates, rendered bit for bit ([%h]): Q1-Q14
+   on [exec.golden]'s graph and their labeled variants on its labeled
+   copy, 20 templates cut out of a small human analogue as labeled-short
+   sends them, Q7 and Q14 at h = 4 and z = 100, and Q1-Q14 on google 0.02.
+   Then [Wander.estimate] of Q1-Q14 and an exhaustive h = 3 catalogue, the
+   other two callers of the walk kernel. Weights and lengths are small
+   integers, so most sums are exact in any order; the gallop steps' log2
+   terms and the divisions are not, hence a graph with hubs. *)
+let golden_entry_lines () =
+  let work (w : Catalog.work) = Printf.sprintf "%h/%h/%h" w.merged w.galloped w.probed in
+  let entry (code, (e : Catalog.entry)) =
+    Printf.sprintf "%s mu=%h total=%h samples=%d sizes=[%s] kernel=[%s] all=%s" code e.mu
+      e.total_size e.samples
+      (String.concat ";"
+         (List.map
+            (fun ((v, dir, el), s) ->
+              Printf.sprintf "%d%c%d=%h" v
+                (match dir with Graph.Fwd -> 'f' | Graph.Bwd -> 'b')
+                el s)
+            e.sizes))
+      (String.concat ";"
+         (Array.to_list (Array.map (fun (a, b) -> work a ^ "," ^ work b) e.kernel)))
+      (work e.all_work)
+  in
+  let planned ?h ?z g qs =
+    let cat = Catalog.create ?h ?z g in
+    List.iter (fun q -> ignore (Gf_opt.Planner.plan cat q)) qs;
+    List.map entry (Catalog.entries cat)
+  in
+  let qs = List.init 14 (fun i -> Patterns.q (i + 1)) in
+  let human = Generators.dataset ~scale:0.25 Generators.Human in
+  let rng = Rng.create 17 in
+  let templates =
+    List.init 20 (fun i ->
+        Gf_baseline.Query_gen.from_data human rng ~num_vertices:(3 + (i mod 5))
+          ~dense:(i mod 2 = 0))
+  in
+  let golden = Test_exec.golden_graph () in
+  let exhaustive = Catalog.create ~h:3 ~z:50 (Generators.erdos_renyi (Rng.create 5) ~n:60 ~m:240) in
+  ignore (Catalog.build_exhaustive exhaustive);
+  let est = Rng.create 11 in
+  planned golden qs
+  @ planned (Test_exec.labeled_golden_graph ()) (List.map Test_exec.labeled_variant qs)
+  @ planned human templates
+  (* Five-vertex entries (four lists) and pools larger than z. *)
+  @ planned ~h:4 ~z:100 golden [ Patterns.q 7; Patterns.q 14 ]
+  (* Hubs: gallop steps, whose log2 sums round at every weight. *)
+  @ planned (Generators.dataset ~scale:0.02 Generators.Google) qs
+  @ List.mapi
+      (fun i q ->
+        Printf.sprintf "estimate Q%d %h" (i + 1) (Wander.estimate golden q ~walks:300 est))
+      qs
+  @ List.map entry (Catalog.entries exhaustive)
+
+(* Generated from the sampler before the walk kernel moved to C (the
+   OCaml per-step walk loop): its digest and five of its 904 lines. *)
+let golden_entry_digest = "89164bed17a253e41e32e3d9139b6e25"
+
+let golden_entry_samples =
+  [
+    "3|0,0,0,|0|0>1@0|0>2@0|1>2@0 mu=0x1.4fe852ddf71f1p+0 total=0x1.1493fa14b77dcp+5 samples=346 sizes=[1b0=0x1.5133caba736cp+3;2b0=0x1.808e0ecc35459p+4] kernel=[0x1.3bbee3e267957p+2/0x0p+0/0x1.6a8b1927f4297p+0,0x0p+0/0x0p+0/0x0p+0;0x1.3bbee3e267957p+2/0x0p+0/0x1.6a8b1927f4297p+0,0x0p+0/0x0p+0/0x0p+0] all=0x1.3bbee3e267957p+2/0x0p+0/0x1.6a8b1927f4297p+0";
+    "5|0,0,0,0,0,|0|0>1@0|0>2@0|0>3@0|0>4@0|1>2@0|1>3@0|1>4@0|2>3@0|2>4@0|3>4@0 mu=0x1.5b1e5f75270dp-1 total=0x1.ffdd49c34115bp+5 samples=29 sizes=[1b0=0x1.9d49c34115b1ep+1;2b0=0x1.e8f2fba938682p+3;3b0=0x1.9797dd49c3411p+3;4b0=0x1.05e5f75270d04p+5] kernel=[0x1.70456c797dd4ap+2/0x0p+0/0x0p+0,0x1.1e5f75270d045p+4/0x0p+0/0x1.16c797dd49c34p+1;0x1.e08ad8f2fba94p+1/0x0p+0/0x1.270d0456c797ep-3,0x1.f86822b63cbefp+3/0x0p+0/0x1.97dd49c34115bp-1;0x1.c115b1e5f7527p+1/0x0p+0/0x1.15b1e5f75270dp-6,0x1.8797dd49c3411p+3/0x0p+0/0x1.797dd49c34116p-1;0x1.e3cbeea4e1a09p+1/0x0p+0/0x1.c34115b1e5f75p-2,0x1.b5270d0456c79p+3/0x0p+0/0x1.49c34115b1e5fp-3] all=0x1.20f2fba938682p+4/0x0p+0/0x1.34115b1e5f752p-1";
+    "estimate Q1 0x1.eec7ae147ae14p+8";
+    "4|0,0,0,0,|0|0>1@0|0>2@0|1>3@0|2>3@0|3>0@0 mu=0x1.942e313b0e04fp-7 total=0x1.e5741610bb37cp+4 samples=1000 sizes=[1b0=0x1.d288def54ea2bp+1;2b0=0x1.17ce654d3b22cp+2;3f0=0x1.652f60dec29acp+4] kernel=[0x1.b5991ad7ee845p-3/0x0p+0/0x1.c5dfeff07ac26p-5,0x1.49c086f785953p+2/0x0p+0/0x1.267d9736dd32cp+0;0x1.56ccfe59ab9afp-2/0x0p+0/0x1.376aef5fdca34p-6,0x1.1f024559fa8a4p+2/0x0p+0/0x1.16758f743e65ap+0;0x1.7e808fc0dfb25p-3/0x1.4170af68c0b7cp-8/0x1.9ffde9516632p-5,0x1.215068aea1dfp+1/0x0p+0/0x1.ade8ebfe75e71p-3] all=0x1.5db25dbb02354p+1/0x0p+0/0x1.5cde56490d321p-4";
+    "4|0,0,0,0,|0|1>0@0|2>1@0|3>2@0 mu=0x1.eac54eac54eacp+1 total=0x1.eac54eac54eacp+1 samples=50 sizes=[1f0=0x1.eac54eac54eacp+1] kernel=[0x0p+0/0x0p+0/0x0p+0,0x0p+0/0x0p+0/0x0p+0] all=0x0p+0/0x0p+0/0x0p+0";
+  ]
+
+let test_golden_entries () =
+  List.iter
+    (fun mode ->
+      let name = Gf_util.Sorted.kernel_mode_to_string mode in
+      let lines = Gf_util.Sorted.with_kernel_mode mode golden_entry_lines in
+      Alcotest.(check int) (name ^ ": lines") 904 (List.length lines);
+      List.iter
+        (fun l ->
+          check_bool
+            (name ^ ": has " ^ List.hd (String.split_on_char ' ' l))
+            true (List.mem l lines))
+        golden_entry_samples;
+      Alcotest.(check string) (name ^ ": digest") golden_entry_digest
+        (Digest.to_hex (Digest.string (String.concat "\n" lines))))
+    [ Gf_util.Sorted.Scalar; Gf_util.Sorted.Auto ]
+
+(* Request threads share one Db's catalogue: four threads planning the
+   same never-seen templates, yielding between them so that they race on
+   the same entries, pick what one thread picks and leave the same
+   entries. *)
+let test_shared_by_threads () =
+  let g = Generators.dataset ~scale:0.25 Generators.Human in
+  let rng = Rng.create 31 in
+  let templates =
+    List.init 40 (fun i ->
+        Gf_baseline.Query_gen.from_data g rng ~num_vertices:(3 + (i mod 5)) ~dense:(i mod 2 = 0))
+  in
+  let picks db =
+    List.map
+      (fun q ->
+        Thread.yield ();
+        Gf_plan.Plan.signature (fst (Graphflow.Db.plan db q)))
+      templates
+  in
+  let single = Graphflow.Db.create g in
+  let expected = picks single in
+  let shared = Graphflow.Db.create g in
+  let got = Array.make 4 [] in
+  List.iter Thread.join
+    (List.init 4 (fun i -> Thread.create (fun () -> got.(i) <- picks shared) ()));
+  Array.iteri
+    (fun i p -> Alcotest.(check (list string)) (Printf.sprintf "thread %d picks" i) expected p)
+    got;
+  let entries db = Catalog.entries (Graphflow.Db.catalog db) in
+  check_int "entries" (List.length (entries single)) (List.length (entries shared));
+  check_bool "same entries" true (compare (entries single) (entries shared) = 0)
+
+let test_sampled_counter () =
+  let sampled () =
+    Gf_exec.Metrics.counter_value (Gf_exec.Metrics.counter "gf_catalog_entries_sampled_total")
+  in
+  let before = sampled () in
+  let cat = Catalog.create (graph ()) in
+  ignore (Gf_opt.Planner.plan cat (Patterns.q 5));
+  check_bool "entries sampled" true (Catalog.num_entries cat > 0);
+  check_int "one count per entry" (Catalog.num_entries cat) (sampled () - before)
+
 let suite =
   [
+    ("catalog.shared", [ Alcotest.test_case "4 threads = 1 thread" `Quick test_shared_by_threads ]);
+    ("catalog.golden", [ Alcotest.test_case "entries" `Quick test_golden_entries ]);
     ( "catalog.stats",
       [
         Alcotest.test_case "edge count" `Quick test_edge_count;
@@ -211,6 +340,7 @@ let suite =
         Alcotest.test_case "oversize -> None" `Quick test_entry_oversize_none;
         Alcotest.test_case "mu fallback" `Quick test_mu_fallback_oversize;
         Alcotest.test_case "descriptor sizes" `Quick test_descriptor_size_sane;
+        Alcotest.test_case "sampled counter" `Quick test_sampled_counter;
       ] );
     ( "catalog.cardinality",
       [
